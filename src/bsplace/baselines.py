@@ -9,12 +9,12 @@ fewest covered users) at that cluster's worst-served user and repeats.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import optimizer as opt
+from .config_json import read_config_fields
 from .radio import LinkGainTable, build_link_table, sinr_from_rx
 
 
@@ -42,10 +42,7 @@ class KmeansConfig:
 
     @classmethod
     def from_json(cls, path) -> "KmeansConfig":
-        with open(path) as f:
-            raw = json.load(f)
-        fields = {k: raw[k] for k in cls.__dataclass_fields__ if k in raw}
-        return cls(**fields)
+        return cls(**read_config_fields(path, cls, BaselineError))
 
 
 def lloyd(points: np.ndarray, centroids: np.ndarray, max_iters: int):

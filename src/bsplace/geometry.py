@@ -131,8 +131,11 @@ def _seg_edge_params(a, d, e0, e1) -> list[float]:
     # Parallel: collinear edges contribute their projected overlap endpoints.
     if abs(rel[0] * d[1] - rel[1] * d[0]) > EPS * max(1.0, np.abs(d).max()):
         return []
-    dd = float(d @ d)
-    return [float((e0 - a) @ d) / dd, float((e1 - a) @ d) / dd]
+    # Explicit products, not `@`: a BLAS dot may fuse the multiply-add, and
+    # los_mask must reproduce these values exactly.
+    dd = d[0] * d[0] + d[1] * d[1]
+    return [((e0[0] - a[0]) * d[0] + (e0[1] - a[1]) * d[1]) / dd,
+            ((e1[0] - a[0]) * d[0] + (e1[1] - a[1]) * d[1]) / dd]
 
 
 def los_blocked(seg: Segment3, prisms) -> bool:
@@ -171,11 +174,20 @@ def _bbox_overlap(a, b, bbox) -> bool:
     )
 
 
+# Pairs per block of the mask kernel; bounds its temporaries (pairs x edges).
+_BLOCK_PAIRS = 4096
+
+
 def los_mask(origins, targets, prisms) -> np.ndarray:
     """Boolean matrix line_of_sight[i, j] for origins[i] -> targets[j].
 
-    Same semantics as los_blocked per pair, negated; bounding boxes prune
-    prisms before the exact interval test.
+    Same result as `not los_blocked(Segment3(origins[i], targets[j]), prisms)`
+    for every pair; `los_blocked` is the scalar oracle. The kernel is
+    prism-major: pairs go in blocks of whole origin rows (at most
+    _BLOCK_PAIRS pairs unless one row is longer), and for each prism one set
+    of array operations tests every still-clear pair of the block whose
+    bounding box reaches the prism and whose lower end is below its roof
+    (see _prism_blocks).
     """
     origins = np.asarray(origins, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -184,23 +196,134 @@ def los_mask(origins, targets, prisms) -> np.ndarray:
     if not prisms or n == 0 or m == 0:
         return out
 
-    boxes = np.array([p.bbox for p in prisms])
-    tops = np.array([p.top_elev for p in prisms])
-    for i in range(n):
-        a = origins[i]
-        for j in range(m):
-            b = targets[j]
-            lo_z = min(a[2], b[2])
-            cand = np.nonzero(
-                (tops > lo_z + EPS)
-                & (np.minimum(a[0], b[0]) <= boxes[:, 2] + EPS)
-                & (np.maximum(a[0], b[0]) >= boxes[:, 0] - EPS)
-                & (np.minimum(a[1], b[1]) <= boxes[:, 3] + EPS)
-                & (np.maximum(a[1], b[1]) >= boxes[:, 1] - EPS)
+    edges = [_Edges(p.footprint) for p in prisms]
+    rows = max(1, _BLOCK_PAIRS // m)
+    for start in range(0, n, rows):
+        a = np.repeat(origins[start:start + rows], m, axis=0)
+        b = np.tile(targets, (len(a) // m, 1))
+        clear = out[start:start + rows].reshape(-1)  # a view into out
+        lo_z = np.minimum(a[:, 2], b[:, 2])
+        min_x, max_x = np.minimum(a[:, 0], b[:, 0]), np.maximum(a[:, 0], b[:, 0])
+        min_y, max_y = np.minimum(a[:, 1], b[:, 1]), np.maximum(a[:, 1], b[:, 1])
+        for prism, edge in zip(prisms, edges):
+            top = prism.top_elev
+            minx, miny, maxx, maxy = prism.bbox
+            k = np.nonzero(
+                clear
+                & (top > lo_z + EPS)
+                & ~(lo_z >= top - EPS)
+                & (min_x <= maxx + EPS)
+                & (max_x >= minx - EPS)
+                & (min_y <= maxy + EPS)
+                & (max_y >= miny - EPS)
             )[0]
-            if cand.size == 0:
-                continue
-            seg = Segment3(a, b)
-            if los_blocked(seg, [prisms[k] for k in cand]):
-                out[i, j] = False
+            if k.size:
+                clear[k[_prism_blocks(a[k], b[k], edge, top)]] = False
     return out
+
+
+class _Edges:
+    """A footprint ring as edge arrays: starts (x1, y1), ends (x2, y2) and
+    vectors (ex, ey), each of shape (1, n_edges) to broadcast over pairs."""
+
+    def __init__(self, poly):
+        self.x1, self.y1 = poly[None, :, 0], poly[None, :, 1]
+        self.x2, self.y2 = np.roll(self.x1, -1, axis=1), np.roll(self.y1, -1, axis=1)
+        self.ex, self.ey = self.x2 - self.x1, self.y2 - self.y1
+
+
+def _prism_blocks(a, b, edges: _Edges, top) -> np.ndarray:
+    """Which segments a[k] -> b[k] the prism (edges, top) blocks.
+
+    Vectorized segment_polygon_interval plus the roof test of los_blocked,
+    with the same arithmetic, so every decision matches the scalar path bit
+    for bit. Merging adjacent inside intervals is skipped: z is linear along
+    the segment, so a merged interval dips below the roof exactly when one
+    of its sub-intervals does.
+    """
+    ax, ay, az = a[:, 0], a[:, 1], a[:, 2]
+    dx, dy, dz = b[:, 0] - ax, b[:, 1] - ay, b[:, 2] - az
+    vertical = (np.abs(dx) <= EPS) & (np.abs(dy) <= EPS)
+
+    # A vertical link projects to one point: its single interval [0, 1] is
+    # probed at that point instead of at a midpoint.
+    v = np.nonzero(vertical)[0]
+    rows, los, his = [v], [np.zeros(v.size)], [np.ones(v.size)]
+    px, py = [ax[v]], [ay[v]]
+
+    s = np.nonzero(~vertical)[0]
+    if s.size:
+        ts = _edge_params(ax[s, None], ay[s, None], dx[s, None], dy[s, None], edges)
+        # Sequential dedup within EPS of the last kept value; each kept
+        # value closes the sub-interval that starts at the previous one.
+        last = np.minimum(np.maximum(ts[:, 0], 0.0), 1.0)
+        for col in ts.T[1:]:
+            val = np.minimum(np.maximum(col, 0.0), 1.0)
+            kept = np.nonzero(np.isfinite(col) & (val - last > EPS))[0]
+            r, lo, hi = s[kept], last[kept], val[kept]
+            mid = 0.5 * (lo + hi)
+            rows.append(r)
+            los.append(lo)
+            his.append(hi)
+            px.append(ax[r] + mid * dx[r])
+            py.append(ay[r] + mid * dy[r])
+            last[kept] = hi
+
+    rows, lo, hi = np.concatenate(rows), np.concatenate(los), np.concatenate(his)
+    z_lo = az[rows] + lo * dz[rows]
+    z_hi = az[rows] + hi * dz[rows]
+    low = np.nonzero(np.minimum(z_lo, z_hi) < top - EPS)[0]
+    inside = _points_in_polygon(np.concatenate(px)[low], np.concatenate(py)[low], edges)
+    blocked = np.zeros(len(a), dtype=bool)
+    blocked[rows[low[inside]]] = True
+    return blocked
+
+
+def _edge_params(ax, ay, dx, dy, e: _Edges) -> np.ndarray:
+    """Sorted interval parameters of segments a + t*d (column vectors) against
+    a ring, as _seg_edge_params gives them plus 0 and 1, windowed to
+    [-EPS, 1+EPS]. Rows are padded with inf; trailing all-inf columns are cut.
+    """
+    relx, rely = e.x1 - ax, e.y1 - ay
+    denom = dx * e.ey - dy * e.ex
+    cross = relx * dy - rely * dx
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (relx * e.ey - rely * e.ex) / denom
+        u = cross / denom
+    crossing = np.abs(denom) > EPS
+    cols = [np.zeros_like(ax), np.ones_like(ax),
+            np.where(crossing & _in_window(t) & _in_window(u), t, np.inf)]
+    if not crossing.all():
+        # Parallel edges: collinear ones add the ends of their overlap.
+        collinear = ~crossing & ~(np.abs(cross) > EPS * np.maximum(
+            1.0, np.maximum(np.abs(dx), np.abs(dy))))
+        dd = dx * dx + dy * dy
+        t0 = (relx * dx + rely * dy) / dd
+        t1 = ((e.x2 - ax) * dx + (e.y2 - ay) * dy) / dd
+        cols[2] = np.where(collinear, t0, cols[2])
+        cols.append(np.where(collinear, t1, np.inf))
+    ts = np.concatenate(cols, axis=1)
+    ts[~_in_window(ts)] = np.inf
+    ts.sort(axis=1)
+    return ts[:, :np.isfinite(ts).sum(axis=1).max()]
+
+
+def _in_window(t):
+    return (t >= -EPS) & (t <= 1.0 + EPS)
+
+
+def _points_in_polygon(px, py, e: _Edges) -> np.ndarray:
+    """point_in_polygon over arrays of points, with its arithmetic."""
+    len2 = e.ex * e.ex + e.ey * e.ey
+    len2 = np.where(len2 == 0.0, 1.0, len2)
+    qx, qy = px[:, None], py[:, None]
+    t = np.minimum(np.maximum(((qx - e.x1) * e.ex + (qy - e.y1) * e.ey) / len2, 0.0), 1.0)
+    cx = e.x1 + t * e.ex - qx
+    cy = e.y1 + t * e.ey - qy
+    on_edge = (cx * cx + cy * cy).min(axis=1) <= EPS * EPS
+
+    crosses = (e.y1 > qy) != (e.y2 > qy)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xint = e.x1 + (qy - e.y1) * e.ex / e.ey
+    odd = np.count_nonzero(crosses & (qx < xint), axis=1) % 2 == 1
+    return on_edge | odd

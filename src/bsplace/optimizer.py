@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import radio
+from .config_json import read_config_fields
 from .radio import LinkGainTable, build_link_table, sectors_for_sites, sinr_from_rx
 
 
@@ -56,12 +57,7 @@ class GaConfig:
 
     @classmethod
     def from_json(cls, path) -> "GaConfig":
-        with open(path) as f:
-            raw = json.load(f)
-        if "M_max" in raw and "m_max" not in raw:
-            raw["m_max"] = raw.pop("M_max")
-        fields = {k: raw[k] for k in cls.__dataclass_fields__ if k in raw}
-        return cls(**fields)
+        return cls(**read_config_fields(path, cls, OptimizerError, {"M_max": "m_max"}))
 
     def to_json(self, path):
         with open(path, "w") as f:

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .config_json import read_config_fields
 from .geometry import los_mask
 
 SECTOR_AZIMUTHS_DEG = (0.0, 120.0, 240.0)
@@ -67,10 +67,7 @@ class RadioParams:
 
     @classmethod
     def from_json(cls, path) -> "RadioParams":
-        with open(path) as f:
-            raw = json.load(f)
-        fields = {k: raw[k] for k in cls.__dataclass_fields__ if k in raw}
-        return cls(**fields)
+        return cls(**read_config_fields(path, cls, RadioError))
 
     def to_json(self, path):
         with open(path, "w") as f:
@@ -225,12 +222,18 @@ class LinkGainTable:
 
 def build_link_table(scene, params: RadioParams, use_blockages: bool,
                      threads: int = 1) -> LinkGainTable:
+    """Rx table over the scene's candidates followed by its fixed BS.
+
+    `threads` is accepted for call compatibility and ignored: the LoS mask
+    is one vectorized single-threaded kernel, and callers' thread counts
+    drive objective evaluation only.
+    """
     user_pos = scene.user_positions()
     site_pos = scene.candidate_positions()
     if scene.fixed_bs:
         site_pos = np.vstack([site_pos, np.array(scene.fixed_bs)])
     prisms = scene.buildings if use_blockages else []
-    los = _chunked_los(user_pos, site_pos, prisms, threads)
+    los = los_mask(user_pos, site_pos, prisms)
     rx = _rx_matrix(user_pos, site_pos, los, params)
     if params.shadowing_sigma_db > 0.0:
         # Optional seeded shadowing lives on the table path only; the
@@ -244,18 +247,6 @@ def build_link_table(scene, params: RadioParams, use_blockages: bool,
         n_fixed=len(scene.fixed_bs),
         noise_dbm=thermal_noise_dbm(params),
     )
-
-
-def _chunked_los(user_pos, site_pos, prisms, threads: int) -> np.ndarray:
-    """True where the user-site path is clear."""
-    if not prisms:
-        return np.ones((len(user_pos), len(site_pos)), dtype=bool)
-    if threads <= 1 or len(user_pos) < 2 * threads:
-        return los_mask(user_pos, site_pos, prisms)
-    chunks = np.array_split(np.arange(len(user_pos)), threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda idx: los_mask(user_pos[idx], site_pos, prisms), chunks))
-    return np.vstack(parts)
 
 
 def sinr_from_rx(rx_dbm: np.ndarray, noise_dbm: float):
@@ -280,6 +271,7 @@ def attach_and_evaluate(users, sectors: list[BsSector], scene, params: RadioPara
     """Per-user (serving sector index, SINR dB) under max-power association.
 
     LoS is resolved once per distinct mast position, not per sector.
+    `threads` is ignored, as in build_link_table.
     """
     if not sectors:
         raise NoSectors("sector list is empty")
@@ -287,7 +279,7 @@ def attach_and_evaluate(users, sectors: list[BsSector], scene, params: RadioPara
     sector_pos = np.array([s.position for s in sectors])
     uniq_pos, inverse = np.unique(sector_pos, axis=0, return_inverse=True)
     prisms = scene.buildings if (use_blockages and scene is not None) else []
-    los_sites = _chunked_los(user_pos, uniq_pos, prisms, threads)
+    los_sites = los_mask(user_pos, uniq_pos, prisms)
     los = los_sites[:, inverse]
 
     delta = user_pos[:, None, :] - sector_pos[None, :, :]

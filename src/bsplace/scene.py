@@ -15,6 +15,7 @@ from enum import IntEnum
 import numpy as np
 from scipy import ndimage
 
+from .config_json import read_config_fields
 from .geometry import point_to_polygon_distance
 
 
@@ -215,12 +216,7 @@ class SceneConfig:
 
     @classmethod
     def from_json(cls, path) -> "SceneConfig":
-        with open(path) as f:
-            raw = json.load(f)
-        known = {k: raw[k] for k in (
-            "user_spacing_m", "candidate_pitch_m", "mast_height_m", "near_dist_m", "fixed_bs",
-        ) if k in raw}
-        cfg = cls(**known)
+        cfg = cls(**read_config_fields(path, cls, SceneError))
         if cfg.user_spacing_m <= 0 or cfg.candidate_pitch_m <= 0:
             raise SceneError("spacing and pitch must be positive")
         if cfg.mast_height_m <= 0:

@@ -127,6 +127,13 @@ def test_kmeans_config_validation(tmp_path):
     assert cfg.rounds == 3 and cfg.seed == 5 and cfg.max_lloyd_iters == 100
 
 
+def test_kmeans_config_rejects_unknown_key(tmp_path):
+    p = tmp_path / "kmeans.json"
+    p.write_text('{"rounds": 3, "max_iters": 50}')
+    with pytest.raises(BaselineError, match="max_iters"):
+        KmeansConfig.from_json(p)
+
+
 # ---------------------------------------------------------------------------
 # Comparison harness
 

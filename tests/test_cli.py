@@ -178,6 +178,15 @@ def test_optimize_missing_scene(ws, tmp_path):
     assert rc == 1
 
 
+def test_optimize_misspelled_config_key_is_data_error(ws, tmp_path, capsys):
+    bad = tmp_path / "ga.json"
+    bad.write_text(json.dumps({"pop_size": 16, "generation": 5}))
+    rc = main(["optimize", str(ws["scene"]), "--ga-config", str(bad),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "'generation'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 

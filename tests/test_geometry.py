@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsplace import geometry
+from bsplace.eval_report import GeneratorConfig, generate_synthetic_scene
 from bsplace.geometry import (
     Segment3,
     los_blocked,
@@ -10,6 +13,7 @@ from bsplace.geometry import (
     point_to_polygon_distance,
     segment_polygon_interval,
 )
+from bsplace.scene import BuildingPrism, SceneConfig, build_scene
 
 from conftest import make_segment, rect_prism
 
@@ -188,3 +192,82 @@ def test_bbox_prefilter_does_not_change_results():
     seg = make_segment([0.0, 0.0, 1.5], [100.0, 100.0, 1.5])
     assert not los_blocked(seg, [far])
     assert not geometry._bbox_overlap(seg.a[:2], seg.b[:2], far.bbox)
+
+
+# ---------------------------------------------------------------------------
+# Exactness of the vectorized los_mask against the scalar los_blocked oracle
+
+HALF_M = 0.5  # lattice pitch: collinear edges, vertex hits and EPS ties all occur
+
+
+def _lattice(lo, hi):
+    return st.integers(int(lo / HALF_M), int(hi / HALF_M)).map(lambda k: k * HALF_M)
+
+
+@st.composite
+def _footprints(draw):
+    """Rectangle, L or U footprint on the lattice, counterclockwise."""
+    x0, y0 = draw(_lattice(0, 12)), draw(_lattice(0, 12))
+    w, h = draw(_lattice(1.5, 8)), draw(_lattice(1.5, 8))
+    x1, y1 = x0 + w, y0 + h
+    kind = draw(st.sampled_from(["rect", "L", "U"]))
+    if kind == "rect":
+        ring = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    elif kind == "L":
+        cx = x0 + draw(_lattice(HALF_M, w - HALF_M))
+        cy = y0 + draw(_lattice(HALF_M, h - HALF_M))
+        ring = [(x0, y0), (x1, y0), (x1, cy), (cx, cy), (cx, y1), (x0, y1)]
+    else:
+        # notch in the top edge, one lattice step in from either side
+        ax = x0 + HALF_M
+        bx = x1 - HALF_M
+        cy = y0 + draw(_lattice(HALF_M, h - HALF_M))
+        ring = [(x0, y0), (x1, y0), (x1, y1), (bx, y1), (bx, cy), (ax, cy), (ax, y1), (x0, y1)]
+    top = draw(_lattice(HALF_M, 20))
+    return BuildingPrism(footprint=np.array(ring), base_elev=0.0, top_elev=top)
+
+
+_points = st.tuples(_lattice(-2, 22), _lattice(-2, 22), _lattice(0, 24))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    prisms=st.lists(_footprints(), min_size=1, max_size=4),
+    origins=st.lists(_points, min_size=1, max_size=5),
+    targets=st.lists(_points, min_size=1, max_size=5),
+    above=st.lists(_lattice(0, 24), max_size=3),
+)
+def test_los_mask_matches_oracle_on_lattice(prisms, origins, targets, above):
+    # targets straight above (or below) an origin give vertical links
+    targets = targets + [(origins[0][0], origins[0][1], z) for z in above]
+    mask = los_mask(origins, targets, prisms)
+    for i, a in enumerate(origins):
+        for j, b in enumerate(targets):
+            if a == b:
+                continue  # not a segment; the oracle rejects it
+            assert mask[i, j] == (not los_blocked(make_segment(a, b), prisms)), (a, b)
+
+
+def _generated_scene(seed):
+    raster, dsm = generate_synthetic_scene(GeneratorConfig(width=60, height=60), seed)
+    return build_scene(raster, dsm, SceneConfig(user_spacing_m=6.0, candidate_pitch_m=10.0))
+
+
+def test_los_mask_matches_oracle_on_generated_scene():
+    s = _generated_scene(11)
+    users, sites = s.user_positions(), s.candidate_positions()
+    assert len(s.buildings) > 0 and users.shape[0] * sites.shape[0] > 1000
+    mask = los_mask(users, sites, s.buildings)
+    expect = np.array([[not los_blocked(make_segment(u, c), s.buildings) for c in sites]
+                       for u in users])
+    np.testing.assert_array_equal(mask, expect)
+    assert 0 < mask.sum() < mask.size  # both outcomes are exercised
+
+
+@pytest.mark.parametrize("cap", [1, 7, 100])
+def test_los_mask_block_cap_does_not_change_result(monkeypatch, cap):
+    s = _generated_scene(12)
+    users, sites = s.user_positions(), s.candidate_positions()
+    full = los_mask(users, sites, s.buildings)
+    monkeypatch.setattr(geometry, "_BLOCK_PAIRS", cap)
+    np.testing.assert_array_equal(los_mask(users, sites, s.buildings), full)

@@ -396,6 +396,18 @@ def test_ga_config_validation_and_json(tmp_path):
     assert again == cfg
 
 
+@pytest.mark.parametrize("doc, bad", [
+    ('{"generation": 5}', "generation"),
+    ('{"M_max": 4, "m_max": 3}', "M_max"),
+    ('[1, 2]', "JSON object"),
+])
+def test_ga_config_rejects_unknown_key(tmp_path, doc, bad):
+    p = tmp_path / "ga.json"
+    p.write_text(doc)
+    with pytest.raises(OptimizerError, match=bad):
+        GaConfig.from_json(p)
+
+
 def test_run_nsga2_rejects_empty_candidates(box_scene_table):
     from bsplace.scene import Scene
 

@@ -336,3 +336,10 @@ def test_radio_params_json_round_trip(tmp_path):
     p.to_json(path)
     back = RadioParams.from_json(path)
     assert back == p
+
+
+def test_radio_params_rejects_unknown_key(tmp_path):
+    path = tmp_path / "radio.json"
+    path.write_text('{"tx_power_dBm": 33.0}')
+    with pytest.raises(RadioError, match="tx_power_dBm"):
+        RadioParams.from_json(path)

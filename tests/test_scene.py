@@ -381,6 +381,13 @@ def test_scene_config_from_json(tmp_path):
         SceneConfig.from_json(p)
 
 
+def test_scene_config_rejects_unknown_key(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"user_spacing_m": 5.0, "user_spacing": 6.0}))
+    with pytest.raises(SceneError, match="user_spacing'"):
+        SceneConfig.from_json(p)
+
+
 # ---------------------------------------------------------------------------
 # Synthetic scene generator
 
