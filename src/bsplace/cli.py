@@ -80,6 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--placement", type=Path,
                    help="JSON with 'sites' ids and/or explicit 'positions'")
     p.add_argument("--radio-config", type=Path)
+    p.add_argument("--ga-config", type=Path,
+                   help="GaConfig JSON; its sinr_threshold_db sets the reported threshold")
     p.add_argument("--tag", default="eval", help="suffix for output CSV names")
     p.add_argument("--no-blockages", action="store_true")
     _add_common(p)
@@ -196,6 +198,7 @@ def _ga_dict(cfg: GaConfig) -> dict:
 def cmd_evaluate(args):
     scene = load_scene(args.scene)
     params = _load_radio(args)
+    threshold = _load_ga(args).sinr_threshold_db
     use_blockages = not args.no_blockages
 
     site_ids: list[int] = []
@@ -224,12 +227,12 @@ def cmd_evaluate(args):
     save_throughput_csv(throughput_cdf(sinr, serving, params),
                         args.out / f"throughput_{tag}.csv")
     save_placement_csv(scene, positions, args.out / f"placement_{tag}.csv")
-    threshold = 10.0
     print(f"evaluated {len(positions)} BS (+{len(scene.fixed_bs)} fixed): "
           f"{int((sinr > threshold).sum())}/{len(sinr)} users above {threshold:g} dB, "
           f"mean SINR {float(sinr.mean()):.2f} dB")
     inputs = {"scene": str(args.scene), "sites": site_ids,
-              "positions": extra_positions, "use_blockages": use_blockages}
+              "positions": extra_positions, "use_blockages": use_blockages,
+              "ga_config": str(args.ga_config) if args.ga_config else None}
     return inputs, _effective_seed(args)
 
 

@@ -3,14 +3,35 @@
 from __future__ import annotations
 
 import json
+import types
+import typing
+
+# field annotation -> the JSON values it accepts, and its name in errors
+_JSON_TYPES = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    list: ((list,), "a list"),
+    type(None): ((type(None),), "null"),
+}
+
+
+def _json_types(annotation) -> list:
+    """Accepted value types and names of a field annotation; empty if unchecked."""
+    if typing.get_origin(annotation) in (typing.Union, types.UnionType):
+        options = typing.get_args(annotation)
+    else:
+        options = (typing.get_origin(annotation) or annotation,)
+    return [_JSON_TYPES[t] for t in options if t in _JSON_TYPES]
 
 
 def read_config_fields(path, cls, error: type[Exception], aliases=None) -> dict:
     """Keyword arguments for dataclass `cls` from the JSON object at `path`.
 
     `aliases` maps accepted alternative spellings to field names. A key that
-    is neither a field nor an alias raises `error` naming the key, so a
-    misspelled option fails instead of silently keeping its default.
+    is neither a field nor an alias, or a value whose JSON type does not fit
+    the field's annotation, raises `error` naming the key, so a misspelled
+    or mistyped option fails instead of silently keeping its default or
+    crashing later.
     """
     with open(path) as f:
         raw = json.load(f)
@@ -24,4 +45,12 @@ def read_config_fields(path, cls, error: type[Exception], aliases=None) -> dict:
     unknown = sorted(set(raw) - set(cls.__dataclass_fields__))
     if unknown:
         raise error(f"{path}: unknown config key(s): {', '.join(map(repr, unknown))}")
+    hints = typing.get_type_hints(cls)
+    for name, value in raw.items():
+        accepted = _json_types(hints[name])
+        # JSON true/false load as bool, a subclass of int; no field takes one
+        if accepted and (isinstance(value, bool)
+                         or not any(isinstance(value, allowed) for allowed, _ in accepted)):
+            expected = " or ".join(label for _, label in accepted)
+            raise error(f"{path}: {name!r} must be {expected}, got {value!r}")
     return raw

@@ -8,6 +8,8 @@ class label and elevation sample.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -116,25 +118,29 @@ class Dsm:
         if not np.isfinite(self.elevation).all():
             raise SceneError("DSM contains non-finite elevations")
 
-    def bilinear(self, x: float, y: float) -> float:
-        """Elevation interpolated between cell centers, clamped at borders."""
-        gx = (x - self.origin[0]) / self.cell_size - 0.5
-        gy = (y - self.origin[1]) / self.cell_size - 0.5
-        gx = min(max(gx, 0.0), self.width - 1.0)
-        gy = min(max(gy, 0.0), self.height - 1.0)
-        ix0 = min(int(gx), self.width - 1 if self.width == 1 else self.width - 2)
-        iy0 = min(int(gy), self.height - 1 if self.height == 1 else self.height - 2)
-        ix1 = min(ix0 + 1, self.width - 1)
-        iy1 = min(iy0 + 1, self.height - 1)
+    def bilinear(self, x, y):
+        """Elevation interpolated between cell centers, clamped at borders.
+
+        Takes two floats, or two equal-shape arrays and returns an array.
+        """
+        gx = np.clip((np.asarray(x, dtype=float) - self.origin[0]) / self.cell_size - 0.5,
+                     0.0, self.width - 1.0)
+        gy = np.clip((np.asarray(y, dtype=float) - self.origin[1]) / self.cell_size - 0.5,
+                     0.0, self.height - 1.0)
+        ix0 = np.minimum(gx.astype(np.intp), max(self.width - 2, 0))
+        iy0 = np.minimum(gy.astype(np.intp), max(self.height - 2, 0))
+        ix1 = np.minimum(ix0 + 1, self.width - 1)
+        iy1 = np.minimum(iy0 + 1, self.height - 1)
         fx = gx - ix0
         fy = gy - iy0
         z = self.elevation
-        return float(
+        val = (
             z[iy0, ix0] * (1 - fx) * (1 - fy)
             + z[iy0, ix1] * fx * (1 - fy)
             + z[iy1, ix0] * (1 - fx) * fy
             + z[iy1, ix1] * fx * fy
         )
+        return float(val) if val.ndim == 0 else val
 
 
 @dataclass
@@ -334,32 +340,66 @@ def check_aligned(raster: ClassRaster, dsm: Dsm):
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)  # 4-connectivity
 
 
-def _building_components(raster: ClassRaster):
-    mask = raster.classes == CellClass.BUILDING
-    labels, count = ndimage.label(mask, structure=_CROSS)
-    return mask, labels, count
+@dataclass
+class BuildingComponents:
+    """The 4-connected components of a raster's building cells, labelled once.
+
+    `labels` numbers the components 1..n in scan order (0 off buildings).
+    `windows[k]` is component k+1's bounding box grown by one cell and
+    clipped at the grid edge, so it holds the component, the ring of cells
+    next to it and its whole boundary. `tops[k]` is its roof height, the
+    median DSM over its cells; the prisms and the roof-mounted sites both
+    take it from here.
+    """
+
+    labels: np.ndarray
+    windows: list[tuple[slice, slice]]
+    tops: list[float]
 
 
-def extract_buildings(raster: ClassRaster, dsm: Dsm) -> list[BuildingPrism]:
+def building_components(raster: ClassRaster, dsm: Dsm) -> BuildingComponents:
+    """Label the building components once and take each one's window and roof."""
+    check_aligned(raster, dsm)
+    labels, _ = ndimage.label(raster.classes == CellClass.BUILDING, structure=_CROSS)
+    windows, tops = [], []
+    for comp, (rows, cols) in enumerate(ndimage.find_objects(labels), start=1):
+        window = (slice(max(rows.start - 1, 0), min(rows.stop + 1, raster.height)),
+                  slice(max(cols.start - 1, 0), min(cols.stop + 1, raster.width)))
+        windows.append(window)
+        tops.append(float(np.median(dsm.elevation[window][labels[window] == comp])))
+    return BuildingComponents(labels, windows, tops)
+
+
+def extract_buildings(
+    raster: ClassRaster,
+    dsm: Dsm,
+    components: BuildingComponents | None = None,
+) -> list[BuildingPrism]:
     """One prism per 4-connected component of building cells.
 
     Roof height is the median DSM over the component; base height is the
     median DSM over the ring of adjacent non-building cells. Medians keep
-    single-cell DSM noise out of the prism heights.
+    single-cell DSM noise out of the prism heights. Each component is
+    handled inside its window, so the cost grows with the grid, not with
+    the grid times the component count. `components` defaults to
+    `building_components(raster, dsm)`.
     """
     check_aligned(raster, dsm)
-    mask, labels, count = _building_components(raster)
+    if components is None:
+        components = building_components(raster, dsm)
     prisms = []
-    for comp in range(1, count + 1):
+    for comp, (window, top) in enumerate(zip(components.windows, components.tops), start=1):
+        labels = components.labels[window]
         cells = labels == comp
-        top = float(np.median(dsm.elevation[cells]))
-        ring = ndimage.binary_dilation(cells, structure=_CROSS) & ~cells & ~mask
+        elev = dsm.elevation[window]
+        ring = ndimage.binary_dilation(cells, structure=_CROSS) & (labels == 0)
         if ring.any():
-            base = float(np.median(dsm.elevation[ring]))
+            base = float(np.median(elev[ring]))
         else:
-            base = float(dsm.elevation[cells].min())
+            base = float(elev[cells].min())
         base = min(base, top - 1e-6)  # degenerate flat terrain still yields a prism
-        footprint = _trace_footprint(cells, raster.origin, raster.cell_size)
+        offset = (window[1].start, window[0].start)
+        footprint = _trace_footprint(cells, offset, raster.origin, raster.cell_size)
         prisms.append(BuildingPrism(footprint, base, top))
     return prisms
 
@@ -368,31 +408,32 @@ _LEFT = {(1, 0): (0, 1), (0, 1): (-1, 0), (-1, 0): (0, -1), (0, -1): (1, 0)}
 _RIGHT = {v: k for k, v in _LEFT.items()}
 
 
-def _trace_footprint(cells: np.ndarray, origin, cell_size) -> np.ndarray:
+def _trace_footprint(cells: np.ndarray, offset, origin, cell_size) -> np.ndarray:
     """Outer boundary of a cell component as a counterclockwise polygon.
 
     Boundary edges are traced with the interior kept on the left; at pinch
     corners the walk prefers the left turn, which keeps each loop as tight
     as possible. The loop with the largest area is the outer ring (inner
-    rings around holes are dropped). Works in integer corner coordinates so
-    the chaining is exact.
+    rings around holes are dropped). Works in integer corner coordinates,
+    local to `cells`, so the chaining is exact; `offset` is the (column,
+    row) of `cells[0, 0]` in the grid and is added before scaling, so the
+    corners come out exactly as if traced on the whole grid.
     """
+    padded = np.zeros((cells.shape[0] + 2, cells.shape[1] + 2), dtype=bool)
+    padded[1:-1, 1:-1] = cells
+    # one (mask of cells with that side open, edge start, edge end) per side,
+    # in corner offsets from the cell's lower-left corner
+    sides = (
+        (cells & ~padded[:-2, 1:-1], (0, 0), (1, 0)),   # south
+        (cells & ~padded[1:-1, 2:], (1, 0), (1, 1)),    # east
+        (cells & ~padded[2:, 1:-1], (1, 1), (0, 1)),    # north
+        (cells & ~padded[1:-1, :-2], (0, 1), (0, 0)),   # west
+    )
     edges: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    ys, xs = np.nonzero(cells)
-    h, w = cells.shape
-
-    def present(ix, iy):
-        return 0 <= ix < w and 0 <= iy < h and cells[iy, ix]
-
-    for iy, ix in zip(ys.tolist(), xs.tolist()):
-        if not present(ix, iy - 1):
-            edges.setdefault((ix, iy), []).append((ix + 1, iy))
-        if not present(ix + 1, iy):
-            edges.setdefault((ix + 1, iy), []).append((ix + 1, iy + 1))
-        if not present(ix, iy + 1):
-            edges.setdefault((ix + 1, iy + 1), []).append((ix, iy + 1))
-        if not present(ix - 1, iy):
-            edges.setdefault((ix, iy + 1), []).append((ix, iy))
+    for open_side, (sx, sy), (ex, ey) in sides:
+        ys, xs = np.nonzero(open_side)
+        for ix, iy in zip(xs.tolist(), ys.tolist()):
+            edges.setdefault((ix + sx, iy + sy), []).append((ix + ex, iy + ey))
 
     loops = []
     while edges:
@@ -418,16 +459,14 @@ def _trace_footprint(cells: np.ndarray, origin, cell_size) -> np.ndarray:
             cur, prev_dir = _consume_edge(edges, cur, choice)
         loops.append(loop)
 
-    def area(loop):
-        pts = np.array(loop, dtype=float)
-        x, y = pts[:, 0], pts[:, 1]
-        return 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+    def twice_area(loop):  # shoelace on integer corners: exact
+        return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(loop, loop[1:] + loop[:1]))
 
-    outer = max(loops, key=lambda lp: abs(area(lp)))
-    if area(outer) < 0:
+    outer = max(loops, key=lambda lp: abs(twice_area(lp)))
+    if twice_area(outer) < 0:
         outer = outer[::-1]
     outer = _merge_collinear(outer)
-    pts = np.array(outer, dtype=float) * cell_size
+    pts = (np.array(outer) + offset).astype(float) * cell_size
     pts[:, 0] += origin[0]
     pts[:, 1] += origin[1]
     return pts
@@ -464,6 +503,21 @@ def _lattice(origin_c: float, extent_m: float, pitch: float) -> np.ndarray:
     return origin_c + pitch * (np.arange(n) + 0.5)
 
 
+def _lattice_cells(raster: ClassRaster, pitch: float):
+    """Lattice points at `pitch` over the raster, west to east within rows
+    from south to north, as x, y and the row and column of each point's cell."""
+    xs = _lattice(raster.origin[0], raster.width * raster.cell_size, pitch)
+    ys = _lattice(raster.origin[1], raster.height * raster.cell_size, pitch)
+    x, y = (g.ravel() for g in np.meshgrid(xs, ys))
+    ix = np.floor((x - raster.origin[0]) / raster.cell_size).astype(np.intp)
+    iy = np.floor((y - raster.origin[1]) / raster.cell_size).astype(np.intp)
+    outside = (ix < 0) | (ix >= raster.width) | (iy < 0) | (iy >= raster.height)
+    if outside.any():
+        i = int(np.flatnonzero(outside)[0])
+        raise SceneError(f"point ({x[i]}, {y[i]}) outside raster extent")
+    return x, y, iy, ix
+
+
 def place_users(
     raster: ClassRaster,
     dsm: Dsm,
@@ -475,7 +529,8 @@ def place_users(
 
     Lattice points on building/tree/car cells are skipped. A user has
     priority when it stands on an impervious surface (roads, pavements) or
-    within near_dist of a building footprint.
+    within near_dist of a building footprint. The exact footprint distance
+    is computed only for users within near_dist of the footprint's bbox.
     """
     if spacing <= 0:
         raise SceneError("user spacing must be positive")
@@ -483,34 +538,23 @@ def place_users(
     if buildings is None:
         buildings = extract_buildings(raster, dsm)
 
-    xs = _lattice(raster.origin[0], raster.width * raster.cell_size, spacing)
-    ys = _lattice(raster.origin[1], raster.height * raster.cell_size, spacing)
-    users = []
-    for y in ys:
-        for x in xs:
-            label = raster.label_at(x, y)
-            if label not in USER_CLASSES:
-                continue
-            z = dsm.bilinear(x, y) + USER_HEIGHT_M
-            priority = label == CellClass.IMPERVIOUS_SURFACE
-            if not priority and buildings:
-                p = np.array([x, y])
-                for prism in buildings:
-                    if _bbox_dist_exceeds(p, prism.bbox, near_dist):
-                        continue
-                    if point_to_polygon_distance(p, prism.footprint) <= near_dist:
-                        priority = True
-                        break
-            users.append(User(np.array([x, y, z]), priority))
-    if not users:
+    x, y, iy, ix = _lattice_cells(raster, spacing)
+    label = raster.classes[iy, ix]
+    walkable = np.isin(label, USER_CLASSES)
+    if not walkable.any():
         raise NoValidUserCells("no lattice point falls on a walkable cell")
-    return users
-
-
-def _bbox_dist_exceeds(p, bbox, limit) -> bool:
-    dx = max(bbox[0] - p[0], 0.0, p[0] - bbox[2])
-    dy = max(bbox[1] - p[1], 0.0, p[1] - bbox[3])
-    return dx * dx + dy * dy > limit * limit
+    x, y, label = x[walkable], y[walkable], label[walkable]
+    positions = np.column_stack([x, y, dsm.bilinear(x, y) + USER_HEIGHT_M])
+    priority = label == CellClass.IMPERVIOUS_SURFACE
+    limit_sq = near_dist * near_dist
+    for prism in buildings:
+        x0, y0, x1, y1 = prism.bbox
+        dx = np.maximum(np.maximum(x0 - x, 0.0), x - x1)
+        dy = np.maximum(np.maximum(y0 - y, 0.0), y - y1)
+        for i in np.flatnonzero(~priority & (dx * dx + dy * dy <= limit_sq)):
+            if point_to_polygon_distance(positions[i, :2], prism.footprint) <= near_dist:
+                priority[i] = True
+    return [User(p, bool(q)) for p, q in zip(positions, priority)]
 
 
 def place_candidates(
@@ -518,49 +562,40 @@ def place_candidates(
     dsm: Dsm,
     pitch: float,
     mast_height: float,
+    components: BuildingComponents | None = None,
 ) -> list[CandidateSite]:
     """Candidate mast sites on a coarse lattice, skipping tree/clutter/car cells.
 
     Sites on building cells mount on the roof: z is the prism top plus the
-    mast height.
+    mast height. `components` defaults to `building_components(raster, dsm)`.
     """
     if pitch <= 0 or mast_height <= 0:
         raise SceneError("pitch and mast height must be positive")
     check_aligned(raster, dsm)
-    _, labels, count = _building_components(raster)
-    comp_tops = {}
-    for comp in range(1, count + 1):
-        comp_tops[comp] = float(np.median(dsm.elevation[labels == comp]))
+    if components is None:
+        components = building_components(raster, dsm)
 
-    xs = _lattice(raster.origin[0], raster.width * raster.cell_size, pitch)
-    ys = _lattice(raster.origin[1], raster.height * raster.cell_size, pitch)
-    sites = []
-    for y in ys:
-        for x in xs:
-            ix, iy = raster.cell_at(x, y)
-            label = CellClass(int(raster.classes[iy, ix]))
-            if label in CANDIDATE_EXCLUDED:
-                continue
-            if label == CellClass.BUILDING:
-                z = comp_tops[int(labels[iy, ix])] + mast_height
-            else:
-                z = dsm.bilinear(x, y) + mast_height
-            sites.append(CandidateSite(len(sites), np.array([x, y, z])))
-    if not sites:
+    x, y, iy, ix = _lattice_cells(raster, pitch)
+    keep = ~np.isin(raster.classes[iy, ix], CANDIDATE_EXCLUDED)
+    if not keep.any():
         raise NoCandidates("every lattice point falls on an excluded cell")
-    return sites
+    x, y, iy, ix = x[keep], y[keep], iy[keep], ix[keep]
+    surface = dsm.bilinear(x, y)
+    comp = components.labels[iy, ix]
+    on_roof = comp > 0
+    surface[on_roof] = np.asarray(components.tops)[comp[on_roof] - 1]
+    positions = np.column_stack([x, y, surface + mast_height])
+    return [CandidateSite(i, p) for i, p in enumerate(positions)]
 
 
 def build_scene(raster: ClassRaster, dsm: Dsm, config: SceneConfig) -> Scene:
     """Derive buildings, users and candidate sites, and attach prior BS."""
-    check_aligned(raster, dsm)
-    buildings = extract_buildings(raster, dsm)
+    components = building_components(raster, dsm)
+    buildings = extract_buildings(raster, dsm, components)
     users = place_users(raster, dsm, config.user_spacing_m, config.near_dist_m, buildings)
-    candidates = place_candidates(raster, dsm, config.candidate_pitch_m, config.mast_height_m)
-    fixed = [np.asarray(p, dtype=float) for p in config.fixed_bs]
-    for p in fixed:
-        if p.shape != (3,):
-            raise SceneError("fixed_bs entries must be [x, y, z] points")
+    candidates = place_candidates(raster, dsm, config.candidate_pitch_m,
+                                  config.mast_height_m, components)
+    fixed = list(_points(config.fixed_bs, 3, "fixed_bs[{}]".format))
     return Scene(raster, dsm, buildings, users, candidates, fixed)
 
 
@@ -595,17 +630,54 @@ def save_scene(scene: Scene, path):
         f.write("\n")
 
 
+def _points(entries: list, dim: int, name) -> np.ndarray:
+    """`entries` as an (n, dim) float array, checked in one vectorized test.
+
+    Raises SceneError naming the first entry, `name(i)`, that is not `dim`
+    finite numbers.
+    """
+    if not entries:
+        return np.empty((0, dim))
+    try:
+        pts = np.array(entries, dtype=float)
+    except (TypeError, ValueError):  # ragged or non-numeric
+        pts = None
+    if pts is not None and pts.shape == (len(entries), dim) and np.isfinite(pts).all():
+        return pts
+    for i, entry in enumerate(entries):
+        try:
+            p = np.array(entry, dtype=float)
+        except (TypeError, ValueError):
+            p = None
+        if p is None or p.shape != (dim,) or not np.isfinite(p).all():
+            raise SceneError(f"{name(i)} must be {dim} finite numbers, got {entry!r}")
+    raise SceneError(f"{name('*')} must be {dim} finite numbers")
+
+
 def load_scene(path) -> Scene:
     with open(path) as f:
         raw = json.load(f)
     try:
+        footprints = [b["footprint"] for b in raw["buildings"]]
+        starts = [0, *itertools.accumulate(len(fp) for fp in footprints)]
+
+        def vertex_name(i):
+            k = bisect.bisect_right(starts, i) - 1
+            return f"buildings[{k}].footprint[{i - starts[k]}]"
+
+        vertices = _points([v for fp in footprints for v in fp], 2, vertex_name)
         buildings = [
-            BuildingPrism(np.array(b["footprint"]), float(b["base_elev"]), float(b["top_elev"]))
-            for b in raw["buildings"]
+            BuildingPrism(vertices[lo:hi], float(b["base_elev"]), float(b["top_elev"]))
+            for lo, hi, b in zip(starts, starts[1:], raw["buildings"])
         ]
-        users = [User(np.array(u["position"]), bool(u["priority"])) for u in raw["users"]]
-        candidates = [CandidateSite(int(c["id"]), np.array(c["position"])) for c in raw["candidates"]]
-        fixed = [np.array(p, dtype=float) for p in raw.get("fixed_bs", [])]
+        user_pos = _points([u["position"] for u in raw["users"]], 3,
+                           "users[{}].position".format)
+        users = [User(p, bool(u["priority"])) for p, u in zip(user_pos, raw["users"])]
+        cand_pos = _points([c["position"] for c in raw["candidates"]], 3,
+                           "candidates[{}].position".format)
+        candidates = [CandidateSite(int(c["id"]), p)
+                      for p, c in zip(cand_pos, raw["candidates"])]
+        fixed = list(_points(raw.get("fixed_bs", []), 3, "fixed_bs[{}]".format))
     except (KeyError, TypeError) as e:
         raise SceneError(f"malformed scene file: {e}") from None
     if not users or not candidates:

@@ -134,6 +134,13 @@ def test_kmeans_config_rejects_unknown_key(tmp_path):
         KmeansConfig.from_json(p)
 
 
+def test_kmeans_config_rejects_wrong_type(tmp_path):
+    p = tmp_path / "kmeans.json"
+    p.write_text('{"rounds": "3"}')
+    with pytest.raises(BaselineError, match="'rounds' must be an integer, got '3'"):
+        KmeansConfig.from_json(p)
+
+
 # ---------------------------------------------------------------------------
 # Comparison harness
 

@@ -187,6 +187,19 @@ def test_optimize_misspelled_config_key_is_data_error(ws, tmp_path, capsys):
     assert "'generation'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, doc, field", [
+    (["optimize", "--ga-config"], {"pop_size": "16"}, "'pop_size'"),
+    (["evaluate", "--sites", "0", "--radio-config"], {"tx_power_dbm": "33"}, "'tx_power_dbm'"),
+])
+def test_mistyped_config_value_is_data_error(ws, tmp_path, capsys, argv, doc, field):
+    bad = tmp_path / "config.json"
+    bad.write_text(json.dumps(doc))
+    rc = main([argv[0], str(ws["scene"]), *argv[1:], str(bad), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 
@@ -201,6 +214,16 @@ def test_evaluate_sites(ws, tmp_path, capsys):
     cov = (out / "coverage_eval.csv").read_text().splitlines()
     assert cov[0] == "threshold_db,prob"
     assert len(cov) == 122
+
+
+def test_evaluate_threshold_from_ga_config(ws, tmp_path, capsys):
+    ga = tmp_path / "ga.json"
+    ga.write_text(json.dumps({"sinr_threshold_db": -300.0}))
+    rc = main(["evaluate", str(ws["scene"]), "--sites", "0,1", "--ga-config", str(ga),
+               "--out", str(tmp_path / "eval")])
+    assert rc == 0
+    n_users = len(load_scene(ws["scene"]).users)
+    assert f"{n_users}/{n_users} users above -300 dB" in capsys.readouterr().out
 
 
 def test_evaluate_custom_tag_and_placement_file(ws, tmp_path):

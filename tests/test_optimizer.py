@@ -408,6 +408,22 @@ def test_ga_config_rejects_unknown_key(tmp_path, doc, bad):
         GaConfig.from_json(p)
 
 
+@pytest.mark.parametrize("doc, message", [
+    ('{"pop_size": "16"}', "'pop_size' must be an integer, got '16'"),
+    ('{"generations": 10.5}', "'generations' must be an integer"),
+    ('{"M_max": true}', "'m_max' must be an integer"),
+    ('{"crossover_prob": "0.9"}', "'crossover_prob' must be a number"),
+    ('{"mutation_prob_per_bit": [0.1]}', "'mutation_prob_per_bit' must be a number or null"),
+])
+def test_ga_config_rejects_wrong_type(tmp_path, doc, message):
+    p = tmp_path / "ga.json"
+    p.write_text(doc)
+    with pytest.raises(OptimizerError, match=message):
+        GaConfig.from_json(p)
+    p.write_text('{"mutation_prob_per_bit": null, "crossover_prob": 1}')
+    assert GaConfig.from_json(p).crossover_prob == 1
+
+
 def test_run_nsga2_rejects_empty_candidates(box_scene_table):
     from bsplace.scene import Scene
 

@@ -343,3 +343,13 @@ def test_radio_params_rejects_unknown_key(tmp_path):
     path.write_text('{"tx_power_dBm": 33.0}')
     with pytest.raises(RadioError, match="tx_power_dBm"):
         RadioParams.from_json(path)
+
+
+def test_radio_params_rejects_wrong_type(tmp_path):
+    path = tmp_path / "radio.json"
+    path.write_text('{"tx_power_dbm": "33"}')
+    with pytest.raises(RadioError, match="'tx_power_dbm' must be a number, got '33'"):
+        RadioParams.from_json(path)
+    path.write_text('{"shadowing_seed": 1.5}')
+    with pytest.raises(RadioError, match="'shadowing_seed' must be an integer"):
+        RadioParams.from_json(path)

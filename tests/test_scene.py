@@ -2,11 +2,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
 from bsplace.eval_report import GeneratorConfig, generate_synthetic_scene
+from bsplace.geometry import point_to_polygon_distance
 from bsplace.scene import (
     CANDIDATE_EXCLUDED,
     USER_CLASSES,
+    BuildingPrism,
+    CandidateSite,
     USER_HEIGHT_M,
     CellClass,
     ClassRaster,
@@ -19,6 +26,7 @@ from bsplace.scene import (
     SceneConfig,
     SceneError,
     UnknownClassCode,
+    User,
     build_scene,
     check_aligned,
     extract_buildings,
@@ -381,6 +389,16 @@ def test_scene_config_from_json(tmp_path):
         SceneConfig.from_json(p)
 
 
+def test_scene_config_rejects_wrong_type(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"user_spacing_m": "5"}))
+    with pytest.raises(SceneError, match="'user_spacing_m' must be a number"):
+        SceneConfig.from_json(p)
+    p.write_text(json.dumps({"fixed_bs": {"x": 1}}))
+    with pytest.raises(SceneError, match="'fixed_bs' must be a list"):
+        SceneConfig.from_json(p)
+
+
 def test_scene_config_rejects_unknown_key(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"user_spacing_m": 5.0, "user_spacing": 6.0}))
@@ -433,3 +451,372 @@ def test_generator_config_validation():
         GeneratorConfig(building_density=0.95)
     with pytest.raises(ReportError):
         GeneratorConfig(building_size_range=(20, 6))
+
+
+# ---------------------------------------------------------------------------
+# Scene build against a full-grid reference
+#
+# The reference does what the scene module did before it worked in
+# per-component windows: a full-grid mask, dilation and median for every
+# component, a boundary walk over the whole grid, and scalar lattice loops.
+# The scene build must reproduce it bit for bit.
+
+_REF_CROSS = ndimage.generate_binary_structure(2, 1)
+_REF_LEFT = {(1, 0): (0, 1), (0, 1): (-1, 0), (-1, 0): (0, -1), (0, -1): (1, 0)}
+_REF_RIGHT = {v: k for k, v in _REF_LEFT.items()}
+
+
+def _ref_outer_ring(cells, origin, cell_size):
+    edges = {}
+    h, w = cells.shape
+
+    def present(ix, iy):
+        return 0 <= ix < w and 0 <= iy < h and cells[iy, ix]
+
+    for iy, ix in zip(*np.nonzero(cells)):
+        ix, iy = int(ix), int(iy)
+        if not present(ix, iy - 1):
+            edges.setdefault((ix, iy), []).append((ix + 1, iy))
+        if not present(ix + 1, iy):
+            edges.setdefault((ix + 1, iy), []).append((ix + 1, iy + 1))
+        if not present(ix, iy + 1):
+            edges.setdefault((ix + 1, iy + 1), []).append((ix, iy + 1))
+        if not present(ix - 1, iy):
+            edges.setdefault((ix, iy + 1), []).append((ix, iy))
+
+    def take(frm, to):
+        edges[frm].remove(to)
+        if not edges[frm]:
+            del edges[frm]
+        return to, (to[0] - frm[0], to[1] - frm[1])
+
+    loops = []
+    while edges:
+        start = min(edges)
+        loop = [start]
+        cur, heading = take(start, min(edges[start]))
+        while cur != start:
+            loop.append(cur)
+            outs = edges[cur]
+            choice = min(outs)
+            for turn in (_REF_LEFT[heading], heading, _REF_RIGHT[heading]):
+                if (cur[0] + turn[0], cur[1] + turn[1]) in outs:
+                    choice = (cur[0] + turn[0], cur[1] + turn[1])
+                    break
+            cur, heading = take(cur, choice)
+        loops.append(loop)
+
+    def area(loop):
+        x, y = np.array(loop, dtype=float).T
+        return 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+
+    outer = max(loops, key=lambda lp: abs(area(lp)))
+    if area(outer) < 0:
+        outer = outer[::-1]
+    n = len(outer)
+    corners = [
+        outer[i] for i in range(n)
+        if (outer[i][0] - outer[i - 1][0]) * (outer[(i + 1) % n][1] - outer[i][1])
+        != (outer[i][1] - outer[i - 1][1]) * (outer[(i + 1) % n][0] - outer[i][0])
+    ]
+    pts = np.array(corners if len(corners) >= 3 else outer, dtype=float) * cell_size
+    pts[:, 0] += origin[0]
+    pts[:, 1] += origin[1]
+    return pts
+
+
+def _ref_buildings(raster, dsm):
+    mask = raster.classes == CellClass.BUILDING
+    labels, count = ndimage.label(mask, structure=_REF_CROSS)
+    out = []
+    for comp in range(1, count + 1):
+        cells = labels == comp
+        top = float(np.median(dsm.elevation[cells]))
+        ring = ndimage.binary_dilation(cells, structure=_REF_CROSS) & ~cells & ~mask
+        base = float(np.median(dsm.elevation[ring])) if ring.any() \
+            else float(dsm.elevation[cells].min())
+        out.append((_ref_outer_ring(cells, raster.origin, raster.cell_size),
+                    min(base, top - 1e-6), top))
+    return out, labels
+
+
+def _ref_bilinear(dsm, x, y):
+    gx = min(max((x - dsm.origin[0]) / dsm.cell_size - 0.5, 0.0), dsm.width - 1.0)
+    gy = min(max((y - dsm.origin[1]) / dsm.cell_size - 0.5, 0.0), dsm.height - 1.0)
+    ix0 = min(int(gx), dsm.width - 1 if dsm.width == 1 else dsm.width - 2)
+    iy0 = min(int(gy), dsm.height - 1 if dsm.height == 1 else dsm.height - 2)
+    ix1 = min(ix0 + 1, dsm.width - 1)
+    iy1 = min(iy0 + 1, dsm.height - 1)
+    fx, fy = gx - ix0, gy - iy0
+    z = dsm.elevation
+    return float(z[iy0, ix0] * (1 - fx) * (1 - fy) + z[iy0, ix1] * fx * (1 - fy)
+                 + z[iy1, ix0] * (1 - fx) * fy + z[iy1, ix1] * fx * fy)
+
+
+def _ref_lattice(raster, pitch):
+    def axis(origin, extent):
+        return origin + pitch * (np.arange(int(np.floor(extent / pitch))) + 0.5)
+
+    xs = axis(raster.origin[0], raster.width * raster.cell_size)
+    for y in axis(raster.origin[1], raster.height * raster.cell_size):
+        for x in xs:
+            yield x, y
+
+
+def _ref_users(raster, dsm, spacing, near_dist, footprints):
+    users = []
+    for x, y in _ref_lattice(raster, spacing):
+        label = raster.label_at(x, y)
+        if label not in USER_CLASSES:
+            continue
+        priority = label == CellClass.IMPERVIOUS_SURFACE
+        for fp in footprints:
+            if priority:
+                break
+            dx = max(fp[:, 0].min() - x, 0.0, x - fp[:, 0].max())
+            dy = max(fp[:, 1].min() - y, 0.0, y - fp[:, 1].max())
+            if dx * dx + dy * dy <= near_dist * near_dist:
+                priority = point_to_polygon_distance([x, y], fp) <= near_dist
+        users.append(([x, y, _ref_bilinear(dsm, x, y) + USER_HEIGHT_M], priority))
+    return users
+
+
+def _ref_candidates(raster, dsm, pitch, mast_height, labels):
+    sites = []
+    for x, y in _ref_lattice(raster, pitch):
+        ix, iy = raster.cell_at(x, y)
+        label = raster.classes[iy, ix]
+        if label in CANDIDATE_EXCLUDED:
+            continue
+        if label == CellClass.BUILDING:
+            z = float(np.median(dsm.elevation[labels == labels[iy, ix]]))
+        else:
+            z = _ref_bilinear(dsm, x, y)
+        sites.append([x, y, z + mast_height])
+    return sites
+
+
+def _assert_matches_reference(raster, dsm, cfg):
+    """Build the scene and compare it with the reference; None when the
+    reference has no users or no sites and the build raises accordingly."""
+    ref, labels = _ref_buildings(raster, dsm)
+    users = _ref_users(raster, dsm, cfg.user_spacing_m, cfg.near_dist_m,
+                       [fp for fp, _, _ in ref])
+    sites = _ref_candidates(raster, dsm, cfg.candidate_pitch_m, cfg.mast_height_m, labels)
+    if not users or not sites:
+        with pytest.raises(NoCandidates if users else NoValidUserCells):
+            build_scene(raster, dsm, cfg)
+        prisms = extract_buildings(raster, dsm)
+    else:
+        scene = build_scene(raster, dsm, cfg)
+        prisms = scene.buildings
+        assert np.array_equal(scene.user_positions(), [pos for pos, _ in users])
+        assert scene.priority_mask().tolist() == [prio for _, prio in users]
+        assert [c.id for c in scene.candidates] == list(range(len(sites)))
+        assert np.array_equal(scene.candidate_positions(), sites)
+    assert len(prisms) == len(ref)
+    for prism, (footprint, base, top) in zip(prisms, ref):
+        assert np.array_equal(prism.footprint, footprint)
+        assert (prism.base_elev, prism.top_elev) == (base, top)
+    return prisms
+
+
+@pytest.mark.parametrize("seed, size, cell, density", [
+    (1, 120, 1.0, 0.3), (2, 90, 2.5, 0.55), (3, 60, 25.0, 0.2), (4, 100, 0.7, 0.45),
+])
+def test_build_scene_matches_full_grid_reference(seed, size, cell, density):
+    raster, dsm = generate_synthetic_scene(
+        GeneratorConfig(width=size, height=size - 7, cell_size=cell,
+                        building_density=density), seed)
+    for cfg in (SceneConfig(user_spacing_m=7 * cell, candidate_pitch_m=9 * cell,
+                            near_dist_m=4 * cell),
+                SceneConfig(user_spacing_m=1.3 * cell, candidate_pitch_m=2.1 * cell,
+                            near_dist_m=2 * cell)):
+        assert len(_assert_matches_reference(raster, dsm, cfg)) > 5
+
+
+def test_build_scene_reference_edges_diagonals_and_single_cells():
+    # B = building. Components touch all four edges and all four corners;
+    # several meet only diagonally; some are single cells; one is a ring
+    # with a courtyard and one has a pinch corner.
+    plan = [
+        "BB..B..BBB",
+        "B...B..B.B",
+        ".B.BBB..BB",
+        "..B.B.BBB.",
+        "B.........",
+        "B..BBB.B.B",
+        "...B.B..B.",
+        "B..BBB.B.B",
+        "BB.......B",
+        "B.BB.BB.BB",
+    ]
+    classes = np.array([[1 if c == "B" else 0 for c in row] for row in plan])
+    classes[4, 5:7] = CellClass.LOW_VEGETATION
+    classes[9, 4] = CellClass.TREE
+    rng = np.random.default_rng(0)
+    elev = np.where(classes == 1, 12.0, 1.0) + rng.normal(0, 2, classes.shape)
+    raster = ClassRaster(10, 10, 3.0, (-17.5, 40.25), classes)
+    dsm = Dsm(10, 10, 3.0, (-17.5, 40.25), elev)
+    prisms = _assert_matches_reference(
+        raster, dsm, SceneConfig(user_spacing_m=1.0, candidate_pitch_m=1.5, near_dist_m=2.0))
+    assert len(prisms) == 15
+    # the full-grid building and the empty-ring case
+    full = ClassRaster(4, 3, 1.0, (0.0, 0.0), np.ones((3, 4), dtype=int))
+    prisms = extract_buildings(full, Dsm(4, 3, 1.0, (0.0, 0.0), np.arange(12.0).reshape(3, 4)))
+    ref, _ = _ref_buildings(full, Dsm(4, 3, 1.0, (0.0, 0.0), np.arange(12.0).reshape(3, 4)))
+    assert np.array_equal(prisms[0].footprint, ref[0][0])
+    assert (prisms[0].base_elev, prisms[0].top_elev) == (ref[0][1], ref[0][2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    classes=hnp.arrays(np.int16, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1,
+                                                   max_side=14),
+                       elements=st.sampled_from([0, 1, 1, 1, 2, 3, 4, 5])),
+    cell=st.sampled_from([0.5, 1.0, 3.7]),
+    spacing=st.sampled_from([0.4, 1.0, 2.9]),
+    seed=st.integers(0, 2**16),
+)
+def test_build_scene_matches_reference_on_random_rasters(classes, cell, spacing, seed):
+    h, w = classes.shape
+    elev = np.random.default_rng(seed).normal(10.0, 4.0, (h, w))
+    raster = ClassRaster(w, h, cell, (3.25, -8.5), classes)
+    dsm = Dsm(w, h, cell, (3.25, -8.5), elev)
+    cfg = SceneConfig(user_spacing_m=spacing * cell, candidate_pitch_m=1.5 * spacing * cell,
+                      near_dist_m=cell)
+    _assert_matches_reference(raster, dsm, cfg)
+
+
+
+def test_dsm_bilinear_arrays_and_scalars_match_reference():
+    rng = np.random.default_rng(4)
+    for w, h in ((1, 1), (1, 5), (6, 1), (7, 4)):
+        dsm = Dsm(w, h, 2.5, (-3.0, 11.0), rng.normal(20.0, 5.0, (h, w)))
+        x = rng.uniform(-10.0, 3.0 * w, 50)
+        y = rng.uniform(5.0, 14.0 + 3.0 * h, 50)
+        ref = [_ref_bilinear(dsm, a, b) for a, b in zip(x, y)]
+        assert dsm.bilinear(x, y).tolist() == ref
+        assert [dsm.bilinear(float(a), float(b)) for a, b in zip(x, y)] == ref
+        assert isinstance(dsm.bilinear(float(x[0]), float(y[0])), float)
+
+
+# ---------------------------------------------------------------------------
+# Round-trip properties and scene-file validation
+
+_coord = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+_origins = st.tuples(_coord, _coord)
+_cell_sizes = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    classes=hnp.arrays(np.int16, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1,
+                                                   max_side=12),
+                       elements=st.integers(0, 5)),
+    # -9999 is the files' NODATA marker, which scene grids may not contain
+    elevation=st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: v != -9999.0),
+    origin=_origins,
+    cell=_cell_sizes,
+    seed=st.integers(0, 2**16),
+)
+def test_ascii_grid_round_trip_property(tmp_path_factory, classes, elevation, origin, cell,
+                                        seed):
+    h, w = classes.shape
+    tmp = tmp_path_factory.mktemp("grid")
+    raster = ClassRaster(w, h, cell, origin, classes)
+    save_raster(raster, tmp / "classes.asc")
+    back = load_raster(tmp / "classes.asc")
+    assert (back.width, back.height, back.cell_size, back.origin) == (w, h, cell, origin)
+    assert np.array_equal(back.classes, classes)
+
+    elev = np.random.default_rng(seed).normal(0.0, 1.0, (h, w)) * 10.0 ** (seed % 12)
+    elev.flat[seed % elev.size] = elevation
+    dsm = Dsm(w, h, cell, origin, elev)
+    save_dsm(dsm, tmp / "surface.asc")
+    back_dsm = load_dsm(tmp / "surface.asc")
+    assert (back_dsm.width, back_dsm.height, back_dsm.cell_size, back_dsm.origin) == \
+        (w, h, cell, origin)
+    assert np.array_equal(back_dsm.elevation, elev)
+
+
+_point3 = st.tuples(_coord, _coord, _coord).map(list)
+
+
+@st.composite
+def _scenes(draw):
+    buildings = []
+    for _ in range(draw(st.integers(0, 3))):
+        footprint = draw(st.lists(st.tuples(_coord, _coord).map(list), min_size=3,
+                                  max_size=6))
+        base = draw(_coord)
+        top = base + draw(st.floats(1e-3, 300.0))
+        buildings.append(BuildingPrism(np.array(footprint), base, top))
+    users = [User(np.array(p), draw(st.booleans()))
+             for p in draw(st.lists(_point3, min_size=1, max_size=6))]
+    candidates = [CandidateSite(i, np.array(p))
+                  for i, p in enumerate(draw(st.lists(_point3, min_size=1, max_size=4)))]
+    fixed = [np.array(p) for p in draw(st.lists(_point3, max_size=2))]
+    return Scene(None, None, buildings, users, candidates, fixed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(scene=_scenes())
+def test_scene_json_round_trip_property(tmp_path_factory, scene):
+    p = tmp_path_factory.mktemp("scene") / "scene.json"
+    save_scene(scene, p)
+    back = load_scene(p)
+    assert len(back.buildings) == len(scene.buildings)
+    for a, b in zip(back.buildings, scene.buildings):
+        assert np.array_equal(a.footprint, b.footprint)
+        assert (a.base_elev, a.top_elev, a.bbox) == (b.base_elev, b.top_elev, b.bbox)
+    assert np.array_equal(back.user_positions(), scene.user_positions())
+    assert np.array_equal(back.priority_mask(), scene.priority_mask())
+    assert [c.id for c in back.candidates] == [c.id for c in scene.candidates]
+    assert np.array_equal(back.candidate_positions(), scene.candidate_positions())
+    assert len(back.fixed_bs) == len(scene.fixed_bs)
+    assert all(np.array_equal(a, b) for a, b in zip(back.fixed_bs, scene.fixed_bs))
+
+
+def _scene_doc():
+    return {
+        "buildings": [{"footprint": [[0.0, 0.0], [4.0, 0.0], [4.0, 4.0]],
+                       "base_elev": 0.0, "top_elev": 9.0}],
+        "users": [{"position": [1.0, 9.0, 2.0], "priority": False},
+                  {"position": [8.0, 9.0, 2.0], "priority": True}],
+        "candidates": [{"id": 0, "position": [9.0, 0.0, 25.0]}],
+        "fixed_bs": [[20.0, 20.0, 30.0]],
+    }
+
+
+@pytest.mark.parametrize("path, value, entry", [
+    (("users", 0, "position"), [float("nan"), 9.0, 2.0], "users[0].position"),
+    (("users", 1, "position"), [8.0, 9.0], "users[1].position"),
+    (("users", 1, "position"), [8.0, 9.0, "high"], "users[1].position"),
+    (("candidates", 0, "position"), [9.0, float("inf"), 25.0], "candidates[0].position"),
+    (("candidates", 0, "position"), [[9.0, 0.0, 25.0]], "candidates[0].position"),
+    (("fixed_bs", 0), [20.0, 20.0, 30.0, 1.0], "fixed_bs[0]"),
+    (("fixed_bs", 0), [20.0, None, 30.0], "fixed_bs[0]"),
+    (("buildings", 0, "footprint", 2), [4.0, float("-inf")], "buildings[0].footprint[2]"),
+    (("buildings", 0, "footprint", 1), [4.0], "buildings[0].footprint[1]"),
+])
+def test_load_scene_rejects_bad_coordinates(tmp_path, path, value, entry):
+    doc = _scene_doc()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    p = tmp_path / "scene.json"
+    p.write_text(json.dumps(doc))  # writes NaN/Infinity, which json.load accepts
+    with pytest.raises(SceneError, match=entry.replace("[", r"\[").replace("]", r"\]")):
+        load_scene(p)
+
+
+def test_load_scene_accepts_valid_coordinates(tmp_path):
+    p = tmp_path / "scene.json"
+    p.write_text(json.dumps(_scene_doc()))
+    scene = load_scene(p)
+    assert scene.user_positions().tolist() == [[1.0, 9.0, 2.0], [8.0, 9.0, 2.0]]
+    assert scene.fixed_bs[0].tolist() == [20.0, 20.0, 30.0]
+    assert scene.buildings[0].top_elev == 9.0
+
