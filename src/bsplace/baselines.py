@@ -9,7 +9,7 @@ fewest covered users) at that cluster's worst-served user and repeats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -165,7 +165,7 @@ def compare_methods(scene, params, bs_counts, methods,
         kmeans_config = KmeansConfig(seed=ga_config.seed,
                                      sinr_threshold_db=ga_config.sinr_threshold_db)
     if table is None:
-        table = build_link_table(scene, params, use_blockages, threads)
+        table = build_link_table(scene, params, use_blockages)
     threshold = ga_config.sinr_threshold_db
 
     nsga_archive = None
@@ -174,13 +174,13 @@ def compare_methods(scene, params, bs_counts, methods,
         for m in bs_counts:
             if method == "nsga2":
                 if nsga_archive is None:
-                    cfg = opt.GaConfig(**{**_cfg_dict(ga_config), "m_max": max(bs_counts)})
+                    cfg = replace(ga_config, m_max=max(bs_counts))
                     nsga_archive, _ = opt.run_nsga2(scene, params, cfg, use_blockages,
                                                     table=table, threads=threads)
                 ind = opt.select_best_for_m(nsga_archive, m, allow_fewer=True)
                 ids = ind.sites
             elif method == "ga":
-                cfg = opt.GaConfig(**{**_cfg_dict(ga_config), "m_max": m})
+                cfg = replace(ga_config, m_max=m)
                 best, _ = opt.run_ga_single_objective(scene, params, cfg, use_blockages,
                                                       table=table, threads=threads)
                 ids = best.sites
@@ -196,10 +196,6 @@ def compare_methods(scene, params, bs_counts, methods,
                 "sites": [int(i) for i in ids],
             })
     return rows
-
-
-def _cfg_dict(cfg: opt.GaConfig) -> dict:
-    return {k: getattr(cfg, k) for k in cfg.__dataclass_fields__}
 
 
 def save_comparison_csv(rows: list[dict], path):

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +29,8 @@ from .eval_report import (GeneratorConfig, ReportError, coverage_curve,
 from .optimizer import GaConfig, OptimizerError
 from .radio import (RadioError, RadioParams, attach_and_evaluate, build_link_table,
                     sectors_for_sites)
-from .scene import (SceneConfig, SceneError, build_scene, load_dsm, load_raster,
-                    load_scene, save_dsm, save_raster, save_scene)
+from .scene import (SceneConfig, SceneError, build_scene, finite_points, load_dsm,
+                    load_raster, load_scene, save_dsm, save_raster, save_scene)
 
 DATA_ERRORS = (SceneError, RadioError, OptimizerError, BaselineError, ReportError,
                OSError, json.JSONDecodeError)
@@ -153,12 +154,12 @@ def cmd_optimize(args):
     n_fixed = len(scene.fixed_bs)
 
     if args.method == "nsga2":
-        cfg = GaConfig(**{**_ga_dict(ga), "seed": seed})
+        cfg = replace(ga, seed=seed)
         archive, history = opt.run_nsga2(scene, params, cfg, use_blockages,
                                          threads=args.threads)
     elif args.method == "ga":
         m = args.m if args.m is not None else ga.m_max
-        cfg = GaConfig(**{**_ga_dict(ga), "seed": seed, "m_max": m})
+        cfg = replace(ga, seed=seed, m_max=m)
         best, ga_history = opt.run_ga_single_objective(scene, params, cfg, use_blockages,
                                                        threads=args.threads)
         archive, history = [best], ga_history
@@ -166,7 +167,7 @@ def cmd_optimize(args):
         if args.m is None:
             raise UsageError("--method kmeans requires --m")
         kcfg = KmeansConfig(seed=seed, sinr_threshold_db=ga.sinr_threshold_db)
-        table = build_link_table(scene, params, use_blockages, args.threads)
+        table = build_link_table(scene, params, use_blockages)
         ids = kmeans_site_ids(scene.users, args.m, scene, params, kcfg,
                               use_blockages, table)
         objectives = opt.evaluate_sites(ids, table, ga.sinr_threshold_db)
@@ -191,10 +192,6 @@ def cmd_optimize(args):
     return inputs, seed
 
 
-def _ga_dict(cfg: GaConfig) -> dict:
-    return {k: getattr(cfg, k) for k in cfg.__dataclass_fields__}
-
-
 def cmd_evaluate(args):
     scene = load_scene(args.scene)
     params = _load_radio(args)
@@ -202,25 +199,33 @@ def cmd_evaluate(args):
     use_blockages = not args.no_blockages
 
     site_ids: list[int] = []
-    extra_positions: list[list[float]] = []
+    extra_positions = np.empty((0, 3))
     if args.sites:
-        site_ids = [int(s) for s in args.sites.split(",") if s.strip()]
+        try:
+            site_ids = [int(s) for s in args.sites.split(",") if s.strip()]
+        except ValueError:
+            raise UsageError(f"--sites must be comma-separated integers, got {args.sites!r}")
     if args.placement:
         with open(args.placement) as f:
             raw = json.load(f)
-        site_ids += [int(i) for i in raw.get("sites", [])]
-        extra_positions = [list(map(float, p)) for p in raw.get("positions", [])]
-    if not site_ids and not extra_positions:
+        if not (isinstance(raw, dict) and isinstance(raw.get("sites", []), list)
+                and isinstance(raw.get("positions", []), list)):
+            raise SceneError("placement file must be an object of 'sites' and/or "
+                             "'positions' lists")
+        for k, i in enumerate(raw.get("sites", [])):
+            if type(i) is not int:
+                raise SceneError(f"sites[{k}] must be an integer, got {i!r}")
+            site_ids.append(i)
+        extra_positions = finite_points(raw.get("positions", []), 3, "positions[{}]".format)
+    if not site_ids and not len(extra_positions):
         raise UsageError("evaluate needs --sites and/or --placement")
     for i in site_ids:
         if not 0 <= i < len(scene.candidates):
             raise SceneError(f"site id {i} not in scene (0..{len(scene.candidates) - 1})")
 
-    positions = [scene.candidates[i].position for i in site_ids]
-    positions += [np.asarray(p, dtype=float) for p in extra_positions]
+    positions = [scene.candidates[i].position for i in site_ids] + list(extra_positions)
     sectors = sectors_for_sites(positions + list(scene.fixed_bs), params)
-    serving, sinr = attach_and_evaluate(scene.users, sectors, scene, params,
-                                        use_blockages, threads=args.threads)
+    serving, sinr = attach_and_evaluate(scene.users, sectors, scene, params, use_blockages)
 
     tag = args.tag
     save_coverage_csv(coverage_curve(sinr), args.out / f"coverage_{tag}.csv")
@@ -231,7 +236,7 @@ def cmd_evaluate(args):
           f"{int((sinr > threshold).sum())}/{len(sinr)} users above {threshold:g} dB, "
           f"mean SINR {float(sinr.mean()):.2f} dB")
     inputs = {"scene": str(args.scene), "sites": site_ids,
-              "positions": extra_positions, "use_blockages": use_blockages,
+              "positions": extra_positions.tolist(), "use_blockages": use_blockages,
               "ga_config": str(args.ga_config) if args.ga_config else None}
     return inputs, _effective_seed(args)
 
@@ -254,7 +259,7 @@ def cmd_compare(args):
     params = _load_radio(args)
     ga = _load_ga(args)
     seed = _effective_seed(args, ga.seed)
-    ga = GaConfig(**{**_ga_dict(ga), "seed": seed})
+    ga = replace(ga, seed=seed)
     rows = compare_methods(scene, params, bs_counts, methods, ga_config=ga,
                            use_blockages=not args.no_blockages, threads=args.threads)
     save_comparison_csv(rows, args.out / "comparison.csv")

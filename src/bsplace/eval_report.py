@@ -14,7 +14,7 @@ import numpy as np
 from . import optimizer as opt
 from . import radio
 from .baselines import KmeansConfig, compare_methods, save_comparison_csv
-from .radio import LinkGainTable, RadioParams, build_link_table, sinr_from_rx
+from .radio import RadioParams, build_link_table, sinr_from_rx
 from .scene import CellClass, ClassRaster, Dsm, Scene
 
 
@@ -263,13 +263,8 @@ class ScenarioPlan:
                               f"expected one of {SCENARIO_KINDS}")
 
 
-def _eval_sites(table: LinkGainTable, ids):
-    serving, sinr = sinr_from_rx(table.rx_for(ids), table.noise_dbm)
-    return serving, sinr
-
-
 def _emit_for_solution(scene, table, params, ids, tag, out_dir, written):
-    serving, sinr = _eval_sites(table, ids)
+    serving, sinr = sinr_from_rx(table.rx_for(ids), table.noise_dbm)
     save_coverage_csv(coverage_curve(sinr), out_dir / f"coverage_{tag}.csv")
     save_throughput_csv(throughput_cdf(sinr, serving, params),
                         out_dir / f"throughput_{tag}.csv")
@@ -290,7 +285,7 @@ def run_scenario(scene: Scene, params: RadioParams, plan: ScenarioPlan, out_dir)
     metrics: dict = {}
     threshold = plan.ga.sinr_threshold_db
 
-    table = build_link_table(scene, params, plan.use_blockages, plan.threads)
+    table = build_link_table(scene, params, plan.use_blockages)
 
     if plan.kind in ("no_prior", "with_prior"):
         if plan.kind == "with_prior" and not scene.fixed_bs:
@@ -312,7 +307,7 @@ def run_scenario(scene: Scene, params: RadioParams, plan: ScenarioPlan, out_dir)
             written.append("plot_coverage.gp")
 
     elif plan.kind == "blockage_ablation":
-        blind_table = build_link_table(scene, params, False, plan.threads)
+        blind_table = build_link_table(scene, params, False)
         archive_aware, _ = opt.run_nsga2(scene, params, plan.ga, True,
                                          table=table, threads=plan.threads)
         archive_blind, _ = opt.run_nsga2(scene, params, plan.ga, False,
@@ -324,7 +319,7 @@ def run_scenario(scene: Scene, params: RadioParams, plan: ScenarioPlan, out_dir)
             blind = opt.select_best_for_m(archive_blind, m, allow_fewer=True)
             # both placements are judged in the world WITH blockages
             for tag, ind in ((f"m{m}_aware", aware), (f"m{m}_blind", blind)):
-                serving, sinr = _eval_sites(table, ind.sites)
+                serving, sinr = sinr_from_rx(table.rx_for(ind.sites), table.noise_dbm)
                 save_coverage_csv(coverage_curve(sinr), out_dir / f"coverage_{tag}.csv")
                 written.append(f"coverage_{tag}.csv")
                 metrics[f"covered_{tag}"] = int((sinr > threshold).sum())
@@ -343,7 +338,7 @@ def run_scenario(scene: Scene, params: RadioParams, plan: ScenarioPlan, out_dir)
         save_comparison_csv(rows, out_dir / "comparison.csv")
         written.append("comparison.csv")
         for r in rows:
-            _, sinr = _eval_sites(table, r["sites"])
+            _, sinr = sinr_from_rx(table.rx_for(r["sites"]), table.noise_dbm)
             tag = f"{r['method']}_m{r['m']}"
             save_coverage_csv(coverage_curve(sinr), out_dir / f"coverage_{tag}.csv")
             written.append(f"coverage_{tag}.csv")

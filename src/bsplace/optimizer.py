@@ -21,9 +21,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import radio
 from .config_json import read_config_fields
-from .radio import LinkGainTable, build_link_table, sectors_for_sites, sinr_from_rx
+from .radio import LinkGainTable, build_link_table, sinr_from_rx
 
 
 class OptimizerError(Exception):
@@ -181,24 +180,16 @@ def evaluate(chromosome: np.ndarray, scene, params, use_blockages: bool,
              m_max: int | None = None) -> np.ndarray:
     """Objective vector for one repaired chromosome.
 
-    With a precomputed link table this is a pure array gather; without one
-    it builds sectors and runs the full radio path (same numbers either
-    way, the table just caches geometry).
+    Scores through the link table, a pure array gather; without one it
+    builds the scene's table first, so both calls give the same numbers,
+    shadowing included.
     """
-    n_cand = len(scene.candidates) if table is None else table.n_candidates
+    if table is None:
+        table = build_link_table(scene, params, use_blockages)
     if m_max is None:
-        m_max = len(chromosome) // (1 + site_bits(n_cand))
-    sites = decode_sites(chromosome, n_cand, m_max)
-    if table is not None:
-        return evaluate_sites(sites, table, sinr_threshold_db)
-    ordered = sorted(sites)
-    positions = [scene.candidates[i].position for i in ordered] + list(scene.fixed_bs)
-    sectors = sectors_for_sites(positions, params)
-    _, sinr = radio.attach_and_evaluate(scene.users, sectors, scene, params, use_blockages)
-    priority = scene.priority_mask()
-    f1 = -float(sinr[priority].sum())
-    f3 = -float((sinr > sinr_threshold_db).sum())
-    return np.array([f1, float(len(sites)), f3])
+        m_max = len(chromosome) // (1 + site_bits(table.n_candidates))
+    return evaluate_sites(decode_sites(chromosome, table.n_candidates, m_max), table,
+                          sinr_threshold_db)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +269,37 @@ def _tournament(rng: np.random.Generator, rank: np.ndarray, crowd: np.ndarray,
     return winners
 
 
+def _random_population(config: GaConfig, nbits: int, rng: np.random.Generator,
+                       fix) -> list[np.ndarray]:
+    return [fix(rng.random(nbits) < 0.5) for _ in range(config.pop_size)]
+
+
+def _offspring(pop: list[np.ndarray], parents: np.ndarray, config: GaConfig,
+               rng: np.random.Generator, fix) -> list[np.ndarray]:
+    """Uniform crossover and bit-flip mutation over consecutive parent pairs.
+
+    Per pair the draws are: the crossover coin, the swap mask (only when
+    crossing), the flip masks of a and of b; then `fix` repairs a and b.
+    The flip probability defaults to one bit per chromosome.
+    """
+    nbits = len(pop[0])
+    p_mut = config.mutation_prob_per_bit
+    if p_mut is None:
+        p_mut = 1.0 / nbits
+    children = []
+    for i in range(0, len(parents), 2):
+        a = pop[parents[i]].copy()
+        b = pop[parents[i + 1]].copy()
+        if rng.random() < config.crossover_prob:
+            mask = rng.random(nbits) < 0.5
+            a[mask], b[mask] = b[mask].copy(), a[mask].copy()
+        a ^= rng.random(nbits) < p_mut
+        b ^= rng.random(nbits) < p_mut
+        children.append(fix(a))
+        children.append(fix(b))
+    return children
+
+
 def _evaluate_many(chroms, table, threshold, n_candidates, m_max, threads) -> np.ndarray:
     def score(bits):
         return evaluate_sites(decode_sites(bits, n_candidates, m_max), table, threshold)
@@ -336,18 +358,16 @@ def run_nsga2(scene, params, config: GaConfig, use_blockages: bool = True,
     the best f1/f3 over archived solutions using at most m sites.
     """
     if table is None:
-        table = build_link_table(scene, params, use_blockages, threads)
+        table = build_link_table(scene, params, use_blockages)
     n_cand = table.n_candidates
     if n_cand < 1:
         raise OptimizerError("scene has no candidate sites")
     rng = np.random.default_rng(config.seed)
-    nbits = chromosome_bits(n_cand, config.m_max)
-    p_mut = config.mutation_prob_per_bit
-    if p_mut is None:
-        p_mut = 1.0 / nbits
 
-    pop = [repair(rng.random(nbits) < 0.5, n_cand, config.m_max, rng)
-           for _ in range(config.pop_size)]
+    def fix(bits):
+        return repair(bits, n_cand, config.m_max, rng)
+
+    pop = _random_population(config, chromosome_bits(n_cand, config.m_max), rng, fix)
     objs = _evaluate_many(pop, table, config.sinr_threshold_db, n_cand, config.m_max, threads)
 
     archive_objs: list[np.ndarray] = []
@@ -361,17 +381,7 @@ def run_nsga2(scene, params, config: GaConfig, use_blockages: bool = True,
     for gen in range(1, config.generations + 1):
         rank, crowd, _ = _rank_and_crowding(objs)
         parents = _tournament(rng, rank, crowd, config.pop_size)
-        children = []
-        for i in range(0, config.pop_size, 2):
-            a = pop[parents[i]].copy()
-            b = pop[parents[i + 1]].copy()
-            if rng.random() < config.crossover_prob:
-                mask = rng.random(nbits) < 0.5
-                a[mask], b[mask] = b[mask].copy(), a[mask].copy()
-            a ^= rng.random(nbits) < p_mut
-            b ^= rng.random(nbits) < p_mut
-            children.append(repair(a, n_cand, config.m_max, rng))
-            children.append(repair(b, n_cand, config.m_max, rng))
+        children = _offspring(pop, parents, config, rng, fix)
         child_objs = _evaluate_many(children, table, config.sinr_threshold_db,
                                     n_cand, config.m_max, threads)
 
@@ -435,18 +445,16 @@ def run_ga_single_objective(scene, params, config: GaConfig, use_blockages: bool
     best f3 per generation).
     """
     if table is None:
-        table = build_link_table(scene, params, use_blockages, threads)
+        table = build_link_table(scene, params, use_blockages)
     n_cand = table.n_candidates
     if config.m_max > n_cand:
         raise OptimizerError("m_max exceeds candidate count")
     rng = np.random.default_rng(config.seed)
-    nbits = chromosome_bits(n_cand, config.m_max)
-    p_mut = config.mutation_prob_per_bit
-    if p_mut is None:
-        p_mut = 1.0 / nbits
 
-    pop = [repair_fixed_m(rng.random(nbits) < 0.5, n_cand, config.m_max)
-           for _ in range(config.pop_size)]
+    def fix(bits):
+        return repair_fixed_m(bits, n_cand, config.m_max)
+
+    pop = _random_population(config, chromosome_bits(n_cand, config.m_max), rng, fix)
     objs = _evaluate_many(pop, table, config.sinr_threshold_db, n_cand, config.m_max, threads)
     fitness = objs[:, 2]  # minimize f3
 
@@ -459,17 +467,7 @@ def run_ga_single_objective(scene, params, config: GaConfig, use_blockages: bool
         contestants = rng.integers(0, config.pop_size, size=(config.pop_size, 2))
         parents = np.where(fitness[contestants[:, 0]] <= fitness[contestants[:, 1]],
                            contestants[:, 0], contestants[:, 1])
-        children = []
-        for i in range(0, config.pop_size, 2):
-            a = pop[parents[i]].copy()
-            b = pop[parents[i + 1]].copy()
-            if rng.random() < config.crossover_prob:
-                mask = rng.random(nbits) < 0.5
-                a[mask], b[mask] = b[mask].copy(), a[mask].copy()
-            a ^= rng.random(nbits) < p_mut
-            b ^= rng.random(nbits) < p_mut
-            children.append(repair_fixed_m(a, n_cand, config.m_max))
-            children.append(repair_fixed_m(b, n_cand, config.m_max))
+        children = _offspring(pop, parents, config, rng, fix)
         child_objs = _evaluate_many(children, table, config.sinr_threshold_db,
                                     n_cand, config.m_max, threads)
 

@@ -2,10 +2,10 @@
 
 Macro-cell path loss (128.1 + 37.6 log10 R_km at 2 GHz), the parabolic
 3-sector antenna pattern, thermal noise from bandwidth and noise figure,
-max-power association and a Shannon-with-cap throughput map. All heavy
-paths are vectorized over users x sites; `LinkGainTable` precomputes the
-per-sector received powers so an optimizer can score configurations with
-plain array gathers.
+max-power association and a Shannon-with-cap throughput map.
+`sector_rx_dbm` is the one array form of the received-power budget; the
+link table and `attach_and_evaluate` both call it. Seeded shadowing applies
+to the link table only; `link_budget` and `sinr_db` are scalar references.
 """
 
 from __future__ import annotations
@@ -169,21 +169,28 @@ def link_budget(user, sector: BsSector, scene, params: RadioParams,
     return LinkBudget(pl, gain, los, rx)
 
 
-def _rx_matrix(user_pos: np.ndarray, site_pos: np.ndarray, los: np.ndarray,
-               params: RadioParams) -> np.ndarray:
-    """Received power in dBm, shape [n_users, n_sites, 3 sectors]."""
-    delta = user_pos[:, None, :] - site_pos[None, :, :]
+def sector_rx_dbm(user_pos: np.ndarray, mast_pos: np.ndarray, sector_mast: np.ndarray,
+                  azimuth_deg, tx_power_dbm, antenna_gain_dbi, prisms,
+                  params: RadioParams) -> np.ndarray:
+    """Received power in dBm, shape [n_users, n_sectors].
+
+    The array form of `link_budget`. Sector k sits on mast `sector_mast[k]`
+    and has its own azimuth, tx power and gain (scalars broadcast to every
+    sector). Distance, path loss, bearing and LoS are computed once per
+    mast row of `mast_pos`; only the pattern term is computed per sector.
+    """
+    delta = user_pos[:, None, :] - mast_pos[None, :, :]
     d3d = np.sqrt((delta ** 2).sum(axis=2))
     pl = pathloss_db(np.maximum(d3d, 1e-12), params)
     bearing = np.degrees(np.arctan2(delta[:, :, 1], delta[:, :, 0]))
-    rx = np.empty(d3d.shape + (3,))
-    base = params.tx_power_dbm + params.antenna_gain_dbi - pl - np.where(
-        los, 0.0, params.nlos_penalty_db
-    )
-    for s, az in enumerate(SECTOR_AZIMUTHS_DEG):
-        rx[:, :, s] = base - antenna_attenuation_db(bearing - az, params)
-    np.minimum(rx, params.tx_power_dbm - params.min_coupling_loss_db, out=rx)
-    return rx
+    penalty = np.where(los_mask(user_pos, mast_pos, prisms), 0.0, params.nlos_penalty_db)
+    # np.take keeps the gathers C-ordered, so later reductions over a row
+    # add in sector order (x[:, idx] would come out Fortran-ordered)
+    rx = (tx_power_dbm + antenna_gain_dbi - np.take(pl, sector_mast, axis=1)
+          - np.take(penalty, sector_mast, axis=1)
+          - antenna_attenuation_db(np.take(bearing, sector_mast, axis=1) - azimuth_deg,
+                                   params))
+    return np.minimum(rx, tx_power_dbm - params.min_coupling_loss_db, out=rx)
 
 
 def shadowing_matrix(n_users: int, n_sites: int, params: RadioParams) -> np.ndarray:
@@ -224,21 +231,24 @@ def build_link_table(scene, params: RadioParams, use_blockages: bool,
                      threads: int = 1) -> LinkGainTable:
     """Rx table over the scene's candidates followed by its fixed BS.
 
-    `threads` is accepted for call compatibility and ignored: the LoS mask
-    is one vectorized single-threaded kernel, and callers' thread counts
-    drive objective evaluation only.
+    Every site carries the standard three-sector head. `threads` is
+    accepted for call compatibility and ignored: the table is one
+    single-threaded array computation.
     """
     user_pos = scene.user_positions()
     site_pos = scene.candidate_positions()
     if scene.fixed_bs:
         site_pos = np.vstack([site_pos, np.array(scene.fixed_bs)])
+    n_users, n_sites, n_heads = len(user_pos), len(site_pos), len(SECTOR_AZIMUTHS_DEG)
     prisms = scene.buildings if use_blockages else []
-    los = los_mask(user_pos, site_pos, prisms)
-    rx = _rx_matrix(user_pos, site_pos, los, params)
+    rx = sector_rx_dbm(user_pos, site_pos, np.repeat(np.arange(n_sites), n_heads),
+                       np.tile(SECTOR_AZIMUTHS_DEG, n_sites), params.tx_power_dbm,
+                       params.antenna_gain_dbi, prisms, params)
+    rx = rx.reshape(n_users, n_sites, n_heads)
     if params.shadowing_sigma_db > 0.0:
         # Optional seeded shadowing lives on the table path only; the
         # scalar link_budget stays the deterministic reference.
-        rx = rx + shadowing_matrix(len(user_pos), len(site_pos), params)[:, :, None]
+        rx = rx + shadowing_matrix(n_users, n_sites, params)[:, :, None]
         np.minimum(rx, params.tx_power_dbm - params.min_coupling_loss_db, out=rx)
     return LinkGainTable(
         rx_dbm=rx,
@@ -267,33 +277,21 @@ def sinr_from_rx(rx_dbm: np.ndarray, noise_dbm: float):
 
 
 def attach_and_evaluate(users, sectors: list[BsSector], scene, params: RadioParams,
-                        use_blockages: bool, threads: int = 1):
+                        use_blockages: bool):
     """Per-user (serving sector index, SINR dB) under max-power association.
 
     LoS is resolved once per distinct mast position, not per sector.
-    `threads` is ignored, as in build_link_table.
     """
     if not sectors:
         raise NoSectors("sector list is empty")
     user_pos = np.array([np.asarray(u.position, dtype=float) for u in users])
-    sector_pos = np.array([s.position for s in sectors])
-    uniq_pos, inverse = np.unique(sector_pos, axis=0, return_inverse=True)
+    masts, sector_mast = np.unique(np.array([s.position for s in sectors]), axis=0,
+                                   return_inverse=True)
     prisms = scene.buildings if (use_blockages and scene is not None) else []
-    los_sites = los_mask(user_pos, uniq_pos, prisms)
-    los = los_sites[:, inverse]
-
-    delta = user_pos[:, None, :] - sector_pos[None, :, :]
-    d3d = np.sqrt((delta ** 2).sum(axis=2))
-    pl = pathloss_db(np.maximum(d3d, 1e-12), params)
-    bearing = np.degrees(np.arctan2(delta[:, :, 1], delta[:, :, 0]))
-    azimuths = np.array([s.azimuth_deg for s in sectors])
-    att = antenna_attenuation_db(bearing - azimuths[None, :], params)
-    tx = np.array([s.tx_power_dbm for s in sectors])
-    gain = np.array([s.antenna_gain_dbi for s in sectors])
-    # same operation order as _rx_matrix so both routes agree bit for bit
-    base = tx[None, :] + gain[None, :] - pl - np.where(los, 0.0, params.nlos_penalty_db)
-    rx = base - att
-    rx = np.minimum(rx, (tx - params.min_coupling_loss_db)[None, :])
+    rx = sector_rx_dbm(user_pos, masts, sector_mast,
+                       np.array([s.azimuth_deg for s in sectors]),
+                       np.array([s.tx_power_dbm for s in sectors]),
+                       np.array([s.antenna_gain_dbi for s in sectors]), prisms, params)
     return sinr_from_rx(rx, thermal_noise_dbm(params))
 
 

@@ -595,7 +595,7 @@ def build_scene(raster: ClassRaster, dsm: Dsm, config: SceneConfig) -> Scene:
     users = place_users(raster, dsm, config.user_spacing_m, config.near_dist_m, buildings)
     candidates = place_candidates(raster, dsm, config.candidate_pitch_m,
                                   config.mast_height_m, components)
-    fixed = list(_points(config.fixed_bs, 3, "fixed_bs[{}]".format))
+    fixed = list(finite_points(config.fixed_bs, 3, "fixed_bs[{}]".format))
     return Scene(raster, dsm, buildings, users, candidates, fixed)
 
 
@@ -630,7 +630,7 @@ def save_scene(scene: Scene, path):
         f.write("\n")
 
 
-def _points(entries: list, dim: int, name) -> np.ndarray:
+def finite_points(entries: list, dim: int, name) -> np.ndarray:
     """`entries` as an (n, dim) float array, checked in one vectorized test.
 
     Raises SceneError naming the first entry, `name(i)`, that is not `dim`
@@ -665,19 +665,19 @@ def load_scene(path) -> Scene:
             k = bisect.bisect_right(starts, i) - 1
             return f"buildings[{k}].footprint[{i - starts[k]}]"
 
-        vertices = _points([v for fp in footprints for v in fp], 2, vertex_name)
+        vertices = finite_points([v for fp in footprints for v in fp], 2, vertex_name)
         buildings = [
             BuildingPrism(vertices[lo:hi], float(b["base_elev"]), float(b["top_elev"]))
             for lo, hi, b in zip(starts, starts[1:], raw["buildings"])
         ]
-        user_pos = _points([u["position"] for u in raw["users"]], 3,
-                           "users[{}].position".format)
+        user_pos = finite_points([u["position"] for u in raw["users"]], 3,
+                                 "users[{}].position".format)
         users = [User(p, bool(u["priority"])) for p, u in zip(user_pos, raw["users"])]
-        cand_pos = _points([c["position"] for c in raw["candidates"]], 3,
-                           "candidates[{}].position".format)
+        cand_pos = finite_points([c["position"] for c in raw["candidates"]], 3,
+                                 "candidates[{}].position".format)
         candidates = [CandidateSite(int(c["id"]), p)
                       for p, c in zip(cand_pos, raw["candidates"])]
-        fixed = list(_points(raw.get("fixed_bs", []), 3, "fixed_bs[{}]".format))
+        fixed = list(finite_points(raw.get("fixed_bs", []), 3, "fixed_bs[{}]".format))
     except (KeyError, TypeError) as e:
         raise SceneError(f"malformed scene file: {e}") from None
     if not users or not candidates:

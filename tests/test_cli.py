@@ -246,6 +246,32 @@ def test_evaluate_rejects_bad_site_id(ws, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("doc, named", [
+    ({"positions": [[100.0, "x", 30.0]]}, "positions[0]"),
+    ({"positions": [[100.0, 100.0, 30.0], [100.0, float("nan"), 30.0]]}, "positions[1]"),
+    ({"positions": [[100.0, 30.0]]}, "positions[0]"),
+    ({"sites": [0, "a"]}, "sites[1]"),
+    ({"sites": [1.7]}, "sites[0]"),
+    ({"sites": [True]}, "sites[0]"),
+    ({"sites": 1}, "'sites'"),
+])
+def test_evaluate_rejects_bad_placement_entry(ws, tmp_path, capsys, doc, named):
+    placement = tmp_path / "placement.json"
+    placement.write_text(json.dumps(doc))
+    rc = main(["evaluate", str(ws["scene"]), "--placement", str(placement),
+               "--out", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+def test_evaluate_rejects_non_integer_sites_flag(ws, tmp_path, capsys):
+    rc = main(["evaluate", str(ws["scene"]), "--sites", "0,x",
+               "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "--sites" in capsys.readouterr().err
+
+
 def test_evaluate_requires_some_placement(ws, tmp_path):
     rc = main(["evaluate", str(ws["scene"]), "--out", str(tmp_path / "x")])
     assert rc == 2

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bsplace.optimizer as opt
 from bsplace.optimizer import (
@@ -140,6 +142,41 @@ def test_repair_fixed_m_property():
         assert len(set(sites)) == m_max
 
 
+@st.composite
+def _chromosomes(draw, fixed_m=False):
+    """(bits, n_candidates, m_max) with any bit pattern; fixed_m keeps m_max <= C."""
+    n_cand = draw(st.integers(1, 40))
+    m_max = draw(st.integers(1, min(6, n_cand) if fixed_m else 6))
+    bits = draw(st.lists(st.booleans(), min_size=chromosome_bits(n_cand, m_max),
+                         max_size=chromosome_bits(n_cand, m_max)))
+    return np.array(bits, dtype=bool), n_cand, m_max
+
+
+@settings(max_examples=200, deadline=None)
+@given(chrom=_chromosomes(), seed=st.integers(0, 2 ** 32 - 1))
+def test_repair_property_idempotent_without_draws(chrom, seed):
+    bits, n_cand, m_max = chrom
+    once = repair(bits, n_cand, m_max, np.random.default_rng(seed))
+    sites = decode_sites(once, n_cand, m_max)
+    assert 1 <= len(sites) <= m_max and len(set(sites)) == len(sites)
+    rng = np.random.default_rng(seed + 1)
+    state = rng.bit_generator.state
+    twice = repair(once, n_cand, m_max, rng)
+    assert np.array_equal(twice, once)
+    assert rng.bit_generator.state == state
+
+
+@settings(max_examples=200, deadline=None)
+@given(chrom=_chromosomes(fixed_m=True))
+def test_repair_fixed_m_property_idempotent(chrom):
+    bits, n_cand, m_max = chrom
+    once = repair_fixed_m(bits, n_cand, m_max)
+    sites = decode_sites(once, n_cand, m_max)
+    assert len(sites) == m_max and len(set(sites)) == m_max
+    assert all(0 <= s < n_cand for s in sites)
+    assert np.array_equal(repair_fixed_m(once, n_cand, m_max), once)
+
+
 # ---------------------------------------------------------------------------
 # Dominance, sorting, crowding
 
@@ -241,6 +278,18 @@ def test_evaluate_dual_route(box_scene_table):
     direct = evaluate(bits, scene, PARAMS, True)
     assert np.array_equal(with_table, direct)
     assert with_table[1] == 2.0
+
+
+def test_evaluate_without_table_keeps_shadowing():
+    scene = toy_scene(2)
+    params = RadioParams(tx_power_dbm=33.0, shadowing_sigma_db=8.0, shadowing_seed=4)
+    table = build_link_table(scene, params, True)
+    rng = np.random.default_rng(0)
+    n_cand = len(scene.candidates)
+    for _ in range(10):
+        bits = repair(rng.random(chromosome_bits(n_cand, 3)) < 0.5, n_cand, 3, rng)
+        assert np.array_equal(evaluate(bits, scene, params, True),
+                              evaluate(bits, scene, params, True, table=table))
 
 
 @pytest.fixture(scope="module")

@@ -19,6 +19,7 @@ from bsplace.radio import (
     linear_to_db,
     link_budget,
     pathloss_db,
+    sector_rx_dbm,
     sectors_for_sites,
     shadowing_matrix,
     sinr_db,
@@ -225,7 +226,7 @@ def test_throughput_broadcasts():
 
 
 # ---------------------------------------------------------------------------
-# Link table and the two evaluation routes
+# Link table and attach_and_evaluate: both routes go through sector_rx_dbm
 
 def test_link_table_shapes(box_scene):
     table = build_link_table(box_scene, DEFAULTS, True)
@@ -274,15 +275,36 @@ def test_attach_matches_table_route():
         assert np.array_equal(sinr_t, sinr_d)
 
 
-def test_attach_threads_match_sequential(box_scene):
-    sectors = sectors_for_sites([c.position for c in box_scene.candidates],
-                                DEFAULTS)
-    s1, v1 = attach_and_evaluate(box_scene.users, sectors, box_scene,
-                                 DEFAULTS, True, threads=1)
-    s8, v8 = attach_and_evaluate(box_scene.users, sectors, box_scene,
-                                 DEFAULTS, True, threads=8)
-    assert np.array_equal(s1, s8)
-    assert np.array_equal(v1, v8)
+def test_attach_sector_fields_match_oracles(box_scene):
+    # mixed azimuths, powers and gains; sectors 0 and 3 share a mast, and
+    # the last mast sits 0.7 m from user 1 so the coupling cap binds
+    spec = [((10.0, 100.0, 15.0), 0.0, 43.0, 15.0),
+            ((100.0, 10.0, 15.0), 95.5, 38.0, 12.0),
+            ((190.0, 190.0, 15.0), -45.0, 46.0, 17.0),
+            ((10.0, 100.0, 15.0), 200.0, 30.0, 10.0),
+            ((100.5, 30.5, 1.5), 270.0, 40.0, 14.0)]
+    sectors = [BsSector(np.array(p), az, tx, g) for p, az, tx, g in spec]
+    budgets = [[link_budget(u, s, box_scene, DEFAULTS, True) for s in sectors]
+               for u in box_scene.users]
+    assert not budgets[2][0].los and budgets[2][1].los
+    assert budgets[1][4].rx_power_dbm == 40.0 - DEFAULTS.min_coupling_loss_db
+
+    masts, sector_mast = np.unique([s.position for s in sectors], axis=0,
+                                   return_inverse=True)
+    rx = sector_rx_dbm(box_scene.user_positions(), masts, sector_mast,
+                       np.array([s.azimuth_deg for s in sectors]),
+                       np.array([s.tx_power_dbm for s in sectors]),
+                       np.array([s.antenna_gain_dbi for s in sectors]),
+                       box_scene.buildings, DEFAULTS)
+    expect = np.array([[b.rx_power_dbm for b in row] for row in budgets])
+    assert np.allclose(rx, expect, rtol=0.0, atol=1e-9)
+
+    serving, sinr = attach_and_evaluate(box_scene.users, sectors, box_scene,
+                                        DEFAULTS, True)
+    assert np.array_equal(serving, np.argmax(expect, axis=1))
+    for u, user in enumerate(box_scene.users):
+        ref = sinr_db(user, int(serving[u]), sectors, box_scene, DEFAULTS, True)
+        assert sinr[u] == pytest.approx(ref, abs=1e-9)
     with pytest.raises(NoSectors):
         attach_and_evaluate(box_scene.users, [], box_scene, DEFAULTS, True)
 
