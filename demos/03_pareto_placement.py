@@ -3,7 +3,8 @@
 Runs the NSGA-II placement on the scene from demo 01 (rebuilt here so the
 script is standalone) and prints the archived Pareto front. Three numbers
 per solution: priority SINR sum (f1, lower is better since it is negated),
-number of new sites (f2), covered users (negated as f3).
+number of new sites (f2), covered users (negated as f3). The full archive
+goes to out/pareto_archive.json.
 """
 
 import os
@@ -14,7 +15,7 @@ from bsplace.eval_report import (
     generate_synthetic_scene,
     save_coverage_csv,
 )
-from bsplace.optimizer import GaConfig, run_nsga2, select_best_for_m
+from bsplace.optimizer import GaConfig, run_nsga2, save_archive, select_best_for_m
 from bsplace.radio import RadioParams, build_link_table, sinr_from_rx
 from bsplace.scene import SceneConfig, build_scene
 
@@ -31,6 +32,7 @@ table = build_link_table(scene, params, use_blockages=True)
 
 ga = GaConfig(pop_size=32, generations=80, m_max=4, seed=7)
 archive, history = run_nsga2(scene, params, ga, table=table)
+save_archive(archive, table.n_fixed, os.path.join(OUT, "pareto_archive.json"))
 
 print(f"{len(scene.users)} users, {len(scene.candidates)} candidates, "
       f"archive holds {len(archive)} non-dominated configurations")

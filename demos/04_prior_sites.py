@@ -3,12 +3,18 @@
 Three fixed base stations serve a 5 km tile badly. The optimizer only
 controls the NEW sites; the fixed ones always transmit (and interfere).
 Watch covered users climb and outage fall as one then two sites go in.
+The full NSGA-II archive goes to out/prior_archive.json.
 """
 
+import os
+
 from bsplace.eval_report import GeneratorConfig, generate_synthetic_scene
-from bsplace.optimizer import GaConfig, run_nsga2, select_best_for_m
+from bsplace.optimizer import GaConfig, run_nsga2, save_archive, select_best_for_m
 from bsplace.radio import SINR_FLOOR_DB, RadioParams, build_link_table, sinr_from_rx
 from bsplace.scene import SceneConfig, build_scene
+
+OUT = os.path.join(os.path.dirname(__file__), "out")
+os.makedirs(OUT, exist_ok=True)
 
 FIXED = [[1250.0, 1250.0, 35.0], [3750.0, 1250.0, 35.0], [2500.0, 3750.0, 35.0]]
 
@@ -33,6 +39,7 @@ def score(site_ids):
 archive, _ = run_nsga2(scene, params,
                        GaConfig(pop_size=64, generations=150, m_max=2, seed=2),
                        table=table)
+save_archive(archive, table.n_fixed, os.path.join(OUT, "prior_archive.json"))
 
 rows = [("fixed only", [])]
 for m in (1, 2):

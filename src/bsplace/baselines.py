@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import optimizer as opt
-from .config_json import read_config_fields
+from .config_json import read_config_fields, require_finite
 from .radio import LinkGainTable, build_link_table, sinr_from_rx
 
 
@@ -37,6 +37,7 @@ class KmeansConfig:
     sinr_threshold_db: float = 10.0
 
     def __post_init__(self):
+        require_finite(self, BaselineError)
         if self.rounds < 1 or self.max_lloyd_iters < 1:
             raise BaselineError("rounds and max_lloyd_iters must be >= 1")
 
@@ -145,8 +146,7 @@ def compare_methods(scene, params, bs_counts, methods,
                     ga_config: opt.GaConfig | None = None,
                     kmeans_config: KmeansConfig | None = None,
                     use_blockages: bool = True,
-                    table: LinkGainTable | None = None,
-                    threads: int = 1) -> list[dict]:
+                    table: LinkGainTable | None = None) -> list[dict]:
     """Coverage summary rows for each (method, site count) pair.
 
     NSGA-II runs once with the largest budget and per-m solutions are read
@@ -176,13 +176,13 @@ def compare_methods(scene, params, bs_counts, methods,
                 if nsga_archive is None:
                     cfg = replace(ga_config, m_max=max(bs_counts))
                     nsga_archive, _ = opt.run_nsga2(scene, params, cfg, use_blockages,
-                                                    table=table, threads=threads)
+                                                    table=table)
                 ind = opt.select_best_for_m(nsga_archive, m, allow_fewer=True)
                 ids = ind.sites
             elif method == "ga":
                 cfg = replace(ga_config, m_max=m)
                 best, _ = opt.run_ga_single_objective(scene, params, cfg, use_blockages,
-                                                      table=table, threads=threads)
+                                                      table=table)
                 ids = best.sites
             else:
                 ids = kmeans_site_ids(scene.users, m, scene, params, kmeans_config,

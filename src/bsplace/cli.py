@@ -44,7 +44,7 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--seed", type=int, default=None, metavar="U64",
                      help="RNG seed; overrides any config file (default 0)")
     sub.add_argument("--threads", type=int, default=1, metavar="N",
-                     help="worker cap for parallel evaluation")
+                     help="accepted and recorded in the manifest; every step runs in one thread")
     sub.add_argument("--out", type=Path, default=Path("."), metavar="DIR",
                      help="output directory (created if missing)")
 
@@ -155,13 +155,11 @@ def cmd_optimize(args):
 
     if args.method == "nsga2":
         cfg = replace(ga, seed=seed)
-        archive, history = opt.run_nsga2(scene, params, cfg, use_blockages,
-                                         threads=args.threads)
+        archive, history = opt.run_nsga2(scene, params, cfg, use_blockages)
     elif args.method == "ga":
         m = args.m if args.m is not None else ga.m_max
         cfg = replace(ga, seed=seed, m_max=m)
-        best, ga_history = opt.run_ga_single_objective(scene, params, cfg, use_blockages,
-                                                       threads=args.threads)
+        best, ga_history = opt.run_ga_single_objective(scene, params, cfg, use_blockages)
         archive, history = [best], ga_history
     else:  # kmeans
         if args.m is None:
@@ -261,7 +259,7 @@ def cmd_compare(args):
     seed = _effective_seed(args, ga.seed)
     ga = replace(ga, seed=seed)
     rows = compare_methods(scene, params, bs_counts, methods, ga_config=ga,
-                           use_blockages=not args.no_blockages, threads=args.threads)
+                           use_blockages=not args.no_blockages)
     save_comparison_csv(rows, args.out / "comparison.csv")
     print(f"{'method':>8} {'m':>3} {'%>thr':>8} {'mean dB':>9}")
     for r in rows:

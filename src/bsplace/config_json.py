@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import types
 import typing
 
@@ -54,3 +56,14 @@ def read_config_fields(path, cls, error: type[Exception], aliases=None) -> dict:
             expected = " or ".join(label for _, label in accepted)
             raise error(f"{path}: {name!r} must be {expected}, got {value!r}")
     return raw
+
+
+def require_finite(obj, error: type[Exception]) -> None:
+    """Raise `error` naming the first field of dataclass `obj` holding a NaN or infinite float.
+
+    NaN fails every range comparison, so a `<= 0` check alone lets it through.
+    """
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise error(f"{f.name} must be finite, got {value!r}")

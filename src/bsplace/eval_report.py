@@ -255,7 +255,6 @@ class ScenarioPlan:
     methods: list[str] = field(default_factory=lambda: ["nsga2", "ga", "kmeans"])
     use_blockages: bool = True
     gnuplot: bool = False
-    threads: int = 1
 
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
@@ -291,7 +290,7 @@ def run_scenario(scene: Scene, params: RadioParams, plan: ScenarioPlan, out_dir)
         if plan.kind == "with_prior" and not scene.fixed_bs:
             raise ReportError("with_prior scenario needs fixed BS in the scene")
         archive, history = opt.run_nsga2(scene, params, plan.ga, plan.use_blockages,
-                                         table=table, threads=plan.threads)
+                                         table=table)
         opt.save_archive(archive, len(scene.fixed_bs), out_dir / "archive.json")
         _save_history(history, out_dir / "history.json")
         written += ["archive.json", "history.json"]
@@ -309,9 +308,9 @@ def run_scenario(scene: Scene, params: RadioParams, plan: ScenarioPlan, out_dir)
     elif plan.kind == "blockage_ablation":
         blind_table = build_link_table(scene, params, False)
         archive_aware, _ = opt.run_nsga2(scene, params, plan.ga, True,
-                                         table=table, threads=plan.threads)
+                                         table=table)
         archive_blind, _ = opt.run_nsga2(scene, params, plan.ga, False,
-                                         table=blind_table, threads=plan.threads)
+                                         table=blind_table)
         opt.save_archive(archive_aware, len(scene.fixed_bs), out_dir / "archive.json")
         written.append("archive.json")
         for m in plan.bs_counts:
@@ -333,8 +332,7 @@ def run_scenario(scene: Scene, params: RadioParams, plan: ScenarioPlan, out_dir)
     else:  # method_comparison
         rows = compare_methods(scene, params, plan.bs_counts, plan.methods,
                                ga_config=plan.ga, kmeans_config=plan.kmeans,
-                               use_blockages=plan.use_blockages, table=table,
-                               threads=plan.threads)
+                               use_blockages=plan.use_blockages, table=table)
         save_comparison_csv(rows, out_dir / "comparison.csv")
         written.append("comparison.csv")
         for r in rows:

@@ -10,18 +10,26 @@ binary candidate-site index. Objectives, all minimized:
 Fixed prior BS radiate (signal and interference) but do not count in f2.
 Runs are deterministic for a given seed: one RNG stream, consumed only in
 the sequential selection/variation phase.
+
+A generation is held as one bool array [pop, nbits] and each step runs
+over all its rows: slots decode with one matrix product, repair wraps and
+deduplicates every row at once (only the draws stay in the per-pair
+variation loop, in stream order), scoring gathers the link table once per
+active-site count and calls `sinr_from_rx` on the whole group (in chunks
+of at most `_GATHER_ELEMS` gathered values), and the archive merge is one
+dominance matrix. `repair`, `repair_fixed_m`, `decode_sites` and
+`evaluate_sites` are the same code on a single row.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config_json import read_config_fields
+from .config_json import read_config_fields, require_finite
 from .radio import LinkGainTable, build_link_table, sinr_from_rx
 
 
@@ -44,6 +52,7 @@ class GaConfig:
     sinr_threshold_db: float = 10.0
 
     def __post_init__(self):
+        require_finite(self, OptimizerError)
         if self.pop_size < 4 or self.pop_size % 2 != 0:
             raise OptimizerError("pop_size must be even and >= 4")
         if self.generations < 1:
@@ -84,26 +93,54 @@ def chromosome_bits(n_candidates: int, m_max: int) -> int:
     return m_max * (1 + site_bits(n_candidates))
 
 
-def _decode_index(bits: np.ndarray) -> int:
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | int(b)
-    return idx
+def _decode_index(bits) -> np.ndarray:
+    """Big-endian integer value of the last axis of `bits`."""
+    bits = np.asarray(bits)
+    return bits @ (1 << np.arange(bits.shape[-1] - 1, -1, -1))
 
 
-def _encode_index(idx: int, width: int) -> np.ndarray:
-    return np.array([(idx >> (width - 1 - i)) & 1 for i in range(width)], dtype=bool)
+def _encode_index(idx, width: int) -> np.ndarray:
+    """`width` big-endian bits of each index, on a new last axis."""
+    return ((np.asarray(idx)[..., None] >> np.arange(width - 1, -1, -1)) & 1).astype(bool)
+
+
+def _slots(pop: np.ndarray, n_candidates: int, m_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Active bits [rows, m_max] and site indices wrapped modulo the candidate count."""
+    slots = pop.reshape(len(pop), m_max, 1 + site_bits(n_candidates))
+    return slots[:, :, 0], _decode_index(slots[:, :, 1:]) % n_candidates
+
+
+def _encode(active: np.ndarray, idx: np.ndarray, sb: int) -> np.ndarray:
+    """Chromosome rows from per-slot active bits and site indices."""
+    return np.concatenate([active[:, :, None], _encode_index(idx, sb)],
+                          axis=2).reshape(len(active), -1)
 
 
 def decode_sites(bits: np.ndarray, n_candidates: int, m_max: int) -> list[int]:
     """Active candidate ids in slot order (assumes a repaired chromosome)."""
+    active, idx = _slots(np.asarray(bits, dtype=bool)[None], n_candidates, m_max)
+    return idx[active].tolist()
+
+
+def _switch_on_if_empty(bits: np.ndarray, m_max: int, rng: np.random.Generator) -> None:
+    """`repair`'s one draw: a chromosome with no active slot gets a random one, in place."""
+    step = len(bits) // m_max
+    if not bits[::step].any():
+        bits[int(rng.integers(m_max)) * step] = True
+
+
+def repair_rows(pop: np.ndarray, n_candidates: int, m_max: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """`repair` applied to every row of `pop` in order, with the same draws."""
+    pop = np.array(pop, dtype=bool)
     sb = site_bits(n_candidates)
-    out = []
-    for slot in range(m_max):
-        base = slot * (1 + sb)
-        if bits[base]:
-            out.append(_decode_index(bits[base + 1:base + 1 + sb]) % n_candidates)
-    return out
+    for r in np.flatnonzero(~pop[:, ::1 + sb].any(axis=1)):
+        _switch_on_if_empty(pop[r], m_max, rng)
+    active, idx = _slots(pop, n_candidates, m_max)
+    # slot s repeats an earlier active slot t < s
+    earlier = np.tri(m_max, k=-1, dtype=bool)
+    dup = ((idx[:, :, None] == idx[:, None, :]) & earlier & active[:, None, :]).any(axis=2)
+    return _encode(active & ~dup, idx, sb)
 
 
 def repair(bits: np.ndarray, n_candidates: int, m_max: int,
@@ -111,30 +148,27 @@ def repair(bits: np.ndarray, n_candidates: int, m_max: int,
     """Make a chromosome valid in place of rejection.
 
     Out-of-range site indices wrap modulo the candidate count, later
-    duplicates of an active site are deactivated, and if nothing remains
+    duplicates of an active site are deactivated, and if nothing is
     active a random slot is switched on. Idempotent: a repaired chromosome
     passes through unchanged and draws no randomness.
     """
-    bits = bits.copy()
-    sb = site_bits(n_candidates)
-    seen: set[int] = set()
-    any_active = False
-    for slot in range(m_max):
-        base = slot * (1 + sb)
-        raw = _decode_index(bits[base + 1:base + 1 + sb])
-        idx = raw % n_candidates
-        if idx != raw:
-            bits[base + 1:base + 1 + sb] = _encode_index(idx, sb)
-        if bits[base]:
-            if idx in seen:
-                bits[base] = False
-            else:
-                seen.add(idx)
-                any_active = True
-    if not any_active:
-        slot = int(rng.integers(m_max))
-        bits[slot * (1 + sb)] = True
-    return bits
+    return repair_rows(np.asarray(bits)[None], n_candidates, m_max, rng)[0]
+
+
+def repair_fixed_m_rows(pop: np.ndarray, n_candidates: int, m_max: int) -> np.ndarray:
+    """`repair_fixed_m` applied to every row of `pop`."""
+    if m_max > n_candidates:
+        raise OptimizerError("fixed-M repair needs m_max <= candidate count")
+    _, idx = _slots(np.asarray(pop, dtype=bool), n_candidates, m_max)
+    rows = np.arange(len(idx))
+    seen = np.zeros((len(idx), n_candidates), dtype=bool)
+    for slot in idx.T:  # a view: probing writes into idx
+        taken = seen[rows, slot]
+        while taken.any():
+            slot[taken] = (slot[taken] + 1) % n_candidates
+            taken = seen[rows, slot]
+        seen[rows, slot] = True
+    return _encode(np.ones(idx.shape, dtype=bool), idx, site_bits(n_candidates))
 
 
 def repair_fixed_m(bits: np.ndarray, n_candidates: int, m_max: int) -> np.ndarray:
@@ -144,34 +178,56 @@ def repair_fixed_m(bits: np.ndarray, n_candidates: int, m_max: int) -> np.ndarra
     count) to the next unused id, so the configuration always has exactly
     m_max distinct sites.
     """
-    if m_max > n_candidates:
-        raise OptimizerError("fixed-M repair needs m_max <= candidate count")
-    bits = bits.copy()
-    sb = site_bits(n_candidates)
-    seen: set[int] = set()
-    for slot in range(m_max):
-        base = slot * (1 + sb)
-        bits[base] = True
-        idx = _decode_index(bits[base + 1:base + 1 + sb]) % n_candidates
-        while idx in seen:
-            idx = (idx + 1) % n_candidates
-        seen.add(idx)
-        bits[base + 1:base + 1 + sb] = _encode_index(idx, sb)
-    return bits
+    return repair_fixed_m_rows(np.asarray(bits)[None], n_candidates, m_max)[0]
 
 
 # ---------------------------------------------------------------------------
 # Objectives
 
+def _score_site_sets(ids: np.ndarray, table: LinkGainTable,
+                     sinr_threshold_db: float) -> np.ndarray:
+    """Objective rows for site sets `ids` [rows, k]: one size, each row sorted."""
+    _, sinr = sinr_from_rx(table.rx_for(ids), table.noise_dbm)
+    # sinr[:, priority] comes out Fortran-ordered; the contiguous copy sums
+    # each row in the order a single row would (f1 moves an ulp otherwise)
+    f1 = -np.ascontiguousarray(sinr[:, table.priority]).sum(axis=1)
+    f3 = -(sinr > sinr_threshold_db).sum(axis=1).astype(float)
+    return np.column_stack([f1, np.full(len(ids), float(ids.shape[1])), f3])
+
+
 def evaluate_sites(site_ids, table: LinkGainTable, sinr_threshold_db: float) -> np.ndarray:
     # Sort so the objective is a function of the site set, not of slot
     # order (summation order shifts f1 by an ulp otherwise).
-    ids = sorted(int(s) for s in site_ids)
-    rx = table.rx_for(ids)
-    _, sinr = sinr_from_rx(rx, table.noise_dbm)
-    f1 = -float(sinr[table.priority].sum())
-    f3 = -float((sinr > sinr_threshold_db).sum())
-    return np.array([f1, float(len(ids)), f3])
+    ids = np.sort(np.array([int(s) for s in site_ids], dtype=int))
+    return _score_site_sets(ids[None], table, sinr_threshold_db)[0]
+
+
+# Largest rx gather scored in one `sinr_from_rx` call, in elements (512 KiB
+# of float64): a batch's temporaries stay cache-sized, and on large tables a
+# chunk is a single row, as fast as one big gather and without its memory.
+_GATHER_ELEMS = 1 << 16
+
+
+def evaluate_rows(pop: np.ndarray, table: LinkGainTable, sinr_threshold_db: float,
+                  m_max: int) -> np.ndarray:
+    """Objective vectors [rows, 3] of repaired chromosomes, equal to `evaluate_sites`.
+
+    Rows with the same active-site count are scored together: one table
+    gather and one `sinr_from_rx` call per distinct count, split into
+    chunks of at most `_GATHER_ELEMS` gathered values (at least one row).
+    Rows are scored independently, so the chunking does not change a bit.
+    """
+    active, idx = _slots(pop, table.n_candidates, m_max)
+    counts = active.sum(axis=1)
+    objs = np.empty((len(pop), 3))
+    for k in np.unique(counts):
+        rows = np.flatnonzero(counts == k)
+        ids = np.sort(idx[rows][active[rows]].reshape(len(rows), k), axis=1)
+        step = max(1, _GATHER_ELEMS // (table.rx_dbm.shape[0] * 3 * (k + table.n_fixed)))
+        for start in range(0, len(rows), step):
+            objs[rows[start:start + step]] = _score_site_sets(ids[start:start + step], table,
+                                                              sinr_threshold_db)
+    return objs
 
 
 def evaluate(chromosome: np.ndarray, scene, params, use_blockages: bool,
@@ -201,14 +257,23 @@ def dominates(a, b) -> bool:
     return bool(np.all(a <= b) and np.any(a < b))
 
 
+def _dominance(objs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(le, dom): le[i, j] when row i is <= row j everywhere, dom[i, j] when i dominates j."""
+    n = len(objs)
+    le = np.ones((n, n), dtype=bool)
+    lt = np.zeros((n, n), dtype=bool)
+    for col in objs.T:  # one 2D comparison per objective, no reduction over a short axis
+        le &= col[:, None] <= col[None, :]
+        lt |= col[:, None] < col[None, :]
+    return le, le & lt
+
+
 def non_dominated_sort(objectives) -> list[list[int]]:
     """Fronts of indices, best first, via the pairwise dominance matrix."""
     objs = np.asarray(objectives, dtype=float)
     if objs.ndim == 1:
         objs = objs[None, :]
-    le = np.all(objs[:, None, :] <= objs[None, :, :], axis=2)
-    lt = np.any(objs[:, None, :] < objs[None, :, :], axis=2)
-    dom = le & lt  # dom[i, j]: i dominates j
+    _, dom = _dominance(objs)
     n_dominators = dom.sum(axis=0)
     fronts: list[list[int]] = []
     assigned = np.zeros(len(objs), dtype=bool)
@@ -255,101 +320,81 @@ def _rank_and_crowding(objs: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[l
 
 def _tournament(rng: np.random.Generator, rank: np.ndarray, crowd: np.ndarray,
                 n_picks: int) -> np.ndarray:
-    contestants = rng.integers(0, len(rank), size=(n_picks, 2))
-    winners = np.empty(n_picks, dtype=int)
-    for i, (a, b) in enumerate(contestants):
-        if rank[a] < rank[b]:
-            winners[i] = a
-        elif rank[b] < rank[a]:
-            winners[i] = b
-        elif crowd[b] > crowd[a]:
-            winners[i] = b
-        else:
-            winners[i] = a
-    return winners
+    """Binary tournaments: lower rank wins, then larger crowding, then the first drawn."""
+    a, b = rng.integers(0, len(rank), size=(n_picks, 2)).T
+    b_wins = (rank[b] < rank[a]) | ((rank[b] == rank[a]) & (crowd[b] > crowd[a]))
+    return np.where(b_wins, b, a)
 
 
 def _random_population(config: GaConfig, nbits: int, rng: np.random.Generator,
-                       fix) -> list[np.ndarray]:
-    return [fix(rng.random(nbits) < 0.5) for _ in range(config.pop_size)]
+                       on_child=None) -> np.ndarray:
+    """Uniform random rows, unrepaired; `on_child` as in `_offspring`."""
+    pop = np.empty((config.pop_size, nbits), dtype=bool)
+    for row in pop:
+        row[:] = rng.random(nbits) < 0.5
+        if on_child is not None:
+            on_child(row)
+    return pop
 
 
-def _offspring(pop: list[np.ndarray], parents: np.ndarray, config: GaConfig,
-               rng: np.random.Generator, fix) -> list[np.ndarray]:
+def _offspring(pop: np.ndarray, parents: np.ndarray, config: GaConfig,
+               rng: np.random.Generator, on_child=None) -> np.ndarray:
     """Uniform crossover and bit-flip mutation over consecutive parent pairs.
 
     Per pair the draws are: the crossover coin, the swap mask (only when
-    crossing), the flip masks of a and of b; then `fix` repairs a and b.
-    The flip probability defaults to one bit per chromosome.
+    crossing), the flip masks of a and of b; then `on_child(a)` and
+    `on_child(b)`, if given, may edit each child row in place and draw
+    from the same stream. The flip probability defaults to one bit per
+    chromosome.
     """
-    nbits = len(pop[0])
+    nbits = pop.shape[1]
     p_mut = config.mutation_prob_per_bit
     if p_mut is None:
         p_mut = 1.0 / nbits
-    children = []
-    for i in range(0, len(parents), 2):
-        a = pop[parents[i]].copy()
-        b = pop[parents[i + 1]].copy()
+    children = pop[parents]
+    for a, b in zip(children[0::2], children[1::2]):  # row views
         if rng.random() < config.crossover_prob:
             mask = rng.random(nbits) < 0.5
-            a[mask], b[mask] = b[mask].copy(), a[mask].copy()
+            a[mask], b[mask] = b[mask], a[mask]
         a ^= rng.random(nbits) < p_mut
         b ^= rng.random(nbits) < p_mut
-        children.append(fix(a))
-        children.append(fix(b))
+        if on_child is not None:
+            on_child(a)
+            on_child(b)
     return children
 
 
-def _evaluate_many(chroms, table, threshold, n_candidates, m_max, threads) -> np.ndarray:
-    def score(bits):
-        return evaluate_sites(decode_sites(bits, n_candidates, m_max), table, threshold)
-
-    if threads > 1 and len(chroms) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.array(list(pool.map(score, chroms)))
-    return np.array([score(c) for c in chroms])
-
-
-def _merge_archive(archive_objs: list[np.ndarray], archive_bits: list[np.ndarray],
-                   new_objs: np.ndarray, new_bits) -> None:
-    """Fold new non-dominated points into the running archive.
+def _merge_archive(archive_objs: np.ndarray, archive_bits: np.ndarray,
+                   new_objs: np.ndarray, new_bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The running archive with new points folded in.
 
     Keeps the union's non-dominated subset, one entry per distinct
-    objective vector (first seen wins).
+    objective vector (first seen wins), kept entries before new ones, each
+    in its own order: what folding the new points in one at a time gives,
+    since the archive is itself non-dominated and free of repeats.
     """
-    for obj, bits in zip(new_objs, new_bits):
-        dominated = False
-        tup = tuple(obj)
-        for kept in archive_objs:
-            if dominates(kept, obj) or tuple(kept) == tup:
-                dominated = True
-                break
-        if dominated:
-            continue
-        keep_idx = [i for i, kept in enumerate(archive_objs) if not dominates(obj, kept)]
-        archive_objs[:] = [archive_objs[i] for i in keep_idx]
-        archive_bits[:] = [archive_bits[i] for i in keep_idx]
-        archive_objs.append(obj.copy())
-        archive_bits.append(bits.copy())
+    objs = np.vstack([archive_objs, new_objs])
+    bits = np.vstack([archive_bits, new_bits])
+    le, dom = _dominance(objs)
+    repeat = np.triu(le & le.T, k=1).any(axis=0)  # equals an earlier entry
+    keep = ~dom.any(axis=0) & ~repeat
+    return objs[keep], bits[keep]
 
 
-def _budget_stats(archive_objs: list[np.ndarray], m_max: int) -> dict[int, dict[str, float]]:
+def _budget_stats(archive_objs: np.ndarray, m_max: int) -> dict[int, dict[str, float]]:
     """Best f1 and f3 achievable within each site budget m (f2 <= m)."""
     out = {}
     for m in range(1, m_max + 1):
-        eligible = [o for o in archive_objs if o[1] <= m]
-        if eligible:
-            out[m] = {
-                "f1": min(float(o[0]) for o in eligible),
-                "f3": min(float(o[2]) for o in eligible),
-            }
+        eligible = archive_objs[archive_objs[:, 1] <= m]
+        if len(eligible):
+            out[m] = {"f1": min(eligible[:, 0].tolist()), "f3": min(eligible[:, 2].tolist())}
         else:
             out[m] = {"f1": math.inf, "f3": math.inf}
     return out
 
 
 def run_nsga2(scene, params, config: GaConfig, use_blockages: bool = True,
-              table: LinkGainTable | None = None, threads: int = 1):
+              table: LinkGainTable | None = None):
     """Full NSGA-II run; returns (archive, history).
 
     The archive accumulates every non-dominated configuration seen across
@@ -362,35 +407,40 @@ def run_nsga2(scene, params, config: GaConfig, use_blockages: bool = True,
     n_cand = table.n_candidates
     if n_cand < 1:
         raise OptimizerError("scene has no candidate sites")
+    m_max = config.m_max
     rng = np.random.default_rng(config.seed)
 
-    def fix(bits):
-        return repair(bits, n_cand, config.m_max, rng)
+    def switch_on(row):
+        # repair's one draw, made where per-child repair made it in the stream
+        _switch_on_if_empty(row, m_max, rng)
 
-    pop = _random_population(config, chromosome_bits(n_cand, config.m_max), rng, fix)
-    objs = _evaluate_many(pop, table, config.sinr_threshold_db, n_cand, config.m_max, threads)
+    def fix(rows):
+        return repair_rows(rows, n_cand, m_max, rng)
 
-    archive_objs: list[np.ndarray] = []
-    archive_bits: list[np.ndarray] = []
+    def score(rows):
+        return evaluate_rows(rows, table, config.sinr_threshold_db, m_max)
+
+    pop = fix(_random_population(config, chromosome_bits(n_cand, m_max), rng, switch_on))
+    objs = score(pop)
+
     first_front = non_dominated_sort(objs)[0]
-    _merge_archive(archive_objs, archive_bits, objs[first_front],
-                   [pop[i] for i in first_front])
+    archive_objs, archive_bits = _merge_archive(np.empty((0, 3)), pop[:0],
+                                                objs[first_front], pop[first_front])
 
-    history = [{"generation": 0, "per_budget": _budget_stats(archive_objs, config.m_max)}]
+    history = [{"generation": 0, "per_budget": _budget_stats(archive_objs, m_max)}]
 
     for gen in range(1, config.generations + 1):
         rank, crowd, _ = _rank_and_crowding(objs)
         parents = _tournament(rng, rank, crowd, config.pop_size)
-        children = _offspring(pop, parents, config, rng, fix)
-        child_objs = _evaluate_many(children, table, config.sinr_threshold_db,
-                                    n_cand, config.m_max, threads)
+        children = fix(_offspring(pop, parents, config, rng, switch_on))
 
-        combined = pop + children
-        combined_objs = np.vstack([objs, child_objs])
-        c_rank, c_crowd, c_fronts = _rank_and_crowding(combined_objs)
+        combined = np.vstack([pop, children])
+        combined_objs = np.vstack([objs, score(children)])
+        _, c_crowd, c_fronts = _rank_and_crowding(combined_objs)
 
-        _merge_archive(archive_objs, archive_bits, combined_objs[c_fronts[0]],
-                       [combined[i] for i in c_fronts[0]])
+        archive_objs, archive_bits = _merge_archive(archive_objs, archive_bits,
+                                                    combined_objs[c_fronts[0]],
+                                                    combined[c_fronts[0]])
 
         chosen: list[int] = []
         for front in c_fronts:
@@ -402,17 +452,15 @@ def run_nsga2(scene, params, config: GaConfig, use_blockages: bool = True,
                 order = np.argsort(-c_crowd[front_arr], kind="stable")
                 chosen.extend(front_arr[order[:need]].tolist())
                 break
-        pop = [combined[i] for i in chosen]
+        pop = combined[chosen]
         objs = combined_objs[chosen]
 
-        history.append({"generation": gen,
-                        "per_budget": _budget_stats(archive_objs, config.m_max)})
+        history.append({"generation": gen, "per_budget": _budget_stats(archive_objs, m_max)})
 
-    arch_objs = np.array(archive_objs)
-    _, crowd, _ = _rank_and_crowding(arch_objs)
+    _, crowd, _ = _rank_and_crowding(archive_objs)
     archive = [
         Individual(bits=bits, objectives=obj, rank=0, crowding=float(cd),
-                   sites=decode_sites(bits, n_cand, config.m_max))
+                   sites=decode_sites(bits, n_cand, m_max))
         for bits, obj, cd in zip(archive_bits, archive_objs, crowd)
     ]
     archive.sort(key=lambda ind: (ind.objectives[1], ind.objectives[2], ind.objectives[0]))
@@ -436,7 +484,7 @@ def select_best_for_m(archive: list[Individual], m: int,
 
 
 def run_ga_single_objective(scene, params, config: GaConfig, use_blockages: bool = True,
-                            table: LinkGainTable | None = None, threads: int = 1):
+                            table: LinkGainTable | None = None):
     """Plain elitist GA maximizing covered users at a fixed site count.
 
     Same chromosome layout and variation operators as the multi-objective
@@ -451,11 +499,14 @@ def run_ga_single_objective(scene, params, config: GaConfig, use_blockages: bool
         raise OptimizerError("m_max exceeds candidate count")
     rng = np.random.default_rng(config.seed)
 
-    def fix(bits):
-        return repair_fixed_m(bits, n_cand, config.m_max)
+    def fix(rows):
+        return repair_fixed_m_rows(rows, n_cand, config.m_max)
 
-    pop = _random_population(config, chromosome_bits(n_cand, config.m_max), rng, fix)
-    objs = _evaluate_many(pop, table, config.sinr_threshold_db, n_cand, config.m_max, threads)
+    def score(rows):
+        return evaluate_rows(rows, table, config.sinr_threshold_db, config.m_max)
+
+    pop = fix(_random_population(config, chromosome_bits(n_cand, config.m_max), rng))
+    objs = score(pop)
     fitness = objs[:, 2]  # minimize f3
 
     best_idx = int(np.argmin(fitness))
@@ -467,15 +518,12 @@ def run_ga_single_objective(scene, params, config: GaConfig, use_blockages: bool
         contestants = rng.integers(0, config.pop_size, size=(config.pop_size, 2))
         parents = np.where(fitness[contestants[:, 0]] <= fitness[contestants[:, 1]],
                            contestants[:, 0], contestants[:, 1])
-        children = _offspring(pop, parents, config, rng, fix)
-        child_objs = _evaluate_many(children, table, config.sinr_threshold_db,
-                                    n_cand, config.m_max, threads)
+        children = fix(_offspring(pop, parents, config, rng))
 
-        all_bits = pop + children
-        all_objs = np.vstack([objs, child_objs])
-        all_fit = all_objs[:, 2]
-        order = np.argsort(all_fit, kind="stable")[:config.pop_size]
-        pop = [all_bits[i] for i in order]
+        all_bits = np.vstack([pop, children])
+        all_objs = np.vstack([objs, score(children)])
+        order = np.argsort(all_objs[:, 2], kind="stable")[:config.pop_size]
+        pop = all_bits[order]
         objs = all_objs[order]
         fitness = objs[:, 2]
 

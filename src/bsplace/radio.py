@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config_json import read_config_fields
+from .config_json import read_config_fields, require_finite
 from .geometry import los_mask
 
 SECTOR_AZIMUTHS_DEG = (0.0, 120.0, 240.0)
@@ -56,14 +56,13 @@ class RadioParams:
     shadowing_seed: int = 0
 
     def __post_init__(self):
+        require_finite(self, RadioError)
         for name in ("carrier_ghz", "hpbw_deg", "front_back_db", "noise_figure_db",
                      "bandwidth_mhz", "min_coupling_loss_db"):
             if getattr(self, name) <= 0:
                 raise RadioError(f"{name} must be positive")
         if self.nlos_penalty_db < 0 or self.shadowing_sigma_db < 0:
             raise RadioError("penalties must be non-negative")
-        if not math.isfinite(self.tx_power_dbm):
-            raise RadioError("tx_power_dbm must be finite")
 
     @classmethod
     def from_json(cls, path) -> "RadioParams":
@@ -217,14 +216,20 @@ class LinkGainTable:
     noise_dbm: float
 
     def columns_for(self, site_ids) -> np.ndarray:
-        cols = list(site_ids) + list(range(self.n_candidates, self.n_candidates + self.n_fixed))
-        return np.asarray(cols, dtype=int)
+        """Site columns [..., k + n_fixed]: the ids along the last axis, then the fixed BS."""
+        ids = np.asarray(site_ids, dtype=int)
+        fixed = np.arange(self.n_candidates, self.n_candidates + self.n_fixed)
+        return np.concatenate([ids, np.broadcast_to(fixed, ids.shape[:-1] + fixed.shape)],
+                              axis=-1)
 
     def rx_for(self, site_ids) -> np.ndarray:
-        """Sector rx matrix [n_users, 3*(len(site_ids)+n_fixed)] in dBm."""
-        cols = self.columns_for(site_ids)
-        n = self.rx_dbm.shape[0]
-        return self.rx_dbm[:, cols, :].reshape(n, -1)
+        """Sector rx in dBm, C-contiguous [..., n_users, 3*(k+n_fixed)].
+
+        `site_ids` is one site set [k] or a batch of equal-size sets
+        [..., k]; the batch axes lead the result.
+        """
+        rx = np.moveaxis(np.take(self.rx_dbm, self.columns_for(site_ids), axis=1), 0, -3)
+        return np.ascontiguousarray(rx).reshape(rx.shape[:-2] + (-1,))
 
 
 def build_link_table(scene, params: RadioParams, use_blockages: bool,
@@ -260,18 +265,18 @@ def build_link_table(scene, params: RadioParams, use_blockages: bool,
 
 
 def sinr_from_rx(rx_dbm: np.ndarray, noise_dbm: float):
-    """Association and SINR from a per-user sector rx matrix.
+    """Association and SINR from a per-user sector rx matrix [..., users, sectors].
 
     Serving sector is the max-power column, first index on ties. Returns
-    (serving index per user, SINR in dB per user).
+    (serving index per user, SINR in dB per user), each [..., users];
+    leading axes are a batch of independent placements.
     """
-    if rx_dbm.ndim != 2 or rx_dbm.shape[1] == 0:
+    if rx_dbm.ndim < 2 or rx_dbm.shape[-1] == 0:
         raise NoSectors("need at least one sector")
     lin = db_to_linear(rx_dbm)
-    serving = np.argmax(rx_dbm, axis=1)
-    rows = np.arange(rx_dbm.shape[0])
-    signal = lin[rows, serving]
-    interference = lin.sum(axis=1) - signal
+    serving = np.argmax(rx_dbm, axis=-1)
+    signal = np.take_along_axis(lin, serving[..., None], axis=-1)[..., 0]
+    interference = lin.sum(axis=-1) - signal
     noise = db_to_linear(noise_dbm)
     return serving, linear_to_db(signal / (noise + interference))
 

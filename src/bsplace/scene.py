@@ -17,7 +17,7 @@ from enum import IntEnum
 import numpy as np
 from scipy import ndimage
 
-from .config_json import read_config_fields
+from .config_json import read_config_fields, require_finite
 from .geometry import point_to_polygon_distance
 
 
@@ -223,6 +223,7 @@ class SceneConfig:
     @classmethod
     def from_json(cls, path) -> "SceneConfig":
         cfg = cls(**read_config_fields(path, cls, SceneError))
+        require_finite(cfg, SceneError)
         if cfg.user_spacing_m <= 0 or cfg.candidate_pitch_m <= 0:
             raise SceneError("spacing and pitch must be positive")
         if cfg.mast_height_m <= 0:

@@ -141,6 +141,15 @@ def test_kmeans_config_rejects_wrong_type(tmp_path):
         KmeansConfig.from_json(p)
 
 
+def test_kmeans_config_rejects_non_finite(tmp_path):
+    with pytest.raises(BaselineError, match="sinr_threshold_db must be finite, got nan"):
+        KmeansConfig(sinr_threshold_db=float("nan"))
+    p = tmp_path / "kmeans.json"
+    p.write_text('{"sinr_threshold_db": -Infinity}')
+    with pytest.raises(BaselineError, match="sinr_threshold_db must be finite, got -inf"):
+        KmeansConfig.from_json(p)
+
+
 # ---------------------------------------------------------------------------
 # Comparison harness
 

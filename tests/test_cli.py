@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsplace.cli import main
 from bsplace.scene import load_scene
@@ -198,6 +200,101 @@ def test_mistyped_config_value_is_data_error(ws, tmp_path, capsys, argv, doc, fi
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
+
+
+@pytest.mark.parametrize("argv, flag, doc, field", [
+    (["evaluate", "--sites", "0"], "--radio-config", {"antenna_gain_dbi": float("nan")},
+     "antenna_gain_dbi"),
+    (["evaluate", "--sites", "0"], "--radio-config", {"carrier_ghz": float("inf")},
+     "carrier_ghz"),
+    (["evaluate", "--sites", "0"], "--ga-config", {"sinr_threshold_db": float("nan")},
+     "sinr_threshold_db"),
+    (["optimize"], "--radio-config", {"shadowing_sigma_db": float("nan")},
+     "shadowing_sigma_db"),
+])
+def test_non_finite_config_value_is_data_error(ws, tmp_path, capsys, argv, flag, doc, field):
+    bad = tmp_path / "config.json"
+    bad.write_text(json.dumps(doc))
+    rc = main([argv[0], str(ws["scene"]), *argv[1:], flag, str(bad),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{field} must be finite" in err
+
+
+# Exit codes over many invocations: every malformed command line is a usage
+# error (2), every bad input file or value a data error (1).
+
+_GA_FLOATS = ("crossover_prob", "mutation_prob_per_bit", "sinr_threshold_db")
+_RADIO_FLOATS = ("carrier_ghz", "hpbw_deg", "front_back_db", "nlos_penalty_db",
+                 "noise_figure_db", "bandwidth_mhz", "tx_power_dbm",
+                 "min_coupling_loss_db", "antenna_gain_dbi", "shadowing_sigma_db")
+_BASE_ARGV = {
+    "optimize": ["optimize", "{scene}"],
+    "evaluate": ["evaluate", "{scene}", "--sites", "0"],
+    "compare": ["compare", "{scene}", "--methods", "kmeans", "--m", "1"],
+    "build-scene": ["build-scene", "{raster}", "{dsm}"],
+    "synth": ["synth", "--width", "10", "--height", "10"],
+}
+_words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8)
+
+
+def _usage_errors():
+    command = st.sampled_from(sorted(_BASE_ARGV))
+    return st.one_of(
+        st.builds(lambda c, w: _BASE_ARGV[c] + [f"--zz{w}"], command, _words),
+        st.builds(lambda c, w: _BASE_ARGV[c] + ["--seed", w], command, _words),
+        st.builds(lambda w: [w + "x", "{scene}"], _words),  # no subcommand ends in x
+        st.builds(lambda w: _BASE_ARGV["optimize"] + ["--method", w + "x"], _words),
+        st.just(_BASE_ARGV["optimize"] + ["--method", "kmeans"]),
+        st.builds(lambda w: ["evaluate", "{scene}", "--sites", f"0,{w}"], _words),
+        st.builds(lambda w: ["compare", "{scene}", "--methods", f"kmeans,{w}x"], _words),
+        st.builds(lambda w: ["compare", "{scene}", "--methods", "kmeans", "--m", w], _words),
+    ).map(lambda argv: (argv, None, 2))
+
+
+def _data_errors():
+    command = st.sampled_from(["optimize", "evaluate", "compare"])
+    configs = st.one_of(
+        st.tuples(st.just("--ga-config"), st.sampled_from(_GA_FLOATS)),
+        st.tuples(st.just("--radio-config"), st.sampled_from(_RADIO_FLOATS)),
+    )
+    non_finite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+    bad_config = st.one_of(
+        st.builds(lambda fv, w: (fv[0], json.dumps({f"zz{w}": 1})), configs, _words),
+        st.builds(lambda fv, v: (fv[0], json.dumps({fv[1]: v})), configs, non_finite),
+        st.builds(lambda fv, w: (fv[0], json.dumps({fv[1]: w})), configs, _words),
+        st.builds(lambda fv, w: (fv[0], w), configs, _words),  # not a JSON object
+    )
+    return st.one_of(
+        st.builds(lambda c, cfg: (_BASE_ARGV[c] + [cfg[0], "{config}"], cfg[1], 1),
+                  command, bad_config),
+        st.builds(lambda c, w: ([a.replace("{scene}", "{root}/" + w + ".json")
+                                 for a in _BASE_ARGV[c]], None, 1), command, _words),
+        st.builds(lambda i: (["evaluate", "{scene}", "--sites", str(i)], None, 1),
+                  st.integers(50, 10 ** 6)),
+    )
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as e:  # argparse rejects the command line before main returns
+        return e.code
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=st.one_of(_usage_errors(), _data_errors()))
+def test_exit_code_property(ws, case):
+    argv, config_text, expected = case
+    config = ws["root"] / "property_config.json"
+    if config_text is not None:
+        config.write_text(config_text)
+    paths = {"{scene}": ws["scene"], "{raster}": ws["grids"] / "raster.asc",
+             "{dsm}": ws["grids"] / "dsm.asc", "{config}": config, "{root}": ws["root"]}
+    for key, path in paths.items():
+        argv = [a.replace(key, str(path)) for a in argv]
+    assert _exit_code(argv + ["--out", str(ws["root"] / "property_out")]) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -16,16 +16,19 @@ from bsplace.optimizer import (
     decode_sites,
     dominates,
     evaluate,
+    evaluate_rows,
     evaluate_sites,
     non_dominated_sort,
     repair,
     repair_fixed_m,
+    repair_fixed_m_rows,
+    repair_rows,
     run_ga_single_objective,
     run_nsga2,
     select_best_for_m,
     site_bits,
 )
-from bsplace.radio import RadioParams, build_link_table
+from bsplace.radio import LinkGainTable, RadioParams, build_link_table, sinr_from_rx
 from bsplace.scene import SceneConfig, build_scene
 from bsplace.eval_report import GeneratorConfig, generate_synthetic_scene
 
@@ -389,7 +392,7 @@ def test_run_is_deterministic(toy_run):
 def test_threads_match_sequential(toy_run):
     scene, _, cfg, archive, history = toy_run
     table8 = build_link_table(scene, PARAMS, True, threads=8)
-    archive8, history8 = run_nsga2(scene, PARAMS, cfg, table=table8, threads=8)
+    archive8, history8 = run_nsga2(scene, PARAMS, cfg, table=table8)
     assert history == history8
     assert [tuple(i.objectives) for i in archive] == [tuple(i.objectives) for i in archive8]
 
@@ -481,3 +484,318 @@ def test_run_nsga2_rejects_empty_candidates(box_scene_table):
                   candidates=[], fixed_bs=[])
     with pytest.raises(OptimizerError):
         run_nsga2(empty, PARAMS, GaConfig(pop_size=4, generations=1))
+
+
+def test_ga_config_rejects_non_finite(tmp_path):
+    for field, value in (("sinr_threshold_db", float("nan")),
+                         ("crossover_prob", float("nan")),
+                         ("mutation_prob_per_bit", float("inf"))):
+        with pytest.raises(OptimizerError, match=f"{field} must be finite"):
+            GaConfig(**{field: value})
+    p = tmp_path / "ga.json"
+    p.write_text('{"sinr_threshold_db": NaN}')
+    with pytest.raises(OptimizerError, match="sinr_threshold_db must be finite, got nan"):
+        GaConfig.from_json(p)
+
+
+# ---------------------------------------------------------------------------
+# Batched generation against the per-row code it replaced
+
+def _oracle_decode_index(bits) -> int:
+    idx = 0
+    for b in bits:
+        idx = (idx << 1) | int(b)
+    return idx
+
+
+def _oracle_encode_index(idx: int, width: int) -> np.ndarray:
+    return np.array([(idx >> (width - 1 - i)) & 1 for i in range(width)], dtype=bool)
+
+
+def _oracle_repair(bits, n_candidates, m_max, rng):
+    bits = bits.copy()
+    sb = site_bits(n_candidates)
+    seen = set()
+    any_active = False
+    for slot in range(m_max):
+        base = slot * (1 + sb)
+        raw = _oracle_decode_index(bits[base + 1:base + 1 + sb])
+        idx = raw % n_candidates
+        if idx != raw:
+            bits[base + 1:base + 1 + sb] = _oracle_encode_index(idx, sb)
+        if bits[base]:
+            if idx in seen:
+                bits[base] = False
+            else:
+                seen.add(idx)
+                any_active = True
+    if not any_active:
+        slot = int(rng.integers(m_max))
+        bits[slot * (1 + sb)] = True
+    return bits
+
+
+def _oracle_repair_fixed_m(bits, n_candidates, m_max):
+    bits = bits.copy()
+    sb = site_bits(n_candidates)
+    seen = set()
+    for slot in range(m_max):
+        base = slot * (1 + sb)
+        bits[base] = True
+        idx = _oracle_decode_index(bits[base + 1:base + 1 + sb]) % n_candidates
+        while idx in seen:
+            idx = (idx + 1) % n_candidates
+        seen.add(idx)
+        bits[base + 1:base + 1 + sb] = _oracle_encode_index(idx, sb)
+    return bits
+
+
+def _oracle_offspring(pop, parents, config, rng, fix):
+    """Crossover and mutation with each child repaired as soon as its pair is drawn."""
+    nbits = len(pop[0])
+    p_mut = config.mutation_prob_per_bit
+    if p_mut is None:
+        p_mut = 1.0 / nbits
+    children = []
+    for i in range(0, len(parents), 2):
+        a = pop[parents[i]].copy()
+        b = pop[parents[i + 1]].copy()
+        if rng.random() < config.crossover_prob:
+            mask = rng.random(nbits) < 0.5
+            a[mask], b[mask] = b[mask].copy(), a[mask].copy()
+        a ^= rng.random(nbits) < p_mut
+        b ^= rng.random(nbits) < p_mut
+        children.append(fix(a))
+        children.append(fix(b))
+    return children
+
+
+def _oracle_merge_archive(archive_objs, archive_bits, new_objs, new_bits):
+    """The scalar fold: one new point at a time against every kept point."""
+    for obj, bits in zip(new_objs, new_bits):
+        tup = tuple(obj)
+        if any(dominates(kept, obj) or tuple(kept) == tup for kept in archive_objs):
+            continue
+        keep_idx = [i for i, kept in enumerate(archive_objs) if not dominates(obj, kept)]
+        archive_objs[:] = [archive_objs[i] for i in keep_idx]
+        archive_bits[:] = [archive_bits[i] for i in keep_idx]
+        archive_objs.append(obj.copy())
+        archive_bits.append(bits.copy())
+
+
+def _oracle_objectives(site_ids, table, threshold):
+    _, sinr = sinr_from_rx(table.rx_for(sorted(site_ids)), table.noise_dbm)
+    return np.array([-float(sinr[table.priority].sum()), float(len(site_ids)),
+                     -float((sinr > threshold).sum())])
+
+
+@st.composite
+def _populations(draw, fixed_m=False):
+    """(rows, n_candidates, m_max): any bits, some rows with every slot inactive."""
+    n_cand = draw(st.integers(1, 40))
+    m_max = draw(st.integers(1, min(6, n_cand) if fixed_m else 6))
+    nbits = chromosome_bits(n_cand, m_max)
+    n_rows = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=nbits, max_size=nbits),
+                         min_size=n_rows, max_size=n_rows))
+    blank = draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows))
+    pop = np.array(rows, dtype=bool).reshape(n_rows, nbits)
+    pop[np.array(blank), ::nbits // m_max] = False
+    return pop, n_cand, m_max
+
+
+@settings(max_examples=200, deadline=None)
+@given(pop=_populations(), seed=st.integers(0, 2 ** 32 - 1))
+def test_repair_rows_matches_per_row_oracle(pop, seed):
+    rows, n_cand, m_max = pop
+    rng_oracle = np.random.default_rng(seed)
+    expected = np.array([_oracle_repair(r, n_cand, m_max, rng_oracle) for r in rows])
+    rng = np.random.default_rng(seed)
+    got = repair_rows(rows, n_cand, m_max, rng)
+    assert got.dtype == bool and np.array_equal(got, expected)
+    assert rng.bit_generator.state == rng_oracle.bit_generator.state
+    rng = np.random.default_rng(seed)
+    assert np.array_equal(repair(rows[0], n_cand, m_max, rng),
+                          _oracle_repair(rows[0], n_cand, m_max, np.random.default_rng(seed)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pop=_populations(fixed_m=True))
+def test_repair_fixed_m_rows_matches_per_row_oracle(pop):
+    rows, n_cand, m_max = pop
+    expected = np.array([_oracle_repair_fixed_m(r, n_cand, m_max) for r in rows])
+    assert np.array_equal(repair_fixed_m_rows(rows, n_cand, m_max), expected)
+    assert np.array_equal(repair_fixed_m(rows[0], n_cand, m_max), expected[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_cand=st.integers(1, 20), m_max=st.integers(1, 4), pairs=st.integers(2, 8),
+       p_mut=st.sampled_from([None, 0.2, 0.6]), fixed_m=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_offspring_then_batch_repair_keeps_the_rng_stream(n_cand, m_max, pairs, p_mut,
+                                                         fixed_m, seed):
+    m_max = min(m_max, n_cand) if fixed_m else m_max
+    config = GaConfig(pop_size=2 * pairs, m_max=m_max, crossover_prob=0.7,
+                      mutation_prob_per_bit=p_mut, seed=seed)
+    nbits = chromosome_bits(n_cand, m_max)
+
+    def run(batched):
+        rng = np.random.default_rng(seed)
+        if fixed_m:
+            def fix(rows):
+                return repair_fixed_m_rows(rows, n_cand, m_max)
+
+            def fix_one(bits):
+                return _oracle_repair_fixed_m(bits, n_cand, m_max)
+            on_child = None
+        else:
+            def fix(rows):
+                return repair_rows(rows, n_cand, m_max, rng)
+
+            def fix_one(bits):
+                return _oracle_repair(bits, n_cand, m_max, rng)
+
+            def on_child(row):
+                opt._switch_on_if_empty(row, m_max, rng)
+        out = []
+        if batched:
+            pop = fix(opt._random_population(config, nbits, rng, on_child))
+        else:
+            pop = np.array([fix_one(rng.random(nbits) < 0.5) for _ in range(config.pop_size)])
+        for _ in range(3):
+            parents = rng.integers(0, config.pop_size, size=config.pop_size)
+            if batched:
+                pop = fix(opt._offspring(pop, parents, config, rng, on_child))
+            else:
+                pop = np.array(_oracle_offspring(list(pop), parents, config, rng, fix_one))
+            out.append(pop)
+        return out, rng.bit_generator.state
+
+    (got, got_state), (expected, expected_state) = run(True), run(False)
+    assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+    assert got_state == expected_state
+
+
+def _oracle_tournament(rng, rank, crowd, n_picks):
+    contestants = rng.integers(0, len(rank), size=(n_picks, 2))
+    winners = np.empty(n_picks, dtype=int)
+    for i, (a, b) in enumerate(contestants):
+        if rank[a] < rank[b]:
+            winners[i] = a
+        elif rank[b] < rank[a]:
+            winners[i] = b
+        elif crowd[b] > crowd[a]:
+            winners[i] = b
+        else:
+            winners[i] = a
+    return winners
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1))
+def test_tournament_matches_scalar_oracle(n, seed):
+    rng = np.random.default_rng(seed)
+    rank = rng.integers(0, 3, size=n)
+    crowd = rng.choice([0.0, 0.5, 1.0, np.inf], size=n)  # ties everywhere
+    got = opt._tournament(np.random.default_rng(seed + 1), rank, crowd, 2 * n)
+    assert np.array_equal(got, _oracle_tournament(np.random.default_rng(seed + 1), rank,
+                                                  crowd, 2 * n))
+
+
+@st.composite
+def _tables(draw):
+    """Random link tables; coarse ones are full of exact rx ties."""
+    n_users = draw(st.integers(1, 30))
+    n_cand = draw(st.integers(1, 12))
+    n_fixed = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rx = rng.normal(-90.0, 20.0, size=(n_users, n_cand + n_fixed, 3))
+    if draw(st.booleans()):
+        rx = np.round(rx / 6.0) * 6.0
+    return LinkGainTable(rx_dbm=rx, priority=rng.random(n_users) < 0.4,
+                         n_candidates=n_cand, n_fixed=n_fixed, noise_dbm=-104.0)
+
+
+def _mixed_population(table, m_max, rng, per_count=3):
+    """Repaired rows holding every site count 1..min(m_max, C), in random slots and order."""
+    n_cand = table.n_candidates
+    sb = site_bits(n_cand)
+    rows = []
+    for k in range(1, min(m_max, n_cand) + 1):
+        for _ in range(per_count):
+            slots = np.zeros((m_max, 1 + sb), dtype=bool)
+            raw = rng.integers(0, n_cand, size=m_max)
+            chosen = rng.choice(m_max, size=k, replace=False)
+            raw[chosen] = rng.choice(n_cand, size=k, replace=False)
+            for slot in range(m_max):
+                slots[slot, 0] = slot in chosen
+                slots[slot, 1:] = _oracle_encode_index(int(raw[slot]), sb)
+            rows.append(slots.ravel())
+    return np.array(rows)[rng.permutation(len(rows))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=_tables(), m_max=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+       threshold=st.sampled_from([-6.0, 0.0, 10.0, 13.7]))
+def test_evaluate_rows_matches_single_sets_bytewise(table, m_max, seed, threshold):
+    pop = _mixed_population(table, m_max, np.random.default_rng(seed))
+    counts = {len(decode_sites(r, table.n_candidates, m_max)) for r in pop}
+    assert counts == set(range(1, min(m_max, table.n_candidates) + 1))
+    got = evaluate_rows(pop, table, threshold, m_max)
+    for row, obj in zip(pop, got):
+        ids = decode_sites(row, table.n_candidates, m_max)
+        assert obj.tobytes() == _oracle_objectives(ids, table, threshold).tobytes()
+        assert obj.tobytes() == evaluate_sites(ids[::-1], table, threshold).tobytes()
+
+
+@pytest.fixture(scope="module")
+def fixed_bs_table():
+    gen = GeneratorConfig(width=40, height=40, cell_size=25.0)
+    raster, dsm = generate_synthetic_scene(gen, seed=4)
+    cfg = SceneConfig(user_spacing_m=150.0, candidate_pitch_m=250.0, near_dist_m=50.0,
+                      fixed_bs=[[250.0, 250.0, 30.0], [750.0, 600.0, 30.0]])
+    return build_link_table(build_scene(raster, dsm, cfg), PARAMS, True)
+
+
+def test_evaluate_rows_on_scene_tables(toy_run, fixed_bs_table):
+    for table in (toy_run[1], fixed_bs_table):
+        rng = np.random.default_rng(11)
+        pop = _mixed_population(table, 4, rng, per_count=6)
+        got = evaluate_rows(pop, table, 10.0, 4)
+        for row, obj in zip(pop, got):
+            ids = decode_sites(row, table.n_candidates, 4)
+            assert obj.tobytes() == _oracle_objectives(ids, table, 10.0).tobytes()
+    assert fixed_bs_table.n_fixed == 2
+
+
+@pytest.mark.parametrize("budget", [1, 700, 5000])
+def test_evaluate_rows_chunking_keeps_every_bit(toy_run, fixed_bs_table, monkeypatch, budget):
+    scene, toy_table, cfg, archive, history = toy_run
+    cases = [(table, _mixed_population(table, 4, np.random.default_rng(5), per_count=9))
+             for table in (toy_table, fixed_bs_table)]
+    whole = [evaluate_rows(pop, table, 10.0, 4).tobytes() for table, pop in cases]
+    monkeypatch.setattr(opt, "_GATHER_ELEMS", budget)
+    assert [evaluate_rows(pop, table, 10.0, 4).tobytes() for table, pop in cases] == whole
+    chunked_archive, chunked_history = run_nsga2(scene, PARAMS, cfg, table=toy_table)
+    assert chunked_history == history
+    assert [(a.bits.tobytes(), a.objectives.tobytes()) for a in chunked_archive] == \
+        [(a.bits.tobytes(), a.objectives.tobytes()) for a in archive]
+
+
+_small_objs = st.tuples(st.integers(-3, 0), st.integers(1, 3), st.integers(-3, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(chunks=st.lists(st.lists(_small_objs, max_size=10), max_size=8))
+def test_merge_archive_matches_sequential_fold(chunks):
+    fold_objs, fold_tags = [], []
+    objs, tags = np.empty((0, 3)), np.empty((0, 1), dtype=int)
+    seen = 0
+    for chunk in chunks:
+        new_objs = np.array(chunk, dtype=float).reshape(-1, 3)
+        new_tags = np.arange(seen, seen + len(chunk)).reshape(-1, 1)  # who came first
+        seen += len(chunk)
+        _oracle_merge_archive(fold_objs, fold_tags, new_objs, new_tags)
+        objs, tags = opt._merge_archive(objs, tags, new_objs, new_tags)
+        assert np.array_equal(objs, np.array(fold_objs).reshape(-1, 3))
+        assert np.array_equal(tags, np.array(fold_tags, dtype=int).reshape(-1, 1))

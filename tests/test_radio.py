@@ -178,6 +178,39 @@ def test_sinr_from_rx_no_interference_is_snr():
 def test_sinr_from_rx_rejects_empty():
     with pytest.raises(NoSectors):
         sinr_from_rx(np.zeros((3, 0)), -95.0)
+    with pytest.raises(NoSectors):
+        sinr_from_rx(np.zeros((2, 3, 0)), -95.0)
+    with pytest.raises(NoSectors):
+        sinr_from_rx(np.zeros(3), -95.0)
+
+
+def test_sinr_from_rx_batch_equals_each_placement():
+    rng = np.random.default_rng(3)
+    for shape in ((5, 7, 6), (2, 3, 4, 9), (1, 1, 1)):
+        rx = rng.normal(-90.0, 20.0, size=shape)
+        rx[..., -1] = rx[..., 0]  # exact ties go to the lower index
+        serving, sinr = sinr_from_rx(rx, -104.0)
+        assert serving.shape == sinr.shape == shape[:-1]
+        for idx in np.ndindex(*shape[:-2]):
+            one_serving, one_sinr = sinr_from_rx(rx[idx], -104.0)
+            assert np.array_equal(serving[idx], one_serving)
+            assert sinr[idx].tobytes() == one_sinr.tobytes()
+
+
+def test_rx_for_batch_equals_each_site_set():
+    rng = np.random.default_rng(4)
+    table = LinkGainTable(rx_dbm=rng.normal(-90.0, 20.0, size=(6, 9, 3)),
+                          priority=np.ones(6, dtype=bool), n_candidates=7, n_fixed=2,
+                          noise_dbm=-104.0)
+    ids = rng.integers(0, 7, size=(4, 3))
+    batch = table.rx_for(ids)
+    assert batch.shape == (4, 6, 3 * (3 + 2)) and batch.flags.c_contiguous
+    for row, rx in zip(ids, batch):
+        one = table.rx_for(list(row))
+        assert one.flags.c_contiguous
+        assert np.array_equal(rx, one)
+        assert np.array_equal(one, table.rx_dbm[:, list(row) + [7, 8], :].reshape(6, -1))
+    assert table.rx_for([]).shape == (6, 6)
 
 
 def test_sinr_db_imposed_serving(box_scene):
@@ -374,4 +407,21 @@ def test_radio_params_rejects_wrong_type(tmp_path):
         RadioParams.from_json(path)
     path.write_text('{"shadowing_seed": 1.5}')
     with pytest.raises(RadioError, match="'shadowing_seed' must be an integer"):
+        RadioParams.from_json(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("shadowing_sigma_db", float("nan")),
+    ("antenna_gain_dbi", float("nan")),
+    ("nlos_penalty_db", float("nan")),
+    ("carrier_ghz", float("inf")),
+    ("tx_power_dbm", float("-inf")),
+    ("hpbw_deg", float("nan")),
+])
+def test_radio_params_rejects_non_finite(tmp_path, field, value):
+    with pytest.raises(RadioError, match=f"{field} must be finite"):
+        RadioParams(**{field: value})
+    path = tmp_path / "radio.json"
+    path.write_text(f'{{"{field}": {value!r}}}'.replace("nan", "NaN").replace("inf", "Infinity"))
+    with pytest.raises(RadioError, match=f"{field} must be finite"):
         RadioParams.from_json(path)

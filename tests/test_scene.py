@@ -399,6 +399,15 @@ def test_scene_config_rejects_wrong_type(tmp_path):
         SceneConfig.from_json(p)
 
 
+def test_scene_config_rejects_non_finite(tmp_path):
+    p = tmp_path / "cfg.json"
+    for field, text in (("near_dist_m", "NaN"), ("user_spacing_m", "NaN"),
+                        ("mast_height_m", "Infinity")):
+        p.write_text(f'{{"{field}": {text}}}')
+        with pytest.raises(SceneError, match=f"{field} must be finite"):
+            SceneConfig.from_json(p)
+
+
 def test_scene_config_rejects_unknown_key(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"user_spacing_m": 5.0, "user_spacing": 6.0}))
