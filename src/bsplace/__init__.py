@@ -7,10 +7,9 @@ placement search (NSGA-II) with k-means and single-objective GA baselines.
 
 __version__ = "0.1.0"
 
-from .baselines import KmeansConfig, compare_methods, kmeans_place
-from .eval_report import (CoverageCurve, GeneratorConfig, ScenarioPlan, ThroughputCdf,
-                          coverage_curve, generate_synthetic_scene, run_scenario,
-                          throughput_cdf)
+from .baselines import KmeansConfig, compare_methods
+from .eval_report import (CoverageCurve, GeneratorConfig, ThroughputCdf, coverage_curve,
+                          generate_synthetic_scene, throughput_cdf)
 from .geometry import Segment3, los_blocked, los_mask
 from .optimizer import (GaConfig, Individual, run_ga_single_objective, run_nsga2,
                         select_best_for_m)
@@ -26,12 +25,12 @@ __all__ = [
     "BsSector", "BuildingPrism", "CandidateSite", "CellClass", "ClassRaster",
     "CoverageCurve", "Dsm", "GaConfig", "GeneratorConfig", "Individual",
     "KmeansConfig", "LinkGainTable", "RadioParams", "Scene", "SceneConfig",
-    "ScenarioPlan", "Segment3", "ThroughputCdf", "User",
+    "Segment3", "ThroughputCdf", "User",
     "attach_and_evaluate", "build_link_table", "build_scene", "build_sectors",
     "compare_methods", "coverage_curve", "extract_buildings",
-    "generate_synthetic_scene", "kmeans_place", "link_budget", "load_dsm",
+    "generate_synthetic_scene", "link_budget", "load_dsm",
     "load_raster", "load_scene", "los_blocked", "los_mask", "pathloss_db",
     "place_candidates", "place_users", "run_ga_single_objective", "run_nsga2",
-    "run_scenario", "save_dsm", "save_raster", "save_scene", "select_best_for_m",
+    "save_dsm", "save_raster", "save_scene", "select_best_for_m",
     "sinr_db", "throughput_cdf", "throughput_mbps",
 ]

@@ -134,14 +134,6 @@ def kmeans_site_ids(users, k: int, scene, params, config: KmeansConfig,
     return best_ids
 
 
-def kmeans_place(users, k: int, scene, params, config: KmeansConfig,
-                 use_blockages: bool = True,
-                 table: LinkGainTable | None = None) -> list[np.ndarray]:
-    """BS positions for the k-means baseline, snapped to candidate sites."""
-    ids = kmeans_site_ids(users, k, scene, params, config, use_blockages, table)
-    return [scene.candidates[i].position for i in ids]
-
-
 def compare_methods(scene, params, bs_counts, methods,
                     ga_config: opt.GaConfig | None = None,
                     kmeans_config: KmeansConfig | None = None,

@@ -44,7 +44,7 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--seed", type=int, default=None, metavar="U64",
                      help="RNG seed; overrides any config file (default 0)")
     sub.add_argument("--threads", type=int, default=1, metavar="N",
-                     help="accepted and recorded in the manifest; every step runs in one thread")
+                     help="must be >= 1; recorded in the manifest, every step runs in one thread")
     sub.add_argument("--out", type=Path, default=Path("."), metavar="DIR",
                      help="output directory (created if missing)")
 
@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radio-config", type=Path)
     p.add_argument("--ga-config", type=Path)
     p.add_argument("--method", choices=METHODS, default="nsga2")
-    p.add_argument("--m", type=int, help="site count for ga/kmeans")
+    p.add_argument("--m", type=int, help="site count for ga/kmeans (nsga2 searches 1..m_max)")
     p.add_argument("--no-blockages", action="store_true",
                    help="optimize as if buildings were transparent")
     _add_common(p)
@@ -146,6 +146,10 @@ def cmd_build_scene(args):
 
 
 def cmd_optimize(args):
+    if args.method == "nsga2" and args.m is not None:
+        raise UsageError("--m sets the site count for ga/kmeans; nsga2 searches 1..m_max")
+    if args.method == "kmeans" and args.m is None:
+        raise UsageError("--method kmeans requires --m")
     scene = load_scene(args.scene)
     params = _load_radio(args)
     ga = _load_ga(args)
@@ -162,8 +166,6 @@ def cmd_optimize(args):
         best, ga_history = opt.run_ga_single_objective(scene, params, cfg, use_blockages)
         archive, history = [best], ga_history
     else:  # kmeans
-        if args.m is None:
-            raise UsageError("--method kmeans requires --m")
         kcfg = KmeansConfig(seed=seed, sinr_threshold_db=ga.sinr_threshold_db)
         table = build_link_table(scene, params, use_blockages)
         ids = kmeans_site_ids(scene.users, args.m, scene, params, kcfg,
@@ -188,6 +190,23 @@ def cmd_optimize(args):
               "ga_config": str(args.ga_config) if args.ga_config else None,
               "method": args.method, "use_blockages": use_blockages}
     return inputs, seed
+
+
+def _reject_coincident_masts(points, labels):
+    """Raise SceneError naming the first pair of entries that put two masts on one point.
+
+    A mast given twice would radiate twice, its copy's sectors interfering
+    with the original's.
+    """
+    pts = np.asarray(points, dtype=float)
+    _, first, inverse = np.unique(pts, axis=0, return_index=True, return_inverse=True)
+    first_seen = first[inverse.ravel()]
+    repeats = np.flatnonzero(first_seen != np.arange(len(pts)))
+    if repeats.size:
+        j = int(repeats[0])
+        i = int(first_seen[j])
+        raise SceneError(f"{labels[i]} and {labels[j]} are the same mast at "
+                         f"{tuple(float(v) for v in pts[j])}")
 
 
 def cmd_evaluate(args):
@@ -222,7 +241,12 @@ def cmd_evaluate(args):
             raise SceneError(f"site id {i} not in scene (0..{len(scene.candidates) - 1})")
 
     positions = [scene.candidates[i].position for i in site_ids] + list(extra_positions)
-    sectors = sectors_for_sites(positions + list(scene.fixed_bs), params)
+    masts = positions + list(scene.fixed_bs)
+    _reject_coincident_masts(
+        masts, [f"site {i}" for i in site_ids]
+        + [f"positions[{k}]" for k in range(len(extra_positions))]
+        + [f"fixed_bs[{k}]" for k in range(len(scene.fixed_bs))])
+    sectors = sectors_for_sites(masts, params)
     serving, sinr = attach_and_evaluate(scene.users, sectors, scene, params, use_blockages)
 
     tag = args.tag
@@ -305,6 +329,8 @@ def _write_manifest(args, inputs: dict, seed: int, duration_s: float):
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"--threads must be >= 1, got {args.threads}")
     start = time.perf_counter()
     try:
         args.out.mkdir(parents=True, exist_ok=True)

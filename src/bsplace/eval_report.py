@@ -1,20 +1,17 @@
-"""Link-level reporting: SINR coverage curves, throughput CDFs, a synthetic
-scene generator for desk-scale experiments, and the scenario harness that
-writes the CSV/JSON bundles for each experiment type.
+"""Link-level reporting: SINR coverage curves, throughput CDFs, their CSV
+writers, and a synthetic scene generator for desk-scale experiments.
+
+It imports only `radio` and `scene`: the CLI runs the searches and hands
+the SINR samples and placements to the writers here.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import optimizer as opt
-from . import radio
-from .baselines import KmeansConfig, compare_methods, save_comparison_csv
-from .radio import RadioParams, build_link_table, sinr_from_rx
+from .radio import RadioParams, throughput_mbps
 from .scene import CellClass, ClassRaster, Dsm, Scene
 
 
@@ -86,7 +83,7 @@ def throughput_cdf(sinrs_db, attachments, params: RadioParams) -> ThroughputCdf:
     if attach.shape != s.shape:
         raise ReportError("attachments must align with SINR samples")
     _, inverse, counts = np.unique(attach, return_inverse=True, return_counts=True)
-    thr = radio.throughput_mbps(s, counts[inverse], params)
+    thr = throughput_mbps(s, counts[inverse], params)
     top = max(float(thr.max()), params.bandwidth_mhz)
     rates = 0.5 * np.arange(int(np.ceil(top / 0.5)) + 1)
     cdf = (thr[None, :] <= rates[:, None]).mean(axis=1)
@@ -191,7 +188,7 @@ def generate_synthetic_scene(cfg: GeneratorConfig, seed: int) -> tuple[ClassRast
 
 
 # ---------------------------------------------------------------------------
-# CSV / gnuplot emission
+# CSV emission
 
 def save_coverage_csv(curve: CoverageCurve, path):
     with open(path, "w") as f:
@@ -223,132 +220,3 @@ def save_placement_csv(scene: Scene, bs_positions, path):
         for p in scene.fixed_bs:
             x, y, z = (float(v) for v in p)
             f.write(f"fixed_bs,{x!r},{y!r},{z!r},\n")
-
-
-def _gnuplot_script(csv_names: list[str], ylabel: str, out_name: str) -> str:
-    lines = [
-        "set datafile separator ','",
-        "set key autotitle columnhead",
-        f"set ylabel '{ylabel}'",
-        "set grid",
-        "plot " + ", \\\n     ".join(
-            f"'{name}' using 1:2 with lines title '{name}'" for name in csv_names
-        ),
-        f"# pipe through: gnuplot -p {out_name}",
-        "",
-    ]
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Scenario harness
-
-SCENARIO_KINDS = ("no_prior", "with_prior", "blockage_ablation", "method_comparison")
-
-
-@dataclass
-class ScenarioPlan:
-    kind: str
-    bs_counts: list[int] = field(default_factory=lambda: [3, 4, 5, 6])
-    ga: opt.GaConfig = field(default_factory=opt.GaConfig)
-    kmeans: KmeansConfig = field(default_factory=KmeansConfig)
-    methods: list[str] = field(default_factory=lambda: ["nsga2", "ga", "kmeans"])
-    use_blockages: bool = True
-    gnuplot: bool = False
-
-    def __post_init__(self):
-        if self.kind not in SCENARIO_KINDS:
-            raise ReportError(f"unknown scenario kind {self.kind!r}; "
-                              f"expected one of {SCENARIO_KINDS}")
-
-
-def _emit_for_solution(scene, table, params, ids, tag, out_dir, written):
-    serving, sinr = sinr_from_rx(table.rx_for(ids), table.noise_dbm)
-    save_coverage_csv(coverage_curve(sinr), out_dir / f"coverage_{tag}.csv")
-    save_throughput_csv(throughput_cdf(sinr, serving, params),
-                        out_dir / f"throughput_{tag}.csv")
-    save_placement_csv(scene, [scene.candidates[i].position for i in ids],
-                       out_dir / f"placement_{tag}.csv")
-    written += [f"coverage_{tag}.csv", f"throughput_{tag}.csv", f"placement_{tag}.csv"]
-    return sinr
-
-
-def run_scenario(scene: Scene, params: RadioParams, plan: ScenarioPlan, out_dir) -> dict:
-    """Run one experiment type and write its report bundle into out_dir.
-
-    Returns a manifest dict with the file list and headline metrics.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[str] = []
-    metrics: dict = {}
-    threshold = plan.ga.sinr_threshold_db
-
-    table = build_link_table(scene, params, plan.use_blockages)
-
-    if plan.kind in ("no_prior", "with_prior"):
-        if plan.kind == "with_prior" and not scene.fixed_bs:
-            raise ReportError("with_prior scenario needs fixed BS in the scene")
-        archive, history = opt.run_nsga2(scene, params, plan.ga, plan.use_blockages,
-                                         table=table)
-        opt.save_archive(archive, len(scene.fixed_bs), out_dir / "archive.json")
-        _save_history(history, out_dir / "history.json")
-        written += ["archive.json", "history.json"]
-        for m in plan.bs_counts:
-            ind = opt.select_best_for_m(archive, m, allow_fewer=True)
-            sinr = _emit_for_solution(scene, table, params, ind.sites,
-                                      f"m{m}", out_dir, written)
-            metrics[f"covered_m{m}"] = int((sinr > threshold).sum())
-        if plan.gnuplot:
-            script = _gnuplot_script([f"coverage_m{m}.csv" for m in plan.bs_counts],
-                                     "P(SINR > threshold)", "plot_coverage.gp")
-            (out_dir / "plot_coverage.gp").write_text(script)
-            written.append("plot_coverage.gp")
-
-    elif plan.kind == "blockage_ablation":
-        blind_table = build_link_table(scene, params, False)
-        archive_aware, _ = opt.run_nsga2(scene, params, plan.ga, True,
-                                         table=table)
-        archive_blind, _ = opt.run_nsga2(scene, params, plan.ga, False,
-                                         table=blind_table)
-        opt.save_archive(archive_aware, len(scene.fixed_bs), out_dir / "archive.json")
-        written.append("archive.json")
-        for m in plan.bs_counts:
-            aware = opt.select_best_for_m(archive_aware, m, allow_fewer=True)
-            blind = opt.select_best_for_m(archive_blind, m, allow_fewer=True)
-            # both placements are judged in the world WITH blockages
-            for tag, ind in ((f"m{m}_aware", aware), (f"m{m}_blind", blind)):
-                serving, sinr = sinr_from_rx(table.rx_for(ind.sites), table.noise_dbm)
-                save_coverage_csv(coverage_curve(sinr), out_dir / f"coverage_{tag}.csv")
-                written.append(f"coverage_{tag}.csv")
-                metrics[f"covered_{tag}"] = int((sinr > threshold).sum())
-        if plan.gnuplot:
-            names = [f"coverage_m{m}_{v}.csv" for m in plan.bs_counts
-                     for v in ("aware", "blind")]
-            (out_dir / "plot_coverage.gp").write_text(
-                _gnuplot_script(names, "P(SINR > threshold)", "plot_coverage.gp"))
-            written.append("plot_coverage.gp")
-
-    else:  # method_comparison
-        rows = compare_methods(scene, params, plan.bs_counts, plan.methods,
-                               ga_config=plan.ga, kmeans_config=plan.kmeans,
-                               use_blockages=plan.use_blockages, table=table)
-        save_comparison_csv(rows, out_dir / "comparison.csv")
-        written.append("comparison.csv")
-        for r in rows:
-            _, sinr = sinr_from_rx(table.rx_for(r["sites"]), table.noise_dbm)
-            tag = f"{r['method']}_m{r['m']}"
-            save_coverage_csv(coverage_curve(sinr), out_dir / f"coverage_{tag}.csv")
-            written.append(f"coverage_{tag}.csv")
-        metrics["rows"] = [
-            {k: r[k] for k in ("method", "m", "pct_users_above_threshold", "mean_sinr_db")}
-            for r in rows
-        ]
-
-    return {"kind": plan.kind, "files": written, "metrics": metrics}
-
-
-def _save_history(history, path):
-    with open(path, "w") as f:
-        json.dump(history, f, indent=2, sort_keys=True)
-        f.write("\n")

@@ -19,6 +19,9 @@ active-site count and calls `sinr_from_rx` on the whole group (in chunks
 of at most `_GATHER_ELEMS` gathered values), and the archive merge is one
 dominance matrix. `repair`, `repair_fixed_m`, `decode_sites` and
 `evaluate_sites` are the same code on a single row.
+
+Objectives are scored only through a `LinkGainTable`; `run_nsga2` and
+`run_ga_single_objective` build the scene's table when none is passed.
 """
 
 from __future__ import annotations
@@ -228,24 +231,6 @@ def evaluate_rows(pop: np.ndarray, table: LinkGainTable, sinr_threshold_db: floa
             objs[rows[start:start + step]] = _score_site_sets(ids[start:start + step], table,
                                                               sinr_threshold_db)
     return objs
-
-
-def evaluate(chromosome: np.ndarray, scene, params, use_blockages: bool,
-             table: LinkGainTable | None = None,
-             sinr_threshold_db: float = 10.0,
-             m_max: int | None = None) -> np.ndarray:
-    """Objective vector for one repaired chromosome.
-
-    Scores through the link table, a pure array gather; without one it
-    builds the scene's table first, so both calls give the same numbers,
-    shadowing included.
-    """
-    if table is None:
-        table = build_link_table(scene, params, use_blockages)
-    if m_max is None:
-        m_max = len(chromosome) // (1 + site_bits(table.n_candidates))
-    return evaluate_sites(decode_sites(chromosome, table.n_candidates, m_max), table,
-                          sinr_threshold_db)
 
 
 # ---------------------------------------------------------------------------

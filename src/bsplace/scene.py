@@ -60,6 +60,14 @@ CANDIDATE_EXCLUDED = (CellClass.TREE, CellClass.CLUTTER, CellClass.CAR)
 USER_HEIGHT_M = 2.0
 
 
+def _check_grid_geometry(cell_size: float, origin: tuple[float, float]):
+    # NaN fails every comparison, so `cell_size <= 0` alone would let it through
+    if not (np.isfinite(cell_size) and cell_size > 0):
+        raise SceneError(f"cell_size must be finite and positive, got {cell_size!r}")
+    if not np.isfinite(origin).all():
+        raise SceneError(f"origin must be finite, got {origin!r}")
+
+
 @dataclass
 class ClassRaster:
     """Per-cell semantic labels on a regular grid."""
@@ -74,8 +82,7 @@ class ClassRaster:
         self.classes = np.asarray(self.classes, dtype=np.int16)
         if self.width < 1 or self.height < 1:
             raise SceneError("raster must have at least one cell")
-        if self.cell_size <= 0:
-            raise SceneError("cell_size must be positive")
+        _check_grid_geometry(self.cell_size, self.origin)
         if self.classes.shape != (self.height, self.width):
             raise SceneError(
                 f"class grid shape {self.classes.shape} does not match "
@@ -110,6 +117,7 @@ class Dsm:
 
     def __post_init__(self):
         self.elevation = np.asarray(self.elevation, dtype=float)
+        _check_grid_geometry(self.cell_size, self.origin)
         if self.elevation.shape != (self.height, self.width):
             raise SceneError(
                 f"elevation grid shape {self.elevation.shape} does not match "

@@ -8,7 +8,6 @@ from bsplace.baselines import (
     KmeansConfig,
     _snap_to_candidates,
     compare_methods,
-    kmeans_place,
     kmeans_site_ids,
     lloyd,
     save_comparison_csv,
@@ -98,15 +97,6 @@ def test_kmeans_deterministic(kmeans_scene):
     a = kmeans_site_ids(scene.users, 3, scene, PARAMS, KmeansConfig(seed=9), True, table)
     b = kmeans_site_ids(scene.users, 3, scene, PARAMS, KmeansConfig(seed=9), True, table)
     assert a == b
-
-
-def test_kmeans_place_positions(kmeans_scene):
-    scene, table = kmeans_scene
-    cfg = KmeansConfig(seed=4)
-    ids = kmeans_site_ids(scene.users, 2, scene, PARAMS, cfg, True, table)
-    poss = kmeans_place(scene.users, 2, scene, PARAMS, cfg, True, table)
-    for i, p in zip(ids, poss):
-        assert np.array_equal(p, scene.candidates[i].position)
 
 
 def test_kmeans_table_mismatch_guard(kmeans_scene):

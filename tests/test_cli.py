@@ -37,6 +37,7 @@ def ws(tmp_path_factory):
         "root": root,
         "grids": grids,
         "scene": scene_dir / "scene.json",
+        "candidate0": load_scene(scene_dir / "scene.json").candidates[0].position.tolist(),
         "ga": ga_cfg,
         "radio": radio_cfg,
     }
@@ -110,6 +111,12 @@ def test_optimize_nsga2_outputs(ws, tmp_path, capsys):
         assert len(ind["sites"]) == int(ind["objectives"]["f2"])
     history = json.loads((out / "history.json").read_text())
     assert len(history) == 11
+    for entry in history:
+        assert set(entry["per_budget"]) == {"1", "2"}  # JSON object keys, 1..m_max
+        assert all(set(stats) == {"f1", "f3"} for stats in entry["per_budget"].values())
+    for m in ("1", "2"):
+        f3 = [entry["per_budget"][m]["f3"] for entry in history]
+        assert all(b <= a for a, b in zip(f3, f3[1:]))
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "optimize"
     assert manifest["inputs"]["method"] == "nsga2"
@@ -250,6 +257,10 @@ def _usage_errors():
         st.builds(lambda w: ["evaluate", "{scene}", "--sites", f"0,{w}"], _words),
         st.builds(lambda w: ["compare", "{scene}", "--methods", f"kmeans,{w}x"], _words),
         st.builds(lambda w: ["compare", "{scene}", "--methods", "kmeans", "--m", w], _words),
+        st.builds(lambda c, n: _BASE_ARGV[c] + ["--threads", str(n)], command,
+                  st.integers(-10 ** 6, 0)),
+        st.builds(lambda method, n: _BASE_ARGV["optimize"] + [*method, "--m", str(n)],
+                  st.sampled_from([(), ("--method", "nsga2")]), st.integers(1, 6)),
     ).map(lambda argv: (argv, None, 2))
 
 
@@ -273,6 +284,17 @@ def _data_errors():
                                  for a in _BASE_ARGV[c]], None, 1), command, _words),
         st.builds(lambda i: (["evaluate", "{scene}", "--sites", str(i)], None, 1),
                   st.integers(50, 10 ** 6)),
+        # the same mast twice: a repeated site id, a repeated position, or a
+        # position on top of a chosen candidate
+        st.builds(lambda i: (["evaluate", "{scene}", "--sites", f"{i},1,{i}"], None, 1),
+                  st.integers(0, 2)),
+        st.builds(lambda p: (["evaluate", "{scene}", "--placement", "{config}"],
+                             json.dumps({"positions": [p, p]}), 1),
+                  st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3)),
+        st.just((_BASE_ARGV["evaluate"] + ["--placement", "{config}"],
+                 '{"positions": [{candidate0}]}', 1)),
+        st.builds(lambda v: (_BASE_ARGV["synth"] + ["--cell-size", v], None, 1),
+                  st.sampled_from(["nan", "inf"])),
     )
 
 
@@ -289,7 +311,7 @@ def test_exit_code_property(ws, case):
     argv, config_text, expected = case
     config = ws["root"] / "property_config.json"
     if config_text is not None:
-        config.write_text(config_text)
+        config.write_text(config_text.replace("{candidate0}", json.dumps(ws["candidate0"])))
     paths = {"{scene}": ws["scene"], "{raster}": ws["grids"] / "raster.asc",
              "{dsm}": ws["grids"] / "dsm.asc", "{config}": config, "{root}": ws["root"]}
     for key, path in paths.items():

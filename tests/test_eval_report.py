@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -7,23 +5,18 @@ from bsplace.eval_report import (
     COVERAGE_GRID_HI_DB,
     COVERAGE_GRID_LO_DB,
     COVERAGE_GRID_STEP_DB,
-    SCENARIO_KINDS,
     CoverageCurve,
     EmptyInput,
     GeneratorConfig,
     ReportError,
-    ScenarioPlan,
     ThroughputCdf,
     coverage_curve,
     generate_synthetic_scene,
-    run_scenario,
     save_coverage_csv,
     save_placement_csv,
     save_throughput_csv,
     throughput_cdf,
 )
-from bsplace.baselines import KmeansConfig
-from bsplace.optimizer import GaConfig
 from bsplace.radio import RadioParams
 from bsplace.scene import SceneConfig, build_scene
 
@@ -36,13 +29,6 @@ def toy_scene(seed=1, fixed_bs=()):
     cfg = SceneConfig(user_spacing_m=200.0, candidate_pitch_m=350.0,
                       near_dist_m=50.0, fixed_bs=list(fixed_bs))
     return build_scene(raster, dsm, cfg)
-
-
-def small_plan(kind, **kw):
-    defaults = dict(bs_counts=[1, 2], ga=GaConfig(pop_size=16, generations=10, m_max=2),
-                    kmeans=KmeansConfig(rounds=2))
-    defaults.update(kw)
-    return ScenarioPlan(kind=kind, **defaults)
 
 
 # ---------------------------------------------------------------------------
@@ -163,90 +149,3 @@ def test_save_placement_csv(tmp_path):
     assert all(ln.rsplit(",", 1)[1] in ("0", "1") for ln in user_rows)
     other_rows = [ln for ln in lines[1:] if not ln.startswith("user,")]
     assert all(ln.endswith(",") for ln in other_rows)
-
-
-# ---------------------------------------------------------------------------
-# Scenario harness
-
-def test_scenario_plan_validates_kind():
-    assert set(SCENARIO_KINDS) == {"no_prior", "with_prior",
-                                   "blockage_ablation", "method_comparison"}
-    with pytest.raises(ReportError):
-        ScenarioPlan(kind="grid_search")
-
-
-def test_run_scenario_no_prior(tmp_path):
-    scene = toy_scene()
-    result = run_scenario(scene, PARAMS, small_plan("no_prior"), tmp_path)
-    assert result["kind"] == "no_prior"
-    for name in ("archive.json", "history.json",
-                 "coverage_m1.csv", "throughput_m1.csv", "placement_m1.csv",
-                 "coverage_m2.csv", "throughput_m2.csv", "placement_m2.csv"):
-        assert name in result["files"]
-        assert (tmp_path / name).exists()
-    assert result["metrics"]["covered_m2"] >= result["metrics"]["covered_m1"]
-    archive = json.loads((tmp_path / "archive.json").read_text())
-    assert archive and all(
-        set(ind) >= {"sites", "fixed_bs_count", "objectives", "rank", "crowding"}
-        for ind in archive)
-    history = json.loads((tmp_path / "history.json").read_text())
-    assert history[0]["generation"] == 0
-    assert "per_budget" in history[0]
-
-
-def test_run_scenario_with_prior(tmp_path):
-    scene = toy_scene(fixed_bs=[[500.0, 500.0, 30.0]])
-    result = run_scenario(scene, PARAMS, small_plan("with_prior"), tmp_path)
-    assert "archive.json" in result["files"]
-    archive = json.loads((tmp_path / "archive.json").read_text())
-    assert all(ind["fixed_bs_count"] == 1 for ind in archive)
-
-
-def test_run_scenario_with_prior_requires_fixed(tmp_path):
-    with pytest.raises(ReportError):
-        run_scenario(toy_scene(), PARAMS, small_plan("with_prior"), tmp_path)
-
-
-def test_run_scenario_ablation(tmp_path):
-    scene = toy_scene()
-    result = run_scenario(scene, PARAMS, small_plan("blockage_ablation"), tmp_path)
-    for m in (1, 2):
-        for variant in ("aware", "blind"):
-            name = f"coverage_m{m}_{variant}.csv"
-            assert name in result["files"]
-            assert (tmp_path / name).exists()
-            assert f"covered_m{m}_{variant}" in result["metrics"]
-
-
-def test_run_scenario_comparison(tmp_path):
-    scene = toy_scene()
-    plan = small_plan("method_comparison", methods=["nsga2", "kmeans"])
-    result = run_scenario(scene, PARAMS, plan, tmp_path)
-    assert "comparison.csv" in result["files"]
-    lines = (tmp_path / "comparison.csv").read_text().splitlines()
-    assert lines[0] == "method,m,pct_users_above_threshold,mean_sinr_db"
-    assert len(lines) == 1 + 4  # 2 methods x 2 site counts
-    assert (tmp_path / "coverage_nsga2_m1.csv").exists()
-    assert (tmp_path / "coverage_kmeans_m2.csv").exists()
-    assert len(result["metrics"]["rows"]) == 4
-
-
-def test_run_scenario_gnuplot_script(tmp_path):
-    scene = toy_scene()
-    run_scenario(scene, PARAMS, small_plan("no_prior", gnuplot=True), tmp_path)
-    script = (tmp_path / "plot_coverage.gp").read_text()
-    assert "coverage_m1.csv" in script and "coverage_m2.csv" in script
-    assert "plot " in script
-
-
-def test_history_json_round_trip(tmp_path):
-    scene = toy_scene()
-    run_scenario(scene, PARAMS, small_plan("no_prior"), tmp_path)
-    history = json.loads((tmp_path / "history.json").read_text())
-    for entry in history:
-        budgets = entry["per_budget"]
-        assert set(budgets) == {"1", "2"}  # json object keys are strings
-        for m, stats in budgets.items():
-            assert set(stats) == {"f1", "f3"}
-    f3_m2 = [h["per_budget"]["2"]["f3"] for h in history]
-    assert all(b <= a for a, b in zip(f3_m2, f3_m2[1:]))

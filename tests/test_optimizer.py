@@ -15,7 +15,6 @@ from bsplace.optimizer import (
     crowding_distance,
     decode_sites,
     dominates,
-    evaluate,
     evaluate_rows,
     evaluate_sites,
     non_dominated_sort,
@@ -271,28 +270,6 @@ def test_evaluate_sites_order_invariant(box_scene_table):
     a = evaluate_sites([2, 0, 1], table, 10.0)
     b = evaluate_sites([0, 1, 2], table, 10.0)
     assert np.array_equal(a, b)
-
-
-def test_evaluate_dual_route(box_scene_table):
-    table, scene = box_scene_table
-    # slot layout for C=3: [active, msb, lsb] x 2
-    bits = np.array([1, 0, 1,   1, 1, 0], dtype=bool)
-    with_table = evaluate(bits, scene, PARAMS, True, table=table)
-    direct = evaluate(bits, scene, PARAMS, True)
-    assert np.array_equal(with_table, direct)
-    assert with_table[1] == 2.0
-
-
-def test_evaluate_without_table_keeps_shadowing():
-    scene = toy_scene(2)
-    params = RadioParams(tx_power_dbm=33.0, shadowing_sigma_db=8.0, shadowing_seed=4)
-    table = build_link_table(scene, params, True)
-    rng = np.random.default_rng(0)
-    n_cand = len(scene.candidates)
-    for _ in range(10):
-        bits = repair(rng.random(chromosome_bits(n_cand, 3)) < 0.5, n_cand, 3, rng)
-        assert np.array_equal(evaluate(bits, scene, params, True),
-                              evaluate(bits, scene, params, True, table=table))
 
 
 @pytest.fixture(scope="module")

@@ -147,6 +147,20 @@ def test_load_grid_rejects_nodata_and_bad_headers(tmp_path):
         load_dsm(p)
 
 
+@pytest.mark.parametrize("load", [load_raster, load_dsm])
+@pytest.mark.parametrize("key, value, field", [
+    ("cellsize", "nan", "cell_size"), ("cellsize", "inf", "cell_size"),
+    ("xllcorner", "nan", "origin"), ("yllcorner", "-inf", "origin"),
+])
+def test_load_grid_rejects_non_finite_geometry(tmp_path, load, key, value, field):
+    header = {"ncols": "2", "nrows": "1", "xllcorner": "0", "yllcorner": "5", "cellsize": "1"}
+    header[key] = value
+    p = tmp_path / "grid.asc"
+    p.write_text("".join(f"{k} {v}\n" for k, v in header.items()) + "0 1\n")
+    with pytest.raises(SceneError, match=f"{field} must be finite"):
+        load(p)
+
+
 # ---------------------------------------------------------------------------
 # Building extraction
 
