@@ -30,7 +30,8 @@ from .optimizer import GaConfig, OptimizerError
 from .radio import (RadioError, RadioParams, attach_and_evaluate, build_link_table,
                     sectors_for_sites)
 from .scene import (SceneConfig, SceneError, build_scene, finite_points, load_dsm,
-                    load_raster, load_scene, save_dsm, save_raster, save_scene)
+                    load_raster, load_scene, reject_coincident_masts, save_dsm,
+                    save_raster, save_scene)
 
 DATA_ERRORS = (SceneError, RadioError, OptimizerError, BaselineError, ReportError,
                OSError, json.JSONDecodeError)
@@ -192,23 +193,6 @@ def cmd_optimize(args):
     return inputs, seed
 
 
-def _reject_coincident_masts(points, labels):
-    """Raise SceneError naming the first pair of entries that put two masts on one point.
-
-    A mast given twice would radiate twice, its copy's sectors interfering
-    with the original's.
-    """
-    pts = np.asarray(points, dtype=float)
-    _, first, inverse = np.unique(pts, axis=0, return_index=True, return_inverse=True)
-    first_seen = first[inverse.ravel()]
-    repeats = np.flatnonzero(first_seen != np.arange(len(pts)))
-    if repeats.size:
-        j = int(repeats[0])
-        i = int(first_seen[j])
-        raise SceneError(f"{labels[i]} and {labels[j]} are the same mast at "
-                         f"{tuple(float(v) for v in pts[j])}")
-
-
 def cmd_evaluate(args):
     scene = load_scene(args.scene)
     params = _load_radio(args)
@@ -242,7 +226,7 @@ def cmd_evaluate(args):
 
     positions = [scene.candidates[i].position for i in site_ids] + list(extra_positions)
     masts = positions + list(scene.fixed_bs)
-    _reject_coincident_masts(
+    reject_coincident_masts(
         masts, [f"site {i}" for i in site_ids]
         + [f"positions[{k}]" for k in range(len(extra_positions))]
         + [f"fixed_bs[{k}]" for k in range(len(scene.fixed_bs))])

@@ -3,6 +3,14 @@
 All polygons are numpy arrays of shape (n, 2) holding an open ring (the last
 vertex is not repeated). Heights are handled by linear interpolation along the
 segment; prisms block only below their roof elevation.
+
+Where a point lies relative to a footprint outline is answered for many
+points at once by one routine, `_outline`: the squared distance to the
+nearest edge and the even-odd parity. `los_mask` takes its inside test from
+it and `outline_distance` (which `scene.place_users` calls for
+near-building priority) its distance. The scalar `point_in_polygon`,
+`point_to_polygon_distance` and `los_blocked` do the same arithmetic one
+point at a time and are kept as test oracles.
 """
 
 from __future__ import annotations
@@ -75,6 +83,16 @@ def point_to_polygon_distance(p, poly) -> float:
     if point_in_polygon(p, poly):
         return 0.0
     return d
+
+
+def outline_distance(px, py, poly) -> np.ndarray:
+    """point_to_polygon_distance over arrays of points (px, py), with its arithmetic.
+
+    Distance from each point to the outline of poly: 0 inside or on it.
+    """
+    d2, odd = _outline(np.asarray(px, dtype=float), np.asarray(py, dtype=float),
+                       _Edges(np.asarray(poly, dtype=float)))
+    return np.where((d2 <= EPS * EPS) | odd, 0.0, np.sqrt(d2))
 
 
 def segment_polygon_interval(a, b, poly) -> list[tuple[float, float]]:
@@ -210,8 +228,7 @@ def los_mask(origins, targets, prisms) -> np.ndarray:
             minx, miny, maxx, maxy = prism.bbox
             k = np.nonzero(
                 clear
-                & (top > lo_z + EPS)
-                & ~(lo_z >= top - EPS)
+                & (lo_z < top - EPS)
                 & (min_x <= maxx + EPS)
                 & (max_x >= minx - EPS)
                 & (min_y <= maxy + EPS)
@@ -273,7 +290,8 @@ def _prism_blocks(a, b, edges: _Edges, top) -> np.ndarray:
     z_lo = az[rows] + lo * dz[rows]
     z_hi = az[rows] + hi * dz[rows]
     low = np.nonzero(np.minimum(z_lo, z_hi) < top - EPS)[0]
-    inside = _points_in_polygon(np.concatenate(px)[low], np.concatenate(py)[low], edges)
+    d2, odd = _outline(np.concatenate(px)[low], np.concatenate(py)[low], edges)
+    inside = (d2 <= EPS * EPS) | odd  # on the outline, or inside it
     blocked = np.zeros(len(a), dtype=bool)
     blocked[rows[low[inside]]] = True
     return blocked
@@ -312,18 +330,20 @@ def _in_window(t):
     return (t >= -EPS) & (t <= 1.0 + EPS)
 
 
-def _points_in_polygon(px, py, e: _Edges) -> np.ndarray:
-    """point_in_polygon over arrays of points, with its arithmetic."""
+def _outline(px, py, e: _Edges) -> tuple[np.ndarray, np.ndarray]:
+    """Squared distance to the nearest edge and even-odd parity of points
+    (px, py) against a ring, with the arithmetic of _min_dist_to_edges_sq
+    and of point_in_polygon's crossing count."""
     len2 = e.ex * e.ex + e.ey * e.ey
     len2 = np.where(len2 == 0.0, 1.0, len2)
     qx, qy = px[:, None], py[:, None]
     t = np.minimum(np.maximum(((qx - e.x1) * e.ex + (qy - e.y1) * e.ey) / len2, 0.0), 1.0)
     cx = e.x1 + t * e.ex - qx
     cy = e.y1 + t * e.ey - qy
-    on_edge = (cx * cx + cy * cy).min(axis=1) <= EPS * EPS
+    d2 = (cx * cx + cy * cy).min(axis=1)
 
     crosses = (e.y1 > qy) != (e.y2 > qy)
     with np.errstate(divide="ignore", invalid="ignore"):
         xint = e.x1 + (qy - e.y1) * e.ex / e.ey
     odd = np.count_nonzero(crosses & (qx < xint), axis=1) % 2 == 1
-    return on_edge | odd
+    return d2, odd

@@ -500,9 +500,7 @@ def run_ga_single_objective(scene, params, config: GaConfig, use_blockages: bool
     history = [float(fitness[best_idx])]
 
     for _ in range(config.generations):
-        contestants = rng.integers(0, config.pop_size, size=(config.pop_size, 2))
-        parents = np.where(fitness[contestants[:, 0]] <= fitness[contestants[:, 1]],
-                           contestants[:, 0], contestants[:, 1])
+        parents = _tournament(rng, fitness, np.zeros_like(fitness), config.pop_size)
         children = fix(_offspring(pop, parents, config, rng))
 
         all_bits = np.vstack([pop, children])

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import ndimage
 
 from .config_json import read_config_fields, require_finite
-from .geometry import point_to_polygon_distance
+from .geometry import outline_distance
 
 
 class SceneError(Exception):
@@ -228,15 +228,17 @@ class SceneConfig:
     near_dist_m: float = 10.0
     fixed_bs: list = field(default_factory=list)
 
+    def __post_init__(self):
+        require_finite(self, SceneError)
+        for name in ("user_spacing_m", "candidate_pitch_m", "mast_height_m"):
+            if getattr(self, name) <= 0:
+                raise SceneError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if self.near_dist_m < 0:
+            raise SceneError(f"near_dist_m must be >= 0, got {self.near_dist_m!r}")
+
     @classmethod
     def from_json(cls, path) -> "SceneConfig":
-        cfg = cls(**read_config_fields(path, cls, SceneError))
-        require_finite(cfg, SceneError)
-        if cfg.user_spacing_m <= 0 or cfg.candidate_pitch_m <= 0:
-            raise SceneError("spacing and pitch must be positive")
-        if cfg.mast_height_m <= 0:
-            raise SceneError("mast height must be positive")
-        return cfg
+        return cls(**read_config_fields(path, cls, SceneError))
 
 
 # ---------------------------------------------------------------------------
@@ -532,20 +534,20 @@ def place_users(
     dsm: Dsm,
     spacing: float,
     near_dist: float,
-    buildings: list[BuildingPrism] | None = None,
+    buildings: list[BuildingPrism],
 ) -> list[User]:
     """Users on a regular lattice, 2 m above the surface.
 
     Lattice points on building/tree/car cells are skipped. A user has
     priority when it stands on an impervious surface (roads, pavements) or
-    within near_dist of a building footprint. The exact footprint distance
-    is computed only for users within near_dist of the footprint's bbox.
+    within near_dist of a building footprint. Per prism, the users without
+    priority yet that lie within near_dist of its bbox go to one
+    `geometry.outline_distance` call, which gives each one's exact distance
+    to the footprint (0 inside or on it).
     """
     if spacing <= 0:
         raise SceneError("user spacing must be positive")
     check_aligned(raster, dsm)
-    if buildings is None:
-        buildings = extract_buildings(raster, dsm)
 
     x, y, iy, ix = _lattice_cells(raster, spacing)
     label = raster.classes[iy, ix]
@@ -560,9 +562,9 @@ def place_users(
         x0, y0, x1, y1 = prism.bbox
         dx = np.maximum(np.maximum(x0 - x, 0.0), x - x1)
         dy = np.maximum(np.maximum(y0 - y, 0.0), y - y1)
-        for i in np.flatnonzero(~priority & (dx * dx + dy * dy <= limit_sq)):
-            if point_to_polygon_distance(positions[i, :2], prism.footprint) <= near_dist:
-                priority[i] = True
+        i = np.flatnonzero(~priority & (dx * dx + dy * dy <= limit_sq))
+        if i.size:
+            priority[i] = outline_distance(x[i], y[i], prism.footprint) <= near_dist
     return [User(p, bool(q)) for p, q in zip(positions, priority)]
 
 
@@ -605,7 +607,34 @@ def build_scene(raster: ClassRaster, dsm: Dsm, config: SceneConfig) -> Scene:
     candidates = place_candidates(raster, dsm, config.candidate_pitch_m,
                                   config.mast_height_m, components)
     fixed = list(finite_points(config.fixed_bs, 3, "fixed_bs[{}]".format))
+    _reject_coincident_scene_masts(candidates, fixed)
     return Scene(raster, dsm, buildings, users, candidates, fixed)
+
+
+def reject_coincident_masts(points, labels):
+    """Raise SceneError naming the first pair of entries that put two masts on one point.
+
+    A mast given twice would radiate twice, its copy's sectors interfering
+    with the original's.
+    """
+    pts = np.asarray(points, dtype=float)
+    _, first, inverse = np.unique(pts, axis=0, return_index=True, return_inverse=True)
+    first_seen = first[inverse.ravel()]
+    repeats = np.flatnonzero(first_seen != np.arange(len(pts)))
+    if repeats.size:
+        j = int(repeats[0])
+        i = int(first_seen[j])
+        raise SceneError(f"{labels[i]} and {labels[j]} are the same mast at "
+                         f"{tuple(float(v) for v in pts[j])}")
+
+
+def _reject_coincident_scene_masts(candidates: list[CandidateSite],
+                                   fixed: list[np.ndarray]):
+    """No two of the candidate sites and prior base stations may coincide."""
+    reject_coincident_masts(
+        [c.position for c in candidates] + fixed,
+        [f"candidates[{k}]" for k in range(len(candidates))]
+        + [f"fixed_bs[{k}]" for k in range(len(fixed))])
 
 
 # ---------------------------------------------------------------------------
@@ -694,4 +723,5 @@ def load_scene(path) -> Scene:
     ids = [c.id for c in candidates]
     if ids != list(range(len(ids))):
         raise SceneError("candidate ids must be dense 0..C-1")
+    _reject_coincident_scene_masts(candidates, fixed)
     return Scene(None, None, buildings, users, candidates, fixed)

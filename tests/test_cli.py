@@ -33,6 +33,12 @@ def ws(tmp_path_factory):
     }))
     radio_cfg = root / "radio_config.json"
     radio_cfg.write_text(json.dumps({"tx_power_dbm": 33.0}))
+    # the same scene with a prior BS given twice, and with one on candidate 0
+    doc = json.loads((scene_dir / "scene.json").read_text())
+    site = doc["candidates"][0]["position"]
+    for name, fixed in (("fixed_twice", [[10.0, 20.0, 30.0]] * 2),
+                        ("fixed_on_candidate", [site])):
+        (root / f"{name}.json").write_text(json.dumps({**doc, "fixed_bs": fixed}))
     return {
         "root": root,
         "grids": grids,
@@ -80,6 +86,21 @@ def test_build_scene_output(ws, capsys):
     assert scene.users and scene.candidates
     # spacing from the config file was applied (200 m lattice on a 1 km tile)
     assert len(scene.users) < 40
+
+
+@pytest.mark.parametrize("doc, named", [
+    ({"near_dist_m": -5.0}, "near_dist_m must be >= 0"),
+    ({"fixed_bs": [[10.0, 10.0, 30.0], [10.0, 10.0, 30.0]]}, "fixed_bs[0] and fixed_bs[1]"),
+])
+def test_build_scene_rejects_bad_config(ws, tmp_path, capsys, doc, named):
+    cfg = tmp_path / "scene_config.json"
+    cfg.write_text(json.dumps({"user_spacing_m": 200.0, "candidate_pitch_m": 350.0, **doc}))
+    rc = main(["build-scene", str(ws["grids"] / "raster.asc"), str(ws["grids"] / "dsm.asc"),
+               "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not (tmp_path / "out" / "scene.json").exists()
 
 
 def test_build_scene_missing_input(tmp_path):
@@ -295,6 +316,20 @@ def _data_errors():
                  '{"positions": [{candidate0}]}', 1)),
         st.builds(lambda v: (_BASE_ARGV["synth"] + ["--cell-size", v], None, 1),
                   st.sampled_from(["nan", "inf"])),
+        # a scene whose masts coincide, built or loaded
+        st.builds(lambda fixed: (_BASE_ARGV["build-scene"] + ["--config", "{config}"],
+                                 '{"user_spacing_m": 200.0, "candidate_pitch_m": 350.0, '
+                                 f'"fixed_bs": {fixed}}}', 1),
+                  st.one_of(st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3).map(
+                      lambda p: json.dumps([p, p])), st.just("[{candidate0}]"))),
+        st.builds(lambda c, name: ([a.replace("{scene}", "{root}/" + name)
+                                    for a in _BASE_ARGV[c]], None, 1),
+                  command, st.sampled_from(["fixed_twice.json", "fixed_on_candidate.json"])),
+        # a negative or non-finite near-building distance
+        st.builds(lambda v: (_BASE_ARGV["build-scene"] + ["--config", "{config}"],
+                             json.dumps({"user_spacing_m": 200.0, "near_dist_m": v}), 1),
+                  st.one_of(st.floats(max_value=-1e-300), st.sampled_from(
+                      [float("nan"), float("inf"), float("-inf")]))),
     )
 
 

@@ -9,6 +9,7 @@ from bsplace.geometry import (
     Segment3,
     los_blocked,
     los_mask,
+    outline_distance,
     point_in_polygon,
     point_to_polygon_distance,
     segment_polygon_interval,
@@ -50,6 +51,19 @@ def test_point_to_polygon_distance():
     assert point_to_polygon_distance([1.0, 0.5], UNIT_SQUARE) == 0.0
     assert point_to_polygon_distance([2.0, 0.5], UNIT_SQUARE) == pytest.approx(1.0)
     assert point_to_polygon_distance([2.0, 2.0], UNIT_SQUARE) == pytest.approx(np.sqrt(2.0))
+
+
+def test_outline_distance_hand_values():
+    px = np.array([0.5, 1.0, 0.0, 2.0, 2.0, -0.5])
+    py = np.array([0.5, 0.5, 0.0, 0.5, 2.0, 0.5])
+    np.testing.assert_array_equal(outline_distance(px, py, UNIT_SQUARE),
+                                  [0.0, 0.0, 0.0, 1.0, np.sqrt(2.0), 0.5])
+    assert outline_distance(np.empty(0), np.empty(0), UNIT_SQUARE).shape == (0,)
+    # exactly EPS off the outline still counts as on it; 2 EPS does not
+    eps = geometry.EPS
+    d = outline_distance(np.array([0.5, 0.5]), np.array([-eps, -2 * eps]), UNIT_SQUARE)
+    assert d.tolist() == [0.0, point_to_polygon_distance([0.5, -2 * eps], UNIT_SQUARE)]
+    assert d[1] > 0.0
 
 
 def test_segment_polygon_interval_clean_crossing():
@@ -186,6 +200,17 @@ def test_los_mask_no_prisms_all_clear():
     assert los_mask(origins, targets, []).all()
 
 
+@pytest.mark.parametrize("offset, blocked", [(1.0, True), (2.0, False)])
+def test_los_mask_link_along_a_wall_at_eps(offset, blocked):
+    # The link runs parallel to the wall y = 0, `offset` EPS outside it. At
+    # exactly EPS its overlap with the wall counts as on the outline.
+    prism = rect_prism(0.0, 0.0, 1.0, 1.0, 0.0, 10.0)
+    y = -offset * geometry.EPS
+    a, b = np.array([-1.0, y, 2.0]), np.array([2.0, y, 3.0])
+    assert los_blocked(make_segment(a, b), [prism]) == blocked
+    assert los_mask(a[None], b[None], [prism])[0, 0] == (not blocked)
+
+
 def test_bbox_prefilter_does_not_change_results():
     # A prism far away from every segment must never register.
     far = rect_prism(1000.0, 1000.0, 1010.0, 1010.0, 0.0, 50.0)
@@ -246,6 +271,35 @@ def test_los_mask_matches_oracle_on_lattice(prisms, origins, targets, above):
             if a == b:
                 continue  # not a segment; the oracle rejects it
             assert mask[i, j] == (not los_blocked(make_segment(a, b), prisms)), (a, b)
+
+
+# nudges that put a point just inside, on or just outside the EPS band of an edge
+_NUDGES = [0.0, 1e-10, -1e-10, 1e-9, -1e-9, 2e-9, -2e-9, 1e-3, -1e-3, 0.7, -0.7]
+
+
+@st.composite
+def _outline_points(draw, ring):
+    """Points on vertices, on or next to edges, and anywhere on the lattice."""
+    n = len(ring)
+    kind = draw(st.sampled_from(["vertex", "edge", "lattice"]))
+    if kind == "lattice":
+        return draw(_lattice(-2, 22)), draw(_lattice(-2, 22))
+    k = draw(st.integers(0, n - 1))
+    s = 0.0 if kind == "vertex" else draw(
+        st.one_of(st.sampled_from([0.25, 0.5, 1 / 3]), st.floats(0.0, 1.0)))
+    x, y = ring[k] + s * (ring[(k + 1) % n] - ring[k])
+    return x + draw(st.sampled_from(_NUDGES)), y + draw(st.sampled_from(_NUDGES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(prism=_footprints(), data=st.data())
+def test_outline_distance_matches_oracle_on_lattice(prism, data):
+    ring = prism.footprint
+    pts = data.draw(st.lists(_outline_points(ring), min_size=1, max_size=8))
+    px, py = np.array(pts).T
+    got = outline_distance(px, py, ring)
+    expect = [point_to_polygon_distance(p, ring) for p in pts]
+    assert got.tolist() == expect, pts
 
 
 def _generated_scene(seed):

@@ -356,6 +356,12 @@ def test_build_scene_fixed_bs_validation(flat_raster_pair):
     assert len(scene.fixed_bs) == 1
     with pytest.raises(SceneError):
         build_scene(raster, dsm, SceneConfig(fixed_bs=[[10.0, 10.0]]))
+    # two masts on one point: a prior BS given twice, or one on a candidate site
+    with pytest.raises(SceneError, match=r"fixed_bs\[0\] and fixed_bs\[1\]"):
+        build_scene(raster, dsm, SceneConfig(fixed_bs=[[10.0, 10.0, 30.0]] * 2))
+    site = scene.candidates[2].position.tolist()
+    with pytest.raises(SceneError, match=r"candidates\[2\] and fixed_bs\[1\]"):
+        build_scene(raster, dsm, SceneConfig(fixed_bs=[[1.0, 2.0, 30.0], site]))
 
 
 def test_scene_json_round_trip(flat_raster_pair, tmp_path):
@@ -398,9 +404,20 @@ def test_scene_config_from_json(tmp_path):
     assert cfg.near_dist_m == 4.0
     assert cfg.candidate_pitch_m == 50.0  # default kept
     assert cfg.mast_height_m == 25.0
-    p.write_text(json.dumps({"user_spacing_m": -1.0}))
-    with pytest.raises(SceneError):
-        SceneConfig.from_json(p)
+    for field, value in (("user_spacing_m", -1.0), ("candidate_pitch_m", 0.0),
+                         ("mast_height_m", -3.0), ("near_dist_m", -5.0)):
+        p.write_text(json.dumps({field: value}))
+        with pytest.raises(SceneError, match=field):
+            SceneConfig.from_json(p)
+
+
+def test_scene_config_checks_values_on_construction():
+    with pytest.raises(SceneError, match="user_spacing_m must be positive"):
+        SceneConfig(user_spacing_m=-1, mast_height_m=-3)
+    with pytest.raises(SceneError, match="near_dist_m must be >= 0"):
+        SceneConfig(near_dist_m=-0.5)
+    with pytest.raises(SceneError, match="near_dist_m must be finite"):
+        SceneConfig(near_dist_m=float("nan"))
 
 
 def test_scene_config_rejects_wrong_type(tmp_path):
@@ -654,7 +671,9 @@ def test_build_scene_matches_full_grid_reference(seed, size, cell, density):
     for cfg in (SceneConfig(user_spacing_m=7 * cell, candidate_pitch_m=9 * cell,
                             near_dist_m=4 * cell),
                 SceneConfig(user_spacing_m=1.3 * cell, candidate_pitch_m=2.1 * cell,
-                            near_dist_m=2 * cell)):
+                            near_dist_m=2 * cell),
+                SceneConfig(user_spacing_m=1.3 * cell, candidate_pitch_m=2.1 * cell,
+                            near_dist_m=0.0)):
         assert len(_assert_matches_reference(raster, dsm, cfg)) > 5
 
 
@@ -699,15 +718,16 @@ def test_build_scene_reference_edges_diagonals_and_single_cells():
                        elements=st.sampled_from([0, 1, 1, 1, 2, 3, 4, 5])),
     cell=st.sampled_from([0.5, 1.0, 3.7]),
     spacing=st.sampled_from([0.4, 1.0, 2.9]),
+    near=st.sampled_from([0.0, 1.0]),
     seed=st.integers(0, 2**16),
 )
-def test_build_scene_matches_reference_on_random_rasters(classes, cell, spacing, seed):
+def test_build_scene_matches_reference_on_random_rasters(classes, cell, spacing, near, seed):
     h, w = classes.shape
     elev = np.random.default_rng(seed).normal(10.0, 4.0, (h, w))
     raster = ClassRaster(w, h, cell, (3.25, -8.5), classes)
     dsm = Dsm(w, h, cell, (3.25, -8.5), elev)
     cfg = SceneConfig(user_spacing_m=spacing * cell, candidate_pitch_m=1.5 * spacing * cell,
-                      near_dist_m=cell)
+                      near_dist_m=near * cell)
     _assert_matches_reference(raster, dsm, cfg)
 
 
@@ -777,9 +797,11 @@ def _scenes(draw):
         buildings.append(BuildingPrism(np.array(footprint), base, top))
     users = [User(np.array(p), draw(st.booleans()))
              for p in draw(st.lists(_point3, min_size=1, max_size=6))]
-    candidates = [CandidateSite(i, np.array(p))
-                  for i, p in enumerate(draw(st.lists(_point3, min_size=1, max_size=4)))]
-    fixed = [np.array(p) for p in draw(st.lists(_point3, max_size=2))]
+    # candidate sites and prior BS are distinct masts; load_scene rejects repeats
+    masts = draw(st.lists(_point3, min_size=1, max_size=6, unique_by=tuple))
+    n_cand = draw(st.integers(max(1, len(masts) - 2), min(4, len(masts))))
+    candidates = [CandidateSite(i, np.array(p)) for i, p in enumerate(masts[:n_cand])]
+    fixed = [np.array(p) for p in masts[n_cand:]]
     return Scene(None, None, buildings, users, candidates, fixed)
 
 
@@ -822,6 +844,8 @@ def _scene_doc():
     (("fixed_bs", 0), [20.0, None, 30.0], "fixed_bs[0]"),
     (("buildings", 0, "footprint", 2), [4.0, float("-inf")], "buildings[0].footprint[2]"),
     (("buildings", 0, "footprint", 1), [4.0], "buildings[0].footprint[1]"),
+    (("fixed_bs", 0), [9.0, 0.0, 25.0], "candidates[0] and fixed_bs[0]"),
+    (("fixed_bs",), [[20.0, 20.0, 30.0]] * 2, "fixed_bs[0] and fixed_bs[1]"),
 ])
 def test_load_scene_rejects_bad_coordinates(tmp_path, path, value, entry):
     doc = _scene_doc()
