@@ -34,7 +34,7 @@ for ang in (0.0, 32.5, 65.0, 120.0, 180.0):
 wall = BuildingPrism(footprint=np.array([[90.0, 40.0], [110.0, 40.0],
                                          [110.0, 160.0], [90.0, 160.0]]),
                      base_elev=0.0, top_elev=20.0)
-scene = Scene(raster=None, dsm=None, buildings=[wall],
+scene = Scene(buildings=[wall],
               users=[User(np.array([60.0, 100.0, 1.5]), True),
                      User(np.array([180.0, 100.0, 1.5]), False)],
               candidates=[CandidateSite(0, np.array([10.0, 100.0, 15.0]))],

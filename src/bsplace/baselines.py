@@ -40,6 +40,8 @@ class KmeansConfig:
         require_finite(self, BaselineError)
         if self.rounds < 1 or self.max_lloyd_iters < 1:
             raise BaselineError("rounds and max_lloyd_iters must be >= 1")
+        if self.seed < 0:
+            raise BaselineError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def from_json(cls, path) -> "KmeansConfig":

@@ -315,6 +315,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error(f"--threads must be >= 1, got {args.threads}")
+    if args.seed is not None and args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     start = time.perf_counter()
     try:
         args.out.mkdir(parents=True, exist_ok=True)

@@ -93,6 +93,16 @@ def throughput_cdf(sinrs_db, attachments, params: RadioParams) -> ThroughputCdf:
 # ---------------------------------------------------------------------------
 # Synthetic scenes
 
+# Fixed texture of every synthetic town: smooth terrain bumps of up to
+# _TERRAIN_AMP meters, and the cell fractions of trees, cars and clutter
+# sprinkled off the roads and buildings.
+_TERRAIN_GAUSSIANS = 4
+_TERRAIN_AMP = 5.0
+_TREE_FRACTION = 0.04
+_CAR_FRACTION = 0.01
+_CLUTTER_FRACTION = 0.02
+
+
 @dataclass
 class GeneratorConfig:
     width: int = 200
@@ -104,11 +114,6 @@ class GeneratorConfig:
     building_height_range: tuple[float, float] = (9.0, 30.0)
     road_period: int = 50  # cells between road centerlines
     road_width: int = 6
-    terrain_gaussians: int = 4
-    terrain_amp: float = 5.0
-    tree_fraction: float = 0.04
-    car_fraction: float = 0.01
-    clutter_fraction: float = 0.02
 
     def __post_init__(self):
         if self.width < 10 or self.height < 10:
@@ -135,11 +140,11 @@ def generate_synthetic_scene(cfg: GeneratorConfig, seed: int) -> tuple[ClassRast
 
     yy, xx = np.mgrid[0:h, 0:w]
     terrain = np.zeros((h, w))
-    for _ in range(cfg.terrain_gaussians):
+    for _ in range(_TERRAIN_GAUSSIANS):
         cx = rng.uniform(0, w)
         cy = rng.uniform(0, h)
         sigma = rng.uniform(min(w, h) / 8.0, min(w, h) / 3.0)
-        amp = rng.uniform(0.0, cfg.terrain_amp)
+        amp = rng.uniform(0.0, _TERRAIN_AMP)
         terrain += amp * np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2.0 * sigma ** 2))
 
     classes = np.full((h, w), int(CellClass.LOW_VEGETATION), dtype=np.int16)
@@ -172,11 +177,9 @@ def generate_synthetic_scene(cfg: GeneratorConfig, seed: int) -> tuple[ClassRast
     # sprinkle the remaining off-road, off-building classes
     free = ~road & ~building
     noise = rng.random((h, w))
-    tree = free & (noise < cfg.tree_fraction)
-    car = free & ~tree & (noise < cfg.tree_fraction + cfg.car_fraction)
-    clutter = free & ~tree & ~car & (
-        noise < cfg.tree_fraction + cfg.car_fraction + cfg.clutter_fraction
-    )
+    tree = free & (noise < _TREE_FRACTION)
+    car = free & ~tree & (noise < _TREE_FRACTION + _CAR_FRACTION)
+    clutter = free & ~tree & ~car & (noise < _TREE_FRACTION + _CAR_FRACTION + _CLUTTER_FRACTION)
     classes[tree] = int(CellClass.TREE)
     classes[car] = int(CellClass.CAR)
     classes[clutter] = int(CellClass.CLUTTER)

@@ -192,51 +192,50 @@ def _bbox_overlap(a, b, bbox) -> bool:
     )
 
 
-# Pairs per block of the mask kernel; bounds its temporaries (pairs x edges).
-_BLOCK_PAIRS = 4096
+# Candidate pairs per _prism_blocks call; bounds its temporaries (pairs x edges).
+_SLICE_PAIRS = 4096
 
 
 def los_mask(origins, targets, prisms) -> np.ndarray:
     """Boolean matrix line_of_sight[i, j] for origins[i] -> targets[j].
 
     Same result as `not los_blocked(Segment3(origins[i], targets[j]), prisms)`
-    for every pair; `los_blocked` is the scalar oracle. The kernel is
-    prism-major: pairs go in blocks of whole origin rows (at most
-    _BLOCK_PAIRS pairs unless one row is longer), and for each prism one set
-    of array operations tests every still-clear pair of the block whose
-    bounding box reaches the prism and whose lower end is below its roof
-    (see _prism_blocks).
+    for every pair; `los_blocked` is the scalar oracle. One pass per prism:
+    a pair whose two outcodes (see _outcodes) share a bit lies wholly past
+    one side of the prism's EPS-grown bounding box, or wholly at or above
+    its roof less EPS, so the prism cannot block it. That is the trivial
+    reject of Cohen-Sutherland line clipping, and exactly the prefilter of
+    `los_blocked`. The other still-clear pairs go to _prism_blocks, at most
+    _SLICE_PAIRS at a time.
     """
-    origins = np.asarray(origins, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    n, m = len(origins), len(targets)
-    out = np.ones((n, m), dtype=bool)
-    if not prisms or n == 0 or m == 0:
-        return out
-
-    edges = [_Edges(p.footprint) for p in prisms]
-    rows = max(1, _BLOCK_PAIRS // m)
-    for start in range(0, n, rows):
-        a = np.repeat(origins[start:start + rows], m, axis=0)
-        b = np.tile(targets, (len(a) // m, 1))
-        clear = out[start:start + rows].reshape(-1)  # a view into out
-        lo_z = np.minimum(a[:, 2], b[:, 2])
-        min_x, max_x = np.minimum(a[:, 0], b[:, 0]), np.maximum(a[:, 0], b[:, 0])
-        min_y, max_y = np.minimum(a[:, 1], b[:, 1]), np.maximum(a[:, 1], b[:, 1])
-        for prism, edge in zip(prisms, edges):
-            top = prism.top_elev
-            minx, miny, maxx, maxy = prism.bbox
-            k = np.nonzero(
-                clear
-                & (lo_z < top - EPS)
-                & (min_x <= maxx + EPS)
-                & (max_x >= minx - EPS)
-                & (min_y <= maxy + EPS)
-                & (max_y >= miny - EPS)
-            )[0]
-            if k.size:
-                clear[k[_prism_blocks(a[k], b[k], edge, top)]] = False
+    origins = np.asarray(origins, dtype=float).reshape(-1, 3)
+    targets = np.asarray(targets, dtype=float).reshape(-1, 3)
+    out = np.ones((len(origins), len(targets)), dtype=bool)
+    clear = out.reshape(-1)  # a view into out, indexed by i * len(targets) + j
+    bounds = np.array([(*p.bbox, p.top_elev) for p in prisms]).reshape(-1, 5)
+    for prism, ca, cb in zip(prisms, _outcodes(origins, bounds), _outcodes(targets, bounds)):
+        k = np.flatnonzero(out & ((ca[:, None] & cb) == 0))
+        edge = _Edges(prism.footprint)
+        for s in range(0, k.size, _SLICE_PAIRS):
+            ks = k[s:s + _SLICE_PAIRS]
+            i, j = np.divmod(ks, len(targets))
+            a, b = origins.take(i, axis=0), targets.take(j, axis=0)  # faster than origins[i]
+            clear[ks[_prism_blocks(a, b, edge, prism.top_elev)]] = False
     return out
+
+
+def _outcodes(points, bounds) -> np.ndarray:
+    """uint8 [n_prisms, n_points] outcodes against the prisms' (minx, miny,
+    maxx, maxy, top) rows, a bit each for x > maxx + EPS, x < minx - EPS,
+    y > maxy + EPS, y < miny - EPS and z >= top - EPS."""
+    x, y, z = points.T[:, None, :]
+    minx, miny, maxx, maxy, top = bounds.T[:, :, None]
+    code = (x > maxx + EPS).view(np.uint8)  # one side at a time bounds the temporaries
+    code |= (x < minx - EPS).view(np.uint8) << 1
+    code |= (y > maxy + EPS).view(np.uint8) << 2
+    code |= (y < miny - EPS).view(np.uint8) << 3
+    code |= (z >= top - EPS).view(np.uint8) << 4
+    return code
 
 
 class _Edges:
@@ -244,8 +243,9 @@ class _Edges:
     vectors (ex, ey), each of shape (1, n_edges) to broadcast over pairs."""
 
     def __init__(self, poly):
+        ends = np.concatenate([poly[1:], poly[:1]])  # np.roll's result, at a quarter the cost
         self.x1, self.y1 = poly[None, :, 0], poly[None, :, 1]
-        self.x2, self.y2 = np.roll(self.x1, -1, axis=1), np.roll(self.y1, -1, axis=1)
+        self.x2, self.y2 = ends[None, :, 0], ends[None, :, 1]
         self.ex, self.ey = self.x2 - self.x1, self.y2 - self.y1
 
 

@@ -65,6 +65,8 @@ class GaConfig:
                 raise OptimizerError("probabilities must lie in [0, 1]")
         if self.m_max < 1:
             raise OptimizerError("m_max must be >= 1")
+        if self.seed < 0:
+            raise OptimizerError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def from_json(cls, path) -> "GaConfig":

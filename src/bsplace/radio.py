@@ -63,6 +63,8 @@ class RadioParams:
                 raise RadioError(f"{name} must be positive")
         if self.nlos_penalty_db < 0 or self.shadowing_sigma_db < 0:
             raise RadioError("penalties must be non-negative")
+        if self.shadowing_seed < 0:
+            raise RadioError(f"shadowing_seed must be >= 0, got {self.shadowing_seed}")
 
     @classmethod
     def from_json(cls, path) -> "RadioParams":

@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import json
+import sys
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -196,8 +197,6 @@ class CandidateSite:
 class Scene:
     """Immutable 2.5D world shared by the simulator and the optimizers."""
 
-    raster: ClassRaster | None
-    dsm: Dsm | None
     buildings: list[BuildingPrism]
     users: list[User]
     candidates: list[CandidateSite]
@@ -608,7 +607,7 @@ def build_scene(raster: ClassRaster, dsm: Dsm, config: SceneConfig) -> Scene:
                                   config.mast_height_m, components)
     fixed = list(finite_points(config.fixed_bs, 3, "fixed_bs[{}]".format))
     _reject_coincident_scene_masts(candidates, fixed)
-    return Scene(raster, dsm, buildings, users, candidates, fixed)
+    return Scene(buildings, users, candidates, fixed)
 
 
 def reject_coincident_masts(points, labels):
@@ -692,6 +691,23 @@ def finite_points(entries: list, dim: int, name) -> np.ndarray:
     raise SceneError(f"{name('*')} must be {dim} finite numbers")
 
 
+_SCALAR_KINDS = {bool: "true or false", int: "an integer", float: "a finite number"}
+
+
+def _scalar(entry: dict, key: str, kind: type, where: str):
+    """entry[key] as `kind`: a JSON bool, an integer, or a finite number (not
+    a bool). Anything else raises SceneError naming `where.key`."""
+    value = entry[key]
+    if kind is float:
+        # within float range and not NaN; math.isfinite overflows on huge ints
+        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    else:
+        ok = type(value) is kind
+    if not ok:
+        raise SceneError(f"{where}.{key} must be {_SCALAR_KINDS[kind]}, got {value!r}")
+    return kind(value)
+
+
 def load_scene(path) -> Scene:
     with open(path) as f:
         raw = json.load(f)
@@ -705,16 +721,18 @@ def load_scene(path) -> Scene:
 
         vertices = finite_points([v for fp in footprints for v in fp], 2, vertex_name)
         buildings = [
-            BuildingPrism(vertices[lo:hi], float(b["base_elev"]), float(b["top_elev"]))
-            for lo, hi, b in zip(starts, starts[1:], raw["buildings"])
+            BuildingPrism(vertices[lo:hi], _scalar(b, "base_elev", float, f"buildings[{k}]"),
+                          _scalar(b, "top_elev", float, f"buildings[{k}]"))
+            for k, (lo, hi, b) in enumerate(zip(starts, starts[1:], raw["buildings"]))
         ]
         user_pos = finite_points([u["position"] for u in raw["users"]], 3,
                                  "users[{}].position".format)
-        users = [User(p, bool(u["priority"])) for p, u in zip(user_pos, raw["users"])]
+        users = [User(p, _scalar(u, "priority", bool, f"users[{i}]"))
+                 for i, (p, u) in enumerate(zip(user_pos, raw["users"]))]
         cand_pos = finite_points([c["position"] for c in raw["candidates"]], 3,
                                  "candidates[{}].position".format)
-        candidates = [CandidateSite(int(c["id"]), p)
-                      for p, c in zip(cand_pos, raw["candidates"])]
+        candidates = [CandidateSite(_scalar(c, "id", int, f"candidates[{i}]"), p)
+                      for i, (p, c) in enumerate(zip(cand_pos, raw["candidates"]))]
         fixed = list(finite_points(raw.get("fixed_bs", []), 3, "fixed_bs[{}]".format))
     except (KeyError, TypeError) as e:
         raise SceneError(f"malformed scene file: {e}") from None
@@ -724,4 +742,4 @@ def load_scene(path) -> Scene:
     if ids != list(range(len(ids))):
         raise SceneError("candidate ids must be dense 0..C-1")
     _reject_coincident_scene_masts(candidates, fixed)
-    return Scene(None, None, buildings, users, candidates, fixed)
+    return Scene(buildings, users, candidates, fixed)

@@ -43,7 +43,7 @@ def box_scene():
         CandidateSite(id=1, position=np.array([100.0, 10.0, 15.0])),
         CandidateSite(id=2, position=np.array([190.0, 190.0, 15.0])),
     ]
-    return Scene(raster=None, dsm=None, buildings=[building], users=users,
+    return Scene(buildings=[building], users=users,
                  candidates=candidates, fixed_bs=[])
 
 

@@ -111,6 +111,8 @@ def test_kmeans_table_mismatch_guard(kmeans_scene):
 def test_kmeans_config_validation(tmp_path):
     with pytest.raises(BaselineError):
         KmeansConfig(rounds=0)
+    with pytest.raises(BaselineError, match="seed must be >= 0, got -1"):
+        KmeansConfig(seed=-1)
     p = tmp_path / "kmeans.json"
     p.write_text('{"rounds": 3, "seed": 5}')
     cfg = KmeansConfig.from_json(p)

@@ -39,6 +39,11 @@ def ws(tmp_path_factory):
     for name, fixed in (("fixed_twice", [[10.0, 20.0, 30.0]] * 2),
                         ("fixed_on_candidate", [site])):
         (root / f"{name}.json").write_text(json.dumps({**doc, "fixed_bs": fixed}))
+    # and with one bad scalar field (json.dumps writes inf as Infinity)
+    for name, (group, key, value) in zip(_BAD_SCENE_FILES, _BAD_SCENE_FIELDS):
+        bad = json.loads(json.dumps(doc))
+        bad[group][0][key] = value
+        (root / name).write_text(json.dumps(bad))
     return {
         "root": root,
         "grids": grids,
@@ -264,6 +269,10 @@ _BASE_ARGV = {
     "build-scene": ["build-scene", "{raster}", "{dsm}"],
     "synth": ["synth", "--width", "10", "--height", "10"],
 }
+_BAD_SCENE_FIELDS = [("buildings", "base_elev", "x"), ("buildings", "top_elev", float("inf")),
+                     ("buildings", "top_elev", True), ("candidates", "id", "a"),
+                     ("candidates", "id", 1.7), ("users", "priority", "no")]
+_BAD_SCENE_FILES = [f"bad_{group}_{key}_{value}.json" for group, key, value in _BAD_SCENE_FIELDS]
 _words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8)
 
 
@@ -280,6 +289,8 @@ def _usage_errors():
         st.builds(lambda w: ["compare", "{scene}", "--methods", "kmeans", "--m", w], _words),
         st.builds(lambda c, n: _BASE_ARGV[c] + ["--threads", str(n)], command,
                   st.integers(-10 ** 6, 0)),
+        st.builds(lambda c, n: _BASE_ARGV[c] + ["--seed", str(n)], command,
+                  st.integers(-10 ** 6, -1)),
         st.builds(lambda method, n: _BASE_ARGV["optimize"] + [*method, "--m", str(n)],
                   st.sampled_from([(), ("--method", "nsga2")]), st.integers(1, 6)),
     ).map(lambda argv: (argv, None, 2))
@@ -297,6 +308,9 @@ def _data_errors():
         st.builds(lambda fv, v: (fv[0], json.dumps({fv[1]: v})), configs, non_finite),
         st.builds(lambda fv, w: (fv[0], json.dumps({fv[1]: w})), configs, _words),
         st.builds(lambda fv, w: (fv[0], w), configs, _words),  # not a JSON object
+        st.builds(lambda fv, n: (fv[0], json.dumps({fv[1]: n})),
+                  st.sampled_from([("--ga-config", "seed"), ("--radio-config", "shadowing_seed")]),
+                  st.integers(-10 ** 6, -1)),
     )
     return st.one_of(
         st.builds(lambda c, cfg: (_BASE_ARGV[c] + [cfg[0], "{config}"], cfg[1], 1),
@@ -324,7 +338,8 @@ def _data_errors():
                       lambda p: json.dumps([p, p])), st.just("[{candidate0}]"))),
         st.builds(lambda c, name: ([a.replace("{scene}", "{root}/" + name)
                                     for a in _BASE_ARGV[c]], None, 1),
-                  command, st.sampled_from(["fixed_twice.json", "fixed_on_candidate.json"])),
+                  command, st.sampled_from(["fixed_twice.json", "fixed_on_candidate.json",
+                                            *_BAD_SCENE_FILES])),
         # a negative or non-finite near-building distance
         st.builds(lambda v: (_BASE_ARGV["build-scene"] + ["--config", "{config}"],
                              json.dumps({"user_spacing_m": 200.0, "near_dist_m": v}), 1),

@@ -203,10 +203,27 @@ def test_los_mask_no_prisms_all_clear():
 @pytest.mark.parametrize("offset, blocked", [(1.0, True), (2.0, False)])
 def test_los_mask_link_along_a_wall_at_eps(offset, blocked):
     # The link runs parallel to the wall y = 0, `offset` EPS outside it. At
-    # exactly EPS its overlap with the wall counts as on the outline.
+    # exactly EPS its overlap with the wall counts as on the outline. Each
+    # quarter turn of the scene puts the wall on another side of the
+    # bounding box, so the tie meets every wall bit of los_mask's outcodes.
     prism = rect_prism(0.0, 0.0, 1.0, 1.0, 0.0, 10.0)
     y = -offset * geometry.EPS
     a, b = np.array([-1.0, y, 2.0]), np.array([2.0, y, 3.0])
+    for _ in range(4):
+        assert los_blocked(make_segment(a, b), [prism]) == blocked
+        assert los_mask(a[None], b[None], [prism])[0, 0] == (not blocked)
+        prism = BuildingPrism(prism.footprint[:, ::-1] * [-1.0, 1.0], 0.0, 10.0)
+        a, b = a[[1, 0, 2]] * [-1.0, 1.0, 1.0], b[[1, 0, 2]] * [-1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("offset, blocked", [(1.0, False), (2.0, True)])
+def test_los_mask_link_ending_below_the_roof_at_eps(offset, blocked):
+    # The link descends from above a 0.5 m roof to a target inside the
+    # footprint, `offset` EPS below the roof. At exactly EPS the tie breaks
+    # toward line of sight, though the kernel's interpolated height at the
+    # target, 1.0 + (z - 1.0), rounds below the roof less EPS.
+    prism = rect_prism(0.0, 0.0, 1.0, 1.0, 0.0, 0.5)
+    a, b = np.array([-1.0, 0.5, 1.0]), np.array([0.5, 0.5, 0.5 - offset * geometry.EPS])
     assert los_blocked(make_segment(a, b), [prism]) == blocked
     assert los_mask(a[None], b[None], [prism])[0, 0] == (not blocked)
 
@@ -255,16 +272,39 @@ def _footprints(draw):
 _points = st.tuples(_lattice(-2, 22), _lattice(-2, 22), _lattice(0, 24))
 
 
+@st.composite
+def _tie_link(draw, prism):
+    """An origin and a target on the edge of the prism's trivial reject: both
+    ends s = EPS / 2, EPS or 2 EPS past one wall of its bounding box, or the
+    target inside the footprint s below the roof and the origin above it."""
+    minx, miny, maxx, maxy = prism.bbox
+    top = prism.top_elev
+    s = draw(st.sampled_from([0.5, 1.0, 2.0])) * geometry.EPS
+    side = draw(st.sampled_from(["minx", "maxx", "miny", "maxy", "roof"]))
+    if side == "roof":
+        return ((draw(_lattice(-2, 22)), draw(_lattice(-2, 22)), top + draw(_lattice(0, 4))),
+                (minx + HALF_M / 2, miny + HALF_M / 2, top - s))  # every kind holds this corner
+    wall = {"minx": minx - s, "maxx": maxx + s, "miny": miny - s, "maxy": maxy + s}[side]
+    lo, hi = (miny, maxy) if side in ("minx", "maxx") else (minx, maxx)
+    ends = [(wall, draw(_lattice(lo - 1, hi + 1)), draw(_lattice(0, top))) for _ in range(2)]
+    if side in ("miny", "maxy"):
+        ends = [(u, w, z) for w, u, z in ends]
+    return ends
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     prisms=st.lists(_footprints(), min_size=1, max_size=4),
     origins=st.lists(_points, min_size=1, max_size=5),
     targets=st.lists(_points, min_size=1, max_size=5),
     above=st.lists(_lattice(0, 24), max_size=3),
+    data=st.data(),
 )
-def test_los_mask_matches_oracle_on_lattice(prisms, origins, targets, above):
+def test_los_mask_matches_oracle_on_lattice(prisms, origins, targets, above, data):
     # targets straight above (or below) an origin give vertical links
     targets = targets + [(origins[0][0], origins[0][1], z) for z in above]
+    tie_origin, tie_target = data.draw(_tie_link(data.draw(st.sampled_from(prisms))))
+    origins, targets = origins + [tie_origin], targets + [tie_target]
     mask = los_mask(origins, targets, prisms)
     for i, a in enumerate(origins):
         for j, b in enumerate(targets):
@@ -323,5 +363,5 @@ def test_los_mask_block_cap_does_not_change_result(monkeypatch, cap):
     s = _generated_scene(12)
     users, sites = s.user_positions(), s.candidate_positions()
     full = los_mask(users, sites, s.buildings)
-    monkeypatch.setattr(geometry, "_BLOCK_PAIRS", cap)
+    monkeypatch.setattr(geometry, "_SLICE_PAIRS", cap)
     np.testing.assert_array_equal(los_mask(users, sites, s.buildings), full)

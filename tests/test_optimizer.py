@@ -289,7 +289,7 @@ def box_scene_table():
         CandidateSite(id=1, position=np.array([100.0, 10.0, 15.0])),
         CandidateSite(id=2, position=np.array([190.0, 190.0, 15.0])),
     ]
-    scene = Scene(raster=None, dsm=None, buildings=[building], users=users,
+    scene = Scene(buildings=[building], users=users,
                   candidates=candidates, fixed_bs=[])
     return build_link_table(scene, PARAMS, True), scene
 
@@ -416,6 +416,8 @@ def test_ga_config_validation_and_json(tmp_path):
         GaConfig(crossover_prob=1.5)
     with pytest.raises(OptimizerError):
         GaConfig(m_max=0)
+    with pytest.raises(OptimizerError, match="seed must be >= 0, got -1"):
+        GaConfig(seed=-1)
     p = tmp_path / "ga.json"
     p.write_text('{"pop_size": 24, "M_max": 4, "seed": 9}')
     cfg = GaConfig.from_json(p)
@@ -457,7 +459,7 @@ def test_run_nsga2_rejects_empty_candidates(box_scene_table):
     from bsplace.scene import Scene
 
     table, scene = box_scene_table
-    empty = Scene(raster=None, dsm=None, buildings=[], users=scene.users,
+    empty = Scene(buildings=[], users=scene.users,
                   candidates=[], fixed_bs=[])
     with pytest.raises(OptimizerError):
         run_nsga2(empty, PARAMS, GaConfig(pop_size=4, generations=1))

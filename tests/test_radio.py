@@ -35,7 +35,7 @@ DEFAULTS = RadioParams()
 
 
 def flat_scene(users=(), buildings=()):
-    return Scene(raster=None, dsm=None, buildings=list(buildings),
+    return Scene(buildings=list(buildings),
                  users=list(users), candidates=[], fixed_bs=[])
 
 
@@ -271,7 +271,7 @@ def test_link_table_shapes(box_scene):
 
 
 def test_link_table_appends_fixed_bs(box_scene):
-    scene = Scene(raster=None, dsm=None, buildings=box_scene.buildings,
+    scene = Scene(buildings=box_scene.buildings,
                   users=box_scene.users, candidates=box_scene.candidates,
                   fixed_bs=[np.array([150.0, 150.0, 20.0])])
     table = build_link_table(scene, DEFAULTS, True)
@@ -383,6 +383,8 @@ def test_radio_params_validation():
         RadioParams(carrier_ghz=-1.0)
     with pytest.raises(RadioError):
         RadioParams(hpbw_deg=0.0)
+    with pytest.raises(RadioError, match="shadowing_seed must be >= 0, got -1"):
+        RadioParams(shadowing_seed=-1)
 
 
 def test_radio_params_json_round_trip(tmp_path):

@@ -802,7 +802,7 @@ def _scenes(draw):
     n_cand = draw(st.integers(max(1, len(masts) - 2), min(4, len(masts))))
     candidates = [CandidateSite(i, np.array(p)) for i, p in enumerate(masts[:n_cand])]
     fixed = [np.array(p) for p in masts[n_cand:]]
-    return Scene(None, None, buildings, users, candidates, fixed)
+    return Scene(buildings, users, candidates, fixed)
 
 
 @settings(max_examples=80, deadline=None)
@@ -846,6 +846,12 @@ def _scene_doc():
     (("buildings", 0, "footprint", 1), [4.0], "buildings[0].footprint[1]"),
     (("fixed_bs", 0), [9.0, 0.0, 25.0], "candidates[0] and fixed_bs[0]"),
     (("fixed_bs",), [[20.0, 20.0, 30.0]] * 2, "fixed_bs[0] and fixed_bs[1]"),
+    (("buildings", 0, "base_elev"), "x", "buildings[0].base_elev"),
+    (("buildings", 0, "top_elev"), float("inf"), "buildings[0].top_elev"),
+    (("buildings", 0, "top_elev"), True, "buildings[0].top_elev"),
+    (("candidates", 0, "id"), "a", "candidates[0].id"),
+    (("candidates", 0, "id"), 1.7, "candidates[0].id"),
+    (("users", 1, "priority"), "no", "users[1].priority"),
 ])
 def test_load_scene_rejects_bad_coordinates(tmp_path, path, value, entry):
     doc = _scene_doc()
