@@ -170,6 +170,11 @@ def link_budget(user, sector: BsSector, scene, params: RadioParams,
     return LinkBudget(pl, gain, los, rx)
 
 
+# Sector values per user block of sector_rx_dbm: bounds the per-sector
+# gathers and pattern temporaries.
+_RX_BLOCK_ELEMS = 1 << 16
+
+
 def sector_rx_dbm(user_pos: np.ndarray, mast_pos: np.ndarray, sector_mast: np.ndarray,
                   azimuth_deg, tx_power_dbm, antenna_gain_dbi, prisms,
                   params: RadioParams) -> np.ndarray:
@@ -178,20 +183,29 @@ def sector_rx_dbm(user_pos: np.ndarray, mast_pos: np.ndarray, sector_mast: np.nd
     The array form of `link_budget`. Sector k sits on mast `sector_mast[k]`
     and has its own azimuth, tx power and gain (scalars broadcast to every
     sector). Distance, path loss, bearing and LoS are computed once per
-    mast row of `mast_pos`; only the pattern term is computed per sector.
+    mast row of `mast_pos`, over all users at once; the per-sector half
+    (gathers and antenna pattern) fills the result in user blocks of at
+    most `_RX_BLOCK_ELEMS` values. Every value is computed elementwise, so
+    the blocking does not change a bit.
     """
     delta = user_pos[:, None, :] - mast_pos[None, :, :]
-    d3d = np.sqrt((delta ** 2).sum(axis=2))
-    pl = pathloss_db(np.maximum(d3d, 1e-12), params)
+    pl = pathloss_db(np.maximum(np.sqrt((delta ** 2).sum(axis=2)), 1e-12), params)
     bearing = np.degrees(np.arctan2(delta[:, :, 1], delta[:, :, 0]))
+    del delta  # the largest per-mast temporary; free it before the LoS mask
     penalty = np.where(los_mask(user_pos, mast_pos, prisms), 0.0, params.nlos_penalty_db)
-    # np.take keeps the gathers C-ordered, so later reductions over a row
-    # add in sector order (x[:, idx] would come out Fortran-ordered)
-    rx = (tx_power_dbm + antenna_gain_dbi - np.take(pl, sector_mast, axis=1)
-          - np.take(penalty, sector_mast, axis=1)
-          - antenna_attenuation_db(np.take(bearing, sector_mast, axis=1) - azimuth_deg,
-                                   params))
-    return np.minimum(rx, tx_power_dbm - params.min_coupling_loss_db, out=rx)
+    cap = tx_power_dbm - params.min_coupling_loss_db
+    rx = np.empty((len(user_pos), len(sector_mast)))
+    step = max(1, _RX_BLOCK_ELEMS // max(1, len(sector_mast)))
+    for start in range(0, len(user_pos), step):
+        users = slice(start, start + step)
+        # np.take keeps the gathers C-ordered, so later reductions over a
+        # row add in sector order (x[:, idx] would come out Fortran-ordered)
+        block = (tx_power_dbm + antenna_gain_dbi - np.take(pl[users], sector_mast, axis=1)
+                 - np.take(penalty[users], sector_mast, axis=1)
+                 - antenna_attenuation_db(
+                     np.take(bearing[users], sector_mast, axis=1) - azimuth_deg, params))
+        np.minimum(block, cap, out=rx[users])
+    return rx
 
 
 def shadowing_matrix(n_users: int, n_sites: int, params: RadioParams) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import json
+import reprlib
 import sys
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -671,23 +672,27 @@ def finite_points(entries: list, dim: int, name) -> np.ndarray:
     """`entries` as an (n, dim) float array, checked in one vectorized test.
 
     Raises SceneError naming the first entry, `name(i)`, that is not `dim`
-    finite numbers.
+    finite numbers. JSON `true`/`false` are not numbers here, and an integer
+    too large for a float is not finite.
     """
     if not entries:
         return np.empty((0, dim))
     try:
         pts = np.array(entries, dtype=float)
-    except (TypeError, ValueError):  # ragged or non-numeric
+    except (TypeError, ValueError, OverflowError):  # ragged, non-numeric or huge
         pts = None
-    if pts is not None and pts.shape == (len(entries), dim) and np.isfinite(pts).all():
+    if (pts is not None and pts.shape == (len(entries), dim) and np.isfinite(pts).all()
+            and bool not in set(map(type, itertools.chain.from_iterable(entries)))):
         return pts
     for i, entry in enumerate(entries):
         try:
             p = np.array(entry, dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             p = None
-        if p is None or p.shape != (dim,) or not np.isfinite(p).all():
-            raise SceneError(f"{name(i)} must be {dim} finite numbers, got {entry!r}")
+        if (p is None or p.shape != (dim,) or not np.isfinite(p).all()
+                or any(type(v) is bool for v in entry)):
+            raise SceneError(f"{name(i)} must be {dim} finite numbers, "
+                             f"got {reprlib.repr(entry)}")
     raise SceneError(f"{name('*')} must be {dim} finite numbers")
 
 

@@ -44,6 +44,16 @@ def ws(tmp_path_factory):
         bad = json.loads(json.dumps(doc))
         bad[group][0][key] = value
         (root / name).write_text(json.dumps(bad))
+    for group in _COORD_GROUPS:
+        for tag, value in _BAD_COORDS.items():
+            bad = json.loads(json.dumps(doc))
+            if group == "fixed_bs":
+                bad["fixed_bs"] = [[value, 20.0, 30.0]]
+            elif group == "buildings":
+                bad["buildings"][0]["footprint"][0][0] = value
+            else:
+                bad[group][0]["position"][0] = value
+            (root / f"bad_coord_{group}_{tag}.json").write_text(json.dumps(bad))
     return {
         "root": root,
         "grids": grids,
@@ -273,6 +283,12 @@ _BAD_SCENE_FIELDS = [("buildings", "base_elev", "x"), ("buildings", "top_elev", 
                      ("buildings", "top_elev", True), ("candidates", "id", "a"),
                      ("candidates", "id", 1.7), ("users", "priority", "no")]
 _BAD_SCENE_FILES = [f"bad_{group}_{key}_{value}.json" for group, key, value in _BAD_SCENE_FIELDS]
+# coordinates that are not finite numbers: an integer too large for a float,
+# and a JSON bool, as the first value of a user, candidate, prior BS or vertex
+_BAD_COORDS = {"huge": 10 ** 400, "bool": True}
+_COORD_GROUPS = ("users", "candidates", "fixed_bs", "buildings")
+_BAD_COORD_FILES = [f"bad_coord_{group}_{tag}.json" for group in _COORD_GROUPS
+                    for tag in _BAD_COORDS]
 _words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8)
 
 
@@ -328,6 +344,13 @@ def _data_errors():
                   st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3)),
         st.just((_BASE_ARGV["evaluate"] + ["--placement", "{config}"],
                  '{"positions": [{candidate0}]}', 1)),
+        st.builds(lambda v: (["evaluate", "{scene}", "--placement", "{config}"],
+                             json.dumps({"positions": [[100.0, v, 30.0]]}), 1),
+                  st.sampled_from(list(_BAD_COORDS.values()))),
+        st.builds(lambda v: (_BASE_ARGV["build-scene"] + ["--config", "{config}"],
+                             json.dumps({"user_spacing_m": 200.0, "candidate_pitch_m": 350.0,
+                                         "fixed_bs": [[v, 20.0, 30.0]]}), 1),
+                  st.sampled_from(list(_BAD_COORDS.values()))),
         st.builds(lambda v: (_BASE_ARGV["synth"] + ["--cell-size", v], None, 1),
                   st.sampled_from(["nan", "inf"])),
         # a scene whose masts coincide, built or loaded
@@ -339,7 +362,7 @@ def _data_errors():
         st.builds(lambda c, name: ([a.replace("{scene}", "{root}/" + name)
                                     for a in _BASE_ARGV[c]], None, 1),
                   command, st.sampled_from(["fixed_twice.json", "fixed_on_candidate.json",
-                                            *_BAD_SCENE_FILES])),
+                                            *_BAD_SCENE_FILES, *_BAD_COORD_FILES])),
         # a negative or non-finite near-building distance
         st.builds(lambda v: (_BASE_ARGV["build-scene"] + ["--config", "{config}"],
                              json.dumps({"user_spacing_m": 200.0, "near_dist_m": v}), 1),

@@ -228,6 +228,88 @@ def test_los_mask_link_ending_below_the_roof_at_eps(offset, blocked):
     assert los_mask(a[None], b[None], [prism])[0, 0] == (not blocked)
 
 
+def _hug(x):
+    """y of a link 0.7 to 0.8 EPS below the wall y = 0 over x in [0, 10],
+    at a slope too small to cross it there."""
+    return -0.75e-9 + (x - 5.0) * 1e-11
+
+
+# Footprints whose long wall y = 0 ends in 0.5 m edges at x = 10: a link on
+# _hug passes them outside their parameter windows (0.5 EPS). The slot in
+# the second, with 2 m walls, gives the link two parameters inside the box.
+_HUG_RECT = [[0.0, 0.0], [10.0, 0.0], [10.0, 0.5], [0.0, 0.5]]
+_HUG_SLOT = [[0.0, 0.0], [1.0, 0.0], [1.0, 2.0], [2.0, 2.0], [2.0, 0.0], [10.0, 0.0],
+             [10.0, 0.5], [9.5, 0.5], [9.5, 2.5], [0.0, 2.5]]
+
+
+@pytest.mark.parametrize("ring, a, b", [
+    # the oracle's only interval is (0, 1), with its midpoint within EPS of
+    # the wall and the low end 100 m away: blocked, though the link is 5 m
+    # above the roof wherever it passes the prism
+    (_HUG_RECT, (-100.0, 1.5), (110.0, 30.0)),
+    # (slot, 1): its midpoint hugs the wall, its end at 1 is below the roof,
+    # the link is above the roof all over the box
+    (_HUG_SLOT, (-100.0, 100.0), (10.5, 9.9)),
+])
+def test_los_mask_link_hugging_a_wall_past_short_edges(ring, a, b):
+    # A slab clip that tested z only where the link meets the box would
+    # call these links clear; los_blocked blocks them.
+    prism = BuildingPrism(np.array(ring), 0.0, 10.0)
+    a = np.array([a[0], _hug(a[0]), a[1]])
+    b = np.array([b[0], _hug(b[0]), b[1]])
+    assert los_blocked(make_segment(a, b), [prism])
+    assert not los_mask(a[None], b[None], [prism])[0, 0]
+    assert not los_mask(b[None], a[None], [prism])[0, 0]
+
+
+def test_los_mask_padding_adds_no_parameter():
+    # The L's rows and the rectangle's share a kernel slice, so the
+    # rectangle's rows are padded to the L's six edges. Zero padding would be
+    # a zero-length edge at the origin, 0.8 EPS off the hugging link's line,
+    # and add a parameter that splits the link's only interval.
+    ell = [[20.0, 5.0], [24.0, 5.0], [24.0, 7.0], [22.0, 7.0], [22.0, 9.0], [20.0, 9.0]]
+    prisms = [BuildingPrism(np.array(_HUG_RECT), 0.0, 10.0),
+              BuildingPrism(np.array(ell), 0.0, 30.0)]
+    origins = [(-100.0, _hug(-100.0), 1.5), (15.0, 6.0, 1.5)]
+    targets = [(110.0, _hug(110.0), 30.0), (30.0, 6.0, 1.5)]
+    mask = los_mask(origins, targets, prisms)
+    for i, a in enumerate(origins):
+        for j, b in enumerate(targets):
+            assert mask[i, j] == (not los_blocked(make_segment(a, b), prisms)), (a, b)
+    assert not mask[0, 0] and not mask[1, 1]  # the hugging link, and one through the L
+
+
+def test_outline_ignores_padding():
+    rect = np.array([[1.0, 1.0], [3.0, 1.0], [3.0, 2.0], [1.0, 2.0]])
+    rings = geometry._Rings([rect, np.array(_HUG_SLOT)])
+    padded = rings.rows(np.array([0]), 10)
+    assert padded.valid is not None and not padded.valid.all()
+    px, py = np.array([0.0, 2.0, 5.0]), np.array([0.0, 1.5, 1.0])
+    d2, odd = geometry._outline(px, py, padded)
+    e2, eodd = geometry._outline(px, py, geometry._Edges.ring(rect))
+    np.testing.assert_array_equal(d2, e2)
+    np.testing.assert_array_equal(odd, eodd)
+
+
+def test_los_mask_slanted_prism_near_parallel_links():
+    # A prism with slanted edges gets no height test in the slab clip. Links
+    # nearly parallel to a slanted edge, over and under the roof, still agree.
+    prism = BuildingPrism(np.array([[0.0, 0.0], [8.0, 6.0], [5.0, 10.0], [-3.0, 4.0]]), 0.0, 10.0)
+    rng = np.random.default_rng(5)
+    origins, targets = [], []
+    for off in (0.0, 0.5e-9, 1e-9, 2e-9, 1e-6, 0.1):
+        for z0, z1 in ((1.5, 30.0), (12.0, 30.0), (30.0, 1.5)):
+            lo, hi = rng.uniform(-60.0, -1.0), rng.uniform(9.0, 60.0)
+            # points along the edge (0,0)-(8,6), pushed `off` outward
+            n = np.array([0.6, -0.8]) * off
+            origins.append([*(np.array([0.8, 0.6]) * lo + n), z0])
+            targets.append([*(np.array([0.8, 0.6]) * hi + n), z1])
+    mask = los_mask(origins, targets, [prism])
+    for i, a in enumerate(origins):
+        for j, b in enumerate(targets):
+            assert mask[i, j] == (not los_blocked(make_segment(a, b), [prism])), (a, b)
+
+
 def test_bbox_prefilter_does_not_change_results():
     # A prism far away from every segment must never register.
     far = rect_prism(1000.0, 1000.0, 1010.0, 1010.0, 0.0, 50.0)
@@ -276,11 +358,21 @@ _points = st.tuples(_lattice(-2, 22), _lattice(-2, 22), _lattice(0, 24))
 def _tie_link(draw, prism):
     """An origin and a target on the edge of the prism's trivial reject: both
     ends s = EPS / 2, EPS or 2 EPS past one wall of its bounding box, or the
-    target inside the footprint s below the roof and the origin above it."""
+    target inside the footprint s below the roof and the origin above it, or
+    a diagonal link passing one corner of the box s outside both walls. The
+    outcodes pass the corner link (its ends are past different walls), so
+    the slab clip decides it."""
     minx, miny, maxx, maxy = prism.bbox
     top = prism.top_elev
     s = draw(st.sampled_from([0.5, 1.0, 2.0])) * geometry.EPS
-    side = draw(st.sampled_from(["minx", "maxx", "miny", "maxy", "roof"]))
+    side = draw(st.sampled_from(["minx", "maxx", "miny", "maxy", "roof", "corner"]))
+    if side == "corner":
+        sx, sy = draw(st.sampled_from([1, -1])), draw(st.sampled_from([1, -1]))
+        cx, cy = (maxx if sx > 0 else minx) + sx * s, (maxy if sy > 0 else miny) + sy * s
+        # (cx + sx l, cy - sy l) runs along the corner at 45 degrees; at l = 0
+        # it is s outside both walls
+        return [(cx + sx * l, cy - sy * l, draw(_lattice(0, top + 2)))
+                for l in (draw(_lattice(HALF_M, 6)), -draw(_lattice(HALF_M, 6)))]
     if side == "roof":
         return ((draw(_lattice(-2, 22)), draw(_lattice(-2, 22)), top + draw(_lattice(0, 4))),
                 (minx + HALF_M / 2, miny + HALF_M / 2, top - s))  # every kind holds this corner
@@ -363,5 +455,40 @@ def test_los_mask_block_cap_does_not_change_result(monkeypatch, cap):
     s = _generated_scene(12)
     users, sites = s.user_positions(), s.candidate_positions()
     full = los_mask(users, sites, s.buildings)
-    monkeypatch.setattr(geometry, "_SLICE_PAIRS", cap)
+    monkeypatch.setattr(geometry, "_SLICE_ELEMS", cap)
+    monkeypatch.setattr(geometry, "_QUEUE_PAIRS", cap)
     np.testing.assert_array_equal(los_mask(users, sites, s.buildings), full)
+
+
+# Tiny slices and queues: a kernel call then holds rows of several prisms
+# (queue 2-3 with room in the slice), or one prism's candidates are split
+# over several calls (slice of 1-2 rows, queue of 1).
+_TINY = [(1, 1), (1, 3), (3, 2), (20, 1), (20, 3), (None, 2), (1, None)]
+
+
+def _patched(monkeypatch, slice_elems, queue_pairs):
+    if slice_elems is not None:
+        monkeypatch.setattr(geometry, "_SLICE_ELEMS", slice_elems)
+    if queue_pairs is not None:
+        monkeypatch.setattr(geometry, "_QUEUE_PAIRS", queue_pairs)
+
+
+@pytest.mark.parametrize("slice_elems, queue_pairs", _TINY)
+def test_los_mask_tiny_slices_match_pairwise(monkeypatch, slice_elems, queue_pairs):
+    _patched(monkeypatch, slice_elems, queue_pairs)
+    test_los_mask_matches_pairwise()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    prisms=st.lists(_footprints(), min_size=1, max_size=4),
+    origins=st.lists(_points, min_size=1, max_size=5),
+    targets=st.lists(_points, min_size=1, max_size=5),
+    sizes=st.sampled_from(_TINY),
+    data=st.data(),
+)
+def test_los_mask_tiny_slices_match_oracle_on_lattice(prisms, origins, targets, sizes, data):
+    with pytest.MonkeyPatch.context() as mp:
+        _patched(mp, *sizes)
+        test_los_mask_matches_oracle_on_lattice.hypothesis.inner_test(
+            prisms, origins, targets, [], data)

@@ -852,6 +852,15 @@ def _scene_doc():
     (("candidates", 0, "id"), "a", "candidates[0].id"),
     (("candidates", 0, "id"), 1.7, "candidates[0].id"),
     (("users", 1, "priority"), "no", "users[1].priority"),
+    # an integer too large for a float, and a JSON bool, as coordinates
+    (("users", 1, "position"), [10 ** 400, 9.0, 2.0], "users[1].position"),
+    (("users", 0, "position"), [1.0, True, 2.0], "users[0].position"),
+    (("candidates", 0, "position"), [9.0, 0.0, -10 ** 400], "candidates[0].position"),
+    (("candidates", 0, "position"), [False, 0.0, 25.0], "candidates[0].position"),
+    (("fixed_bs", 0), [20.0, 10 ** 400, 30.0], "fixed_bs[0]"),
+    (("fixed_bs", 0), [20.0, 20.0, True], "fixed_bs[0]"),
+    (("buildings", 0, "footprint", 2), [10 ** 400, 4.0], "buildings[0].footprint[2]"),
+    (("buildings", 0, "footprint", 0), [True, 0.0], "buildings[0].footprint[0]"),
 ])
 def test_load_scene_rejects_bad_coordinates(tmp_path, path, value, entry):
     doc = _scene_doc()
