@@ -145,6 +145,7 @@ def compare_methods(scene, params, bs_counts, methods,
 
     NSGA-II runs once with the largest budget and per-m solutions are read
     off its archive; the GA and k-means run once per requested count.
+    Repeated methods and counts collapse to their first occurrence.
     """
     methods = list(dict.fromkeys(methods))
     unknown = [m for m in methods if m not in METHODS]
@@ -152,7 +153,7 @@ def compare_methods(scene, params, bs_counts, methods,
         raise BaselineError(f"unknown methods: {unknown}")
     if not methods or not bs_counts:
         raise BaselineError("need at least one method and one site count")
-    bs_counts = [int(m) for m in bs_counts]
+    bs_counts = list(dict.fromkeys(int(m) for m in bs_counts))
     if ga_config is None:
         ga_config = opt.GaConfig()
     if kmeans_config is None:

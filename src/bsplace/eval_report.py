@@ -159,9 +159,9 @@ def generate_synthetic_scene(cfg: GeneratorConfig, seed: int) -> tuple[ClassRast
     heights = np.zeros((h, w))
     building = np.zeros((h, w), dtype=bool)
     target_cells = cfg.building_density * w * h
-    attempts = 0
+    n_building = attempts = 0
     max_attempts = 200 * max(1, int(target_cells / max(1, cfg.building_size_range[0] ** 2)))
-    while building.sum() < target_cells and attempts < max_attempts:
+    while n_building < target_cells and attempts < max_attempts:
         attempts += 1
         bw = int(rng.integers(cfg.building_size_range[0], cfg.building_size_range[1] + 1))
         bh = int(rng.integers(cfg.building_size_range[0], cfg.building_size_range[1] + 1))
@@ -171,6 +171,7 @@ def generate_synthetic_scene(cfg: GeneratorConfig, seed: int) -> tuple[ClassRast
         if road[patch].any() or building[patch].any():
             continue
         building[patch] = True
+        n_building += building[patch].size  # patches never overlap; clipped at the grid edge
         heights[patch] = rng.uniform(*cfg.building_height_range)
     classes[building] = int(CellClass.BUILDING)
 

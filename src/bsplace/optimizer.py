@@ -14,11 +14,18 @@ the sequential selection/variation phase.
 A generation is held as one bool array [pop, nbits] and each step runs
 over all its rows: slots decode with one matrix product, repair wraps and
 deduplicates every row at once (only the draws stay in the per-pair
-variation loop, in stream order), scoring gathers the link table once per
-active-site count and calls `sinr_from_rx` on the whole group (in chunks
-of at most `_GATHER_ELEMS` gathered values), and the archive merge is one
-dominance matrix. `repair`, `repair_fixed_m`, `decode_sites` and
-`evaluate_sites` are the same code on a single row.
+variation loop, in stream order), scoring gathers the link table's
+linear-power copy once per active-site count and scores the whole group
+with `LinkGainTable.sinr_for` (in chunks of at most `_GATHER_ELEMS`
+gathered values), and the archive merge is one dominance matrix.
+`repair`, `repair_fixed_m`, `decode_sites` and `evaluate_sites` are the
+same code on a single row.
+
+NSGA-II sorts each generation once: the parents plus their children. The
+survivors are whole fronts plus part of one cut front, so they keep the
+rank and crowding that sort gave them, and only the cut front's survivors
+are crowded again. Crowding runs over all fronts in one pass per
+objective; `crowding_distance` is its one-front case.
 
 Objectives are scored only through a `LinkGainTable`; `run_nsga2` and
 `run_ga_single_objective` build the scene's table when none is passed.
@@ -33,7 +40,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .config_json import read_config_fields, require_finite
-from .radio import LinkGainTable, build_link_table, sinr_from_rx
+# Scoring goes through LinkGainTable.sinr_for; sinr_from_rx stays importable
+# from this module because the benchmark's traced layers wrap it here.
+from .radio import LinkGainTable, build_link_table, sinr_from_rx  # noqa: F401
 
 
 class OptimizerError(Exception):
@@ -192,7 +201,7 @@ def repair_fixed_m(bits: np.ndarray, n_candidates: int, m_max: int) -> np.ndarra
 def _score_site_sets(ids: np.ndarray, table: LinkGainTable,
                      sinr_threshold_db: float) -> np.ndarray:
     """Objective rows for site sets `ids` [rows, k]: one size, each row sorted."""
-    _, sinr = sinr_from_rx(table.rx_for(ids), table.noise_dbm)
+    sinr = table.sinr_for(ids)
     # sinr[:, priority] comes out Fortran-ordered; the contiguous copy sums
     # each row in the order a single row would (f1 moves an ulp otherwise)
     f1 = -np.ascontiguousarray(sinr[:, table.priority]).sum(axis=1)
@@ -207,7 +216,7 @@ def evaluate_sites(site_ids, table: LinkGainTable, sinr_threshold_db: float) -> 
     return _score_site_sets(ids[None], table, sinr_threshold_db)[0]
 
 
-# Largest rx gather scored in one `sinr_from_rx` call, in elements (512 KiB
+# Largest table gather scored in one `sinr_for` call, in elements (512 KiB
 # of float64): a batch's temporaries stay cache-sized, and on large tables a
 # chunk is a single row, as fast as one big gather and without its memory.
 _GATHER_ELEMS = 1 << 16
@@ -218,7 +227,7 @@ def evaluate_rows(pop: np.ndarray, table: LinkGainTable, sinr_threshold_db: floa
     """Objective vectors [rows, 3] of repaired chromosomes, equal to `evaluate_sites`.
 
     Rows with the same active-site count are scored together: one table
-    gather and one `sinr_from_rx` call per distinct count, split into
+    gather and SINR pass per distinct count, split into
     chunks of at most `_GATHER_ELEMS` gathered values (at least one row).
     Rows are scored independently, so the chunking does not change a bit.
     """
@@ -272,37 +281,80 @@ def non_dominated_sort(objectives) -> list[list[int]]:
     return fronts
 
 
+def _crowding(objs: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """Crowding distance of every row within its front (the rows sharing its rank).
+
+    One stable sort per objective orders each front by that objective,
+    ties in row order. A front's first and last rows are infinite; each
+    inner row adds the gap between its neighbours over the front's span,
+    when that span is positive (a row already infinite stays so, as the
+    objectives are finite). Fronts of one or two rows are infinite
+    throughout.
+    """
+    dist = np.zeros(len(objs))
+    if len(objs) == 0:
+        return dist
+    # Every per-objective order sorts by rank first, so fronts sit at the
+    # same positions in each: their first and last rows and inner rows.
+    ranks = np.sort(rank)
+    new_front = ranks[1:] != ranks[:-1]
+    first = np.concatenate([[True], new_front])
+    last = np.concatenate([new_front, [True]])
+    inner = np.flatnonzero(~(first | last))
+    inner_front = (np.cumsum(first) - 1)[inner]
+    for col in objs.T:
+        order = np.lexsort((col, rank))
+        vals = col[order]
+        dist[order[first | last]] = np.inf
+        span = (vals[last] - vals[first])[inner_front]
+        spread = span > 0
+        pos = inner[spread]
+        dist[order[pos]] += (vals[pos + 1] - vals[pos - 1]) / span[spread]
+    return dist
+
+
 def crowding_distance(front_objectives) -> np.ndarray:
+    """Crowding distance of the rows of one front (`_crowding` with one rank)."""
     objs = np.asarray(front_objectives, dtype=float)
     if objs.ndim == 1:
         objs = objs[None, :]
-    k = len(objs)
-    dist = np.zeros(k)
-    if k <= 2:
-        dist[:] = np.inf
-        return dist
-    for j in range(objs.shape[1]):
-        order = np.argsort(objs[:, j], kind="stable")
-        vals = objs[order, j]
-        dist[order[0]] = np.inf
-        dist[order[-1]] = np.inf
-        span = vals[-1] - vals[0]
-        if span > 0:
-            gaps = (vals[2:] - vals[:-2]) / span
-            inner = order[1:-1]
-            finite = np.isfinite(dist[inner])
-            dist[inner[finite]] += gaps[finite]
-    return dist
+    return _crowding(objs, np.zeros(len(objs), dtype=int))
 
 
 def _rank_and_crowding(objs: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
     fronts = non_dominated_sort(objs)
     rank = np.empty(len(objs), dtype=int)
-    crowd = np.empty(len(objs))
     for r, front in enumerate(fronts):
         rank[front] = r
-        crowd[front] = crowding_distance(objs[front])
-    return rank, crowd, fronts
+    return rank, _crowding(objs, rank), fronts
+
+
+def _survivors(objs: np.ndarray, pop_size: int):
+    """NSGA-II environmental selection of `pop_size` rows of `objs`.
+
+    Whole fronts are kept best first; the front that does not fit keeps
+    its most crowded-apart rows (stable on ties). Returns the chosen row
+    indices, the survivors' rank and crowding (what `_rank_and_crowding`
+    of `objs[chosen]` gives), and the first front of `objs`.
+    """
+    rank, crowd, fronts = _rank_and_crowding(objs)
+    chosen: list[int] = []
+    cut = 0
+    for front in fronts:
+        if len(chosen) + len(front) <= pop_size:
+            chosen.extend(front)
+        else:
+            cut = pop_size - len(chosen)
+            front_arr = np.asarray(front)
+            order = np.argsort(-crowd[front_arr], kind="stable")
+            chosen.extend(front_arr[order[:cut]].tolist())
+            break
+    # A kept front keeps its rank and its row order, so its crowding holds;
+    # the cut front's survivors are a new front in a new order.
+    rank, crowd = rank[chosen], crowd[chosen]
+    if cut:
+        crowd[-cut:] = _crowding(objs[chosen[-cut:]], rank[-cut:])
+    return chosen, rank, crowd, fronts[0]
 
 
 def _tournament(rng: np.random.Generator, rank: np.ndarray, crowd: np.ndarray,
@@ -410,35 +462,22 @@ def run_nsga2(scene, params, config: GaConfig, use_blockages: bool = True,
     pop = fix(_random_population(config, chromosome_bits(n_cand, m_max), rng, switch_on))
     objs = score(pop)
 
-    first_front = non_dominated_sort(objs)[0]
+    rank, crowd, fronts = _rank_and_crowding(objs)
     archive_objs, archive_bits = _merge_archive(np.empty((0, 3)), pop[:0],
-                                                objs[first_front], pop[first_front])
+                                                objs[fronts[0]], pop[fronts[0]])
 
     history = [{"generation": 0, "per_budget": _budget_stats(archive_objs, m_max)}]
 
     for gen in range(1, config.generations + 1):
-        rank, crowd, _ = _rank_and_crowding(objs)
         parents = _tournament(rng, rank, crowd, config.pop_size)
         children = fix(_offspring(pop, parents, config, rng, switch_on))
 
         combined = np.vstack([pop, children])
         combined_objs = np.vstack([objs, score(children)])
-        _, c_crowd, c_fronts = _rank_and_crowding(combined_objs)
+        chosen, rank, crowd, first = _survivors(combined_objs, config.pop_size)
 
         archive_objs, archive_bits = _merge_archive(archive_objs, archive_bits,
-                                                    combined_objs[c_fronts[0]],
-                                                    combined[c_fronts[0]])
-
-        chosen: list[int] = []
-        for front in c_fronts:
-            if len(chosen) + len(front) <= config.pop_size:
-                chosen.extend(front)
-            else:
-                need = config.pop_size - len(chosen)
-                front_arr = np.asarray(front)
-                order = np.argsort(-c_crowd[front_arr], kind="stable")
-                chosen.extend(front_arr[order[:need]].tolist())
-                break
+                                                    combined_objs[first], combined[first])
         pop = combined[chosen]
         objs = combined_objs[chosen]
 

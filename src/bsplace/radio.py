@@ -6,13 +6,21 @@ max-power association and a Shannon-with-cap throughput map.
 `sector_rx_dbm` is the one array form of the received-power budget; the
 link table and `attach_and_evaluate` both call it. Seeded shadowing applies
 to the link table only; `link_budget` and `sinr_db` are scalar references.
+
+SINR has two array routes with one arithmetic tail. `sinr_from_rx` takes
+dBm and also returns the serving sector. `LinkGainTable.sinr_for`, which
+the search scores with, gathers from a site-major linear-power copy of the
+table and takes the row max as the signal. It gives the same bytes: the
+copy comes from the same `db_to_linear` ufunc, and that ufunc is monotone
+(the tests sweep it densely), so the max linear value is the linear value
+of the max dBm.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -221,8 +229,12 @@ class LinkGainTable:
     """Precomputed rx power for every user against every mountable site.
 
     Sites 0..n_candidates-1 are the scene's candidate sites in id order;
-    the scene's fixed BS follow. Scoring a configuration is then a column
+    the scene's fixed BS follow. Scoring a configuration is then a site
     gather plus the SINR arithmetic, with no geometry in the loop.
+
+    The first `sinr_for` call derives a site-major linear-power copy
+    [n_sites, n_users, 3] of `rx_dbm` and keeps it; `rx_dbm` must not
+    change after that.
     """
 
     rx_dbm: np.ndarray  # [n_users, n_sites, 3]
@@ -230,6 +242,7 @@ class LinkGainTable:
     n_candidates: int
     n_fixed: int
     noise_dbm: float
+    _rx_lin: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def columns_for(self, site_ids) -> np.ndarray:
         """Site columns [..., k + n_fixed]: the ids along the last axis, then the fixed BS."""
@@ -246,6 +259,26 @@ class LinkGainTable:
         """
         rx = np.moveaxis(np.take(self.rx_dbm, self.columns_for(site_ids), axis=1), 0, -3)
         return np.ascontiguousarray(rx).reshape(rx.shape[:-2] + (-1,))
+
+    def sinr_for(self, site_ids) -> np.ndarray:
+        """SINR in dB [..., n_users]: bytewise `sinr_from_rx(self.rx_for(site_ids))[1]`.
+
+        Whole site blocks of the linear table are gathered, then swapped to
+        [..., n_users, k+n_fixed, 3]: the values and order of
+        `db_to_linear(self.rx_for(site_ids))`, so the row sums do not move.
+        The signal is the row max, which is the serving sector's power
+        while `db_to_linear` is monotone.
+        """
+        if self._rx_lin is None:
+            n_users, n_sites, n_heads = self.rx_dbm.shape
+            lin = np.empty((n_sites, n_users, n_heads))
+            for site, block in enumerate(lin):  # one site at a time keeps temporaries small
+                block[:] = db_to_linear(self.rx_dbm[:, site])
+            self._rx_lin = lin
+        lin = np.take(self._rx_lin, self.columns_for(site_ids), axis=0)
+        lin = np.ascontiguousarray(np.swapaxes(lin, -3, -2))
+        lin = lin.reshape(lin.shape[:-2] + (-1,))
+        return _sinr_db(lin, lin.max(axis=-1), self.noise_dbm)
 
 
 def build_link_table(scene, params: RadioParams, use_blockages: bool,
@@ -292,9 +325,13 @@ def sinr_from_rx(rx_dbm: np.ndarray, noise_dbm: float):
     lin = db_to_linear(rx_dbm)
     serving = np.argmax(rx_dbm, axis=-1)
     signal = np.take_along_axis(lin, serving[..., None], axis=-1)[..., 0]
+    return serving, _sinr_db(lin, signal, noise_dbm)
+
+
+def _sinr_db(lin: np.ndarray, signal: np.ndarray, noise_dbm: float) -> np.ndarray:
+    """SINR in dB of `signal` against the rest of its row of `lin` [..., sectors] and noise."""
     interference = lin.sum(axis=-1) - signal
-    noise = db_to_linear(noise_dbm)
-    return serving, linear_to_db(signal / (noise + interference))
+    return linear_to_db(signal / (db_to_linear(noise_dbm) + interference))
 
 
 def attach_and_evaluate(users, sectors: list[BsSector], scene, params: RadioParams,

@@ -148,9 +148,9 @@ def test_kmeans_config_rejects_non_finite(tmp_path):
 def test_compare_methods_rows(kmeans_scene):
     scene, table = kmeans_scene
     ga = GaConfig(pop_size=16, generations=20, seed=0)
-    rows = compare_methods(scene, PARAMS, [1, 2], ["nsga2", "kmeans", "nsga2"],
+    rows = compare_methods(scene, PARAMS, [1, 2, 1, 2], ["nsga2", "kmeans", "nsga2"],
                            ga_config=ga, table=table)
-    # duplicate method names collapse; rows come out method-major
+    # duplicate method names and site counts collapse; rows come out method-major
     assert [(r["method"], r["m"]) for r in rows] == [
         ("nsga2", 1), ("nsga2", 2), ("kmeans", 1), ("kmeans", 2)]
     for r in rows:

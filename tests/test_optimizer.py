@@ -250,6 +250,98 @@ def test_crowding_distance_degenerate_dimension():
     assert d[1] == 0.0
 
 
+def _oracle_crowding_distance(front_objectives):
+    """Crowding distance of one front, one objective at a time."""
+    objs = np.asarray(front_objectives, dtype=float)
+    if objs.ndim == 1:
+        objs = objs[None, :]
+    k = len(objs)
+    dist = np.zeros(k)
+    if k <= 2:
+        dist[:] = np.inf
+        return dist
+    for j in range(objs.shape[1]):
+        order = np.argsort(objs[:, j], kind="stable")
+        vals = objs[order, j]
+        dist[order[0]] = np.inf
+        dist[order[-1]] = np.inf
+        span = vals[-1] - vals[0]
+        if span > 0:
+            gaps = (vals[2:] - vals[:-2]) / span
+            inner = order[1:-1]
+            finite = np.isfinite(dist[inner])
+            dist[inner[finite]] += gaps[finite]
+    return dist
+
+
+def _oracle_crowding(objs, rank):
+    """Crowding per front: `_oracle_crowding_distance` on each rank's rows in row order."""
+    crowd = np.empty(len(objs))
+    for r in np.unique(rank):
+        front = np.flatnonzero(rank == r)
+        crowd[front] = _oracle_crowding_distance(objs[front])
+    return crowd
+
+
+@st.composite
+def _crowding_cases(draw):
+    """Objectives on a low-cardinality grid (ties, repeats, zero spans) and
+    front labels that make fronts of every size, ones and twos included."""
+    n = draw(st.integers(0, 30))
+    n_obj = draw(st.integers(1, 3))
+    levels = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    objs = rng.integers(0, levels, size=(n, n_obj)) * draw(st.sampled_from([1.0, 0.37, -2.5]))
+    if draw(st.booleans()):
+        rank = np.empty(n, dtype=int)
+        for r, front in enumerate(non_dominated_sort(objs)):
+            rank[front] = r
+    else:
+        rank = rng.integers(0, draw(st.integers(1, 8)), size=n)
+    return objs, rank
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_crowding_cases())
+def test_one_pass_crowding_matches_per_front_oracle(case):
+    objs, rank = case
+    assert opt._crowding(objs, rank).tobytes() == _oracle_crowding(objs, rank).tobytes()
+    assert crowding_distance(objs).tobytes() == _oracle_crowding_distance(objs).tobytes()
+
+
+@st.composite
+def _merged_generations(draw):
+    """Parents plus children (2 x pop_size rows) on a low-cardinality grid."""
+    pop_size = draw(st.integers(2, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    objs = rng.integers(0, draw(st.integers(2, 6)), size=(2 * pop_size, 3)).astype(float)
+    return objs, pop_size
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_merged_generations())
+def test_survivors_carry_the_rank_and_crowding_of_a_fresh_sort(case):
+    objs, pop_size = case
+    chosen, rank, crowd, first = opt._survivors(objs, pop_size)
+    fronts = non_dominated_sort(objs)
+    assert len(chosen) == pop_size and first == fronts[0]
+    fresh_rank, fresh_crowd, _ = opt._rank_and_crowding(objs[chosen])
+    assert np.array_equal(rank, fresh_rank)
+    assert crowd.tobytes() == fresh_crowd.tobytes()
+
+
+def test_survivors_crowd_a_cut_front_again():
+    # one front of eight points on a line; four survive, the two ends and
+    # the first two inner points (all inner gaps tie), now a front of four
+    objs = np.column_stack([np.arange(8.0), -np.arange(8.0)])
+    chosen, rank, crowd, _ = opt._survivors(objs, 4)
+    assert chosen == [0, 7, 1, 2]
+    assert np.array_equal(rank, np.zeros(4, dtype=int))
+    assert np.isinf(crowd[:2]).all()
+    # the carried values would be 2/7 + 2/7 for both
+    assert crowd[2:].tolist() == [2 / 7 + 2 / 7, 6 / 7 + 6 / 7]
+
+
 # ---------------------------------------------------------------------------
 # Objectives
 
@@ -725,6 +817,19 @@ def test_evaluate_rows_matches_single_sets_bytewise(table, m_max, seed, threshol
         ids = decode_sites(row, table.n_candidates, m_max)
         assert obj.tobytes() == _oracle_objectives(ids, table, threshold).tobytes()
         assert obj.tobytes() == evaluate_sites(ids[::-1], table, threshold).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=_tables(), seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 5))
+def test_linear_route_sinr_matches_sinr_from_rx_bytewise(table, seed, rows):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, table.n_candidates + 1))
+    ids = np.sort([rng.choice(table.n_candidates, size=k, replace=False)
+                   for _ in range(rows)], axis=1)
+    _, want = sinr_from_rx(table.rx_for(ids), table.noise_dbm)
+    assert table.sinr_for(ids).tobytes() == want.tobytes()
+    for row, one in zip(ids, want):
+        assert table.sinr_for(row).tobytes() == one.tobytes()
 
 
 @pytest.fixture(scope="module")

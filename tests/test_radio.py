@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsplace.radio import (
     SECTOR_AZIMUTHS_DEG,
@@ -211,6 +213,26 @@ def test_rx_for_batch_equals_each_site_set():
         assert np.array_equal(rx, one)
         assert np.array_equal(one, table.rx_dbm[:, list(row) + [7, 8], :].reshape(6, -1))
     assert table.rx_for([]).shape == (6, 6)
+
+
+# LinkGainTable.sinr_for takes the max linear power as the signal, which is
+# the linear power of the max dBm only while db_to_linear is monotone.
+
+def test_db_to_linear_monotone_on_a_dense_sweep():
+    db = np.linspace(-300.0, 60.0, 2_000_001)
+    assert np.all(np.diff(db_to_linear(db)) >= 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.floats(-300.0, 60.0))
+def test_db_to_linear_monotone_over_adjacent_doubles(start):
+    # 2 x 4096 consecutive doubles around `start`, in a contiguous array
+    # as the table and its gathers are
+    bits = np.array([start]).view(np.int64) + np.arange(-4096, 4096)
+    db = np.sort(bits.view(np.float64))
+    db = db[np.isfinite(db) & (np.abs(db) < 1e3)]
+    assert np.all(np.diff(db) > 0.0)
+    assert np.all(np.diff(db_to_linear(db)) >= 0.0)
 
 
 def test_sinr_db_imposed_serving(box_scene):

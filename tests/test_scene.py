@@ -474,6 +474,18 @@ def test_generator_output_shape_and_classes():
     assert dsm.elevation[built].mean() > dsm.elevation[~built].mean() + 5.0
 
 
+@pytest.mark.parametrize("width, height, density", [(12, 60, 0.3), (16, 80, 0.4),
+                                                     (10, 120, 0.25)])
+def test_generator_counts_clipped_buildings_by_their_cells(width, height, density):
+    # buildings up to 20 cells wide are clipped at the edge of these grids;
+    # counting a clipped one at its full size would stop placement short
+    for seed in range(5):
+        raster, _ = generate_synthetic_scene(
+            GeneratorConfig(width=width, height=height, building_density=density), seed)
+        built = int((raster.classes == CellClass.BUILDING).sum())
+        assert density * width * height <= built < density * width * height + 20 * 20
+
+
 def test_generator_scene_is_buildable():
     cfg = GeneratorConfig(width=60, height=60, cell_size=5.0)
     raster, dsm = generate_synthetic_scene(cfg, seed=5)
