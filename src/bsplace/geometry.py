@@ -11,10 +11,12 @@ stages, each exact against the scalar `los_blocked`:
    EPS-grown bounding box, or both at or above its roof less EPS, is
    rejected (the trivial reject of Cohen-Sutherland clipping).
 2. Slab clip: each remaining (pair, prism) candidate is clipped against
-   the box (Liang-Barsky); it is dropped when the clip is empty, or when the
-   link provably stays above the roof wherever `los_blocked` could look.
-3. Mixed-prism slices: the survivors of all prisms are queued and run
-   through the decision arithmetic of `los_blocked` a slice at a time. One
+   the box (Liang-Barsky), the part of the link `los_blocked` tests against
+   the roof; it is dropped when the clip is empty, or when the link is at or
+   above the roof less EPS at both clip ends.
+3. Mixed-prism slices: the survivors of all prisms are queued with their
+   clip and run through the decision arithmetic of `los_blocked` a slice at
+   a time, which tests the height only within the clip. One
    edge table holds every footprint, padded to the widest ring; padding is
    masked so it adds no interval parameter, distance or crossing.
 
@@ -175,8 +177,9 @@ def los_blocked(seg: Segment3, prisms) -> bool:
 
     A prism blocks when the 2D projection of the segment spends a positive
     parameter interval inside its footprint and the segment height drops
-    below the roof somewhere on that interval. Grazing the outline at a
-    single point, or merely touching it at an endpoint, never blocks.
+    below the roof somewhere on the part of that interval within the
+    prism's EPS-grown bounding box. Grazing the outline at a single point,
+    or merely touching it at an endpoint, never blocks.
     """
     a, b = seg.a, seg.b
     for prism in prisms:
@@ -184,10 +187,10 @@ def los_blocked(seg: Segment3, prisms) -> bool:
             continue
         if not _bbox_overlap(a, b, prism.bbox):
             continue
+        c0, c1 = _box_clip(a, b, prism.bbox)
         for lo, hi in segment_polygon_interval(a[:2], b[:2], prism.footprint):
-            lo = max(lo, 0.0)
-            hi = min(hi, 1.0)
-            if hi - lo <= EPS:
+            lo, hi = max(lo, c0), min(hi, c1)
+            if lo > hi:
                 continue
             z_lo = a[2] + lo * (b[2] - a[2])
             z_hi = a[2] + hi * (b[2] - a[2])
@@ -206,6 +209,22 @@ def _bbox_overlap(a, b, bbox) -> bool:
     )
 
 
+def _box_clip(a, b, bbox) -> tuple[float, float]:
+    """[c0, c1]: the parameters t in [0, 1] where segment a->b lies in bbox
+    grown by EPS on every side (Liang-Barsky); c0 > c1 when it misses."""
+    minx, miny, maxx, maxy = bbox
+    c0, c1 = 0.0, 1.0
+    for lo, hi, p, d in ((minx - EPS, maxx + EPS, a[0], b[0] - a[0]),
+                         (miny - EPS, maxy + EPS, a[1], b[1] - a[1])):
+        if d == 0.0:
+            if not lo <= p <= hi:
+                return 1.0, 0.0
+            continue
+        ta, tb = (lo - p) / d, (hi - p) / d
+        c0, c1 = max(c0, min(ta, tb)), min(c1, max(ta, tb))
+    return c0, c1
+
+
 # Every kernel temporary holds at most this many elements: slice rows x
 # interval-parameter columns, or the 6 edge arrays x midpoints x ring width
 # of one outline test.
@@ -213,7 +232,7 @@ _SLICE_ELEMS = 1 << 13
 # (pair, prism) candidates queued before the kernel runs; also the size of
 # one outcode block (prisms x pairs) and of one slab-clip chunk.
 _QUEUE_PAIRS = 1 << 13
-# Rounding slack of the slab clip's box, in meters.
+# Rounding slack of the box that skips midpoints far from a ring, in meters.
 _GUARD = 1e-6
 
 
@@ -230,14 +249,18 @@ def los_mask(origins, targets, prisms) -> np.ndarray:
        visited in blocks, narrowest ring first, and pairs some prism has
        already blocked are skipped.
     2. Slab clip (_slab_clip): each remaining (pair, prism) candidate is
-       clipped against the prism's box (Liang-Barsky) and dropped when the
-       prism provably cannot block it.
-    3. Mixed-prism slices. Survivors are queued across prisms; a full queue
-       goes to _prism_blocks, the decision arithmetic of `los_blocked`, in
-       slices of rows from any prisms. Each row gathers its prism's edges
-       from one ring table (_Rings), padded to the widest ring in the slice
-       and masked, so padding adds no parameter, distance or crossing. Every
-       kernel temporary holds at most _SLICE_ELEMS elements.
+       clipped against the same box with the arithmetic of `los_blocked`
+       (Liang-Barsky) and dropped when the clip is empty, or when z at both
+       clip ends is at or above the roof less EPS: z is monotone along the
+       link, so it then stays there all over the clip, the only part of the
+       link whose height `los_blocked` tests.
+    3. Mixed-prism slices. Survivors are queued across prisms with their
+       clip; a full queue goes to _prism_blocks, the decision arithmetic of
+       `los_blocked`, in slices of rows from any prisms. Each row gathers
+       its prism's edges from one ring table (_Rings), padded to the widest
+       ring in the slice and masked, so padding adds no parameter, distance
+       or crossing. Every kernel temporary holds at most _SLICE_ELEMS
+       elements.
     """
     origins = np.asarray(origins, dtype=float).reshape(-1, 3)
     targets = np.asarray(targets, dtype=float).reshape(-1, 3)
@@ -247,16 +270,15 @@ def los_mask(origins, targets, prisms) -> np.ndarray:
         return out
     clear = out.reshape(-1)  # a view into out, indexed by i * m + j
     rings = _Rings([p.footprint for p in prisms])
-    bounds = np.array([(*p.bbox, p.top_elev) for p in prisms])
-    boxes = _clip_boxes(bounds, rings)
-    ca, cb = _outcodes(origins, bounds), _outcodes(targets, bounds)
+    boxes = _clip_boxes(prisms)
+    ca, cb = _outcodes(origins, boxes), _outcodes(targets, boxes)
     order = np.argsort(rings.width, kind="stable")
     queue, queued = [], 0
 
     def flush():
-        k, p, a, b = (np.concatenate(c) for c in zip(*queue))
+        k, p, a, b, t0, t1 = (np.concatenate(c) for c in zip(*queue))
         queue.clear()
-        clear[k[_slices_blocked(a, b, p, rings, boxes)]] = False
+        clear[k[_slices_blocked(a, b, t0, t1, p, rings, boxes)]] = False
 
     step = max(1, _QUEUE_PAIRS // max(1, n * m))
     for s in range(0, len(order), step):
@@ -268,9 +290,11 @@ def los_mask(origins, targets, prisms) -> np.ndarray:
             kc, pc = k[c:c + _QUEUE_PAIRS], block[q[c:c + _QUEUE_PAIRS]]
             i, j = np.divmod(kc, m)
             a, b = origins.take(i, axis=0), targets.take(j, axis=0)  # faster than origins[i]
-            keep = np.flatnonzero(_slab_clip(a, b, boxes.take(pc, axis=1)))
-            queue.append((kc[keep], pc[keep], a.take(keep, axis=0), b.take(keep, axis=0)))
-            queued += keep.size
+            keep, t0, t1 = _slab_clip(a, b, boxes.take(pc, axis=1))
+            kept = np.flatnonzero(keep)
+            queue.append((kc[kept], pc[kept], a.take(kept, axis=0), b.take(kept, axis=0),
+                          t0[kept], t1[kept]))
+            queued += kept.size
             if queued >= _QUEUE_PAIRS:
                 flush()
                 queued = 0
@@ -279,87 +303,45 @@ def los_mask(origins, targets, prisms) -> np.ndarray:
     return out
 
 
-def _outcodes(points, bounds) -> np.ndarray:
-    """uint8 [n_prisms, n_points] outcodes against the prisms' (minx, miny,
-    maxx, maxy, top) rows, a bit each for x > maxx + EPS, x < minx - EPS,
-    y > maxy + EPS, y < miny - EPS and z >= top - EPS."""
+def _clip_boxes(prisms) -> np.ndarray:
+    """[5, n_prisms] columns: each prism's bounding box grown by EPS (lox,
+    loy, hix, hiy) and its roof less EPS."""
+    boxes = np.array([(*p.bbox, p.top_elev) for p in prisms]).T
+    return boxes + np.array([-EPS, -EPS, EPS, EPS, -EPS])[:, None]
+
+
+def _outcodes(points, boxes) -> np.ndarray:
+    """uint8 [n_prisms, n_points] outcodes against the _clip_boxes columns
+    (lox, loy, hix, hiy, lim), a bit each for x > hix, x < lox, y > hiy,
+    y < loy and z >= lim."""
     x, y, z = points.T[:, None, :]
-    minx, miny, maxx, maxy, top = bounds.T[:, :, None]
-    code = (x > maxx + EPS).view(np.uint8)  # one side at a time bounds the temporaries
-    code |= (x < minx - EPS).view(np.uint8) << 1
-    code |= (y > maxy + EPS).view(np.uint8) << 2
-    code |= (y < miny - EPS).view(np.uint8) << 3
-    code |= (z >= top - EPS).view(np.uint8) << 4
+    lox, loy, hix, hiy, lim = boxes[:, :, None]
+    code = (x > hix).view(np.uint8)  # one side at a time bounds the temporaries
+    code |= (x < lox).view(np.uint8) << 1
+    code |= (y > hiy).view(np.uint8) << 2
+    code |= (y < loy).view(np.uint8) << 3
+    code |= (z >= lim).view(np.uint8) << 4
     return code
 
 
-def _clip_boxes(bounds, rings) -> np.ndarray:
-    """[6, n_prisms] slab-clip columns: the bounding box grown by R on every
-    side (lox, loy, hix, hiy), the roof less EPS, and 1.0 where every edge is
-    axis-parallel (else 0.0). R = _GUARD + EPS * (2 + longer box side)."""
-    minx, miny, maxx, maxy, top = bounds.T
-    grow = _GUARD + EPS * (2.0 + np.maximum(maxx - minx, maxy - miny))
-    axis = ((rings.table[4] == 0.0) | (rings.table[5] == 0.0)).all(axis=1)
-    return np.stack([minx - grow, miny - grow, maxx + grow, maxy + grow, top - EPS, axis])
-
-
-def _slab_clip(a, b, box) -> np.ndarray:
-    """Which candidates a[k] -> b[k] the prism of clip column box[:, k] may block.
-
-    [t0, t1] is the part of the segment (clamped to [0, 1]) inside the box,
-    which is grown by R = _GUARD + EPS * (2 + L), L the longer box side. A
-    candidate is dropped when [t0, t1] is empty, or, for a prism with
-    axis-parallel edges and a link at least 1 m long in x or y, when z is at
-    or above top - EPS at t0 and t1 and no sub-interval reaching t = 0 or 1
-    can have its midpoint in [t0, t1] (below). Why `los_blocked` blocks
-    none of these:
-
-    - It blocks only through a sub-interval (lo, hi) between consecutive
-      kept parameters whose midpoint is inside the footprint or within EPS
-      of its outline, so within EPS of the bounding box. The guard dwarfs
-      the rounding of that midpoint and of the clip itself (for
-      coordinates below about 1e8 m), so the computed [t0, t1] holds the
-      midpoint parameter: an empty clip rejects exactly. A near-vertical
-      link gets no false rejection: the guard is added in x and y before
-      dividing by dx or dy, so in t it grows like 1 / |d|, as the
-      rounding of the link's own parameters does; a vertical link, whose
-      interval is probed at its origin, is within EPS of the box, so the
-      clip of its (0, 1) segment is not empty either.
-    - Every kept parameter other than 0 and 1 lies in [t0, t1]: a crossing
-      parameter has its edge parameter within [-EPS, 1 + EPS], so its point
-      lies within EPS * L of the box; a collinear overlap end lies within
-      2 EPS of a vertex for links at least 1 m long. With axis-parallel
-      edges, t and its denominator each have one exactly zero product term,
-      so a parameter carries only a few ulps of rounding. (Near a slanted
-      edge met at a grazing angle, rounding can carry a crossing parameter
-      arbitrarily far; such prisms get the empty-clip test only.)
-    - z(t) = az + t * dz is monotone in t also after rounding, so a
-      sub-interval with both ends in [t0, t1] does not dip below top - EPS
-      once z(t0) and z(t1) do not.
-    - That leaves sub-intervals with an end at 0 or 1 outside [t0, t1] (a
-      link passing within EPS of the outline makes those possible, with
-      midpoints far from either end): (0, hi) has midpoint hi / 2 <= t1 / 2,
-      (lo, 1) has midpoint (lo + 1) / 2 >= (t0 + 1) / 2, and (0, 1) has 0.5.
-      Each can matter only when that midpoint can reach [t0, t1] and z at
-      its 0 or 1 end (az, or az + dz as the kernel computes it) is below
-      top - EPS; such candidates are kept.
-    """
-    lox, loy, hix, hiy, lim, axis = box
+def _slab_clip(a, b, box) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(keep, t0, t1): [t0, t1] is the clip of a[k] -> b[k] against the
+    _clip_boxes column box[:, k], with the arithmetic of _box_clip; keep is
+    False when it is empty, or when z is at or above the roof less EPS at t0
+    and t1."""
+    lox, loy, hix, hiy, lim = box
     ax, ay, az = a.T
-    dx, dy, dz = b[:, 0] - ax, b[:, 1] - ay, b[:, 2] - az
+    dz = b[:, 2] - az
     t0, t1 = np.zeros(len(a)), np.ones(len(a))
-    with np.errstate(divide="ignore"):  # dx == 0 gives +-inf: no bound from that slab
-        for lo, hi, p, d in ((lox, hix, ax, dx), (loy, hiy, ay, dy)):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo, hi, p, d in ((lox, hix, ax, b[:, 0] - ax), (loy, hiy, ay, b[:, 1] - ay)):
             ta, tb = (lo - p) / d, (hi - p) / d
-            np.maximum(t0, np.minimum(ta, tb), out=t0)
-            np.minimum(t1, np.maximum(ta, tb), out=t1)
-    z1 = az + dz  # z at t = 1, rounded as in _prism_blocks
-    low0, low1 = az < lim, z1 < lim
-    reach = ((low0 & (0.5 * t1 >= t0)) | (low1 & (0.5 * (t0 + 1.0) <= t1))
-             | ((low0 | low1) & (t0 <= 0.5) & (0.5 <= t1)))
-    above = (az + t0 * dz >= lim) & (az + t1 * dz >= lim)
-    exact = (axis == 1.0) & (np.maximum(np.abs(dx), np.abs(dy)) >= 1.0)
-    return (t0 <= t1) & ~(above & exact & ~reach)
+            # d == 0 gives +-inf, or nan (0 / 0) with p on a side, which
+            # fmax/fmin pass over: no bound from that slab
+            np.fmax(t0, np.minimum(ta, tb), out=t0)
+            np.fmin(t1, np.maximum(ta, tb), out=t1)
+    keep = (t0 <= t1) & ((az + t0 * dz < lim) | (az + t1 * dz < lim))
+    return keep, t0, t1
 
 
 class _Edges:
@@ -405,8 +387,9 @@ class _Rings:
                       self.valid[ring_ids, :width] if padded else None)
 
 
-def _slices_blocked(a, b, ring_ids, rings: _Rings, boxes) -> np.ndarray:
-    """Which queued candidates (a[k] -> b[k], prism ring_ids[k]) are blocked.
+def _slices_blocked(a, b, t0, t1, ring_ids, rings: _Rings, boxes) -> np.ndarray:
+    """Which queued candidates (a[k] -> b[k], clipped to [t0[k], t1[k]],
+    prism ring_ids[k]) are blocked.
 
     Rows ascend in ring width. A slice ends before the first row more than
     twice as wide as its own first row, which bounds the padding, and is cut
@@ -421,23 +404,24 @@ def _slices_blocked(a, b, ring_ids, rings: _Rings, boxes) -> np.ndarray:
             end = start + max(1, _SLICE_ELEMS // (2 * widths[end - 1] + 2))
         ids = ring_ids[start:end]
         blocked[start:end] = _prism_blocks(a[start:end], b[start:end],
+                                           t0[start:end], t1[start:end],
                                            rings.rows(ids, widths[end - 1]),
-                                           boxes[:5].take(ids, axis=1))
+                                           boxes.take(ids, axis=1))
         start = end
     return blocked
 
 
-def _prism_blocks(a, b, edges: _Edges, box) -> np.ndarray:
-    """Which segments a[k] -> b[k] the prism of row k blocks: its ring is
-    edges row k, its grown box and roof less EPS are box[:, k] (_clip_boxes).
+def _prism_blocks(a, b, t0, t1, edges: _Edges, box) -> np.ndarray:
+    """Which segments a[k] -> b[k], clipped to [t0[k], t1[k]], the prism of
+    row k blocks: its ring is edges row k, its _clip_boxes column box[:, k].
 
     Vectorized segment_polygon_interval plus the roof test of los_blocked,
     with the same arithmetic, so every decision matches the scalar path bit
     for bit. Merging adjacent inside intervals is skipped: z is linear along
-    the segment, so a merged interval dips below the roof exactly when one
-    of its sub-intervals does. A midpoint outside the grown box is neither
-    inside the ring nor within EPS of it (see _slab_clip), so only those in
-    the box get the outline test.
+    the segment, so a merged interval, clamped to the clip, dips below the
+    roof exactly when one of its clamped sub-intervals does. A midpoint more
+    than _GUARD outside the box is neither inside the ring nor within EPS of
+    it, whatever the rounding, so only the others get the outline test.
     """
     ax, ay, az = a[:, 0], a[:, 1], a[:, 2]
     dx, dy, dz = b[:, 0] - ax, b[:, 1] - ay, b[:, 2] - az
@@ -468,13 +452,15 @@ def _prism_blocks(a, b, edges: _Edges, box) -> np.ndarray:
             py.append(ay[r] + mid * dy[r])
             last[kept] = hi
 
-    rows, lo, hi = np.concatenate(rows), np.concatenate(los), np.concatenate(his)
-    px, py = np.concatenate(px), np.concatenate(py)
+    rows, px, py = np.concatenate(rows), np.concatenate(px), np.concatenate(py)
+    lo = np.maximum(np.concatenate(los), t0[rows])
+    hi = np.minimum(np.concatenate(his), t1[rows])
     z_lo = az[rows] + lo * dz[rows]
     z_hi = az[rows] + hi * dz[rows]
     lox, loy, hix, hiy, lim = box.take(rows, axis=1)
-    test = np.nonzero((np.minimum(z_lo, z_hi) < lim) & (px >= lox) & (px <= hix)
-                      & (py >= loy) & (py <= hiy))[0]
+    test = np.nonzero((lo <= hi) & (np.minimum(z_lo, z_hi) < lim)
+                      & (px >= lox - _GUARD) & (px <= hix + _GUARD)
+                      & (py >= loy - _GUARD) & (py <= hiy + _GUARD))[0]
     px, py, rows = px[test], py[test], rows[test]
     blocked = np.zeros(len(a), dtype=bool)
     step = max(1, _SLICE_ELEMS // (6 * edges.x1.shape[1]))  # their edges: 6 x step x width

@@ -272,6 +272,7 @@ def _read_ascii_grid(path):
         yll = float(header["yllcorner"])
         cell = float(header["cellsize"])
         data = np.array([float(v) for v in values])
+        nodata = float(header["nodata_value"]) if "nodata_value" in header else None
     except ValueError as e:
         raise GridFormatError(f"non-numeric grid content: {e}") from None
     if ncols < 1 or nrows < 1 or cell <= 0:
@@ -280,10 +281,8 @@ def _read_ascii_grid(path):
         raise GridFormatError(
             f"expected {ncols * nrows} values ({nrows} rows x {ncols} cols), got {data.size}"
         )
-    if "nodata_value" in header:
-        nodata = float(header["nodata_value"])
-        if (data == nodata).any():
-            raise GridFormatError("NODATA cells are not supported in scene grids")
+    if nodata is not None and (data == nodata).any():
+        raise GridFormatError("NODATA cells are not supported in scene grids")
     grid = data.reshape(nrows, ncols)[::-1]  # file stores the north row first
     return ncols, nrows, xll, yll, cell, grid
 
@@ -304,13 +303,14 @@ def _write_ascii_grid(path, ncols, nrows, xll, yll, cell, grid, fmt):
 def load_raster(path) -> ClassRaster:
     """Read a class raster from an ESRI ASCII grid of codes 0..5."""
     ncols, nrows, xll, yll, cell, grid = _read_ascii_grid(path)
-    codes = grid.astype(np.int64)
-    if not np.array_equal(codes, grid):
+    if not np.isfinite(grid).all():
+        raise GridFormatError("class raster contains non-finite codes")
+    if not np.array_equal(np.floor(grid), grid):
         raise GridFormatError("class raster contains non-integer codes")
-    if codes.min() < 0 or codes.max() > 5:
-        bad = codes[(codes < 0) | (codes > 5)][0]
-        raise UnknownClassCode(f"class code {int(bad)} outside 0..5")
-    return ClassRaster(ncols, nrows, cell, (xll, yll), codes)
+    out = (grid < 0) | (grid > 5)
+    if out.any():  # checked before the cast, which huge codes would overflow
+        raise UnknownClassCode(f"class code {grid[out][0]:.0f} outside 0..5")
+    return ClassRaster(ncols, nrows, cell, (xll, yll), grid.astype(np.int64))
 
 
 def save_raster(raster: ClassRaster, path):

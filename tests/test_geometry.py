@@ -243,40 +243,101 @@ _HUG_SLOT = [[0.0, 0.0], [1.0, 0.0], [1.0, 2.0], [2.0, 2.0], [2.0, 0.0], [10.0, 
 
 
 @pytest.mark.parametrize("ring, a, b", [
-    # the oracle's only interval is (0, 1), with its midpoint within EPS of
-    # the wall and the low end 100 m away: blocked, though the link is 5 m
-    # above the roof wherever it passes the prism
+    # the link's only interval is (0, 1), judged inside by its midpoint
+    # within EPS of the wall; its low end is 100 m away from the prism, and
+    # the link is 5 m above the roof wherever it passes the box
     (_HUG_RECT, (-100.0, 1.5), (110.0, 30.0)),
-    # (slot, 1): its midpoint hugs the wall, its end at 1 is below the roof,
-    # the link is above the roof all over the box
+    # (slot, 1): its midpoint hugs the wall, its end at 1 is below the roof
+    # but outside the box, the link is above the roof all over the box
     (_HUG_SLOT, (-100.0, 100.0), (10.5, 9.9)),
 ])
 def test_los_mask_link_hugging_a_wall_past_short_edges(ring, a, b):
-    # A slab clip that tested z only where the link meets the box would
-    # call these links clear; los_blocked blocks them.
+    # The roof test looks only at the part of an inside interval within the
+    # prism's EPS-grown bounding box, so these links are clear both ways.
     prism = BuildingPrism(np.array(ring), 0.0, 10.0)
     a = np.array([a[0], _hug(a[0]), a[1]])
     b = np.array([b[0], _hug(b[0]), b[1]])
-    assert los_blocked(make_segment(a, b), [prism])
-    assert not los_mask(a[None], b[None], [prism])[0, 0]
-    assert not los_mask(b[None], a[None], [prism])[0, 0]
+    assert not los_blocked(make_segment(a, b), [prism])
+    assert not los_blocked(make_segment(b, a), [prism])
+    assert los_mask(a[None], b[None], [prism])[0, 0]
+    assert los_mask(b[None], a[None], [prism])[0, 0]
+
+
+def _kernel_blocks(a, b, prism):
+    """_prism_blocks on the link's slab clip, whether or not the clip keeps it."""
+    a, b = np.array([a], dtype=float), np.array([b], dtype=float)
+    box = geometry._clip_boxes([prism])
+    _, t0, t1 = geometry._slab_clip(a, b, box)
+    return bool(geometry._prism_blocks(a, b, t0, t1, geometry._Edges.ring(prism.footprint),
+                                       box)[0])
+
+
+@pytest.mark.parametrize("x_end", [10.0 + 2e-9, 10.0 + 5e-7])
+def test_los_mask_roof_crossed_just_past_the_box(x_end):
+    # A hugging link (one interval, (0, 1)) that falls through the roof less
+    # EPS at x_end: 1 EPS past the prism's EPS-grown box, or half a
+    # micrometre past it, inside the guard of the midpoint skip. Over the box
+    # it is above the roof, so it is clear. The kernel alone, on the link's
+    # clip, agrees: it clamps each interval to the clip before its height
+    # test.
+    prism = BuildingPrism(np.array(_HUG_RECT), 0.0, 10.0)
+    lim = 10.0 - geometry.EPS
+    a = np.array([-100.0, _hug(-100.0), lim + 0.1 * (x_end + 100.0)])
+    b = np.array([110.0, _hug(110.0), lim - 0.1 * (110.0 - x_end)])
+    for a, b in ((a, b), (b, a)):
+        assert not los_blocked(make_segment(a, b), [prism])
+        assert los_mask(a[None], b[None], [prism])[0, 0]
+        assert not _kernel_blocks(a, b, prism)
+    # the same link lowered by 1 mm is below the roof less EPS inside the box
+    low = np.array([0.0, 0.0, 1e-3])
+    assert los_blocked(make_segment(a - low, b - low), [prism])
+    assert not los_mask((a - low)[None], (b - low)[None], [prism])[0, 0]
+
+
+def test_slab_clip_link_on_the_box_side():
+    # A link with dx == 0 on x = minx - EPS lies on the side of the clip box:
+    # that slab bounds nothing (its 0 / 0 is passed over, with no warning).
+    prism = rect_prism(3.0, 1.0, 5.0, 2.0, 0.0, 10.0)
+    x = 3.0 - geometry.EPS
+    a, b = np.array([[x, 0.0, 1.5]]), np.array([[x, 4.0, 2.5]])
+    box = geometry._clip_boxes([prism])
+    assert box[0, 0] == x
+    keep, t0, t1 = geometry._slab_clip(a, b, box)
+    assert keep[0] and t0[0] == box[1, 0] / 4.0 and t1[0] == box[3, 0] / 4.0
+    for a, b in ((a[0], b[0]), (b[0], a[0])):
+        assert los_mask(a[None], b[None], [prism])[0, 0] == (
+            not los_blocked(make_segment(a, b), [prism]))
+
+
+_ELL = [[20.0, 5.0], [24.0, 5.0], [24.0, 7.0], [22.0, 7.0], [22.0, 9.0], [20.0, 9.0]]
+# its notch holds the origin, 1 m from the nearest edges
+_ELL_AROUND_ORIGIN = [[-2.0, -2.0], [2.0, -2.0], [2.0, -1.0], [-1.0, -1.0], [-1.0, 2.0],
+                     [-2.0, 2.0]]
+_U = [[20.0, 5.0], [24.0, 5.0], [24.0, 9.0], [23.0, 9.0], [23.0, 6.0], [21.0, 6.0],
+      [21.0, 9.0], [20.0, 9.0]]
 
 
 def test_los_mask_padding_adds_no_parameter():
-    # The L's rows and the rectangle's share a kernel slice, so the
-    # rectangle's rows are padded to the L's six edges. Zero padding would be
-    # a zero-length edge at the origin, 0.8 EPS off the hugging link's line,
-    # and add a parameter that splits the link's only interval.
-    ell = [[20.0, 5.0], [24.0, 5.0], [24.0, 7.0], [22.0, 7.0], [22.0, 9.0], [20.0, 9.0]]
-    prisms = [BuildingPrism(np.array(_HUG_RECT), 0.0, 10.0),
-              BuildingPrism(np.array(ell), 0.0, 30.0)]
-    origins = [(-100.0, _hug(-100.0), 1.5), (15.0, 6.0, 1.5)]
-    targets = [(110.0, _hug(110.0), 30.0), (30.0, 6.0, 1.5)]
-    mask = los_mask(origins, targets, prisms)
-    for i, a in enumerate(origins):
-        for j, b in enumerate(targets):
-            assert mask[i, j] == (not los_blocked(make_segment(a, b), prisms)), (a, b)
-    assert not mask[0, 0] and not mask[1, 1]  # the hugging link, and one through the L
+    # Each narrow ring's rows share a kernel slice with its wide ring's, so
+    # they are padded to the wide ring's width. Zero padding is a
+    # zero-length edge at the origin. As an interval parameter it would
+    # split the low hugging link's only interval (0, 1) at x = 0 into two
+    # with midpoints far outside the rectangle (clear); as an outline edge
+    # it would put the midpoint of the link through the L's notch, the
+    # origin, on the L's outline (blocked).
+    for narrow, wide, probe, clear in [
+        (_HUG_RECT, _ELL, [(-100.0, _hug(-100.0), 1.5), (110.0, _hug(110.0), 5.0)], False),
+        (_ELL_AROUND_ORIGIN, _U, [(-0.5, 0.0, 1.5), (0.5, 0.0, 1.5)], True),
+    ]:
+        prisms = [BuildingPrism(np.array(narrow), 0.0, 10.0),
+                  BuildingPrism(np.array(wide), 0.0, 30.0)]
+        origins = [probe[0], (15.0, 5.5, 1.5)]
+        targets = [probe[1], (30.0, 5.5, 1.5)]
+        mask = los_mask(origins, targets, prisms)
+        for i, a in enumerate(origins):
+            for j, b in enumerate(targets):
+                assert mask[i, j] == (not los_blocked(make_segment(a, b), prisms)), (a, b)
+        assert mask[0, 0] == clear and not mask[1, 1]  # the probe, and a link through the wide ring
 
 
 def test_outline_ignores_padding():
@@ -292,8 +353,9 @@ def test_outline_ignores_padding():
 
 
 def test_los_mask_slanted_prism_near_parallel_links():
-    # A prism with slanted edges gets no height test in the slab clip. Links
-    # nearly parallel to a slanted edge, over and under the roof, still agree.
+    # Links nearly parallel to a slanted edge, over and under the roof.
+    # Rounding can put a crossing parameter of a grazing edge far along such
+    # a link, outside the prism's box, where the roof test does not look.
     prism = BuildingPrism(np.array([[0.0, 0.0], [8.0, 6.0], [5.0, 10.0], [-3.0, 4.0]]), 0.0, 10.0)
     rng = np.random.default_rng(5)
     origins, targets = [], []

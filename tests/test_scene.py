@@ -127,6 +127,19 @@ def test_load_raster_rejects_bad_codes(tmp_path):
     )
     with pytest.raises(GridFormatError):
         load_raster(p)
+    for code in ("nan", "inf", "-inf"):
+        p.write_text(
+            "ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+            f"NODATA_value -9999\n0 {code}\n"
+        )
+        with pytest.raises(GridFormatError, match="non-finite"):
+            load_raster(p)
+    p.write_text(
+        "ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+        "NODATA_value -9999\n0 1e20\n"
+    )
+    with pytest.raises(UnknownClassCode, match="class code 100000000000000000000 outside"):
+        load_raster(p)
 
 
 def test_load_grid_rejects_nodata_and_bad_headers(tmp_path):
@@ -144,6 +157,12 @@ def test_load_grid_rejects_nodata_and_bad_headers(tmp_path):
         "ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2 3\n"
     )
     with pytest.raises(GridFormatError):
+        load_dsm(p)
+    p.write_text(
+        "ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+        "NODATA_value abc\n0 1\n"
+    )
+    with pytest.raises(GridFormatError, match="non-numeric"):
         load_dsm(p)
 
 
