@@ -12,20 +12,23 @@ Runs are deterministic for a given seed: one RNG stream, consumed only in
 the sequential selection/variation phase.
 
 A generation is held as one bool array [pop, nbits] and each step runs
-over all its rows: slots decode with one matrix product, repair wraps and
-deduplicates every row at once (only the draws stay in the per-pair
-variation loop, in stream order), scoring gathers the link table's
-linear-power copy once per active-site count and scores the whole group
-with `LinkGainTable.sinr_for` (in chunks of at most `_GATHER_ELEMS`
-gathered values), and the archive merge is one dominance matrix.
+over all its rows. Variation draws its random numbers in blocks, in the
+order a per-pair loop would draw them, and applies the swaps and flips to
+all pairs at once (`_draw_in_order`). Slots decode with one matrix
+product, and repair wraps and deduplicates every row at once. Scoring
+gathers the link table's linear-power copy once per active-site count
+and scores the whole group with `LinkGainTable.sinr_for` (in chunks of at
+most `_GATHER_ELEMS` gathered values) into one SINR array, from which the
+objectives are formed once. The archive merge is one dominance matrix.
 `repair`, `repair_fixed_m`, `decode_sites` and `evaluate_sites` are the
 same code on a single row.
 
-NSGA-II sorts each generation once: the parents plus their children. The
-survivors are whole fronts plus part of one cut front, so they keep the
-rank and crowding that sort gave them, and only the cut front's survivors
-are crowded again. Crowding runs over all fronts in one pass per
-objective; `crowding_distance` is its one-front case.
+NSGA-II ranks each generation once: the parents plus their children.
+Fronts are peeled only until they hold the population, and only those
+rows are crowded. The survivors are whole fronts plus part of one cut
+front, so they keep the rank and crowding of that pass, and only the cut
+front's survivors are crowded again. Crowding runs over all fronts in one
+pass per objective; `crowding_distance` is its one-front case.
 
 Objectives are scored only through a `LinkGainTable`; `run_nsga2` and
 `run_ga_single_objective` build the scene's table when none is passed.
@@ -198,22 +201,22 @@ def repair_fixed_m(bits: np.ndarray, n_candidates: int, m_max: int) -> np.ndarra
 # ---------------------------------------------------------------------------
 # Objectives
 
-def _score_site_sets(ids: np.ndarray, table: LinkGainTable,
-                     sinr_threshold_db: float) -> np.ndarray:
-    """Objective rows for site sets `ids` [rows, k]: one size, each row sorted."""
-    sinr = table.sinr_for(ids)
+def _objectives(sinr: np.ndarray, n_sites: np.ndarray, table: LinkGainTable,
+                sinr_threshold_db: float) -> np.ndarray:
+    """Objective rows from SINR rows [rows, users] and each row's site count."""
     # sinr[:, priority] comes out Fortran-ordered; the contiguous copy sums
     # each row in the order a single row would (f1 moves an ulp otherwise)
     f1 = -np.ascontiguousarray(sinr[:, table.priority]).sum(axis=1)
     f3 = -(sinr > sinr_threshold_db).sum(axis=1).astype(float)
-    return np.column_stack([f1, np.full(len(ids), float(ids.shape[1])), f3])
+    return np.column_stack([f1, n_sites.astype(float), f3])
 
 
 def evaluate_sites(site_ids, table: LinkGainTable, sinr_threshold_db: float) -> np.ndarray:
     # Sort so the objective is a function of the site set, not of slot
     # order (summation order shifts f1 by an ulp otherwise).
     ids = np.sort(np.array([int(s) for s in site_ids], dtype=int))
-    return _score_site_sets(ids[None], table, sinr_threshold_db)[0]
+    return _objectives(table.sinr_for(ids[None]), np.array([len(ids)]), table,
+                       sinr_threshold_db)[0]
 
 
 # Largest table gather scored in one `sinr_for` call, in elements (512 KiB
@@ -226,22 +229,22 @@ def evaluate_rows(pop: np.ndarray, table: LinkGainTable, sinr_threshold_db: floa
                   m_max: int) -> np.ndarray:
     """Objective vectors [rows, 3] of repaired chromosomes, equal to `evaluate_sites`.
 
-    Rows with the same active-site count are scored together: one table
-    gather and SINR pass per distinct count, split into
-    chunks of at most `_GATHER_ELEMS` gathered values (at least one row).
-    Rows are scored independently, so the chunking does not change a bit.
+    Rows with the same active-site count share one table gather and SINR
+    pass, split into chunks of at most `_GATHER_ELEMS` gathered values (at
+    least one row); every group writes its rows of one SINR array, and the
+    objectives are formed once over all rows. Rows are scored
+    independently, so neither the grouping nor the chunking changes a bit.
     """
     active, idx = _slots(pop, table.n_candidates, m_max)
     counts = active.sum(axis=1)
-    objs = np.empty((len(pop), 3))
+    sinr = np.empty((len(pop), table.rx_dbm.shape[0]))
     for k in np.unique(counts):
         rows = np.flatnonzero(counts == k)
         ids = np.sort(idx[rows][active[rows]].reshape(len(rows), k), axis=1)
         step = max(1, _GATHER_ELEMS // (table.rx_dbm.shape[0] * 3 * (k + table.n_fixed)))
         for start in range(0, len(rows), step):
-            objs[rows[start:start + step]] = _score_site_sets(ids[start:start + step], table,
-                                                              sinr_threshold_db)
-    return objs
+            sinr[rows[start:start + step]] = table.sinr_for(ids[start:start + step])
+    return _objectives(sinr, counts, table, sinr_threshold_db)
 
 
 # ---------------------------------------------------------------------------
@@ -264,21 +267,29 @@ def _dominance(objs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return le, le & lt
 
 
+def _peel(dom: np.ndarray, limit: int) -> list[np.ndarray]:
+    """Fronts of the dominance matrix `dom`, best first, each in index order,
+    peeled until they hold at least `limit` rows."""
+    n_dominators = dom.sum(axis=0)
+    assigned = np.zeros(len(dom), dtype=bool)
+    fronts: list[np.ndarray] = []
+    placed = 0
+    while placed < limit:
+        current = np.flatnonzero((n_dominators == 0) & ~assigned)
+        fronts.append(current)
+        assigned[current] = True
+        placed += len(current)
+        n_dominators = n_dominators - dom[current].sum(axis=0)
+    return fronts
+
+
 def non_dominated_sort(objectives) -> list[list[int]]:
     """Fronts of indices, best first, via the pairwise dominance matrix."""
     objs = np.asarray(objectives, dtype=float)
     if objs.ndim == 1:
         objs = objs[None, :]
     _, dom = _dominance(objs)
-    n_dominators = dom.sum(axis=0)
-    fronts: list[list[int]] = []
-    assigned = np.zeros(len(objs), dtype=bool)
-    while not assigned.all():
-        current = np.where((n_dominators == 0) & ~assigned)[0]
-        fronts.append(current.tolist())
-        assigned[current] = True
-        n_dominators = n_dominators - dom[current].sum(axis=0)
-    return fronts
+    return [front.tolist() for front in _peel(dom, len(objs))]
 
 
 def _crowding(objs: np.ndarray, rank: np.ndarray) -> np.ndarray:
@@ -336,25 +347,26 @@ def _survivors(objs: np.ndarray, pop_size: int):
     its most crowded-apart rows (stable on ties). Returns the chosen row
     indices, the survivors' rank and crowding (what `_rank_and_crowding`
     of `objs[chosen]` gives), and the first front of `objs`.
+
+    Fronts are peeled only until they hold `pop_size` rows, and only those
+    rows are crowded: a front's crowding depends on its own rows alone, and
+    each front lists them in index order, as a sort of all fronts does, so
+    ties fall the same way and every value is the same.
     """
-    rank, crowd, fronts = _rank_and_crowding(objs)
-    chosen: list[int] = []
-    cut = 0
-    for front in fronts:
-        if len(chosen) + len(front) <= pop_size:
-            chosen.extend(front)
-        else:
-            cut = pop_size - len(chosen)
-            front_arr = np.asarray(front)
-            order = np.argsort(-crowd[front_arr], kind="stable")
-            chosen.extend(front_arr[order[:cut]].tolist())
-            break
-    # A kept front keeps its rank and its row order, so its crowding holds;
-    # the cut front's survivors are a new front in a new order.
-    rank, crowd = rank[chosen], crowd[chosen]
-    if cut:
-        crowd[-cut:] = _crowding(objs[chosen[-cut:]], rank[-cut:])
-    return chosen, rank, crowd, fronts[0]
+    _, dom = _dominance(objs)
+    fronts = _peel(dom, pop_size)
+    chosen = np.concatenate(fronts)
+    rank = np.repeat(np.arange(len(fronts)), [len(front) for front in fronts])
+    crowd = _crowding(objs[chosen], rank)
+    head = len(chosen) - len(fronts[-1])  # rows of the fronts before the last
+    if len(chosen) > pop_size:
+        # A kept front keeps its rank and its row order, so its crowding holds;
+        # the cut front's survivors are a new front in a new order.
+        keep = head + np.argsort(-crowd[head:], kind="stable")[:pop_size - head]
+        chosen = np.concatenate([chosen[:head], chosen[keep]])
+        rank = rank[:pop_size]
+        crowd = np.concatenate([crowd[:head], _crowding(objs[chosen[head:]], rank[head:])])
+    return chosen.tolist(), rank, crowd, fronts[0].tolist()
 
 
 def _tournament(rng: np.random.Generator, rank: np.ndarray, crowd: np.ndarray,
@@ -365,41 +377,101 @@ def _tournament(rng: np.random.Generator, rank: np.ndarray, crowd: np.ndarray,
     return np.where(b_wins, b, a)
 
 
+def _draw_in_order(rng: np.random.Generator, out: np.ndarray, per_unit: int,
+                   max_draws: int, lay_out, m_max: int | None) -> None:
+    """Fill `out` unit by unit (`per_unit` rows each) from blocks of doubles,
+    consuming `rng` exactly as drawing unit after unit would.
+
+    `lay_out(block, lo, hi)` places units lo..hi-1 on `block`, which holds
+    `max_draws` doubles per unit, and returns their rows and each unit's
+    end offset in the block. With `m_max`, every unit is followed by
+    `repair`'s switch-on draw for each of its rows that has no active slot:
+    the first such unit ends the block there, the stream is rewound to the
+    end of that unit's doubles and the draws go on with a fresh block.
+    Blocks cover twice the units the last block kept, so frequent switch-ons
+    do not redraw whole remainders.
+    """
+    n_units = len(out) // per_unit
+    lo = 0
+    size = n_units
+    while lo < n_units:
+        hi = min(n_units, lo + size)
+        state = rng.bit_generator.state
+        block = rng.random((hi - lo) * max_draws)
+        rows, ends = lay_out(block, lo, hi)
+        stop = hi
+        if m_max is not None:
+            empty = np.flatnonzero(~rows[:, ::rows.shape[1] // m_max].any(axis=1))
+            if len(empty):
+                stop = lo + empty[0] // per_unit + 1
+        out[lo * per_unit:stop * per_unit] = rows[:(stop - lo) * per_unit]
+        used = ends[stop - lo - 1]
+        if used < len(block):
+            rng.bit_generator.state = state
+            rng.random(used)
+        if m_max is not None:  # draws only for an empty row, so only at an interrupt
+            for row in out[(stop - 1) * per_unit:stop * per_unit]:
+                _switch_on_if_empty(row, m_max, rng)
+        size = 2 * (stop - lo)
+        lo = stop
+
+
 def _random_population(config: GaConfig, nbits: int, rng: np.random.Generator,
-                       on_child=None) -> np.ndarray:
-    """Uniform random rows, unrepaired; `on_child` as in `_offspring`."""
+                       m_max: int | None = None) -> np.ndarray:
+    """Uniform random rows, unrepaired: `nbits` draws per row, then, with
+    `m_max`, `repair`'s switch-on draw if the row has no active slot."""
     pop = np.empty((config.pop_size, nbits), dtype=bool)
-    for row in pop:
-        row[:] = rng.random(nbits) < 0.5
-        if on_child is not None:
-            on_child(row)
+
+    def lay_out(block, lo, hi):
+        return block.reshape(hi - lo, nbits) < 0.5, np.arange(1, hi - lo + 1) * nbits
+
+    _draw_in_order(rng, pop, 1, nbits, lay_out, m_max)
     return pop
 
 
 def _offspring(pop: np.ndarray, parents: np.ndarray, config: GaConfig,
-               rng: np.random.Generator, on_child=None) -> np.ndarray:
+               rng: np.random.Generator, m_max: int | None = None) -> np.ndarray:
     """Uniform crossover and bit-flip mutation over consecutive parent pairs.
 
     Per pair the draws are: the crossover coin, the swap mask (only when
-    crossing), the flip masks of a and of b; then `on_child(a)` and
-    `on_child(b)`, if given, may edit each child row in place and draw
-    from the same stream. The flip probability defaults to one bit per
-    chromosome.
+    crossing), the flip masks of a and of b; then, with `m_max`, `repair`'s
+    switch-on draw for a and then for b when that child has no active slot.
+    The draws come in blocks (see `_draw_in_order`): a scalar walk over the
+    coins places each pair's masks in the block, and the swaps and flips
+    are applied to all of the block's pairs at once. The flip probability
+    defaults to one bit per chromosome.
     """
     nbits = pop.shape[1]
     p_mut = config.mutation_prob_per_bit
     if p_mut is None:
         p_mut = 1.0 / nbits
-    children = pop[parents]
-    for a, b in zip(children[0::2], children[1::2]):  # row views
-        if rng.random() < config.crossover_prob:
-            mask = rng.random(nbits) < 0.5
-            a[mask], b[mask] = b[mask], a[mask]
-        a ^= rng.random(nbits) < p_mut
-        b ^= rng.random(nbits) < p_mut
-        if on_child is not None:
-            on_child(a)
-            on_child(b)
+    mates = pop[parents]
+    children = np.empty_like(mates)
+    cols = np.arange(nbits)
+    flip_cols = np.arange(2 * nbits)  # a's flip mask, then b's
+
+    def lay_out(block, lo, hi):
+        crossing = []
+        flips_at = []
+        coin = block.item
+        pos = 0
+        for _ in range(hi - lo):
+            crossing.append(coin(pos) < config.crossover_prob)
+            pos += 1 + nbits if crossing[-1] else 1
+            flips_at.append(pos)
+            pos += 2 * nbits
+        flips_at = np.array(flips_at)
+        cross = np.array(crossing)
+        pairs = mates[2 * lo:2 * hi].reshape(hi - lo, 2, nbits)
+        # swapping a and b where the mask is set flips both where they differ
+        diff = np.zeros((hi - lo, nbits), dtype=bool)
+        swap = block[(flips_at[cross] - nbits)[:, None] + cols] < 0.5
+        diff[cross] = (pairs[cross, 0] ^ pairs[cross, 1]) & swap
+        flips = block[flips_at[:, None] + flip_cols] < p_mut
+        rows = pairs ^ diff[:, None] ^ flips.reshape(hi - lo, 2, nbits)
+        return rows.reshape(-1, nbits), flips_at + 2 * nbits
+
+    _draw_in_order(rng, children, 2, 1 + 3 * nbits, lay_out, m_max)
     return children
 
 
@@ -449,17 +521,13 @@ def run_nsga2(scene, params, config: GaConfig, use_blockages: bool = True,
     m_max = config.m_max
     rng = np.random.default_rng(config.seed)
 
-    def switch_on(row):
-        # repair's one draw, made where per-child repair made it in the stream
-        _switch_on_if_empty(row, m_max, rng)
-
     def fix(rows):
         return repair_rows(rows, n_cand, m_max, rng)
 
     def score(rows):
         return evaluate_rows(rows, table, config.sinr_threshold_db, m_max)
 
-    pop = fix(_random_population(config, chromosome_bits(n_cand, m_max), rng, switch_on))
+    pop = fix(_random_population(config, chromosome_bits(n_cand, m_max), rng, m_max))
     objs = score(pop)
 
     rank, crowd, fronts = _rank_and_crowding(objs)
@@ -470,7 +538,7 @@ def run_nsga2(scene, params, config: GaConfig, use_blockages: bool = True,
 
     for gen in range(1, config.generations + 1):
         parents = _tournament(rng, rank, crowd, config.pop_size)
-        children = fix(_offspring(pop, parents, config, rng, switch_on))
+        children = fix(_offspring(pop, parents, config, rng, m_max))
 
         combined = np.vstack([pop, children])
         combined_objs = np.vstack([objs, score(children)])

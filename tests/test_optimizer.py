@@ -328,6 +328,47 @@ def test_survivors_carry_the_rank_and_crowding_of_a_fresh_sort(case):
     fresh_rank, fresh_crowd, _ = opt._rank_and_crowding(objs[chosen])
     assert np.array_equal(rank, fresh_rank)
     assert crowd.tobytes() == fresh_crowd.tobytes()
+    assert chosen == _full_sort_survivors(objs, pop_size)[0]
+
+
+def _full_sort_survivors(objs, pop_size):
+    """Environmental selection from a rank and crowding of every front."""
+    rank, crowd, fronts = opt._rank_and_crowding(objs)
+    chosen, cut = [], 0
+    for front in fronts:
+        if len(chosen) + len(front) > pop_size:
+            cut = pop_size - len(chosen)
+            order = np.argsort(-crowd[front], kind="stable")
+            chosen += np.asarray(front)[order[:cut]].tolist()
+            break
+        chosen += front
+    rank, crowd = rank[chosen], crowd[chosen]
+    if cut:
+        crowd[-cut:] = _oracle_crowding_distance(objs[chosen[-cut:]])
+    return chosen, rank, crowd, fronts
+
+
+# Rows listed front by front; the permutation interleaves the fronts in index order.
+_LINE_FRONTS = np.array([[0.0, 4.0], [1.0, 2.5], [2.5, 1.0], [4.0, 0.0],  # front 0
+                         [1.0, 5.0], [3.0, 3.0], [5.0, 1.0],              # front 1
+                         [4.0, 4.5], [5.0, 4.0],                          # front 2
+                         [6.0, 6.0], [7.0, 7.0], [8.0, 8.0]])             # fronts 3-5
+_INTERLEAVE = np.array([5, 0, 9, 7, 2, 11, 4, 1, 10, 8, 6, 3])
+
+
+@pytest.mark.parametrize("pop_size, n_peeled", [(7, 2), (3, 1)])
+def test_survivors_stop_peeling_at_the_population_size(pop_size, n_peeled):
+    # 7: fronts 0 and 1 fill the population exactly, no cut;
+    # 3: front 0 alone is larger than the population and is cut
+    objs = _LINE_FRONTS[_INTERLEAVE]
+    chosen, rank, crowd, first = opt._survivors(objs, pop_size)
+    want_chosen, want_rank, want_crowd, fronts = _full_sort_survivors(objs, pop_size)
+    assert chosen == want_chosen and first == fronts[0]
+    assert rank.tobytes() == want_rank.tobytes()
+    assert crowd.tobytes() == want_crowd.tobytes()
+    # later fronts are never peeled
+    assert len(fronts) == 6
+    assert len(opt._peel(opt._dominance(objs)[1], pop_size)) == n_peeled
 
 
 def test_survivors_crowd_a_cut_front_again():
@@ -699,16 +740,15 @@ def test_repair_fixed_m_rows_matches_per_row_oracle(pop):
     assert np.array_equal(repair_fixed_m(rows[0], n_cand, m_max), expected[0])
 
 
-@settings(max_examples=100, deadline=None)
-@given(n_cand=st.integers(1, 20), m_max=st.integers(1, 4), pairs=st.integers(2, 8),
-       p_mut=st.sampled_from([None, 0.2, 0.6]), fixed_m=st.booleans(),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_offspring_then_batch_repair_keeps_the_rng_stream(n_cand, m_max, pairs, p_mut,
-                                                         fixed_m, seed):
-    m_max = min(m_max, n_cand) if fixed_m else m_max
-    config = GaConfig(pop_size=2 * pairs, m_max=m_max, crossover_prob=0.7,
+def _variation_runs(n_cand, m_max, pairs, p_mut, crossover_prob, fixed_m, seed,
+                    generations=3):
+    """Block-drawn variation and batch repair against the per-pair oracle, from
+    one seed: (batched, oracle) as (populations, RNG states) after generation
+    0 and each later one, and the oracle's empty children [(generation, child)]."""
+    config = GaConfig(pop_size=2 * pairs, m_max=m_max, crossover_prob=crossover_prob,
                       mutation_prob_per_bit=p_mut, seed=seed)
     nbits = chromosome_bits(n_cand, m_max)
+    empties = []
 
     def run(batched):
         rng = np.random.default_rng(seed)
@@ -718,33 +758,67 @@ def test_offspring_then_batch_repair_keeps_the_rng_stream(n_cand, m_max, pairs, 
 
             def fix_one(bits):
                 return _oracle_repair_fixed_m(bits, n_cand, m_max)
-            on_child = None
         else:
             def fix(rows):
                 return repair_rows(rows, n_cand, m_max, rng)
 
             def fix_one(bits):
+                if not bits[::nbits // m_max].any():
+                    empties.append((len(pops), len(children)))
+                children.append(bits)
                 return _oracle_repair(bits, n_cand, m_max, rng)
-
-            def on_child(row):
-                opt._switch_on_if_empty(row, m_max, rng)
-        out = []
+        switch_on = None if fixed_m else m_max
+        pops, states, children = [], [], []
         if batched:
-            pop = fix(opt._random_population(config, nbits, rng, on_child))
+            pop = fix(opt._random_population(config, nbits, rng, switch_on))
         else:
             pop = np.array([fix_one(rng.random(nbits) < 0.5) for _ in range(config.pop_size)])
-        for _ in range(3):
-            parents = rng.integers(0, config.pop_size, size=config.pop_size)
-            if batched:
-                pop = fix(opt._offspring(pop, parents, config, rng, on_child))
-            else:
-                pop = np.array(_oracle_offspring(list(pop), parents, config, rng, fix_one))
-            out.append(pop)
-        return out, rng.bit_generator.state
+        for _ in range(generations + 1):
+            if pops:
+                children.clear()
+                parents = rng.integers(0, config.pop_size, size=config.pop_size)
+                if batched:
+                    pop = fix(opt._offspring(pop, parents, config, rng, switch_on))
+                else:
+                    pop = np.array(_oracle_offspring(list(pop), parents, config, rng, fix_one))
+            pops.append(pop)
+            states.append(rng.bit_generator.state)
+        return pops, states
 
-    (got, got_state), (expected, expected_state) = run(True), run(False)
-    assert all(np.array_equal(g, e) for g, e in zip(got, expected))
-    assert got_state == expected_state
+    return run(True), run(False), empties
+
+
+def _assert_same_stream(got, expected):
+    for (g, g_state), (e, e_state) in zip(zip(*got), zip(*expected), strict=True):
+        assert np.array_equal(g, e)
+        assert g_state == e_state
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_cand=st.integers(1, 20), m_max=st.integers(1, 4), pairs=st.integers(2, 8),
+       p_mut=st.sampled_from([None, 0.2, 0.6]), crossover_prob=st.sampled_from([0.0, 0.7, 1.0]),
+       fixed_m=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_offspring_then_batch_repair_keeps_the_rng_stream(n_cand, m_max, pairs, p_mut,
+                                                         crossover_prob, fixed_m, seed):
+    m_max = min(m_max, n_cand) if fixed_m else m_max
+    got, expected, _ = _variation_runs(n_cand, m_max, pairs, p_mut, crossover_prob,
+                                       fixed_m, seed)
+    _assert_same_stream(got, expected)
+
+
+@pytest.mark.parametrize("m_max", [1, 2])
+def test_switch_on_mid_block_keeps_the_rng_stream(m_max):
+    # active bits flip with probability 0.9, so many children are empty and
+    # switch-ons cut blocks mid-way; with one slot the switch-on draws no
+    # number (integers(1) is always 0), with two it draws one
+    got, expected, empties = _variation_runs(n_cand=5, m_max=m_max, pairs=16, p_mut=0.9,
+                                             crossover_prob=0.7, fixed_m=False, seed=11,
+                                             generations=4)
+    _assert_same_stream(got, expected)
+    # generation 1's first block covers all 16 pairs; an empty child of an
+    # earlier pair cuts it before its end
+    pairs_with_empties = [child // 2 for gen, child in empties if gen == 1]
+    assert pairs_with_empties and pairs_with_empties[0] < 15
 
 
 def _oracle_tournament(rng, rank, crowd, n_picks):
