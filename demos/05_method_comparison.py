@@ -7,7 +7,7 @@ GA per budget, all judged on the same blockage-aware link table.
 
 import os
 
-from bsplace.baselines import KmeansConfig, compare_methods, save_comparison_csv
+from bsplace.baselines import compare_methods, save_comparison_csv
 from bsplace.eval_report import GeneratorConfig, generate_synthetic_scene
 from bsplace.optimizer import GaConfig
 from bsplace.radio import RadioParams
@@ -35,7 +35,6 @@ rows = compare_methods(
     methods=["nsga2", "kmeans", "ga"],
     bs_counts=[3, 4, 5],
     ga_config=GaConfig(pop_size=48, generations=100, m_max=5, seed=4),
-    kmeans_config=KmeansConfig(seed=4),
 )
 
 print(f"{'method':>8} {'m':>2} {'above 10 dB':>12} {'mean SINR':>10}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import optimizer as opt
-from .config_json import read_config_fields, require_finite
+from .config_json import require_finite
 # Scoring goes through LinkGainTable.sinr_for; sinr_from_rx stays importable
 # from this module because the benchmark's traced layers wrap it here.
 from .radio import LinkGainTable, build_link_table, sinr_from_rx  # noqa: F401
@@ -30,24 +30,19 @@ class EmptyScene(BaselineError):
 
 METHODS = ("nsga2", "ga", "kmeans")
 
+KMEANS_ROUNDS = 5  # MUS reseeding rounds
+MAX_LLOYD_ITERS = 100  # Lloyd iterations per round
+
 
 @dataclass
 class KmeansConfig:
-    rounds: int = 5
-    max_lloyd_iters: int = 100
     seed: int = 0
     sinr_threshold_db: float = 10.0
 
     def __post_init__(self):
         require_finite(self, BaselineError)
-        if self.rounds < 1 or self.max_lloyd_iters < 1:
-            raise BaselineError("rounds and max_lloyd_iters must be >= 1")
         if self.seed < 0:
             raise BaselineError(f"seed must be >= 0, got {self.seed}")
-
-    @classmethod
-    def from_json(cls, path) -> "KmeansConfig":
-        return cls(**read_config_fields(path, cls, BaselineError))
 
 
 def lloyd(points: np.ndarray, centroids: np.ndarray, max_iters: int):
@@ -115,8 +110,8 @@ def kmeans_site_ids(users, k: int, scene, params, config: KmeansConfig,
 
     best_ids: list[int] | None = None
     best_covered = -1
-    for _ in range(config.rounds):
-        centroids, assignments, _ = lloyd(points, centroids, config.max_lloyd_iters)
+    for _ in range(KMEANS_ROUNDS):
+        centroids, assignments, _ = lloyd(points, centroids, MAX_LLOYD_ITERS)
         ids = _snap_to_candidates(centroids, cand_xy)
         sinr = table.sinr_for(ids)
         served = sinr > config.sinr_threshold_db
@@ -140,14 +135,15 @@ def kmeans_site_ids(users, k: int, scene, params, config: KmeansConfig,
 
 def compare_methods(scene, params, bs_counts, methods,
                     ga_config: opt.GaConfig | None = None,
-                    kmeans_config: KmeansConfig | None = None,
                     use_blockages: bool = True,
                     table: LinkGainTable | None = None) -> list[dict]:
     """Coverage summary rows for each (method, site count) pair.
 
     NSGA-II runs once with the largest budget and per-m solutions are read
     off its archive; the GA and k-means run once per requested count.
-    Repeated methods and counts collapse to their first occurrence.
+    k-means takes the GA config's seed and SINR threshold, so every method
+    is judged and steered by one threshold. Repeated methods and counts
+    collapse to their first occurrence.
     """
     methods = list(dict.fromkeys(methods))
     unknown = [m for m in methods if m not in METHODS]
@@ -158,9 +154,8 @@ def compare_methods(scene, params, bs_counts, methods,
     bs_counts = list(dict.fromkeys(int(m) for m in bs_counts))
     if ga_config is None:
         ga_config = opt.GaConfig()
-    if kmeans_config is None:
-        kmeans_config = KmeansConfig(seed=ga_config.seed,
-                                     sinr_threshold_db=ga_config.sinr_threshold_db)
+    kmeans_config = KmeansConfig(seed=ga_config.seed,
+                                 sinr_threshold_db=ga_config.sinr_threshold_db)
     if table is None:
         table = build_link_table(scene, params, use_blockages)
     threshold = ga_config.sinr_threshold_db

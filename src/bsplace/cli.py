@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import replace
@@ -23,6 +22,7 @@ from . import __version__
 from . import optimizer as opt
 from .baselines import (METHODS, BaselineError, KmeansConfig, compare_methods,
                         kmeans_site_ids, save_comparison_csv)
+from .config_json import read_json, write_json
 from .eval_report import (GeneratorConfig, ReportError, coverage_curve,
                           generate_synthetic_scene, save_coverage_csv,
                           save_placement_csv, save_throughput_csv, throughput_cdf)
@@ -177,9 +177,7 @@ def cmd_optimize(args):
         history = []
 
     opt.save_archive(archive, n_fixed, args.out / "archive.json")
-    with open(args.out / "history.json", "w") as f:
-        json.dump(history, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(args.out / "history.json", history)
 
     print(f"{args.method}: {len(archive)} archived solution(s)")
     print(f"{'m':>3} {'f1':>12} {'f3':>8}  sites")
@@ -207,8 +205,7 @@ def cmd_evaluate(args):
         except ValueError:
             raise UsageError(f"--sites must be comma-separated integers, got {args.sites!r}")
     if args.placement:
-        with open(args.placement) as f:
-            raw = json.load(f)
+        raw = read_json(args.placement, SceneError)
         if not (isinstance(raw, dict) and isinstance(raw.get("sites", []), list)
                 and isinstance(raw.get("positions", []), list)):
             raise SceneError("placement file must be an object of 'sites' and/or "
@@ -303,11 +300,7 @@ def _write_manifest(args, inputs: dict, seed: int, duration_s: float):
         "tool_version": __version__,
         "duration_s": duration_s,
     }
-    tmp = args.out / "manifest.json.tmp"
-    with open(tmp, "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
-    os.replace(tmp, args.out / "manifest.json")
+    write_json(args.out / "manifest.json", manifest)
 
 
 def main(argv=None) -> int:

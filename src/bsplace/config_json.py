@@ -1,10 +1,12 @@
-"""Strict JSON loading for the package's config dataclasses."""
+"""Strict JSON reading and the one canonical JSON writer of the package."""
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import math
+import os
 import types
 import typing
 
@@ -26,6 +28,35 @@ def _json_types(annotation) -> list:
     return [_JSON_TYPES[t] for t in options if t in _JSON_TYPES]
 
 
+def read_json(path, error: type[Exception]):
+    """The JSON document at `path`; a key repeated within one object raises `error`.
+
+    `json.load` alone keeps the last of a repeated key without a word.
+    """
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            key = next(k for k, n in collections.Counter(k for k, _ in pairs).items() if n > 1)
+            raise error(f"{path}: repeated JSON key {key!r}")
+        return obj
+
+    with open(path) as f:
+        return json.load(f, object_pairs_hook=unique_keys)
+
+
+def write_json(path, obj) -> None:
+    """Write `obj` to `path` as indented, key-sorted JSON with a final newline.
+
+    The text goes to `<path>.tmp` first and is moved into place, so a
+    reader never sees a half-written file.
+    """
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
+    os.replace(tmp, path)
+
+
 def read_config_fields(path, cls, error: type[Exception], aliases=None) -> dict:
     """Keyword arguments for dataclass `cls` from the JSON object at `path`.
 
@@ -35,8 +66,7 @@ def read_config_fields(path, cls, error: type[Exception], aliases=None) -> dict:
     or mistyped option fails instead of silently keeping its default or
     crashing later.
     """
-    with open(path) as f:
-        raw = json.load(f)
+    raw = read_json(path, error)
     if not isinstance(raw, dict):
         raise error(f"{path}: expected a JSON object")
     for alias, name in (aliases or {}).items():

@@ -57,14 +57,12 @@ class ThroughputCdf:
             raise ReportError("CDF must end at 1")
 
 
-def coverage_curve(sinrs_db,
-                   lo: float = COVERAGE_GRID_LO_DB,
-                   hi: float = COVERAGE_GRID_HI_DB,
-                   step: float = COVERAGE_GRID_STEP_DB) -> CoverageCurve:
-    """Empirical P(SINR > t) on a fixed threshold grid."""
+def coverage_curve(sinrs_db) -> CoverageCurve:
+    """Empirical P(SINR > t) on the fixed COVERAGE_GRID_* threshold grid."""
     s = np.asarray(sinrs_db, dtype=float)
     if s.size == 0:
         raise EmptyInput("no SINR samples")
+    lo, hi, step = COVERAGE_GRID_LO_DB, COVERAGE_GRID_HI_DB, COVERAGE_GRID_STEP_DB
     thresholds = lo + step * np.arange(int(round((hi - lo) / step)) + 1)
     prob = (s[None, :] > thresholds[:, None]).mean(axis=1)
     return CoverageCurve(thresholds, prob)

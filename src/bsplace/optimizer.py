@@ -36,13 +36,12 @@ Objectives are scored only through a `LinkGainTable`; `run_nsga2` and
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config_json import read_config_fields, require_finite
+from .config_json import read_config_fields, require_finite, write_json
 # Scoring goes through LinkGainTable.sinr_for; sinr_from_rx stays importable
 # from this module because the benchmark's traced layers wrap it here.
 from .radio import LinkGainTable, build_link_table, sinr_from_rx  # noqa: F401
@@ -83,11 +82,6 @@ class GaConfig:
     @classmethod
     def from_json(cls, path) -> "GaConfig":
         return cls(**read_config_fields(path, cls, OptimizerError, {"M_max": "m_max"}))
-
-    def to_json(self, path):
-        with open(path, "w") as f:
-            json.dump(asdict(self), f, indent=2, sort_keys=True)
-            f.write("\n")
 
 
 @dataclass
@@ -551,7 +545,7 @@ def run_nsga2(scene, params, config: GaConfig, use_blockages: bool = True,
 
         history.append({"generation": gen, "per_budget": _budget_stats(archive_objs, m_max)})
 
-    _, crowd, _ = _rank_and_crowding(archive_objs)
+    crowd = crowding_distance(archive_objs)  # the archive is one front
     archive = [
         Individual(bits=bits, objectives=obj, rank=0, crowding=float(cd),
                    sites=decode_sites(bits, n_cand, m_max))
@@ -650,6 +644,4 @@ def archive_to_dict(archive: list[Individual], n_fixed: int) -> list[dict]:
 
 
 def save_archive(archive: list[Individual], n_fixed: int, path):
-    with open(path, "w") as f:
-        json.dump(archive_to_dict(archive, n_fixed), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, archive_to_dict(archive, n_fixed))

@@ -18,9 +18,8 @@ of the max dBm.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,11 +76,6 @@ class RadioParams:
     @classmethod
     def from_json(cls, path) -> "RadioParams":
         return cls(**read_config_fields(path, cls, RadioError))
-
-    def to_json(self, path):
-        with open(path, "w") as f:
-            json.dump(asdict(self), f, indent=2, sort_keys=True)
-            f.write("\n")
 
 
 @dataclass

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import json
 import reprlib
 import sys
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ from enum import IntEnum
 import numpy as np
 from scipy import ndimage
 
-from .config_json import read_config_fields, require_finite
+from .config_json import read_config_fields, read_json, require_finite, write_json
 from .geometry import outline_distance
 
 
@@ -259,6 +258,8 @@ def _read_ascii_grid(path):
             if not values and key in _HEADER_KEYS:
                 if len(parts) != 2:
                     raise GridFormatError(f"malformed header line: {line.strip()!r}")
+                if key in header:
+                    raise GridFormatError(f"repeated header field {key}")
                 header[key] = parts[1]
             else:
                 values.extend(parts)
@@ -663,9 +664,7 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 def save_scene(scene: Scene, path):
-    with open(path, "w") as f:
-        json.dump(scene_to_dict(scene), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, scene_to_dict(scene))
 
 
 def finite_points(entries: list, dim: int, name) -> np.ndarray:
@@ -714,8 +713,7 @@ def _scalar(entry: dict, key: str, kind: type, where: str):
 
 
 def load_scene(path) -> Scene:
-    with open(path) as f:
-        raw = json.load(f)
+    raw = read_json(path, SceneError)
     try:
         footprints = [b["footprint"] for b in raw["buildings"]]
         starts = [0, *itertools.accumulate(len(fp) for fp in footprints)]

@@ -265,6 +265,32 @@ def test_non_finite_config_value_is_data_error(ws, tmp_path, capsys, argv, flag,
     assert err.startswith("error: ") and f"{field} must be finite" in err
 
 
+# text None: the workspace scene with its top-level "fixed_bs" key given twice
+@pytest.mark.parametrize("argv, text, key", [
+    (["optimize", "{scene}", "--ga-config", "{bad}"], '{"seed": 1, "seed": 2}', "seed"),
+    (["evaluate", "{scene}", "--sites", "0", "--radio-config", "{bad}"],
+     '{"tx_power_dbm": 33.0, "tx_power_dbm": 40.0}', "tx_power_dbm"),
+    (["build-scene", "{raster}", "{dsm}", "--config", "{bad}"],
+     '{"user_spacing_m": 200.0, "candidate_pitch_m": 350.0, "user_spacing_m": 100.0}',
+     "user_spacing_m"),
+    (["evaluate", "{scene}", "--placement", "{bad}"], '{"sites": [0], "sites": [1]}', "sites"),
+    (["evaluate", "{scene}", "--sites", "0", "--placement", "{bad}"],
+     '{"positions": [], "sites": [], "positions": []}', "positions"),
+    (["optimize", "{bad}"], None, "fixed_bs"),
+    (["evaluate", "{bad}", "--sites", "0"], None, "fixed_bs"),
+], ids=["ga-config", "radio-config", "scene-config", "placement-sites", "placement-positions",
+        "optimize-scene", "evaluate-scene"])
+def test_repeated_json_key_is_data_error(ws, tmp_path, capsys, argv, text, key):
+    bad = tmp_path / "repeated.json"
+    bad.write_text(text or '{"fixed_bs": [],' + ws["scene"].read_text()[1:])
+    paths = {"{scene}": ws["scene"], "{raster}": ws["grids"] / "raster.asc",
+             "{dsm}": ws["grids"] / "dsm.asc", "{bad}": bad}
+    rc = main([str(paths.get(a, a)) for a in argv] + ["--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"repeated JSON key {key!r}" in err
+
+
 # Exit codes over many invocations: every malformed command line is a usage
 # error (2), every bad input file or value a data error (1).
 

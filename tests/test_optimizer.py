@@ -555,9 +555,6 @@ def test_ga_config_validation_and_json(tmp_path):
     p.write_text('{"pop_size": 24, "M_max": 4, "seed": 9}')
     cfg = GaConfig.from_json(p)
     assert cfg.m_max == 4 and cfg.pop_size == 24 and cfg.seed == 9
-    cfg.to_json(p)
-    again = GaConfig.from_json(p)
-    assert again == cfg
 
 
 @pytest.mark.parametrize("doc, bad", [
@@ -586,6 +583,17 @@ def test_ga_config_rejects_wrong_type(tmp_path, doc, message):
         GaConfig.from_json(p)
     p.write_text('{"mutation_prob_per_bit": null, "crossover_prob": 1}')
     assert GaConfig.from_json(p).crossover_prob == 1
+
+
+@pytest.mark.parametrize("doc, key", [
+    ('{"seed": 1, "seed": 2}', "'seed'"),
+    ('{"M_max": 3, "pop_size": 8, "M_max": 4}', "'M_max'"),
+], ids=["seed", "alias"])
+def test_ga_config_rejects_repeated_key(tmp_path, doc, key):
+    p = tmp_path / "ga.json"
+    p.write_text(doc)
+    with pytest.raises(OptimizerError, match=f"repeated JSON key {key}"):
+        GaConfig.from_json(p)
 
 
 def test_run_nsga2_rejects_empty_candidates(box_scene_table):

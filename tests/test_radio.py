@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -412,7 +415,8 @@ def test_radio_params_validation():
 def test_radio_params_json_round_trip(tmp_path):
     p = RadioParams(tx_power_dbm=33.0, nlos_penalty_db=25.0)
     path = tmp_path / "radio.json"
-    p.to_json(path)
+    with open(path, "w") as f:
+        json.dump(asdict(p), f)
     back = RadioParams.from_json(path)
     assert back == p
 
@@ -421,6 +425,13 @@ def test_radio_params_rejects_unknown_key(tmp_path):
     path = tmp_path / "radio.json"
     path.write_text('{"tx_power_dBm": 33.0}')
     with pytest.raises(RadioError, match="tx_power_dBm"):
+        RadioParams.from_json(path)
+
+
+def test_radio_params_rejects_repeated_key(tmp_path):
+    path = tmp_path / "radio.json"
+    path.write_text('{"tx_power_dbm": 33.0, "hpbw_deg": 60.0, "tx_power_dbm": 40.0}')
+    with pytest.raises(RadioError, match="repeated JSON key 'tx_power_dbm'"):
         RadioParams.from_json(path)
 
 

@@ -164,6 +164,11 @@ def test_load_grid_rejects_nodata_and_bad_headers(tmp_path):
     )
     with pytest.raises(GridFormatError, match="non-numeric"):
         load_dsm(p)
+    p.write_text(
+        "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\nncols 3\n0 1 2 3 4 5\n"
+    )
+    with pytest.raises(GridFormatError, match="repeated header field ncols"):
+        load_dsm(p)
 
 
 @pytest.mark.parametrize("load", [load_raster, load_dsm])
@@ -415,6 +420,17 @@ def test_load_scene_rejects_sparse_ids(tmp_path):
         load_scene(p)
 
 
+def test_load_scene_rejects_repeated_key(tmp_path):
+    doc = ('{{"buildings": [], "users": [{{"position": [0.0, 0.0, 2.0], "priority": false{}}}], '
+           '"candidates": [{{"id": 0, "position": [0.0, 0.0, 25.0]}}], "fixed_bs": []{}}}')
+    p = tmp_path / "scene.json"
+    for in_user, at_top, key in (("", ', "users": []', "users"),
+                                 (', "priority": true', "", "priority")):
+        p.write_text(doc.format(in_user, at_top))
+        with pytest.raises(SceneError, match=f"repeated JSON key '{key}'"):
+            load_scene(p)
+
+
 def test_scene_config_from_json(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"user_spacing_m": 5.0, "near_dist_m": 4.0}))
@@ -456,6 +472,13 @@ def test_scene_config_rejects_non_finite(tmp_path):
         p.write_text(f'{{"{field}": {text}}}')
         with pytest.raises(SceneError, match=f"{field} must be finite"):
             SceneConfig.from_json(p)
+
+
+def test_scene_config_rejects_repeated_key(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text('{"user_spacing_m": 5.0, "user_spacing_m": 6.0}')
+    with pytest.raises(SceneError, match="repeated JSON key 'user_spacing_m'"):
+        SceneConfig.from_json(p)
 
 
 def test_scene_config_rejects_unknown_key(tmp_path):
