@@ -15,6 +15,7 @@ import numpy as np
 
 from . import optimizer as opt
 from .config_json import require_finite
+from .eval_report import write_csv
 # Scoring goes through LinkGainTable.sinr_for; sinr_from_rx stays importable
 # from this module because the benchmark's traced layers wrap it here.
 from .radio import LinkGainTable, build_link_table, sinr_from_rx  # noqa: F401
@@ -45,8 +46,8 @@ class KmeansConfig:
             raise BaselineError(f"seed must be >= 0, got {self.seed}")
 
 
-def lloyd(points: np.ndarray, centroids: np.ndarray, max_iters: int):
-    """Plain Lloyd iterations to an assignment fixpoint.
+def lloyd(points: np.ndarray, centroids: np.ndarray):
+    """Plain Lloyd iterations to an assignment fixpoint, at most MAX_LLOYD_ITERS.
 
     Empty clusters are reseeded at the point currently farthest from its
     own centroid, which cannot increase the within-cluster sum of squares.
@@ -56,7 +57,7 @@ def lloyd(points: np.ndarray, centroids: np.ndarray, max_iters: int):
     k = len(centroids)
     assignments = None
     wcss_history = []
-    for _ in range(max_iters):
+    for _ in range(MAX_LLOYD_ITERS):
         d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_assign = np.argmin(d2, axis=1)
         wcss_history.append(float(d2[np.arange(len(points)), new_assign].sum()))
@@ -111,7 +112,7 @@ def kmeans_site_ids(users, k: int, scene, params, config: KmeansConfig,
     best_ids: list[int] | None = None
     best_covered = -1
     for _ in range(KMEANS_ROUNDS):
-        centroids, assignments, _ = lloyd(points, centroids, MAX_LLOYD_ITERS)
+        centroids, assignments, _ = lloyd(points, centroids)
         ids = _snap_to_candidates(centroids, cand_xy)
         sinr = table.sinr_for(ids)
         served = sinr > config.sinr_threshold_db
@@ -135,8 +136,7 @@ def kmeans_site_ids(users, k: int, scene, params, config: KmeansConfig,
 
 def compare_methods(scene, params, bs_counts, methods,
                     ga_config: opt.GaConfig | None = None,
-                    use_blockages: bool = True,
-                    table: LinkGainTable | None = None) -> list[dict]:
+                    use_blockages: bool = True) -> list[dict]:
     """Coverage summary rows for each (method, site count) pair.
 
     NSGA-II runs once with the largest budget and per-m solutions are read
@@ -156,8 +156,7 @@ def compare_methods(scene, params, bs_counts, methods,
         ga_config = opt.GaConfig()
     kmeans_config = KmeansConfig(seed=ga_config.seed,
                                  sinr_threshold_db=ga_config.sinr_threshold_db)
-    if table is None:
-        table = build_link_table(scene, params, use_blockages)
+    table = build_link_table(scene, params, use_blockages)
     threshold = ga_config.sinr_threshold_db
 
     nsga_archive = None
@@ -191,8 +190,5 @@ def compare_methods(scene, params, bs_counts, methods,
 
 
 def save_comparison_csv(rows: list[dict], path):
-    with open(path, "w") as f:
-        f.write("method,m,pct_users_above_threshold,mean_sinr_db\n")
-        for r in rows:
-            f.write(f"{r['method']},{r['m']},"
-                    f"{r['pct_users_above_threshold']!r},{r['mean_sinr_db']!r}\n")
+    columns = ("method", "m", "pct_users_above_threshold", "mean_sinr_db")
+    write_csv(path, ",".join(columns), [[r[c] for c in columns] for r in rows])

@@ -29,7 +29,8 @@ def _json_types(annotation) -> list:
 
 
 def read_json(path, error: type[Exception]):
-    """The JSON document at `path`; a key repeated within one object raises `error`.
+    """The JSON document at `path`; a key repeated within one object, or a
+    file that is not UTF-8, raises `error`.
 
     `json.load` alone keeps the last of a repeated key without a word.
     """
@@ -40,8 +41,11 @@ def read_json(path, error: type[Exception]):
             raise error(f"{path}: repeated JSON key {key!r}")
         return obj
 
-    with open(path) as f:
-        return json.load(f, object_pairs_hook=unique_keys)
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f, object_pairs_hook=unique_keys)
+    except UnicodeDecodeError:
+        raise error(f"{path}: not UTF-8 text") from None
 
 
 def write_json(path, obj) -> None:
@@ -57,11 +61,10 @@ def write_json(path, obj) -> None:
     os.replace(tmp, path)
 
 
-def read_config_fields(path, cls, error: type[Exception], aliases=None) -> dict:
+def read_config_fields(path, cls, error: type[Exception]) -> dict:
     """Keyword arguments for dataclass `cls` from the JSON object at `path`.
 
-    `aliases` maps accepted alternative spellings to field names. A key that
-    is neither a field nor an alias, or a value whose JSON type does not fit
+    A key that is not a field, or a value whose JSON type does not fit
     the field's annotation, raises `error` naming the key, so a misspelled
     or mistyped option fails instead of silently keeping its default or
     crashing later.
@@ -69,11 +72,6 @@ def read_config_fields(path, cls, error: type[Exception], aliases=None) -> dict:
     raw = read_json(path, error)
     if not isinstance(raw, dict):
         raise error(f"{path}: expected a JSON object")
-    for alias, name in (aliases or {}).items():
-        if alias in raw:
-            if name in raw:
-                raise error(f"{path}: both {alias!r} and {name!r} given")
-            raw[name] = raw.pop(alias)
     unknown = sorted(set(raw) - set(cls.__dataclass_fields__))
     if unknown:
         raise error(f"{path}: unknown config key(s): {', '.join(map(repr, unknown))}")

@@ -91,9 +91,12 @@ def throughput_cdf(sinrs_db, attachments, params: RadioParams) -> ThroughputCdf:
 # ---------------------------------------------------------------------------
 # Synthetic scenes
 
-# Fixed texture of every synthetic town: smooth terrain bumps of up to
-# _TERRAIN_AMP meters, and the cell fractions of trees, cars and clutter
-# sprinkled off the roads and buildings.
+# Fixed texture of every synthetic town: its south-west corner at the
+# coordinate origin, building sides of _BUILDING_SIDE_CELLS cells, smooth
+# terrain bumps of up to _TERRAIN_AMP meters, and the cell fractions of
+# trees, cars and clutter sprinkled off the roads and buildings.
+_ORIGIN = (0.0, 0.0)
+_BUILDING_SIDE_CELLS = (6, 20)
 _TERRAIN_GAUSSIANS = 4
 _TERRAIN_AMP = 5.0
 _TREE_FRACTION = 0.04
@@ -106,9 +109,7 @@ class GeneratorConfig:
     width: int = 200
     height: int = 200
     cell_size: float = 1.0
-    origin: tuple[float, float] = (0.0, 0.0)
     building_density: float = 0.3
-    building_size_range: tuple[int, int] = (6, 20)  # cells per side
     building_height_range: tuple[float, float] = (9.0, 30.0)
     road_period: int = 50  # cells between road centerlines
     road_width: int = 6
@@ -118,8 +119,6 @@ class GeneratorConfig:
             raise ReportError("generator grids need at least 10x10 cells")
         if not 0.0 <= self.building_density <= 0.8:
             raise ReportError("building_density must lie in [0, 0.8]")
-        if self.building_size_range[0] < 1 or self.building_size_range[0] > self.building_size_range[1]:
-            raise ReportError("invalid building_size_range")
         if self.building_height_range[0] <= 0 or self.building_height_range[0] > self.building_height_range[1]:
             raise ReportError("invalid building_height_range")
         if self.road_period < 2 or not 0 < self.road_width < self.road_period:
@@ -158,11 +157,12 @@ def generate_synthetic_scene(cfg: GeneratorConfig, seed: int) -> tuple[ClassRast
     building = np.zeros((h, w), dtype=bool)
     target_cells = cfg.building_density * w * h
     n_building = attempts = 0
-    max_attempts = 200 * max(1, int(target_cells / max(1, cfg.building_size_range[0] ** 2)))
+    side_lo, side_hi = _BUILDING_SIDE_CELLS
+    max_attempts = 200 * max(1, int(target_cells / side_lo ** 2))
     while n_building < target_cells and attempts < max_attempts:
         attempts += 1
-        bw = int(rng.integers(cfg.building_size_range[0], cfg.building_size_range[1] + 1))
-        bh = int(rng.integers(cfg.building_size_range[0], cfg.building_size_range[1] + 1))
+        bw = int(rng.integers(side_lo, side_hi + 1))
+        bh = int(rng.integers(side_lo, side_hi + 1))
         x0 = int(rng.integers(0, max(1, w - bw)))
         y0 = int(rng.integers(0, max(1, h - bh)))
         patch = np.s_[y0:y0 + bh, x0:x0 + bw]
@@ -184,41 +184,39 @@ def generate_synthetic_scene(cfg: GeneratorConfig, seed: int) -> tuple[ClassRast
     classes[clutter] = int(CellClass.CLUTTER)
 
     elevation = terrain + heights
-    raster = ClassRaster(w, h, cfg.cell_size, cfg.origin, classes)
-    dsm = Dsm(w, h, cfg.cell_size, cfg.origin, elevation)
+    raster = ClassRaster(cfg.cell_size, _ORIGIN, classes)
+    dsm = Dsm(cfg.cell_size, _ORIGIN, elevation)
     return raster, dsm
 
 
 # ---------------------------------------------------------------------------
 # CSV emission
 
-def save_coverage_csv(curve: CoverageCurve, path):
+def write_csv(path, header: str, rows):
+    """`header`, then each row's values comma-joined by `str`, a line each.
+
+    Rows hold plain Python values (an array's `tolist()`, not numpy
+    scalars), so a float prints as its `repr` and reads back exactly.
+    """
     with open(path, "w") as f:
-        f.write("threshold_db,prob\n")
-        for t, p in zip(curve.thresholds, curve.prob):
-            f.write(f"{float(t)!r},{float(p)!r}\n")
+        f.write(header + "\n")
+        for row in rows:
+            f.write(",".join(map(str, row)) + "\n")
+
+
+def save_coverage_csv(curve: CoverageCurve, path):
+    write_csv(path, "threshold_db,prob",
+              zip(curve.thresholds.tolist(), curve.prob.tolist()))
 
 
 def save_throughput_csv(cdf: ThroughputCdf, path):
-    with open(path, "w") as f:
-        f.write("mbps,cdf\n")
-        for r, p in zip(cdf.rates, cdf.cdf):
-            f.write(f"{float(r)!r},{float(p)!r}\n")
+    write_csv(path, "mbps,cdf", zip(cdf.rates.tolist(), cdf.cdf.tolist()))
 
 
 def save_placement_csv(scene: Scene, bs_positions, path):
     """One row per map element; priority column is set for users only."""
-    with open(path, "w") as f:
-        f.write("kind,x,y,z,priority\n")
-        for u in scene.users:
-            x, y, z = (float(v) for v in u.position)
-            f.write(f"user,{x!r},{y!r},{z!r},{int(u.priority)}\n")
-        for c in scene.candidates:
-            x, y, z = (float(v) for v in c.position)
-            f.write(f"candidate,{x!r},{y!r},{z!r},\n")
-        for p in bs_positions:
-            x, y, z = (float(v) for v in p)
-            f.write(f"bs,{x!r},{y!r},{z!r},\n")
-        for p in scene.fixed_bs:
-            x, y, z = (float(v) for v in p)
-            f.write(f"fixed_bs,{x!r},{y!r},{z!r},\n")
+    rows = [("user", *u.position.tolist(), int(u.priority)) for u in scene.users]
+    for kind, points in (("candidate", [c.position for c in scene.candidates]),
+                         ("bs", bs_positions), ("fixed_bs", scene.fixed_bs)):
+        rows += [(kind, *np.asarray(p, dtype=float).tolist(), "") for p in points]
+    write_csv(path, "kind,x,y,z,priority", rows)

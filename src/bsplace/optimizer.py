@@ -81,7 +81,7 @@ class GaConfig:
 
     @classmethod
     def from_json(cls, path) -> "GaConfig":
-        return cls(**read_config_fields(path, cls, OptimizerError, {"M_max": "m_max"}))
+        return cls(**read_config_fields(path, cls, OptimizerError))
 
 
 @dataclass

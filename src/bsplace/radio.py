@@ -80,10 +80,11 @@ class RadioParams:
 
 @dataclass
 class BsSector:
+    """One sector antenna; it radiates `RadioParams.tx_power_dbm` at peak
+    gain `RadioParams.antenna_gain_dbi`."""
+
     position: np.ndarray  # (3,) meters
     azimuth_deg: float  # 0 = +x axis, counterclockwise
-    tx_power_dbm: float
-    antenna_gain_dbi: float
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float)
@@ -100,10 +101,7 @@ class LinkBudget:
 
 def build_sectors(position, params: RadioParams) -> list[BsSector]:
     """The standard three-sector head on one mast position."""
-    return [
-        BsSector(position, az, params.tx_power_dbm, params.antenna_gain_dbi)
-        for az in SECTOR_AZIMUTHS_DEG
-    ]
+    return [BsSector(position, az) for az in SECTOR_AZIMUTHS_DEG]
 
 
 def sectors_for_sites(positions, params: RadioParams) -> list[BsSector]:
@@ -164,11 +162,11 @@ def link_budget(user, sector: BsSector, scene, params: RadioParams,
         los = not los_blocked(Segment3(spos, upos), scene.buildings)
     else:
         los = True
-    gain = sector.antenna_gain_dbi - att
-    rx = sector.tx_power_dbm + gain - pl
+    gain = params.antenna_gain_dbi - att
+    rx = params.tx_power_dbm + gain - pl
     if not los:
         rx -= params.nlos_penalty_db
-    rx = min(rx, sector.tx_power_dbm - params.min_coupling_loss_db)
+    rx = min(rx, params.tx_power_dbm - params.min_coupling_loss_db)
     return LinkBudget(pl, gain, los, rx)
 
 
@@ -178,13 +176,12 @@ _RX_BLOCK_ELEMS = 1 << 16
 
 
 def sector_rx_dbm(user_pos: np.ndarray, mast_pos: np.ndarray, sector_mast: np.ndarray,
-                  azimuth_deg, tx_power_dbm, antenna_gain_dbi, prisms,
-                  params: RadioParams) -> np.ndarray:
+                  azimuth_deg, prisms, params: RadioParams) -> np.ndarray:
     """Received power in dBm, shape [n_users, n_sectors].
 
     The array form of `link_budget`. Sector k sits on mast `sector_mast[k]`
-    and has its own azimuth, tx power and gain (scalars broadcast to every
-    sector). Distance, path loss, bearing and LoS are computed once per
+    and points at `azimuth_deg[k]`; every sector radiates the tx power and
+    gain of `params`. Distance, path loss, bearing and LoS are computed once per
     mast row of `mast_pos`, over all users at once; the per-sector half
     (gathers and antenna pattern) fills the result in user blocks of at
     most `_RX_BLOCK_ELEMS` values. Every value is computed elementwise, so
@@ -195,14 +192,15 @@ def sector_rx_dbm(user_pos: np.ndarray, mast_pos: np.ndarray, sector_mast: np.nd
     bearing = np.degrees(np.arctan2(delta[:, :, 1], delta[:, :, 0]))
     del delta  # the largest per-mast temporary; free it before the LoS mask
     penalty = np.where(los_mask(user_pos, mast_pos, prisms), 0.0, params.nlos_penalty_db)
-    cap = tx_power_dbm - params.min_coupling_loss_db
+    cap = params.tx_power_dbm - params.min_coupling_loss_db
     rx = np.empty((len(user_pos), len(sector_mast)))
     step = max(1, _RX_BLOCK_ELEMS // max(1, len(sector_mast)))
     for start in range(0, len(user_pos), step):
         users = slice(start, start + step)
         # np.take keeps the gathers C-ordered, so later reductions over a
         # row add in sector order (x[:, idx] would come out Fortran-ordered)
-        block = (tx_power_dbm + antenna_gain_dbi - np.take(pl[users], sector_mast, axis=1)
+        block = (params.tx_power_dbm + params.antenna_gain_dbi
+                 - np.take(pl[users], sector_mast, axis=1)
                  - np.take(penalty[users], sector_mast, axis=1)
                  - antenna_attenuation_db(
                      np.take(bearing[users], sector_mast, axis=1) - azimuth_deg, params))
@@ -233,10 +231,13 @@ class LinkGainTable:
 
     rx_dbm: np.ndarray  # [n_users, n_sites, 3]
     priority: np.ndarray  # [n_users] bool
-    n_candidates: int
     n_fixed: int
     noise_dbm: float
     _rx_lin: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def n_candidates(self) -> int:
+        return self.rx_dbm.shape[1] - self.n_fixed
 
     def columns_for(self, site_ids) -> np.ndarray:
         """Site columns [..., k + n_fixed]: the ids along the last axis, then the fixed BS."""
@@ -290,8 +291,7 @@ def build_link_table(scene, params: RadioParams, use_blockages: bool,
     n_users, n_sites, n_heads = len(user_pos), len(site_pos), len(SECTOR_AZIMUTHS_DEG)
     prisms = scene.buildings if use_blockages else []
     rx = sector_rx_dbm(user_pos, site_pos, np.repeat(np.arange(n_sites), n_heads),
-                       np.tile(SECTOR_AZIMUTHS_DEG, n_sites), params.tx_power_dbm,
-                       params.antenna_gain_dbi, prisms, params)
+                       np.tile(SECTOR_AZIMUTHS_DEG, n_sites), prisms, params)
     rx = rx.reshape(n_users, n_sites, n_heads)
     if params.shadowing_sigma_db > 0.0:
         # Optional seeded shadowing lives on the table path only; the
@@ -301,7 +301,6 @@ def build_link_table(scene, params: RadioParams, use_blockages: bool,
     return LinkGainTable(
         rx_dbm=rx,
         priority=scene.priority_mask(),
-        n_candidates=len(scene.candidates),
         n_fixed=len(scene.fixed_bs),
         noise_dbm=thermal_noise_dbm(params),
     )
@@ -341,9 +340,7 @@ def attach_and_evaluate(users, sectors: list[BsSector], scene, params: RadioPara
                                    return_inverse=True)
     prisms = scene.buildings if (use_blockages and scene is not None) else []
     rx = sector_rx_dbm(user_pos, masts, sector_mast,
-                       np.array([s.azimuth_deg for s in sectors]),
-                       np.array([s.tx_power_dbm for s in sectors]),
-                       np.array([s.antenna_gain_dbi for s in sectors]), prisms, params)
+                       np.array([s.azimuth_deg for s in sectors]), prisms, params)
     return sinr_from_rx(rx, thermal_noise_dbm(params))
 
 

@@ -61,38 +61,39 @@ CANDIDATE_EXCLUDED = (CellClass.TREE, CellClass.CLUTTER, CellClass.CAR)
 USER_HEIGHT_M = 2.0
 
 
-def _check_grid_geometry(cell_size: float, origin: tuple[float, float]):
+def _check_grid_geometry(cell_size: float, origin: tuple[float, float], grid: np.ndarray):
     # NaN fails every comparison, so `cell_size <= 0` alone would let it through
     if not (np.isfinite(cell_size) and cell_size > 0):
         raise SceneError(f"cell_size must be finite and positive, got {cell_size!r}")
     if not np.isfinite(origin).all():
         raise SceneError(f"origin must be finite, got {origin!r}")
+    if grid.ndim != 2 or grid.size == 0:
+        raise SceneError(f"grid must be 2-D with at least one cell, got shape {grid.shape}")
 
 
 @dataclass
 class ClassRaster:
     """Per-cell semantic labels on a regular grid."""
 
-    width: int
-    height: int
     cell_size: float
     origin: tuple[float, float]
     classes: np.ndarray  # int array [height, width], row 0 southernmost
 
     def __post_init__(self):
         self.classes = np.asarray(self.classes, dtype=np.int16)
-        if self.width < 1 or self.height < 1:
-            raise SceneError("raster must have at least one cell")
-        _check_grid_geometry(self.cell_size, self.origin)
-        if self.classes.shape != (self.height, self.width):
-            raise SceneError(
-                f"class grid shape {self.classes.shape} does not match "
-                f"(height, width)=({self.height}, {self.width})"
-            )
+        _check_grid_geometry(self.cell_size, self.origin, self.classes)
         bad = (self.classes < 0) | (self.classes > 5)
         if bad.any():
             code = int(self.classes[bad][0])
             raise UnknownClassCode(f"class code {code} outside 0..5")
+
+    @property
+    def height(self) -> int:
+        return self.classes.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.classes.shape[1]
 
     def cell_at(self, x: float, y: float) -> tuple[int, int]:
         ix = int(np.floor((x - self.origin[0]) / self.cell_size))
@@ -110,22 +111,23 @@ class ClassRaster:
 class Dsm:
     """Surface elevation in meters on the same grid as the class raster."""
 
-    width: int
-    height: int
     cell_size: float
     origin: tuple[float, float]
     elevation: np.ndarray  # float array [height, width], row 0 southernmost
 
     def __post_init__(self):
         self.elevation = np.asarray(self.elevation, dtype=float)
-        _check_grid_geometry(self.cell_size, self.origin)
-        if self.elevation.shape != (self.height, self.width):
-            raise SceneError(
-                f"elevation grid shape {self.elevation.shape} does not match "
-                f"(height, width)=({self.height}, {self.width})"
-            )
+        _check_grid_geometry(self.cell_size, self.origin, self.elevation)
         if not np.isfinite(self.elevation).all():
             raise SceneError("DSM contains non-finite elevations")
+
+    @property
+    def height(self) -> int:
+        return self.elevation.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.elevation.shape[1]
 
     def bilinear(self, x, y):
         """Elevation interpolated between cell centers, clamped at borders.
@@ -249,20 +251,23 @@ _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_
 def _read_ascii_grid(path):
     header = {}
     values: list[str] = []
-    with open(path) as f:
-        for line in f:
-            parts = line.split()
-            if not parts:
-                continue
-            key = parts[0].lower()
-            if not values and key in _HEADER_KEYS:
-                if len(parts) != 2:
-                    raise GridFormatError(f"malformed header line: {line.strip()!r}")
-                if key in header:
-                    raise GridFormatError(f"repeated header field {key}")
-                header[key] = parts[1]
-            else:
-                values.extend(parts)
+    try:
+        with open(path, encoding="utf-8") as f:
+            for line in f:
+                parts = line.split()
+                if not parts:
+                    continue
+                key = parts[0].lower()
+                if not values and key in _HEADER_KEYS:
+                    if len(parts) != 2:
+                        raise GridFormatError(f"malformed header line: {line.strip()!r}")
+                    if key in header:
+                        raise GridFormatError(f"repeated header field {key}")
+                    header[key] = parts[1]
+                else:
+                    values.extend(parts)
+    except UnicodeDecodeError:
+        raise GridFormatError(f"{path}: not UTF-8 text") from None
     for key in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
         if key not in header:
             raise GridFormatError(f"missing header field {key}")
@@ -285,15 +290,16 @@ def _read_ascii_grid(path):
     if nodata is not None and (data == nodata).any():
         raise GridFormatError("NODATA cells are not supported in scene grids")
     grid = data.reshape(nrows, ncols)[::-1]  # file stores the north row first
-    return ncols, nrows, xll, yll, cell, grid
+    return xll, yll, cell, grid
 
 
-def _write_ascii_grid(path, ncols, nrows, xll, yll, cell, grid, fmt):
+def _write_ascii_grid(path, cell, origin, grid, fmt):
+    nrows, ncols = grid.shape
     with open(path, "w") as f:
         f.write(f"ncols {ncols}\n")
         f.write(f"nrows {nrows}\n")
-        f.write(f"xllcorner {xll!r}\n")
-        f.write(f"yllcorner {yll!r}\n")
+        f.write(f"xllcorner {origin[0]!r}\n")
+        f.write(f"yllcorner {origin[1]!r}\n")
         f.write(f"cellsize {cell!r}\n")
         f.write("NODATA_value -9999\n")
         for row in grid[::-1]:  # back to north-first rows
@@ -303,7 +309,7 @@ def _write_ascii_grid(path, ncols, nrows, xll, yll, cell, grid, fmt):
 
 def load_raster(path) -> ClassRaster:
     """Read a class raster from an ESRI ASCII grid of codes 0..5."""
-    ncols, nrows, xll, yll, cell, grid = _read_ascii_grid(path)
+    xll, yll, cell, grid = _read_ascii_grid(path)
     if not np.isfinite(grid).all():
         raise GridFormatError("class raster contains non-finite codes")
     if not np.array_equal(np.floor(grid), grid):
@@ -311,26 +317,22 @@ def load_raster(path) -> ClassRaster:
     out = (grid < 0) | (grid > 5)
     if out.any():  # checked before the cast, which huge codes would overflow
         raise UnknownClassCode(f"class code {grid[out][0]:.0f} outside 0..5")
-    return ClassRaster(ncols, nrows, cell, (xll, yll), grid.astype(np.int64))
+    return ClassRaster(cell, (xll, yll), grid.astype(np.int64))
 
 
 def save_raster(raster: ClassRaster, path):
-    _write_ascii_grid(
-        path, raster.width, raster.height, raster.origin[0], raster.origin[1],
-        raster.cell_size, raster.classes, lambda v: str(int(v)),
-    )
+    _write_ascii_grid(path, raster.cell_size, raster.origin, raster.classes,
+                      lambda v: str(int(v)))
 
 
 def load_dsm(path) -> Dsm:
-    ncols, nrows, xll, yll, cell, grid = _read_ascii_grid(path)
-    return Dsm(ncols, nrows, cell, (xll, yll), grid)
+    xll, yll, cell, grid = _read_ascii_grid(path)
+    return Dsm(cell, (xll, yll), grid)
 
 
 def save_dsm(dsm: Dsm, path):
-    _write_ascii_grid(
-        path, dsm.width, dsm.height, dsm.origin[0], dsm.origin[1],
-        dsm.cell_size, dsm.elevation, lambda v: repr(float(v)),
-    )
+    _write_ascii_grid(path, dsm.cell_size, dsm.origin, dsm.elevation,
+                      lambda v: repr(float(v)))
 
 
 def check_aligned(raster: ClassRaster, dsm: Dsm):

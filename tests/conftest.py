@@ -59,10 +59,8 @@ def flat_raster_pair():
     classes[0, :] = 2      # low vegetation along the south edge
     elev = np.full((10, 10), 3.0)
     elev[4:6, 4:6] = 18.0
-    raster = ClassRaster(width=10, height=10, cell_size=10.0,
-                         origin=(0.0, 0.0), classes=classes)
-    dsm = Dsm(width=10, height=10, cell_size=10.0, origin=(0.0, 0.0),
-              elevation=elev)
+    raster = ClassRaster(cell_size=10.0, origin=(0.0, 0.0), classes=classes)
+    dsm = Dsm(cell_size=10.0, origin=(0.0, 0.0), elevation=elev)
     return raster, dsm
 
 

@@ -300,8 +300,7 @@ def test_criterion_6_radio_unit_oracles(acceptance_log):
     pl = pathloss_db(1000.0, params)
     att_pos = antenna_attenuation_db(32.5, params)
     att_neg = antenna_attenuation_db(-32.5, params)
-    sector = BsSector(np.array([0.0, 0.0, 25.0]), 0.0,
-                      params.tx_power_dbm, params.antenna_gain_dbi)
+    sector = BsSector(np.array([0.0, 0.0, 25.0]), 0.0)
     user = User(position=np.array([1000.0, 0.0, 25.0]), priority=False)
     lb = link_budget(user, sector, None, params, True)
     snr = lb.rx_power_dbm - thermal_noise_dbm(params)

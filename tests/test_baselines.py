@@ -36,7 +36,7 @@ def kmeans_scene():
 
 def test_lloyd_fixpoint_hand_case():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0], [11.0, 0.0]])
-    cents, assign, wcss = lloyd(pts, np.array([[0.0, 0.0], [10.0, 0.0]]), 100)
+    cents, assign, wcss = lloyd(pts, np.array([[0.0, 0.0], [10.0, 0.0]]))
     assert np.allclose(cents, [[0.5, 0.0], [10.5, 0.0]])
     assert list(assign) == [0, 0, 1, 1]
     assert wcss[-1] == pytest.approx(1.0)  # four squared offsets of 0.5
@@ -48,7 +48,7 @@ def test_lloyd_wcss_non_increasing():
         pts = rng.uniform(0, 100, size=(40, 2))
         k = int(rng.integers(2, 6))
         init = pts[rng.choice(40, size=k, replace=False)]
-        _, assign, wcss = lloyd(pts, init, 100)
+        _, assign, wcss = lloyd(pts, init)
         assert all(b <= a + 1e-9 for a, b in zip(wcss, wcss[1:])), f"seed {seed}"
         assert assign.shape == (40,)
         assert set(np.unique(assign)) <= set(range(k))
@@ -56,7 +56,7 @@ def test_lloyd_wcss_non_increasing():
 
 def test_lloyd_reseeds_empty_cluster():
     pts = np.array([[0.0, 0.0], [1.0, 0.0]])
-    cents, assign, _ = lloyd(pts, np.array([[0.0, 0.0], [100.0, 0.0]]), 100)
+    cents, assign, _ = lloyd(pts, np.array([[0.0, 0.0], [100.0, 0.0]]))
     # the empty cluster lands on the farthest point, so both points get served
     assert sorted(assign) == [0, 1]
     assert np.allclose(sorted(cents[:, 0]), [0.0, 1.0])
@@ -122,10 +122,10 @@ def test_kmeans_config_rejects_non_finite():
 # Comparison harness
 
 def test_compare_methods_rows(kmeans_scene):
-    scene, table = kmeans_scene
+    scene, _ = kmeans_scene
     ga = GaConfig(pop_size=16, generations=20, seed=0)
     rows = compare_methods(scene, PARAMS, [1, 2, 1, 2], ["nsga2", "kmeans", "nsga2"],
-                           ga_config=ga, table=table)
+                           ga_config=ga)
     # duplicate method names and site counts collapse; rows come out method-major
     assert [(r["method"], r["m"]) for r in rows] == [
         ("nsga2", 1), ("nsga2", 2), ("kmeans", 1), ("kmeans", 2)]
@@ -137,11 +137,11 @@ def test_compare_methods_rows(kmeans_scene):
 
 
 def test_compare_methods_validation(kmeans_scene):
-    scene, table = kmeans_scene
+    scene, _ = kmeans_scene
     with pytest.raises(BaselineError):
-        compare_methods(scene, PARAMS, [1], ["simulated-annealing"], table=table)
+        compare_methods(scene, PARAMS, [1], ["simulated-annealing"])
     with pytest.raises(BaselineError):
-        compare_methods(scene, PARAMS, [], ["nsga2"], table=table)
+        compare_methods(scene, PARAMS, [], ["nsga2"])
 
 
 def test_comparison_csv_round_trip(tmp_path):

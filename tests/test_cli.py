@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bsplace.cli import main
@@ -54,6 +54,11 @@ def ws(tmp_path_factory):
             else:
                 bad[group][0]["position"][0] = value
             (root / f"bad_coord_{group}_{tag}.json").write_text(json.dumps(bad))
+    # input files that are not UTF-8: a JSON file in UTF-16 with its byte
+    # order mark (FF FE), and a grid with a 0xFF byte among its values
+    (root / "utf16.json").write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+    (root / "latin1.asc").write_bytes(
+        b"ncols 1\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n\xff\n")
     return {
         "root": root,
         "grids": grids,
@@ -316,6 +321,17 @@ _COORD_GROUPS = ("users", "candidates", "fixed_bs", "buildings")
 _BAD_COORD_FILES = [f"bad_coord_{group}_{tag}.json" for group in _COORD_GROUPS
                     for tag in _BAD_COORDS]
 _words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8)
+# every kind of input file, each given as one that is not UTF-8
+_NOT_UTF8_ARGV = [
+    *([a.replace("{scene}", "{root}/utf16.json") for a in _BASE_ARGV[c]]
+      for c in ("optimize", "evaluate", "compare")),
+    _BASE_ARGV["optimize"] + ["--ga-config", "{root}/utf16.json"],
+    _BASE_ARGV["evaluate"] + ["--radio-config", "{root}/utf16.json"],
+    _BASE_ARGV["build-scene"] + ["--config", "{root}/utf16.json"],
+    ["evaluate", "{scene}", "--placement", "{root}/utf16.json"],
+    ["build-scene", "{root}/latin1.asc", "{dsm}"],
+    ["build-scene", "{raster}", "{root}/latin1.asc"],
+]
 
 
 def _usage_errors():
@@ -416,6 +432,10 @@ def test_exit_code_property(ws, case):
     for key, path in paths.items():
         argv = [a.replace(key, str(path)) for a in argv]
     assert _exit_code(argv + ["--out", str(ws["root"] / "property_out")]) == expected
+
+
+for _argv in _NOT_UTF8_ARGV:  # explicit examples: each one runs on every test run
+    test_exit_code_property = example(case=(_argv, None, 1))(test_exit_code_property)
 
 
 # ---------------------------------------------------------------------------

@@ -552,14 +552,14 @@ def test_ga_config_validation_and_json(tmp_path):
     with pytest.raises(OptimizerError, match="seed must be >= 0, got -1"):
         GaConfig(seed=-1)
     p = tmp_path / "ga.json"
-    p.write_text('{"pop_size": 24, "M_max": 4, "seed": 9}')
+    p.write_text('{"pop_size": 24, "m_max": 4, "seed": 9}')
     cfg = GaConfig.from_json(p)
     assert cfg.m_max == 4 and cfg.pop_size == 24 and cfg.seed == 9
 
 
 @pytest.mark.parametrize("doc, bad", [
     ('{"generation": 5}', "generation"),
-    ('{"M_max": 4, "m_max": 3}', "M_max"),
+    ('{"M_max": 4}', "'M_max'"),
     ('[1, 2]', "JSON object"),
 ])
 def test_ga_config_rejects_unknown_key(tmp_path, doc, bad):
@@ -572,7 +572,7 @@ def test_ga_config_rejects_unknown_key(tmp_path, doc, bad):
 @pytest.mark.parametrize("doc, message", [
     ('{"pop_size": "16"}', "'pop_size' must be an integer, got '16'"),
     ('{"generations": 10.5}', "'generations' must be an integer"),
-    ('{"M_max": true}', "'m_max' must be an integer"),
+    ('{"m_max": true}', "'m_max' must be an integer"),
     ('{"crossover_prob": "0.9"}', "'crossover_prob' must be a number"),
     ('{"mutation_prob_per_bit": [0.1]}', "'mutation_prob_per_bit' must be a number or null"),
 ])
@@ -866,7 +866,7 @@ def _tables(draw):
     if draw(st.booleans()):
         rx = np.round(rx / 6.0) * 6.0
     return LinkGainTable(rx_dbm=rx, priority=rng.random(n_users) < 0.4,
-                         n_candidates=n_cand, n_fixed=n_fixed, noise_dbm=-104.0)
+                         n_fixed=n_fixed, noise_dbm=-104.0)
 
 
 def _mixed_population(table, m_max, rng, per_count=3):

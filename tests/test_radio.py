@@ -110,8 +110,7 @@ def test_db_linear_round_trip():
 def test_link_budget_boresight_snr():
     # 1 km on boresight: rx = 43 + 15 - 128.1 = -70.1 dBm, and with
     # noise at -95 dBm the SNR is 24.9 dB.
-    sector = BsSector(np.array([0.0, 0.0, 25.0]), 0.0,
-                      DEFAULTS.tx_power_dbm, DEFAULTS.antenna_gain_dbi)
+    sector = BsSector(np.array([0.0, 0.0, 25.0]), 0.0)
     user = User(position=np.array([1000.0, 0.0, 25.0]), priority=False)
     lb = link_budget(user, sector, flat_scene(), DEFAULTS, True)
     assert lb.pathloss_db == pytest.approx(128.1, abs=1e-12)
@@ -123,8 +122,7 @@ def test_link_budget_boresight_snr():
 
 
 def test_link_budget_min_coupling_loss():
-    sector = BsSector(np.array([0.0, 0.0, 25.0]), 0.0,
-                      DEFAULTS.tx_power_dbm, DEFAULTS.antenna_gain_dbi)
+    sector = BsSector(np.array([0.0, 0.0, 25.0]), 0.0)
     user = User(position=np.array([1.0, 0.0, 25.0]), priority=False)
     lb = link_budget(user, sector, flat_scene(), DEFAULTS, True)
     assert lb.rx_power_dbm == pytest.approx(
@@ -143,8 +141,7 @@ def test_link_budget_nlos_penalty(box_scene):
 
 
 def test_link_budget_off_boresight():
-    sector = BsSector(np.array([0.0, 0.0, 25.0]), 0.0,
-                      DEFAULTS.tx_power_dbm, DEFAULTS.antenna_gain_dbi)
+    sector = BsSector(np.array([0.0, 0.0, 25.0]), 0.0)
     user = User(position=np.array([0.0, 1000.0, 25.0]), priority=False)
     lb = link_budget(user, sector, flat_scene(), DEFAULTS, True)
     # 90 degrees off boresight hits the front-to-back cap
@@ -205,8 +202,7 @@ def test_sinr_from_rx_batch_equals_each_placement():
 def test_rx_for_batch_equals_each_site_set():
     rng = np.random.default_rng(4)
     table = LinkGainTable(rx_dbm=rng.normal(-90.0, 20.0, size=(6, 9, 3)),
-                          priority=np.ones(6, dtype=bool), n_candidates=7, n_fixed=2,
-                          noise_dbm=-104.0)
+                          priority=np.ones(6, dtype=bool), n_fixed=2, noise_dbm=-104.0)
     ids = rng.integers(0, 7, size=(4, 3))
     batch = table.rx_for(ids)
     assert batch.shape == (4, 6, 3 * (3 + 2)) and batch.flags.c_contiguous
@@ -334,25 +330,23 @@ def test_attach_matches_table_route():
 
 
 def test_attach_sector_fields_match_oracles(box_scene):
-    # mixed azimuths, powers and gains; sectors 0 and 3 share a mast, and
-    # the last mast sits 0.7 m from user 1 so the coupling cap binds
-    spec = [((10.0, 100.0, 15.0), 0.0, 43.0, 15.0),
-            ((100.0, 10.0, 15.0), 95.5, 38.0, 12.0),
-            ((190.0, 190.0, 15.0), -45.0, 46.0, 17.0),
-            ((10.0, 100.0, 15.0), 200.0, 30.0, 10.0),
-            ((100.5, 30.5, 1.5), 270.0, 40.0, 14.0)]
-    sectors = [BsSector(np.array(p), az, tx, g) for p, az, tx, g in spec]
+    # mixed azimuths; sectors 0 and 3 share a mast, and the last mast
+    # sits 0.7 m from user 1 so the coupling cap binds
+    spec = [((10.0, 100.0, 15.0), 0.0),
+            ((100.0, 10.0, 15.0), 95.5),
+            ((190.0, 190.0, 15.0), -45.0),
+            ((10.0, 100.0, 15.0), 200.0),
+            ((100.5, 30.5, 1.5), 270.0)]
+    sectors = [BsSector(np.array(p), az) for p, az in spec]
     budgets = [[link_budget(u, s, box_scene, DEFAULTS, True) for s in sectors]
                for u in box_scene.users]
     assert not budgets[2][0].los and budgets[2][1].los
-    assert budgets[1][4].rx_power_dbm == 40.0 - DEFAULTS.min_coupling_loss_db
+    assert budgets[1][4].rx_power_dbm == DEFAULTS.tx_power_dbm - DEFAULTS.min_coupling_loss_db
 
     masts, sector_mast = np.unique([s.position for s in sectors], axis=0,
                                    return_inverse=True)
     rx = sector_rx_dbm(box_scene.user_positions(), masts, sector_mast,
                        np.array([s.azimuth_deg for s in sectors]),
-                       np.array([s.tx_power_dbm for s in sectors]),
-                       np.array([s.antenna_gain_dbi for s in sectors]),
                        box_scene.buildings, DEFAULTS)
     expect = np.array([[b.rx_power_dbm for b in row] for row in budgets])
     assert np.allclose(rx, expect, rtol=0.0, atol=1e-9)

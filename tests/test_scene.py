@@ -45,20 +45,26 @@ from bsplace.scene import (
 # Grid containers
 
 def test_class_raster_validation():
-    ok = ClassRaster(2, 2, 1.0, (0.0, 0.0), np.zeros((2, 2), dtype=int))
+    ok = ClassRaster(1.0, (0.0, 0.0), np.zeros((3, 2), dtype=int))
     assert ok.classes.dtype == np.int16
+    assert (ok.width, ok.height) == (2, 3)
     with pytest.raises(SceneError):
-        ClassRaster(2, 2, 1.0, (0.0, 0.0), np.zeros((3, 2), dtype=int))
+        ClassRaster(-1.0, (0.0, 0.0), np.zeros((2, 2), dtype=int))
     with pytest.raises(SceneError):
-        ClassRaster(2, 2, -1.0, (0.0, 0.0), np.zeros((2, 2), dtype=int))
-    with pytest.raises(SceneError):
-        ClassRaster(2, 2, 1.0, (0.0, 0.0), np.full((2, 2), 9))
+        ClassRaster(1.0, (0.0, 0.0), np.full((2, 2), 9))
+
+
+@pytest.mark.parametrize("grid", [np.zeros((0, 0)), np.zeros((2, 0)), np.zeros(4),
+                                  np.zeros((1, 1, 1))], ids=["empty", "no-columns", "1-D", "3-D"])
+@pytest.mark.parametrize("cls", [ClassRaster, Dsm], ids=["ClassRaster", "Dsm"])
+def test_grid_needs_two_axes_and_a_cell(cls, grid):
+    with pytest.raises(SceneError, match="at least one cell"):
+        cls(1.0, (0.0, 0.0), grid)
 
 
 def test_dsm_bilinear_hand_values():
     # Cell centers at 5 and 15 with elevations 0/10 (south row), 20/30.
-    dsm = Dsm(2, 2, 10.0, (0.0, 0.0),
-              np.array([[0.0, 10.0], [20.0, 30.0]]))
+    dsm = Dsm(10.0, (0.0, 0.0), np.array([[0.0, 10.0], [20.0, 30.0]]))
     assert dsm.bilinear(5.0, 5.0) == pytest.approx(0.0)
     assert dsm.bilinear(15.0, 15.0) == pytest.approx(30.0)
     assert dsm.bilinear(10.0, 10.0) == pytest.approx(15.0)
@@ -69,13 +75,13 @@ def test_dsm_bilinear_hand_values():
 
 
 def test_check_aligned_mismatches():
-    r = ClassRaster(2, 2, 1.0, (0.0, 0.0), np.zeros((2, 2), dtype=int))
+    r = ClassRaster(1.0, (0.0, 0.0), np.zeros((2, 2), dtype=int))
     with pytest.raises(GridMismatch):
-        check_aligned(r, Dsm(3, 3, 1.0, (0.0, 0.0), np.zeros((3, 3))))
+        check_aligned(r, Dsm(1.0, (0.0, 0.0), np.zeros((3, 3))))
     with pytest.raises(GridMismatch):
-        check_aligned(r, Dsm(2, 2, 2.0, (0.0, 0.0), np.zeros((2, 2))))
+        check_aligned(r, Dsm(2.0, (0.0, 0.0), np.zeros((2, 2))))
     with pytest.raises(GridMismatch):
-        check_aligned(r, Dsm(2, 2, 1.0, (5.0, 0.0), np.zeros((2, 2))))
+        check_aligned(r, Dsm(1.0, (5.0, 0.0), np.zeros((2, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +90,7 @@ def test_check_aligned_mismatches():
 def test_ascii_grid_round_trip(tmp_path):
     rng = np.random.default_rng(7)
     classes = rng.integers(0, 6, size=(5, 8))
-    raster = ClassRaster(8, 5, 2.5, (100.0, -40.0), classes)
+    raster = ClassRaster(2.5, (100.0, -40.0), classes)
     p = tmp_path / "classes.asc"
     save_raster(raster, p)
     back = load_raster(p)
@@ -94,7 +100,7 @@ def test_ascii_grid_round_trip(tmp_path):
     assert np.array_equal(back.classes, classes)
 
     elev = rng.normal(50.0, 10.0, size=(5, 8))
-    dsm = Dsm(8, 5, 2.5, (100.0, -40.0), elev)
+    dsm = Dsm(2.5, (100.0, -40.0), elev)
     q = tmp_path / "surface.asc"
     save_dsm(dsm, q)
     back_dsm = load_dsm(q)
@@ -103,8 +109,7 @@ def test_ascii_grid_round_trip(tmp_path):
 
 
 def test_ascii_grid_rows_written_north_first(tmp_path):
-    raster = ClassRaster(2, 2, 1.0, (0.0, 0.0),
-                         np.array([[0, 1], [2, 3]]))
+    raster = ClassRaster(1.0, (0.0, 0.0), np.array([[0, 1], [2, 3]]))
     p = tmp_path / "tiny.asc"
     save_raster(raster, p)
     rows = [line.split() for line in p.read_text().splitlines()[6:]]
@@ -208,9 +213,9 @@ def test_extract_buildings_diagonal_cells_are_separate():
     classes = np.zeros((4, 4), dtype=int)
     classes[1, 1] = 1
     classes[2, 2] = 1
-    raster = ClassRaster(4, 4, 1.0, (0.0, 0.0), classes)
+    raster = ClassRaster(1.0, (0.0, 0.0), classes)
     elev = np.where(classes == 1, 10.0, 0.0)
-    dsm = Dsm(4, 4, 1.0, (0.0, 0.0), elev)
+    dsm = Dsm(1.0, (0.0, 0.0), elev)
     prisms = extract_buildings(raster, dsm)
     assert len(prisms) == 2
 
@@ -220,8 +225,8 @@ def test_extract_buildings_l_shape_footprint():
     classes[1, 1:4] = 1
     classes[2, 1] = 1
     classes[3, 1] = 1
-    raster = ClassRaster(5, 5, 1.0, (0.0, 0.0), classes)
-    dsm = Dsm(5, 5, 1.0, (0.0, 0.0), np.where(classes == 1, 12.0, 2.0))
+    raster = ClassRaster(1.0, (0.0, 0.0), classes)
+    dsm = Dsm(1.0, (0.0, 0.0), np.where(classes == 1, 12.0, 2.0))
     prisms = extract_buildings(raster, dsm)
     assert len(prisms) == 1
     b = prisms[0]
@@ -234,19 +239,19 @@ def test_extract_buildings_l_shape_footprint():
 def test_extract_buildings_median_heights():
     classes = np.zeros((3, 5), dtype=int)
     classes[1, 1:4] = 1
-    raster = ClassRaster(5, 3, 1.0, (0.0, 0.0), classes)
+    raster = ClassRaster(1.0, (0.0, 0.0), classes)
     elev = np.full((3, 5), 1.0)
     elev[1, 1:4] = [10.0, 11.0, 30.0]  # one roof outlier
     elev[0, 2] = 7.0                   # one ground outlier in the ring
-    dsm = Dsm(5, 3, 1.0, (0.0, 0.0), elev)
+    dsm = Dsm(1.0, (0.0, 0.0), elev)
     b = extract_buildings(raster, dsm)[0]
     assert b.top_elev == pytest.approx(11.0)
     assert b.base_elev == pytest.approx(1.0)
 
 
 def test_extract_buildings_none():
-    raster = ClassRaster(3, 3, 1.0, (0.0, 0.0), np.zeros((3, 3), dtype=int))
-    dsm = Dsm(3, 3, 1.0, (0.0, 0.0), np.zeros((3, 3)))
+    raster = ClassRaster(1.0, (0.0, 0.0), np.zeros((3, 3), dtype=int))
+    dsm = Dsm(1.0, (0.0, 0.0), np.zeros((3, 3)))
     assert extract_buildings(raster, dsm) == []
 
 
@@ -281,8 +286,8 @@ def test_place_users_near_building_priority():
     # all low vegetation, so priority can only come from building distance
     classes = np.full((10, 10), CellClass.LOW_VEGETATION, dtype=int)
     classes[4:6, 4:6] = CellClass.BUILDING
-    raster = ClassRaster(10, 10, 10.0, (0.0, 0.0), classes)
-    dsm = Dsm(10, 10, 10.0, (0.0, 0.0), np.where(classes == 1, 18.0, 3.0))
+    raster = ClassRaster(10.0, (0.0, 0.0), classes)
+    dsm = Dsm(10.0, (0.0, 0.0), np.where(classes == 1, 18.0, 3.0))
     users = place_users(raster, dsm, 10.0, 10.0, extract_buildings(raster, dsm))
     by_pos = {(round(u.position[0]), round(u.position[1])): u for u in users}
     # (35, 45) is 5 m from the footprint edge at x=40
@@ -295,8 +300,8 @@ def test_place_users_near_building_priority():
 def test_place_users_skips_blocked_classes():
     classes = np.full((4, 4), CellClass.TREE, dtype=int)
     classes[0, 0] = CellClass.IMPERVIOUS_SURFACE
-    raster = ClassRaster(4, 4, 10.0, (0.0, 0.0), classes)
-    dsm = Dsm(4, 4, 10.0, (0.0, 0.0), np.zeros((4, 4)))
+    raster = ClassRaster(10.0, (0.0, 0.0), classes)
+    dsm = Dsm(10.0, (0.0, 0.0), np.zeros((4, 4)))
     users = place_users(raster, dsm, 10.0, 10.0, [])
     assert len(users) == 1
     assert tuple(users[0].position[:2]) == (5.0, 5.0)
@@ -306,8 +311,8 @@ def test_place_users_skips_blocked_classes():
 
 def test_place_users_no_valid_cells():
     classes = np.full((3, 3), CellClass.BUILDING, dtype=int)
-    raster = ClassRaster(3, 3, 10.0, (0.0, 0.0), classes)
-    dsm = Dsm(3, 3, 10.0, (0.0, 0.0), np.full((3, 3), 9.0))
+    raster = ClassRaster(10.0, (0.0, 0.0), classes)
+    dsm = Dsm(10.0, (0.0, 0.0), np.full((3, 3), 9.0))
     with pytest.raises(NoValidUserCells):
         place_users(raster, dsm, 10.0, 10.0, [])
 
@@ -326,9 +331,9 @@ def test_place_candidates_flat(flat_raster_pair):
 def test_place_candidates_roof_mount():
     classes = np.zeros((10, 10), dtype=int)
     classes[7:9, 7:9] = CellClass.BUILDING  # contains lattice point (75, 75)
-    raster = ClassRaster(10, 10, 10.0, (0.0, 0.0), classes)
+    raster = ClassRaster(10.0, (0.0, 0.0), classes)
     elev = np.where(classes == 1, 20.0, 0.0).astype(float)
-    dsm = Dsm(10, 10, 10.0, (0.0, 0.0), elev)
+    dsm = Dsm(10.0, (0.0, 0.0), elev)
     cands = place_candidates(raster, dsm, 50.0, 25.0)
     by_pos = {(c.position[0], c.position[1]): c for c in cands}
     assert by_pos[(75.0, 75.0)].position[2] == pytest.approx(20.0 + 25.0)
@@ -341,8 +346,8 @@ def test_place_candidates_skips_excluded():
     classes[1, 1] = CellClass.TREE
     classes[1, 3] = CellClass.CAR
     classes[3, 1] = CellClass.CLUTTER
-    raster = ClassRaster(4, 4, 10.0, (0.0, 0.0), classes)
-    dsm = Dsm(4, 4, 10.0, (0.0, 0.0), np.zeros((4, 4)))
+    raster = ClassRaster(10.0, (0.0, 0.0), classes)
+    dsm = Dsm(10.0, (0.0, 0.0), np.zeros((4, 4)))
     cands = place_candidates(raster, dsm, 20.0, 25.0)
     assert len(cands) == 1
     assert (cands[0].position[0], cands[0].position[1]) == (30.0, 30.0)
@@ -352,8 +357,8 @@ def test_place_candidates_skips_excluded():
 
 def test_place_candidates_none():
     classes = np.full((3, 3), CellClass.CLUTTER, dtype=int)
-    raster = ClassRaster(3, 3, 10.0, (0.0, 0.0), classes)
-    dsm = Dsm(3, 3, 10.0, (0.0, 0.0), np.zeros((3, 3)))
+    raster = ClassRaster(10.0, (0.0, 0.0), classes)
+    dsm = Dsm(10.0, (0.0, 0.0), np.zeros((3, 3)))
     with pytest.raises(NoCandidates):
         place_candidates(raster, dsm, 10.0, 25.0)
 
@@ -543,8 +548,6 @@ def test_generator_config_validation():
         GeneratorConfig(width=0, height=10)
     with pytest.raises(ReportError):
         GeneratorConfig(building_density=0.95)
-    with pytest.raises(ReportError):
-        GeneratorConfig(building_size_range=(20, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -752,15 +755,15 @@ def test_build_scene_reference_edges_diagonals_and_single_cells():
     classes[9, 4] = CellClass.TREE
     rng = np.random.default_rng(0)
     elev = np.where(classes == 1, 12.0, 1.0) + rng.normal(0, 2, classes.shape)
-    raster = ClassRaster(10, 10, 3.0, (-17.5, 40.25), classes)
-    dsm = Dsm(10, 10, 3.0, (-17.5, 40.25), elev)
+    raster = ClassRaster(3.0, (-17.5, 40.25), classes)
+    dsm = Dsm(3.0, (-17.5, 40.25), elev)
     prisms = _assert_matches_reference(
         raster, dsm, SceneConfig(user_spacing_m=1.0, candidate_pitch_m=1.5, near_dist_m=2.0))
     assert len(prisms) == 15
     # the full-grid building and the empty-ring case
-    full = ClassRaster(4, 3, 1.0, (0.0, 0.0), np.ones((3, 4), dtype=int))
-    prisms = extract_buildings(full, Dsm(4, 3, 1.0, (0.0, 0.0), np.arange(12.0).reshape(3, 4)))
-    ref, _ = _ref_buildings(full, Dsm(4, 3, 1.0, (0.0, 0.0), np.arange(12.0).reshape(3, 4)))
+    full = ClassRaster(1.0, (0.0, 0.0), np.ones((3, 4), dtype=int))
+    prisms = extract_buildings(full, Dsm(1.0, (0.0, 0.0), np.arange(12.0).reshape(3, 4)))
+    ref, _ = _ref_buildings(full, Dsm(1.0, (0.0, 0.0), np.arange(12.0).reshape(3, 4)))
     assert np.array_equal(prisms[0].footprint, ref[0][0])
     assert (prisms[0].base_elev, prisms[0].top_elev) == (ref[0][1], ref[0][2])
 
@@ -778,8 +781,8 @@ def test_build_scene_reference_edges_diagonals_and_single_cells():
 def test_build_scene_matches_reference_on_random_rasters(classes, cell, spacing, near, seed):
     h, w = classes.shape
     elev = np.random.default_rng(seed).normal(10.0, 4.0, (h, w))
-    raster = ClassRaster(w, h, cell, (3.25, -8.5), classes)
-    dsm = Dsm(w, h, cell, (3.25, -8.5), elev)
+    raster = ClassRaster(cell, (3.25, -8.5), classes)
+    dsm = Dsm(cell, (3.25, -8.5), elev)
     cfg = SceneConfig(user_spacing_m=spacing * cell, candidate_pitch_m=1.5 * spacing * cell,
                       near_dist_m=near * cell)
     _assert_matches_reference(raster, dsm, cfg)
@@ -789,7 +792,7 @@ def test_build_scene_matches_reference_on_random_rasters(classes, cell, spacing,
 def test_dsm_bilinear_arrays_and_scalars_match_reference():
     rng = np.random.default_rng(4)
     for w, h in ((1, 1), (1, 5), (6, 1), (7, 4)):
-        dsm = Dsm(w, h, 2.5, (-3.0, 11.0), rng.normal(20.0, 5.0, (h, w)))
+        dsm = Dsm(2.5, (-3.0, 11.0), rng.normal(20.0, 5.0, (h, w)))
         x = rng.uniform(-10.0, 3.0 * w, 50)
         y = rng.uniform(5.0, 14.0 + 3.0 * h, 50)
         ref = [_ref_bilinear(dsm, a, b) for a, b in zip(x, y)]
@@ -821,7 +824,7 @@ def test_ascii_grid_round_trip_property(tmp_path_factory, classes, elevation, or
                                         seed):
     h, w = classes.shape
     tmp = tmp_path_factory.mktemp("grid")
-    raster = ClassRaster(w, h, cell, origin, classes)
+    raster = ClassRaster(cell, origin, classes)
     save_raster(raster, tmp / "classes.asc")
     back = load_raster(tmp / "classes.asc")
     assert (back.width, back.height, back.cell_size, back.origin) == (w, h, cell, origin)
@@ -829,7 +832,7 @@ def test_ascii_grid_round_trip_property(tmp_path_factory, classes, elevation, or
 
     elev = np.random.default_rng(seed).normal(0.0, 1.0, (h, w)) * 10.0 ** (seed % 12)
     elev.flat[seed % elev.size] = elevation
-    dsm = Dsm(w, h, cell, origin, elev)
+    dsm = Dsm(cell, origin, elev)
     save_dsm(dsm, tmp / "surface.asc")
     back_dsm = load_dsm(tmp / "surface.asc")
     assert (back_dsm.width, back_dsm.height, back_dsm.cell_size, back_dsm.origin) == \
