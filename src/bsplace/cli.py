@@ -22,7 +22,7 @@ from . import __version__
 from . import optimizer as opt
 from .baselines import (METHODS, BaselineError, KmeansConfig, compare_methods,
                         kmeans_site_ids, save_comparison_csv)
-from .config_json import read_json, write_json
+from .config_json import check_object, is_kind, read_json, write_json
 from .eval_report import (GeneratorConfig, ReportError, coverage_curve,
                           generate_synthetic_scene, save_coverage_csv,
                           save_placement_csv, save_throughput_csv, throughput_cdf)
@@ -160,7 +160,8 @@ def cmd_optimize(args):
 
     if args.method == "nsga2":
         cfg = replace(ga, seed=seed)
-        archive, history = opt.run_nsga2(scene, params, cfg, use_blockages)
+        archive, nsga2_history = opt.run_nsga2(scene, params, cfg, use_blockages)
+        history = opt.history_to_dict(nsga2_history)
     elif args.method == "ga":
         m = args.m if args.m is not None else ga.m_max
         cfg = replace(ga, seed=seed, m_max=m)
@@ -205,16 +206,18 @@ def cmd_evaluate(args):
         except ValueError:
             raise UsageError(f"--sites must be comma-separated integers, got {args.sites!r}")
     if args.placement:
-        raw = read_json(args.placement, SceneError)
-        if not (isinstance(raw, dict) and isinstance(raw.get("sites", []), list)
-                and isinstance(raw.get("positions", []), list)):
-            raise SceneError("placement file must be an object of 'sites' and/or "
-                             "'positions' lists")
-        for k, i in enumerate(raw.get("sites", [])):
-            if type(i) is not int:
-                raise SceneError(f"sites[{k}] must be an integer, got {i!r}")
-            site_ids.append(i)
-        extra_positions = finite_points(raw.get("positions", []), 3, "positions[{}]".format)
+        where = args.placement
+        raw = check_object(read_json(where, SceneError), {"sites": (list,), "positions": (list,)},
+                           (), SceneError, where)
+        sites = raw.get("sites", [])
+        for k, i in enumerate(sites):
+            if not is_kind(i, int):
+                raise SceneError(f"{where}: sites[{k}] must be an integer, got {i!r}")
+        extra_positions = finite_points(raw.get("positions", []), 3,
+                                        lambda k: f"{where}: positions[{k}]")
+        if not sites and not len(extra_positions):
+            raise SceneError(f"{where}: names no site and no position")
+        site_ids += sites
     if not site_ids and not len(extra_positions):
         raise UsageError("evaluate needs --sites and/or --placement")
     for i in site_ids:

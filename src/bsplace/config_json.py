@@ -1,31 +1,68 @@
-"""Strict JSON reading and the one canonical JSON writer of the package."""
+"""Strict JSON reading and checking, and the one canonical JSON writer of the package."""
 
 from __future__ import annotations
 
 import collections
-import dataclasses
+import functools
 import json
-import math
 import os
+import reprlib
+import sys
 import types
 import typing
 
-# field annotation -> the JSON values it accepts, and its name in errors
-_JSON_TYPES = {
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    list: ((list,), "a list"),
-    type(None): ((type(None),), "null"),
-}
+# JSON value kind -> its name in errors
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a finite number",
+               list: "a list", type(None): "null"}
 
 
-def _json_types(annotation) -> list:
-    """Accepted value types and names of a field annotation; empty if unchecked."""
-    if typing.get_origin(annotation) in (typing.Union, types.UnionType):
-        options = typing.get_args(annotation)
-    else:
-        options = (typing.get_origin(annotation) or annotation,)
-    return [_JSON_TYPES[t] for t in options if t in _JSON_TYPES]
+def is_kind(value, kind: type) -> bool:
+    """Whether JSON `value` is of `kind`: bool (true/false only), int (never a
+    bool), float (an int or float, never a bool, NaN, infinite or too large
+    for a float), list, or `type(None)` (null)."""
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        # False for NaN and +-inf; an int compares exactly, without overflow
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
+
+
+def _key_name(entry, key) -> str:
+    """A key in errors: `users[3].priority` within an entry, `'users'` at the top."""
+    return f"{entry}.{key}" if entry else repr(key)
+
+
+def check_object(obj, kinds: dict, required, error: type[Exception], path, entry=None) -> dict:
+    """`obj`, if it is a JSON object holding every key of `required` and only
+    keys of `kinds`, each with a value of one of its kinds; else raise
+    `error` naming the file `path`, the `entry` (such as "users[3]") if
+    `obj` is one, and the key.
+    """
+    if not isinstance(obj, dict):
+        raise error(f"{path}: {entry or 'the file'} must be a JSON object, "
+                    f"got {reprlib.repr(obj)}")
+    for key, value in obj.items():
+        if key not in kinds:
+            raise error(f"{path}: unknown key {_key_name(entry, key)}")
+        for kind in kinds[key]:
+            if is_kind(value, kind):
+                break
+        else:
+            expected = " or ".join(_KIND_NAMES[kind] for kind in kinds[key])
+            raise error(f"{path}: {_key_name(entry, key)} must be {expected}, "
+                        f"got {reprlib.repr(value)}")
+    for key in required:
+        if key not in obj:
+            raise error(f"{path}: missing key {_key_name(entry, key)}")
+    return obj
+
+
+@functools.cache
+def _field_kinds(cls) -> dict:
+    """Each field of dataclass `cls` -> the kinds its annotation admits."""
+    return {name: typing.get_args(a) if typing.get_origin(a) in (typing.Union, types.UnionType)
+            else (typing.get_origin(a) or a,) for name, a in typing.get_type_hints(cls).items()}
 
 
 def read_json(path, error: type[Exception]):
@@ -52,46 +89,28 @@ def write_json(path, obj) -> None:
     """Write `obj` to `path` as indented, key-sorted JSON with a final newline.
 
     The text goes to `<path>.tmp` first and is moved into place, so a
-    reader never sees a half-written file.
+    reader never sees a half-written file. A NaN or infinity raises
+    ValueError: neither is JSON.
     """
     tmp = f"{path}.tmp"
     with open(tmp, "w") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
+        json.dump(obj, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
     os.replace(tmp, path)
 
 
 def read_config_fields(path, cls, error: type[Exception]) -> dict:
-    """Keyword arguments for dataclass `cls` from the JSON object at `path`.
-
-    A key that is not a field, or a value whose JSON type does not fit
-    the field's annotation, raises `error` naming the key, so a misspelled
-    or mistyped option fails instead of silently keeping its default or
-    crashing later.
-    """
-    raw = read_json(path, error)
-    if not isinstance(raw, dict):
-        raise error(f"{path}: expected a JSON object")
-    unknown = sorted(set(raw) - set(cls.__dataclass_fields__))
-    if unknown:
-        raise error(f"{path}: unknown config key(s): {', '.join(map(repr, unknown))}")
-    hints = typing.get_type_hints(cls)
-    for name, value in raw.items():
-        accepted = _json_types(hints[name])
-        # JSON true/false load as bool, a subclass of int; no field takes one
-        if accepted and (isinstance(value, bool)
-                         or not any(isinstance(value, allowed) for allowed, _ in accepted)):
-            expected = " or ".join(label for _, label in accepted)
-            raise error(f"{path}: {name!r} must be {expected}, got {value!r}")
-    return raw
+    """Keyword arguments for dataclass `cls` from the JSON object at `path`:
+    any of its fields, each of a kind its annotation admits."""
+    return check_object(read_json(path, error), _field_kinds(cls), (), error, path)
 
 
 def require_finite(obj, error: type[Exception]) -> None:
-    """Raise `error` naming the first field of dataclass `obj` holding a NaN or infinite float.
+    """Raise `error` naming the first `float` field of dataclass `obj` that is not a finite number.
 
     NaN fails every range comparison, so a `<= 0` check alone lets it through.
     """
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise error(f"{f.name} must be finite, got {value!r}")
+    for name, kinds in _field_kinds(type(obj)).items():
+        value = getattr(obj, name)
+        if float in kinds and not any(is_kind(value, kind) for kind in kinds):
+            raise error(f"{name} must be finite, got {reprlib.repr(value)}")

@@ -9,7 +9,9 @@ stages, each exact against the scalar `los_blocked`:
 
 1. Outcodes: a pair whose endpoints lie past the same side of a prism's
    EPS-grown bounding box, or both at or above its roof less EPS, is
-   rejected (the trivial reject of Cohen-Sutherland clipping).
+   rejected (the trivial reject of Cohen-Sutherland clipping). Prisms are
+   visited in blocks, narrowest ring first, and pairs some prism has
+   already blocked are skipped.
 2. Slab clip: each remaining (pair, prism) candidate is clipped against
    the box (Liang-Barsky), the part of the link `los_blocked` tests against
    the roof; it is dropped when the clip is empty, or when the link is at or
@@ -18,7 +20,8 @@ stages, each exact against the scalar `los_blocked`:
    clip and run through the decision arithmetic of `los_blocked` a slice at
    a time, which tests the height only within the clip. One
    edge table holds every footprint, padded to the widest ring; padding is
-   masked so it adds no interval parameter, distance or crossing.
+   masked so it adds no interval parameter, distance or crossing. Every
+   kernel temporary holds at most `_SLICE_ELEMS` elements.
 
 Where a point lies relative to a footprint outline is answered for many
 points at once by one routine, `_outline`: the squared distance to the
@@ -240,27 +243,9 @@ def los_mask(origins, targets, prisms) -> np.ndarray:
     """Boolean matrix line_of_sight[i, j] for origins[i] -> targets[j].
 
     Same result as `not los_blocked(Segment3(origins[i], targets[j]), prisms)`
-    for every pair; `los_blocked` is the scalar oracle. Three stages:
-
-    1. Outcodes. A pair whose two outcodes (see _outcodes) share a bit lies
-       wholly past one side of the prism's EPS-grown bounding box, or wholly
-       at or above its roof less EPS: the trivial reject of Cohen-Sutherland
-       line clipping, and exactly the prefilter of `los_blocked`. Prisms are
-       visited in blocks, narrowest ring first, and pairs some prism has
-       already blocked are skipped.
-    2. Slab clip (_slab_clip): each remaining (pair, prism) candidate is
-       clipped against the same box with the arithmetic of `los_blocked`
-       (Liang-Barsky) and dropped when the clip is empty, or when z at both
-       clip ends is at or above the roof less EPS: z is monotone along the
-       link, so it then stays there all over the clip, the only part of the
-       link whose height `los_blocked` tests.
-    3. Mixed-prism slices. Survivors are queued across prisms with their
-       clip; a full queue goes to _prism_blocks, the decision arithmetic of
-       `los_blocked`, in slices of rows from any prisms. Each row gathers
-       its prism's edges from one ring table (_Rings), padded to the widest
-       ring in the slice and masked, so padding adds no parameter, distance
-       or crossing. Every kernel temporary holds at most _SLICE_ELEMS
-       elements.
+    for every pair; `los_blocked` is the scalar oracle. The three stages
+    (outcodes, slab clip, mixed-prism slices) are described in the module
+    docstring.
     """
     origins = np.asarray(origins, dtype=float).reshape(-1, 3)
     targets = np.asarray(targets, dtype=float).reshape(-1, 3)

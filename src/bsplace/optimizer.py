@@ -643,5 +643,12 @@ def archive_to_dict(archive: list[Individual], n_fixed: int) -> list[dict]:
     ]
 
 
+def history_to_dict(history: list[dict]) -> list[dict]:
+    """`run_nsga2`'s history with each infinite best (a budget with no archived
+    solution) as "inf", as `archive_to_dict` writes an infinite crowding."""
+    return [{**h, "per_budget": {m: {k: "inf" if math.isinf(v) else v for k, v in best.items()}
+                                 for m, best in h["per_budget"].items()}} for h in history]
+
+
 def save_archive(archive: list[Individual], n_fixed: int, path):
     write_json(path, archive_to_dict(archive, n_fixed))

@@ -11,14 +11,14 @@ from __future__ import annotations
 import bisect
 import itertools
 import reprlib
-import sys
 from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
 from scipy import ndimage
 
-from .config_json import read_config_fields, read_json, require_finite, write_json
+from .config_json import (check_object, is_kind, read_config_fields, read_json,
+                          require_finite, write_json)
 from .geometry import outline_distance
 
 
@@ -686,61 +686,43 @@ def finite_points(entries: list, dim: int, name) -> np.ndarray:
             and bool not in set(map(type, itertools.chain.from_iterable(entries)))):
         return pts
     for i, entry in enumerate(entries):
-        try:
-            p = np.array(entry, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            p = None
-        if (p is None or p.shape != (dim,) or not np.isfinite(p).all()
-                or any(type(v) is bool for v in entry)):
+        if not (isinstance(entry, (list, tuple)) and len(entry) == dim
+                and all(is_kind(v, float) for v in entry)):
             raise SceneError(f"{name(i)} must be {dim} finite numbers, "
                              f"got {reprlib.repr(entry)}")
     raise SceneError(f"{name('*')} must be {dim} finite numbers")
 
 
-_SCALAR_KINDS = {bool: "true or false", int: "an integer", float: "a finite number"}
-
-
-def _scalar(entry: dict, key: str, kind: type, where: str):
-    """entry[key] as `kind`: a JSON bool, an integer, or a finite number (not
-    a bool). Anything else raises SceneError naming `where.key`."""
-    value = entry[key]
-    if kind is float:
-        # within float range and not NaN; math.isfinite overflows on huge ints
-        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
-    else:
-        ok = type(value) is kind
-    if not ok:
-        raise SceneError(f"{where}.{key} must be {_SCALAR_KINDS[kind]}, got {value!r}")
-    return kind(value)
+# a scene file's keys and its entries' keys; all but fixed_bs are required
+_SCENE_KEYS = {"buildings": (list,), "users": (list,), "candidates": (list,),
+               "fixed_bs": (list,)}
+_ENTRY_KEYS = {"buildings": {"footprint": (list,), "base_elev": (float,), "top_elev": (float,)},
+               "users": {"position": (list,), "priority": (bool,)},
+               "candidates": {"id": (int,), "position": (list,)}}
 
 
 def load_scene(path) -> Scene:
-    raw = read_json(path, SceneError)
-    try:
-        footprints = [b["footprint"] for b in raw["buildings"]]
-        starts = [0, *itertools.accumulate(len(fp) for fp in footprints)]
+    raw = check_object(read_json(path, SceneError), _SCENE_KEYS, _ENTRY_KEYS, SceneError, path)
+    for group, kinds in _ENTRY_KEYS.items():
+        for i, entry in enumerate(raw[group]):
+            check_object(entry, kinds, kinds, SceneError, path, f"{group}[{i}]")
+    footprints = [b["footprint"] for b in raw["buildings"]]
+    starts = [0, *itertools.accumulate(len(fp) for fp in footprints)]
 
-        def vertex_name(i):
-            k = bisect.bisect_right(starts, i) - 1
-            return f"buildings[{k}].footprint[{i - starts[k]}]"
+    def vertex_name(i):
+        k = bisect.bisect_right(starts, i) - 1
+        return f"{path}: buildings[{k}].footprint[{i - starts[k]}]"
 
-        vertices = finite_points([v for fp in footprints for v in fp], 2, vertex_name)
-        buildings = [
-            BuildingPrism(vertices[lo:hi], _scalar(b, "base_elev", float, f"buildings[{k}]"),
-                          _scalar(b, "top_elev", float, f"buildings[{k}]"))
-            for k, (lo, hi, b) in enumerate(zip(starts, starts[1:], raw["buildings"]))
-        ]
-        user_pos = finite_points([u["position"] for u in raw["users"]], 3,
-                                 "users[{}].position".format)
-        users = [User(p, _scalar(u, "priority", bool, f"users[{i}]"))
-                 for i, (p, u) in enumerate(zip(user_pos, raw["users"]))]
-        cand_pos = finite_points([c["position"] for c in raw["candidates"]], 3,
-                                 "candidates[{}].position".format)
-        candidates = [CandidateSite(_scalar(c, "id", int, f"candidates[{i}]"), p)
-                      for i, (p, c) in enumerate(zip(cand_pos, raw["candidates"]))]
-        fixed = list(finite_points(raw.get("fixed_bs", []), 3, "fixed_bs[{}]".format))
-    except (KeyError, TypeError) as e:
-        raise SceneError(f"malformed scene file: {e}") from None
+    vertices = finite_points([v for fp in footprints for v in fp], 2, vertex_name)
+    buildings = [BuildingPrism(vertices[lo:hi], float(b["base_elev"]), float(b["top_elev"]))
+                 for lo, hi, b in zip(starts, starts[1:], raw["buildings"])]
+    user_pos = finite_points([u["position"] for u in raw["users"]], 3,
+                             lambda i: f"{path}: users[{i}].position")
+    users = [User(p, u["priority"]) for p, u in zip(user_pos, raw["users"])]
+    cand_pos = finite_points([c["position"] for c in raw["candidates"]], 3,
+                             lambda i: f"{path}: candidates[{i}].position")
+    candidates = [CandidateSite(c["id"], p) for p, c in zip(cand_pos, raw["candidates"])]
+    fixed = list(finite_points(raw.get("fixed_bs", []), 3, lambda i: f"{path}: fixed_bs[{i}]"))
     if not users or not candidates:
         raise SceneError("scene must contain users and candidate sites")
     ids = [c.id for c in candidates]

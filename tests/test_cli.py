@@ -54,6 +54,10 @@ def ws(tmp_path_factory):
             else:
                 bad[group][0]["position"][0] = value
             (root / f"bad_coord_{group}_{tag}.json").write_text(json.dumps(bad))
+    for name, edit in zip(_BAD_SHAPE_FILES, _BAD_SCENE_SHAPES.values()):
+        bad = json.loads(json.dumps(doc))
+        edit(bad)
+        (root / name).write_text(json.dumps(bad))
     # input files that are not UTF-8: a JSON file in UTF-16 with its byte
     # order mark (FF FE), and a grid with a 0xFF byte among its values
     (root / "utf16.json").write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
@@ -213,6 +217,23 @@ def test_optimize_kmeans_method(ws, tmp_path):
     assert json.loads((out / "history.json").read_text()) == []
 
 
+def _strict_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_optimize_history_is_strict_json(ws, tmp_path):
+    # at this size and seed some budget has no archived solution, so its
+    # f1 and f3 are infinite; the file holds them as "inf", not as Infinity
+    ga = tmp_path / "ga.json"
+    ga.write_text(json.dumps({"pop_size": 4, "generations": 1}))
+    out = tmp_path / "run"
+    assert main(["optimize", str(ws["scene"]), "--ga-config", str(ga), "--seed", "2",
+                 "--out", str(out)]) == 0
+    history = json.loads((out / "history.json").read_text(), parse_constant=_strict_constant)
+    assert any(stats == {"f1": "inf", "f3": "inf"}
+               for entry in history for stats in entry["per_budget"].values())
+
+
 def test_optimize_kmeans_requires_m(ws, tmp_path):
     assert run_optimize(ws, tmp_path / "x", ("--method", "kmeans")) == 2
 
@@ -267,7 +288,7 @@ def test_non_finite_config_value_is_data_error(ws, tmp_path, capsys, argv, flag,
                "--out", str(tmp_path / "out")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"{field} must be finite" in err
+    assert err.startswith("error: ") and f"'{field}' must be a finite number" in err
 
 
 # text None: the workspace scene with its top-level "fixed_bs" key given twice
@@ -320,6 +341,24 @@ _BAD_COORDS = {"huge": 10 ** 400, "bool": True}
 _COORD_GROUPS = ("users", "candidates", "fixed_bs", "buildings")
 _BAD_COORD_FILES = [f"bad_coord_{group}_{tag}.json" for group in _COORD_GROUPS
                     for tag in _BAD_COORDS]
+# scene files with an unknown key at the top or in an entry, a missing key,
+# or an entry that is not an object
+_BAD_SCENE_SHAPES = {
+    "unknown_top": lambda doc: doc.update(fixed_BS=[]),
+    "unknown_building": lambda doc: doc["buildings"][0].update(height=9.0),
+    "unknown_user": lambda doc: doc["users"][0].update(priorty=True),
+    "unknown_candidate": lambda doc: doc["candidates"][0].update(name="a"),
+    "missing_priority": lambda doc: doc["users"][0].pop("priority"),
+    "list_entry": lambda doc: doc["users"].__setitem__(0, [1.0, 2.0, 3.0]),
+}
+_BAD_SHAPE_FILES = [f"bad_shape_{name}.json" for name in _BAD_SCENE_SHAPES]
+# an integer too large for a float in a float field of each kind of config
+_HUGE = "1" + "0" * 400
+_HUGE_CONFIG_CASES = [
+    (_BASE_ARGV["optimize"] + ["--ga-config", "{config}"], f'{{"sinr_threshold_db": {_HUGE}}}'),
+    (_BASE_ARGV["evaluate"] + ["--radio-config", "{config}"], f'{{"tx_power_dbm": {_HUGE}}}'),
+    (_BASE_ARGV["build-scene"] + ["--config", "{config}"], f'{{"user_spacing_m": {_HUGE}}}'),
+]
 _words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8)
 # every kind of input file, each given as one that is not UTF-8
 _NOT_UTF8_ARGV = [
@@ -404,7 +443,9 @@ def _data_errors():
         st.builds(lambda c, name: ([a.replace("{scene}", "{root}/" + name)
                                     for a in _BASE_ARGV[c]], None, 1),
                   command, st.sampled_from(["fixed_twice.json", "fixed_on_candidate.json",
-                                            *_BAD_SCENE_FILES, *_BAD_COORD_FILES])),
+                                            *_BAD_SCENE_FILES, *_BAD_COORD_FILES,
+                                            *_BAD_SHAPE_FILES])),
+        st.sampled_from(_HUGE_CONFIG_CASES).map(lambda case: (*case, 1)),
         # a negative or non-finite near-building distance
         st.builds(lambda v: (_BASE_ARGV["build-scene"] + ["--config", "{config}"],
                              json.dumps({"user_spacing_m": 200.0, "near_dist_m": v}), 1),
@@ -434,8 +475,11 @@ def test_exit_code_property(ws, case):
     assert _exit_code(argv + ["--out", str(ws["root"] / "property_out")]) == expected
 
 
-for _argv in _NOT_UTF8_ARGV:  # explicit examples: each one runs on every test run
+# explicit examples: each one runs on every test run
+for _argv in _NOT_UTF8_ARGV + [["optimize", "{root}/" + name] for name in _BAD_SHAPE_FILES]:
     test_exit_code_property = example(case=(_argv, None, 1))(test_exit_code_property)
+for _argv, _text in _HUGE_CONFIG_CASES:
+    test_exit_code_property = example(case=(_argv, _text, 1))(test_exit_code_property)
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +536,10 @@ def test_evaluate_rejects_bad_site_id(ws, tmp_path):
     ({"sites": [1.7]}, "sites[0]"),
     ({"sites": [True]}, "sites[0]"),
     ({"sites": 1}, "'sites'"),
+    ({"site": [0]}, "unknown key 'site'"),
+    ({"sites": [0], "postions": [[5.0, 5.0, 20.0]]}, "unknown key 'postions'"),
+    ({}, "placement.json: names no site and no position"),
+    ({"sites": [], "positions": []}, "placement.json: names no site and no position"),
 ])
 def test_evaluate_rejects_bad_placement_entry(ws, tmp_path, capsys, doc, named):
     placement = tmp_path / "placement.json"

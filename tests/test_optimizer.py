@@ -573,8 +573,8 @@ def test_ga_config_rejects_unknown_key(tmp_path, doc, bad):
     ('{"pop_size": "16"}', "'pop_size' must be an integer, got '16'"),
     ('{"generations": 10.5}', "'generations' must be an integer"),
     ('{"m_max": true}', "'m_max' must be an integer"),
-    ('{"crossover_prob": "0.9"}', "'crossover_prob' must be a number"),
-    ('{"mutation_prob_per_bit": [0.1]}', "'mutation_prob_per_bit' must be a number or null"),
+    ('{"crossover_prob": "0.9"}', "'crossover_prob' must be a finite number"),
+    ('{"mutation_prob_per_bit": [0.1]}', "'mutation_prob_per_bit' must be a finite number or null"),
 ])
 def test_ga_config_rejects_wrong_type(tmp_path, doc, message):
     p = tmp_path / "ga.json"
@@ -614,7 +614,8 @@ def test_ga_config_rejects_non_finite(tmp_path):
             GaConfig(**{field: value})
     p = tmp_path / "ga.json"
     p.write_text('{"sinr_threshold_db": NaN}')
-    with pytest.raises(OptimizerError, match="sinr_threshold_db must be finite, got nan"):
+    with pytest.raises(OptimizerError,
+                       match="'sinr_threshold_db' must be a finite number, got nan"):
         GaConfig.from_json(p)
 
 

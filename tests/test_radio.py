@@ -432,7 +432,7 @@ def test_radio_params_rejects_repeated_key(tmp_path):
 def test_radio_params_rejects_wrong_type(tmp_path):
     path = tmp_path / "radio.json"
     path.write_text('{"tx_power_dbm": "33"}')
-    with pytest.raises(RadioError, match="'tx_power_dbm' must be a number, got '33'"):
+    with pytest.raises(RadioError, match="'tx_power_dbm' must be a finite number, got '33'"):
         RadioParams.from_json(path)
     path.write_text('{"shadowing_seed": 1.5}')
     with pytest.raises(RadioError, match="'shadowing_seed' must be an integer"):
@@ -452,5 +452,5 @@ def test_radio_params_rejects_non_finite(tmp_path, field, value):
         RadioParams(**{field: value})
     path = tmp_path / "radio.json"
     path.write_text(f'{{"{field}": {value!r}}}'.replace("nan", "NaN").replace("inf", "Infinity"))
-    with pytest.raises(RadioError, match=f"{field} must be finite"):
+    with pytest.raises(RadioError, match=f"'{field}' must be a finite number"):
         RadioParams.from_json(path)

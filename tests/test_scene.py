@@ -463,7 +463,7 @@ def test_scene_config_checks_values_on_construction():
 def test_scene_config_rejects_wrong_type(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"user_spacing_m": "5"}))
-    with pytest.raises(SceneError, match="'user_spacing_m' must be a number"):
+    with pytest.raises(SceneError, match="'user_spacing_m' must be a finite number"):
         SceneConfig.from_json(p)
     p.write_text(json.dumps({"fixed_bs": {"x": 1}}))
     with pytest.raises(SceneError, match="'fixed_bs' must be a list"):
@@ -475,7 +475,7 @@ def test_scene_config_rejects_non_finite(tmp_path):
     for field, text in (("near_dist_m", "NaN"), ("user_spacing_m", "NaN"),
                         ("mast_height_m", "Infinity")):
         p.write_text(f'{{"{field}": {text}}}')
-        with pytest.raises(SceneError, match=f"{field} must be finite"):
+        with pytest.raises(SceneError, match=f"'{field}' must be a finite number"):
             SceneConfig.from_json(p)
 
 
@@ -929,6 +929,29 @@ def test_load_scene_rejects_bad_coordinates(tmp_path, path, value, entry):
     p.write_text(json.dumps(doc))  # writes NaN/Infinity, which json.load accepts
     with pytest.raises(SceneError, match=entry.replace("[", r"\[").replace("]", r"\]")):
         load_scene(p)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(fixed_BS=[]), "unknown key 'fixed_BS'"),
+    (lambda doc: doc.pop("users"), "missing key 'users'"),
+    (lambda doc: doc.update(buildings={}), "'buildings' must be a list, got {}"),
+    (lambda doc: doc["users"][3].pop("priority"), "missing key users[3].priority"),
+    (lambda doc: doc["users"][3].update(priorty=True), "unknown key users[3].priorty"),
+    (lambda doc: doc["users"].__setitem__(3, [1, 2, 3]),
+     "users[3] must be a JSON object, got [1, 2, 3]"),
+    (lambda doc: doc["buildings"][0].update(height=9.0), "unknown key buildings[0].height"),
+    (lambda doc: doc["candidates"][0].pop("id"), "missing key candidates[0].id"),
+], ids=["unknown-top", "missing-users", "buildings-object", "missing-priority",
+        "unknown-user-key", "list-user", "unknown-building-key", "missing-id"])
+def test_load_scene_names_file_entry_and_key(tmp_path, edit, message):
+    doc = _scene_doc()
+    doc["users"] += [{"position": [float(x), 9.0, 2.0], "priority": False} for x in (3, 5)]
+    edit(doc)
+    p = tmp_path / "scene.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(SceneError) as raised:
+        load_scene(p)
+    assert str(raised.value) == f"{p}: {message}"
 
 
 def test_load_scene_accepts_valid_coordinates(tmp_path):
