@@ -3,9 +3,10 @@
 Macro-cell path loss (128.1 + 37.6 log10 R_km at 2 GHz), the parabolic
 3-sector antenna pattern, thermal noise from bandwidth and noise figure,
 max-power association and a Shannon-with-cap throughput map.
-`sector_rx_dbm` is the one array form of the received-power budget; the
-link table and `attach_and_evaluate` both call it. Seeded shadowing applies
-to the link table only; `link_budget` and `sinr_db` are scalar references.
+`sector_rx_dbm` is the one array form of the received-power budget, over
+users x masts x the heads at `SECTOR_AZIMUTHS_DEG`; the link table and
+`attach_and_evaluate` both call it. Seeded shadowing applies to the link
+table only; `link_budget` and `sinr_db` are scalar references.
 
 SINR has two array routes with one arithmetic tail. `sinr_from_rx` takes
 dBm and also returns the serving sector. `LinkGainTable.sinr_for`, which
@@ -170,41 +171,36 @@ def link_budget(user, sector: BsSector, scene, params: RadioParams,
     return LinkBudget(pl, gain, los, rx)
 
 
-# Sector values per user block of sector_rx_dbm: bounds the per-sector
-# gathers and pattern temporaries.
+# Rx values per mast block of sector_rx_dbm: bounds every per-pair temporary.
 _RX_BLOCK_ELEMS = 1 << 16
 
 
-def sector_rx_dbm(user_pos: np.ndarray, mast_pos: np.ndarray, sector_mast: np.ndarray,
-                  azimuth_deg, prisms, params: RadioParams) -> np.ndarray:
-    """Received power in dBm, shape [n_users, n_sectors].
+def sector_rx_dbm(user_pos: np.ndarray, mast_pos: np.ndarray, prisms,
+                  params: RadioParams) -> np.ndarray:
+    """Received power in dBm, shape [n_users, n_masts, 3]: the array form of
+    `link_budget` for the three-sector heads of `sectors_for_sites`.
 
-    The array form of `link_budget`. Sector k sits on mast `sector_mast[k]`
-    and points at `azimuth_deg[k]`; every sector radiates the tx power and
-    gain of `params`. Distance, path loss, bearing and LoS are computed once per
-    mast row of `mast_pos`, over all users at once; the per-sector half
-    (gathers and antenna pattern) fills the result in user blocks of at
-    most `_RX_BLOCK_ELEMS` values. Every value is computed elementwise, so
+    The LoS mask is taken once over all pairs. The rest fills the result in
+    blocks of masts of at most `_RX_BLOCK_ELEMS` values (or one mast),
+    broadcast over the head axis. Every value is computed elementwise, so
     the blocking does not change a bit.
     """
-    delta = user_pos[:, None, :] - mast_pos[None, :, :]
-    pl = pathloss_db(np.maximum(np.sqrt((delta ** 2).sum(axis=2)), 1e-12), params)
-    bearing = np.degrees(np.arctan2(delta[:, :, 1], delta[:, :, 0]))
-    del delta  # the largest per-mast temporary; free it before the LoS mask
-    penalty = np.where(los_mask(user_pos, mast_pos, prisms), 0.0, params.nlos_penalty_db)
+    n_users, n_masts, n_heads = len(user_pos), len(mast_pos), len(SECTOR_AZIMUTHS_DEG)
+    los = los_mask(user_pos, mast_pos, prisms)
     cap = params.tx_power_dbm - params.min_coupling_loss_db
-    rx = np.empty((len(user_pos), len(sector_mast)))
-    step = max(1, _RX_BLOCK_ELEMS // max(1, len(sector_mast)))
-    for start in range(0, len(user_pos), step):
-        users = slice(start, start + step)
-        # np.take keeps the gathers C-ordered, so later reductions over a
-        # row add in sector order (x[:, idx] would come out Fortran-ordered)
-        block = (params.tx_power_dbm + params.antenna_gain_dbi
-                 - np.take(pl[users], sector_mast, axis=1)
-                 - np.take(penalty[users], sector_mast, axis=1)
-                 - antenna_attenuation_db(
-                     np.take(bearing[users], sector_mast, axis=1) - azimuth_deg, params))
-        np.minimum(block, cap, out=rx[users])
+    rx = np.empty((n_users, n_masts, n_heads))
+    step = max(1, _RX_BLOCK_ELEMS // max(1, n_users * n_heads))
+    for start in range(0, n_masts, step):
+        masts = slice(start, start + step)
+        delta = user_pos[:, None, :] - mast_pos[None, masts, :]
+        pl = pathloss_db(np.maximum(np.sqrt((delta ** 2).sum(axis=2)), 1e-12), params)
+        bearing = np.degrees(np.arctan2(delta[:, :, 1], delta[:, :, 0]))
+        del delta  # the largest block temporary; free it before the pattern
+        base = (params.tx_power_dbm + params.antenna_gain_dbi - pl
+                - np.where(los[:, masts], 0.0, params.nlos_penalty_db))
+        np.minimum(base[:, :, None]
+                   - antenna_attenuation_db(bearing[:, :, None] - SECTOR_AZIMUTHS_DEG, params),
+                   cap, out=rx[:, masts])
     return rx
 
 
@@ -280,23 +276,20 @@ def build_link_table(scene, params: RadioParams, use_blockages: bool,
                      threads: int = 1) -> LinkGainTable:
     """Rx table over the scene's candidates followed by its fixed BS.
 
-    Every site carries the standard three-sector head. `threads` is
-    accepted for call compatibility and ignored: the table is one
-    single-threaded array computation.
+    `sector_rx_dbm` over the sites, each a three-sector head, plus any
+    shadowing. `threads` is accepted for call compatibility and ignored:
+    the table is one single-threaded array computation.
     """
     user_pos = scene.user_positions()
     site_pos = scene.candidate_positions()
     if scene.fixed_bs:
         site_pos = np.vstack([site_pos, np.array(scene.fixed_bs)])
-    n_users, n_sites, n_heads = len(user_pos), len(site_pos), len(SECTOR_AZIMUTHS_DEG)
     prisms = scene.buildings if use_blockages else []
-    rx = sector_rx_dbm(user_pos, site_pos, np.repeat(np.arange(n_sites), n_heads),
-                       np.tile(SECTOR_AZIMUTHS_DEG, n_sites), prisms, params)
-    rx = rx.reshape(n_users, n_sites, n_heads)
+    rx = sector_rx_dbm(user_pos, site_pos, prisms, params)
     if params.shadowing_sigma_db > 0.0:
         # Optional seeded shadowing lives on the table path only; the
         # scalar link_budget stays the deterministic reference.
-        rx = rx + shadowing_matrix(n_users, n_sites, params)[:, :, None]
+        rx += shadowing_matrix(len(user_pos), len(site_pos), params)[:, :, None]
         np.minimum(rx, params.tx_power_dbm - params.min_coupling_loss_db, out=rx)
     return LinkGainTable(
         rx_dbm=rx,
@@ -331,17 +324,21 @@ def attach_and_evaluate(users, sectors: list[BsSector], scene, params: RadioPara
                         use_blockages: bool):
     """Per-user (serving sector index, SINR dB) under max-power association.
 
-    LoS is resolved once per distinct mast position, not per sector.
+    `sectors` is whole three-sector heads in `sectors_for_sites` order, so
+    sector k sits on mast k // 3 at azimuth `SECTOR_AZIMUTHS_DEG[k % 3]`;
+    any other list raises RadioError.
     """
     if not sectors:
         raise NoSectors("sector list is empty")
+    masts = np.array([s.position for s in sectors[::len(SECTOR_AZIMUTHS_DEG)]])
+    if ([(*s.position, s.azimuth_deg) for s in sectors]
+            != [(*s.position, s.azimuth_deg) for s in sectors_for_sites(masts, params)]):
+        raise RadioError("sectors must be whole three-sector heads, as sectors_for_sites "
+                         "builds them")
     user_pos = np.array([np.asarray(u.position, dtype=float) for u in users])
-    masts, sector_mast = np.unique(np.array([s.position for s in sectors]), axis=0,
-                                   return_inverse=True)
     prisms = scene.buildings if (use_blockages and scene is not None) else []
-    rx = sector_rx_dbm(user_pos, masts, sector_mast,
-                       np.array([s.azimuth_deg for s in sectors]), prisms, params)
-    return sinr_from_rx(rx, thermal_noise_dbm(params))
+    rx = sector_rx_dbm(user_pos, masts, prisms, params)
+    return sinr_from_rx(rx.reshape(len(users), -1), thermal_noise_dbm(params))
 
 
 def sinr_db(user, serving: int, all_sectors: list[BsSector], scene,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import numbers
 import reprlib
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -673,20 +674,21 @@ def finite_points(entries: list, dim: int, name) -> np.ndarray:
     """`entries` as an (n, dim) float array, checked in one vectorized test.
 
     Raises SceneError naming the first entry, `name(i)`, that is not `dim`
-    finite numbers. JSON `true`/`false` are not numbers here, and an integer
-    too large for a float is not finite.
+    finite numbers. Strings and JSON `true`/`false` are not numbers, and an
+    integer too large for a float is not finite.
     """
-    if not entries:
+    if len(entries) == 0:
         return np.empty((0, dim))
     try:
         pts = np.array(entries, dtype=float)
     except (TypeError, ValueError, OverflowError):  # ragged, non-numeric or huge
         pts = None
     if (pts is not None and pts.shape == (len(entries), dim) and np.isfinite(pts).all()
-            and bool not in set(map(type, itertools.chain.from_iterable(entries)))):
+            and all(issubclass(kind, numbers.Real) and kind is not bool
+                    for kind in set(map(type, itertools.chain.from_iterable(entries))))):
         return pts
     for i, entry in enumerate(entries):
-        if not (isinstance(entry, (list, tuple)) and len(entry) == dim
+        if not (isinstance(entry, (list, tuple, np.ndarray)) and len(entry) == dim
                 and all(is_kind(v, float) for v in entry)):
             raise SceneError(f"{name(i)} must be {dim} finite numbers, "
                              f"got {reprlib.repr(entry)}")

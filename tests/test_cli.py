@@ -336,8 +336,9 @@ _BAD_SCENE_FIELDS = [("buildings", "base_elev", "x"), ("buildings", "top_elev", 
                      ("candidates", "id", 1.7), ("users", "priority", "no")]
 _BAD_SCENE_FILES = [f"bad_{group}_{key}_{value}.json" for group, key, value in _BAD_SCENE_FIELDS]
 # coordinates that are not finite numbers: an integer too large for a float,
-# and a JSON bool, as the first value of a user, candidate, prior BS or vertex
-_BAD_COORDS = {"huge": 10 ** 400, "bool": True}
+# a JSON bool and a numeric string, as the first value of a user, candidate,
+# prior BS or vertex
+_BAD_COORDS = {"huge": 10 ** 400, "bool": True, "string": "400"}
 _COORD_GROUPS = ("users", "candidates", "fixed_bs", "buildings")
 _BAD_COORD_FILES = [f"bad_coord_{group}_{tag}.json" for group in _COORD_GROUPS
                     for tag in _BAD_COORDS]
@@ -476,7 +477,8 @@ def test_exit_code_property(ws, case):
 
 
 # explicit examples: each one runs on every test run
-for _argv in _NOT_UTF8_ARGV + [["optimize", "{root}/" + name] for name in _BAD_SHAPE_FILES]:
+for _argv in (_NOT_UTF8_ARGV + [["optimize", "{root}/" + name] for name in _BAD_SHAPE_FILES]
+              + [["evaluate", "{root}/bad_coord_users_string.json", "--sites", "0"]]):
     test_exit_code_property = example(case=(_argv, None, 1))(test_exit_code_property)
 for _argv, _text in _HUGE_CONFIG_CASES:
     test_exit_code_property = example(case=(_argv, _text, 1))(test_exit_code_property)
@@ -540,6 +542,7 @@ def test_evaluate_rejects_bad_site_id(ws, tmp_path):
     ({"sites": [0], "postions": [[5.0, 5.0, 20.0]]}, "unknown key 'postions'"),
     ({}, "placement.json: names no site and no position"),
     ({"sites": [], "positions": []}, "placement.json: names no site and no position"),
+    ({"positions": [["400", "300", "40"]]}, "positions[0]"),
 ])
 def test_evaluate_rejects_bad_placement_entry(ws, tmp_path, capsys, doc, named):
     placement = tmp_path / "placement.json"

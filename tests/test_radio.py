@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bsplace import radio
 from bsplace.radio import (
     SECTOR_AZIMUTHS_DEG,
     SINR_CAP_DB,
@@ -330,26 +332,21 @@ def test_attach_matches_table_route():
 
 
 def test_attach_sector_fields_match_oracles(box_scene):
-    # mixed azimuths; sectors 0 and 3 share a mast, and the last mast
-    # sits 0.7 m from user 1 so the coupling cap binds
-    spec = [((10.0, 100.0, 15.0), 0.0),
-            ((100.0, 10.0, 15.0), 95.5),
-            ((190.0, 190.0, 15.0), -45.0),
-            ((10.0, 100.0, 15.0), 200.0),
-            ((100.5, 30.5, 1.5), 270.0)]
-    sectors = [BsSector(np.array(p), az) for p, az in spec]
+    # whole heads on masts in unsorted input order; user 2 sees the mast at
+    # (10, 100) through the building, and the mast at (100.5, 30.5) sits
+    # 0.7 m from user 1 so the coupling cap binds
+    masts = np.array([[190.0, 190.0, 15.0], [10.0, 100.0, 15.0],
+                      [100.5, 30.5, 1.5], [100.0, 10.0, 15.0]])
+    sectors = sectors_for_sites(masts, DEFAULTS)
     budgets = [[link_budget(u, s, box_scene, DEFAULTS, True) for s in sectors]
                for u in box_scene.users]
-    assert not budgets[2][0].los and budgets[2][1].los
-    assert budgets[1][4].rx_power_dbm == DEFAULTS.tx_power_dbm - DEFAULTS.min_coupling_loss_db
+    assert not budgets[2][3].los and budgets[2][9].los
+    assert budgets[1][6].rx_power_dbm == DEFAULTS.tx_power_dbm - DEFAULTS.min_coupling_loss_db
 
-    masts, sector_mast = np.unique([s.position for s in sectors], axis=0,
-                                   return_inverse=True)
-    rx = sector_rx_dbm(box_scene.user_positions(), masts, sector_mast,
-                       np.array([s.azimuth_deg for s in sectors]),
-                       box_scene.buildings, DEFAULTS)
+    rx = sector_rx_dbm(box_scene.user_positions(), masts, box_scene.buildings, DEFAULTS)
     expect = np.array([[b.rx_power_dbm for b in row] for row in budgets])
-    assert np.allclose(rx, expect, rtol=0.0, atol=1e-9)
+    assert rx.shape == (4, 4, 3)
+    assert np.allclose(rx.reshape(4, -1), expect, rtol=0.0, atol=1e-9)
 
     serving, sinr = attach_and_evaluate(box_scene.users, sectors, box_scene,
                                         DEFAULTS, True)
@@ -359,6 +356,53 @@ def test_attach_sector_fields_match_oracles(box_scene):
         assert sinr[u] == pytest.approx(ref, abs=1e-9)
     with pytest.raises(NoSectors):
         attach_and_evaluate(box_scene.users, [], box_scene, DEFAULTS, True)
+
+
+@pytest.mark.parametrize("sectors", [
+    sectors_for_sites([[10.0, 100.0, 15.0]], DEFAULTS)[:2],
+    [BsSector([10.0, 100.0, 15.0], az + 10.0) for az in SECTOR_AZIMUTHS_DEG],
+    [BsSector([10.0, 100.0, 15.0], 0.0), BsSector([10.0, 100.0, 15.0], 120.0),
+     *sectors_for_sites([[100.0, 10.0, 15.0]], DEFAULTS)],
+], ids=["two-sectors", "rotated-azimuth", "split-head"])
+def test_attach_rejects_sectors_that_are_not_whole_heads(box_scene, sectors):
+    with pytest.raises(RadioError, match="whole three-sector heads"):
+        attach_and_evaluate(box_scene.users, sectors, box_scene, DEFAULTS, True)
+
+
+@pytest.fixture(scope="module")
+def tile_scene():
+    cfg = GeneratorConfig(width=40, height=40, cell_size=10.0)
+    raster, dsm = generate_synthetic_scene(cfg, seed=1)
+    return build_scene(raster, dsm, SceneConfig(user_spacing_m=40.0, candidate_pitch_m=60.0))
+
+
+@pytest.mark.parametrize("masts_per_block", [1, 4])
+def test_rx_mast_blocks_keep_every_bit(tile_scene, monkeypatch, masts_per_block):
+    users, masts = tile_scene.user_positions(), tile_scene.candidate_positions()
+    assert 3 * len(users) * len(masts) <= radio._RX_BLOCK_ELEMS  # one block by default
+    assert len(masts) % 4  # the last block of four masts is ragged
+    whole = sector_rx_dbm(users, masts, tile_scene.buildings, DEFAULTS)
+    # a block of one value still holds one whole mast
+    elems = 1 if masts_per_block == 1 else 3 * len(users) * masts_per_block + 2
+    monkeypatch.setattr(radio, "_RX_BLOCK_ELEMS", elems)
+    blocked = sector_rx_dbm(users, masts, tile_scene.buildings, DEFAULTS)
+    assert whole.tobytes() == blocked.tobytes()
+
+
+@pytest.mark.parametrize("n_users, n_masts", [(3000, 200), (200, 3000), (20000, 3)])
+def test_rx_kernel_temporaries_are_bounded(n_users, n_masts):
+    rng = np.random.default_rng(0)
+    users = np.column_stack([rng.uniform(0.0, 2000.0, (n_users, 2)), np.full(n_users, 1.5)])
+    masts = np.column_stack([rng.uniform(0.0, 2000.0, (n_masts, 2)), np.full(n_masts, 25.0)])
+    tracemalloc.start()
+    try:
+        rx = sector_rx_dbm(users, masts, [], DEFAULTS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # beyond the result and the boolean LoS mask, a few blocks of float64
+    extra = peak - rx.nbytes - n_users * n_masts
+    assert extra < 8 * radio._RX_BLOCK_ELEMS * 8, extra
 
 
 # ---------------------------------------------------------------------------

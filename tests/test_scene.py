@@ -391,6 +391,15 @@ def test_build_scene_fixed_bs_validation(flat_raster_pair):
     site = scene.candidates[2].position.tolist()
     with pytest.raises(SceneError, match=r"candidates\[2\] and fixed_bs\[1\]"):
         build_scene(raster, dsm, SceneConfig(fixed_bs=[[1.0, 2.0, 30.0], site]))
+    with pytest.raises(SceneError, match=r"fixed_bs\[0\] must be 3 finite numbers"):
+        build_scene(raster, dsm, SceneConfig(fixed_bs=[["10", "10", "30"]]))
+    # a 2-D array or a list of numpy rows gives what the list of lists gives
+    for fixed in (np.array([[10.0, 10.0, 30.0]]), [np.array([10.0, 10.0, 30.0])]):
+        again = build_scene(raster, dsm, SceneConfig(fixed_bs=fixed))
+        assert [p.tolist() for p in again.fixed_bs] == [[10.0, 10.0, 30.0]]
+    with pytest.raises(SceneError, match=r"fixed_bs\[1\] must be 3 finite numbers"):
+        build_scene(raster, dsm, SceneConfig(fixed_bs=np.array([[1.0, 2.0, 30.0],
+                                                                [1.0, np.nan, 30.0]])))
 
 
 def test_scene_json_round_trip(flat_raster_pair, tmp_path):
@@ -918,6 +927,11 @@ def _scene_doc():
     (("fixed_bs", 0), [20.0, 20.0, True], "fixed_bs[0]"),
     (("buildings", 0, "footprint", 2), [10 ** 400, 4.0], "buildings[0].footprint[2]"),
     (("buildings", 0, "footprint", 0), [True, 0.0], "buildings[0].footprint[0]"),
+    # numeric strings, which a float conversion would read as numbers
+    (("users", 0, "position"), ["1.0", "9.0", "2.0"], "users[0].position"),
+    (("candidates", 0, "position"), [9.0, "0", 25.0], "candidates[0].position"),
+    (("fixed_bs", 0), ["20", "20", "30"], "fixed_bs[0]"),
+    (("buildings", 0, "footprint", 1), ["4.0", 0.0], "buildings[0].footprint[1]"),
 ])
 def test_load_scene_rejects_bad_coordinates(tmp_path, path, value, entry):
     doc = _scene_doc()
