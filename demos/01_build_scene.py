@@ -39,4 +39,4 @@ print(f"{len(scene.users)} users ({prio} priority), {len(scene.candidates)} cand
 
 path = os.path.join(OUT, "scene.json")
 save_scene(scene, path)
-print("saved", path)
+print("saved", os.path.relpath(path))

@@ -13,7 +13,6 @@ from bsplace.radio import (
     build_sectors,
     link_budget,
     pathloss_db,
-    sinr_from_rx,
     thermal_noise_dbm,
 )
 from bsplace.scene import BuildingPrism, CandidateSite, Scene, User
@@ -46,12 +45,13 @@ for user, name in zip(scene.users, ("near, clear", "far, behind wall")):
     best = max(budgets, key=lambda b: b.rx_power_dbm)
     print(f"{name}: rx {best.rx_power_dbm:7.2f} dBm, los={best.los}")
 
-# Same pair through the full table path, now as SINR. Note the near user
-# ends up WORSE than the far one: the two idle sectors on its own mast leak
-# (20 dB down but from point-blank range) and dominate its interference.
+# Same pair through the link table the search scores with, now as SINR.
+# Note the near user ends up WORSE than the far one: the two idle sectors
+# on its own mast leak (20 dB down but from point-blank range) and
+# dominate its interference.
 from bsplace.radio import build_link_table
 
 table = build_link_table(scene, params, use_blockages=True)
-serving, sinr = sinr_from_rx(table.rx_for([0]), table.noise_dbm)
+sinr = table.sinr_for([0])
 for user, s in zip(("near", "far"), sinr):
     print(f"SINR {user}: {s:6.2f} dB")

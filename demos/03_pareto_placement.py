@@ -16,7 +16,7 @@ from bsplace.eval_report import (
     save_coverage_csv,
 )
 from bsplace.optimizer import GaConfig, run_nsga2, save_archive, select_best_for_m
-from bsplace.radio import RadioParams, build_link_table, sinr_from_rx
+from bsplace.radio import RadioParams, build_link_table
 from bsplace.scene import SceneConfig, build_scene
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
@@ -49,7 +49,8 @@ print("best covered by budget:",
 
 # Dump the coverage curve for the 3-site pick; plot with anything.
 best3 = select_best_for_m(archive, 3, allow_fewer=True)
-_, sinr = sinr_from_rx(table.rx_for(best3.sites), table.noise_dbm)
+sinr = table.sinr_for(best3.sites)
 path = os.path.join(OUT, "coverage_m3.csv")
 save_coverage_csv(coverage_curve(sinr), path)
-print(f"3-site pick {best3.sites}: {-int(best3.objectives[2])} covered, curve in {path}")
+print(f"3-site pick {best3.sites}: {-int(best3.objectives[2])} covered, "
+      f"curve in {os.path.relpath(path)}")

@@ -10,7 +10,7 @@ import os
 
 from bsplace.eval_report import GeneratorConfig, generate_synthetic_scene
 from bsplace.optimizer import GaConfig, run_nsga2, save_archive, select_best_for_m
-from bsplace.radio import SINR_FLOOR_DB, RadioParams, build_link_table, sinr_from_rx
+from bsplace.radio import SINR_FLOOR_DB, RadioParams, build_link_table
 from bsplace.scene import SceneConfig, build_scene
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
@@ -30,7 +30,7 @@ print(f"{len(scene.users)} users, {len(scene.candidates)} candidate sites, "
 
 
 def score(site_ids):
-    _, sinr = sinr_from_rx(table.rx_for(site_ids), table.noise_dbm)
+    sinr = table.sinr_for(site_ids)
     covered = int((sinr > 10.0).sum())
     outage = float((sinr < SINR_FLOOR_DB).mean())
     return covered, outage

@@ -44,4 +44,4 @@ for row in rows:
 
 path = os.path.join(OUT, "comparison.csv")
 save_comparison_csv(rows, path)
-print("saved", path)
+print("saved", os.path.relpath(path))

@@ -100,7 +100,7 @@ def kmeans_site_ids(users, k: int, scene, params, config: KmeansConfig,
         raise EmptyScene("need users and candidate sites")
     if table is None:
         table = build_link_table(scene, params, use_blockages)
-    if len(users) != table.rx_dbm.shape[0]:
+    if len(users) != len(table.priority):
         raise BaselineError("users must be the scene's user list (table mismatch)")
     points = np.array([u.position[:2] for u in users])
     cand_xy = scene.candidate_positions()[:, :2]

@@ -16,10 +16,10 @@ over all its rows. Variation draws its random numbers in blocks, in the
 order a per-pair loop would draw them, and applies the swaps and flips to
 all pairs at once (`_draw_in_order`). Slots decode with one matrix
 product, and repair wraps and deduplicates every row at once. Scoring
-gathers the link table's linear-power copy once per active-site count
-and scores the whole group with `LinkGainTable.sinr_for` (in chunks of at
-most `_GATHER_ELEMS` gathered values) into one SINR array, from which the
-objectives are formed once. The archive merge is one dominance matrix.
+gathers the link table once per active-site count and scores the whole
+group with `LinkGainTable.sinr_for` (in chunks of at most `_GATHER_ELEMS`
+gathered values) into one SINR array, from which the objectives are
+formed once. The archive merge is one dominance matrix.
 `repair`, `repair_fixed_m`, `decode_sites` and `evaluate_sites` are the
 same code on a single row.
 
@@ -231,11 +231,12 @@ def evaluate_rows(pop: np.ndarray, table: LinkGainTable, sinr_threshold_db: floa
     """
     active, idx = _slots(pop, table.n_candidates, m_max)
     counts = active.sum(axis=1)
-    sinr = np.empty((len(pop), table.rx_dbm.shape[0]))
+    n_users = len(table.priority)
+    sinr = np.empty((len(pop), n_users))
     for k in np.unique(counts):
         rows = np.flatnonzero(counts == k)
         ids = np.sort(idx[rows][active[rows]].reshape(len(rows), k), axis=1)
-        step = max(1, _GATHER_ELEMS // (table.rx_dbm.shape[0] * 3 * (k + table.n_fixed)))
+        step = max(1, _GATHER_ELEMS // (n_users * 3 * (k + table.n_fixed)))
         for start in range(0, len(rows), step):
             sinr[rows[start:start + step]] = table.sinr_for(ids[start:start + step])
     return _objectives(sinr, counts, table, sinr_threshold_db)

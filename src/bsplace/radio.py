@@ -8,19 +8,16 @@ users x masts x the heads at `SECTOR_AZIMUTHS_DEG`; the link table and
 `attach_and_evaluate` both call it. Seeded shadowing applies to the link
 table only; `link_budget` and `sinr_db` are scalar references.
 
-SINR has two array routes with one arithmetic tail. `sinr_from_rx` takes
-dBm and also returns the serving sector. `LinkGainTable.sinr_for`, which
-the search scores with, gathers from a site-major linear-power copy of the
-table and takes the row max as the signal. It gives the same bytes: the
-copy comes from the same `db_to_linear` ufunc, and that ufunc is monotone
-(the tests sweep it densely), so the max linear value is the linear value
-of the max dBm.
+The link table is stored once, as site-major linear power made by the
+`db_to_linear` ufuncs. `LinkGainTable.sinr_for` gathers from it and takes
+the row max as the signal, so it gives the bytes `sinr_from_rx` gives on
+the same dBm: that ufunc is monotone (the tests sweep it densely).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,12 +180,12 @@ def sector_rx_dbm(user_pos: np.ndarray, mast_pos: np.ndarray, prisms,
     The LoS mask is taken once over all pairs. The rest fills the result in
     blocks of masts of at most `_RX_BLOCK_ELEMS` values (or one mast),
     broadcast over the head axis. Every value is computed elementwise, so
-    the blocking does not change a bit.
+    the blocking does not change a bit. The buffer is site-major, as the table.
     """
     n_users, n_masts, n_heads = len(user_pos), len(mast_pos), len(SECTOR_AZIMUTHS_DEG)
     los = los_mask(user_pos, mast_pos, prisms)
     cap = params.tx_power_dbm - params.min_coupling_loss_db
-    rx = np.empty((n_users, n_masts, n_heads))
+    rx = np.empty((n_masts, n_users, n_heads)).transpose(1, 0, 2)
     step = max(1, _RX_BLOCK_ELEMS // max(1, n_users * n_heads))
     for start in range(0, n_masts, step):
         masts = slice(start, start + step)
@@ -220,20 +217,23 @@ class LinkGainTable:
     the scene's fixed BS follow. Scoring a configuration is then a site
     gather plus the SINR arithmetic, with no geometry in the loop.
 
-    The first `sinr_for` call derives a site-major linear-power copy
-    [n_sites, n_users, 3] of `rx_dbm` and keeps it; `rx_dbm` must not
-    change after that.
+    `rx_mw` is the one copy, site-major so a gather takes whole blocks.
+    `rx_dbm`, a read-only dB view, converts the whole table on every read
+    (to within about 1e-14 dB); the package itself never reads it.
     """
 
-    rx_dbm: np.ndarray  # [n_users, n_sites, 3]
+    rx_mw: np.ndarray  # [n_sites, n_users, 3]
     priority: np.ndarray  # [n_users] bool
     n_fixed: int
     noise_dbm: float
-    _rx_lin: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_candidates(self) -> int:
-        return self.rx_dbm.shape[1] - self.n_fixed
+        return self.rx_mw.shape[0] - self.n_fixed
+
+    @property
+    def rx_dbm(self) -> np.ndarray:
+        return np.moveaxis(linear_to_db(self.rx_mw), 0, 1)
 
     def columns_for(self, site_ids) -> np.ndarray:
         """Site columns [..., k + n_fixed]: the ids along the last axis, then the fixed BS."""
@@ -242,31 +242,15 @@ class LinkGainTable:
         return np.concatenate([ids, np.broadcast_to(fixed, ids.shape[:-1] + fixed.shape)],
                               axis=-1)
 
-    def rx_for(self, site_ids) -> np.ndarray:
-        """Sector rx in dBm, C-contiguous [..., n_users, 3*(k+n_fixed)].
-
-        `site_ids` is one site set [k] or a batch of equal-size sets
-        [..., k]; the batch axes lead the result.
-        """
-        rx = np.moveaxis(np.take(self.rx_dbm, self.columns_for(site_ids), axis=1), 0, -3)
-        return np.ascontiguousarray(rx).reshape(rx.shape[:-2] + (-1,))
-
     def sinr_for(self, site_ids) -> np.ndarray:
-        """SINR in dB [..., n_users]: bytewise `sinr_from_rx(self.rx_for(site_ids))[1]`.
+        """SINR in dB [..., n_users] of a site set [k] or a batch of sets [..., k], each
+        followed by the fixed BS: bytewise `sinr_from_rx` on the sets' dB columns.
 
-        Whole site blocks of the linear table are gathered, then swapped to
-        [..., n_users, k+n_fixed, 3]: the values and order of
-        `db_to_linear(self.rx_for(site_ids))`, so the row sums do not move.
-        The signal is the row max, which is the serving sector's power
-        while `db_to_linear` is monotone.
+        Site blocks of `rx_mw` are gathered and swapped to those columns'
+        order [..., n_users, 3(k+n_fixed)], so the row sums do not move. The signal is the row max, the
+        serving sector's power while `db_to_linear` is monotone.
         """
-        if self._rx_lin is None:
-            n_users, n_sites, n_heads = self.rx_dbm.shape
-            lin = np.empty((n_sites, n_users, n_heads))
-            for site, block in enumerate(lin):  # one site at a time keeps temporaries small
-                block[:] = db_to_linear(self.rx_dbm[:, site])
-            self._rx_lin = lin
-        lin = np.take(self._rx_lin, self.columns_for(site_ids), axis=0)
+        lin = np.take(self.rx_mw, self.columns_for(site_ids), axis=0)
         lin = np.ascontiguousarray(np.swapaxes(lin, -3, -2))
         lin = lin.reshape(lin.shape[:-2] + (-1,))
         return _sinr_db(lin, lin.max(axis=-1), self.noise_dbm)
@@ -277,8 +261,9 @@ def build_link_table(scene, params: RadioParams, use_blockages: bool,
     """Rx table over the scene's candidates followed by its fixed BS.
 
     `sector_rx_dbm` over the sites, each a three-sector head, plus any
-    shadowing. `threads` is accepted for call compatibility and ignored:
-    the table is one single-threaded array computation.
+    shadowing, then made linear in place with `db_to_linear`'s ufuncs.
+    `threads` is accepted for call compatibility and ignored: the table is
+    one single-threaded array computation.
     """
     user_pos = scene.user_positions()
     site_pos = scene.candidate_positions()
@@ -291,8 +276,11 @@ def build_link_table(scene, params: RadioParams, use_blockages: bool,
         # scalar link_budget stays the deterministic reference.
         rx += shadowing_matrix(len(user_pos), len(site_pos), params)[:, :, None]
         np.minimum(rx, params.tx_power_dbm - params.min_coupling_loss_db, out=rx)
+    lin = np.moveaxis(rx, 1, 0)
+    np.divide(lin, 10.0, out=lin)
+    np.power(10.0, lin, out=lin)
     return LinkGainTable(
-        rx_dbm=rx,
+        rx_mw=lin,
         priority=scene.priority_mask(),
         n_fixed=len(scene.fixed_bs),
         noise_dbm=thermal_noise_dbm(params),

@@ -716,8 +716,13 @@ def load_scene(path) -> Scene:
         return f"{path}: buildings[{k}].footprint[{i - starts[k]}]"
 
     vertices = finite_points([v for fp in footprints for v in fp], 2, vertex_name)
-    buildings = [BuildingPrism(vertices[lo:hi], float(b["base_elev"]), float(b["top_elev"]))
-                 for lo, hi, b in zip(starts, starts[1:], raw["buildings"])]
+    buildings = []
+    for k, (lo, hi, b) in enumerate(zip(starts, starts[1:], raw["buildings"])):
+        try:
+            buildings.append(BuildingPrism(vertices[lo:hi], float(b["base_elev"]),
+                                           float(b["top_elev"])))
+        except SceneError as e:
+            raise SceneError(f"{path}: buildings[{k}]: {e}") from None
     user_pos = finite_points([u["position"] for u in raw["users"]], 3,
                              lambda i: f"{path}: users[{i}].position")
     users = [User(p, u["priority"]) for p, u in zip(user_pos, raw["users"])]
@@ -726,9 +731,13 @@ def load_scene(path) -> Scene:
     candidates = [CandidateSite(c["id"], p) for p, c in zip(cand_pos, raw["candidates"])]
     fixed = list(finite_points(raw.get("fixed_bs", []), 3, lambda i: f"{path}: fixed_bs[{i}]"))
     if not users or not candidates:
-        raise SceneError("scene must contain users and candidate sites")
-    ids = [c.id for c in candidates]
-    if ids != list(range(len(ids))):
-        raise SceneError("candidate ids must be dense 0..C-1")
-    _reject_coincident_scene_masts(candidates, fixed)
+        raise SceneError(f"{path}: {'candidates' if users else 'users'} is empty; a scene "
+                         "must contain users and candidate sites")
+    for k, c in enumerate(candidates):
+        if c.id != k:
+            raise SceneError(f"{path}: candidates[{k}].id must be {k} (ids dense 0..C-1)")
+    try:
+        _reject_coincident_scene_masts(candidates, fixed)
+    except SceneError as e:
+        raise SceneError(f"{path}: {e}") from None
     return Scene(buildings, users, candidates, fixed)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bsplace.geometry import Segment3
+from bsplace.radio import LinkGainTable, db_to_linear
 from bsplace.scene import (
     BuildingPrism,
     CandidateSite,
@@ -22,6 +23,14 @@ def rect_prism(x0, y0, x1, y1, base, top):
 
 def make_segment(a, b):
     return Segment3(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+
+
+def table_from_db(rx_dbm, priority, n_fixed, noise_dbm=-104.0):
+    """A LinkGainTable of `rx_dbm` [users, sites, 3], stored as
+    `build_link_table` stores it: `db_to_linear` on the site-major dB array."""
+    site_major = np.ascontiguousarray(np.moveaxis(rx_dbm, 1, 0))
+    return LinkGainTable(rx_mw=db_to_linear(site_major), priority=np.asarray(priority),
+                         n_fixed=n_fixed, noise_dbm=noise_dbm)
 
 
 @pytest.fixture

@@ -36,7 +36,6 @@ from bsplace.radio import (
     build_link_table,
     link_budget,
     pathloss_db,
-    sinr_from_rx,
     thermal_noise_dbm,
 )
 from bsplace.scene import SceneConfig, User, build_scene
@@ -52,13 +51,11 @@ def record(log, num, name, ok, detail):
 
 
 def _covered(table, site_ids):
-    _, sinr = sinr_from_rx(table.rx_for(list(site_ids)), table.noise_dbm)
-    return int((sinr > THRESHOLD_DB).sum())
+    return int((table.sinr_for(list(site_ids)) > THRESHOLD_DB).sum())
 
 
 def _outage(table, site_ids):
-    _, sinr = sinr_from_rx(table.rx_for(list(site_ids)), table.noise_dbm)
-    return float((sinr < SINR_FLOOR_DB).mean())
+    return float((table.sinr_for(list(site_ids)) < SINR_FLOOR_DB).mean())
 
 
 def _build(gen_cfg, scene_cfg, seed):

@@ -12,8 +12,8 @@ from bsplace.baselines import (
     lloyd,
     save_comparison_csv,
 )
-from bsplace.optimizer import GaConfig
-from bsplace.radio import RadioParams, build_link_table
+from bsplace.optimizer import GaConfig, evaluate_sites, run_ga_single_objective, run_nsga2
+from bsplace.radio import LinkGainTable, RadioParams, build_link_table
 from bsplace.scene import SceneConfig, build_scene
 from bsplace.eval_report import GeneratorConfig, generate_synthetic_scene
 
@@ -134,6 +134,21 @@ def test_compare_methods_rows(kmeans_scene):
         assert np.isfinite(r["mean_sinr_db"])
         assert len(r["sites"]) >= 1
         assert set(METHODS) >= {r["method"]}
+
+
+def test_search_and_baselines_never_read_the_db_view(kmeans_scene, monkeypatch):
+    # rx_dbm converts the whole table on every read; scoring uses rx_mw
+    def read_db_view(table):
+        raise AssertionError("LinkGainTable.rx_dbm was read")
+
+    monkeypatch.setattr(LinkGainTable, "rx_dbm", property(read_db_view))
+    scene, table = kmeans_scene
+    ga = GaConfig(pop_size=8, generations=3, m_max=2, seed=1)
+    run_nsga2(scene, PARAMS, ga, table=table)
+    run_ga_single_objective(scene, PARAMS, ga, table=table)
+    kmeans_site_ids(scene.users, 2, scene, PARAMS, KmeansConfig(seed=1), table=table)
+    compare_methods(scene, PARAMS, [1, 2], list(METHODS), ga_config=ga)
+    evaluate_sites([0, 1], table, 10.0)
 
 
 def test_compare_methods_validation(kmeans_scene):

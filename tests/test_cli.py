@@ -554,6 +554,38 @@ def test_evaluate_rejects_bad_placement_entry(ws, tmp_path, capsys, doc, named):
     assert err.startswith("error: ") and named in err
 
 
+def _one_building_scene():
+    return {
+        "buildings": [{"footprint": [[0.0, 0.0], [40.0, 0.0], [40.0, 40.0]],
+                       "base_elev": 0.0, "top_elev": 20.0}],
+        "users": [{"position": [100.0, 100.0, 1.5], "priority": True},
+                  {"position": [200.0, 50.0, 1.5], "priority": False}],
+        "candidates": [{"id": 0, "position": [300.0, 300.0, 25.0]},
+                       {"id": 1, "position": [10.0, 300.0, 25.0]}],
+    }
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["buildings"][0].update(top_elev=0.0),
+     "buildings[0]: prism roof must be above its base"),
+    (lambda doc: doc["buildings"][0]["footprint"].pop(),
+     "buildings[0]: footprint needs at least 3 vertices"),
+    (lambda doc: doc["candidates"][1].update(id=2), "candidates[1].id must be 1"),
+    (lambda doc: doc.update(users=[]), "users is empty"),
+    (lambda doc: doc.update(candidates=[]), "candidates is empty"),
+    (lambda doc: doc.update(fixed_bs=[doc["candidates"][1]["position"]]),
+     "candidates[1] and fixed_bs[0] are the same mast"),
+], ids=["flat-roof", "two-vertices", "id-gap", "no-users", "no-candidates", "coincident"])
+def test_evaluate_names_file_and_entry_of_bad_scene(tmp_path, capsys, edit, message):
+    doc = _one_building_scene()
+    edit(doc)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["evaluate", str(path), "--sites", "0", "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
+
 def test_evaluate_rejects_non_integer_sites_flag(ws, tmp_path, capsys):
     rc = main(["evaluate", str(ws["scene"]), "--sites", "0,x",
                "--out", str(tmp_path / "x")])

@@ -27,9 +27,11 @@ from bsplace.optimizer import (
     select_best_for_m,
     site_bits,
 )
-from bsplace.radio import LinkGainTable, RadioParams, build_link_table, sinr_from_rx
+from bsplace.radio import RadioParams, build_link_table, sinr_from_rx
 from bsplace.scene import SceneConfig, build_scene
 from bsplace.eval_report import GeneratorConfig, generate_synthetic_scene
+
+from conftest import table_from_db
 
 PARAMS = RadioParams(tx_power_dbm=33.0)
 
@@ -388,11 +390,10 @@ def test_survivors_crowd_a_cut_front_again():
 
 def test_evaluate_sites_formula(box_scene_table):
     table, scene = box_scene_table
-    from bsplace.radio import sinr_from_rx
 
     for ids in ([0], [1, 2], [0, 1, 2]):
         f = evaluate_sites(ids, table, 10.0)
-        _, sinr = sinr_from_rx(table.rx_for(sorted(ids)), table.noise_dbm)
+        sinr = table.sinr_for(sorted(ids))
         assert f[0] == pytest.approx(-float(sinr[table.priority].sum()))
         assert f[1] == float(len(ids))
         assert f[2] == -float((sinr > 10.0).sum())
@@ -705,7 +706,7 @@ def _oracle_merge_archive(archive_objs, archive_bits, new_objs, new_bits):
 
 
 def _oracle_objectives(site_ids, table, threshold):
-    _, sinr = sinr_from_rx(table.rx_for(sorted(site_ids)), table.noise_dbm)
+    sinr = table.sinr_for(sorted(site_ids))
     return np.array([-float(sinr[table.priority].sum()), float(len(site_ids)),
                      -float((sinr > threshold).sum())])
 
@@ -857,8 +858,8 @@ def test_tournament_matches_scalar_oracle(n, seed):
 
 
 @st.composite
-def _tables(draw):
-    """Random link tables; coarse ones are full of exact rx ties."""
+def _db_tables(draw):
+    """(rx dBm [users, sites, 3], its link table); coarse ones are full of exact rx ties."""
     n_users = draw(st.integers(1, 30))
     n_cand = draw(st.integers(1, 12))
     n_fixed = draw(st.integers(0, 3))
@@ -866,8 +867,11 @@ def _tables(draw):
     rx = rng.normal(-90.0, 20.0, size=(n_users, n_cand + n_fixed, 3))
     if draw(st.booleans()):
         rx = np.round(rx / 6.0) * 6.0
-    return LinkGainTable(rx_dbm=rx, priority=rng.random(n_users) < 0.4,
-                         n_fixed=n_fixed, noise_dbm=-104.0)
+    return rx, table_from_db(rx, rng.random(n_users) < 0.4, n_fixed)
+
+
+def _tables():
+    return _db_tables().map(lambda pair: pair[1])
 
 
 def _mixed_population(table, m_max, rng, per_count=3):
@@ -903,13 +907,16 @@ def test_evaluate_rows_matches_single_sets_bytewise(table, m_max, seed, threshol
 
 
 @settings(max_examples=150, deadline=None)
-@given(table=_tables(), seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 5))
-def test_linear_route_sinr_matches_sinr_from_rx_bytewise(table, seed, rows):
+@given(db_table=_db_tables(), seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 5))
+def test_linear_route_sinr_matches_sinr_from_rx_bytewise(db_table, seed, rows):
+    rx, table = db_table
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, table.n_candidates + 1))
     ids = np.sort([rng.choice(table.n_candidates, size=k, replace=False)
                    for _ in range(rows)], axis=1)
-    _, want = sinr_from_rx(table.rx_for(ids), table.noise_dbm)
+    columns = np.take(rx, table.columns_for(ids), axis=1)  # [users, rows, k + n_fixed, 3]
+    _, want = sinr_from_rx(np.moveaxis(columns, 0, 1).reshape(rows, len(rx), -1),
+                           table.noise_dbm)
     assert table.sinr_for(ids).tobytes() == want.tobytes()
     for row, one in zip(ids, want):
         assert table.sinr_for(row).tobytes() == one.tobytes()

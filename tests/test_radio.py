@@ -13,7 +13,6 @@ from bsplace.radio import (
     SINR_CAP_DB,
     SINR_FLOOR_DB,
     BsSector,
-    LinkGainTable,
     NonPositiveDistance,
     NoSectors,
     RadioError,
@@ -34,8 +33,10 @@ from bsplace.radio import (
     thermal_noise_dbm,
     throughput_mbps,
 )
-from bsplace.scene import Scene, SceneConfig, User, build_scene
+from bsplace.scene import CandidateSite, Scene, SceneConfig, User, build_scene
 from bsplace.eval_report import GeneratorConfig, generate_synthetic_scene
+
+from conftest import table_from_db
 
 
 DEFAULTS = RadioParams()
@@ -201,19 +202,21 @@ def test_sinr_from_rx_batch_equals_each_placement():
             assert sinr[idx].tobytes() == one_sinr.tobytes()
 
 
-def test_rx_for_batch_equals_each_site_set():
+def test_sinr_for_batch_equals_each_site_set():
     rng = np.random.default_rng(4)
-    table = LinkGainTable(rx_dbm=rng.normal(-90.0, 20.0, size=(6, 9, 3)),
-                          priority=np.ones(6, dtype=bool), n_fixed=2, noise_dbm=-104.0)
+    rx = rng.normal(-90.0, 20.0, size=(6, 9, 3))
+    table = table_from_db(rx, np.ones(6, dtype=bool), n_fixed=2)
     ids = rng.integers(0, 7, size=(4, 3))
-    batch = table.rx_for(ids)
-    assert batch.shape == (4, 6, 3 * (3 + 2)) and batch.flags.c_contiguous
-    for row, rx in zip(ids, batch):
-        one = table.rx_for(list(row))
-        assert one.flags.c_contiguous
-        assert np.array_equal(rx, one)
-        assert np.array_equal(one, table.rx_dbm[:, list(row) + [7, 8], :].reshape(6, -1))
-    assert table.rx_for([]).shape == (6, 6)
+    batch = table.sinr_for(ids)
+    assert batch.shape == (4, 6)
+    for row, sinr in zip(ids, batch):
+        one = table.sinr_for(list(row))
+        assert one.tobytes() == sinr.tobytes()
+        # the fixed BS, sites 7 and 8, follow the chosen sites
+        _, want = sinr_from_rx(rx[:, list(row) + [7, 8], :].reshape(6, -1), table.noise_dbm)
+        assert one.tobytes() == want.tobytes()
+    _, fixed_only = sinr_from_rx(rx[:, 7:, :].reshape(6, -1), table.noise_dbm)
+    assert table.sinr_for([]).tobytes() == fixed_only.tobytes()
 
 
 # LinkGainTable.sinr_for takes the max linear power as the signal, which is
@@ -286,10 +289,11 @@ def test_throughput_broadcasts():
 
 def test_link_table_shapes(box_scene):
     table = build_link_table(box_scene, DEFAULTS, True)
+    assert table.rx_mw.shape == (3, 4, 3) and table.rx_mw.flags.c_contiguous
     assert table.rx_dbm.shape == (4, 3, 3)
     assert table.n_candidates == 3 and table.n_fixed == 0
     assert table.noise_dbm == pytest.approx(-95.0)
-    assert table.rx_for([0, 2]).shape == (4, 6)
+    assert table.sinr_for([0, 2]).shape == (4,)
     assert list(table.columns_for([2, 0])) == [2, 0]
 
 
@@ -298,10 +302,10 @@ def test_link_table_appends_fixed_bs(box_scene):
                   users=box_scene.users, candidates=box_scene.candidates,
                   fixed_bs=[np.array([150.0, 150.0, 20.0])])
     table = build_link_table(scene, DEFAULTS, True)
-    assert table.rx_dbm.shape == (4, 4, 3)
+    assert table.rx_mw.shape == (4, 4, 3)
     assert table.n_fixed == 1
     assert list(table.columns_for([1])) == [1, 3]
-    assert table.rx_for([]).shape == (4, 3)
+    assert table.sinr_for([]).shape == (4,)
 
 
 def test_table_matches_scalar_link_budget(box_scene):
@@ -322,13 +326,10 @@ def test_attach_matches_table_route():
                                                      candidate_pitch_m=130.0))
         table = build_link_table(scene, DEFAULTS, True)
         ids = sorted(range(len(scene.candidates)))[:2]
-        serving_t, sinr_t = sinr_from_rx(table.rx_for(ids), table.noise_dbm)
         sectors = sectors_for_sites([scene.candidates[i].position for i in ids],
                                     DEFAULTS)
-        serving_d, sinr_d = attach_and_evaluate(scene.users, sectors, scene,
-                                                DEFAULTS, True)
-        assert np.array_equal(serving_t, serving_d)
-        assert np.array_equal(sinr_t, sinr_d)
+        _, sinr_d = attach_and_evaluate(scene.users, sectors, scene, DEFAULTS, True)
+        assert table.sinr_for(ids).tobytes() == sinr_d.tobytes()
 
 
 def test_attach_sector_fields_match_oracles(box_scene):
@@ -403,6 +404,46 @@ def test_rx_kernel_temporaries_are_bounded(n_users, n_masts):
     # beyond the result and the boolean LoS mask, a few blocks of float64
     extra = peak - rx.nbytes - n_users * n_masts
     assert extra < 8 * radio._RX_BLOCK_ELEMS * 8, extra
+
+
+@pytest.mark.parametrize("sigma", [0.0, 10.0])
+def test_link_table_stores_the_linear_site_major_kernel_output(tile_scene, sigma):
+    p = RadioParams(shadowing_sigma_db=sigma, shadowing_seed=5)
+    users, masts = tile_scene.user_positions(), tile_scene.candidate_positions()
+    rx = sector_rx_dbm(users, masts, tile_scene.buildings, p)
+    if sigma:
+        rx = np.minimum(rx + shadowing_matrix(len(users), len(masts), p)[:, :, None],
+                        p.tx_power_dbm - p.min_coupling_loss_db)
+    want = db_to_linear(np.ascontiguousarray(np.moveaxis(rx, 1, 0)))
+    table = build_link_table(tile_scene, p, True)
+    assert table.rx_mw.shape == want.shape
+    assert table.rx_mw.tobytes() == want.tobytes()
+    # the dB view converts back to within rounding of the kernel's values
+    assert np.abs(table.rx_dbm - rx).max() <= 1e-13
+
+
+def test_link_table_build_and_first_score_allocate_one_table():
+    rng = np.random.default_rng(2)
+    users = [User(np.array([x, y, 1.5]), k % 3 == 0)
+             for k, (x, y) in enumerate(rng.uniform(0.0, 3000.0, (2000, 2)))]
+    candidates = [CandidateSite(i, np.array([x, y, 25.0]))
+                  for i, (x, y) in enumerate(rng.uniform(0.0, 3000.0, (300, 2)))]
+    scene = Scene(buildings=[], users=users, candidates=candidates, fixed_bs=[])
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        table = build_link_table(scene, DEFAULTS, True)
+        build_peak = tracemalloc.get_traced_memory()[1] - start
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        table.sinr_for([0, 1, 2])
+        score_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    table_bytes = table.rx_mw.nbytes
+    assert table_bytes > 20 * radio._RX_BLOCK_ELEMS * 8  # many mast blocks
+    assert build_peak - table_bytes < table_bytes / 2, build_peak
+    assert score_peak < table_bytes / 4, score_peak
 
 
 # ---------------------------------------------------------------------------
