@@ -26,8 +26,8 @@ stages, each exact against the scalar `los_blocked`:
 Where a point lies relative to a footprint outline is answered for many
 points at once by one routine, `_outline`: the squared distance to the
 nearest edge and the even-odd parity. `los_mask` takes its inside test from
-it and `outline_distance` (which `scene.place_users` calls for
-near-building priority) its distance. The scalar `point_in_polygon`,
+it and `outline_distance` (which `scene.place_users` calls once for all its
+near-building (user, prism) pairs) its distance. The scalar `point_in_polygon`,
 `point_to_polygon_distance` and `los_blocked` do the same arithmetic one
 point at a time and are kept as test oracles.
 """
@@ -104,13 +104,23 @@ def point_to_polygon_distance(p, poly) -> float:
     return d
 
 
-def outline_distance(px, py, poly) -> np.ndarray:
-    """point_to_polygon_distance over arrays of points (px, py), with its arithmetic.
+def outline_distance(px, py, polys, ring_ids) -> np.ndarray:
+    """point_to_polygon_distance of each point (px[k], py[k]) to the outline
+    of polys[ring_ids[k]], with its arithmetic: 0 inside or on it.
 
-    Distance from each point to the outline of poly: 0 inside or on it.
+    The points go through _outline in order of ring width, a slice of
+    points at a time, so one call serves the points of many rings.
     """
-    d2, odd = _outline(np.asarray(px, dtype=float), np.asarray(py, dtype=float),
-                       _Edges.ring(np.asarray(poly, dtype=float)))
+    px, py = np.asarray(px, dtype=float), np.asarray(py, dtype=float)
+    ring_ids = np.asarray(ring_ids, dtype=np.intp)
+    d2, odd = np.empty(px.size), np.empty(px.size, dtype=bool)
+    if px.size:
+        rings = _Rings([np.asarray(p, dtype=float) for p in polys])
+        order = np.argsort(rings.width[ring_ids], kind="stable")
+        widths = rings.width[ring_ids[order]]
+        for start, end in _width_slices(widths, lambda w: 6 * w):  # 6 edge arrays
+            k = order[start:end]
+            d2[k], odd[k] = _outline(px[k], py[k], rings.rows(ring_ids[k], widths[end - 1]))
     return np.where((d2 <= EPS * EPS) | odd, 0.0, np.sqrt(d2))
 
 
@@ -339,12 +349,6 @@ class _Edges:
         self.xy, self.valid = xy, valid
         self.x1, self.y1, self.x2, self.y2, self.ex, self.ey = xy
 
-    @classmethod
-    def ring(cls, poly):
-        """One footprint ring as a single row."""
-        ends = np.concatenate([poly[1:], poly[:1]])  # np.roll's result, at a quarter the cost
-        return cls(np.concatenate([poly.T, ends.T, (ends - poly).T])[:, None, :])
-
     def take(self, rows) -> "_Edges":
         return _Edges(self.xy.take(rows, axis=1),
                       None if self.valid is None else self.valid.take(rows, axis=0))
@@ -359,9 +363,11 @@ class _Rings:
         self.width = np.array([len(p) for p in polys])
         self.valid = np.arange(self.width.max()) < self.width[:, None]
         start = np.zeros(self.valid.shape + (2,))
-        end = np.zeros_like(start)
         start[self.valid] = np.concatenate(polys)
-        end[self.valid] = np.concatenate([np.concatenate([p[1:], p[:1]]) for p in polys])
+        col = np.arange(self.valid.shape[1])
+        succ = np.where(col + 1 < self.width[:, None], col + 1, 0)  # next vertex on the ring
+        end = start[np.arange(len(polys))[:, None], succ]
+        end[~self.valid] = 0.0
         self.table = np.stack([start[..., 0], start[..., 1], end[..., 0], end[..., 1],
                                end[..., 0] - start[..., 0], end[..., 1] - start[..., 1]])
 
@@ -372,27 +378,35 @@ class _Rings:
                       self.valid[ring_ids, :width] if padded else None)
 
 
+def _width_slices(widths, row_elems):
+    """(start, end) slices of rows whose ring widths ascend. A slice ends
+    before the first row more than twice as wide as its own first row, which
+    bounds the padding, and is cut so that its rows x row_elems(widest row)
+    stay within _SLICE_ELEMS."""
+    start = 0
+    while start < len(widths):
+        end = int(np.searchsorted(widths, 2 * widths[start], side="right"))
+        while end - start > 1 and (end - start) * row_elems(widths[end - 1]) > _SLICE_ELEMS:
+            end = start + max(1, _SLICE_ELEMS // row_elems(widths[end - 1]))
+        yield start, end
+        start = end
+
+
 def _slices_blocked(a, b, t0, t1, ring_ids, rings: _Rings, boxes) -> np.ndarray:
     """Which queued candidates (a[k] -> b[k], clipped to [t0[k], t1[k]],
     prism ring_ids[k]) are blocked.
 
-    Rows ascend in ring width. A slice ends before the first row more than
-    twice as wide as its own first row, which bounds the padding, and is cut
-    so that rows x (2 width + 2) parameter columns stay within _SLICE_ELEMS.
+    Rows ascend in ring width and go to the kernel in _width_slices, whose
+    rows x (2 width + 2) parameter columns stay within _SLICE_ELEMS.
     """
     widths = rings.width.take(ring_ids)
     blocked = np.empty(len(a), dtype=bool)
-    start = 0
-    while start < len(a):
-        end = int(np.searchsorted(widths, 2 * widths[start], side="right"))
-        while end - start > 1 and (end - start) * (2 * widths[end - 1] + 2) > _SLICE_ELEMS:
-            end = start + max(1, _SLICE_ELEMS // (2 * widths[end - 1] + 2))
+    for start, end in _width_slices(widths, lambda w: 2 * w + 2):
         ids = ring_ids[start:end]
         blocked[start:end] = _prism_blocks(a[start:end], b[start:end],
                                            t0[start:end], t1[start:end],
                                            rings.rows(ids, widths[end - 1]),
                                            boxes.take(ids, axis=1))
-        start = end
     return blocked
 
 

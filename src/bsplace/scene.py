@@ -170,12 +170,8 @@ class BuildingPrism:
             raise SceneError("footprint needs at least 3 vertices")
         if not self.top_elev > self.base_elev:
             raise SceneError("prism roof must be above its base")
-        self.bbox = (
-            float(self.footprint[:, 0].min()),
-            float(self.footprint[:, 1].min()),
-            float(self.footprint[:, 0].max()),
-            float(self.footprint[:, 1].max()),
-        )
+        lo, hi = self.footprint.min(axis=0), self.footprint.max(axis=0)
+        self.bbox = (float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
 
 
 @dataclass
@@ -250,25 +246,34 @@ _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_
 
 
 def _read_ascii_grid(path):
-    header = {}
-    values: list[str] = []
+    """(xllcorner, yllcorner, cellsize, grid) of an ESRI ASCII grid file.
+
+    The header lines come first, one `key value` pair each, in any order;
+    the body that follows holds the values, whitespace-separated and
+    wrapped anywhere, and is parsed in one call: every token as float()
+    reads it.
+    """
     try:
         with open(path, encoding="utf-8") as f:
-            for line in f:
-                parts = line.split()
-                if not parts:
-                    continue
-                key = parts[0].lower()
-                if not values and key in _HEADER_KEYS:
-                    if len(parts) != 2:
-                        raise GridFormatError(f"malformed header line: {line.strip()!r}")
-                    if key in header:
-                        raise GridFormatError(f"repeated header field {key}")
-                    header[key] = parts[1]
-                else:
-                    values.extend(parts)
+            text = f.read()
     except UnicodeDecodeError:
         raise GridFormatError(f"{path}: not UTF-8 text") from None
+    header = {}
+    body = 0  # where the body starts: the first non-blank line that is no header field
+    while body < len(text):
+        end = text.find("\n", body) + 1 or len(text)
+        line = text[body:end]
+        parts = line.split()
+        if parts:
+            key = parts[0].lower()
+            if key not in _HEADER_KEYS:
+                break
+            if len(parts) != 2:
+                raise GridFormatError(f"malformed header line: {line.strip()!r}")
+            if key in header:
+                raise GridFormatError(f"repeated header field {key}")
+            header[key] = parts[1]
+        body = end
     for key in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
         if key not in header:
             raise GridFormatError(f"missing header field {key}")
@@ -278,7 +283,8 @@ def _read_ascii_grid(path):
         xll = float(header["xllcorner"])
         yll = float(header["yllcorner"])
         cell = float(header["cellsize"])
-        data = np.array([float(v) for v in values])
+        values = text[body:].split()
+        data = np.fromiter(map(float, values), dtype=float, count=len(values))
         nodata = float(header["nodata_value"]) if "nodata_value" in header else None
     except ValueError as e:
         raise GridFormatError(f"non-numeric grid content: {e}") from None
@@ -295,6 +301,8 @@ def _read_ascii_grid(path):
 
 
 def _write_ascii_grid(path, cell, origin, grid, fmt):
+    """Write `grid` with each value as fmt(value) of its Python number (str
+    for int codes, repr for floats), one row per line, north row first."""
     nrows, ncols = grid.shape
     with open(path, "w") as f:
         f.write(f"ncols {ncols}\n")
@@ -303,8 +311,8 @@ def _write_ascii_grid(path, cell, origin, grid, fmt):
         f.write(f"yllcorner {origin[1]!r}\n")
         f.write(f"cellsize {cell!r}\n")
         f.write("NODATA_value -9999\n")
-        for row in grid[::-1]:  # back to north-first rows
-            f.write(" ".join(fmt(v) for v in row))
+        for row in grid[::-1].tolist():  # back to north-first rows
+            f.write(" ".join(map(fmt, row)))
             f.write("\n")
 
 
@@ -322,8 +330,7 @@ def load_raster(path) -> ClassRaster:
 
 
 def save_raster(raster: ClassRaster, path):
-    _write_ascii_grid(path, raster.cell_size, raster.origin, raster.classes,
-                      lambda v: str(int(v)))
+    _write_ascii_grid(path, raster.cell_size, raster.origin, raster.classes, str)
 
 
 def load_dsm(path) -> Dsm:
@@ -332,8 +339,7 @@ def load_dsm(path) -> Dsm:
 
 
 def save_dsm(dsm: Dsm, path):
-    _write_ascii_grid(path, dsm.cell_size, dsm.origin, dsm.elevation,
-                      lambda v: repr(float(v)))
+    _write_ascii_grid(path, dsm.cell_size, dsm.origin, dsm.elevation, repr)
 
 
 def check_aligned(raster: ClassRaster, dsm: Dsm):
@@ -360,29 +366,21 @@ class BuildingComponents:
     """The 4-connected components of a raster's building cells, labelled once.
 
     `labels` numbers the components 1..n in scan order (0 off buildings).
-    `windows[k]` is component k+1's bounding box grown by one cell and
-    clipped at the grid edge, so it holds the component, the ring of cells
-    next to it and its whole boundary. `tops[k]` is its roof height, the
-    median DSM over its cells; the prisms and the roof-mounted sites both
-    take it from here.
+    `tops[k]` is component k+1's roof height, the median DSM over its cells;
+    the prisms and the roof-mounted sites both take it from here.
     """
 
     labels: np.ndarray
-    windows: list[tuple[slice, slice]]
-    tops: list[float]
+    tops: np.ndarray
 
 
 def building_components(raster: ClassRaster, dsm: Dsm) -> BuildingComponents:
-    """Label the building components once and take each one's window and roof."""
+    """Label the building components once and take every roof in one grouped median."""
     check_aligned(raster, dsm)
-    labels, _ = ndimage.label(raster.classes == CellClass.BUILDING, structure=_CROSS)
-    windows, tops = [], []
-    for comp, (rows, cols) in enumerate(ndimage.find_objects(labels), start=1):
-        window = (slice(max(rows.start - 1, 0), min(rows.stop + 1, raster.height)),
-                  slice(max(cols.start - 1, 0), min(cols.stop + 1, raster.width)))
-        windows.append(window)
-        tops.append(float(np.median(dsm.elevation[window][labels[window] == comp])))
-    return BuildingComponents(labels, windows, tops)
+    labels, count = ndimage.label(raster.classes == CellClass.BUILDING, structure=_CROSS)
+    cells = np.flatnonzero(labels)
+    tops = _group_medians(labels.ravel()[cells] - 1, dsm.elevation.ravel()[cells], count)
+    return BuildingComponents(labels, tops)
 
 
 def extract_buildings(
@@ -394,120 +392,147 @@ def extract_buildings(
 
     Roof height is the median DSM over the component; base height is the
     median DSM over the ring of adjacent non-building cells. Medians keep
-    single-cell DSM noise out of the prism heights. Each component is
-    handled inside its window, so the cost grows with the grid, not with
-    the grid times the component count. `components` defaults to
-    `building_components(raster, dsm)`.
+    single-cell DSM noise out of the prism heights. Bases and footprints
+    are each found in one pass over the whole grid, for every component at
+    once. `components` defaults to `building_components(raster, dsm)`.
     """
     check_aligned(raster, dsm)
     if components is None:
         components = building_components(raster, dsm)
-    prisms = []
-    for comp, (window, top) in enumerate(zip(components.windows, components.tops), start=1):
-        labels = components.labels[window]
-        cells = labels == comp
-        elev = dsm.elevation[window]
-        ring = ndimage.binary_dilation(cells, structure=_CROSS) & (labels == 0)
-        if ring.any():
-            base = float(np.median(elev[ring]))
-        else:
-            base = float(elev[cells].min())
-        base = min(base, top - 1e-6)  # degenerate flat terrain still yields a prism
-        offset = (window[1].start, window[0].start)
-        footprint = _trace_footprint(cells, offset, raster.origin, raster.cell_size)
-        prisms.append(BuildingPrism(footprint, base, top))
-    return prisms
+    labels, tops = components.labels, components.tops
+    bases = _ring_medians(labels, dsm.elevation, len(tops))
+    empty = np.flatnonzero(np.isnan(bases))  # a component that fills the grid has no ring
+    if empty.size:
+        bases[empty] = ndimage.minimum(dsm.elevation, labels, empty + 1)
+    footprints = _trace_footprints(labels, len(tops), raster.origin, raster.cell_size)
+    # degenerate flat terrain still yields a prism
+    return [BuildingPrism(footprint, min(base, top - 1e-6), top)
+            for footprint, base, top in zip(footprints, bases.tolist(), tops.tolist())]
 
 
-_LEFT = {(1, 0): (0, 1), (0, 1): (-1, 0), (-1, 0): (0, -1), (0, -1): (1, 0)}
-_RIGHT = {v: k for k, v in _LEFT.items()}
+def _group_medians(groups: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
+    """np.median of the values of each group 0..count-1, NaN for an empty group.
 
-
-def _trace_footprint(cells: np.ndarray, offset, origin, cell_size) -> np.ndarray:
-    """Outer boundary of a cell component as a counterclockwise polygon.
-
-    Boundary edges are traced with the interior kept on the left; at pinch
-    corners the walk prefers the left turn, which keeps each loop as tight
-    as possible. The loop with the largest area is the outer ring (inner
-    rings around holes are dropped). Works in integer corner coordinates,
-    local to `cells`, so the chaining is exact; `offset` is the (column,
-    row) of `cells[0, 0]` in the grid and is added before scaling, so the
-    corners come out exactly as if traced on the whole grid.
+    One sort by value and a stable one by group put every group's values in
+    order; the median is the middle one, or the mean of the middle two as
+    np.median takes it, (lo + hi) / 2.
     """
-    padded = np.zeros((cells.shape[0] + 2, cells.shape[1] + 2), dtype=bool)
-    padded[1:-1, 1:-1] = cells
-    # one (mask of cells with that side open, edge start, edge end) per side,
-    # in corner offsets from the cell's lower-left corner
-    sides = (
-        (cells & ~padded[:-2, 1:-1], (0, 0), (1, 0)),   # south
-        (cells & ~padded[1:-1, 2:], (1, 0), (1, 1)),    # east
-        (cells & ~padded[2:, 1:-1], (1, 1), (0, 1)),    # north
-        (cells & ~padded[1:-1, :-2], (0, 1), (0, 0)),   # west
-    )
-    edges: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for open_side, (sx, sy), (ex, ey) in sides:
-        ys, xs = np.nonzero(open_side)
-        for ix, iy in zip(xs.tolist(), ys.tolist()):
-            edges.setdefault((ix + sx, iy + sy), []).append((ix + ex, iy + ey))
+    order = np.argsort(values)  # equal values may come in any order
+    order = order[np.argsort(groups[order], kind="stable")]
+    ordered = np.append(values[order], np.nan)
+    size = np.bincount(groups, minlength=count)
+    start = np.cumsum(size) - size
+    lo = np.where(size > 0, start + (size - 1) // 2, -1)  # -1 reads the NaN
+    hi = np.where(size > 0, start + size // 2, -1)
+    return np.where(lo == hi, ordered[lo], (ordered[lo] + ordered[hi]) / 2)
 
-    loops = []
-    while edges:
-        start = min(edges)
-        nxt = min(edges[start])
-        loop = [start]
-        cur, prev_dir = _consume_edge(edges, start, nxt)
-        while cur != start:
-            loop.append(cur)
-            outs = edges[cur]
-            if len(outs) == 1:
-                choice = outs[0]
-            else:
-                pref = [_LEFT[prev_dir], prev_dir, _RIGHT[prev_dir]]
-                choice = None
-                for p in pref:
-                    cand = (cur[0] + p[0], cur[1] + p[1])
-                    if cand in outs:
-                        choice = cand
-                        break
-                if choice is None:
-                    choice = min(outs)
-            cur, prev_dir = _consume_edge(edges, cur, choice)
-        loops.append(loop)
 
-    def twice_area(loop):  # shoelace on integer corners: exact
-        return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(loop, loop[1:] + loop[:1]))
+def _across_sides(labels: np.ndarray):
+    """The label across the south, east, north and west side of every cell (0 off the grid)."""
+    padded = np.pad(labels, 1)
+    return padded[:-2, 1:-1], padded[1:-1, 2:], padded[2:, 1:-1], padded[1:-1, :-2]
 
-    outer = max(loops, key=lambda lp: abs(twice_area(lp)))
-    if twice_area(outer) < 0:
-        outer = outer[::-1]
-    outer = _merge_collinear(outer)
-    pts = (np.array(outer) + offset).astype(float) * cell_size
+
+def _ring_medians(labels: np.ndarray, elevation: np.ndarray, count: int) -> np.ndarray:
+    """Median elevation over each component's ring, the off-building cells
+    4-adjacent to it; NaN for a component without one."""
+    off = labels == 0
+    comps, cells = [], []
+    seen = []  # the sides already taken: a cell counts once per component it touches
+    for across in _across_sides(labels):
+        ring = off & (across > 0)
+        for other in seen:
+            ring &= across != other
+        seen.append(across)
+        comps.append(across[ring])
+        cells.append(np.flatnonzero(ring))
+    return _group_medians(np.concatenate(comps) - 1,
+                          elevation.ravel()[np.concatenate(cells)], count)
+
+
+# A cell's open sides are unit edges with the cell on their left, south
+# side first: their start corner, as an offset from the cell's lower-left
+# corner, and their direction (east, north, west, south: d = 0..3).
+_SIDE_STARTS = ((0, 0), (1, 0), (1, 1), (0, 1))
+_STEPS = np.array([(1, 0), (0, 1), (-1, 0), (0, -1)])
+# preference among a corner's out-edges, by the turn (out d - in d) % 4 from
+# the in-edge: left first, then straight on, then right
+_TURN_RANK = np.array([1, 0, 3, 2])
+
+
+def _trace_footprints(labels: np.ndarray, count: int, origin, cell_size) -> list[np.ndarray]:
+    """Outer boundary of each component 1..count as a counterclockwise polygon.
+
+    Every open side of every building cell is a directed unit edge with the
+    cell on its left; two components are never 4-adjacent, so all edges of
+    the grid are listed at once. The successor of an edge is the out-edge at
+    its end corner, preferring the left turn at a pinch corner, which keeps
+    each loop as tight as possible; the loops are the cycles of that table.
+    Each component keeps its loop of largest area (inner rings around holes
+    are dropped; a tie goes to the loop with the least start corner), begun
+    at its least corner and run counterclockwise, with the corners that do
+    not turn dropped. Corners are exact integers until they are scaled.
+    """
+    if count == 0:
+        return []
+    xs, ys, ds, comps = [], [], [], []
+    building = labels > 0
+    for d, (across, (sx, sy)) in enumerate(zip(_across_sides(labels), _SIDE_STARTS)):
+        iy, ix = np.nonzero(building & (across == 0))
+        xs.append(ix + sx)
+        ys.append(iy + sy)
+        ds.append(np.full(ix.size, d))
+        comps.append(labels[iy, ix])
+    x, y, d, comp = (np.concatenate(c) for c in (xs, ys, ds, comps))
+    # corner keys ascend as (x, y) tuples do; sort the edges by start corner
+    stride = labels.shape[0] + 1
+    key = x * stride + y
+    order = np.argsort(key)
+    key, x, y, d, comp = key[order], x[order], y[order], d[order], comp[order]
+    n, edge = key.size, np.arange(key.size)
+
+    # successor: the out-edge at the end corner, of which a pinch corner has two
+    step_x, step_y = _STEPS[d].T
+    end = key + step_x * stride + step_y
+    first = np.searchsorted(key, end)
+    second = np.minimum(first + 1, n - 1)
+    better = ((first + 1 < n) & (key[second] == end)
+              & (_TURN_RANK[(d[second] - d) % 4] < _TURN_RANK[(d[first] - d) % 4]))
+    succ = np.where(better, second, first)
+
+    # each edge's loop head: its least edge, that is the edge at its least corner
+    # (pointer jumping: after r rounds, the least of the 2**r edges from each one)
+    rounds = int(np.bincount(comp).max()).bit_length()  # no loop outruns its component
+    head, ahead = edge.copy(), succ
+    for _ in range(rounds):
+        head = np.minimum(head, head[ahead])
+        ahead = ahead[ahead]
+    # twice each loop's signed area (shoelace, exact in integers)
+    area = np.zeros(n, dtype=np.int64)
+    np.add.at(area, head, x * step_y - y * step_x)
+    heads = np.flatnonzero(head == edge)  # in order of their least corner
+    pick = heads[np.lexsort((heads, -np.abs(area[heads]), comp[heads]))]
+    kept = np.zeros(n, dtype=bool)
+    kept[pick[np.r_[True, comp[pick][1:] != comp[pick][:-1]]]] = True
+
+    # edges to the end of each loop, begun at its head (list ranking, as many rounds)
+    ahead = np.where(succ == head, edge, succ)  # the loop's last edge points at itself
+    togo = (ahead != edge).astype(np.int64)
+    for _ in range(rounds):
+        togo += togo[ahead]
+        ahead = ahead[ahead]
+    # the corners that turn, in loop order, counterclockwise
+    pred = np.empty_like(succ)
+    pred[succ] = edge
+    corner = np.flatnonzero(kept[head] & (d != d[pred]))
+    clockwise = area[head[corner]] < 0
+    corner = corner[np.lexsort((np.where(clockwise, togo[corner], -togo[corner]),
+                                comp[corner]))]
+    pts = np.column_stack([x[corner], y[corner]]).astype(float) * cell_size
     pts[:, 0] += origin[0]
     pts[:, 1] += origin[1]
-    return pts
-
-
-def _consume_edge(edges, frm, to):
-    outs = edges[frm]
-    outs.remove(to)
-    if not outs:
-        del edges[frm]
-    return to, (to[0] - frm[0], to[1] - frm[1])
-
-
-def _merge_collinear(loop):
-    n = len(loop)
-    out = []
-    for i in range(n):
-        prev_pt = loop[i - 1]
-        cur = loop[i]
-        nxt = loop[(i + 1) % n]
-        d_in = (cur[0] - prev_pt[0], cur[1] - prev_pt[1])
-        d_out = (nxt[0] - cur[0], nxt[1] - cur[1])
-        cross = d_in[0] * d_out[1] - d_in[1] * d_out[0]
-        if cross != 0:
-            out.append(cur)
-    return out if len(out) >= 3 else loop
+    bounds = np.cumsum(np.bincount(comp[corner], minlength=count + 1)).tolist()
+    return [pts[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +569,10 @@ def place_users(
 
     Lattice points on building/tree/car cells are skipped. A user has
     priority when it stands on an impervious surface (roads, pavements) or
-    within near_dist of a building footprint. Per prism, the users without
-    priority yet that lie within near_dist of its bbox go to one
-    `geometry.outline_distance` call, which gives each one's exact distance
-    to the footprint (0 inside or on it).
+    within near_dist of a building footprint. The (user, prism) pairs of the
+    other users that lie within near_dist of the prism's bbox, found for
+    all prisms at once, go to one `geometry.outline_distance` call, which
+    gives each pair's exact distance to the footprint (0 inside or on it).
     """
     if spacing <= 0:
         raise SceneError("user spacing must be positive")
@@ -561,15 +586,35 @@ def place_users(
     x, y, label = x[walkable], y[walkable], label[walkable]
     positions = np.column_stack([x, y, dsm.bilinear(x, y) + USER_HEIGHT_M])
     priority = label == CellClass.IMPERVIOUS_SURFACE
+    rest = np.flatnonzero(~priority)
+    if buildings and rest.size:
+        prism, user = _near_bbox_pairs(x[rest], y[rest], buildings, near_dist)
+        near = outline_distance(x[rest[user]], y[rest[user]],
+                                [b.footprint for b in buildings], prism) <= near_dist
+        priority[rest[user[near]]] = True
+    return [User(p, bool(q)) for p, q in zip(positions, priority)]
+
+
+# (prism, point) tests per block of prisms in _near_bbox_pairs
+_BBOX_BLOCK = 1 << 16
+
+
+def _near_bbox_pairs(x, y, buildings, near_dist):
+    """(prism, point) index pairs, prism-major, of the points (x, y) that lie
+    within near_dist of a prism's bounding box, tested for a block of prisms
+    at a time."""
+    boxes = np.array([b.bbox for b in buildings]).T[:, :, None]  # x0, y0, x1, y1
     limit_sq = near_dist * near_dist
-    for prism in buildings:
-        x0, y0, x1, y1 = prism.bbox
+    step = max(1, _BBOX_BLOCK // x.size)
+    prisms, points = [], []
+    for s in range(0, len(buildings), step):
+        x0, y0, x1, y1 = boxes[:, s:s + step]
         dx = np.maximum(np.maximum(x0 - x, 0.0), x - x1)
         dy = np.maximum(np.maximum(y0 - y, 0.0), y - y1)
-        i = np.flatnonzero(~priority & (dx * dx + dy * dy <= limit_sq))
-        if i.size:
-            priority[i] = outline_distance(x[i], y[i], prism.footprint) <= near_dist
-    return [User(p, bool(q)) for p, q in zip(positions, priority)]
+        prism, point = np.nonzero(dx * dx + dy * dy <= limit_sq)
+        prisms.append(prism + s)
+        points.append(point)
+    return np.concatenate(prisms), np.concatenate(points)
 
 
 def place_candidates(
@@ -598,7 +643,7 @@ def place_candidates(
     surface = dsm.bilinear(x, y)
     comp = components.labels[iy, ix]
     on_roof = comp > 0
-    surface[on_roof] = np.asarray(components.tops)[comp[on_roof] - 1]
+    surface[on_roof] = components.tops[comp[on_roof] - 1]
     positions = np.column_stack([x, y, surface + mast_height])
     return [CandidateSite(i, p) for i, p in enumerate(positions)]
 

@@ -191,8 +191,9 @@ def test_criterion_1_exhaustive_toy_oracle(toy_runs, acceptance_log):
     if max_elapsed >= 10.0:
         ok = False
         msgs.append(f"slowest run {max_elapsed:.1f}s")
+    # the elapsed time shows only on failure, so a passing block reads the same every run
     detail = (f"20 scenes, archive subset of exhaustive front, "
-              f"worst coverage {worst_cover:.0%}, slowest run {max_elapsed:.2f}s")
+              f"worst coverage {worst_cover:.0%}, every run under 10s")
     record(acceptance_log, 1, "toy-scene exhaustive optimality",
            ok, "; ".join(msgs) if msgs else detail)
 

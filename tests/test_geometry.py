@@ -53,15 +53,20 @@ def test_point_to_polygon_distance():
     assert point_to_polygon_distance([2.0, 2.0], UNIT_SQUARE) == pytest.approx(np.sqrt(2.0))
 
 
+def _distance_to_one_ring(px, py, ring):
+    return outline_distance(px, py, [ring], np.zeros(len(px), dtype=int))
+
+
 def test_outline_distance_hand_values():
     px = np.array([0.5, 1.0, 0.0, 2.0, 2.0, -0.5])
     py = np.array([0.5, 0.5, 0.0, 0.5, 2.0, 0.5])
-    np.testing.assert_array_equal(outline_distance(px, py, UNIT_SQUARE),
+    np.testing.assert_array_equal(_distance_to_one_ring(px, py, UNIT_SQUARE),
                                   [0.0, 0.0, 0.0, 1.0, np.sqrt(2.0), 0.5])
-    assert outline_distance(np.empty(0), np.empty(0), UNIT_SQUARE).shape == (0,)
+    assert _distance_to_one_ring(np.empty(0), np.empty(0), UNIT_SQUARE).shape == (0,)
+    assert outline_distance(np.empty(0), np.empty(0), [], np.empty(0, dtype=int)).shape == (0,)
     # exactly EPS off the outline still counts as on it; 2 EPS does not
     eps = geometry.EPS
-    d = outline_distance(np.array([0.5, 0.5]), np.array([-eps, -2 * eps]), UNIT_SQUARE)
+    d = _distance_to_one_ring(np.array([0.5, 0.5]), np.array([-eps, -2 * eps]), UNIT_SQUARE)
     assert d.tolist() == [0.0, point_to_polygon_distance([0.5, -2 * eps], UNIT_SQUARE)]
     assert d[1] > 0.0
 
@@ -268,8 +273,8 @@ def _kernel_blocks(a, b, prism):
     a, b = np.array([a], dtype=float), np.array([b], dtype=float)
     box = geometry._clip_boxes([prism])
     _, t0, t1 = geometry._slab_clip(a, b, box)
-    return bool(geometry._prism_blocks(a, b, t0, t1, geometry._Edges.ring(prism.footprint),
-                                       box)[0])
+    edges = geometry._Rings([prism.footprint]).rows(np.array([0]), len(prism.footprint))
+    return bool(geometry._prism_blocks(a, b, t0, t1, edges, box)[0])
 
 
 @pytest.mark.parametrize("x_end", [10.0 + 2e-9, 10.0 + 5e-7])
@@ -347,7 +352,7 @@ def test_outline_ignores_padding():
     assert padded.valid is not None and not padded.valid.all()
     px, py = np.array([0.0, 2.0, 5.0]), np.array([0.0, 1.5, 1.0])
     d2, odd = geometry._outline(px, py, padded)
-    e2, eodd = geometry._outline(px, py, geometry._Edges.ring(rect))
+    e2, eodd = geometry._outline(px, py, geometry._Rings([rect]).rows(np.zeros(3, int), 4))
     np.testing.assert_array_equal(d2, e2)
     np.testing.assert_array_equal(odd, eodd)
 
@@ -486,14 +491,27 @@ def _outline_points(draw, ring):
 
 
 @settings(max_examples=300, deadline=None)
-@given(prism=_footprints(), data=st.data())
-def test_outline_distance_matches_oracle_on_lattice(prism, data):
-    ring = prism.footprint
-    pts = data.draw(st.lists(_outline_points(ring), min_size=1, max_size=8))
+@given(prisms=st.lists(_footprints(), min_size=1, max_size=3), data=st.data())
+def test_outline_distance_matches_oracle_on_lattice(prisms, data):
+    rings = [p.footprint for p in prisms]
+    ids = data.draw(st.lists(st.integers(0, len(rings) - 1), min_size=1, max_size=8))
+    pts = [data.draw(_outline_points(rings[k])) for k in ids]
     px, py = np.array(pts).T
-    got = outline_distance(px, py, ring)
-    expect = [point_to_polygon_distance(p, ring) for p in pts]
-    assert got.tolist() == expect, pts
+    got = outline_distance(px, py, rings, ids)
+    expect = [point_to_polygon_distance(p, rings[k]) for p, k in zip(pts, ids)]
+    assert got.tolist() == expect, (pts, ids)
+
+
+def test_outline_distance_many_rings_across_slices():
+    # enough points that the rings of several widths take several _outline slices
+    rng = np.random.default_rng(3)
+    rings = [np.array(_HUG_SLOT), UNIT_SQUARE * 3.0,
+             np.array([[0, 0], [4, 0], [4, 1], [1, 1], [1, 3], [0, 3]], dtype=float)]
+    ids = rng.integers(0, len(rings), 3000)
+    px, py = rng.uniform(-2.0, 6.0, (2, ids.size))
+    got = outline_distance(px, py, rings, ids)
+    expect = [point_to_polygon_distance((x, y), rings[k]) for x, y, k in zip(px, py, ids)]
+    assert got.tolist() == expect
 
 
 def _generated_scene(seed):

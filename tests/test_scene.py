@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
+from bsplace import scene as scene_mod
 from bsplace.eval_report import GeneratorConfig, generate_synthetic_scene
 from bsplace.geometry import point_to_polygon_distance
 from bsplace.scene import (
@@ -188,6 +190,87 @@ def test_load_grid_rejects_non_finite_geometry(tmp_path, load, key, value, field
     p.write_text("".join(f"{k} {v}\n" for k, v in header.items()) + "0 1\n")
     with pytest.raises(SceneError, match=f"{field} must be finite"):
         load(p)
+
+
+def _old_grid_rows(grid, fmt):
+    """The body as the writer formatted it value by value: fmt(v) of each numpy value."""
+    return "".join(" ".join(fmt(v) for v in row) + "\n" for row in grid[::-1])
+
+
+def test_grid_writer_matches_per_value_formatting(tmp_path):
+    rng = np.random.default_rng(11)
+    floats = rng.normal(0.0, 1.0, (7, 9)) * 10.0 ** rng.integers(-30, 30, (7, 9))
+    floats.flat[:8] = [-0.0, 0.0, 1e-300, -1e300, 5e-324, 123456789012345678.0, -2.5, 1e16]
+    ints = rng.integers(-70000, 70000, (5, 6))
+    ints.flat[:3] = [0, -1, 5]
+    for grid, fmt, old_fmt in ((floats, repr, lambda v: repr(float(v))),
+                               (ints, str, lambda v: str(int(v)))):
+        p = tmp_path / "grid.asc"
+        scene_mod._write_ascii_grid(p, 2.0, (1.5, -3.0), grid, fmt)
+        body = "".join(p.read_text().splitlines(keepends=True)[6:])
+        assert body == _old_grid_rows(grid, old_fmt)
+    # the public writers on their own dtypes
+    raster = ClassRaster(1.0, (0.0, 0.0), rng.integers(0, 6, (4, 5)))
+    dsm = Dsm(1.0, (0.0, 0.0), floats[:4, :5])
+    save_raster(raster, tmp_path / "r.asc")
+    save_dsm(dsm, tmp_path / "d.asc")
+    assert "".join((tmp_path / "r.asc").read_text().splitlines(keepends=True)[6:]) == \
+        _old_grid_rows(raster.classes, lambda v: str(int(v)))
+    assert "".join((tmp_path / "d.asc").read_text().splitlines(keepends=True)[6:]) == \
+        _old_grid_rows(dsm.elevation, lambda v: repr(float(v)))
+
+
+_GRID_HEADER = "ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+
+
+def _read_body(tmp_path, body, header=_GRID_HEADER, newline=None):
+    p = tmp_path / "grid.asc"
+    with open(p, "w", newline=newline) as f:
+        f.write(header + body)
+    return scene_mod._read_ascii_grid(p)[3]
+
+
+@pytest.mark.parametrize("tokens", [
+    ["+1.5", ".5", "5.", "1e3", "nan", "inf"],
+    ["-0.0", "-inf", "NaN", "Infinity", "1E-3", "-.25e+2"],
+    ["1_0", "0.1", "12345678901234567890", "4.9e-324", "1.7976931348623157e308", "-1e-400"],
+])
+@pytest.mark.parametrize("layout", ["rows", "one_line", "wrapped", "tabs_crlf", "cr"])
+def test_grid_reader_tokens_and_layouts(tmp_path, tokens, layout):
+    if layout == "rows":
+        body, newline = " ".join(tokens[:3]) + "\n" + " ".join(tokens[3:]) + "\n", None
+    elif layout == "one_line":
+        body, newline = "  ".join(tokens), None
+    elif layout == "wrapped":  # values wrap at counts unrelated to ncols
+        body, newline = "\n\n".join(["", tokens[0], " ".join(tokens[1:5]), tokens[5]]), None
+    elif layout == "tabs_crlf":
+        body, newline = "\t".join(tokens[:4]) + " \t\n" + "\t".join(tokens[4:]) + "\n", "\r\n"
+    else:
+        body, newline = "\n".join(tokens) + "\n", "\r"
+    grid = _read_body(tmp_path, body, _GRID_HEADER.replace("\n", "\r\n")
+                      if layout == "tabs_crlf" else _GRID_HEADER, newline)
+    # bit-identical to float() of each token; the file stores the north row first
+    expect = np.array([float(t) for t in tokens]).reshape(2, 3)[::-1]
+    assert grid.tobytes() == expect.tobytes()
+
+
+def test_grid_reader_rejects_stray_tokens_and_empty_bodies(tmp_path):
+    with pytest.raises(GridFormatError, match="non-numeric grid content"):
+        _read_body(tmp_path, "1 2 #\n4 5 6\n")
+    with pytest.raises(GridFormatError, match="non-numeric grid content"):
+        _read_body(tmp_path, "1 2 3\n4 5 6 # comment\n")
+    with pytest.raises(GridFormatError, match="non-numeric grid content"):
+        _read_body(tmp_path, "1 2 3\n4 5 ncols\n")  # header keys only lead the file
+    for body in ("", "\n\n  \t\n"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridFormatError,
+                               match=r"expected 6 values \(2 rows x 3 cols\), got 0"):
+                _read_body(tmp_path, body)
+    # header fields may come in any order and case, after blank lines
+    grid = _read_body(tmp_path, "1 2 3 4 5 6",
+                      "\n CELLSIZE 2\nnRows 2\n\nyllcorner 0\nxllcorner 0\nncols 3\n")
+    assert grid.tolist() == [[4.0, 5.0, 6.0], [1.0, 2.0, 3.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -777,24 +860,97 @@ def test_build_scene_reference_edges_diagonals_and_single_cells():
     assert (prisms[0].base_elev, prisms[0].top_elev) == (ref[0][1], ref[0][2])
 
 
-@settings(max_examples=60, deadline=None)
+@st.composite
+def _pinch_heavy_classes(draw):
+    """Rasters up to 40 cells a side made of patterns that meet at pinch
+    corners: checkerboard patches, diagonal staircases that touch only at
+    corners, and rings around courtyards with a corner cell taken out, so
+    the courtyard meets the outside at a pinch corner of the ring."""
+    h, w = draw(st.integers(2, 40)), draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    classes = rng.choice(np.array([0, 2, 2, 5], dtype=np.int16), (h, w))
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["checker", "stairs", "courtyard", "speckle"]))
+        r0, c0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+        size = draw(st.integers(2, 20))
+        rows, cols = slice(r0, r0 + size), slice(c0, c0 + size)
+        if kind == "checker":
+            iy, ix = np.indices(classes[rows, cols].shape)
+            patch = (iy + ix) % 2 == draw(st.integers(0, 1))
+            classes[rows, cols] = np.where(patch, 1, classes[rows, cols])
+        elif kind == "stairs":
+            step = draw(st.sampled_from([1, -1]))
+            for t in range(size):
+                if 0 <= r0 + t < h and 0 <= c0 + step * t < w:
+                    classes[r0 + t, c0 + step * t] = 1
+        elif kind == "courtyard":
+            ring = np.zeros((size + 1, size + 1), dtype=bool)
+            ring[[0, -1], :] = ring[:, [0, -1]] = True
+            corner = draw(st.sampled_from([(0, 0), (0, -1), (-1, 0), (-1, -1)]))
+            ring[corner] = False
+            view = classes[r0:r0 + size + 1, c0:c0 + size + 1]
+            view[ring[:view.shape[0], :view.shape[1]]] = 1
+            view[1:-1, 1:-1][view[1:-1, 1:-1] == 1] = 0  # an open courtyard
+        else:
+            speck = rng.random(classes[rows, cols].shape) < 0.45
+            classes[rows, cols] = np.where(speck, 1, classes[rows, cols])
+    return classes
+
+
+@settings(max_examples=120, deadline=None)
 @given(
-    classes=hnp.arrays(np.int16, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1,
-                                                   max_side=14),
-                       elements=st.sampled_from([0, 1, 1, 1, 2, 3, 4, 5])),
+    classes=st.one_of(
+        hnp.arrays(np.int16, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1,
+                                               max_side=14),
+                   elements=st.sampled_from([0, 1, 1, 1, 2, 3, 4, 5])),
+        _pinch_heavy_classes()),
     cell=st.sampled_from([0.5, 1.0, 3.7]),
     spacing=st.sampled_from([0.4, 1.0, 2.9]),
     near=st.sampled_from([0.0, 1.0]),
     seed=st.integers(0, 2**16),
+    tied=st.booleans(),
 )
-def test_build_scene_matches_reference_on_random_rasters(classes, cell, spacing, near, seed):
+def test_build_scene_matches_reference_on_random_rasters(classes, cell, spacing, near, seed,
+                                                         tied):
     h, w = classes.shape
-    elev = np.random.default_rng(seed).normal(10.0, 4.0, (h, w))
+    rng = np.random.default_rng(seed)
+    # tied: a few distinct heights, so medians often meet equal middle values
+    elev = (rng.integers(0, 4, (h, w)) * 1.5 + 7.0 if tied
+            else rng.normal(10.0, 4.0, (h, w)))
     raster = ClassRaster(cell, (3.25, -8.5), classes)
     dsm = Dsm(cell, (3.25, -8.5), elev)
+    # the scalar reference walks the user lattice in Python: keep it near 14 x 14
+    spacing *= max(1.0, max(h, w) / 14)
     cfg = SceneConfig(user_spacing_m=spacing * cell, candidate_pitch_m=1.5 * spacing * cell,
                       near_dist_m=near * cell)
     _assert_matches_reference(raster, dsm, cfg)
+
+
+def test_extract_buildings_even_count_medians_with_ties():
+    # One 2 x 3 block (6 cells) whose middle two heights tie, and one 2 x 2
+    # block (4 cells) whose middle two differ; each ring has an even count
+    # of cells too, tied in the first and not in the second.
+    classes = np.array([
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 1, 1, 1, 0, 0, 1, 1, 0],
+        [0, 1, 1, 1, 0, 0, 1, 1, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+    ])
+    elev = np.array([
+        [9.0, 1.0, 2.0, 2.0, 9.0, 9.0, 1.0, 3.0, 9.0],
+        [2.0, 20.0, 15.0, 30.0, 2.0, 1.0, 10.0, 11.0, 1.0],
+        [5.0, 15.0, 12.0, 15.0, 3.0, 3.0, 13.0, 40.0, 3.0],
+        [9.0, 2.0, 0.5, 2.0, 9.0, 9.0, 4.0, 2.0, 9.0],
+    ])
+    raster = ClassRaster(1.0, (0.0, 0.0), classes)
+    dsm = Dsm(1.0, (0.0, 0.0), elev)
+    first, second = extract_buildings(raster, dsm)
+    assert first.top_elev == 15.0  # sorted 12 15 15 15 20 30
+    assert second.top_elev == 12.0  # (11 + 13) / 2
+    assert first.base_elev == 2.0  # ring: 1 2 2 | 2 5 | 2 3 | 2 0.5 2 -> 10 cells, 2 and 2
+    assert second.base_elev == 2.5  # ring: 1 3 | 1 3 | 1 3 | 4 2 -> 8 cells, 2 and 3
+    ref, _ = _ref_buildings(raster, dsm)
+    assert [(b.base_elev, b.top_elev) for b in (first, second)] == [r[1:] for r in ref]
 
 
 
