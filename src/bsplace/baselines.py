@@ -1,5 +1,7 @@
 """Placement baselines: iterative k-means with MUS reseeding, and the
 method-comparison harness pitting it against NSGA-II and the plain GA.
+`run_method` is the one runner of all three, which the comparison and the
+CLI's `optimize` share.
 
 The k-means loop clusters users in the ground plane, snaps centroids to
 candidate sites, scores the snapped placement by covered users, then
@@ -134,6 +136,32 @@ def kmeans_site_ids(users, k: int, scene, params, config: KmeansConfig,
     return best_ids
 
 
+def run_method(method: str, m: int, scene, params, ga_config: opt.GaConfig,
+               table: LinkGainTable):
+    """Run one placement method with site budget `m` on the scene's link table.
+
+    `m` is NSGA-II's and the GA's `m_max` and k-means' `k`; the GA and
+    k-means take the GA config's seed and SINR threshold. Returns
+    (archive, history): the archive is a list of `Individual` (NSGA-II's
+    non-dominated set, or the GA's best or k-means' placement alone), the
+    history is in its JSON form (empty for k-means).
+    """
+    if method == "nsga2":
+        archive, history = opt.run_nsga2(scene, params, replace(ga_config, m_max=m),
+                                         table=table)
+        return archive, opt.history_to_dict(history)
+    if method == "ga":
+        best, history = opt.run_ga_single_objective(scene, params,
+                                                    replace(ga_config, m_max=m), table=table)
+        return [best], history
+    kmeans_config = KmeansConfig(seed=ga_config.seed,
+                                 sinr_threshold_db=ga_config.sinr_threshold_db)
+    ids = kmeans_site_ids(scene.users, m, scene, params, kmeans_config, table=table)
+    objectives = opt.evaluate_sites(ids, table, ga_config.sinr_threshold_db)
+    return [opt.Individual(bits=np.zeros(0, dtype=bool), objectives=objectives, rank=0,
+                           crowding=float("inf"), sites=list(ids))], []
+
+
 def compare_methods(scene, params, bs_counts, methods,
                     ga_config: opt.GaConfig | None = None,
                     use_blockages: bool = True) -> list[dict]:
@@ -154,30 +182,19 @@ def compare_methods(scene, params, bs_counts, methods,
     bs_counts = list(dict.fromkeys(int(m) for m in bs_counts))
     if ga_config is None:
         ga_config = opt.GaConfig()
-    kmeans_config = KmeansConfig(seed=ga_config.seed,
-                                 sinr_threshold_db=ga_config.sinr_threshold_db)
     table = build_link_table(scene, params, use_blockages)
     threshold = ga_config.sinr_threshold_db
 
-    nsga_archive = None
+    archives = {}
     rows = []
     for method in methods:
         for m in bs_counts:
-            if method == "nsga2":
-                if nsga_archive is None:
-                    cfg = replace(ga_config, m_max=max(bs_counts))
-                    nsga_archive, _ = opt.run_nsga2(scene, params, cfg, use_blockages,
-                                                    table=table)
-                ind = opt.select_best_for_m(nsga_archive, m, allow_fewer=True)
-                ids = ind.sites
-            elif method == "ga":
-                cfg = replace(ga_config, m_max=m)
-                best, _ = opt.run_ga_single_objective(scene, params, cfg, use_blockages,
-                                                      table=table)
-                ids = best.sites
-            else:
-                ids = kmeans_site_ids(scene.users, m, scene, params, kmeans_config,
-                                      use_blockages, table)
+            # NSGA-II's one archive holds a best for every budget up to its m_max
+            budget = max(bs_counts) if method == "nsga2" else m
+            if (method, budget) not in archives:
+                archives[method, budget], _ = run_method(method, budget, scene, params,
+                                                         ga_config, table)
+            ids = opt.select_best_for_m(archives[method, budget], m, allow_fewer=True).sites
             sinr = table.sinr_for(ids)
             rows.append({
                 "method": method,

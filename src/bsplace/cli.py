@@ -3,8 +3,9 @@
 Subcommands: build-scene (grids -> scene JSON), optimize (scene -> archive),
 evaluate (placement -> coverage/throughput CSVs), compare (methods table),
 synth (random scene grids). Every run drops a manifest.json recording the
-seed, inputs and tool version so results can be replayed. Exit codes:
-0 success, 1 bad data or config, 2 usage.
+effective seed, the thread count, the tool version and, as `inputs`, the
+parsed command line (every other argument, paths as strings), so a run
+replays from it. Exit codes: 0 success, 1 bad data or config, 2 usage.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from . import optimizer as opt
-from .baselines import (METHODS, BaselineError, KmeansConfig, compare_methods,
-                        kmeans_site_ids, save_comparison_csv)
+from .baselines import (METHODS, BaselineError, compare_methods, run_method,
+                        save_comparison_csv)
 from .config_json import check_object, is_kind, read_json, write_json
 from .eval_report import (GeneratorConfig, ReportError, coverage_curve,
                           generate_synthetic_scene, save_coverage_csv,
@@ -29,8 +30,8 @@ from .eval_report import (GeneratorConfig, ReportError, coverage_curve,
 from .optimizer import GaConfig, OptimizerError
 from .radio import (RadioError, RadioParams, attach_and_evaluate, build_link_table,
                     sectors_for_sites)
-from .scene import (SceneConfig, SceneError, build_scene, finite_points, load_dsm,
-                    load_raster, load_scene, reject_coincident_masts, save_dsm,
+from .scene import (CellClass, SceneConfig, SceneError, build_scene, finite_points,
+                    load_dsm, load_raster, load_scene, reject_coincident_masts, save_dsm,
                     save_raster, save_scene)
 
 DATA_ERRORS = (SceneError, RadioError, OptimizerError, BaselineError, ReportError,
@@ -114,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers. Each returns (inputs dict, effective seed) for the manifest.
+# Command handlers. Each returns the effective seed for the manifest.
 
 def _effective_seed(args, config_seed: int = 0) -> int:
     return args.seed if args.seed is not None else config_seed
@@ -141,9 +142,7 @@ def cmd_build_scene(args):
     print(f"scene: {len(scene.buildings)} buildings, {len(scene.users)} users "
           f"({int(scene.priority_mask().sum())} priority), "
           f"{len(scene.candidates)} candidate sites, {len(scene.fixed_bs)} fixed BS")
-    inputs = {"raster": str(args.raster), "dsm": str(args.dsm),
-              "config": str(args.config) if args.config else None}
-    return inputs, _effective_seed(args)
+    return _effective_seed(args)
 
 
 def cmd_optimize(args):
@@ -155,29 +154,11 @@ def cmd_optimize(args):
     params = _load_radio(args)
     ga = _load_ga(args)
     seed = _effective_seed(args, ga.seed)
-    use_blockages = not args.no_blockages
-    n_fixed = len(scene.fixed_bs)
+    table = build_link_table(scene, params, not args.no_blockages)
+    archive, history = run_method(args.method, args.m if args.m is not None else ga.m_max,
+                                  scene, params, replace(ga, seed=seed), table)
 
-    if args.method == "nsga2":
-        cfg = replace(ga, seed=seed)
-        archive, nsga2_history = opt.run_nsga2(scene, params, cfg, use_blockages)
-        history = opt.history_to_dict(nsga2_history)
-    elif args.method == "ga":
-        m = args.m if args.m is not None else ga.m_max
-        cfg = replace(ga, seed=seed, m_max=m)
-        best, ga_history = opt.run_ga_single_objective(scene, params, cfg, use_blockages)
-        archive, history = [best], ga_history
-    else:  # kmeans
-        kcfg = KmeansConfig(seed=seed, sinr_threshold_db=ga.sinr_threshold_db)
-        table = build_link_table(scene, params, use_blockages)
-        ids = kmeans_site_ids(scene.users, args.m, scene, params, kcfg,
-                              use_blockages, table)
-        objectives = opt.evaluate_sites(ids, table, ga.sinr_threshold_db)
-        archive = [opt.Individual(bits=np.zeros(0, dtype=bool), objectives=objectives,
-                                  rank=0, crowding=float("inf"), sites=list(ids))]
-        history = []
-
-    opt.save_archive(archive, n_fixed, args.out / "archive.json")
+    opt.save_archive(archive, len(scene.fixed_bs), args.out / "archive.json")
     write_json(args.out / "history.json", history)
 
     print(f"{args.method}: {len(archive)} archived solution(s)")
@@ -185,11 +166,7 @@ def cmd_optimize(args):
     for ind in archive:
         f1, f2, f3 = ind.objectives
         print(f"{int(f2):>3} {f1:>12.3f} {int(f3):>8}  {ind.sites}")
-    inputs = {"scene": str(args.scene),
-              "radio_config": str(args.radio_config) if args.radio_config else None,
-              "ga_config": str(args.ga_config) if args.ga_config else None,
-              "method": args.method, "use_blockages": use_blockages}
-    return inputs, seed
+    return seed
 
 
 def cmd_evaluate(args):
@@ -241,10 +218,7 @@ def cmd_evaluate(args):
     print(f"evaluated {len(positions)} BS (+{len(scene.fixed_bs)} fixed): "
           f"{int((sinr > threshold).sum())}/{len(sinr)} users above {threshold:g} dB, "
           f"mean SINR {float(sinr.mean()):.2f} dB")
-    inputs = {"scene": str(args.scene), "sites": site_ids,
-              "positions": extra_positions.tolist(), "use_blockages": use_blockages,
-              "ga_config": str(args.ga_config) if args.ga_config else None}
-    return inputs, _effective_seed(args)
+    return _effective_seed(args)
 
 
 def cmd_compare(args):
@@ -273,8 +247,7 @@ def cmd_compare(args):
     for r in rows:
         print(f"{r['method']:>8} {r['m']:>3} {r['pct_users_above_threshold']:>8.2f} "
               f"{r['mean_sinr_db']:>9.2f}")
-    inputs = {"scene": str(args.scene), "methods": methods, "bs_counts": bs_counts}
-    return inputs, seed
+    return seed
 
 
 def cmd_synth(args):
@@ -284,16 +257,18 @@ def cmd_synth(args):
     raster, dsm = generate_synthetic_scene(cfg, seed)
     save_raster(raster, args.out / "raster.asc")
     save_dsm(dsm, args.out / "dsm.asc")
-    frac = float((raster.classes == 1).mean())
+    frac = float((raster.classes == CellClass.BUILDING).mean())
     print(f"synthetic scene {args.width}x{args.height}: building fraction {frac:.3f}, "
           f"elevation span {dsm.elevation.min():.1f}..{dsm.elevation.max():.1f} m")
-    inputs = {"width": args.width, "height": args.height, "density": args.density}
-    return inputs, seed
+    return seed
 
 
 # ---------------------------------------------------------------------------
 
-def _write_manifest(args, inputs: dict, seed: int, duration_s: float):
+def _write_manifest(args, seed: int, duration_s: float):
+    inputs = {key: str(value) if isinstance(value, Path) else value
+              for key, value in vars(args).items()
+              if key not in ("func", "command", "seed", "threads", "out")}
     manifest = {
         "command": args.command,
         "inputs": inputs,
@@ -316,14 +291,14 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         args.out.mkdir(parents=True, exist_ok=True)
-        inputs, seed = args.func(args)
+        seed = args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     except DATA_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    _write_manifest(args, inputs, seed, time.perf_counter() - start)
+    _write_manifest(args, seed, time.perf_counter() - start)
     return 0
 
 

@@ -140,18 +140,15 @@ def _switch_on_if_empty(bits: np.ndarray, m_max: int, rng: np.random.Generator) 
         bits[int(rng.integers(m_max)) * step] = True
 
 
-def repair_rows(pop: np.ndarray, n_candidates: int, m_max: int,
-                rng: np.random.Generator) -> np.ndarray:
-    """`repair` applied to every row of `pop` in order, with the same draws."""
-    pop = np.array(pop, dtype=bool)
-    sb = site_bits(n_candidates)
-    for r in np.flatnonzero(~pop[:, ::1 + sb].any(axis=1)):
-        _switch_on_if_empty(pop[r], m_max, rng)
-    active, idx = _slots(pop, n_candidates, m_max)
+def repair_rows(pop: np.ndarray, n_candidates: int, m_max: int) -> np.ndarray:
+    """`repair` applied to every row of `pop` but for its switch-on draw: rows
+    are wrapped and deduplicated, and a row with no active slot stays so. The
+    population builders have already switched such rows on (`_draw_in_order`)."""
+    active, idx = _slots(np.asarray(pop, dtype=bool), n_candidates, m_max)
     # slot s repeats an earlier active slot t < s
     earlier = np.tri(m_max, k=-1, dtype=bool)
     dup = ((idx[:, :, None] == idx[:, None, :]) & earlier & active[:, None, :]).any(axis=2)
-    return _encode(active & ~dup, idx, sb)
+    return _encode(active & ~dup, idx, site_bits(n_candidates))
 
 
 def repair(bits: np.ndarray, n_candidates: int, m_max: int,
@@ -163,7 +160,9 @@ def repair(bits: np.ndarray, n_candidates: int, m_max: int,
     active a random slot is switched on. Idempotent: a repaired chromosome
     passes through unchanged and draws no randomness.
     """
-    return repair_rows(np.asarray(bits)[None], n_candidates, m_max, rng)[0]
+    bits = np.array(bits, dtype=bool)
+    _switch_on_if_empty(bits, m_max, rng)
+    return repair_rows(bits[None], n_candidates, m_max)[0]
 
 
 def repair_fixed_m_rows(pop: np.ndarray, n_candidates: int, m_max: int) -> np.ndarray:
@@ -517,7 +516,7 @@ def run_nsga2(scene, params, config: GaConfig, use_blockages: bool = True,
     rng = np.random.default_rng(config.seed)
 
     def fix(rows):
-        return repair_rows(rows, n_cand, m_max, rng)
+        return repair_rows(rows, n_cand, m_max)
 
     def score(rows):
         return evaluate_rows(rows, table, config.sinr_threshold_db, m_max)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bsplace.cli import main
+from bsplace.cli import _build_parser, main
 from bsplace.scene import load_scene
 
 
@@ -623,6 +624,70 @@ def test_compare_rejects_bad_counts(ws, tmp_path):
     rc = main(["compare", str(ws["scene"]), "--methods", "nsga2",
                "--m", "three", "--out", str(tmp_path / "x")])
     assert rc == 2
+
+
+# ---------------------------------------------------------------------------
+# manifest replay
+
+def _replay_argv(manifest, out):
+    """The command line that `manifest` records: its inputs, seed and threads."""
+    subs = next(a for a in _build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    inputs = dict(manifest["inputs"])
+    argv = [manifest["command"]]
+    for action in subs.choices[manifest["command"]]._actions:
+        if action.dest in ("help", "seed", "threads", "out"):
+            continue
+        value = inputs.pop(action.dest)  # every argument is recorded
+        if not action.option_strings:
+            argv.append(value)
+        elif action.nargs == 0:
+            argv += action.option_strings[:1] if value else []
+        elif value is not None:
+            argv += [action.option_strings[0], str(value)]
+    assert not inputs, f"recorded inputs no flag reads: {inputs}"
+    return argv + ["--seed", str(manifest["seed"]), "--threads", str(manifest["threads"]),
+                   "--out", str(out)]
+
+
+def _replay_cases(ws, tmp_path):
+    placement = tmp_path / "placement.json"
+    placement.write_text(json.dumps({"sites": [1], "positions": [[500.0, 500.0, 40.0]]}))
+    ga = tmp_path / "ga.json"
+    ga.write_text(json.dumps({"pop_size": 8, "generations": 3, "m_max": 3}))
+    scene = str(ws["scene"])
+    return {
+        "synth": ["synth", "--width", "30", "--height", "20", "--cell-size", "5",
+                  "--density", "0.4"],
+        "build-scene": ["build-scene", str(ws["grids"] / "raster.asc"),
+                        str(ws["grids"] / "dsm.asc"),
+                        "--config", str(ws["root"] / "scene_config.json")],
+        "optimize": ["optimize", scene, "--method", "ga", "--m", "2", "--ga-config", str(ga),
+                     "--no-blockages"],
+        "evaluate": ["evaluate", scene, "--sites", "0", "--placement", str(placement),
+                     "--radio-config", str(ws["radio"]), "--tag", "mix"],
+        "compare": ["compare", scene, "--methods", "ga,kmeans", "--m", "2,1",
+                    "--radio-config", str(ws["radio"]), "--ga-config", str(ga),
+                    "--no-blockages"],
+    }
+
+
+@pytest.mark.parametrize("command", ["synth", "build-scene", "optimize", "evaluate", "compare"])
+def test_manifest_inputs_replay_byte_identical(ws, tmp_path, command):
+    # flags that change the outputs, among them ones a hand-kept list could miss
+    first = tmp_path / "first"
+    assert main([*_replay_cases(ws, tmp_path)[command], "--out", str(first)]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    again = tmp_path / "again"
+    assert main(_replay_argv(manifest, again)) == 0
+    outputs = sorted(p.name for p in first.iterdir() if p.name != "manifest.json")
+    assert outputs and outputs == sorted(p.name for p in again.iterdir()
+                                         if p.name != "manifest.json")
+    for name in outputs:
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
+    replayed = json.loads((again / "manifest.json").read_text())
+    assert replayed["inputs"] == manifest["inputs"]
+    assert replayed["seed"] == manifest["seed"]
 
 
 # ---------------------------------------------------------------------------

@@ -732,13 +732,33 @@ def test_repair_rows_matches_per_row_oracle(pop, seed):
     rows, n_cand, m_max = pop
     rng_oracle = np.random.default_rng(seed)
     expected = np.array([_oracle_repair(r, n_cand, m_max, rng_oracle) for r in rows])
+    # repair_rows draws nothing: the switch-on comes first, as the builders do it
     rng = np.random.default_rng(seed)
-    got = repair_rows(rows, n_cand, m_max, rng)
+    switched = rows.copy()
+    for row in switched:
+        opt._switch_on_if_empty(row, m_max, rng)
+    got = repair_rows(switched, n_cand, m_max)
     assert got.dtype == bool and np.array_equal(got, expected)
     assert rng.bit_generator.state == rng_oracle.bit_generator.state
     rng = np.random.default_rng(seed)
     assert np.array_equal(repair(rows[0], n_cand, m_max, rng),
                           _oracle_repair(rows[0], n_cand, m_max, np.random.default_rng(seed)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_cand=st.integers(1, 20), m_max=st.integers(1, 4), pairs=st.integers(2, 8),
+       p_mut=st.sampled_from([None, 0.05, 0.9]), seed=st.integers(0, 2 ** 32 - 1))
+def test_population_builders_leave_no_row_empty(n_cand, m_max, pairs, p_mut, seed):
+    # repair_rows never switches a slot on, so both builders must have done it;
+    # all-empty parents and rare or near-certain flips make many empty children
+    config = GaConfig(pop_size=2 * pairs, m_max=m_max, mutation_prob_per_bit=p_mut)
+    nbits = chromosome_bits(n_cand, m_max)
+    rng = np.random.default_rng(seed)
+    blank = np.zeros((config.pop_size, nbits), dtype=bool)
+    parents = rng.integers(0, config.pop_size, size=config.pop_size)
+    for rows in (opt._random_population(config, nbits, rng, m_max),
+                 opt._offspring(blank, parents, config, rng, m_max)):
+        assert rows[:, ::nbits // m_max].any(axis=1).all()
 
 
 @settings(max_examples=200, deadline=None)
@@ -770,7 +790,7 @@ def _variation_runs(n_cand, m_max, pairs, p_mut, crossover_prob, fixed_m, seed,
                 return _oracle_repair_fixed_m(bits, n_cand, m_max)
         else:
             def fix(rows):
-                return repair_rows(rows, n_cand, m_max, rng)
+                return repair_rows(rows, n_cand, m_max)
 
             def fix_one(bits):
                 if not bits[::nbits // m_max].any():
