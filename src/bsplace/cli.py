@@ -11,6 +11,7 @@ replays from it. Exit codes: 0 success, 1 bad data or config, 2 usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -51,6 +52,7 @@ def _add_common(sub: argparse.ArgumentParser):
                      help="output directory (created if missing)")
 
 
+@functools.cache  # built once per process; parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bsplace",

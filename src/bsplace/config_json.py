@@ -92,10 +92,11 @@ def write_json(path, obj) -> None:
     reader never sees a half-written file. A NaN or infinity raises
     ValueError: neither is JSON.
     """
+    # one write: `json.dump` with `indent` hands the file thousands of small chunks
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     tmp = f"{path}.tmp"
     with open(tmp, "w") as f:
-        json.dump(obj, f, indent=2, sort_keys=True, allow_nan=False)
-        f.write("\n")
+        f.write(text)
     os.replace(tmp, path)
 
 

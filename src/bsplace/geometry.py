@@ -11,7 +11,9 @@ stages, each exact against the scalar `los_blocked`:
    EPS-grown bounding box, or both at or above its roof less EPS, is
    rejected (the trivial reject of Cohen-Sutherland clipping). Prisms are
    visited in blocks, narrowest ring first, and pairs some prism has
-   already blocked are skipped.
+   already blocked are skipped. A block's candidates are found
+   `_SCAN_PAIRS` entries at a time, in ascending order, so their index
+   arrays stay small however many pairs a prism keeps.
 2. Slab clip: each remaining (pair, prism) candidate is clipped against
    the box (Liang-Barsky), the part of the link `los_blocked` tests against
    the roof; it is dropped when the clip is empty, or when the link is at or
@@ -245,6 +247,8 @@ _SLICE_ELEMS = 1 << 13
 # (pair, prism) candidates queued before the kernel runs; also the size of
 # one outcode block (prisms x pairs) and of one slab-clip chunk.
 _QUEUE_PAIRS = 1 << 13
+# Flat (prism, pair) entries of an outcode block scanned for candidates at once.
+_SCAN_PAIRS = 1 << 18
 # Rounding slack of the box that skips midpoints far from a ring, in meters.
 _GUARD = 1e-6
 
@@ -280,9 +284,9 @@ def los_mask(origins, targets, prisms) -> np.ndarray:
         block = order[s:s + step]
         hit = (ca[block, :, None] & cb[block, None, :]) == 0
         hit &= out
-        q, k = np.divmod(np.flatnonzero(hit), n * m)
-        for c in range(0, k.size, _QUEUE_PAIRS):
-            kc, pc = k[c:c + _QUEUE_PAIRS], block[q[c:c + _QUEUE_PAIRS]]
+        for chunk in _true_chunks(hit.reshape(-1), _QUEUE_PAIRS):
+            q, kc = np.divmod(chunk, n * m)
+            pc = block[q]
             i, j = np.divmod(kc, m)
             a, b = origins.take(i, axis=0), targets.take(j, axis=0)  # faster than origins[i]
             keep, t0, t1 = _slab_clip(a, b, boxes.take(pc, axis=1))
@@ -298,6 +302,24 @@ def los_mask(origins, targets, prisms) -> np.ndarray:
     return out
 
 
+def _true_chunks(flags, size):
+    """The positions of the True entries of the flat bool array `flags` in
+    ascending order, `size` at a time (the last chunk may hold fewer).
+
+    `flags` is scanned `_SCAN_PAIRS` entries at a time, so no index array
+    outgrows one scan slice's positions plus one chunk.
+    """
+    held = np.empty(0, dtype=np.intp)
+    for start in range(0, flags.size, _SCAN_PAIRS):
+        held = np.concatenate([held, np.flatnonzero(flags[start:start + _SCAN_PAIRS]) + start])
+        full = len(held) - len(held) % size
+        for c in range(0, full, size):
+            yield held[c:c + size]
+        held = held[full:]
+    if len(held):
+        yield held
+
+
 def _clip_boxes(prisms) -> np.ndarray:
     """[5, n_prisms] columns: each prism's bounding box grown by EPS (lox,
     loy, hix, hiy) and its roof less EPS."""
@@ -311,11 +333,13 @@ def _outcodes(points, boxes) -> np.ndarray:
     y < loy and z >= lim."""
     x, y, z = points.T[:, None, :]
     lox, loy, hix, hiy, lim = boxes[:, :, None]
-    code = (x > hix).view(np.uint8)  # one side at a time bounds the temporaries
-    code |= (x < lox).view(np.uint8) << 1
-    code |= (y > hiy).view(np.uint8) << 2
-    code |= (y < loy).view(np.uint8) << 3
-    code |= (z >= lim).view(np.uint8) << 4
+    code = (x > hix).view(np.uint8)
+    side = np.empty_like(code)  # the one temporary: each further side in turn, shifted in place
+    for bit, (test, v, bound) in enumerate(((np.less, x, lox), (np.greater, y, hiy),
+                                            (np.less, y, loy), (np.greater_equal, z, lim)), 1):
+        test(v, bound, out=side.view(bool))
+        side <<= bit
+        code |= side
     return code
 
 

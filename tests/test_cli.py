@@ -690,6 +690,23 @@ def test_manifest_inputs_replay_byte_identical(ws, tmp_path, command):
     assert replayed["seed"] == manifest["seed"]
 
 
+def test_back_to_back_runs_record_their_own_flags(ws, tmp_path):
+    # the parser is built once per process: a flag of one run must not
+    # leak into the next run's parsed arguments or manifest
+    scene = str(ws["scene"])
+    tagged, plain = tmp_path / "tagged", tmp_path / "plain"
+    assert main(["evaluate", scene, "--sites", "0", "--tag", "a", "--no-blockages",
+                 "--seed", "4", "--out", str(tagged)]) == 0
+    assert main(["evaluate", scene, "--sites", "1", "--out", str(plain)]) == 0
+    first = json.loads((tagged / "manifest.json").read_text())
+    second = json.loads((plain / "manifest.json").read_text())
+    assert first["inputs"]["tag"] == "a" and first["inputs"]["no_blockages"] is True
+    assert first["inputs"]["sites"] == "0" and first["seed"] == 4
+    assert second["inputs"]["tag"] == "eval" and second["inputs"]["no_blockages"] is False
+    assert second["inputs"]["sites"] == "1" and second["seed"] == 0
+    assert (plain / "coverage_eval.csv").exists() and not (plain / "coverage_a.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # entry point
 

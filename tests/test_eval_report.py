@@ -1,6 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bsplace import eval_report
 from bsplace.eval_report import (
     COVERAGE_GRID_HI_DB,
     COVERAGE_GRID_LO_DB,
@@ -18,7 +23,7 @@ from bsplace.eval_report import (
     throughput_cdf,
 )
 from bsplace.radio import RadioParams
-from bsplace.scene import SceneConfig, build_scene
+from bsplace.scene import CellClass, ClassRaster, Dsm, SceneConfig, build_scene
 
 PARAMS = RadioParams(tx_power_dbm=33.0)
 
@@ -103,6 +108,199 @@ def test_throughput_cdf_validation():
         ThroughputCdf(np.array([0.0, 0.5]), np.array([0.6, 0.4]), 0.0)
     with pytest.raises(ReportError):
         ThroughputCdf(np.array([0.0, 0.5]), np.array([0.2, 0.8]), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Synthetic scenes
+
+def scalar_generator(cfg: GeneratorConfig, seed: int):
+    """The generator as it drew every building attempt one by one: the
+    oracle for the block-drawn placement loop."""
+    rng = np.random.default_rng(seed)
+    h, w = cfg.height, cfg.width
+
+    yy, xx = np.mgrid[0:h, 0:w]
+    terrain = np.zeros((h, w))
+    for _ in range(eval_report._TERRAIN_GAUSSIANS):
+        cx = rng.uniform(0, w)
+        cy = rng.uniform(0, h)
+        sigma = rng.uniform(min(w, h) / 8.0, min(w, h) / 3.0)
+        amp = rng.uniform(0.0, eval_report._TERRAIN_AMP)
+        terrain += amp * np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2.0 * sigma ** 2))
+
+    classes = np.full((h, w), int(CellClass.LOW_VEGETATION), dtype=np.int16)
+    road = np.zeros((h, w), dtype=bool)
+    half = cfg.road_width // 2
+    for c in range(cfg.road_period // 2, w, cfg.road_period):
+        road[:, max(0, c - half):c + half + 1] = True
+    for c in range(cfg.road_period // 2, h, cfg.road_period):
+        road[max(0, c - half):c + half + 1, :] = True
+    classes[road] = int(CellClass.IMPERVIOUS_SURFACE)
+
+    heights = np.zeros((h, w))
+    building = np.zeros((h, w), dtype=bool)
+    target_cells = cfg.building_density * w * h
+    n_building = attempts = 0
+    side_lo, side_hi = eval_report._BUILDING_SIDE_CELLS
+    max_attempts = 200 * max(1, int(target_cells / side_lo ** 2))
+    while n_building < target_cells and attempts < max_attempts:
+        attempts += 1
+        bw = int(rng.integers(side_lo, side_hi + 1))
+        bh = int(rng.integers(side_lo, side_hi + 1))
+        x0 = int(rng.integers(0, max(1, w - bw)))
+        y0 = int(rng.integers(0, max(1, h - bh)))
+        patch = np.s_[y0:y0 + bh, x0:x0 + bw]
+        if road[patch].any() or building[patch].any():
+            continue
+        building[patch] = True
+        n_building += building[patch].size
+        heights[patch] = rng.uniform(*cfg.building_height_range)
+    classes[building] = int(CellClass.BUILDING)
+
+    free = ~road & ~building
+    noise = rng.random((h, w))
+    tree = free & (noise < eval_report._TREE_FRACTION)
+    car = free & ~tree & (noise < eval_report._TREE_FRACTION + eval_report._CAR_FRACTION)
+    clutter = free & ~tree & ~car & (noise < eval_report._TREE_FRACTION + eval_report._CAR_FRACTION
+                                     + eval_report._CLUTTER_FRACTION)
+    classes[tree] = int(CellClass.TREE)
+    classes[car] = int(CellClass.CAR)
+    classes[clutter] = int(CellClass.CLUTTER)
+    return (ClassRaster(cfg.cell_size, eval_report._ORIGIN, classes),
+            Dsm(cfg.cell_size, eval_report._ORIGIN, terrain + heights))
+
+
+def assert_same_scene(got, want):
+    (raster, dsm), (raster_want, dsm_want) = got, want
+    assert raster.classes.dtype == raster_want.classes.dtype
+    assert raster.classes.tobytes() == raster_want.classes.tobytes()
+    assert dsm.elevation.tobytes() == dsm_want.elevation.tobytes()
+
+
+SEARCH_TILE = dict(width=80, height=80, cell_size=25.0, building_density=0.45,
+                   building_height_range=(18.0, 35.0), road_period=40, road_width=4)
+
+
+# sha256 prefixes of the classes and elevation bytes, taken from the
+# generator that drew every attempt one by one. Criterion 4 of the
+# acceptance gate sits at its bound, so a drift of the generator's random
+# stream must fail here by name.
+@pytest.mark.parametrize("config, seed, classes_sha, elevation_sha", [
+    (SEARCH_TILE, 1, "1eb88c6bf31fcf27", "250be163fe5f3077"),
+    (SEARCH_TILE, 2, "fa87db0a4c5bdbaa", "cca83999a2670522"),
+    (SEARCH_TILE, 3, "e4698ebce6c0a453", "88a31416d921dbeb"),
+    (dict(SEARCH_TILE, width=200, height=200), 1, "59210b28bd9b1a6d", "b16cf5ebf3b2b761"),
+    ({}, 0, "23cb41d8d1cf0fe7", "3c16388a7e14989e"),
+    (dict(width=40, height=40, cell_size=25.0), 2, "57eb56661b6f0e53", "6a485fe3701fb920"),
+    (dict(width=12, height=60), 0, "cab85ab2a1e1baa6", "0ed3d3cc400c32ff"),
+])
+def test_generator_output_is_pinned(config, seed, classes_sha, elevation_sha):
+    raster, dsm = generate_synthetic_scene(GeneratorConfig(**config), seed)
+    assert hashlib.sha256(raster.classes.tobytes()).hexdigest()[:16] == classes_sha
+    assert hashlib.sha256(dsm.elevation.tobytes()).hexdigest()[:16] == elevation_sha
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=st.integers(10, 90), height=st.integers(10, 90),
+       density=st.floats(0.0, 0.8), period=st.integers(2, 60), road=st.integers(1, 59),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_generator_matches_scalar_attempt_loop(width, height, density, period, road, seed):
+    cfg = GeneratorConfig(width=width, height=height, building_density=density,
+                          road_period=period, road_width=1 + (road - 1) % (period - 1))
+    assert_same_scene(generate_synthetic_scene(cfg, seed), scalar_generator(cfg, seed))
+
+
+def test_generator_cuts_blocks_inside_and_matches_scalar_loop(monkeypatch):
+    runs = []
+    failing_run = eval_report._failing_run
+
+    def spy(words, road_sums, windows):
+        run = failing_run(words, road_sums, windows)
+        runs.append((run, len(words)))
+        return run
+
+    monkeypatch.setattr(eval_report, "_failing_run", spy)
+    cfg = GeneratorConfig(**SEARCH_TILE)
+    assert_same_scene(generate_synthetic_scene(cfg, 4), scalar_generator(cfg, 4))
+    # some block ended at an attempt in its middle, so the stream was rewound there
+    assert any(0 < run < size - 1 for run, size in runs)
+    assert any(run == size for run, size in runs)
+
+
+def word_for(value, n):
+    """A 32-bit word that `Generator.integers(0, n)` maps to `value` at once."""
+    return ((2 * value + 1) << 31) // n
+
+
+def test_failing_run_ends_at_the_first_attempt_not_failing_as_drawn():
+    side_lo, side_hi = eval_report._BUILDING_SIDE_CELLS
+    n_side = side_hi - side_lo + 1
+    h = w = 40
+
+    def road_sums(road_x, road_y):
+        return [np.concatenate([[0], np.cumsum(r)]) for r in (road_x, road_y)]
+
+    roads = road_sums(np.arange(w) // 2 == 9, np.zeros(h, dtype=bool))  # columns 18-19
+    padded = np.zeros((h + side_hi, w + side_hi), dtype=bool)
+    padded[:6, :6] = True  # one placed building
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (side_hi, side_hi))
+
+    def attempt(bw, bh, x0, y0):
+        return [word_for(bw - side_lo, n_side), word_for(bh - side_lo, n_side),
+                word_for(x0, w - bw), word_for(y0, h - bh)]
+
+    on_road = attempt(6, 6, 15, 0)
+    on_building = attempt(8, 8, 2, 3)
+    free = attempt(6, 8, 25, 10)
+    rejected = [0] + attempt(6, 6, 25, 10)[1:]  # a 15-value draw rejects the word 0
+    for rows, run in [([on_road, on_building, free, on_road], 2),
+                      ([on_road, rejected, free], 1),
+                      ([on_building, on_road, on_building], 3),
+                      ([free], 0)]:
+        words = np.array(rows, dtype=np.uint64)
+        assert eval_report._failing_run(words, roads, windows) == run
+    # on a grid 12 cells wide an 11-cell side leaves one corner column: no x0 draw
+    narrow = road_sums(np.ones(12, dtype=bool), np.zeros(h, dtype=bool))  # all road
+    short = [word_for(11 - side_lo, n_side)] + attempt(6, 6, 0, 0)[1:]
+    words = np.array([attempt(6, 6, 2, 2), short, attempt(6, 6, 3, 3)], dtype=np.uint64)
+    assert eval_report._failing_run(words, narrow, windows) == 1
+
+
+@pytest.mark.parametrize("n", [2 ** 31 + 1, 2 ** 31 - 1, 3 * 2 ** 30, 2 ** 31 + 12345, 15, 1 << 20])
+def test_bounded_matches_generator_integers(n):
+    rng = np.random.default_rng(n)
+    words = rng.integers(0, 2 ** 32, size=4000, dtype=np.uint64)
+    values, retry = eval_report._bounded(words, n)
+    if n == 3 * 2 ** 30:
+        # a quarter of the words land exactly on the rejection threshold, which keeps them
+        assert ((words * n) % 2 ** 32 == 2 ** 32 - n).sum() > 500
+    rng = np.random.default_rng(n)
+    used = 0
+    for _ in range(1500):
+        while retry[used]:
+            used += 1
+        assert int(rng.integers(0, n)) == int(values[used])
+        used += 1
+    # the stream goes on right after the words the draws used
+    assert rng.integers(0, 2 ** 32, size=8, dtype=np.uint64).tolist() == words[used:used + 8].tolist()
+
+
+def test_bounded_rejects_a_word_one_below_the_threshold():
+    # the first even word u of a stream, and n > 2**31 such that u * n mod
+    # 2**32 is one below the rejection threshold 2**32 - n: (u + 1) n = -1
+    rng = np.random.default_rng(9)
+    words = rng.integers(0, 2 ** 32, size=64, dtype=np.uint64).tolist()
+    for k, u in enumerate(words):
+        n = -pow(u + 1, -1, 2 ** 32) % 2 ** 32 if u % 2 == 0 else 0
+        if n > 2 ** 31:
+            break
+    assert (u * n) % 2 ** 32 == 2 ** 32 - n - 1
+    _, retry = eval_report._bounded(np.array(words[k:k + 2], dtype=np.uint64), n)
+    assert retry.tolist() == [True, bool((words[k + 1] * n) % 2 ** 32 < 2 ** 32 - n)]
+    rng = np.random.default_rng(9)
+    rng.integers(0, 2 ** 32, size=k, dtype=np.uint64)
+    first = next(j for j in range(k + 1, len(words)) if (words[j] * n) % 2 ** 32 >= 2 ** 32 - n)
+    assert int(rng.integers(0, n)) == (words[first] * n) >> 32
 
 
 # ---------------------------------------------------------------------------

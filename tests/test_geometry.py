@@ -537,7 +537,22 @@ def test_los_mask_block_cap_does_not_change_result(monkeypatch, cap):
     full = los_mask(users, sites, s.buildings)
     monkeypatch.setattr(geometry, "_SLICE_ELEMS", cap)
     monkeypatch.setattr(geometry, "_QUEUE_PAIRS", cap)
+    monkeypatch.setattr(geometry, "_SCAN_PAIRS", cap)
     np.testing.assert_array_equal(los_mask(users, sites, s.buildings), full)
+
+
+@settings(max_examples=200, deadline=None)
+@given(flags=st.lists(st.booleans(), max_size=60), size=st.integers(1, 9),
+       scan=st.integers(1, 70))
+def test_true_chunks_are_flatnonzero_in_chunks(flags, size, scan):
+    flags = np.array(flags, dtype=bool)
+    want = np.flatnonzero(flags)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_SCAN_PAIRS", scan)
+        chunks = list(geometry._true_chunks(flags, size))
+    assert [len(c) for c in chunks] == [len(c) for c in np.split(want, range(size, len(want), size))
+                                        if len(c)]
+    np.testing.assert_array_equal(np.concatenate(chunks) if chunks else want, want)
 
 
 # Tiny slices and queues: a kernel call then holds rows of several prisms
