@@ -4,26 +4,35 @@ All polygons are numpy arrays of shape (n, 2) holding an open ring (the last
 vertex is not repeated). Heights are handled by linear interpolation along the
 segment; prisms block only below their roof elevation.
 
-`los_mask` decides every (origin, target) pair against every prism in three
+`los_mask` decides every (origin, target) pair against every prism in four
 stages, each exact against the scalar `los_blocked`:
 
 1. Outcodes: a pair whose endpoints lie past the same side of a prism's
    EPS-grown bounding box, or both at or above its roof less EPS, is
    rejected (the trivial reject of Cohen-Sutherland clipping). Prisms are
    visited in blocks, narrowest ring first, and pairs some prism has
-   already blocked are skipped. A block's candidates are found
-   `_SCAN_PAIRS` entries at a time, in ascending order, so their index
-   arrays stay small however many pairs a prism keeps.
+   already blocked are skipped. The origins' outcodes are taken a run of
+   blocks at a time, about `_SCAN_PAIRS` entries.
+   A block's candidates are found `_SCAN_PAIRS` entries at a time, in
+   ascending order, so their index arrays stay small however many pairs a
+   prism keeps.
 2. Slab clip: each remaining (pair, prism) candidate is clipped against
    the box (Liang-Barsky), the part of the link `los_blocked` tests against
    the roof; it is dropped when the clip is empty, or when the link is at or
    above the roof less EPS at both clip ends.
-3. Mixed-prism slices: the survivors of all prisms are queued with their
-   clip and run through the decision arithmetic of `los_blocked` a slice at
-   a time, which tests the height only within the clip. One
-   edge table holds every footprint, padded to the widest ring; padding is
-   masked so it adds no interval parameter, distance or crossing. Every
-   kernel temporary holds at most `_SLICE_ELEMS` elements.
+3. Rectangle cover: the survivors of all prisms are queued with their
+   clip, and each time `_QUEUE_PAIRS` have queued they are tested against
+   their footprint's rectangles (`_Cover`: each rectilinear footprint is
+   tiled by axis-aligned rectangles). A candidate whose link runs through
+   one of them below the roof less EPS, `_INSET` inside its clip, blocks
+   its pair, which `_Cover` proves `los_blocked` finds too. The cover never
+   decides that a pair is clear.
+4. Mixed-prism slices: the rest, less the candidates whose pair is now
+   blocked, run through the decision arithmetic of `los_blocked` a slice
+   at a time, which tests the height only within the clip. One edge table
+   holds every footprint, padded to the widest ring; padding is masked so
+   it adds no interval parameter, distance or crossing. Every kernel
+   temporary holds at most `_SLICE_ELEMS` elements.
 
 Where a point lies relative to a footprint outline is answered for many
 points at once by one routine, `_outline`: the squared distance to the
@@ -244,22 +253,30 @@ def _box_clip(a, b, bbox) -> tuple[float, float]:
 # interval-parameter columns, or the 6 edge arrays x midpoints x ring width
 # of one outline test.
 _SLICE_ELEMS = 1 << 13
-# (pair, prism) candidates queued before the kernel runs; also the size of
-# one outcode block (prisms x pairs) and of one slab-clip chunk.
+# (pair, prism) candidates queued before the cover and the kernel run; also
+# the size of one outcode block (prisms x pairs), of one slab-clip chunk and
+# of one batch of (candidate, rectangle) rows.
 _QUEUE_PAIRS = 1 << 13
 # Flat (prism, pair) entries of an outcode block scanned for candidates at once.
 _SCAN_PAIRS = 1 << 18
 # Rounding slack of the box that skips midpoints far from a ring, in meters.
 _GUARD = 1e-6
+# The rectangle cover (_Cover): how far inside a rectangle's clip a height
+# is read, in link parameter units; the largest vertex coordinate and link
+# component, in meters; the largest link component per meter of the ring's
+# shortest edge.
+_INSET = 2 * EPS
+_FAR = 1e5
+_SPAN = 1e6
 
 
 def los_mask(origins, targets, prisms) -> np.ndarray:
     """Boolean matrix line_of_sight[i, j] for origins[i] -> targets[j].
 
     Same result as `not los_blocked(Segment3(origins[i], targets[j]), prisms)`
-    for every pair; `los_blocked` is the scalar oracle. The three stages
-    (outcodes, slab clip, mixed-prism slices) are described in the module
-    docstring.
+    for every pair; `los_blocked` is the scalar oracle. The four stages
+    (outcodes, slab clip, rectangle cover, mixed-prism slices) are described
+    in the module docstring.
     """
     origins = np.asarray(origins, dtype=float).reshape(-1, 3)
     targets = np.asarray(targets, dtype=float).reshape(-1, 3)
@@ -269,34 +286,43 @@ def los_mask(origins, targets, prisms) -> np.ndarray:
         return out
     clear = out.reshape(-1)  # a view into out, indexed by i * m + j
     rings = _Rings([p.footprint for p in prisms])
+    cover = _Cover(rings)
     boxes = _clip_boxes(prisms)
-    ca, cb = _outcodes(origins, boxes), _outcodes(targets, boxes)
+    cb = _outcodes(targets, boxes)
     order = np.argsort(rings.width, kind="stable")
     queue, queued = [], 0
 
     def flush():
         k, p, a, b, t0, t1 = (np.concatenate(c) for c in zip(*queue))
         queue.clear()
+        clear[k[cover.blocks(a, b, p, boxes[4])]] = False
+        live = np.flatnonzero(clear[k])  # pairs no rectangle or earlier flush blocked
+        k, p, a, b, t0, t1 = (c.take(live, axis=0) for c in (k, p, a, b, t0, t1))
         clear[k[_slices_blocked(a, b, t0, t1, p, rings, boxes)]] = False
 
     step = max(1, _QUEUE_PAIRS // max(1, n * m))
-    for s in range(0, len(order), step):
-        block = order[s:s + step]
-        hit = (ca[block, :, None] & cb[block, None, :]) == 0
-        hit &= out
-        for chunk in _true_chunks(hit.reshape(-1), _QUEUE_PAIRS):
-            q, kc = np.divmod(chunk, n * m)
-            pc = block[q]
-            i, j = np.divmod(kc, m)
-            a, b = origins.take(i, axis=0), targets.take(j, axis=0)  # faster than origins[i]
-            keep, t0, t1 = _slab_clip(a, b, boxes.take(pc, axis=1))
-            kept = np.flatnonzero(keep)
-            queue.append((kc[kept], pc[kept], a.take(kept, axis=0), b.take(kept, axis=0),
-                          t0[kept], t1[kept]))
-            queued += kept.size
-            if queued >= _QUEUE_PAIRS:
-                flush()
-                queued = 0
+    # the origins' outcodes are taken for a run of whole blocks, about
+    # _SCAN_PAIRS entries, at a time, so none is held for the whole call
+    run = step * max(1, _SCAN_PAIRS // (step * max(1, n)))
+    for r in range(0, len(order), run):
+        ca = _outcodes(origins, boxes[:, order[r:r + run]])
+        for s in range(0, len(ca), step):
+            block = order[r + s:r + s + step]
+            hit = (ca[s:s + step, :, None] & cb[block, None, :]) == 0
+            hit &= out
+            for chunk in _true_chunks(hit.reshape(-1), _QUEUE_PAIRS):
+                q, kc = np.divmod(chunk, n * m)
+                pc = block[q]
+                i, j = np.divmod(kc, m)
+                a, b = origins.take(i, axis=0), targets.take(j, axis=0)  # faster than origins[i]
+                keep, t0, t1 = _slab_clip(a, b, boxes.take(pc, axis=1))
+                kept = np.flatnonzero(keep)
+                queue.append((kc[kept], pc[kept], a.take(kept, axis=0), b.take(kept, axis=0),
+                              t0[kept], t1[kept]))
+                queued += kept.size
+                if queued >= _QUEUE_PAIRS:
+                    flush()
+                    queued = 0
     if queue:
         flush()
     return out
@@ -343,11 +369,12 @@ def _outcodes(points, boxes) -> np.ndarray:
     return code
 
 
-def _slab_clip(a, b, box) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(keep, t0, t1): [t0, t1] is the clip of a[k] -> b[k] against the
-    _clip_boxes column box[:, k], with the arithmetic of _box_clip; keep is
-    False when it is empty, or when z is at or above the roof less EPS at t0
-    and t1."""
+def _slab_clip(a, b, box, inset=0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(keep, t0, t1): [t0, t1] is the clip of a[k] -> b[k] against box[:, k]
+    (lox, loy, hix, hiy, lim: a _clip_boxes column, or a cover rectangle and
+    its roof less EPS), with the arithmetic of _box_clip; keep is False when
+    [t0 + inset, t1 - inset] is empty, or when z is at or above lim at both
+    its ends."""
     lox, loy, hix, hiy, lim = box
     ax, ay, az = a.T
     dz = b[:, 2] - az
@@ -359,7 +386,9 @@ def _slab_clip(a, b, box) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             # fmax/fmin pass over: no bound from that slab
             np.fmax(t0, np.minimum(ta, tb), out=t0)
             np.fmin(t1, np.maximum(ta, tb), out=t1)
-    keep = (t0 <= t1) & ((az + t0 * dz < lim) | (az + t1 * dz < lim))
+        s0, s1 = t0 + inset, t1 - inset
+        # an empty clip may hold +-inf, and inf * 0 is nan, which is not below lim
+        keep = (s0 <= s1) & ((az + s0 * dz < lim) | (az + s1 * dz < lim))
     return keep, t0, t1
 
 
@@ -414,6 +443,128 @@ def _width_slices(widths, row_elems):
             end = start + max(1, _SLICE_ELEMS // row_elems(widths[end - 1]))
         yield start, end
         start = end
+
+
+class _Cover:
+    """Rectangles that tile the even-odd interior of each rectilinear ring
+    of a _Rings table, and the candidates they prove blocked (`blocks`).
+
+    A ring is covered when each edge is axis-aligned with nonzero length and
+    each vertex lies within _FAR of the origin on both axes; other rings get
+    no rectangles, and their candidates all go to the kernel. The interior
+    is cut into slabs between consecutive vertex y values (but for a slab
+    whose midline rounds onto one), and each slab into x intervals between
+    paired vertical edges. Ring r's rectangles are columns first[r]:first[r]
+    + count[r] of `box` [4, n_rects] (lox, loy, hix, hiy); `span` [2,
+    n_rings] bounds the 2D components of the links they may decide (see
+    below).
+
+    Why a hit is blocked for los_blocked. Let F be the prism's ring taken
+    closed, [s0, s1] the clip of P(t) = a + t d against one of its
+    rectangles, and t* a point of [s0 + _INSET, s1 - _INSET] where
+    a[2] + t* dz < lim (the roof less EPS). P(t*) is in F; let [T0, T1] be
+    the largest parameter interval around t* on which P stays in F.
+    1. If T0 > 0, P(T0) lies on an edge the link crosses (one across the
+       link: where the link runs along a wall, the edge at that wall's
+       end). Each nonzero component of d is at least 2 EPS / (shortest
+       edge), so that edge's denominator exceeds EPS, and at most _SPAN
+       times the shortest edge, which keeps the rounding of its edge
+       parameter u (about 4 ulp(1) |d| / edge length) within the EPS
+       window. So los_blocked lists the crossing, a few ulps from T0, and
+       after its dedup some kept parameter lies at most EPS below that. The
+       same holds at T1 < 1; 0 and 1 are always listed.
+    2. _INSET exceeds EPS plus those ulps, so the sub-interval [lo, hi] of
+       los_blocked holding t* has lo >= T0 - EPS - ulps and hi <= T1 +
+       ulps: its midpoint lies strictly inside (T0, T1), in F.
+    3. Coordinates within _FAR and components within _FAR put the computed
+       midpoint a few ulps of 2e5 m (under 1e-10 m) from the exact one.
+       Parity on axis-aligned edges is exact (a crossing's abscissa is its
+       edge's own x), so the computed midpoint is inside by parity or within
+       EPS of the outline: the sub-interval is inside, and its merged
+       interval, longer than EPS, is kept.
+    4. The EPS-grown box holds the rectangle, so that interval clamped to
+       the box clip still holds t*. Heights are a[2] + t dz on both sides,
+       and rounding is monotone, so its lower end is at most the height at
+       t*, below lim. Candidates come through the outcodes, so the link
+       meets the box and not both its ends are at or above lim, the two
+       cases los_blocked skips: it finds the pair blocked.
+    A link with dx = dy = 0 is a point of F, for which los_blocked tests
+    [0, 1], of which t* is a point; every nonzero component exceeds EPS, so
+    no other link takes los_blocked's vertical branch.
+
+    _INSET and both terms of the lower span bound each have a test that
+    fails without them. No test reaches the upper span bound or _FAR, but
+    the proof needs them: they matter only for links a million times longer
+    than their ring's shortest edge, or coordinates far from the origin.
+    Shrinking the rectangles or a height margin would add nothing: a
+    rectangle is closed in F, and step 4 is exact. When footprints keep
+    their holes, the cover must be built from all of a prism's rings by the
+    same even-odd rule.
+    """
+
+    def __init__(self, rings: _Rings):
+        x1, y1, _, _, ex, ey = rings.table
+        axis = ((ex == 0.0) != (ey == 0.0)) | ~rings.valid  # padding has ex = ey = 0
+        far = np.where(rings.valid, np.maximum(np.abs(x1), np.abs(y1)), 0.0).max(axis=1)
+        ids = np.flatnonzero(axis.all(axis=1) & (far <= _FAR))
+        short = np.where(rings.valid[ids], np.abs(ex[ids]) + np.abs(ey[ids]), np.inf).min(axis=1)
+        self.span = np.zeros((2, len(rings.width)))
+        self.span[:, ids] = 2 * EPS * np.maximum(1.0, 1.0 / short), np.minimum(_FAR, _SPAN * short)
+        ids = ids[np.argsort(rings.width[ids], kind="stable")]
+        parts = [_slab_rects(rings, ids[start:end], rings.width[ids[end - 1]])
+                 for start, end in _width_slices(rings.width[ids], lambda w: w * w)]
+        ring = np.concatenate([np.empty(0, dtype=np.intp)] + [r for r, _ in parts])
+        box = np.concatenate([np.empty((4, 0))] + [b for _, b in parts], axis=1)
+        order = np.argsort(ring, kind="stable")
+        self.box = box.take(order, axis=1)
+        self.count = np.bincount(ring, minlength=len(rings.width))
+        self.first = np.cumsum(self.count) - self.count
+
+    def blocks(self, a, b, ring_ids, lim) -> np.ndarray:
+        """Which candidates a[k] -> b[k], prism ring_ids[k], some rectangle
+        of their ring proves blocked below lim[ring_ids[k]]; False is no
+        decision. (candidate, rectangle) rows go through _slab_clip
+        `_QUEUE_PAIRS` at a time."""
+        d = np.abs(b[:, :2] - a[:, :2])
+        lo, hi = self.span.take(ring_ids, axis=1)
+        fine = ((d == 0.0) | ((d >= lo[:, None]) & (d <= hi[:, None]))).all(axis=1)
+        rows = np.flatnonzero(fine & (self.count.take(ring_ids) > 0))
+        n = self.count.take(ring_ids.take(rows))
+        ends = np.cumsum(n)
+        blocked = np.zeros(len(a), dtype=bool)
+        start = 0
+        while start < rows.size:
+            end = max(start + 1, int(np.searchsorted(ends, ends[start] - n[start] + _QUEUE_PAIRS,
+                                                      side="right")))
+            k, c = rows[start:end], n[start:end]
+            rep = np.repeat(k, c)
+            rect = np.repeat(self.first.take(ring_ids.take(k)) - np.cumsum(c) + c, c) \
+                + np.arange(rep.size)
+            box = np.vstack([self.box.take(rect, axis=1), lim.take(ring_ids.take(rep))])
+            hit, _, _ = _slab_clip(a.take(rep, axis=0), b.take(rep, axis=0), box, _INSET)
+            blocked[rep[hit]] = True
+            start = end
+        return blocked
+
+
+def _slab_rects(rings: _Rings, ids, width) -> tuple[np.ndarray, np.ndarray]:
+    """(ring, box [4, n]) of the _Cover rectangles of rings ids, cut to `width`
+    columns: temporaries of len(ids) x width x width elements."""
+    x1, y1, _, y2, ex, _ = rings.table[:, ids, :width]
+    valid = rings.valid[ids, :width]
+    ys = np.sort(np.where(valid, y1, np.inf), axis=1)
+    lo, hi = ys[:, :-1], ys[:, 1:]
+    mid = 0.5 * (lo + hi)
+    # a slab's midline must miss every vertex, or its crossings may not pair
+    slab = (lo < mid) & (mid < hi)
+    mid = mid[:, :, None]
+    crosses = ((valid & (ex == 0.0))[:, None, :] & (np.minimum(y1, y2)[:, None, :] < mid)
+               & (mid < np.maximum(y1, y2)[:, None, :]))
+    xs = np.sort(np.where(crosses, x1[:, None, :], np.inf), axis=2)
+    pairs = xs[:, :, :width - width % 2].reshape(len(ids), width - 1, -1, 2)
+    left, right = pairs[..., 0], pairs[..., 1]
+    r, s, _ = keep = np.nonzero((left < right) & slab[:, :, None])
+    return ids[r], np.stack([left[keep], lo[r, s], right[keep], hi[r, s]])
 
 
 def _slices_blocked(a, b, t0, t1, ring_ids, rings: _Rings, boxes) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from bsplace.geometry import Segment3
 from bsplace.radio import LinkGainTable, db_to_linear
@@ -98,3 +99,40 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         name, ok, detail = ACCEPTANCE[num]
         verdict = "PASS" if ok else "FAIL"
         terminalreporter.write_line(f"[{verdict}] {num}. {name}: {detail}")
+
+
+@st.composite
+def pinch_heavy_classes(draw):
+    """Rasters up to 40 cells a side made of patterns that meet at pinch
+    corners: checkerboard patches, diagonal staircases that touch only at
+    corners, and rings around courtyards with a corner cell taken out, so
+    the courtyard meets the outside at a pinch corner of the ring."""
+    h, w = draw(st.integers(2, 40)), draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    classes = rng.choice(np.array([0, 2, 2, 5], dtype=np.int16), (h, w))
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["checker", "stairs", "courtyard", "speckle"]))
+        r0, c0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+        size = draw(st.integers(2, 20))
+        rows, cols = slice(r0, r0 + size), slice(c0, c0 + size)
+        if kind == "checker":
+            iy, ix = np.indices(classes[rows, cols].shape)
+            patch = (iy + ix) % 2 == draw(st.integers(0, 1))
+            classes[rows, cols] = np.where(patch, 1, classes[rows, cols])
+        elif kind == "stairs":
+            step = draw(st.sampled_from([1, -1]))
+            for t in range(size):
+                if 0 <= r0 + t < h and 0 <= c0 + step * t < w:
+                    classes[r0 + t, c0 + step * t] = 1
+        elif kind == "courtyard":
+            ring = np.zeros((size + 1, size + 1), dtype=bool)
+            ring[[0, -1], :] = ring[:, [0, -1]] = True
+            corner = draw(st.sampled_from([(0, 0), (0, -1), (-1, 0), (-1, -1)]))
+            ring[corner] = False
+            view = classes[r0:r0 + size + 1, c0:c0 + size + 1]
+            view[ring[:view.shape[0], :view.shape[1]]] = 1
+            view[1:-1, 1:-1][view[1:-1, 1:-1] == 1] = 0  # an open courtyard
+        else:
+            speck = rng.random(classes[rows, cols].shape) < 0.45
+            classes[rows, cols] = np.where(speck, 1, classes[rows, cols])
+    return classes

@@ -14,9 +14,16 @@ from bsplace.geometry import (
     point_to_polygon_distance,
     segment_polygon_interval,
 )
-from bsplace.scene import BuildingPrism, SceneConfig, build_scene
+from bsplace.scene import (
+    BuildingPrism,
+    ClassRaster,
+    Dsm,
+    SceneConfig,
+    build_scene,
+    extract_buildings,
+)
 
-from conftest import make_segment, rect_prism
+from conftest import make_segment, pinch_heavy_classes, rect_prism
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -587,3 +594,135 @@ def test_los_mask_tiny_slices_match_oracle_on_lattice(prisms, origins, targets, 
         _patched(mp, *sizes)
         test_los_mask_matches_oracle_on_lattice.hypothesis.inner_test(
             prisms, origins, targets, [], data)
+
+
+# ---------------------------------------------------------------------------
+# The rectangle cover of rectilinear footprints
+
+
+def _cover_rects(rings):
+    """Each ring's cover rectangles, rows (lox, loy, hix, hiy)."""
+    cover = geometry._Cover(geometry._Rings([np.asarray(r, dtype=float) for r in rings]))
+    return [cover.box[:, f:f + c].T for f, c in zip(cover.first, cover.count)]
+
+
+def _shoelace(ring):
+    x, y = np.asarray(ring, dtype=float).T
+    return abs((x * np.roll(y, -1) - np.roll(x, -1) * y).sum()) / 2
+
+
+def _assert_tiles(ring, rects):
+    """The rectangles are disjoint, fill the ring's area and lie inside it."""
+    lox, loy, hix, hiy = rects.T
+    assert len(rects) and (lox < hix).all() and (loy < hiy).all()
+    overlap = ((np.minimum(hix[:, None], hix) > np.maximum(lox[:, None], lox))
+               & (np.minimum(hiy[:, None], hiy) > np.maximum(loy[:, None], loy)))
+    assert np.array_equal(overlap, np.eye(len(rects), dtype=bool))
+    assert ((hix - lox) * (hiy - loy)).sum() == _shoelace(ring)
+    g = 1e-6
+    for x0, y0, x1, y1 in rects:
+        for p in [(0.5 * (x0 + x1), 0.5 * (y0 + y1)), (x0 + g, y0 + g), (x1 - g, y0 + g),
+                  (x1 - g, y1 - g), (x0 + g, y1 - g)]:
+            assert point_in_polygon(p, ring), (p, ring)
+
+
+@st.composite
+def _slanted(draw):
+    """A lattice footprint with one vertex moved off its axes: one slanted edge or more."""
+    ring = draw(_footprints()).footprint.copy()
+    ring[draw(st.integers(0, len(ring) - 1))] += draw(st.sampled_from([(0.25, 0.0), (0.0, -0.25)]))
+    return ring
+
+
+@settings(max_examples=200, deadline=None)
+@given(prisms=st.lists(_footprints(), min_size=1, max_size=4),
+       slanted=st.lists(_slanted(), max_size=2))
+def test_cover_tiles_lattice_footprints(prisms, slanted):
+    rings = [p.footprint for p in prisms]
+    rects = _cover_rects(rings + slanted)
+    for ring, r in zip(rings, rects):
+        _assert_tiles(ring, r)
+    assert all(len(r) == 0 for r in rects[len(rings):])  # slanted rings get none
+
+
+@settings(max_examples=60, deadline=None)
+@given(classes=pinch_heavy_classes(), cell=st.sampled_from([0.5, 1.0, 3.0]))
+def test_cover_tiles_traced_footprints(classes, cell):
+    # traced rings touch themselves at pinch corners and carry hundreds of vertices
+    raster = ClassRaster(cell, (-7.5, 12.0), classes)
+    prisms = extract_buildings(raster, Dsm(cell, (-7.5, 12.0), np.full(classes.shape, 9.0)))
+    rings = [p.footprint for p in prisms]
+    for ring, rects in zip(rings, _cover_rects(rings)):
+        _assert_tiles(ring, rects)
+
+
+def test_cover_edge_cases(monkeypatch):
+    # a ring past _FAR gets no rectangles; a step one ulp high has a slab
+    # whose midline rounds onto a vertex, so the slab gets none; a tiny slice
+    # budget splits the slab passes one ring at a time without changing the
+    # rectangles
+    comb = [(0, 0), (9, 0), (9, 3)] + [(x, y) for k in range(4, 0, -1)
+                                       for x, y in ((2 * k, 3), (2 * k, 1), (2 * k - 1, 1),
+                                                    (2 * k - 1, 3))] + [(0, 3)]
+    up = np.nextafter(1.0, 2.0)
+    stairs = [(0, 0), (3, 0), (3, 1), (2, 1), (2, up), (1, up), (1, 2), (0, 2)]
+    rings = [comb, np.array(_ELL), np.array(_ELL) + geometry._FAR, stairs]
+    full = _cover_rects(rings)
+    assert [len(r) for r in full] == [6, 2, 0, 2]  # the comb: its back and 5 teeth
+    np.testing.assert_array_equal(full[3], [[0, 0, 3, 1], [0, up, 1, 2]])
+    monkeypatch.setattr(geometry, "_SLICE_ELEMS", 1)
+    for a, b in zip(full, _cover_rects(rings)):
+        np.testing.assert_array_equal(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    prisms=st.lists(_footprints(), min_size=1, max_size=4),
+    origins=st.lists(_points, min_size=1, max_size=5),
+    targets=st.lists(_points, min_size=1, max_size=5),
+    offset=st.tuples(_lattice(-1e4, 1e4), _lattice(-1e4, 1e4)),
+    data=st.data(),
+)
+def test_los_mask_matches_oracle_on_translated_lattice(prisms, origins, targets, offset, data):
+    # the same lattice up to 1e4 m from the origin, where coordinate ulps
+    # reach 2e-12 m: the lattice stays exact, the EPS ties of _tie_link round
+    ox, oy = offset
+    prisms = [BuildingPrism(p.footprint + offset, p.base_elev, p.top_elev) for p in prisms]
+    origins = [(x + ox, y + oy, z) for x, y, z in origins]
+    targets = [(x + ox, y + oy, z) for x, y, z in targets]
+    test_los_mask_matches_oracle_on_lattice.hypothesis.inner_test(
+        prisms, origins, targets, [], data)
+
+
+_STEP_H = 1e-3  # the short wall x = 5 of _STEP, from y = 0 to y = _STEP_H
+_STEP = [[5.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0], [0.0, _STEP_H], [5.0, _STEP_H]]
+
+
+@pytest.mark.parametrize("ring, top, a, b", [
+    # _INSET: the target is 0.5 um inside the wall x = 0 at the end of a
+    # 1 km link, so los_blocked's crossing lies 0.5 EPS before t = 1, which
+    # its dedup drops; its only sub-interval is outside. The rectangle's clip
+    # is 0.5 EPS long.
+    (_HUG_RECT, 10.0, (-999.9999995, 0.25, 1.0), (0.5e-6, 0.25, 1.0)),
+    # the lower span bound, 2 EPS: a link 0.9 EPS long each way, from 1.06
+    # EPS outside the corner (0, 0) into the footprint, takes los_blocked's
+    # vertical branch, which probes only its first end
+    (_HUG_RECT, 10.0, (-0.75e-9, -0.75e-9, 1.0), (0.15e-9, 0.15e-9, 1.5)),
+    # the lower span bound, 2 EPS / (shortest edge): dx * 1 mm is 0.5 EPS, so
+    # los_blocked drops the crossing of the wall x = 5 and lists the wall's
+    # ends as collinear; the link climbs through the roof less EPS inside the
+    # 1 mm slab, where its sub-interval spans both ends and its midpoint lies
+    # 2e-8 m outside the wall
+    (_STEP, 60.0, (5.0 - 0.5e-6 * 0.59, -0.005, 0.0), (5.0 - 0.5e-6 * 0.59 + 0.5e-6, 0.005, 100.0)),
+])
+def test_los_mask_cover_guard_cases(ring, top, a, b):
+    # each case fails when its guard term alone is 0; los_blocked finds one
+    # direction clear, where a rectangle of the footprint holds the link
+    # below the roof less EPS
+    prism = BuildingPrism(np.array(ring), 0.0, top)
+    a, b = np.array(a), np.array(b)
+    results = []
+    for a, b in ((a, b), (b, a)):
+        results.append(los_blocked(make_segment(a, b), [prism]))
+        assert los_mask(a[None], b[None], [prism])[0, 0] == (not results[-1]), (a, b)
+    assert not all(results)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 from dataclasses import asdict
@@ -420,6 +421,20 @@ def test_link_table_stores_the_linear_site_major_kernel_output(tile_scene, sigma
     assert table.rx_mw.tobytes() == want.tobytes()
     # the dB view converts back to within rounding of the kernel's values
     assert np.abs(table.rx_dbm - rx).max() <= 1e-13
+
+
+@pytest.mark.parametrize("generator, config, sha", [
+    # the default 200 x 200 scene, and a 100 x 100 tile at a 25 m site pitch
+    (GeneratorConfig(), SceneConfig(),
+     "2280f0503f68df3dfa492db4e6b7f44aee2dd6acf04616ebbf44ccc445c42b7b"),
+    (GeneratorConfig(width=100, height=100), SceneConfig(candidate_pitch_m=25.0),
+     "75de2ad4f918f900f02a761fa213ba776784463634c5e1c0cc29e5ffdc69b3ed"),
+])
+def test_link_table_bytes_are_pinned(generator, config, sha):
+    # sha256 of rx_mw on seed 1, taken before the rectangle cover stage of los_mask
+    raster, dsm = generate_synthetic_scene(generator, 1)
+    table = build_link_table(build_scene(raster, dsm, config), RadioParams(), True)
+    assert hashlib.sha256(table.rx_mw.tobytes()).hexdigest() == sha
 
 
 def test_link_table_build_and_first_score_allocate_one_table():

@@ -42,6 +42,8 @@ from bsplace.scene import (
     save_scene,
 )
 
+from conftest import pinch_heavy_classes
+
 
 # ---------------------------------------------------------------------------
 # Grid containers
@@ -860,50 +862,13 @@ def test_build_scene_reference_edges_diagonals_and_single_cells():
     assert (prisms[0].base_elev, prisms[0].top_elev) == (ref[0][1], ref[0][2])
 
 
-@st.composite
-def _pinch_heavy_classes(draw):
-    """Rasters up to 40 cells a side made of patterns that meet at pinch
-    corners: checkerboard patches, diagonal staircases that touch only at
-    corners, and rings around courtyards with a corner cell taken out, so
-    the courtyard meets the outside at a pinch corner of the ring."""
-    h, w = draw(st.integers(2, 40)), draw(st.integers(2, 40))
-    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    classes = rng.choice(np.array([0, 2, 2, 5], dtype=np.int16), (h, w))
-    for _ in range(draw(st.integers(1, 8))):
-        kind = draw(st.sampled_from(["checker", "stairs", "courtyard", "speckle"]))
-        r0, c0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
-        size = draw(st.integers(2, 20))
-        rows, cols = slice(r0, r0 + size), slice(c0, c0 + size)
-        if kind == "checker":
-            iy, ix = np.indices(classes[rows, cols].shape)
-            patch = (iy + ix) % 2 == draw(st.integers(0, 1))
-            classes[rows, cols] = np.where(patch, 1, classes[rows, cols])
-        elif kind == "stairs":
-            step = draw(st.sampled_from([1, -1]))
-            for t in range(size):
-                if 0 <= r0 + t < h and 0 <= c0 + step * t < w:
-                    classes[r0 + t, c0 + step * t] = 1
-        elif kind == "courtyard":
-            ring = np.zeros((size + 1, size + 1), dtype=bool)
-            ring[[0, -1], :] = ring[:, [0, -1]] = True
-            corner = draw(st.sampled_from([(0, 0), (0, -1), (-1, 0), (-1, -1)]))
-            ring[corner] = False
-            view = classes[r0:r0 + size + 1, c0:c0 + size + 1]
-            view[ring[:view.shape[0], :view.shape[1]]] = 1
-            view[1:-1, 1:-1][view[1:-1, 1:-1] == 1] = 0  # an open courtyard
-        else:
-            speck = rng.random(classes[rows, cols].shape) < 0.45
-            classes[rows, cols] = np.where(speck, 1, classes[rows, cols])
-    return classes
-
-
 @settings(max_examples=120, deadline=None)
 @given(
     classes=st.one_of(
         hnp.arrays(np.int16, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1,
                                                max_side=14),
                    elements=st.sampled_from([0, 1, 1, 1, 2, 3, 4, 5])),
-        _pinch_heavy_classes()),
+        pinch_heavy_classes()),
     cell=st.sampled_from([0.5, 1.0, 3.7]),
     spacing=st.sampled_from([0.4, 1.0, 2.9]),
     near=st.sampled_from([0.0, 1.0]),
