@@ -410,13 +410,13 @@ class _Edges:
 class _Rings:
     """Every footprint of a call in one edge table: `table` [6, n_rings,
     widest ring] holds x1, y1, x2, y2, ex, ey, row r its `width[r]` edges
-    and then zeros that `valid` masks."""
+    and then zeros that `valid` masks. No rings make an empty table."""
 
     def __init__(self, polys):
-        self.width = np.array([len(p) for p in polys])
-        self.valid = np.arange(self.width.max()) < self.width[:, None]
+        self.width = np.array([len(p) for p in polys], dtype=np.intp)
+        self.valid = np.arange(self.width.max(initial=0)) < self.width[:, None]
         start = np.zeros(self.valid.shape + (2,))
-        start[self.valid] = np.concatenate(polys)
+        start[self.valid] = np.concatenate([np.empty((0, 2))] + list(polys))
         col = np.arange(self.valid.shape[1])
         succ = np.where(col + 1 < self.width[:, None], col + 1, 0)  # next vertex on the ring
         end = start[np.arange(len(polys))[:, None], succ]
@@ -505,9 +505,11 @@ class _Cover:
     def __init__(self, rings: _Rings):
         x1, y1, _, _, ex, ey = rings.table
         axis = ((ex == 0.0) != (ey == 0.0)) | ~rings.valid  # padding has ex = ey = 0
-        far = np.where(rings.valid, np.maximum(np.abs(x1), np.abs(y1)), 0.0).max(axis=1)
+        far = np.where(rings.valid, np.maximum(np.abs(x1), np.abs(y1)), 0.0).max(
+            axis=1, initial=0.0)
         ids = np.flatnonzero(axis.all(axis=1) & (far <= _FAR))
-        short = np.where(rings.valid[ids], np.abs(ex[ids]) + np.abs(ey[ids]), np.inf).min(axis=1)
+        short = np.where(rings.valid[ids], np.abs(ex[ids]) + np.abs(ey[ids]), np.inf).min(
+            axis=1, initial=np.inf)
         self.span = np.zeros((2, len(rings.width)))
         self.span[:, ids] = 2 * EPS * np.maximum(1.0, 1.0 / short), np.minimum(_FAR, _SPAN * short)
         ids = ids[np.argsort(rings.width[ids], kind="stable")]

@@ -660,7 +660,8 @@ def test_cover_edge_cases(monkeypatch):
     # a ring past _FAR gets no rectangles; a step one ulp high has a slab
     # whose midline rounds onto a vertex, so the slab gets none; a tiny slice
     # budget splits the slab passes one ring at a time without changing the
-    # rectangles
+    # rectangles; no rings make an empty cover
+    assert _cover_rects([]) == []
     comb = [(0, 0), (9, 0), (9, 3)] + [(x, y) for k in range(4, 0, -1)
                                        for x, y in ((2 * k, 3), (2 * k, 1), (2 * k - 1, 1),
                                                     (2 * k - 1, 3))] + [(0, 3)]
