@@ -16,19 +16,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import optimizer as opt
-from .config_json import require_finite
+from .config_json import DataError, require_finite
 from .eval_report import write_csv
 # Scoring goes through LinkGainTable.sinr_for; sinr_from_rx stays importable
 # from this module because the benchmark's traced layers wrap it here.
 from .radio import LinkGainTable, build_link_table, sinr_from_rx  # noqa: F401
-
-
-class BaselineError(Exception):
-    pass
-
-
-class EmptyScene(BaselineError):
-    pass
 
 
 METHODS = ("nsga2", "ga", "kmeans")
@@ -43,9 +35,9 @@ class KmeansConfig:
     sinr_threshold_db: float = 10.0
 
     def __post_init__(self):
-        require_finite(self, BaselineError)
+        require_finite(self)
         if self.seed < 0:
-            raise BaselineError(f"seed must be >= 0, got {self.seed}")
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
 def lloyd(points: np.ndarray, centroids: np.ndarray):
@@ -79,7 +71,7 @@ def lloyd(points: np.ndarray, centroids: np.ndarray):
 def _snap_to_candidates(centroids: np.ndarray, cand_xy: np.ndarray) -> list[int]:
     """Nearest candidate per centroid; duplicates take the next-nearest free one."""
     if len(cand_xy) < len(centroids):
-        raise EmptyScene(
+        raise DataError(
             f"need {len(centroids)} distinct candidate sites, scene has {len(cand_xy)}"
         )
     used: set[int] = set()
@@ -97,18 +89,18 @@ def kmeans_site_ids(users, k: int, scene, params, config: KmeansConfig,
                     table: LinkGainTable | None = None) -> list[int]:
     """Candidate-site ids chosen by the iterative k-means (MUS) baseline."""
     if k < 1:
-        raise BaselineError("k must be >= 1")
+        raise DataError("k must be >= 1")
     if not users or not scene.candidates:
-        raise EmptyScene("need users and candidate sites")
+        raise DataError("need users and candidate sites")
     if table is None:
         table = build_link_table(scene, params, use_blockages)
     if len(users) != len(table.priority):
-        raise BaselineError("users must be the scene's user list (table mismatch)")
+        raise DataError("users must be the scene's user list (table mismatch)")
     points = np.array([u.position[:2] for u in users])
     cand_xy = scene.candidate_positions()[:, :2]
     rng = np.random.default_rng(config.seed)
     if k > len(points):
-        raise EmptyScene(f"k={k} exceeds the {len(points)} available users")
+        raise DataError(f"k={k} exceeds the {len(points)} available users")
     centroids = points[rng.choice(len(points), size=k, replace=False)]
 
     best_ids: list[int] | None = None
@@ -176,9 +168,9 @@ def compare_methods(scene, params, bs_counts, methods,
     methods = list(dict.fromkeys(methods))
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
-        raise BaselineError(f"unknown methods: {unknown}")
+        raise DataError(f"unknown methods: {unknown}")
     if not methods or not bs_counts:
-        raise BaselineError("need at least one method and one site count")
+        raise DataError("need at least one method and one site count")
     bs_counts = list(dict.fromkeys(int(m) for m in bs_counts))
     if ga_config is None:
         ga_config = opt.GaConfig()

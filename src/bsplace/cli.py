@@ -6,13 +6,15 @@ synth (random scene grids). Every run drops a manifest.json recording the
 effective seed, the thread count, the tool version and, as `inputs`, the
 parsed command line (every other argument, paths as strings), so a run
 replays from it. Exit codes: 0 success, 1 bad data or config, 2 usage.
+Bad data is a `config_json.DataError` (whose message names the file it
+came from) or an OSError such as a missing file; a bad command line is a
+`UsageError` or an argparse error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
 from dataclasses import replace
@@ -22,21 +24,18 @@ import numpy as np
 
 from . import __version__
 from . import optimizer as opt
-from .baselines import (METHODS, BaselineError, compare_methods, run_method,
-                        save_comparison_csv)
-from .config_json import check_object, is_kind, read_json, write_json
-from .eval_report import (GeneratorConfig, ReportError, coverage_curve,
-                          generate_synthetic_scene, save_coverage_csv,
-                          save_placement_csv, save_throughput_csv, throughput_cdf)
-from .optimizer import GaConfig, OptimizerError
-from .radio import (RadioError, RadioParams, attach_and_evaluate, build_link_table,
-                    sectors_for_sites)
-from .scene import (CellClass, SceneConfig, SceneError, build_scene, finite_points,
-                    load_dsm, load_raster, load_scene, reject_coincident_masts, save_dsm,
-                    save_raster, save_scene)
+from .baselines import METHODS, compare_methods, run_method, save_comparison_csv
+from .config_json import DataError, check_object, is_kind, read_json, write_json
+from .eval_report import (GeneratorConfig, coverage_curve, generate_synthetic_scene,
+                          save_coverage_csv, save_placement_csv, save_throughput_csv,
+                          throughput_cdf)
+from .optimizer import GaConfig
+from .radio import RadioParams, attach_and_evaluate, build_link_table, sectors_for_sites
+from .scene import (CellClass, SceneConfig, build_scene, finite_points, load_dsm,
+                    load_raster, load_scene, reject_coincident_masts, save_dsm, save_raster,
+                    save_scene)
 
-DATA_ERRORS = (SceneError, RadioError, OptimizerError, BaselineError, ReportError,
-               OSError, json.JSONDecodeError)
+DATA_ERRORS = (DataError, OSError)
 
 
 class UsageError(Exception):
@@ -186,22 +185,21 @@ def cmd_evaluate(args):
             raise UsageError(f"--sites must be comma-separated integers, got {args.sites!r}")
     if args.placement:
         where = args.placement
-        raw = check_object(read_json(where, SceneError), {"sites": (list,), "positions": (list,)},
-                           (), SceneError, where)
+        raw = check_object(read_json(where), {"sites": (list,), "positions": (list,)}, (), where)
         sites = raw.get("sites", [])
         for k, i in enumerate(sites):
             if not is_kind(i, int):
-                raise SceneError(f"{where}: sites[{k}] must be an integer, got {i!r}")
+                raise DataError(f"{where}: sites[{k}] must be an integer, got {i!r}")
         extra_positions = finite_points(raw.get("positions", []), 3,
                                         lambda k: f"{where}: positions[{k}]")
         if not sites and not len(extra_positions):
-            raise SceneError(f"{where}: names no site and no position")
+            raise DataError(f"{where}: names no site and no position")
         site_ids += sites
     if not site_ids and not len(extra_positions):
         raise UsageError("evaluate needs --sites and/or --placement")
     for i in site_ids:
         if not 0 <= i < len(scene.candidates):
-            raise SceneError(f"site id {i} not in scene (0..{len(scene.candidates) - 1})")
+            raise DataError(f"site id {i} not in scene (0..{len(scene.candidates) - 1})")
 
     positions = [scene.candidates[i].position for i in site_ids] + list(extra_positions)
     masts = positions + list(scene.fixed_bs)

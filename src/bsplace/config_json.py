@@ -1,8 +1,14 @@
-"""Strict JSON reading and checking, and the one canonical JSON writer of the package."""
+"""Strict JSON reading and checking, the one canonical JSON writer of the
+package, and `DataError`, the one error every module raises for bad input.
+
+A `DataError` message starts with the file it came from wherever one was
+read; the CLI prints it and exits 1.
+"""
 
 from __future__ import annotations
 
 import collections
+import contextlib
 import functools
 import json
 import os
@@ -10,6 +16,12 @@ import reprlib
 import sys
 import types
 import typing
+
+
+class DataError(Exception):
+    """Bad input data or configuration: a file, a config field or an argument
+    the pipeline cannot use."""
+
 
 # JSON value kind -> its name in errors
 _KIND_NAMES = {bool: "true or false", int: "an integer", float: "a finite number",
@@ -33,28 +45,28 @@ def _key_name(entry, key) -> str:
     return f"{entry}.{key}" if entry else repr(key)
 
 
-def check_object(obj, kinds: dict, required, error: type[Exception], path, entry=None) -> dict:
+def check_object(obj, kinds: dict, required, path, entry=None) -> dict:
     """`obj`, if it is a JSON object holding every key of `required` and only
     keys of `kinds`, each with a value of one of its kinds; else raise
-    `error` naming the file `path`, the `entry` (such as "users[3]") if
+    DataError naming the file `path`, the `entry` (such as "users[3]") if
     `obj` is one, and the key.
     """
     if not isinstance(obj, dict):
-        raise error(f"{path}: {entry or 'the file'} must be a JSON object, "
-                    f"got {reprlib.repr(obj)}")
+        raise DataError(f"{path}: {entry or 'the file'} must be a JSON object, "
+                        f"got {reprlib.repr(obj)}")
     for key, value in obj.items():
         if key not in kinds:
-            raise error(f"{path}: unknown key {_key_name(entry, key)}")
+            raise DataError(f"{path}: unknown key {_key_name(entry, key)}")
         for kind in kinds[key]:
             if is_kind(value, kind):
                 break
         else:
             expected = " or ".join(_KIND_NAMES[kind] for kind in kinds[key])
-            raise error(f"{path}: {_key_name(entry, key)} must be {expected}, "
-                        f"got {reprlib.repr(value)}")
+            raise DataError(f"{path}: {_key_name(entry, key)} must be {expected}, "
+                            f"got {reprlib.repr(value)}")
     for key in required:
         if key not in obj:
-            raise error(f"{path}: missing key {_key_name(entry, key)}")
+            raise DataError(f"{path}: missing key {_key_name(entry, key)}")
     return obj
 
 
@@ -65,9 +77,11 @@ def _field_kinds(cls) -> dict:
             else (typing.get_origin(a) or a,) for name, a in typing.get_type_hints(cls).items()}
 
 
-def read_json(path, error: type[Exception]):
-    """The JSON document at `path`; a key repeated within one object, or a
-    file that is not UTF-8, raises `error`.
+def read_json(path):
+    """The JSON document at `path`; a file that is not UTF-8 or not JSON, an
+    integer longer than Python converts, nesting deeper than the parser
+    recurses, or a key repeated within one object raises DataError naming
+    `path`.
 
     `json.load` alone keeps the last of a repeated key without a word.
     """
@@ -75,14 +89,25 @@ def read_json(path, error: type[Exception]):
         obj = dict(pairs)
         if len(obj) != len(pairs):
             key = next(k for k, n in collections.Counter(k for k, _ in pairs).items() if n > 1)
-            raise error(f"{path}: repeated JSON key {key!r}")
+            raise DataError(f"{path}: repeated JSON key {key!r}")
         return obj
 
     try:
         with open(path, encoding="utf-8") as f:
             return json.load(f, object_pairs_hook=unique_keys)
     except UnicodeDecodeError:
-        raise error(f"{path}: not UTF-8 text") from None
+        raise DataError(f"{path}: not UTF-8 text") from None
+    except (ValueError, RecursionError) as e:  # bad syntax, or past the parser's limits
+        raise DataError(f"{path}: not valid JSON: {e}") from None
+
+
+@contextlib.contextmanager
+def prefixed(label):
+    """Re-raise a DataError from the block with `label: ` before its message."""
+    try:
+        yield
+    except DataError as e:
+        raise DataError(f"{label}: {e}") from None
 
 
 def write_json(path, obj) -> None:
@@ -100,18 +125,19 @@ def write_json(path, obj) -> None:
     os.replace(tmp, path)
 
 
-def read_config_fields(path, cls, error: type[Exception]) -> dict:
+def read_config_fields(path, cls) -> dict:
     """Keyword arguments for dataclass `cls` from the JSON object at `path`:
     any of its fields, each of a kind its annotation admits."""
-    return check_object(read_json(path, error), _field_kinds(cls), (), error, path)
+    return check_object(read_json(path), _field_kinds(cls), (), path)
 
 
-def require_finite(obj, error: type[Exception]) -> None:
-    """Raise `error` naming the first `float` field of dataclass `obj` that is not a finite number.
+def require_finite(obj) -> None:
+    """Raise DataError naming the first `float` field of dataclass `obj` that
+    is not a finite number.
 
     NaN fails every range comparison, so a `<= 0` check alone lets it through.
     """
     for name, kinds in _field_kinds(type(obj)).items():
         value = getattr(obj, name)
         if float in kinds and not any(is_kind(value, kind) for kind in kinds):
-            raise error(f"{name} must be finite, got {reprlib.repr(value)}")
+            raise DataError(f"{name} must be finite, got {reprlib.repr(value)}")

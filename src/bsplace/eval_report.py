@@ -1,8 +1,9 @@
 """Link-level reporting: SINR coverage curves, throughput CDFs, their CSV
 writers, and a synthetic scene generator for desk-scale experiments.
 
-It imports only `radio` and `scene`: the CLI runs the searches and hands
-the SINR samples and placements to the writers here.
+Of the package it imports only `config_json`, `radio` and `scene`: the
+CLI runs the searches and hands the SINR samples and placements to the
+writers here.
 """
 
 from __future__ import annotations
@@ -11,16 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config_json import DataError
 from .radio import RadioParams, throughput_mbps
 from .scene import CellClass, ClassRaster, Dsm, Scene
-
-
-class ReportError(Exception):
-    pass
-
-
-class EmptyInput(ReportError):
-    pass
 
 
 COVERAGE_GRID_LO_DB = -20.0
@@ -37,9 +31,9 @@ class CoverageCurve:
         self.thresholds = np.asarray(self.thresholds, dtype=float)
         self.prob = np.asarray(self.prob, dtype=float)
         if self.prob.min() < 0 or self.prob.max() > 1:
-            raise ReportError("coverage probabilities must lie in [0, 1]")
+            raise DataError("coverage probabilities must lie in [0, 1]")
         if np.any(np.diff(self.prob) > 1e-12):
-            raise ReportError("coverage curve must be non-increasing")
+            raise DataError("coverage curve must be non-increasing")
 
 
 @dataclass
@@ -52,16 +46,16 @@ class ThroughputCdf:
         self.rates = np.asarray(self.rates, dtype=float)
         self.cdf = np.asarray(self.cdf, dtype=float)
         if np.any(np.diff(self.cdf) < -1e-12):
-            raise ReportError("CDF must be non-decreasing")
+            raise DataError("CDF must be non-decreasing")
         if abs(self.cdf[-1] - 1.0) > 1e-12:
-            raise ReportError("CDF must end at 1")
+            raise DataError("CDF must end at 1")
 
 
 def coverage_curve(sinrs_db) -> CoverageCurve:
     """Empirical P(SINR > t) on the fixed COVERAGE_GRID_* threshold grid."""
     s = np.asarray(sinrs_db, dtype=float)
     if s.size == 0:
-        raise EmptyInput("no SINR samples")
+        raise DataError("no SINR samples")
     lo, hi, step = COVERAGE_GRID_LO_DB, COVERAGE_GRID_HI_DB, COVERAGE_GRID_STEP_DB
     thresholds = lo + step * np.arange(int(round((hi - lo) / step)) + 1)
     prob = (s[None, :] > thresholds[:, None]).mean(axis=1)
@@ -77,9 +71,9 @@ def throughput_cdf(sinrs_db, attachments, params: RadioParams) -> ThroughputCdf:
     s = np.asarray(sinrs_db, dtype=float)
     attach = np.asarray(attachments, dtype=int)
     if s.size == 0:
-        raise EmptyInput("no SINR samples")
+        raise DataError("no SINR samples")
     if attach.shape != s.shape:
-        raise ReportError("attachments must align with SINR samples")
+        raise DataError("attachments must align with SINR samples")
     _, inverse, counts = np.unique(attach, return_inverse=True, return_counts=True)
     thr = throughput_mbps(s, counts[inverse], params)
     top = max(float(thr.max()), params.bandwidth_mhz)
@@ -116,13 +110,13 @@ class GeneratorConfig:
 
     def __post_init__(self):
         if self.width < 10 or self.height < 10:
-            raise ReportError("generator grids need at least 10x10 cells")
+            raise DataError("generator grids need at least 10x10 cells")
         if not 0.0 <= self.building_density <= 0.8:
-            raise ReportError("building_density must lie in [0, 0.8]")
+            raise DataError("building_density must lie in [0, 0.8]")
         if self.building_height_range[0] <= 0 or self.building_height_range[0] > self.building_height_range[1]:
-            raise ReportError("invalid building_height_range")
+            raise DataError("invalid building_height_range")
         if self.road_period < 2 or not 0 < self.road_width < self.road_period:
-            raise ReportError("roads must be narrower than their period")
+            raise DataError("roads must be narrower than their period")
 
 
 def generate_synthetic_scene(cfg: GeneratorConfig, seed: int) -> tuple[ClassRaster, Dsm]:

@@ -23,11 +23,12 @@ formed once. The archive merge is one dominance matrix.
 `repair`, `repair_fixed_m`, `decode_sites` and `evaluate_sites` are the
 same code on a single row.
 
-NSGA-II ranks each generation once: the parents plus their children.
-Fronts are peeled only until they hold the population, and only those
-rows are crowded. The survivors are whole fronts plus part of one cut
-front, so they keep the rank and crowding of that pass, and only the cut
-front's survivors are crowded again. Crowding runs over all fronts in one
+NSGA-II ranks each generation once, through `_survivors`: the random
+first population, then each union of parents and children. Fronts are
+peeled only until they hold the population, and only those rows are
+crowded. The survivors are whole fronts plus part of one cut front, so
+they keep the rank and crowding of that pass, and only the cut front's
+survivors are crowded again. Crowding runs over all fronts in one
 pass per objective; `crowding_distance` is its one-front case.
 
 Objectives are scored only through a `LinkGainTable`; `run_nsga2` and
@@ -41,18 +42,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config_json import read_config_fields, require_finite, write_json
+from .config_json import DataError, read_config_fields, require_finite, write_json
 # Scoring goes through LinkGainTable.sinr_for; sinr_from_rx stays importable
 # from this module because the benchmark's traced layers wrap it here.
 from .radio import LinkGainTable, build_link_table, sinr_from_rx  # noqa: F401
-
-
-class OptimizerError(Exception):
-    pass
-
-
-class NoSolutionForM(OptimizerError):
-    pass
 
 
 @dataclass
@@ -66,22 +59,22 @@ class GaConfig:
     sinr_threshold_db: float = 10.0
 
     def __post_init__(self):
-        require_finite(self, OptimizerError)
+        require_finite(self)
         if self.pop_size < 4 or self.pop_size % 2 != 0:
-            raise OptimizerError("pop_size must be even and >= 4")
+            raise DataError("pop_size must be even and >= 4")
         if self.generations < 1:
-            raise OptimizerError("generations must be >= 1")
+            raise DataError("generations must be >= 1")
         for p in (self.crossover_prob, self.mutation_prob_per_bit):
             if p is not None and not 0.0 <= p <= 1.0:
-                raise OptimizerError("probabilities must lie in [0, 1]")
+                raise DataError("probabilities must lie in [0, 1]")
         if self.m_max < 1:
-            raise OptimizerError("m_max must be >= 1")
+            raise DataError("m_max must be >= 1")
         if self.seed < 0:
-            raise OptimizerError(f"seed must be >= 0, got {self.seed}")
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def from_json(cls, path) -> "GaConfig":
-        return cls(**read_config_fields(path, cls, OptimizerError))
+        return cls(**read_config_fields(path, cls))
 
 
 @dataclass
@@ -168,7 +161,7 @@ def repair(bits: np.ndarray, n_candidates: int, m_max: int,
 def repair_fixed_m_rows(pop: np.ndarray, n_candidates: int, m_max: int) -> np.ndarray:
     """`repair_fixed_m` applied to every row of `pop`."""
     if m_max > n_candidates:
-        raise OptimizerError("fixed-M repair needs m_max <= candidate count")
+        raise DataError("fixed-M repair needs m_max <= candidate count")
     _, idx = _slots(np.asarray(pop, dtype=bool), n_candidates, m_max)
     rows = np.arange(len(idx))
     seen = np.zeros((len(idx), n_candidates), dtype=bool)
@@ -326,21 +319,13 @@ def crowding_distance(front_objectives) -> np.ndarray:
     return _crowding(objs, np.zeros(len(objs), dtype=int))
 
 
-def _rank_and_crowding(objs: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
-    fronts = non_dominated_sort(objs)
-    rank = np.empty(len(objs), dtype=int)
-    for r, front in enumerate(fronts):
-        rank[front] = r
-    return rank, _crowding(objs, rank), fronts
-
-
 def _survivors(objs: np.ndarray, pop_size: int):
     """NSGA-II environmental selection of `pop_size` rows of `objs`.
 
     Whole fronts are kept best first; the front that does not fit keeps
     its most crowded-apart rows (stable on ties). Returns the chosen row
-    indices, the survivors' rank and crowding (what `_rank_and_crowding`
-    of `objs[chosen]` gives), and the first front of `objs`.
+    indices, the survivors' rank and crowding (what a full sort and
+    `_crowding` of `objs[chosen]` give), and the first front of `objs`.
 
     Fronts are peeled only until they hold `pop_size` rows, and only those
     rows are crowded: a front's crowding depends on its own rows alone, and
@@ -511,7 +496,7 @@ def run_nsga2(scene, params, config: GaConfig, use_blockages: bool = True,
         table = build_link_table(scene, params, use_blockages)
     n_cand = table.n_candidates
     if n_cand < 1:
-        raise OptimizerError("scene has no candidate sites")
+        raise DataError("scene has no candidate sites")
     m_max = config.m_max
     rng = np.random.default_rng(config.seed)
 
@@ -524,9 +509,12 @@ def run_nsga2(scene, params, config: GaConfig, use_blockages: bool = True,
     pop = fix(_random_population(config, chromosome_bits(n_cand, m_max), rng, m_max))
     objs = score(pop)
 
-    rank, crowd, fronts = _rank_and_crowding(objs)
+    # every row survives; its rank and crowding go back to row order
+    chosen, ranked, crowded, first = _survivors(objs, config.pop_size)
+    rank, crowd = np.empty_like(ranked), np.empty_like(crowded)
+    rank[chosen], crowd[chosen] = ranked, crowded
     archive_objs, archive_bits = _merge_archive(np.empty((0, 3)), pop[:0],
-                                                objs[fronts[0]], pop[fronts[0]])
+                                                objs[first], pop[first])
 
     history = [{"generation": 0, "per_budget": _budget_stats(archive_objs, m_max)}]
 
@@ -567,7 +555,7 @@ def select_best_for_m(archive: list[Individual], m: int,
     if not slice_ and allow_fewer:
         slice_ = [ind for ind in archive if ind.objectives[1] <= m]
     if not slice_:
-        raise NoSolutionForM(f"archive has no solution with {m} sites")
+        raise DataError(f"archive has no solution with {m} sites")
     return min(slice_, key=lambda ind: (ind.rank, ind.objectives[2], ind.objectives[0]))
 
 
@@ -584,7 +572,7 @@ def run_ga_single_objective(scene, params, config: GaConfig, use_blockages: bool
         table = build_link_table(scene, params, use_blockages)
     n_cand = table.n_candidates
     if config.m_max > n_cand:
-        raise OptimizerError("m_max exceeds candidate count")
+        raise DataError("m_max exceeds candidate count")
     rng = np.random.default_rng(config.seed)
 
     def fix(rows):

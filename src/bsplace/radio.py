@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config_json import read_config_fields, require_finite
+from .config_json import DataError, read_config_fields, require_finite
 from .geometry import los_mask
 
 SECTOR_AZIMUTHS_DEG = (0.0, 120.0, 240.0)
@@ -32,18 +32,6 @@ SINR_FLOOR_DB = -10.0
 SINR_CAP_DB = 22.0
 
 _PATHLOSS_CLAMP_M = 10.0
-
-
-class RadioError(Exception):
-    pass
-
-
-class NonPositiveDistance(RadioError):
-    pass
-
-
-class NoSectors(RadioError):
-    pass
 
 
 @dataclass
@@ -61,19 +49,19 @@ class RadioParams:
     shadowing_seed: int = 0
 
     def __post_init__(self):
-        require_finite(self, RadioError)
+        require_finite(self)
         for name in ("carrier_ghz", "hpbw_deg", "front_back_db", "noise_figure_db",
                      "bandwidth_mhz", "min_coupling_loss_db"):
             if getattr(self, name) <= 0:
-                raise RadioError(f"{name} must be positive")
+                raise DataError(f"{name} must be positive")
         if self.nlos_penalty_db < 0 or self.shadowing_sigma_db < 0:
-            raise RadioError("penalties must be non-negative")
+            raise DataError("penalties must be non-negative")
         if self.shadowing_seed < 0:
-            raise RadioError(f"shadowing_seed must be >= 0, got {self.shadowing_seed}")
+            raise DataError(f"shadowing_seed must be >= 0, got {self.shadowing_seed}")
 
     @classmethod
     def from_json(cls, path) -> "RadioParams":
-        return cls(**read_config_fields(path, cls, RadioError))
+        return cls(**read_config_fields(path, cls))
 
 
 @dataclass
@@ -117,7 +105,7 @@ def pathloss_db(distance_m, params: RadioParams):
     """
     d = np.asarray(distance_m, dtype=float)
     if np.any(d <= 0):
-        raise NonPositiveDistance("distance must be > 0 m")
+        raise DataError("distance must be > 0 m")
     d = np.maximum(d, _PATHLOSS_CLAMP_M)
     pl = 128.1 + 37.6 * np.log10(d / 1000.0) + 21.0 * np.log10(params.carrier_ghz / 2.0)
     return float(pl) if np.isscalar(distance_m) else pl
@@ -295,7 +283,7 @@ def sinr_from_rx(rx_dbm: np.ndarray, noise_dbm: float):
     leading axes are a batch of independent placements.
     """
     if rx_dbm.ndim < 2 or rx_dbm.shape[-1] == 0:
-        raise NoSectors("need at least one sector")
+        raise DataError("need at least one sector")
     lin = db_to_linear(rx_dbm)
     serving = np.argmax(rx_dbm, axis=-1)
     signal = np.take_along_axis(lin, serving[..., None], axis=-1)[..., 0]
@@ -314,15 +302,15 @@ def attach_and_evaluate(users, sectors: list[BsSector], scene, params: RadioPara
 
     `sectors` is whole three-sector heads in `sectors_for_sites` order, so
     sector k sits on mast k // 3 at azimuth `SECTOR_AZIMUTHS_DEG[k % 3]`;
-    any other list raises RadioError.
+    any other list raises DataError.
     """
     if not sectors:
-        raise NoSectors("sector list is empty")
+        raise DataError("sector list is empty")
     masts = np.array([s.position for s in sectors[::len(SECTOR_AZIMUTHS_DEG)]])
     if ([(*s.position, s.azimuth_deg) for s in sectors]
             != [(*s.position, s.azimuth_deg) for s in sectors_for_sites(masts, params)]):
-        raise RadioError("sectors must be whole three-sector heads, as sectors_for_sites "
-                         "builds them")
+        raise DataError("sectors must be whole three-sector heads, as sectors_for_sites "
+                        "builds them")
     user_pos = np.array([np.asarray(u.position, dtype=float) for u in users])
     prisms = scene.buildings if (use_blockages and scene is not None) else []
     rx = sector_rx_dbm(user_pos, masts, prisms, params)
@@ -333,7 +321,7 @@ def sinr_db(user, serving: int, all_sectors: list[BsSector], scene,
             params: RadioParams, use_blockages: bool) -> float:
     """SINR for one user with an imposed serving sector."""
     if not (0 <= serving < len(all_sectors)):
-        raise NoSectors(f"serving index {serving} outside sector list")
+        raise DataError(f"serving index {serving} outside sector list")
     budgets = [link_budget(user, s, scene, params, use_blockages) for s in all_sectors]
     lin = db_to_linear(np.array([b.rx_power_dbm for b in budgets]))
     signal = lin[serving]
@@ -350,7 +338,7 @@ def throughput_mbps(sinr_db_value, n_attached, params: RadioParams):
     """
     n = np.asarray(n_attached)
     if np.any(n < 1):
-        raise RadioError("n_attached must be >= 1")
+        raise DataError("n_attached must be >= 1")
     s = np.asarray(sinr_db_value, dtype=float)
     capped = db_to_linear(np.minimum(s, SINR_CAP_DB))
     rate = (params.bandwidth_mhz / n) * np.log2(1.0 + capped)

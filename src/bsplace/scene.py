@@ -18,33 +18,9 @@ from enum import IntEnum
 import numpy as np
 from scipy import ndimage
 
-from .config_json import (check_object, is_kind, read_config_fields, read_json,
-                          require_finite, write_json)
+from .config_json import (DataError, check_object, is_kind, prefixed, read_config_fields,
+                          read_json, require_finite, write_json)
 from .geometry import outline_distance
-
-
-class SceneError(Exception):
-    pass
-
-
-class GridFormatError(SceneError):
-    pass
-
-
-class UnknownClassCode(SceneError):
-    pass
-
-
-class GridMismatch(SceneError):
-    pass
-
-
-class NoValidUserCells(SceneError):
-    pass
-
-
-class NoCandidates(SceneError):
-    pass
 
 
 class CellClass(IntEnum):
@@ -65,11 +41,11 @@ USER_HEIGHT_M = 2.0
 def _check_grid_geometry(cell_size: float, origin: tuple[float, float], grid: np.ndarray):
     # NaN fails every comparison, so `cell_size <= 0` alone would let it through
     if not (np.isfinite(cell_size) and cell_size > 0):
-        raise SceneError(f"cell_size must be finite and positive, got {cell_size!r}")
+        raise DataError(f"cell_size must be finite and positive, got {cell_size!r}")
     if not np.isfinite(origin).all():
-        raise SceneError(f"origin must be finite, got {origin!r}")
+        raise DataError(f"origin must be finite, got {origin!r}")
     if grid.ndim != 2 or grid.size == 0:
-        raise SceneError(f"grid must be 2-D with at least one cell, got shape {grid.shape}")
+        raise DataError(f"grid must be 2-D with at least one cell, got shape {grid.shape}")
 
 
 @dataclass
@@ -86,7 +62,7 @@ class ClassRaster:
         bad = (self.classes < 0) | (self.classes > 5)
         if bad.any():
             code = int(self.classes[bad][0])
-            raise UnknownClassCode(f"class code {code} outside 0..5")
+            raise DataError(f"class code {code} outside 0..5")
 
     @property
     def height(self) -> int:
@@ -100,7 +76,7 @@ class ClassRaster:
         ix = int(np.floor((x - self.origin[0]) / self.cell_size))
         iy = int(np.floor((y - self.origin[1]) / self.cell_size))
         if not (0 <= ix < self.width and 0 <= iy < self.height):
-            raise SceneError(f"point ({x}, {y}) outside raster extent")
+            raise DataError(f"point ({x}, {y}) outside raster extent")
         return ix, iy
 
     def label_at(self, x: float, y: float) -> CellClass:
@@ -120,7 +96,7 @@ class Dsm:
         self.elevation = np.asarray(self.elevation, dtype=float)
         _check_grid_geometry(self.cell_size, self.origin, self.elevation)
         if not np.isfinite(self.elevation).all():
-            raise SceneError("DSM contains non-finite elevations")
+            raise DataError("DSM contains non-finite elevations")
 
     @property
     def height(self) -> int:
@@ -167,9 +143,9 @@ class BuildingPrism:
     def __post_init__(self):
         self.footprint = np.asarray(self.footprint, dtype=float)
         if self.footprint.ndim != 2 or self.footprint.shape[0] < 3:
-            raise SceneError("footprint needs at least 3 vertices")
+            raise DataError("footprint needs at least 3 vertices")
         if not self.top_elev > self.base_elev:
-            raise SceneError("prism roof must be above its base")
+            raise DataError("prism roof must be above its base")
         lo, hi = self.footprint.min(axis=0), self.footprint.max(axis=0)
         self.bbox = (float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
 
@@ -227,16 +203,16 @@ class SceneConfig:
     fixed_bs: list = field(default_factory=list)
 
     def __post_init__(self):
-        require_finite(self, SceneError)
+        require_finite(self)
         for name in ("user_spacing_m", "candidate_pitch_m", "mast_height_m"):
             if getattr(self, name) <= 0:
-                raise SceneError(f"{name} must be positive, got {getattr(self, name)!r}")
+                raise DataError(f"{name} must be positive, got {getattr(self, name)!r}")
         if self.near_dist_m < 0:
-            raise SceneError(f"near_dist_m must be >= 0, got {self.near_dist_m!r}")
+            raise DataError(f"near_dist_m must be >= 0, got {self.near_dist_m!r}")
 
     @classmethod
     def from_json(cls, path) -> "SceneConfig":
-        return cls(**read_config_fields(path, cls, SceneError))
+        return cls(**read_config_fields(path, cls))
 
 
 # ---------------------------------------------------------------------------
@@ -246,18 +222,25 @@ _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_
 
 
 def _read_ascii_grid(path):
-    """(xllcorner, yllcorner, cellsize, grid) of an ESRI ASCII grid file.
+    """(xllcorner, yllcorner, cellsize, grid) of the ESRI ASCII grid file at
+    `path`; every error names `path`."""
+    with prefixed(path):
+        try:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+        except UnicodeDecodeError:
+            raise DataError("not UTF-8 text") from None
+        return _parse_ascii_grid(text)
+
+
+def _parse_ascii_grid(text: str):
+    """(xllcorner, yllcorner, cellsize, grid) of an ESRI ASCII grid's text.
 
     The header lines come first, one `key value` pair each, in any order;
     the body that follows holds the values, whitespace-separated and
     wrapped anywhere, and is parsed in one call: every token as float()
     reads it.
     """
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except UnicodeDecodeError:
-        raise GridFormatError(f"{path}: not UTF-8 text") from None
     header = {}
     body = 0  # where the body starts: the first non-blank line that is no header field
     while body < len(text):
@@ -269,14 +252,14 @@ def _read_ascii_grid(path):
             if key not in _HEADER_KEYS:
                 break
             if len(parts) != 2:
-                raise GridFormatError(f"malformed header line: {line.strip()!r}")
+                raise DataError(f"malformed header line: {line.strip()!r}")
             if key in header:
-                raise GridFormatError(f"repeated header field {key}")
+                raise DataError(f"repeated header field {key}")
             header[key] = parts[1]
         body = end
     for key in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
         if key not in header:
-            raise GridFormatError(f"missing header field {key}")
+            raise DataError(f"missing header field {key}")
     try:
         ncols = int(header["ncols"])
         nrows = int(header["nrows"])
@@ -287,15 +270,15 @@ def _read_ascii_grid(path):
         data = np.fromiter(map(float, values), dtype=float, count=len(values))
         nodata = float(header["nodata_value"]) if "nodata_value" in header else None
     except ValueError as e:
-        raise GridFormatError(f"non-numeric grid content: {e}") from None
+        raise DataError(f"non-numeric grid content: {e}") from None
     if ncols < 1 or nrows < 1 or cell <= 0:
-        raise GridFormatError("ncols/nrows must be >= 1 and cellsize > 0")
+        raise DataError("ncols/nrows must be >= 1 and cellsize > 0")
     if data.size != ncols * nrows:
-        raise GridFormatError(
+        raise DataError(
             f"expected {ncols * nrows} values ({nrows} rows x {ncols} cols), got {data.size}"
         )
     if nodata is not None and (data == nodata).any():
-        raise GridFormatError("NODATA cells are not supported in scene grids")
+        raise DataError("NODATA cells are not supported in scene grids")
     grid = data.reshape(nrows, ncols)[::-1]  # file stores the north row first
     return xll, yll, cell, grid
 
@@ -317,16 +300,18 @@ def _write_ascii_grid(path, cell, origin, grid, fmt):
 
 
 def load_raster(path) -> ClassRaster:
-    """Read a class raster from an ESRI ASCII grid of codes 0..5."""
+    """Read a class raster from an ESRI ASCII grid of codes 0..5; every
+    error names `path`."""
     xll, yll, cell, grid = _read_ascii_grid(path)
-    if not np.isfinite(grid).all():
-        raise GridFormatError("class raster contains non-finite codes")
-    if not np.array_equal(np.floor(grid), grid):
-        raise GridFormatError("class raster contains non-integer codes")
-    out = (grid < 0) | (grid > 5)
-    if out.any():  # checked before the cast, which huge codes would overflow
-        raise UnknownClassCode(f"class code {grid[out][0]:.0f} outside 0..5")
-    return ClassRaster(cell, (xll, yll), grid.astype(np.int64))
+    with prefixed(path):
+        if not np.isfinite(grid).all():
+            raise DataError("class raster contains non-finite codes")
+        if not np.array_equal(np.floor(grid), grid):
+            raise DataError("class raster contains non-integer codes")
+        out = (grid < 0) | (grid > 5)
+        if out.any():  # checked before the cast, which huge codes would overflow
+            raise DataError(f"class code {grid[out][0]:.0f} outside 0..5")
+        return ClassRaster(cell, (xll, yll), grid.astype(np.int64))
 
 
 def save_raster(raster: ClassRaster, path):
@@ -334,8 +319,10 @@ def save_raster(raster: ClassRaster, path):
 
 
 def load_dsm(path) -> Dsm:
+    """Read a DSM from an ESRI ASCII grid of elevations; every error names `path`."""
     xll, yll, cell, grid = _read_ascii_grid(path)
-    return Dsm(cell, (xll, yll), grid)
+    with prefixed(path):
+        return Dsm(cell, (xll, yll), grid)
 
 
 def save_dsm(dsm: Dsm, path):
@@ -344,7 +331,7 @@ def save_dsm(dsm: Dsm, path):
 
 def check_aligned(raster: ClassRaster, dsm: Dsm):
     if (raster.height, raster.width) != (dsm.height, dsm.width):
-        raise GridMismatch(
+        raise DataError(
             f"raster grid {raster.height}x{raster.width} does not match "
             f"DSM grid {dsm.height}x{dsm.width}"
         )
@@ -352,7 +339,7 @@ def check_aligned(raster: ClassRaster, dsm: Dsm):
         abs(raster.origin[0] - dsm.origin[0]) > 1e-9
         or abs(raster.origin[1] - dsm.origin[1]) > 1e-9
     ):
-        raise GridMismatch("raster and DSM disagree on cell size or origin")
+        raise DataError("raster and DSM disagree on cell size or origin")
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +541,7 @@ def _lattice_cells(raster: ClassRaster, pitch: float):
     outside = (ix < 0) | (ix >= raster.width) | (iy < 0) | (iy >= raster.height)
     if outside.any():
         i = int(np.flatnonzero(outside)[0])
-        raise SceneError(f"point ({x[i]}, {y[i]}) outside raster extent")
+        raise DataError(f"point ({x[i]}, {y[i]}) outside raster extent")
     return x, y, iy, ix
 
 
@@ -575,14 +562,14 @@ def place_users(
     gives each pair's exact distance to the footprint (0 inside or on it).
     """
     if spacing <= 0:
-        raise SceneError("user spacing must be positive")
+        raise DataError("user spacing must be positive")
     check_aligned(raster, dsm)
 
     x, y, iy, ix = _lattice_cells(raster, spacing)
     label = raster.classes[iy, ix]
     walkable = np.isin(label, USER_CLASSES)
     if not walkable.any():
-        raise NoValidUserCells("no lattice point falls on a walkable cell")
+        raise DataError("no lattice point falls on a walkable cell")
     x, y, label = x[walkable], y[walkable], label[walkable]
     positions = np.column_stack([x, y, dsm.bilinear(x, y) + USER_HEIGHT_M])
     priority = label == CellClass.IMPERVIOUS_SURFACE
@@ -630,7 +617,7 @@ def place_candidates(
     mast height. `components` defaults to `building_components(raster, dsm)`.
     """
     if pitch <= 0 or mast_height <= 0:
-        raise SceneError("pitch and mast height must be positive")
+        raise DataError("pitch and mast height must be positive")
     check_aligned(raster, dsm)
     if components is None:
         components = building_components(raster, dsm)
@@ -638,7 +625,7 @@ def place_candidates(
     x, y, iy, ix = _lattice_cells(raster, pitch)
     keep = ~np.isin(raster.classes[iy, ix], CANDIDATE_EXCLUDED)
     if not keep.any():
-        raise NoCandidates("every lattice point falls on an excluded cell")
+        raise DataError("every lattice point falls on an excluded cell")
     x, y, iy, ix = x[keep], y[keep], iy[keep], ix[keep]
     surface = dsm.bilinear(x, y)
     comp = components.labels[iy, ix]
@@ -661,7 +648,7 @@ def build_scene(raster: ClassRaster, dsm: Dsm, config: SceneConfig) -> Scene:
 
 
 def reject_coincident_masts(points, labels):
-    """Raise SceneError naming the first pair of entries that put two masts on one point.
+    """Raise DataError naming the first pair of entries that put two masts on one point.
 
     A mast given twice would radiate twice, its copy's sectors interfering
     with the original's.
@@ -673,8 +660,8 @@ def reject_coincident_masts(points, labels):
     if repeats.size:
         j = int(repeats[0])
         i = int(first_seen[j])
-        raise SceneError(f"{labels[i]} and {labels[j]} are the same mast at "
-                         f"{tuple(float(v) for v in pts[j])}")
+        raise DataError(f"{labels[i]} and {labels[j]} are the same mast at "
+                        f"{tuple(float(v) for v in pts[j])}")
 
 
 def _reject_coincident_scene_masts(candidates: list[CandidateSite],
@@ -718,7 +705,7 @@ def save_scene(scene: Scene, path):
 def finite_points(entries: list, dim: int, name) -> np.ndarray:
     """`entries` as an (n, dim) float array, checked in one vectorized test.
 
-    Raises SceneError naming the first entry, `name(i)`, that is not `dim`
+    Raises DataError naming the first entry, `name(i)`, that is not `dim`
     finite numbers. Strings and JSON `true`/`false` are not numbers, and an
     integer too large for a float is not finite.
     """
@@ -735,9 +722,9 @@ def finite_points(entries: list, dim: int, name) -> np.ndarray:
     for i, entry in enumerate(entries):
         if not (isinstance(entry, (list, tuple, np.ndarray)) and len(entry) == dim
                 and all(is_kind(v, float) for v in entry)):
-            raise SceneError(f"{name(i)} must be {dim} finite numbers, "
-                             f"got {reprlib.repr(entry)}")
-    raise SceneError(f"{name('*')} must be {dim} finite numbers")
+            raise DataError(f"{name(i)} must be {dim} finite numbers, "
+                            f"got {reprlib.repr(entry)}")
+    raise DataError(f"{name('*')} must be {dim} finite numbers")
 
 
 # a scene file's keys and its entries' keys; all but fixed_bs are required
@@ -749,10 +736,10 @@ _ENTRY_KEYS = {"buildings": {"footprint": (list,), "base_elev": (float,), "top_e
 
 
 def load_scene(path) -> Scene:
-    raw = check_object(read_json(path, SceneError), _SCENE_KEYS, _ENTRY_KEYS, SceneError, path)
+    raw = check_object(read_json(path), _SCENE_KEYS, _ENTRY_KEYS, path)
     for group, kinds in _ENTRY_KEYS.items():
         for i, entry in enumerate(raw[group]):
-            check_object(entry, kinds, kinds, SceneError, path, f"{group}[{i}]")
+            check_object(entry, kinds, kinds, path, f"{group}[{i}]")
     footprints = [b["footprint"] for b in raw["buildings"]]
     starts = [0, *itertools.accumulate(len(fp) for fp in footprints)]
 
@@ -763,11 +750,9 @@ def load_scene(path) -> Scene:
     vertices = finite_points([v for fp in footprints for v in fp], 2, vertex_name)
     buildings = []
     for k, (lo, hi, b) in enumerate(zip(starts, starts[1:], raw["buildings"])):
-        try:
+        with prefixed(f"{path}: buildings[{k}]"):
             buildings.append(BuildingPrism(vertices[lo:hi], float(b["base_elev"]),
                                            float(b["top_elev"])))
-        except SceneError as e:
-            raise SceneError(f"{path}: buildings[{k}]: {e}") from None
     user_pos = finite_points([u["position"] for u in raw["users"]], 3,
                              lambda i: f"{path}: users[{i}].position")
     users = [User(p, u["priority"]) for p, u in zip(user_pos, raw["users"])]
@@ -776,13 +761,11 @@ def load_scene(path) -> Scene:
     candidates = [CandidateSite(c["id"], p) for p, c in zip(cand_pos, raw["candidates"])]
     fixed = list(finite_points(raw.get("fixed_bs", []), 3, lambda i: f"{path}: fixed_bs[{i}]"))
     if not users or not candidates:
-        raise SceneError(f"{path}: {'candidates' if users else 'users'} is empty; a scene "
-                         "must contain users and candidate sites")
+        raise DataError(f"{path}: {'candidates' if users else 'users'} is empty; a scene "
+                        "must contain users and candidate sites")
     for k, c in enumerate(candidates):
         if c.id != k:
-            raise SceneError(f"{path}: candidates[{k}].id must be {k} (ids dense 0..C-1)")
-    try:
+            raise DataError(f"{path}: candidates[{k}].id must be {k} (ids dense 0..C-1)")
+    with prefixed(path):
         _reject_coincident_scene_masts(candidates, fixed)
-    except SceneError as e:
-        raise SceneError(f"{path}: {e}") from None
     return Scene(buildings, users, candidates, fixed)

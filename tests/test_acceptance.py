@@ -16,11 +16,11 @@ import pytest
 
 from bsplace.baselines import KmeansConfig, kmeans_site_ids
 from bsplace.cli import main as cli_main
+from bsplace.config_json import DataError
 from bsplace.eval_report import GeneratorConfig, generate_synthetic_scene
 from bsplace.geometry import Segment3, los_blocked
 from bsplace.optimizer import (
     GaConfig,
-    NoSolutionForM,
     crowding_distance,
     evaluate_sites,
     non_dominated_sort,
@@ -209,7 +209,7 @@ def test_criterion_2_monotone_coverage(sparse_runs, acceptance_log):
         try:
             covered = [-int(select_best_for_m(run["archive"], m).objectives[2])
                        for m in (3, 4, 5)]
-        except NoSolutionForM:
+        except DataError:
             ok = False
             triples.append("missing budget")
             continue

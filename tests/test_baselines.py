@@ -3,8 +3,6 @@ import pytest
 
 from bsplace.baselines import (
     METHODS,
-    BaselineError,
-    EmptyScene,
     KmeansConfig,
     _snap_to_candidates,
     compare_methods,
@@ -12,6 +10,7 @@ from bsplace.baselines import (
     lloyd,
     save_comparison_csv,
 )
+from bsplace.config_json import DataError
 from bsplace.optimizer import GaConfig, evaluate_sites, run_ga_single_objective, run_nsga2
 from bsplace.radio import LinkGainTable, RadioParams, build_link_table
 from bsplace.scene import SceneConfig, build_scene
@@ -75,7 +74,7 @@ def test_snap_nearest_and_probe():
 
 def test_snap_requires_enough_candidates():
     cand = np.array([[0.0, 0.0]])
-    with pytest.raises(EmptyScene):
+    with pytest.raises(DataError, match="need 2 distinct candidate sites, scene has 1"):
         _snap_to_candidates(np.array([[0.0, 0.0], [1.0, 1.0]]), cand)
 
 
@@ -101,20 +100,20 @@ def test_kmeans_deterministic(kmeans_scene):
 
 def test_kmeans_table_mismatch_guard(kmeans_scene):
     scene, table = kmeans_scene
-    with pytest.raises(BaselineError):
+    with pytest.raises(DataError, match=r"users must be the scene's user list \(table mismatch\)"):
         kmeans_site_ids(scene.users[:3], 2, scene, PARAMS,
                         KmeansConfig(), True, table)
-    with pytest.raises(BaselineError):
+    with pytest.raises(DataError, match="k must be >= 1"):
         kmeans_site_ids(scene.users, 0, scene, PARAMS, KmeansConfig(), True, table)
 
 
 def test_kmeans_config_validation():
-    with pytest.raises(BaselineError, match="seed must be >= 0, got -1"):
+    with pytest.raises(DataError, match="seed must be >= 0, got -1"):
         KmeansConfig(seed=-1)
 
 
 def test_kmeans_config_rejects_non_finite():
-    with pytest.raises(BaselineError, match="sinr_threshold_db must be finite, got nan"):
+    with pytest.raises(DataError, match="sinr_threshold_db must be finite, got nan"):
         KmeansConfig(sinr_threshold_db=float("nan"))
 
 
@@ -153,9 +152,9 @@ def test_search_and_baselines_never_read_the_db_view(kmeans_scene, monkeypatch):
 
 def test_compare_methods_validation(kmeans_scene):
     scene, _ = kmeans_scene
-    with pytest.raises(BaselineError):
+    with pytest.raises(DataError, match=r"unknown methods: \['simulated-annealing'\]"):
         compare_methods(scene, PARAMS, [1], ["simulated-annealing"])
-    with pytest.raises(BaselineError):
+    with pytest.raises(DataError, match="need at least one method and one site count"):
         compare_methods(scene, PARAMS, [], ["nsga2"])
 
 

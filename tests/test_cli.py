@@ -64,6 +64,10 @@ def ws(tmp_path_factory):
     (root / "utf16.json").write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
     (root / "latin1.asc").write_bytes(
         b"ncols 1\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n\xff\n")
+    # input files cut short: JSON that ends mid-document, a grid one value short
+    (root / "truncated.json").write_text('{"buildings": [')
+    (root / "short.asc").write_text(
+        "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n0 0 0\n")
     return {
         "root": root,
         "grids": grids,
@@ -373,6 +377,17 @@ _NOT_UTF8_ARGV = [
     ["build-scene", "{root}/latin1.asc", "{dsm}"],
     ["build-scene", "{raster}", "{root}/latin1.asc"],
 ]
+# every kind of input file, each given cut short
+_TRUNCATED_ARGV = [
+    *([a.replace("{scene}", "{root}/truncated.json") for a in _BASE_ARGV[c]]
+      for c in ("optimize", "evaluate", "compare")),
+    _BASE_ARGV["optimize"] + ["--ga-config", "{root}/truncated.json"],
+    _BASE_ARGV["evaluate"] + ["--radio-config", "{root}/truncated.json"],
+    _BASE_ARGV["build-scene"] + ["--config", "{root}/truncated.json"],
+    ["evaluate", "{scene}", "--placement", "{root}/truncated.json"],
+    ["build-scene", "{root}/short.asc", "{dsm}"],
+    ["build-scene", "{raster}", "{root}/short.asc"],
+]
 
 
 def _usage_errors():
@@ -483,6 +498,27 @@ for _argv in (_NOT_UTF8_ARGV + [["optimize", "{root}/" + name] for name in _BAD_
     test_exit_code_property = example(case=(_argv, None, 1))(test_exit_code_property)
 for _argv, _text in _HUGE_CONFIG_CASES:
     test_exit_code_property = example(case=(_argv, _text, 1))(test_exit_code_property)
+
+
+@pytest.mark.parametrize("text", ['{"seed": ' + "1" * 5000 + "}", "[" * 10 ** 5 + "]" * 10 ** 5],
+                         ids=["integer-too-long", "nested-too-deep"])
+def test_json_past_the_parser_limits_is_data_error(ws, tmp_path, capsys, text):
+    bad = tmp_path / "limits.json"
+    bad.write_text(text)
+    rc = main(["optimize", str(ws["scene"]), "--ga-config", str(bad), "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: not valid JSON: ")
+
+
+@pytest.mark.parametrize("argv", _NOT_UTF8_ARGV + _TRUNCATED_ARGV)
+def test_unreadable_input_is_named(ws, tmp_path, capsys, argv):
+    bad = next(a for a in argv if "{root}" in a).replace("{root}", str(ws["root"]))
+    paths = {"{scene}": ws["scene"], "{raster}": ws["grids"] / "raster.asc",
+             "{dsm}": ws["grids"] / "dsm.asc", "{root}": ws["root"]}
+    for key, path in paths.items():
+        argv = [a.replace(key, str(path)) for a in argv]
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
 # ---------------------------------------------------------------------------

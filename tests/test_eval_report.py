@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsplace import eval_report
+from bsplace.config_json import DataError
 from bsplace.eval_report import (
     COVERAGE_GRID_HI_DB,
     COVERAGE_GRID_LO_DB,
     COVERAGE_GRID_STEP_DB,
     CoverageCurve,
-    EmptyInput,
     GeneratorConfig,
-    ReportError,
     ThroughputCdf,
     coverage_curve,
     generate_synthetic_scene,
@@ -63,14 +62,14 @@ def test_coverage_curve_non_increasing_property():
 
 
 def test_coverage_curve_empty_raises():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(DataError, match="no SINR samples"):
         coverage_curve([])
 
 
 def test_coverage_curve_validation():
-    with pytest.raises(ReportError):
+    with pytest.raises(DataError, match="coverage curve must be non-increasing"):
         CoverageCurve(np.array([0.0, 1.0]), np.array([0.2, 0.4]))
-    with pytest.raises(ReportError):
+    with pytest.raises(DataError, match=r"coverage probabilities must lie in \[0, 1\]"):
         CoverageCurve(np.array([0.0, 1.0]), np.array([1.2, 0.4]))
 
 
@@ -100,13 +99,13 @@ def test_throughput_cdf_shares_sector():
 
 
 def test_throughput_cdf_validation():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(DataError, match="no SINR samples"):
         throughput_cdf([], [], PARAMS)
-    with pytest.raises(ReportError):
+    with pytest.raises(DataError, match="attachments must align with SINR samples"):
         throughput_cdf([1.0, 2.0], [0], PARAMS)
-    with pytest.raises(ReportError):
+    with pytest.raises(DataError, match="CDF must be non-decreasing"):
         ThroughputCdf(np.array([0.0, 0.5]), np.array([0.6, 0.4]), 0.0)
-    with pytest.raises(ReportError):
+    with pytest.raises(DataError, match="CDF must end at 1"):
         ThroughputCdf(np.array([0.0, 0.5]), np.array([0.2, 0.8]), 0.0)
 
 

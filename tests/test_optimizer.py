@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bsplace.optimizer as opt
+from bsplace.config_json import DataError
 from bsplace.optimizer import (
     GaConfig,
     Individual,
-    NoSolutionForM,
-    OptimizerError,
     chromosome_bits,
     crowding_distance,
     decode_sites,
@@ -130,7 +129,7 @@ def test_repair_fixed_m_wraps_probe():
     ]).astype(bool)
     fixed = repair_fixed_m(bits, 3, 3)
     assert sorted(decode_sites(fixed, 3, 3)) == [0, 1, 2]
-    with pytest.raises(OptimizerError):
+    with pytest.raises(DataError, match="fixed-M repair needs m_max <= candidate count"):
         repair_fixed_m(bits, 2, 3)
 
 
@@ -320,6 +319,16 @@ def _merged_generations(draw):
     return objs, pop_size
 
 
+def _rank_and_crowding(objs):
+    """Rank and crowding of every row of `objs` in row order, and the fronts,
+    from a full sort: the oracle of `_survivors`."""
+    fronts = non_dominated_sort(objs)
+    rank = np.empty(len(objs), dtype=int)
+    for r, front in enumerate(fronts):
+        rank[front] = r
+    return rank, opt._crowding(objs, rank), fronts
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=_merged_generations())
 def test_survivors_carry_the_rank_and_crowding_of_a_fresh_sort(case):
@@ -327,15 +336,28 @@ def test_survivors_carry_the_rank_and_crowding_of_a_fresh_sort(case):
     chosen, rank, crowd, first = opt._survivors(objs, pop_size)
     fronts = non_dominated_sort(objs)
     assert len(chosen) == pop_size and first == fronts[0]
-    fresh_rank, fresh_crowd, _ = opt._rank_and_crowding(objs[chosen])
+    fresh_rank, fresh_crowd, _ = _rank_and_crowding(objs[chosen])
     assert np.array_equal(rank, fresh_rank)
     assert crowd.tobytes() == fresh_crowd.tobytes()
     assert chosen == _full_sort_survivors(objs, pop_size)[0]
 
 
+@settings(max_examples=100, deadline=None)
+@given(case=_merged_generations())
+def test_survivors_of_a_whole_population_rank_it_as_a_fresh_sort(case):
+    # generation 0: every row survives, and run_nsga2 scatters the survivors'
+    # rank and crowding back to row order
+    objs, _ = case
+    chosen, rank, crowd, first = opt._survivors(objs, len(objs))
+    fresh_rank, fresh_crowd, fronts = _rank_and_crowding(objs)
+    assert sorted(chosen) == list(range(len(objs))) and first == fronts[0]
+    assert np.array_equal(rank, fresh_rank[chosen])
+    assert crowd.tobytes() == fresh_crowd[chosen].tobytes()
+
+
 def _full_sort_survivors(objs, pop_size):
     """Environmental selection from a rank and crowding of every front."""
-    rank, crowd, fronts = opt._rank_and_crowding(objs)
+    rank, crowd, fronts = _rank_and_crowding(objs)
     chosen, cut = [], 0
     for front in fronts:
         if len(chosen) + len(front) > pop_size:
@@ -517,10 +539,10 @@ def test_select_best_for_m():
     ]
     best2 = select_best_for_m(archive, 2)
     assert best2.sites == [0, 1]  # ties on f3 break on f1
-    with pytest.raises(NoSolutionForM):
+    with pytest.raises(DataError, match="archive has no solution with 5 sites"):
         select_best_for_m(archive, 5)
     assert select_best_for_m(archive, 5, allow_fewer=True).sites == [0, 1, 2]
-    with pytest.raises(NoSolutionForM):
+    with pytest.raises(DataError, match="archive has no solution with 1 sites"):
         select_best_for_m([], 1, allow_fewer=True)
 
 
@@ -542,15 +564,15 @@ def test_single_objective_ga(toy_run):
 
 
 def test_ga_config_validation_and_json(tmp_path):
-    with pytest.raises(OptimizerError):
+    with pytest.raises(DataError, match="pop_size must be even and >= 4"):
         GaConfig(pop_size=5)
-    with pytest.raises(OptimizerError):
+    with pytest.raises(DataError, match="pop_size must be even and >= 4"):
         GaConfig(pop_size=2)
-    with pytest.raises(OptimizerError):
+    with pytest.raises(DataError, match=r"probabilities must lie in \[0, 1\]"):
         GaConfig(crossover_prob=1.5)
-    with pytest.raises(OptimizerError):
+    with pytest.raises(DataError, match="m_max must be >= 1"):
         GaConfig(m_max=0)
-    with pytest.raises(OptimizerError, match="seed must be >= 0, got -1"):
+    with pytest.raises(DataError, match="seed must be >= 0, got -1"):
         GaConfig(seed=-1)
     p = tmp_path / "ga.json"
     p.write_text('{"pop_size": 24, "m_max": 4, "seed": 9}')
@@ -566,7 +588,7 @@ def test_ga_config_validation_and_json(tmp_path):
 def test_ga_config_rejects_unknown_key(tmp_path, doc, bad):
     p = tmp_path / "ga.json"
     p.write_text(doc)
-    with pytest.raises(OptimizerError, match=bad):
+    with pytest.raises(DataError, match=bad):
         GaConfig.from_json(p)
 
 
@@ -580,7 +602,7 @@ def test_ga_config_rejects_unknown_key(tmp_path, doc, bad):
 def test_ga_config_rejects_wrong_type(tmp_path, doc, message):
     p = tmp_path / "ga.json"
     p.write_text(doc)
-    with pytest.raises(OptimizerError, match=message):
+    with pytest.raises(DataError, match=message):
         GaConfig.from_json(p)
     p.write_text('{"mutation_prob_per_bit": null, "crossover_prob": 1}')
     assert GaConfig.from_json(p).crossover_prob == 1
@@ -593,7 +615,7 @@ def test_ga_config_rejects_wrong_type(tmp_path, doc, message):
 def test_ga_config_rejects_repeated_key(tmp_path, doc, key):
     p = tmp_path / "ga.json"
     p.write_text(doc)
-    with pytest.raises(OptimizerError, match=f"repeated JSON key {key}"):
+    with pytest.raises(DataError, match=f"repeated JSON key {key}"):
         GaConfig.from_json(p)
 
 
@@ -603,7 +625,7 @@ def test_run_nsga2_rejects_empty_candidates(box_scene_table):
     table, scene = box_scene_table
     empty = Scene(buildings=[], users=scene.users,
                   candidates=[], fixed_bs=[])
-    with pytest.raises(OptimizerError):
+    with pytest.raises(DataError, match="scene has no candidate sites"):
         run_nsga2(empty, PARAMS, GaConfig(pop_size=4, generations=1))
 
 
@@ -611,11 +633,11 @@ def test_ga_config_rejects_non_finite(tmp_path):
     for field, value in (("sinr_threshold_db", float("nan")),
                          ("crossover_prob", float("nan")),
                          ("mutation_prob_per_bit", float("inf"))):
-        with pytest.raises(OptimizerError, match=f"{field} must be finite"):
+        with pytest.raises(DataError, match=f"{field} must be finite"):
             GaConfig(**{field: value})
     p = tmp_path / "ga.json"
     p.write_text('{"sinr_threshold_db": NaN}')
-    with pytest.raises(OptimizerError,
+    with pytest.raises(DataError,
                        match="'sinr_threshold_db' must be a finite number, got nan"):
         GaConfig.from_json(p)
 

@@ -9,14 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsplace import radio
+from bsplace.config_json import DataError
 from bsplace.radio import (
     SECTOR_AZIMUTHS_DEG,
     SINR_CAP_DB,
     SINR_FLOOR_DB,
     BsSector,
-    NonPositiveDistance,
-    NoSectors,
-    RadioError,
     RadioParams,
     antenna_attenuation_db,
     attach_and_evaluate,
@@ -65,11 +63,11 @@ def test_pathloss_carrier_shift():
 
 
 def test_pathloss_rejects_nonpositive():
-    with pytest.raises(NonPositiveDistance):
+    with pytest.raises(DataError, match="distance must be > 0 m"):
         pathloss_db(0.0, DEFAULTS)
-    with pytest.raises(NonPositiveDistance):
+    with pytest.raises(DataError, match="distance must be > 0 m"):
         pathloss_db(-5.0, DEFAULTS)
-    with pytest.raises(NonPositiveDistance):
+    with pytest.raises(DataError, match="distance must be > 0 m"):
         pathloss_db(np.array([100.0, 0.0]), DEFAULTS)
 
 
@@ -182,11 +180,11 @@ def test_sinr_from_rx_no_interference_is_snr():
 
 
 def test_sinr_from_rx_rejects_empty():
-    with pytest.raises(NoSectors):
+    with pytest.raises(DataError, match="need at least one sector"):
         sinr_from_rx(np.zeros((3, 0)), -95.0)
-    with pytest.raises(NoSectors):
+    with pytest.raises(DataError, match="need at least one sector"):
         sinr_from_rx(np.zeros((2, 3, 0)), -95.0)
-    with pytest.raises(NoSectors):
+    with pytest.raises(DataError, match="need at least one sector"):
         sinr_from_rx(np.zeros(3), -95.0)
 
 
@@ -250,7 +248,7 @@ def test_sinr_db_imposed_serving(box_scene):
     serving_best = int(np.argmax(vals))
     _, auto = attach_and_evaluate([user], sectors, box_scene, DEFAULTS, True)
     assert auto[0] == pytest.approx(max(vals))
-    with pytest.raises(NoSectors):
+    with pytest.raises(DataError, match="serving index 99 outside sector list"):
         sinr_db(user, 99, sectors, box_scene, DEFAULTS, True)
     assert 0 <= serving_best < len(sectors)
 
@@ -272,7 +270,7 @@ def test_throughput_shares_bandwidth():
     solo = throughput_mbps(12.0, 1, DEFAULTS)
     shared = throughput_mbps(12.0, 4, DEFAULTS)
     assert shared == pytest.approx(solo / 4.0)
-    with pytest.raises(RadioError):
+    with pytest.raises(DataError, match="n_attached must be >= 1"):
         throughput_mbps(12.0, 0, DEFAULTS)
 
 
@@ -356,7 +354,7 @@ def test_attach_sector_fields_match_oracles(box_scene):
     for u, user in enumerate(box_scene.users):
         ref = sinr_db(user, int(serving[u]), sectors, box_scene, DEFAULTS, True)
         assert sinr[u] == pytest.approx(ref, abs=1e-9)
-    with pytest.raises(NoSectors):
+    with pytest.raises(DataError, match="sector list is empty"):
         attach_and_evaluate(box_scene.users, [], box_scene, DEFAULTS, True)
 
 
@@ -367,7 +365,7 @@ def test_attach_sector_fields_match_oracles(box_scene):
      *sectors_for_sites([[100.0, 10.0, 15.0]], DEFAULTS)],
 ], ids=["two-sectors", "rotated-azimuth", "split-head"])
 def test_attach_rejects_sectors_that_are_not_whole_heads(box_scene, sectors):
-    with pytest.raises(RadioError, match="whole three-sector heads"):
+    with pytest.raises(DataError, match="whole three-sector heads"):
         attach_and_evaluate(box_scene.users, sectors, box_scene, DEFAULTS, True)
 
 
@@ -496,13 +494,13 @@ def test_shadowing_applies_to_table_only(box_scene):
 
 
 def test_radio_params_validation():
-    with pytest.raises(RadioError):
+    with pytest.raises(DataError, match="bandwidth_mhz must be positive"):
         RadioParams(bandwidth_mhz=0.0)
-    with pytest.raises(RadioError):
+    with pytest.raises(DataError, match="carrier_ghz must be positive"):
         RadioParams(carrier_ghz=-1.0)
-    with pytest.raises(RadioError):
+    with pytest.raises(DataError, match="hpbw_deg must be positive"):
         RadioParams(hpbw_deg=0.0)
-    with pytest.raises(RadioError, match="shadowing_seed must be >= 0, got -1"):
+    with pytest.raises(DataError, match="shadowing_seed must be >= 0, got -1"):
         RadioParams(shadowing_seed=-1)
 
 
@@ -518,24 +516,24 @@ def test_radio_params_json_round_trip(tmp_path):
 def test_radio_params_rejects_unknown_key(tmp_path):
     path = tmp_path / "radio.json"
     path.write_text('{"tx_power_dBm": 33.0}')
-    with pytest.raises(RadioError, match="tx_power_dBm"):
+    with pytest.raises(DataError, match="tx_power_dBm"):
         RadioParams.from_json(path)
 
 
 def test_radio_params_rejects_repeated_key(tmp_path):
     path = tmp_path / "radio.json"
     path.write_text('{"tx_power_dbm": 33.0, "hpbw_deg": 60.0, "tx_power_dbm": 40.0}')
-    with pytest.raises(RadioError, match="repeated JSON key 'tx_power_dbm'"):
+    with pytest.raises(DataError, match="repeated JSON key 'tx_power_dbm'"):
         RadioParams.from_json(path)
 
 
 def test_radio_params_rejects_wrong_type(tmp_path):
     path = tmp_path / "radio.json"
     path.write_text('{"tx_power_dbm": "33"}')
-    with pytest.raises(RadioError, match="'tx_power_dbm' must be a finite number, got '33'"):
+    with pytest.raises(DataError, match="'tx_power_dbm' must be a finite number, got '33'"):
         RadioParams.from_json(path)
     path.write_text('{"shadowing_seed": 1.5}')
-    with pytest.raises(RadioError, match="'shadowing_seed' must be an integer"):
+    with pytest.raises(DataError, match="'shadowing_seed' must be an integer"):
         RadioParams.from_json(path)
 
 
@@ -548,9 +546,9 @@ def test_radio_params_rejects_wrong_type(tmp_path):
     ("hpbw_deg", float("nan")),
 ])
 def test_radio_params_rejects_non_finite(tmp_path, field, value):
-    with pytest.raises(RadioError, match=f"{field} must be finite"):
+    with pytest.raises(DataError, match=f"{field} must be finite"):
         RadioParams(**{field: value})
     path = tmp_path / "radio.json"
     path.write_text(f'{{"{field}": {value!r}}}'.replace("nan", "NaN").replace("inf", "Infinity"))
-    with pytest.raises(RadioError, match=f"'{field}' must be a finite number"):
+    with pytest.raises(DataError, match=f"'{field}' must be a finite number"):
         RadioParams.from_json(path)

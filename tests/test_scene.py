@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from bsplace import scene as scene_mod
+from bsplace.config_json import DataError
 from bsplace.eval_report import GeneratorConfig, generate_synthetic_scene
 from bsplace.geometry import point_to_polygon_distance
 from bsplace.scene import (
@@ -20,14 +22,8 @@ from bsplace.scene import (
     CellClass,
     ClassRaster,
     Dsm,
-    GridFormatError,
-    GridMismatch,
-    NoCandidates,
-    NoValidUserCells,
     Scene,
     SceneConfig,
-    SceneError,
-    UnknownClassCode,
     User,
     build_scene,
     check_aligned,
@@ -52,9 +48,9 @@ def test_class_raster_validation():
     ok = ClassRaster(1.0, (0.0, 0.0), np.zeros((3, 2), dtype=int))
     assert ok.classes.dtype == np.int16
     assert (ok.width, ok.height) == (2, 3)
-    with pytest.raises(SceneError):
+    with pytest.raises(DataError, match="cell_size must be finite and positive, got -1.0"):
         ClassRaster(-1.0, (0.0, 0.0), np.zeros((2, 2), dtype=int))
-    with pytest.raises(SceneError):
+    with pytest.raises(DataError, match="class code 9 outside 0..5"):
         ClassRaster(1.0, (0.0, 0.0), np.full((2, 2), 9))
 
 
@@ -62,7 +58,7 @@ def test_class_raster_validation():
                                   np.zeros((1, 1, 1))], ids=["empty", "no-columns", "1-D", "3-D"])
 @pytest.mark.parametrize("cls", [ClassRaster, Dsm], ids=["ClassRaster", "Dsm"])
 def test_grid_needs_two_axes_and_a_cell(cls, grid):
-    with pytest.raises(SceneError, match="at least one cell"):
+    with pytest.raises(DataError, match="at least one cell"):
         cls(1.0, (0.0, 0.0), grid)
 
 
@@ -80,11 +76,11 @@ def test_dsm_bilinear_hand_values():
 
 def test_check_aligned_mismatches():
     r = ClassRaster(1.0, (0.0, 0.0), np.zeros((2, 2), dtype=int))
-    with pytest.raises(GridMismatch):
+    with pytest.raises(DataError, match="raster grid 2x2 does not match DSM grid 3x3"):
         check_aligned(r, Dsm(1.0, (0.0, 0.0), np.zeros((3, 3))))
-    with pytest.raises(GridMismatch):
+    with pytest.raises(DataError, match="raster and DSM disagree on cell size or origin"):
         check_aligned(r, Dsm(2.0, (0.0, 0.0), np.zeros((2, 2))))
-    with pytest.raises(GridMismatch):
+    with pytest.raises(DataError, match="raster and DSM disagree on cell size or origin"):
         check_aligned(r, Dsm(1.0, (5.0, 0.0), np.zeros((2, 2))))
 
 
@@ -128,26 +124,26 @@ def test_load_raster_rejects_bad_codes(tmp_path):
         "ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
         "NODATA_value -9999\n0 7\n"
     )
-    with pytest.raises(UnknownClassCode):
+    with pytest.raises(DataError, match="class code 7 outside 0..5"):
         load_raster(p)
     p.write_text(
         "ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
         "NODATA_value -9999\n0 1.5\n"
     )
-    with pytest.raises(GridFormatError):
+    with pytest.raises(DataError, match="class raster contains non-integer codes"):
         load_raster(p)
     for code in ("nan", "inf", "-inf"):
         p.write_text(
             "ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
             f"NODATA_value -9999\n0 {code}\n"
         )
-        with pytest.raises(GridFormatError, match="non-finite"):
+        with pytest.raises(DataError, match="non-finite"):
             load_raster(p)
     p.write_text(
         "ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
         "NODATA_value -9999\n0 1e20\n"
     )
-    with pytest.raises(UnknownClassCode, match="class code 100000000000000000000 outside"):
+    with pytest.raises(DataError, match="class code 100000000000000000000 outside"):
         load_raster(p)
 
 
@@ -157,26 +153,26 @@ def test_load_grid_rejects_nodata_and_bad_headers(tmp_path):
         "ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
         "NODATA_value -9999\n-9999 1\n"
     )
-    with pytest.raises(GridFormatError):
+    with pytest.raises(DataError, match="NODATA cells are not supported in scene grids"):
         load_dsm(p)
     p.write_text("ncols 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n0 1\n")
-    with pytest.raises(GridFormatError):
+    with pytest.raises(DataError, match="missing header field nrows"):
         load_dsm(p)
     p.write_text(
         "ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2 3\n"
     )
-    with pytest.raises(GridFormatError):
+    with pytest.raises(DataError, match=r"expected 6 values \(2 rows x 3 cols\), got 3"):
         load_dsm(p)
     p.write_text(
         "ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
         "NODATA_value abc\n0 1\n"
     )
-    with pytest.raises(GridFormatError, match="non-numeric"):
+    with pytest.raises(DataError, match="non-numeric"):
         load_dsm(p)
     p.write_text(
         "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\nncols 3\n0 1 2 3 4 5\n"
     )
-    with pytest.raises(GridFormatError, match="repeated header field ncols"):
+    with pytest.raises(DataError, match="repeated header field ncols"):
         load_dsm(p)
 
 
@@ -190,7 +186,7 @@ def test_load_grid_rejects_non_finite_geometry(tmp_path, load, key, value, field
     header[key] = value
     p = tmp_path / "grid.asc"
     p.write_text("".join(f"{k} {v}\n" for k, v in header.items()) + "0 1\n")
-    with pytest.raises(SceneError, match=f"{field} must be finite"):
+    with pytest.raises(DataError, match=f"{field} must be finite"):
         load(p)
 
 
@@ -257,16 +253,16 @@ def test_grid_reader_tokens_and_layouts(tmp_path, tokens, layout):
 
 
 def test_grid_reader_rejects_stray_tokens_and_empty_bodies(tmp_path):
-    with pytest.raises(GridFormatError, match="non-numeric grid content"):
+    with pytest.raises(DataError, match="non-numeric grid content"):
         _read_body(tmp_path, "1 2 #\n4 5 6\n")
-    with pytest.raises(GridFormatError, match="non-numeric grid content"):
+    with pytest.raises(DataError, match="non-numeric grid content"):
         _read_body(tmp_path, "1 2 3\n4 5 6 # comment\n")
-    with pytest.raises(GridFormatError, match="non-numeric grid content"):
+    with pytest.raises(DataError, match="non-numeric grid content"):
         _read_body(tmp_path, "1 2 3\n4 5 ncols\n")  # header keys only lead the file
     for body in ("", "\n\n  \t\n"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(GridFormatError,
+            with pytest.raises(DataError,
                                match=r"expected 6 values \(2 rows x 3 cols\), got 0"):
                 _read_body(tmp_path, body)
     # header fields may come in any order and case, after blank lines
@@ -398,7 +394,7 @@ def test_place_users_no_valid_cells():
     classes = np.full((3, 3), CellClass.BUILDING, dtype=int)
     raster = ClassRaster(10.0, (0.0, 0.0), classes)
     dsm = Dsm(10.0, (0.0, 0.0), np.full((3, 3), 9.0))
-    with pytest.raises(NoValidUserCells):
+    with pytest.raises(DataError, match="no lattice point falls on a walkable cell"):
         place_users(raster, dsm, 10.0, 10.0, [])
 
 
@@ -444,7 +440,7 @@ def test_place_candidates_none():
     classes = np.full((3, 3), CellClass.CLUTTER, dtype=int)
     raster = ClassRaster(10.0, (0.0, 0.0), classes)
     dsm = Dsm(10.0, (0.0, 0.0), np.zeros((3, 3)))
-    with pytest.raises(NoCandidates):
+    with pytest.raises(DataError, match="every lattice point falls on an excluded cell"):
         place_candidates(raster, dsm, 10.0, 25.0)
 
 
@@ -468,21 +464,21 @@ def test_build_scene_fixed_bs_validation(flat_raster_pair):
     cfg = SceneConfig(fixed_bs=[[10.0, 10.0, 30.0]])
     scene = build_scene(raster, dsm, cfg)
     assert len(scene.fixed_bs) == 1
-    with pytest.raises(SceneError):
+    with pytest.raises(DataError, match=r"fixed_bs\[0\] must be 3 finite numbers"):
         build_scene(raster, dsm, SceneConfig(fixed_bs=[[10.0, 10.0]]))
     # two masts on one point: a prior BS given twice, or one on a candidate site
-    with pytest.raises(SceneError, match=r"fixed_bs\[0\] and fixed_bs\[1\]"):
+    with pytest.raises(DataError, match=r"fixed_bs\[0\] and fixed_bs\[1\]"):
         build_scene(raster, dsm, SceneConfig(fixed_bs=[[10.0, 10.0, 30.0]] * 2))
     site = scene.candidates[2].position.tolist()
-    with pytest.raises(SceneError, match=r"candidates\[2\] and fixed_bs\[1\]"):
+    with pytest.raises(DataError, match=r"candidates\[2\] and fixed_bs\[1\]"):
         build_scene(raster, dsm, SceneConfig(fixed_bs=[[1.0, 2.0, 30.0], site]))
-    with pytest.raises(SceneError, match=r"fixed_bs\[0\] must be 3 finite numbers"):
+    with pytest.raises(DataError, match=r"fixed_bs\[0\] must be 3 finite numbers"):
         build_scene(raster, dsm, SceneConfig(fixed_bs=[["10", "10", "30"]]))
     # a 2-D array or a list of numpy rows gives what the list of lists gives
     for fixed in (np.array([[10.0, 10.0, 30.0]]), [np.array([10.0, 10.0, 30.0])]):
         again = build_scene(raster, dsm, SceneConfig(fixed_bs=fixed))
         assert [p.tolist() for p in again.fixed_bs] == [[10.0, 10.0, 30.0]]
-    with pytest.raises(SceneError, match=r"fixed_bs\[1\] must be 3 finite numbers"):
+    with pytest.raises(DataError, match=r"fixed_bs\[1\] must be 3 finite numbers"):
         build_scene(raster, dsm, SceneConfig(fixed_bs=np.array([[1.0, 2.0, 30.0],
                                                                 [1.0, np.nan, 30.0]])))
 
@@ -515,7 +511,7 @@ def test_load_scene_rejects_sparse_ids(tmp_path):
     }
     p = tmp_path / "scene.json"
     p.write_text(json.dumps(doc))
-    with pytest.raises(SceneError):
+    with pytest.raises(DataError, match=r"candidates\[1\]\.id must be 1 \(ids dense 0\.\.C-1\)"):
         load_scene(p)
 
 
@@ -526,7 +522,7 @@ def test_load_scene_rejects_repeated_key(tmp_path):
     for in_user, at_top, key in (("", ', "users": []', "users"),
                                  (', "priority": true', "", "priority")):
         p.write_text(doc.format(in_user, at_top))
-        with pytest.raises(SceneError, match=f"repeated JSON key '{key}'"):
+        with pytest.raises(DataError, match=f"repeated JSON key '{key}'"):
             load_scene(p)
 
 
@@ -541,26 +537,26 @@ def test_scene_config_from_json(tmp_path):
     for field, value in (("user_spacing_m", -1.0), ("candidate_pitch_m", 0.0),
                          ("mast_height_m", -3.0), ("near_dist_m", -5.0)):
         p.write_text(json.dumps({field: value}))
-        with pytest.raises(SceneError, match=field):
+        with pytest.raises(DataError, match=field):
             SceneConfig.from_json(p)
 
 
 def test_scene_config_checks_values_on_construction():
-    with pytest.raises(SceneError, match="user_spacing_m must be positive"):
+    with pytest.raises(DataError, match="user_spacing_m must be positive"):
         SceneConfig(user_spacing_m=-1, mast_height_m=-3)
-    with pytest.raises(SceneError, match="near_dist_m must be >= 0"):
+    with pytest.raises(DataError, match="near_dist_m must be >= 0"):
         SceneConfig(near_dist_m=-0.5)
-    with pytest.raises(SceneError, match="near_dist_m must be finite"):
+    with pytest.raises(DataError, match="near_dist_m must be finite"):
         SceneConfig(near_dist_m=float("nan"))
 
 
 def test_scene_config_rejects_wrong_type(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"user_spacing_m": "5"}))
-    with pytest.raises(SceneError, match="'user_spacing_m' must be a finite number"):
+    with pytest.raises(DataError, match="'user_spacing_m' must be a finite number"):
         SceneConfig.from_json(p)
     p.write_text(json.dumps({"fixed_bs": {"x": 1}}))
-    with pytest.raises(SceneError, match="'fixed_bs' must be a list"):
+    with pytest.raises(DataError, match="'fixed_bs' must be a list"):
         SceneConfig.from_json(p)
 
 
@@ -569,21 +565,21 @@ def test_scene_config_rejects_non_finite(tmp_path):
     for field, text in (("near_dist_m", "NaN"), ("user_spacing_m", "NaN"),
                         ("mast_height_m", "Infinity")):
         p.write_text(f'{{"{field}": {text}}}')
-        with pytest.raises(SceneError, match=f"'{field}' must be a finite number"):
+        with pytest.raises(DataError, match=f"'{field}' must be a finite number"):
             SceneConfig.from_json(p)
 
 
 def test_scene_config_rejects_repeated_key(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text('{"user_spacing_m": 5.0, "user_spacing_m": 6.0}')
-    with pytest.raises(SceneError, match="repeated JSON key 'user_spacing_m'"):
+    with pytest.raises(DataError, match="repeated JSON key 'user_spacing_m'"):
         SceneConfig.from_json(p)
 
 
 def test_scene_config_rejects_unknown_key(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"user_spacing_m": 5.0, "user_spacing": 6.0}))
-    with pytest.raises(SceneError, match="user_spacing'"):
+    with pytest.raises(DataError, match="user_spacing'"):
         SceneConfig.from_json(p)
 
 
@@ -636,11 +632,9 @@ def test_generator_scene_is_buildable():
 
 
 def test_generator_config_validation():
-    from bsplace.eval_report import ReportError
-
-    with pytest.raises(ReportError):
+    with pytest.raises(DataError, match="generator grids need at least 10x10 cells"):
         GeneratorConfig(width=0, height=10)
-    with pytest.raises(ReportError):
+    with pytest.raises(DataError, match=r"building_density must lie in \[0, 0\.8\]"):
         GeneratorConfig(building_density=0.95)
 
 
@@ -795,7 +789,8 @@ def _assert_matches_reference(raster, dsm, cfg):
                        [fp for fp, _, _ in ref])
     sites = _ref_candidates(raster, dsm, cfg.candidate_pitch_m, cfg.mast_height_m, labels)
     if not users or not sites:
-        with pytest.raises(NoCandidates if users else NoValidUserCells):
+        with pytest.raises(DataError, match="every lattice point falls on an excluded cell"
+                           if users else "no lattice point falls on a walkable cell"):
             build_scene(raster, dsm, cfg)
         prisms = extract_buildings(raster, dsm)
     else:
@@ -1062,7 +1057,7 @@ def test_load_scene_rejects_bad_coordinates(tmp_path, path, value, entry):
     node[path[-1]] = value
     p = tmp_path / "scene.json"
     p.write_text(json.dumps(doc))  # writes NaN/Infinity, which json.load accepts
-    with pytest.raises(SceneError, match=entry.replace("[", r"\[").replace("]", r"\]")):
+    with pytest.raises(DataError, match=entry.replace("[", r"\[").replace("]", r"\]")):
         load_scene(p)
 
 
@@ -1084,7 +1079,7 @@ def test_load_scene_names_file_entry_and_key(tmp_path, edit, message):
     edit(doc)
     p = tmp_path / "scene.json"
     p.write_text(json.dumps(doc))
-    with pytest.raises(SceneError) as raised:
+    with pytest.raises(DataError, match=re.escape(message)) as raised:
         load_scene(p)
     assert str(raised.value) == f"{p}: {message}"
 
