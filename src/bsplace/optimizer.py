@@ -15,21 +15,32 @@ A generation is held as one bool array [pop, nbits] and each step runs
 over all its rows. Variation draws its random numbers in blocks, in the
 order a per-pair loop would draw them, and applies the swaps and flips to
 all pairs at once (`_draw_in_order`). Slots decode with one matrix
-product, and repair wraps and deduplicates every row at once. Scoring
-gathers the link table once per active-site count and scores the whole
-group with `LinkGainTable.sinr_for` (in chunks of at most `_GATHER_ELEMS`
+product, and repair wraps and deduplicates every row at once. Repair
+also hands on each row's key: its active site ids sorted, then the
+candidate count in its inactive slots, so a batch is decoded once.
+
+A run scores through one memo (`_memo_scorer`): each distinct key is
+scored once, on the batch it first appears in, and looked up after that.
+This is exact because a row's objectives are a function of its sorted
+site set and rows are scored independently. The memo is made per run, so
+it never spans two tables (a blockage ablation scores one scene on an
+aware and then on a blind table). The fresh keys are grouped by
+active-site count; each group gathers the link table once and is scored
+with `LinkGainTable.sinr_for` (in chunks of at most `_GATHER_ELEMS`
 gathered values) into one SINR array, from which the objectives are
 formed once. The archive merge is one dominance matrix.
 `repair`, `repair_fixed_m`, `decode_sites` and `evaluate_sites` are the
 same code on a single row.
 
 NSGA-II ranks each generation once, through `_survivors`: the random
-first population, then each union of parents and children. Fronts are
-peeled only until they hold the population, and only those rows are
-crowded. The survivors are whole fronts plus part of one cut front, so
-they keep the rank and crowding of that pass, and only the cut front's
-survivors are crowded again. Crowding runs over all fronts in one
-pass per objective; `crowding_distance` is its one-front case.
+first population, then each union of parents and children. Dominance is
+one comparison per objective (`_dominance`), and each front is the rows
+left that no row left dominates. Fronts are peeled only until they hold
+the population, and only those rows are crowded. The survivors are whole
+fronts plus part of one cut front, so they keep the rank and crowding of
+that pass, and only the cut front's survivors are crowded again.
+Crowding runs over all fronts in one pass per objective;
+`crowding_distance` is its one-front case.
 
 Objectives are scored only through a `LinkGainTable`; `run_nsga2` and
 `run_ga_single_objective` build the scene's table when none is passed.
@@ -133,15 +144,23 @@ def _switch_on_if_empty(bits: np.ndarray, m_max: int, rng: np.random.Generator) 
         bits[int(rng.integers(m_max)) * step] = True
 
 
-def repair_rows(pop: np.ndarray, n_candidates: int, m_max: int) -> np.ndarray:
+def _keys(active: np.ndarray, idx: np.ndarray, n_candidates: int) -> np.ndarray:
+    """Key rows [rows, m_max]: each row's active site ids sorted, then
+    `n_candidates` in its inactive slots. Equal rows are equal site sets."""
+    return np.sort(np.where(active, idx, n_candidates), axis=1)
+
+
+def repair_rows(pop: np.ndarray, n_candidates: int, m_max: int):
     """`repair` applied to every row of `pop` but for its switch-on draw: rows
     are wrapped and deduplicated, and a row with no active slot stays so. The
-    population builders have already switched such rows on (`_draw_in_order`)."""
+    population builders have already switched such rows on (`_draw_in_order`).
+    Returns the repaired rows and their key rows (`_keys`)."""
     active, idx = _slots(np.asarray(pop, dtype=bool), n_candidates, m_max)
     # slot s repeats an earlier active slot t < s
     earlier = np.tri(m_max, k=-1, dtype=bool)
     dup = ((idx[:, :, None] == idx[:, None, :]) & earlier & active[:, None, :]).any(axis=2)
-    return _encode(active & ~dup, idx, site_bits(n_candidates))
+    active = active & ~dup
+    return _encode(active, idx, site_bits(n_candidates)), _keys(active, idx, n_candidates)
 
 
 def repair(bits: np.ndarray, n_candidates: int, m_max: int,
@@ -155,11 +174,13 @@ def repair(bits: np.ndarray, n_candidates: int, m_max: int,
     """
     bits = np.array(bits, dtype=bool)
     _switch_on_if_empty(bits, m_max, rng)
-    return repair_rows(bits[None], n_candidates, m_max)[0]
+    rows, _ = repair_rows(bits[None], n_candidates, m_max)
+    return rows[0]
 
 
-def repair_fixed_m_rows(pop: np.ndarray, n_candidates: int, m_max: int) -> np.ndarray:
-    """`repair_fixed_m` applied to every row of `pop`."""
+def repair_fixed_m_rows(pop: np.ndarray, n_candidates: int, m_max: int):
+    """`repair_fixed_m` applied to every row of `pop`; returns the repaired rows
+    and their key rows (`_keys`)."""
     if m_max > n_candidates:
         raise DataError("fixed-M repair needs m_max <= candidate count")
     _, idx = _slots(np.asarray(pop, dtype=bool), n_candidates, m_max)
@@ -171,7 +192,8 @@ def repair_fixed_m_rows(pop: np.ndarray, n_candidates: int, m_max: int) -> np.nd
             slot[taken] = (slot[taken] + 1) % n_candidates
             taken = seen[rows, slot]
         seen[rows, slot] = True
-    return _encode(np.ones(idx.shape, dtype=bool), idx, site_bits(n_candidates))
+    bits = _encode(np.ones(idx.shape, dtype=bool), idx, site_bits(n_candidates))
+    return bits, np.sort(idx, axis=1)
 
 
 def repair_fixed_m(bits: np.ndarray, n_candidates: int, m_max: int) -> np.ndarray:
@@ -181,7 +203,8 @@ def repair_fixed_m(bits: np.ndarray, n_candidates: int, m_max: int) -> np.ndarra
     count) to the next unused id, so the configuration always has exactly
     m_max distinct sites.
     """
-    return repair_fixed_m_rows(np.asarray(bits)[None], n_candidates, m_max)[0]
+    rows, _ = repair_fixed_m_rows(np.asarray(bits)[None], n_candidates, m_max)
+    return rows[0]
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +236,14 @@ _GATHER_ELEMS = 1 << 16
 
 def evaluate_rows(pop: np.ndarray, table: LinkGainTable, sinr_threshold_db: float,
                   m_max: int) -> np.ndarray:
-    """Objective vectors [rows, 3] of repaired chromosomes, equal to `evaluate_sites`.
+    """Objective vectors [rows, 3] of repaired chromosomes, equal to `evaluate_sites`."""
+    active, idx = _slots(pop, table.n_candidates, m_max)
+    return _evaluate_keys(_keys(active, idx, table.n_candidates), table, sinr_threshold_db)
+
+
+def _evaluate_keys(keys: np.ndarray, table: LinkGainTable,
+                   sinr_threshold_db: float) -> np.ndarray:
+    """Objective vectors [rows, 3] of key rows (see `_keys`).
 
     Rows with the same active-site count share one table gather and SINR
     pass, split into chunks of at most `_GATHER_ELEMS` gathered values (at
@@ -221,17 +251,41 @@ def evaluate_rows(pop: np.ndarray, table: LinkGainTable, sinr_threshold_db: floa
     objectives are formed once over all rows. Rows are scored
     independently, so neither the grouping nor the chunking changes a bit.
     """
-    active, idx = _slots(pop, table.n_candidates, m_max)
-    counts = active.sum(axis=1)
+    counts = (keys < table.n_candidates).sum(axis=1)
     n_users = len(table.priority)
-    sinr = np.empty((len(pop), n_users))
+    sinr = np.empty((len(keys), n_users))
     for k in np.unique(counts):
         rows = np.flatnonzero(counts == k)
-        ids = np.sort(idx[rows][active[rows]].reshape(len(rows), k), axis=1)
+        ids = keys[rows, :k]
         step = max(1, _GATHER_ELEMS // (n_users * 3 * (k + table.n_fixed)))
         for start in range(0, len(rows), step):
             sinr[rows[start:start + step]] = table.sinr_for(ids[start:start + step])
     return _objectives(sinr, counts, table, sinr_threshold_db)
+
+
+def _memo_scorer(table: LinkGainTable, sinr_threshold_db: float):
+    """One run's scoring: key rows [rows, m_max] to objective rows [rows, 3].
+
+    Each distinct key row is scored once, on the batch it first appears
+    in, and looked up after that. This is exact: a key row is a sorted
+    site set and `_evaluate_keys` scores rows independently. The memo holds
+    one table and threshold, so it lives as long as the run that made it.
+    """
+    seen: dict[bytes, int] = {}  # key row -> its objective row in `store`
+    store = np.empty((0, 3))
+
+    def score(keys: np.ndarray) -> np.ndarray:
+        nonlocal store
+        keys = np.ascontiguousarray(keys)
+        names = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel().tolist()
+        fresh = {name: row for row, name in enumerate(names) if name not in seen}
+        if fresh:
+            seen.update(zip(fresh, range(len(store), len(store) + len(fresh))))
+            store = np.concatenate([store, _evaluate_keys(keys[list(fresh.values())], table,
+                                                          sinr_threshold_db)])
+        return store[[seen[name] for name in names]]
+
+    return score
 
 
 # ---------------------------------------------------------------------------
@@ -244,29 +298,30 @@ def dominates(a, b) -> bool:
 
 
 def _dominance(objs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(le, dom): le[i, j] when row i is <= row j everywhere, dom[i, j] when i dominates j."""
-    n = len(objs)
-    le = np.ones((n, n), dtype=bool)
-    lt = np.zeros((n, n), dtype=bool)
-    for col in objs.T:  # one 2D comparison per objective, no reduction over a short axis
+    """(le, dom): le[i, j] when row i is <= row j everywhere, dom[i, j] when i dominates j.
+
+    One 2D comparison per objective. Row i dominates row j when it is <= j
+    everywhere and j is not <= i everywhere: with no NaN, "not <=" is ">"
+    (an infinite f1 compares as any other value), so dom is le & ~le.T.
+    """
+    le = np.ones((len(objs), len(objs)), dtype=bool)
+    for col in objs.T:
         le &= col[:, None] <= col[None, :]
-        lt |= col[:, None] < col[None, :]
-    return le, le & lt
+    return le, le & ~le.T
 
 
 def _peel(dom: np.ndarray, limit: int) -> list[np.ndarray]:
     """Fronts of the dominance matrix `dom`, best first, each in index order,
     peeled until they hold at least `limit` rows."""
-    n_dominators = dom.sum(axis=0)
-    assigned = np.zeros(len(dom), dtype=bool)
+    left = np.ones(len(dom), dtype=bool)
     fronts: list[np.ndarray] = []
     placed = 0
     while placed < limit:
-        current = np.flatnonzero((n_dominators == 0) & ~assigned)
+        # the rows left that no row left dominates
+        current = np.flatnonzero(left & ~dom[left].any(axis=0))
         fronts.append(current)
-        assigned[current] = True
+        left[current] = False
         placed += len(current)
-        n_dominators = n_dominators - dom[current].sum(axis=0)
     return fronts
 
 
@@ -499,15 +554,13 @@ def run_nsga2(scene, params, config: GaConfig, use_blockages: bool = True,
         raise DataError("scene has no candidate sites")
     m_max = config.m_max
     rng = np.random.default_rng(config.seed)
+    score = _memo_scorer(table, config.sinr_threshold_db)
 
     def fix(rows):
         return repair_rows(rows, n_cand, m_max)
 
-    def score(rows):
-        return evaluate_rows(rows, table, config.sinr_threshold_db, m_max)
-
-    pop = fix(_random_population(config, chromosome_bits(n_cand, m_max), rng, m_max))
-    objs = score(pop)
+    pop, keys = fix(_random_population(config, chromosome_bits(n_cand, m_max), rng, m_max))
+    objs = score(keys)
 
     # every row survives; its rank and crowding go back to row order
     chosen, ranked, crowded, first = _survivors(objs, config.pop_size)
@@ -520,10 +573,10 @@ def run_nsga2(scene, params, config: GaConfig, use_blockages: bool = True,
 
     for gen in range(1, config.generations + 1):
         parents = _tournament(rng, rank, crowd, config.pop_size)
-        children = fix(_offspring(pop, parents, config, rng, m_max))
+        children, keys = fix(_offspring(pop, parents, config, rng, m_max))
 
         combined = np.vstack([pop, children])
-        combined_objs = np.vstack([objs, score(children)])
+        combined_objs = np.vstack([objs, score(keys)])
         chosen, rank, crowd, first = _survivors(combined_objs, config.pop_size)
 
         archive_objs, archive_bits = _merge_archive(archive_objs, archive_bits,
@@ -574,15 +627,13 @@ def run_ga_single_objective(scene, params, config: GaConfig, use_blockages: bool
     if config.m_max > n_cand:
         raise DataError("m_max exceeds candidate count")
     rng = np.random.default_rng(config.seed)
+    score = _memo_scorer(table, config.sinr_threshold_db)
 
     def fix(rows):
         return repair_fixed_m_rows(rows, n_cand, config.m_max)
 
-    def score(rows):
-        return evaluate_rows(rows, table, config.sinr_threshold_db, config.m_max)
-
-    pop = fix(_random_population(config, chromosome_bits(n_cand, config.m_max), rng))
-    objs = score(pop)
+    pop, keys = fix(_random_population(config, chromosome_bits(n_cand, config.m_max), rng))
+    objs = score(keys)
     fitness = objs[:, 2]  # minimize f3
 
     best_idx = int(np.argmin(fitness))
@@ -592,10 +643,10 @@ def run_ga_single_objective(scene, params, config: GaConfig, use_blockages: bool
 
     for _ in range(config.generations):
         parents = _tournament(rng, fitness, np.zeros_like(fitness), config.pop_size)
-        children = fix(_offspring(pop, parents, config, rng))
+        children, keys = fix(_offspring(pop, parents, config, rng))
 
         all_bits = np.vstack([pop, children])
-        all_objs = np.vstack([objs, score(children)])
+        all_objs = np.vstack([objs, score(keys)])
         order = np.argsort(all_objs[:, 2], kind="stable")[:config.pop_size]
         pop = all_bits[order]
         objs = all_objs[order]

@@ -10,12 +10,15 @@ table only; `link_budget` and `sinr_db` are scalar references.
 
 The link table is stored once, as site-major linear power made by the
 `db_to_linear` ufuncs. `LinkGainTable.sinr_for` gathers from it and takes
-the row max as the signal, so it gives the bytes `sinr_from_rx` gives on
-the same dBm: that ufunc is monotone (the tests sweep it densely).
+the largest power as the signal, so it gives the bytes `sinr_from_rx`
+gives on the same dBm: that ufunc is monotone (the tests sweep it
+densely). The noise is converted to mW once per table, by the same
+`db_to_linear` call `sinr_from_rx` makes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -226,22 +229,33 @@ class LinkGainTable:
     def columns_for(self, site_ids) -> np.ndarray:
         """Site columns [..., k + n_fixed]: the ids along the last axis, then the fixed BS."""
         ids = np.asarray(site_ids, dtype=int)
+        if not self.n_fixed:
+            return ids
         fixed = np.arange(self.n_candidates, self.n_candidates + self.n_fixed)
         return np.concatenate([ids, np.broadcast_to(fixed, ids.shape[:-1] + fixed.shape)],
                               axis=-1)
+
+    @functools.cached_property
+    def _noise_mw(self):
+        return db_to_linear(self.noise_dbm)
 
     def sinr_for(self, site_ids) -> np.ndarray:
         """SINR in dB [..., n_users] of a site set [k] or a batch of sets [..., k], each
         followed by the fixed BS: bytewise `sinr_from_rx` on the sets' dB columns.
 
-        Site blocks of `rx_mw` are gathered and swapped to those columns'
-        order [..., n_users, 3(k+n_fixed)], so the row sums do not move. The signal is the row max, the
-        serving sector's power while `db_to_linear` is monotone.
+        The signal is the largest gathered power, the serving sector's while
+        `db_to_linear` is monotone. It is taken elementwise over the gathered
+        site blocks and then over the three heads, which gives the row max's
+        value: a max does not depend on the order it visits values in, and
+        the powers are never NaN. The blocks are then swapped to the columns'
+        order [..., n_users, 3(k+n_fixed)], so the row sums do not move.
         """
         lin = np.take(self.rx_mw, self.columns_for(site_ids), axis=0)
+        head = np.maximum.reduce(lin, axis=-3)
+        signal = np.maximum(np.maximum(head[..., 0], head[..., 1]), head[..., 2])
         lin = np.ascontiguousarray(np.swapaxes(lin, -3, -2))
         lin = lin.reshape(lin.shape[:-2] + (-1,))
-        return _sinr_db(lin, lin.max(axis=-1), self.noise_dbm)
+        return _sinr_db(lin, signal, self._noise_mw)
 
 
 def build_link_table(scene, params: RadioParams, use_blockages: bool,
@@ -287,13 +301,23 @@ def sinr_from_rx(rx_dbm: np.ndarray, noise_dbm: float):
     lin = db_to_linear(rx_dbm)
     serving = np.argmax(rx_dbm, axis=-1)
     signal = np.take_along_axis(lin, serving[..., None], axis=-1)[..., 0]
-    return serving, _sinr_db(lin, signal, noise_dbm)
+    return serving, _sinr_db(lin, signal, db_to_linear(noise_dbm))
 
 
-def _sinr_db(lin: np.ndarray, signal: np.ndarray, noise_dbm: float) -> np.ndarray:
-    """SINR in dB of `signal` against the rest of its row of `lin` [..., sectors] and noise."""
-    interference = lin.sum(axis=-1) - signal
-    return linear_to_db(signal / (db_to_linear(noise_dbm) + interference))
+def _sinr_db(lin: np.ndarray, signal: np.ndarray, noise_mw) -> np.ndarray:
+    """SINR in dB of `signal` against the rest of its row of `lin` [..., sectors] and
+    the noise power `noise_mw`.
+
+    The steps are those of `linear_to_db(signal / (noise_mw + interference))`,
+    done in place on the row sums: each is one IEEE operation either way.
+    """
+    sinr = lin.sum(axis=-1)
+    sinr -= signal
+    sinr += noise_mw
+    np.divide(signal, sinr, out=sinr)
+    np.log10(sinr, out=sinr)
+    sinr *= 10.0
+    return sinr
 
 
 def attach_and_evaluate(users, sectors: list[BsSector], scene, params: RadioParams,

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bsplace.optimizer as opt
+from bsplace.baselines import KmeansConfig, kmeans_site_ids
 from bsplace.config_json import DataError
 from bsplace.optimizer import (
     GaConfig,
@@ -26,7 +29,7 @@ from bsplace.optimizer import (
     select_best_for_m,
     site_bits,
 )
-from bsplace.radio import RadioParams, build_link_table, sinr_from_rx
+from bsplace.radio import LinkGainTable, RadioParams, build_link_table, sinr_from_rx
 from bsplace.scene import SceneConfig, build_scene
 from bsplace.eval_report import GeneratorConfig, generate_synthetic_scene
 
@@ -759,7 +762,7 @@ def test_repair_rows_matches_per_row_oracle(pop, seed):
     switched = rows.copy()
     for row in switched:
         opt._switch_on_if_empty(row, m_max, rng)
-    got = repair_rows(switched, n_cand, m_max)
+    got = repair_rows(switched, n_cand, m_max)[0]
     assert got.dtype == bool and np.array_equal(got, expected)
     assert rng.bit_generator.state == rng_oracle.bit_generator.state
     rng = np.random.default_rng(seed)
@@ -788,7 +791,7 @@ def test_population_builders_leave_no_row_empty(n_cand, m_max, pairs, p_mut, see
 def test_repair_fixed_m_rows_matches_per_row_oracle(pop):
     rows, n_cand, m_max = pop
     expected = np.array([_oracle_repair_fixed_m(r, n_cand, m_max) for r in rows])
-    assert np.array_equal(repair_fixed_m_rows(rows, n_cand, m_max), expected)
+    assert np.array_equal(repair_fixed_m_rows(rows, n_cand, m_max)[0], expected)
     assert np.array_equal(repair_fixed_m(rows[0], n_cand, m_max), expected[0])
 
 
@@ -806,13 +809,13 @@ def _variation_runs(n_cand, m_max, pairs, p_mut, crossover_prob, fixed_m, seed,
         rng = np.random.default_rng(seed)
         if fixed_m:
             def fix(rows):
-                return repair_fixed_m_rows(rows, n_cand, m_max)
+                return repair_fixed_m_rows(rows, n_cand, m_max)[0]
 
             def fix_one(bits):
                 return _oracle_repair_fixed_m(bits, n_cand, m_max)
         else:
             def fix(rows):
-                return repair_rows(rows, n_cand, m_max)
+                return repair_rows(rows, n_cand, m_max)[0]
 
             def fix_one(bits):
                 if not bits[::nbits // m_max].any():
@@ -965,12 +968,17 @@ def test_linear_route_sinr_matches_sinr_from_rx_bytewise(db_table, seed, rows):
 
 
 @pytest.fixture(scope="module")
-def fixed_bs_table():
+def fixed_bs_scene():
     gen = GeneratorConfig(width=40, height=40, cell_size=25.0)
     raster, dsm = generate_synthetic_scene(gen, seed=4)
     cfg = SceneConfig(user_spacing_m=150.0, candidate_pitch_m=250.0, near_dist_m=50.0,
                       fixed_bs=[[250.0, 250.0, 30.0], [750.0, 600.0, 30.0]])
-    return build_link_table(build_scene(raster, dsm, cfg), PARAMS, True)
+    return build_scene(raster, dsm, cfg)
+
+
+@pytest.fixture(scope="module")
+def fixed_bs_table(fixed_bs_scene):
+    return build_link_table(fixed_bs_scene, PARAMS, True)
 
 
 def test_evaluate_rows_on_scene_tables(toy_run, fixed_bs_table):
@@ -1015,3 +1023,250 @@ def test_merge_archive_matches_sequential_fold(chunks):
         objs, tags = opt._merge_archive(objs, tags, new_objs, new_tags)
         assert np.array_equal(objs, np.array(fold_objs).reshape(-1, 3))
         assert np.array_equal(tags, np.array(fold_tags, dtype=int).reshape(-1, 1))
+
+
+# ---------------------------------------------------------------------------
+# Kernels against their oracles: the gathered-max signal, one-compare
+# dominance and front peeling
+
+@st.composite
+def _tied_db_tables(draw):
+    """(rx dBm [users, sites, 3], its link table) with heads and sites tied at the max
+    and one candidate whose power underflows to 0.0 mW; the fixed BS keep every
+    user's signal positive."""
+    rx, _ = draw(_db_tables())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_users, n_sites, _ = rx.shape
+    n_fixed = draw(st.integers(1, 3))
+    rx = np.concatenate([rx, rng.normal(-90.0, 20.0, size=(n_users, n_fixed, 3))], axis=1)
+    n_sites += n_fixed
+    top = rx.max(axis=(1, 2))
+    for _ in range(draw(st.integers(1, 6))):  # the max again on another head and site
+        rx[rng.integers(n_users), rng.integers(n_sites), rng.integers(3)] = \
+            top[rng.integers(n_users)]
+    rx[:, :, 1] = np.where(rng.random((n_users, n_sites)) < 0.3, rx[:, :, 0], rx[:, :, 1])
+    if n_sites - n_fixed > 1:
+        rx[:, rng.integers(n_sites - n_fixed)] = rx[:, rng.integers(n_sites - n_fixed)]
+    rx[:, rng.integers(n_sites - n_fixed)] = -4000.0
+    table = table_from_db(rx, rng.random(n_users) < 0.4, n_fixed)
+    assert (table.rx_mw == 0.0).any()
+    return rx, table
+
+
+@settings(max_examples=150, deadline=None)
+@given(db_table=_tied_db_tables(), seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 5))
+def test_sinr_for_matches_sinr_from_rx_on_ties_and_underflow(db_table, seed, rows):
+    rx, table = db_table
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, table.n_candidates + 1))
+    # sorted sets, as the search scores them, and unsorted ones, as k-means does
+    for ids in (np.sort([rng.choice(table.n_candidates, size=k, replace=False)
+                         for _ in range(rows)], axis=1),
+                np.array([rng.permutation(table.n_candidates)[:k] for _ in range(rows)])):
+        columns = np.take(rx, table.columns_for(ids), axis=1)  # [users, rows, k + n_fixed, 3]
+        _, want = sinr_from_rx(np.moveaxis(columns, 0, 1).reshape(rows, len(rx), -1),
+                               table.noise_dbm)
+        assert table.sinr_for(ids).tobytes() == want.tobytes()
+        for row, one in zip(ids, want):
+            assert table.sinr_for(row).tobytes() == one.tobytes()
+
+
+def test_columns_for_without_fixed_bs_keeps_the_ids():
+    table = LinkGainTable(rx_mw=np.ones((4, 2, 3)), priority=np.ones(2, dtype=bool),
+                          n_fixed=0, noise_dbm=-95.0)
+    ids = np.array([[3, 1], [0, 2]])
+    assert table.columns_for(ids) is ids
+    assert table.columns_for([2]).tolist() == [2]
+
+
+@st.composite
+def _objective_sets(draw):
+    """Objective rows on a coarse grid, with repeated rows and some f1 at +inf."""
+    n = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    objs = rng.integers(-3, 1, size=(n, 3)).astype(float)
+    objs[:, 1] += 4.0
+    objs[rng.random(n) < 0.2, 0] = np.inf
+    if n > 1:
+        objs[rng.integers(n, size=n // 3)] = objs[rng.integers(n, size=n // 3)]
+    return objs
+
+
+def _counting_peel(dom, limit):
+    """Fronts by dominator counts, the form `_peel` had before: the oracle."""
+    n_dominators = dom.sum(axis=0)
+    assigned = np.zeros(len(dom), dtype=bool)
+    fronts = []
+    placed = 0
+    while placed < limit:
+        current = np.flatnonzero((n_dominators == 0) & ~assigned)
+        fronts.append(current)
+        assigned[current] = True
+        placed += len(current)
+        n_dominators = n_dominators - dom[current].sum(axis=0)
+    return fronts
+
+
+@settings(max_examples=200, deadline=None)
+@given(objs=_objective_sets())
+def test_dominance_matches_pairwise_oracle(objs):
+    le, dom = opt._dominance(objs)
+    n = len(objs)
+    assert le.tolist() == [[bool(np.all(objs[i] <= objs[j])) for j in range(n)]
+                           for i in range(n)]
+    assert dom.tolist() == [[dominates(objs[i], objs[j]) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(objs=_objective_sets(), cut=st.floats(0.0, 1.0))
+def test_peel_matches_counting_peel(objs, cut):
+    _, dom = opt._dominance(objs)
+    for limit in (len(objs), int(cut * len(objs))):
+        got = opt._peel(dom, limit)
+        want = _counting_peel(dom, limit)
+        assert [f.tolist() for f in got] == [f.tolist() for f in want]
+
+
+# ---------------------------------------------------------------------------
+# The per-run memo: every distinct site set is scored once per run
+
+def _memo_batches(table, m_max, fixed_m, rng, n_batches):
+    """Unrepaired batches that repeat site sets: rows of every active count (all in
+    the first batch), copies with their slots permuted, and random rows (switched on
+    for the NSGA-II repair)."""
+    width = 1 + site_bits(table.n_candidates)
+    mixed = list(_mixed_population(table, m_max, rng))
+    raw = rng.random((8, m_max * width)) < 0.5
+    if not fixed_m:
+        raw[:, 0] |= ~raw[:, ::width].any(axis=1)
+    pool = mixed + list(raw)
+    batches = []
+    for _ in range(n_batches):
+        picks = [pool[i] for i in rng.integers(0, len(pool), size=rng.integers(1, 12))]
+        if not batches:
+            picks += mixed
+        picks += [row.reshape(m_max, width)[rng.permutation(m_max)].ravel()
+                  for row in picks[:4]]
+        batches.append(np.array(picks)[rng.permutation(len(picks))])
+        pool += picks
+    return batches
+
+
+def _check_memo_batches(table, m_max, fixed_m, seed, n_batches, threshold):
+    n_cand = table.n_candidates
+    if fixed_m:
+        m_max = min(m_max, n_cand)
+    repair = repair_fixed_m_rows if fixed_m else repair_rows
+    score = opt._memo_scorer(table, threshold)
+    counts = set()
+    for batch in _memo_batches(table, m_max, fixed_m, np.random.default_rng(seed), n_batches):
+        bits, keys = repair(batch, n_cand, m_max)
+        got = score(keys)
+        assert got.tobytes() == evaluate_rows(bits, table, threshold, m_max).tobytes()
+        counts |= set(got[:, 1].tolist())
+    if not fixed_m:
+        assert counts == set(range(1, min(m_max, n_cand) + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=_tables(), m_max=st.integers(1, 6), fixed_m=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1), n_batches=st.integers(1, 6),
+       threshold=st.sampled_from([-6.0, 0.0, 10.0]))
+def test_memo_scorer_equals_evaluate_rows_batch_by_batch(table, m_max, fixed_m, seed,
+                                                        n_batches, threshold):
+    _check_memo_batches(table, m_max, fixed_m, seed, n_batches, threshold)
+
+
+@pytest.mark.parametrize("fixed_m", [False, True])
+def test_memo_scorer_on_a_fixed_bs_table(fixed_bs_table, fixed_m):
+    assert fixed_bs_table.n_fixed == 2
+    for seed in range(5):
+        _check_memo_batches(fixed_bs_table, 4, fixed_m, seed, 6, 10.0)
+
+
+def _spy_on_scoring(monkeypatch, repair_name):
+    """Record each row `sinr_for` scores and the sorted site set of each repaired row."""
+    scored, repaired = [], []
+    sinr_for = LinkGainTable.sinr_for
+    repair = getattr(opt, repair_name)
+
+    def spy_sinr_for(table, site_ids):
+        ids = np.asarray(site_ids)
+        scored.extend(tuple(row) for row in ids.reshape(-1, ids.shape[-1]).tolist())
+        return sinr_for(table, site_ids)
+
+    def spy_repair(pop, n_candidates, m_max):
+        bits, keys = repair(pop, n_candidates, m_max)
+        repaired.extend(tuple(sorted(decode_sites(row, n_candidates, m_max))) for row in bits)
+        return bits, keys
+
+    monkeypatch.setattr(LinkGainTable, "sinr_for", spy_sinr_for)
+    monkeypatch.setattr(opt, repair_name, spy_repair)
+    return scored, repaired
+
+
+@pytest.mark.parametrize("run, repair_name", [(run_nsga2, "repair_rows"),
+                                              (run_ga_single_objective, "repair_fixed_m_rows")])
+def test_a_run_scores_each_distinct_site_set_once(fixed_bs_scene, fixed_bs_table,
+                                                  monkeypatch, run, repair_name):
+    cfg = GaConfig(pop_size=24, generations=30, m_max=4, seed=3)
+    want = run(fixed_bs_scene, PARAMS, cfg, table=fixed_bs_table)
+    scored, repaired = _spy_on_scoring(monkeypatch, repair_name)
+    got = run(fixed_bs_scene, PARAMS, cfg, table=fixed_bs_table)
+    assert len(repaired) == cfg.pop_size * (cfg.generations + 1)
+    assert len(set(repaired)) < len(repaired) / 2  # the memo has repeats to save
+    assert Counter(scored) == Counter(set(repaired))  # each distinct set exactly once
+    assert _run_digests(want) == _run_digests(got)
+
+
+def test_runs_share_no_scores_across_tables(toy_run):
+    scene, aware, cfg, archive, history = toy_run
+    blind = build_link_table(scene, PARAMS, False)
+    ga_cfg = GaConfig(pop_size=24, generations=30, m_max=3, seed=2)
+    fresh = {}
+    for name, table in (("blind", blind), ("aware", aware), ("blind", blind),
+                        ("aware", aware)):
+        got = (_run_digests(run_nsga2(scene, PARAMS, cfg, table=table)),
+               _run_digests(run_ga_single_objective(scene, PARAMS, ga_cfg, table=table)))
+        assert fresh.setdefault(name, got) == got
+    assert fresh["aware"][0] == _run_digests((archive, history))
+    assert fresh["aware"][0] != fresh["blind"][0]
+
+
+# ---------------------------------------------------------------------------
+# Pinned search outputs: sha256 digests of the seeded runs' bytes, so a
+# silent change to what the search computes or draws fails by name
+
+def _run_digests(result):
+    """Digest of a `run_nsga2` (archive, history) or a `run_ga_single_objective`
+    (best, history): every member's bits, objectives, rank, crowding and sites."""
+    members, history = result
+    h = hashlib.sha256()
+    for ind in members if isinstance(members, list) else [members]:
+        h.update(ind.bits.tobytes())
+        h.update(ind.objectives.tobytes())
+        h.update(repr((int(ind.rank), float(ind.crowding), [int(s) for s in ind.sites]))
+                 .encode())
+    h.update(repr(history).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("scene_name, m, seed, nsga2_sha, ga_sha, kmeans_ids", [
+    ("toy", 3, 1, "5645dc00633fc82bdfb66e54c5f2a92cb42fa4b6c2f529ab6ac4329173197888",
+     "42e42246605eda3f3c63b453712a164429fd27aaa000b3233653ddd7793597d6", [1, 2, 3]),
+    ("fixed_bs", 4, 3, "66fc70ce2e87d63a1261d987d59bbbeb5d04c75c80f85f0987abef40a991e01e",
+     "8f6d75c6bd0a2a940accd441e2dc82d9c76912dc861100ab94641755b82ea4a0", [10, 2, 6, 8]),
+])
+def test_search_outputs_are_pinned(request, scene_name, m, seed, nsga2_sha, ga_sha,
+                                   kmeans_ids):
+    if scene_name == "toy":
+        scene, table = request.getfixturevalue("toy_run")[:2]
+    else:
+        scene = request.getfixturevalue("fixed_bs_scene")
+        table = request.getfixturevalue("fixed_bs_table")
+    nsga2 = run_nsga2(scene, PARAMS, GaConfig(pop_size=24, generations=40, m_max=m,
+                                              seed=seed), table=table)
+    ga = run_ga_single_objective(scene, PARAMS, GaConfig(pop_size=24, generations=30,
+                                                         m_max=m, seed=seed), table=table)
+    ids = kmeans_site_ids(scene.users, m, scene, PARAMS, KmeansConfig(seed=seed), table=table)
+    assert (_run_digests(nsga2), _run_digests(ga), ids) == (nsga2_sha, ga_sha, kmeans_ids)
