@@ -1,6 +1,8 @@
 import json
 import re
 import warnings
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -271,6 +273,119 @@ def test_grid_reader_rejects_stray_tokens_and_empty_bodies(tmp_path):
     assert grid.tolist() == [[4.0, 5.0, 6.0], [1.0, 2.0, 3.0]]
 
 
+# Grid body kernel against float() of each token
+
+def _float_grid(tokens):
+    return np.array([float(t) for t in tokens], dtype=float).reshape(1, -1)
+
+
+def _grid_text(tokens, body):
+    return f"ncols {len(tokens)}\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n{body}"
+
+
+@st.composite
+def _double_midpoints(draw):
+    """The exact decimal of a point halfway between two doubles."""
+    m = draw(st.integers(2**52, 2**53 - 1))
+    e = draw(st.integers(-60, 12))  # (2m + 1) * 2**(e - 1)
+    numerator, denominator = (2 * m + 1) * 2 ** max(e - 1, 0), 2 ** max(1 - e, 0)
+    whole, rest = divmod(numerator, denominator)
+    digits = []
+    while rest:
+        rest *= 10
+        digits.append(str(rest // denominator))
+        rest %= denominator
+    return f"{whole}.{''.join(digits)}" if digits or draw(st.booleans()) else str(whole)
+
+
+def _with_dot(digits: str, at: int) -> str:
+    return digits[:at] + "." + digits[at:]
+
+
+_doubles = st.integers(0, 2**64 - 1).map(
+    lambda bits: np.array(bits, dtype=np.uint64).view(np.float64).item()).filter(np.isfinite)
+_grid_tokens = st.one_of(
+    _doubles.map(repr),  # every binade, subnormals and exponent forms included
+    st.tuples(st.floats(-1e7, 1e7), st.integers(0, 20)).map(lambda p: f"{p[0]:.{p[1]}f}"),
+    st.tuples(st.integers(0, 10**12), st.integers(1, 20)).map(
+        lambda p: str(p[0]).zfill(p[1])),
+    st.sampled_from(["-0", "-0.0", "5.", ".5", "-.5", "0", "00", "-00.000",
+                     "9007199254740993", "9007199254740995.0", "-9007199254740993.",
+                     "1e5", "+1.5", "-inf", "nan", "1_000", "12345678901234567890123",
+                     "123456789012345678", "1234567890123456789", "-1234567890123456.78",
+                     "12345678901234567.89", "9999999999999999999.9", "0.1234567890123456789"]),
+    st.tuples(st.integers(10**16, 10**24), st.integers(0, 25), st.booleans()).map(
+        lambda p: ("-" if p[2] else "") + _with_dot(str(p[0]), min(p[1], len(str(p[0]))))),
+    _double_midpoints(),
+    _double_midpoints().map(lambda t: "-" + t),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokens=st.lists(_grid_tokens, min_size=1, max_size=40), data=st.data(),
+       piece=st.sampled_from([1, 7, 24, 61, scene_mod._GRID_PIECE]))
+def test_grid_body_kernel_equals_float_of_each_token(tokens, data, piece):
+    # \v and \x1c are ASCII whitespace, NBSP and EM SPACE are not; small
+    # pieces put tokens on every cut
+    spaces = data.draw(st.sampled_from([" \n\t\r", " \n\x0b\x1c", " \n\t\r\x0b\x1c\xa0\u2003"]))
+    seps = data.draw(st.lists(st.text(spaces, min_size=1, max_size=3),
+                              min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    body = seps[0] + "".join(t + s for t, s in zip(tokens, seps[1:]))
+    with mock.patch.object(scene_mod, "_GRID_PIECE", piece):
+        grid = scene_mod._parse_ascii_grid(_grid_text(tokens, body))[3]
+    assert grid.tobytes() == _float_grid(tokens).tobytes()
+
+
+def _dsm_body(seed, shape):
+    """A save_dsm body: repr of every elevation, one row per line."""
+    rng = np.random.default_rng(seed)
+    elevation = rng.normal(20.0, 15.0, shape)
+    elevation.flat[:6] = [-0.0, 0.0, 9007199254740993.0, 1e-7, 123.5, -3.0]
+    return "".join(" ".join(map(repr, row)) + "\n" for row in elevation.tolist())
+
+
+def test_grid_body_kernel_gate_off_gives_the_same_bytes(monkeypatch):
+    body = _dsm_body(3, (60, 90)) + " 5. .5 -.5 -0 1e5 +2 9007199254740995.0\n"
+    tokens = body.split()
+    fast = scene_mod._parse_ascii_grid(_grid_text(tokens, body))[3]
+    monkeypatch.setattr(scene_mod, "_EXACT_LONGDOUBLE", False)
+    slow = scene_mod._parse_ascii_grid(_grid_text(tokens, body))[3]
+    assert fast.tobytes() == slow.tobytes() == _float_grid(tokens).tobytes()
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63, reason="no x87 long double")
+def test_grid_body_kernel_sends_few_tokens_to_float(monkeypatch, tmp_path):
+    seen = []
+    reference = scene_mod._float_tokens
+
+    def spy(body):
+        seen.append(len(body.split()))
+        return reference(body)
+
+    monkeypatch.setattr(scene_mod, "_float_tokens", spy)
+    elevation = np.random.default_rng(5).normal(30.0, 12.0, (300, 300))
+    save_dsm(Dsm(1.0, (0.0, 0.0), elevation), tmp_path / "dsm.asc")
+    assert np.array_equal(load_dsm(tmp_path / "dsm.asc").elevation, elevation)
+    assert sum(seen) < 0.01 * elevation.size  # midpoints only, a handful
+
+
+@pytest.mark.parametrize("bad", ["#", "--5", "1.2.3", "-", "1e", "2\x07"])
+@pytest.mark.parametrize("where", [0.0, 0.5, 1.0])  # first, a middle and the last piece
+def test_grid_body_kernel_keeps_float_error_text(tmp_path, bad, where):
+    tokens = _dsm_body(7, (100, 120)).split()  # 4 pieces
+    at = int(where * (len(tokens) - 60))
+    tokens[at] = bad
+    tokens[at + 50] = "later"  # only the first bad token is named
+    p = tmp_path / "dsm.asc"
+    p.write_text(_grid_text(tokens, " ".join(tokens) + "\n"))
+    try:
+        float(bad)
+    except ValueError as e:
+        expect = f"{p}: non-numeric grid content: {e}"
+    with pytest.raises(DataError, match=f"^{re.escape(expect)}$"):
+        load_dsm(p)
+
+
 # ---------------------------------------------------------------------------
 # Building extraction
 
@@ -396,6 +511,55 @@ def test_place_users_no_valid_cells():
     dsm = Dsm(10.0, (0.0, 0.0), np.full((3, 3), 9.0))
     with pytest.raises(DataError, match="no lattice point falls on a walkable cell"):
         place_users(raster, dsm, 10.0, 10.0, [])
+
+
+def _all_pairs_near_bbox(x, y, buildings, near_dist):
+    """Every (prism, point) pair within near_dist of the prism's bbox, prism-major."""
+    x0, y0, x1, y1 = np.array([b.bbox for b in buildings]).T[:, :, None]
+    dx = np.maximum(np.maximum(x0 - x, 0.0), x - x1)
+    dy = np.maximum(np.maximum(y0 - y, 0.0), y - y1)
+    return np.nonzero(dx * dx + dy * dy <= near_dist * near_dist)
+
+
+@settings(max_examples=150, deadline=None)
+@given(origin=st.tuples(st.floats(-1e5, 1e5), st.floats(-1e5, 1e5)),
+       spacing=st.floats(0.1, 50.0), shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+       near=st.one_of(st.just(0.0), st.floats(0.0, 80.0)), block=st.sampled_from([1, 64, 2**16]),
+       data=st.data())
+def test_near_bbox_pairs_match_all_pairs(origin, spacing, shape, near, block, data):
+    xs = origin[0] + spacing * (np.arange(shape[0]) + 0.5)
+    ys = origin[1] + spacing * (np.arange(shape[1]) + 0.5)
+    x, y = (g.ravel() for g in np.meshgrid(xs, ys))
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=x.size, max_size=x.size)))
+    keep[0] = True
+    x, y = x[keep], y[keep]
+    boxes = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        i, j = data.draw(st.integers(0, x.size - 1)), data.draw(st.integers(0, x.size - 1))
+        # edges that lie exactly near_dist from a lattice point, or anywhere near one
+        gap = data.draw(st.sampled_from([-near, near, 0.0]) | st.floats(-2 * near - 5,
+                                                                      2 * near + 5))
+        x0, y0 = x[i] + gap, y[j] + data.draw(st.sampled_from([-near, near, 0.0]))
+        w, h = data.draw(st.floats(0.0, 3 * spacing)), data.draw(st.floats(0.0, 3 * spacing))
+        boxes.append(SimpleNamespace(bbox=(x0, y0, x0 + w, y0 + h)))
+    with mock.patch.object(scene_mod, "_BBOX_BLOCK", block):
+        prism, point = scene_mod._near_bbox_pairs(x, y, boxes, near)
+    expect_prism, expect_point = _all_pairs_near_bbox(x, y, boxes, near)
+    assert prism.tolist() == expect_prism.tolist()
+    assert point.tolist() == expect_point.tolist()
+
+
+def test_near_bbox_pairs_keep_points_just_outside_the_strip():
+    # each point lies one ulp outside x0 - near or x1 + near, yet the rounded
+    # bbox distance equals near: only the strip's rounding margin keeps it
+    boxes = [SimpleNamespace(bbox=(56.256974352610996, 0.0, 60.0, 1.0)),
+             SimpleNamespace(bbox=(-60.0, 0.0, -56.1805612824196, 1.0))]
+    for box, near, px in ((boxes[0], 40.93263295462597, 15.324341397985021),
+                          (boxes[1], 56.301140419347384, 0.12057913692778045)):
+        x, y = np.array([px, px + 500.0]), np.array([0.5, 0.5])
+        prism, point = scene_mod._near_bbox_pairs(x, y, [box], near)
+        assert (prism.tolist(), point.tolist()) == ([0], [0])
+        assert [a.tolist() for a in _all_pairs_near_bbox(x, y, [box], near)] == [[0], [0]]
 
 
 def test_place_candidates_flat(flat_raster_pair):
