@@ -85,15 +85,16 @@ def _snap_to_candidates(centroids: np.ndarray, cand_xy: np.ndarray) -> list[int]
 
 
 def kmeans_site_ids(users, k: int, scene, params, config: KmeansConfig,
-                    use_blockages: bool = True,
                     table: LinkGainTable | None = None) -> list[int]:
-    """Candidate-site ids chosen by the iterative k-means (MUS) baseline."""
+    """Candidate-site ids chosen by the iterative k-means (MUS) baseline,
+    scored on `table`, or on the scene's blockage-aware table when none is
+    passed."""
     if k < 1:
         raise DataError("k must be >= 1")
     if not users or not scene.candidates:
         raise DataError("need users and candidate sites")
     if table is None:
-        table = build_link_table(scene, params, use_blockages)
+        table = build_link_table(scene, params, True)
     if len(users) != len(table.priority):
         raise DataError("users must be the scene's user list (table mismatch)")
     points = np.array([u.position[:2] for u in users])
@@ -115,10 +116,7 @@ def kmeans_site_ids(users, k: int, scene, params, config: KmeansConfig,
             best_ids = list(ids)
         # Most Unserved Sector: the cluster with the fewest covered users;
         # its centroid restarts at that cluster's worst-served user.
-        covered_per_cluster = np.array(
-            [served[assignments == c].sum() for c in range(k)]
-        )
-        mus = int(np.argmin(covered_per_cluster))
+        mus = int(np.argmin(np.bincount(assignments, weights=served, minlength=k)))
         members = np.where(assignments == mus)[0]
         if len(members) == 0:
             members = np.arange(len(points))

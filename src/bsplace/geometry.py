@@ -45,30 +45,10 @@ point at a time and are kept as test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Tolerance on interval parameters; ties break toward line of sight.
 EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class Segment3:
-    """Directed 3D segment from a to b, in meters."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        if a.shape != (3,) or b.shape != (3,):
-            raise ValueError("segment endpoints must be 3D points")
-        if np.array_equal(a, b):
-            raise ValueError("degenerate segment: endpoints coincide")
 
 
 def point_in_polygon(p, poly) -> bool:
@@ -196,16 +176,18 @@ def _seg_edge_params(a, d, e0, e1) -> list[float]:
             ((e1[0] - a[0]) * d[0] + (e1[1] - a[1]) * d[1]) / dd]
 
 
-def los_blocked(seg: Segment3, prisms) -> bool:
-    """True if any prism interrupts the direct path of seg.
+def los_blocked(a, b, prisms) -> bool:
+    """True if any prism interrupts the direct path from 3D point a to b.
 
     A prism blocks when the 2D projection of the segment spends a positive
     parameter interval inside its footprint and the segment height drops
     below the roof somewhere on the part of that interval within the
     prism's EPS-grown bounding box. Grazing the outline at a single point,
-    or merely touching it at an endpoint, never blocks.
+    or merely touching it at an endpoint, never blocks. Coincident a and b
+    are a point, blocked when it is inside or on a footprint below its roof
+    less EPS.
     """
-    a, b = seg.a, seg.b
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     for prism in prisms:
         if min(a[2], b[2]) >= prism.top_elev - EPS:
             continue
@@ -273,8 +255,8 @@ _SPAN = 1e6
 def los_mask(origins, targets, prisms) -> np.ndarray:
     """Boolean matrix line_of_sight[i, j] for origins[i] -> targets[j].
 
-    Same result as `not los_blocked(Segment3(origins[i], targets[j]), prisms)`
-    for every pair; `los_blocked` is the scalar oracle. The four stages
+    Same result as `not los_blocked(origins[i], targets[j], prisms)` for
+    every pair; `los_blocked` is the scalar oracle. The four stages
     (outcodes, slab clip, rectangle cover, mixed-prism slices) are described
     in the module docstring.
     """

@@ -43,7 +43,8 @@ Crowding runs over all fronts in one pass per objective;
 `crowding_distance` is its one-front case.
 
 Objectives are scored only through a `LinkGainTable`; `run_nsga2` and
-`run_ga_single_objective` build the scene's table when none is passed.
+`run_ga_single_objective` build the scene's blockage-aware table when none
+is passed, and a run that ignores buildings is handed a blind table.
 """
 
 from __future__ import annotations
@@ -232,13 +233,6 @@ def evaluate_sites(site_ids, table: LinkGainTable, sinr_threshold_db: float) -> 
 # of float64): a batch's temporaries stay cache-sized, and on large tables a
 # chunk is a single row, as fast as one big gather and without its memory.
 _GATHER_ELEMS = 1 << 16
-
-
-def evaluate_rows(pop: np.ndarray, table: LinkGainTable, sinr_threshold_db: float,
-                  m_max: int) -> np.ndarray:
-    """Objective vectors [rows, 3] of repaired chromosomes, equal to `evaluate_sites`."""
-    active, idx = _slots(pop, table.n_candidates, m_max)
-    return _evaluate_keys(_keys(active, idx, table.n_candidates), table, sinr_threshold_db)
 
 
 def _evaluate_keys(keys: np.ndarray, table: LinkGainTable,
@@ -538,8 +532,7 @@ def _budget_stats(archive_objs: np.ndarray, m_max: int) -> dict[int, dict[str, f
     return out
 
 
-def run_nsga2(scene, params, config: GaConfig, use_blockages: bool = True,
-              table: LinkGainTable | None = None):
+def run_nsga2(scene, params, config: GaConfig, table: LinkGainTable | None = None):
     """Full NSGA-II run; returns (archive, history).
 
     The archive accumulates every non-dominated configuration seen across
@@ -548,7 +541,7 @@ def run_nsga2(scene, params, config: GaConfig, use_blockages: bool = True,
     the best f1/f3 over archived solutions using at most m sites.
     """
     if table is None:
-        table = build_link_table(scene, params, use_blockages)
+        table = build_link_table(scene, params, True)
     n_cand = table.n_candidates
     if n_cand < 1:
         raise DataError("scene has no candidate sites")
@@ -612,8 +605,7 @@ def select_best_for_m(archive: list[Individual], m: int,
     return min(slice_, key=lambda ind: (ind.rank, ind.objectives[2], ind.objectives[0]))
 
 
-def run_ga_single_objective(scene, params, config: GaConfig, use_blockages: bool = True,
-                            table: LinkGainTable | None = None):
+def run_ga_single_objective(scene, params, config: GaConfig, table: LinkGainTable | None = None):
     """Plain elitist GA maximizing covered users at a fixed site count.
 
     Same chromosome layout and variation operators as the multi-objective
@@ -622,7 +614,7 @@ def run_ga_single_objective(scene, params, config: GaConfig, use_blockages: bool
     best f3 per generation).
     """
     if table is None:
-        table = build_link_table(scene, params, use_blockages)
+        table = build_link_table(scene, params, True)
     n_cand = table.n_candidates
     if config.m_max > n_cand:
         raise DataError("m_max exceeds candidate count")

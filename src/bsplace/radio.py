@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config_json import DataError, read_config_fields, require_finite
-from .geometry import los_mask
+from .geometry import los_blocked, los_mask
 
 SECTOR_AZIMUTHS_DEG = (0.0, 120.0, 240.0)
 
@@ -138,8 +138,6 @@ def linear_to_db(lin):
 def link_budget(user, sector: BsSector, scene, params: RadioParams,
                 use_blockages: bool) -> LinkBudget:
     """Full budget for one user-sector pair (the scalar reference path)."""
-    from .geometry import Segment3, los_blocked
-
     upos = np.asarray(user.position, dtype=float)
     spos = sector.position
     delta = upos - spos
@@ -148,7 +146,7 @@ def link_budget(user, sector: BsSector, scene, params: RadioParams,
     bearing = math.degrees(math.atan2(delta[1], delta[0]))
     att = antenna_attenuation_db(bearing - sector.azimuth_deg, params)
     if use_blockages and scene is not None and scene.buildings:
-        los = not los_blocked(Segment3(spos, upos), scene.buildings)
+        los = not los_blocked(spos, upos, scene.buildings)
     else:
         los = True
     gain = params.antenna_gain_dbi - att

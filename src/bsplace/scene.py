@@ -240,10 +240,7 @@ def _parse_ascii_grid(text: str):
     The header lines come first, one `key value` pair each, in any order;
     the body that follows holds the values, whitespace-separated and
     wrapped anywhere, and every token reads bit for bit as float() reads
-    it (see `_parse_grid_body`). On a 2-core Intel Xeon, `load_dsm` of a
-    `save_dsm` file takes 16-28 ms at 300x300 and 0.16-0.20 s at 800x800
-    (37-61 ms and 0.28-0.38 s with one float() per token); `load_raster`
-    takes 6-9 ms and 58-67 ms (8-13 ms and 65-100 ms).
+    it (see `_parse_grid_body`).
     """
     header = {}
     body = 0  # where the body starts: the first non-blank line that is no header field
@@ -831,21 +828,21 @@ def scene_to_dict(scene: Scene) -> dict:
     return {
         "buildings": [
             {
-                "footprint": [[float(x), float(y)] for x, y in b.footprint],
+                "footprint": b.footprint.tolist(),
                 "base_elev": float(b.base_elev),
                 "top_elev": float(b.top_elev),
             }
             for b in scene.buildings
         ],
         "users": [
-            {"position": [float(v) for v in u.position], "priority": bool(u.priority)}
+            {"position": u.position.tolist(), "priority": bool(u.priority)}
             for u in scene.users
         ],
         "candidates": [
-            {"id": int(c.id), "position": [float(v) for v in c.position]}
+            {"id": int(c.id), "position": c.position.tolist()}
             for c in scene.candidates
         ],
-        "fixed_bs": [[float(v) for v in p] for p in scene.fixed_bs],
+        "fixed_bs": [p.tolist() for p in scene.fixed_bs],
     }
 
 

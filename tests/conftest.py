@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from bsplace.geometry import Segment3
 from bsplace.radio import LinkGainTable, db_to_linear
 from bsplace.scene import (
     BuildingPrism,
@@ -20,10 +19,6 @@ from bsplace.scene import (
 def rect_prism(x0, y0, x1, y1, base, top):
     footprint = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]], dtype=float)
     return BuildingPrism(footprint=footprint, base_elev=base, top_elev=top)
-
-
-def make_segment(a, b):
-    return Segment3(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
 
 def table_from_db(rx_dbm, priority, n_fixed, noise_dbm=-104.0):

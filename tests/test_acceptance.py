@@ -18,7 +18,7 @@ from bsplace.baselines import KmeansConfig, kmeans_site_ids
 from bsplace.cli import main as cli_main
 from bsplace.config_json import DataError
 from bsplace.eval_report import GeneratorConfig, generate_synthetic_scene
-from bsplace.geometry import Segment3, los_blocked
+from bsplace.geometry import los_blocked
 from bsplace.optimizer import (
     GaConfig,
     crowding_distance,
@@ -118,8 +118,7 @@ def dense_runs():
         blind = build_link_table(scene, SMALL_CELL, False)
         ga = GaConfig(pop_size=64, generations=150, m_max=5, seed=seed)
         aware_archive, _ = run_nsga2(scene, SMALL_CELL, ga, table=aware)
-        blind_archive, _ = run_nsga2(scene, SMALL_CELL, ga,
-                                     use_blockages=False, table=blind)
+        blind_archive, _ = run_nsga2(scene, SMALL_CELL, ga, table=blind)
         km5 = kmeans_site_ids(scene.users, 5, scene, SMALL_CELL,
                               KmeansConfig(seed=seed), table=aware)
         ga_best, _ = run_ga_single_objective(scene, SMALL_CELL, ga, table=aware)
@@ -427,7 +426,7 @@ def test_criterion_7_los_sampling_oracle(acceptance_log):
             b = np.array([rng.uniform(0, extent), rng.uniform(0, extent),
                           rng.uniform(2.0, 40.0)])
             total += 1
-            analytic = los_blocked(Segment3(a, b), scene.buildings)
+            analytic = los_blocked(a, b, scene.buildings)
             near = _near_prisms(a, b, prisms, margin=0.5)
             sampled = _oracle_blocked(_sample_points(a, b, 0.1), near)
             if sampled == analytic:

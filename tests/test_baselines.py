@@ -85,7 +85,7 @@ def test_kmeans_site_ids_valid(kmeans_scene):
     scene, table = kmeans_scene
     for k in (1, 2, 3):
         ids = kmeans_site_ids(scene.users, k, scene, PARAMS,
-                              KmeansConfig(seed=4), True, table)
+                              KmeansConfig(seed=4), table=table)
         assert len(ids) == k
         assert len(set(ids)) == k
         assert all(0 <= i < len(scene.candidates) for i in ids)
@@ -93,8 +93,8 @@ def test_kmeans_site_ids_valid(kmeans_scene):
 
 def test_kmeans_deterministic(kmeans_scene):
     scene, table = kmeans_scene
-    a = kmeans_site_ids(scene.users, 3, scene, PARAMS, KmeansConfig(seed=9), True, table)
-    b = kmeans_site_ids(scene.users, 3, scene, PARAMS, KmeansConfig(seed=9), True, table)
+    a = kmeans_site_ids(scene.users, 3, scene, PARAMS, KmeansConfig(seed=9), table=table)
+    b = kmeans_site_ids(scene.users, 3, scene, PARAMS, KmeansConfig(seed=9), table=table)
     assert a == b
 
 
@@ -102,9 +102,9 @@ def test_kmeans_table_mismatch_guard(kmeans_scene):
     scene, table = kmeans_scene
     with pytest.raises(DataError, match=r"users must be the scene's user list \(table mismatch\)"):
         kmeans_site_ids(scene.users[:3], 2, scene, PARAMS,
-                        KmeansConfig(), True, table)
+                        KmeansConfig(), table=table)
     with pytest.raises(DataError, match="k must be >= 1"):
-        kmeans_site_ids(scene.users, 0, scene, PARAMS, KmeansConfig(), True, table)
+        kmeans_site_ids(scene.users, 0, scene, PARAMS, KmeansConfig(), table=table)
 
 
 def test_kmeans_config_validation():
@@ -148,6 +148,26 @@ def test_search_and_baselines_never_read_the_db_view(kmeans_scene, monkeypatch):
     kmeans_site_ids(scene.users, 2, scene, PARAMS, KmeansConfig(seed=1), table=table)
     compare_methods(scene, PARAMS, [1, 2], list(METHODS), ga_config=ga)
     evaluate_sites([0, 1], table, 10.0)
+
+
+def test_runs_without_a_table_score_on_the_blockage_aware_table(kmeans_scene):
+    scene, aware = kmeans_scene
+    blind = build_link_table(scene, PARAMS, False)
+    ga = GaConfig(pop_size=8, generations=3, m_max=2, seed=1)
+
+    def nsga2(**table):
+        return [(ind.sites, ind.objectives.tobytes())
+                for ind in run_nsga2(scene, PARAMS, ga, **table)[0]]
+
+    def ga_best(**table):
+        return run_ga_single_objective(scene, PARAMS, ga, **table)[0].objectives.tobytes()
+
+    def kmeans(**table):
+        # k = 3 at seed 0: a run that the blind table steers elsewhere
+        return kmeans_site_ids(scene.users, 3, scene, PARAMS, KmeansConfig(seed=0), **table)
+
+    for run in (nsga2, ga_best, kmeans):
+        assert run() == run(table=aware) != run(table=blind), run.__name__
 
 
 def test_compare_methods_validation(kmeans_scene):

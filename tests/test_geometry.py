@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from bsplace import geometry
 from bsplace.eval_report import GeneratorConfig, generate_synthetic_scene
 from bsplace.geometry import (
-    Segment3,
     los_blocked,
     los_mask,
     outline_distance,
@@ -23,16 +22,9 @@ from bsplace.scene import (
     extract_buildings,
 )
 
-from conftest import make_segment, pinch_heavy_classes, rect_prism
+from conftest import pinch_heavy_classes, rect_prism
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-
-
-def test_segment3_validates_endpoints():
-    with pytest.raises(ValueError):
-        Segment3(np.zeros(3), np.zeros(3))
-    with pytest.raises(ValueError):
-        Segment3(np.zeros(2), np.ones(2))
 
 
 def test_point_in_polygon_square():
@@ -102,9 +94,9 @@ def test_los_blocked_hand_case():
     b = [10.0, 0.0, 2.0]
     low = rect_prism(4.0, -1.0, 6.0, 1.0, 0.0, 11.0)
     high = rect_prism(4.0, -1.0, 6.0, 1.0, 0.0, 12.0)
-    assert not los_blocked(make_segment(a, b), [low])
-    assert los_blocked(make_segment(a, b), [high])
-    assert los_blocked(make_segment(a, b), [low, high])
+    assert not los_blocked(a, b, [low])
+    assert los_blocked(a, b, [high])
+    assert los_blocked(a, b, [low, high])
 
 
 def test_los_blocked_solid_below_roof():
@@ -114,31 +106,33 @@ def test_los_blocked_solid_below_roof():
     b = [10.0, 0.0, 2.0]
     hillside = rect_prism(4.0, -1.0, 6.0, 1.0, 16.0, 30.0)
     grounded = rect_prism(4.0, -1.0, 6.0, 1.0, 0.0, 30.0)
-    assert los_blocked(make_segment(a, b), [hillside])
-    assert los_blocked(make_segment(a, b), [grounded])
+    assert los_blocked(a, b, [hillside])
+    assert los_blocked(a, b, [grounded])
 
 
 def test_los_blocked_endpoint_inside_prism():
     prism = rect_prism(0.0, 0.0, 10.0, 10.0, 0.0, 20.0)
-    seg = make_segment([5.0, 5.0, 1.5], [50.0, 5.0, 1.5])
-    assert los_blocked(seg, [prism])
+    assert los_blocked([5.0, 5.0, 1.5], [50.0, 5.0, 1.5], [prism])
 
 
 def test_los_blocked_vertical_link():
-    # zero 2D extent: a mast right above (or away from) the user
+    # zero 2D extent: a mast right above (or away from) the user, or a
+    # link whose ends coincide, which is blocked where that point is
     prism = rect_prism(0.0, 0.0, 10.0, 10.0, 0.0, 20.0)
-    inside = make_segment([5.0, 5.0, 1.5], [5.0, 5.0, 30.0])
-    above = make_segment([5.0, 5.0, 25.0], [5.0, 5.0, 30.0])
-    outside = make_segment([50.0, 50.0, 1.5], [50.0, 50.0, 30.0])
-    assert los_blocked(inside, [prism])
-    assert not los_blocked(above, [prism])
-    assert not los_blocked(outside, [prism])
+    for a, b, blocked in [([5.0, 5.0, 1.5], [5.0, 5.0, 30.0], True),
+                          ([5.0, 5.0, 25.0], [5.0, 5.0, 30.0], False),
+                          ([50.0, 50.0, 1.5], [50.0, 50.0, 30.0], False),
+                          ([5.0, 5.0, 1.5], [5.0, 5.0, 1.5], True),
+                          ([10.0, 5.0, 1.5], [10.0, 5.0, 1.5], True),
+                          ([5.0, 5.0, 25.0], [5.0, 5.0, 25.0], False),
+                          ([50.0, 50.0, 1.5], [50.0, 50.0, 1.5], False)]:
+        assert los_blocked(a, b, [prism]) == blocked, (a, b)
+        assert los_mask([a], [b], [prism])[0, 0] == (not blocked), (a, b)
 
 
 def test_los_blocked_over_the_roof():
     prism = rect_prism(4.0, -1.0, 6.0, 1.0, 0.0, 10.0)
-    seg = make_segment([0.0, 0.0, 30.0], [10.0, 0.0, 30.0])
-    assert not los_blocked(seg, [prism])
+    assert not los_blocked([0.0, 0.0, 30.0], [10.0, 0.0, 30.0], [prism])
 
 
 def _random_prisms(rng, n, extent=100.0):
@@ -158,10 +152,8 @@ def test_los_blocked_symmetric():
         for _ in range(8):
             a = np.append(rng.uniform(0, 100, size=2), rng.uniform(1.0, 35.0))
             b = np.append(rng.uniform(0, 100, size=2), rng.uniform(1.0, 35.0))
-            if np.array_equal(a, b):
-                continue
-            fwd = los_blocked(make_segment(a, b), prisms)
-            rev = los_blocked(make_segment(b, a), prisms)
+            fwd = los_blocked(a, b, prisms)
+            rev = los_blocked(b, a, prisms)
             assert fwd == rev, f"seed {seed}: asymmetric for {a} {b}"
 
 
@@ -176,12 +168,12 @@ def test_los_clear_stays_clear_when_raised():
             b = np.append(rng.uniform(0, 100, size=2), rng.uniform(1.0, 35.0))
             if np.array_equal(a[:2], b[:2]):
                 continue
-            if los_blocked(make_segment(a, b), prisms):
+            if los_blocked(a, b, prisms):
                 continue
             lift = rng.uniform(0.5, 20.0)
             a2 = a + np.array([0.0, 0.0, lift])
             b2 = b + np.array([0.0, 0.0, lift])
-            assert not los_blocked(make_segment(a2, b2), prisms)
+            assert not los_blocked(a2, b2, prisms)
 
 
 def test_los_mask_matches_pairwise():
@@ -202,7 +194,7 @@ def test_los_mask_matches_pairwise():
         assert mask.shape == (6, 4)
         for i in range(6):
             for j in range(4):
-                expect = not los_blocked(make_segment(origins[i], targets[j]), prisms)
+                expect = not los_blocked(origins[i], targets[j], prisms)
                 assert mask[i, j] == expect
 
 
@@ -222,7 +214,7 @@ def test_los_mask_link_along_a_wall_at_eps(offset, blocked):
     y = -offset * geometry.EPS
     a, b = np.array([-1.0, y, 2.0]), np.array([2.0, y, 3.0])
     for _ in range(4):
-        assert los_blocked(make_segment(a, b), [prism]) == blocked
+        assert los_blocked(a, b, [prism]) == blocked
         assert los_mask(a[None], b[None], [prism])[0, 0] == (not blocked)
         prism = BuildingPrism(prism.footprint[:, ::-1] * [-1.0, 1.0], 0.0, 10.0)
         a, b = a[[1, 0, 2]] * [-1.0, 1.0, 1.0], b[[1, 0, 2]] * [-1.0, 1.0, 1.0]
@@ -236,7 +228,7 @@ def test_los_mask_link_ending_below_the_roof_at_eps(offset, blocked):
     # target, 1.0 + (z - 1.0), rounds below the roof less EPS.
     prism = rect_prism(0.0, 0.0, 1.0, 1.0, 0.0, 0.5)
     a, b = np.array([-1.0, 0.5, 1.0]), np.array([0.5, 0.5, 0.5 - offset * geometry.EPS])
-    assert los_blocked(make_segment(a, b), [prism]) == blocked
+    assert los_blocked(a, b, [prism]) == blocked
     assert los_mask(a[None], b[None], [prism])[0, 0] == (not blocked)
 
 
@@ -269,8 +261,8 @@ def test_los_mask_link_hugging_a_wall_past_short_edges(ring, a, b):
     prism = BuildingPrism(np.array(ring), 0.0, 10.0)
     a = np.array([a[0], _hug(a[0]), a[1]])
     b = np.array([b[0], _hug(b[0]), b[1]])
-    assert not los_blocked(make_segment(a, b), [prism])
-    assert not los_blocked(make_segment(b, a), [prism])
+    assert not los_blocked(a, b, [prism])
+    assert not los_blocked(b, a, [prism])
     assert los_mask(a[None], b[None], [prism])[0, 0]
     assert los_mask(b[None], a[None], [prism])[0, 0]
 
@@ -297,12 +289,12 @@ def test_los_mask_roof_crossed_just_past_the_box(x_end):
     a = np.array([-100.0, _hug(-100.0), lim + 0.1 * (x_end + 100.0)])
     b = np.array([110.0, _hug(110.0), lim - 0.1 * (110.0 - x_end)])
     for a, b in ((a, b), (b, a)):
-        assert not los_blocked(make_segment(a, b), [prism])
+        assert not los_blocked(a, b, [prism])
         assert los_mask(a[None], b[None], [prism])[0, 0]
         assert not _kernel_blocks(a, b, prism)
     # the same link lowered by 1 mm is below the roof less EPS inside the box
     low = np.array([0.0, 0.0, 1e-3])
-    assert los_blocked(make_segment(a - low, b - low), [prism])
+    assert los_blocked(a - low, b - low, [prism])
     assert not los_mask((a - low)[None], (b - low)[None], [prism])[0, 0]
 
 
@@ -318,7 +310,7 @@ def test_slab_clip_link_on_the_box_side():
     assert keep[0] and t0[0] == box[1, 0] / 4.0 and t1[0] == box[3, 0] / 4.0
     for a, b in ((a[0], b[0]), (b[0], a[0])):
         assert los_mask(a[None], b[None], [prism])[0, 0] == (
-            not los_blocked(make_segment(a, b), [prism]))
+            not los_blocked(a, b, [prism]))
 
 
 _ELL = [[20.0, 5.0], [24.0, 5.0], [24.0, 7.0], [22.0, 7.0], [22.0, 9.0], [20.0, 9.0]]
@@ -348,7 +340,7 @@ def test_los_mask_padding_adds_no_parameter():
         mask = los_mask(origins, targets, prisms)
         for i, a in enumerate(origins):
             for j, b in enumerate(targets):
-                assert mask[i, j] == (not los_blocked(make_segment(a, b), prisms)), (a, b)
+                assert mask[i, j] == (not los_blocked(a, b, prisms)), (a, b)
         assert mask[0, 0] == clear and not mask[1, 1]  # the probe, and a link through the wide ring
 
 
@@ -381,15 +373,15 @@ def test_los_mask_slanted_prism_near_parallel_links():
     mask = los_mask(origins, targets, [prism])
     for i, a in enumerate(origins):
         for j, b in enumerate(targets):
-            assert mask[i, j] == (not los_blocked(make_segment(a, b), [prism])), (a, b)
+            assert mask[i, j] == (not los_blocked(a, b, [prism])), (a, b)
 
 
 def test_bbox_prefilter_does_not_change_results():
     # A prism far away from every segment must never register.
     far = rect_prism(1000.0, 1000.0, 1010.0, 1010.0, 0.0, 50.0)
-    seg = make_segment([0.0, 0.0, 1.5], [100.0, 100.0, 1.5])
-    assert not los_blocked(seg, [far])
-    assert not geometry._bbox_overlap(seg.a[:2], seg.b[:2], far.bbox)
+    a, b = [0.0, 0.0, 1.5], [100.0, 100.0, 1.5]
+    assert not los_blocked(a, b, [far])
+    assert not geometry._bbox_overlap(a[:2], b[:2], far.bbox)
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +466,7 @@ def test_los_mask_matches_oracle_on_lattice(prisms, origins, targets, above, dat
     mask = los_mask(origins, targets, prisms)
     for i, a in enumerate(origins):
         for j, b in enumerate(targets):
-            if a == b:
-                continue  # not a segment; the oracle rejects it
-            assert mask[i, j] == (not los_blocked(make_segment(a, b), prisms)), (a, b)
+            assert mask[i, j] == (not los_blocked(a, b, prisms)), (a, b)
 
 
 # nudges that put a point just inside, on or just outside the EPS band of an edge
@@ -531,7 +521,7 @@ def test_los_mask_matches_oracle_on_generated_scene():
     users, sites = s.user_positions(), s.candidate_positions()
     assert len(s.buildings) > 0 and users.shape[0] * sites.shape[0] > 1000
     mask = los_mask(users, sites, s.buildings)
-    expect = np.array([[not los_blocked(make_segment(u, c), s.buildings) for c in sites]
+    expect = np.array([[not los_blocked(u, c, s.buildings) for c in sites]
                        for u in users])
     np.testing.assert_array_equal(mask, expect)
     assert 0 < mask.sum() < mask.size  # both outcomes are exercised
@@ -724,6 +714,6 @@ def test_los_mask_cover_guard_cases(ring, top, a, b):
     a, b = np.array(a), np.array(b)
     results = []
     for a, b in ((a, b), (b, a)):
-        results.append(los_blocked(make_segment(a, b), [prism]))
+        results.append(los_blocked(a, b, [prism]))
         assert los_mask(a[None], b[None], [prism])[0, 0] == (not results[-1]), (a, b)
     assert not all(results)

@@ -17,7 +17,6 @@ from bsplace.optimizer import (
     crowding_distance,
     decode_sites,
     dominates,
-    evaluate_rows,
     evaluate_sites,
     non_dominated_sort,
     repair,
@@ -937,6 +936,14 @@ def _mixed_population(table, m_max, rng, per_count=3):
     return np.array(rows)[rng.permutation(len(rows))]
 
 
+def evaluate_rows(pop, table, sinr_threshold_db, m_max):
+    """Objective rows [rows, 3] of repaired chromosomes, through the batch
+    scorer the searches use, with no memo."""
+    active, idx = opt._slots(pop, table.n_candidates, m_max)
+    return opt._evaluate_keys(opt._keys(active, idx, table.n_candidates), table,
+                              sinr_threshold_db)
+
+
 @settings(max_examples=150, deadline=None)
 @given(table=_tables(), m_max=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
        threshold=st.sampled_from([-6.0, 0.0, 10.0, 13.7]))
@@ -1259,6 +1266,14 @@ def _run_digests(result):
 ])
 def test_search_outputs_are_pinned(request, scene_name, m, seed, nsga2_sha, ga_sha,
                                    kmeans_ids):
+    # f1 and the table hold on one numpy dispatch mode only (log10 rounds
+    # its last bit differently under the AVX2 and AVX-512 kernels)
+    nsga2, ga, ids = _pinned_searches(request, scene_name, m, seed)
+    assert (_run_digests(nsga2), _run_digests(ga), ids) == (nsga2_sha, ga_sha, kmeans_ids)
+
+
+def _pinned_searches(request, scene_name, m, seed):
+    """The seeded NSGA-II, GA and k-means runs whose outputs are pinned."""
     if scene_name == "toy":
         scene, table = request.getfixturevalue("toy_run")[:2]
     else:
@@ -1269,4 +1284,21 @@ def test_search_outputs_are_pinned(request, scene_name, m, seed, nsga2_sha, ga_s
     ga = run_ga_single_objective(scene, PARAMS, GaConfig(pop_size=24, generations=30,
                                                          m_max=m, seed=seed), table=table)
     ids = kmeans_site_ids(scene.users, m, scene, PARAMS, KmeansConfig(seed=seed), table=table)
-    assert (_run_digests(nsga2), _run_digests(ga), ids) == (nsga2_sha, ga_sha, kmeans_ids)
+    return nsga2, ga, ids
+
+
+@pytest.mark.parametrize("scene_name, m, seed, sets_sha, kmeans_ids", [
+    ("toy", 3, 1, "0a667d1e942412203f7f8ada017f3f4c2a5b78b9a037f8535c152283986b7cca", [1, 2, 3]),
+    ("fixed_bs", 4, 3, "213caaf8fa9b578966b1ae76a4219d25381b10bb8fd5603ccea6e23718a68d17",
+     [10, 2, 6, 8]),
+])
+def test_search_site_sets_are_pinned_under_any_dispatch(request, scene_name, m, seed,
+                                                        sets_sha, kmeans_ids):
+    # what the searches choose: every archived and GA-best site list with its
+    # f2 and f3, the GA's best-f3 history and the k-means ids. These hold
+    # under every numpy dispatch mode (CI runs them with AVX-512 switched off)
+    (archive, _), (best, ga_history), ids = _pinned_searches(request, scene_name, m, seed)
+    picks = [([int(s) for s in ind.sites], float(ind.objectives[1]), float(ind.objectives[2]))
+             for ind in archive + [best]]
+    digest = hashlib.sha256(repr((picks, ga_history)).encode()).hexdigest()
+    assert (digest, ids) == (sets_sha, kmeans_ids)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from bsplace import radio
 from bsplace.config_json import DataError
+from bsplace.geometry import los_mask
 from bsplace.radio import (
     SECTOR_AZIMUTHS_DEG,
     SINR_CAP_DB,
@@ -429,10 +430,29 @@ def test_link_table_stores_the_linear_site_major_kernel_output(tile_scene, sigma
      "75de2ad4f918f900f02a761fa213ba776784463634c5e1c0cc29e5ffdc69b3ed"),
 ])
 def test_link_table_bytes_are_pinned(generator, config, sha):
-    # sha256 of rx_mw on seed 1, taken before the rectangle cover stage of los_mask
+    # sha256 of rx_mw on seed 1, taken before the rectangle cover stage of
+    # los_mask; it holds on one numpy dispatch mode only (log10 and power
+    # round their last bit differently under the AVX2 and AVX-512 kernels)
     raster, dsm = generate_synthetic_scene(generator, 1)
     table = build_link_table(build_scene(raster, dsm, config), RadioParams(), True)
     assert hashlib.sha256(table.rx_mw.tobytes()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("generator, config, sha", [
+    # the two scenes of test_link_table_bytes_are_pinned
+    (GeneratorConfig(), SceneConfig(),
+     "52447604080e941b0e9b5cd5682d04e7fb2c98bf7af2331f06fa0ea0051f9d58"),
+    (GeneratorConfig(width=100, height=100), SceneConfig(candidate_pitch_m=25.0),
+     "018451e2b46097ab6042f49a025110322657ae81b12a6595476980b015a14fdc"),
+])
+def test_los_mask_is_pinned_under_any_dispatch(generator, config, sha):
+    # sha256 of the table's LoS mask on seed 1: the users' heights move in
+    # their last bits with numpy's dispatch mode, the mask does not (CI runs
+    # it with AVX-512 switched off)
+    raster, dsm = generate_synthetic_scene(generator, 1)
+    s = build_scene(raster, dsm, config)
+    mask = los_mask(s.user_positions(), s.candidate_positions(), s.buildings)
+    assert hashlib.sha256(mask.tobytes()).hexdigest() == sha
 
 
 def test_link_table_build_and_first_score_allocate_one_table():
