@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config_json import DataError
+from .config_json import DataError, is_kind, require_finite
 from .radio import RadioParams, throughput_mbps
 from .scene import CellClass, ClassRaster, Dsm, Scene
 
@@ -109,6 +109,10 @@ class GeneratorConfig:
     road_width: int = 6
 
     def __post_init__(self):
+        require_finite(self)
+        if not all(is_kind(h, float) for h in self.building_height_range):
+            raise DataError(f"building_height_range must be finite, got "
+                            f"{self.building_height_range!r}")
         if self.width < 10 or self.height < 10:
             raise DataError("generator grids need at least 10x10 cells")
         if not 0.0 <= self.building_density <= 0.8:

@@ -10,12 +10,12 @@ stages, each exact against the scalar `los_blocked`:
 1. Outcodes: a pair whose endpoints lie past the same side of a prism's
    EPS-grown bounding box, or both at or above its roof less EPS, is
    rejected (the trivial reject of Cohen-Sutherland clipping). Prisms are
-   visited in blocks, narrowest ring first, and pairs some prism has
-   already blocked are skipped. The origins' outcodes are taken a run of
-   blocks at a time, about `_SCAN_PAIRS` entries.
-   A block's candidates are found `_SCAN_PAIRS` entries at a time, in
-   ascending order, so their index arrays stay small however many pairs a
-   prism keeps.
+   visited in index order, a block of about `_QUEUE_PAIRS` (prism, pair)
+   entries (at least one prism) at a time, and pairs some prism has
+   already blocked are skipped. A block takes its own origins' outcodes and
+   finds its candidates in one pass, at most 8 bytes per (prism, pair)
+   entry of the block: n x m x 8 bytes when every clear pair crosses the
+   box of a prism that fills a block alone.
 2. Slab clip: each remaining (pair, prism) candidate is clipped against
    the box (Liang-Barsky), the part of the link `los_blocked` tests against
    the roof; it is dropped when the clip is empty, or when the link is at or
@@ -28,11 +28,17 @@ stages, each exact against the scalar `los_blocked`:
    its pair, which `_Cover` proves `los_blocked` finds too. The cover never
    decides that a pair is clear.
 4. Mixed-prism slices: the rest, less the candidates whose pair is now
-   blocked, run through the decision arithmetic of `los_blocked` a slice
-   at a time, which tests the height only within the clip. One edge table
+   blocked, are held until `_QUEUE_PAIRS` of them wait; by then the
+   rectangles of later prisms have blocked many of their pairs. Those still
+   clear run through the decision arithmetic of `los_blocked` in plain
+   slices, which tests the height only within the clip. One edge table
    holds every footprint, padded to the widest ring; padding is masked so
-   it adds no interval parameter, distance or crossing. Every kernel
-   temporary holds at most `_SLICE_ELEMS` elements.
+   it adds no interval parameter, distance or crossing. A slice holds
+   `_SLICE_ELEMS // (2 widest ring + 2)` rows, so every kernel temporary
+   holds at most `_SLICE_ELEMS` elements.
+
+The mask is an OR over prisms: neither the visiting order nor the slicing
+can change a bit of it.
 
 Where a point lies relative to a footprint outline is answered for many
 points at once by one routine, `_outline`: the squared distance to the
@@ -235,12 +241,10 @@ def _box_clip(a, b, bbox) -> tuple[float, float]:
 # interval-parameter columns, or the 6 edge arrays x midpoints x ring width
 # of one outline test.
 _SLICE_ELEMS = 1 << 13
-# (pair, prism) candidates queued before the cover and the kernel run; also
-# the size of one outcode block (prisms x pairs), of one slab-clip chunk and
-# of one batch of (candidate, rectangle) rows.
+# (pair, prism) candidates queued before the cover runs, and held before the
+# kernel runs; also the size of one outcode block (prisms x pairs), of one
+# slab-clip chunk and of one batch of (candidate, rectangle) rows.
 _QUEUE_PAIRS = 1 << 13
-# Flat (prism, pair) entries of an outcode block scanned for candidates at once.
-_SCAN_PAIRS = 1 << 18
 # Rounding slack of the box that skips midpoints far from a ring, in meters.
 _GUARD = 1e-6
 # The rectangle cover (_Cover): how far inside a rectangle's clip a height
@@ -258,7 +262,8 @@ def los_mask(origins, targets, prisms) -> np.ndarray:
     Same result as `not los_blocked(origins[i], targets[j], prisms)` for
     every pair; `los_blocked` is the scalar oracle. The four stages
     (outcodes, slab clip, rectangle cover, mixed-prism slices) are described
-    in the module docstring.
+    in the module docstring: one pass over the prisms in index order, a
+    block at a time.
     """
     origins = np.asarray(origins, dtype=float).reshape(-1, 3)
     targets = np.asarray(targets, dtype=float).reshape(-1, 3)
@@ -271,61 +276,52 @@ def los_mask(origins, targets, prisms) -> np.ndarray:
     cover = _Cover(rings)
     boxes = _clip_boxes(prisms)
     cb = _outcodes(targets, boxes)
-    order = np.argsort(rings.width, kind="stable")
-    queue, queued = [], 0
+    queue, queued = [], 0  # slab-clip survivors, for the cover
+    held = []  # the cover's undecided candidates, for the kernel
 
-    def flush():
-        k, p, a, b, t0, t1 = (np.concatenate(c) for c in zip(*queue))
-        queue.clear()
-        clear[k[cover.blocks(a, b, p, boxes[4])]] = False
-        live = np.flatnonzero(clear[k])  # pairs no rectangle or earlier flush blocked
-        k, p, a, b, t0, t1 = (c.take(live, axis=0) for c in (k, p, a, b, t0, t1))
-        clear[k[_slices_blocked(a, b, t0, t1, p, rings, boxes)]] = False
+    def flush(last=False):
+        if queue:
+            k, p, a, b, t0, t1 = cands = _joined(queue)
+            clear[k[cover.blocks(a, b, p, boxes[4])]] = False
+            held.append(_live(cands, clear))
+        if held and (last or sum(len(c[0]) for c in held) >= _QUEUE_PAIRS):
+            k, p, a, b, t0, t1 = _live(_joined(held), clear)
+            clear[k[_slices_blocked(a, b, t0, t1, p, rings, boxes)]] = False
 
     step = max(1, _QUEUE_PAIRS // max(1, n * m))
-    # the origins' outcodes are taken for a run of whole blocks, about
-    # _SCAN_PAIRS entries, at a time, so none is held for the whole call
-    run = step * max(1, _SCAN_PAIRS // (step * max(1, n)))
-    for r in range(0, len(order), run):
-        ca = _outcodes(origins, boxes[:, order[r:r + run]])
-        for s in range(0, len(ca), step):
-            block = order[r + s:r + s + step]
-            hit = (ca[s:s + step, :, None] & cb[block, None, :]) == 0
-            hit &= out
-            for chunk in _true_chunks(hit.reshape(-1), _QUEUE_PAIRS):
-                q, kc = np.divmod(chunk, n * m)
-                pc = block[q]
-                i, j = np.divmod(kc, m)
-                a, b = origins.take(i, axis=0), targets.take(j, axis=0)  # faster than origins[i]
-                keep, t0, t1 = _slab_clip(a, b, boxes.take(pc, axis=1))
-                kept = np.flatnonzero(keep)
-                queue.append((kc[kept], pc[kept], a.take(kept, axis=0), b.take(kept, axis=0),
-                              t0[kept], t1[kept]))
-                queued += kept.size
-                if queued >= _QUEUE_PAIRS:
-                    flush()
-                    queued = 0
-    if queue:
-        flush()
+    for s in range(0, len(prisms), step):
+        hit = (_outcodes(origins, boxes[:, s:s + step])[:, :, None] & cb[s:s + step, None, :]) == 0
+        hit &= out
+        cand = np.flatnonzero(hit)  # ascending (prism, pair) entries of the block
+        for c in range(0, cand.size, _QUEUE_PAIRS):
+            q, kc = np.divmod(cand[c:c + _QUEUE_PAIRS], n * m)
+            pc = q + s
+            i, j = np.divmod(kc, m)
+            a, b = origins.take(i, axis=0), targets.take(j, axis=0)  # faster than origins[i]
+            keep, t0, t1 = _slab_clip(a, b, boxes.take(pc, axis=1))
+            kept = np.flatnonzero(keep)
+            queue.append((kc[kept], pc[kept], a.take(kept, axis=0), b.take(kept, axis=0),
+                          t0[kept], t1[kept]))
+            queued += kept.size
+            if queued >= _QUEUE_PAIRS:
+                flush()
+                queued = 0
+    flush(last=True)
     return out
 
 
-def _true_chunks(flags, size):
-    """The positions of the True entries of the flat bool array `flags` in
-    ascending order, `size` at a time (the last chunk may hold fewer).
+def _joined(parts) -> tuple:
+    """The queued candidate arrays (pair, prism, a, b, t0, t1) of all
+    `parts`, concatenated; `parts` is emptied."""
+    cands = tuple(np.concatenate(c) for c in zip(*parts))
+    parts.clear()
+    return cands
 
-    `flags` is scanned `_SCAN_PAIRS` entries at a time, so no index array
-    outgrows one scan slice's positions plus one chunk.
-    """
-    held = np.empty(0, dtype=np.intp)
-    for start in range(0, flags.size, _SCAN_PAIRS):
-        held = np.concatenate([held, np.flatnonzero(flags[start:start + _SCAN_PAIRS]) + start])
-        full = len(held) - len(held) % size
-        for c in range(0, full, size):
-            yield held[c:c + size]
-        held = held[full:]
-    if len(held):
-        yield held
+
+def _live(cands, clear) -> tuple:
+    """The candidates whose pair `clear` still holds clear."""
+    live = np.flatnonzero(clear[cands[0]])
+    return tuple(c.take(live, axis=0) for c in cands)
 
 
 def _clip_boxes(prisms) -> np.ndarray:
@@ -407,8 +403,9 @@ class _Rings:
                                end[..., 0] - start[..., 0], end[..., 1] - start[..., 1]])
 
     def rows(self, ring_ids, width) -> _Edges:
-        """Edges of rings ring_ids, cut to `width` columns."""
-        padded = self.width[ring_ids[0]] < width  # rows ascend in width
+        """Edges of rings ring_ids, cut to `width` columns; `valid` is None
+        when no ring is narrower."""
+        padded = self.width.take(ring_ids).min() < width
         return _Edges(self.table[:, ring_ids, :width],
                       self.valid[ring_ids, :width] if padded else None)
 
@@ -555,17 +552,16 @@ def _slices_blocked(a, b, t0, t1, ring_ids, rings: _Rings, boxes) -> np.ndarray:
     """Which queued candidates (a[k] -> b[k], clipped to [t0[k], t1[k]],
     prism ring_ids[k]) are blocked.
 
-    Rows ascend in ring width and go to the kernel in _width_slices, whose
-    rows x (2 width + 2) parameter columns stay within _SLICE_ELEMS.
+    The rows go to the kernel in plain slices of full-width edge rows, whose
+    rows x (2 widest ring + 2) parameter columns stay within _SLICE_ELEMS.
     """
-    widths = rings.width.take(ring_ids)
+    widest = rings.valid.shape[1]
+    step = max(1, _SLICE_ELEMS // (2 * widest + 2))
     blocked = np.empty(len(a), dtype=bool)
-    for start, end in _width_slices(widths, lambda w: 2 * w + 2):
-        ids = ring_ids[start:end]
-        blocked[start:end] = _prism_blocks(a[start:end], b[start:end],
-                                           t0[start:end], t1[start:end],
-                                           rings.rows(ids, widths[end - 1]),
-                                           boxes.take(ids, axis=1))
+    for s in range(0, len(a), step):
+        r = slice(s, s + step)
+        blocked[r] = _prism_blocks(a[r], b[r], t0[r], t1[r], rings.rows(ring_ids[r], widest),
+                                   boxes.take(ring_ids[r], axis=1))
     return blocked
 
 

@@ -1,8 +1,11 @@
 """Shared fixtures: small hand-built worlds the unit tests can reason about."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from numpy.lib.introspect import opt_func_info
 
 from bsplace.radio import LinkGainTable, db_to_linear
 from bsplace.scene import (
@@ -72,6 +75,45 @@ def flat_raster_pair():
 @pytest.fixture
 def default_scene_config():
     return SceneConfig()
+
+
+# ---------------------------------------------------------------------------
+# Pins per numpy dispatch mode: numpy's float64 exp, log10 and power round
+# their last bit differently under its AVX-512 and AVX2 kernels, so a digest
+# of floats that take them holds in one mode only. Such a pin keeps one
+# digest per mode, keyed on the targets these three functions run.
+
+AVX512 = ("X86_V4", "X86_V4", "X86_V4")
+AVX2 = ("X86_V3", "baseline(X86_V2)", "baseline(X86_V2)")
+
+
+@functools.cache
+def dispatch_key() -> tuple:
+    """The targets of float64 exp, log10 and power that
+    `numpy.lib.introspect.opt_func_info` reports current in this process."""
+    info = opt_func_info(func_name="^(exp|log10|power)$", signature="float64")
+    return tuple(next(iter(info[name].values()))["current"] for name in ("exp", "log10", "power"))
+
+
+class Digests(dict):
+    """One output's digest under each dispatch mode, keyed on dispatch_key()."""
+
+    def __init__(self, avx512, avx2):
+        super().__init__({AVX512: avx512, AVX2: avx2})
+
+    def current(self):
+        """The digest recorded for this process's mode; a mode with none
+        fails, naming its targets."""
+        key = dispatch_key()
+        if key not in self:
+            pytest.fail(f"no digest recorded for float64 exp, log10, power on {key}")
+        return self[key]
+
+
+def digest_id(value):
+    """Test id of a Digests parameter, its AVX-512 digest; None (pytest's own
+    id) for any other value."""
+    return value[AVX512] if isinstance(value, Digests) else None
 
 
 # ---------------------------------------------------------------------------

@@ -534,22 +534,7 @@ def test_los_mask_block_cap_does_not_change_result(monkeypatch, cap):
     full = los_mask(users, sites, s.buildings)
     monkeypatch.setattr(geometry, "_SLICE_ELEMS", cap)
     monkeypatch.setattr(geometry, "_QUEUE_PAIRS", cap)
-    monkeypatch.setattr(geometry, "_SCAN_PAIRS", cap)
     np.testing.assert_array_equal(los_mask(users, sites, s.buildings), full)
-
-
-@settings(max_examples=200, deadline=None)
-@given(flags=st.lists(st.booleans(), max_size=60), size=st.integers(1, 9),
-       scan=st.integers(1, 70))
-def test_true_chunks_are_flatnonzero_in_chunks(flags, size, scan):
-    flags = np.array(flags, dtype=bool)
-    want = np.flatnonzero(flags)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "_SCAN_PAIRS", scan)
-        chunks = list(geometry._true_chunks(flags, size))
-    assert [len(c) for c in chunks] == [len(c) for c in np.split(want, range(size, len(want), size))
-                                        if len(c)]
-    np.testing.assert_array_equal(np.concatenate(chunks) if chunks else want, want)
 
 
 # Tiny slices and queues: a kernel call then holds rows of several prisms
@@ -584,6 +569,27 @@ def test_los_mask_tiny_slices_match_oracle_on_lattice(prisms, origins, targets, 
         _patched(mp, *sizes)
         test_los_mask_matches_oracle_on_lattice.hypothesis.inner_test(
             prisms, origins, targets, [], data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    prisms=st.lists(_footprints(), min_size=2, max_size=5).filter(
+        lambda ps: len({len(p.footprint) for p in ps}) > 1),
+    origins=st.lists(_points, min_size=1, max_size=5),
+    targets=st.lists(_points, min_size=1, max_size=5),
+    sizes=st.sampled_from([(None, None)] + _TINY),
+    data=st.data(),
+)
+def test_los_mask_does_not_depend_on_prism_order(prisms, origins, targets, sizes, data):
+    # the mask is an OR over prisms: visiting them in another order, in other
+    # blocks, with rings of other widths sharing a kernel slice, gives the same bits
+    tie_origin, tie_target = data.draw(_tie_link(data.draw(st.sampled_from(prisms))))
+    origins, targets = origins + [tie_origin], targets + [tie_target]
+    shuffled = data.draw(st.permutations(prisms))
+    with pytest.MonkeyPatch.context() as mp:
+        _patched(mp, *sizes)
+        np.testing.assert_array_equal(los_mask(origins, targets, shuffled),
+                                      los_mask(origins, targets, prisms))
 
 
 # ---------------------------------------------------------------------------

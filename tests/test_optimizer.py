@@ -32,7 +32,7 @@ from bsplace.radio import LinkGainTable, RadioParams, build_link_table, sinr_fro
 from bsplace.scene import SceneConfig, build_scene
 from bsplace.eval_report import GeneratorConfig, generate_synthetic_scene
 
-from conftest import table_from_db
+from conftest import Digests, digest_id, table_from_db
 
 PARAMS = RadioParams(tx_power_dbm=33.0)
 
@@ -1259,17 +1259,26 @@ def _run_digests(result):
 
 
 @pytest.mark.parametrize("scene_name, m, seed, nsga2_sha, ga_sha, kmeans_ids", [
-    ("toy", 3, 1, "5645dc00633fc82bdfb66e54c5f2a92cb42fa4b6c2f529ab6ac4329173197888",
-     "42e42246605eda3f3c63b453712a164429fd27aaa000b3233653ddd7793597d6", [1, 2, 3]),
-    ("fixed_bs", 4, 3, "66fc70ce2e87d63a1261d987d59bbbeb5d04c75c80f85f0987abef40a991e01e",
-     "8f6d75c6bd0a2a940accd441e2dc82d9c76912dc861100ab94641755b82ea4a0", [10, 2, 6, 8]),
-])
+    ("toy", 3, 1,
+     Digests("5645dc00633fc82bdfb66e54c5f2a92cb42fa4b6c2f529ab6ac4329173197888",
+             "5c31501fcc9949db3dfc9f6497965507c4838a29bd748de4bef8bdf5badced60"),
+     Digests("42e42246605eda3f3c63b453712a164429fd27aaa000b3233653ddd7793597d6",
+             "42e42246605eda3f3c63b453712a164429fd27aaa000b3233653ddd7793597d6"),
+     [1, 2, 3]),
+    ("fixed_bs", 4, 3,
+     Digests("66fc70ce2e87d63a1261d987d59bbbeb5d04c75c80f85f0987abef40a991e01e",
+             "66fc70ce2e87d63a1261d987d59bbbeb5d04c75c80f85f0987abef40a991e01e"),
+     Digests("8f6d75c6bd0a2a940accd441e2dc82d9c76912dc861100ab94641755b82ea4a0",
+             "7cc567086ae392aeb7d71c279ccb148c34a3b37b10ce63043d17418970997adf"),
+     [10, 2, 6, 8]),
+], ids=digest_id)
 def test_search_outputs_are_pinned(request, scene_name, m, seed, nsga2_sha, ga_sha,
                                    kmeans_ids):
-    # f1 and the table hold on one numpy dispatch mode only (log10 rounds
-    # its last bit differently under the AVX2 and AVX-512 kernels)
+    # f1 and the table hold per numpy dispatch mode (log10 rounds its last
+    # bit differently under the AVX2 and AVX-512 kernels)
     nsga2, ga, ids = _pinned_searches(request, scene_name, m, seed)
-    assert (_run_digests(nsga2), _run_digests(ga), ids) == (nsga2_sha, ga_sha, kmeans_ids)
+    assert (_run_digests(nsga2), _run_digests(ga), ids) == (nsga2_sha.current(),
+                                                            ga_sha.current(), kmeans_ids)
 
 
 def _pinned_searches(request, scene_name, m, seed):

@@ -802,6 +802,19 @@ def test_generator_config_validation():
         GeneratorConfig(building_density=0.95)
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    (dict(building_height_range=(float("nan"), 30.0)), "building_height_range"),
+    (dict(building_height_range=(9.0, float("inf"))), "building_height_range"),
+    (dict(cell_size=float("nan")), "cell_size"),
+    (dict(building_density=float("-inf")), "building_density"),
+])
+def test_generator_config_rejects_non_finite(kwargs, field):
+    # NaN passes every range check, and an infinite height range used to
+    # reach numpy's uniform draw as an OverflowError
+    with pytest.raises(DataError, match=f"{field} must be finite"):
+        GeneratorConfig(**kwargs)
+
+
 # ---------------------------------------------------------------------------
 # Scene build against a full-grid reference
 #
