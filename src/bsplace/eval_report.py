@@ -113,14 +113,19 @@ class GeneratorConfig:
         if not all(is_kind(h, float) for h in self.building_height_range):
             raise DataError(f"building_height_range must be finite, got "
                             f"{self.building_height_range!r}")
-        if self.width < 10 or self.height < 10:
-            raise DataError("generator grids need at least 10x10 cells")
+        for name in ("width", "height"):
+            cells = getattr(self, name)
+            if cells < 10:
+                raise DataError(f"{name} must be >= 10 cells, got {cells}")
         if not 0.0 <= self.building_density <= 0.8:
             raise DataError("building_density must lie in [0, 0.8]")
         if self.building_height_range[0] <= 0 or self.building_height_range[0] > self.building_height_range[1]:
             raise DataError("invalid building_height_range")
-        if self.road_period < 2 or not 0 < self.road_width < self.road_period:
-            raise DataError("roads must be narrower than their period")
+        if self.road_period < 2:
+            raise DataError(f"road_period must be >= 2, got {self.road_period}")
+        if not 0 < self.road_width < self.road_period:
+            raise DataError(f"road_width must lie in (0, road_period = {self.road_period}), "
+                            f"got {self.road_width}")
 
 
 def generate_synthetic_scene(cfg: GeneratorConfig, seed: int) -> tuple[ClassRaster, Dsm]:

@@ -76,9 +76,10 @@ class GaConfig:
             raise DataError("pop_size must be even and >= 4")
         if self.generations < 1:
             raise DataError("generations must be >= 1")
-        for p in (self.crossover_prob, self.mutation_prob_per_bit):
+        for name in ("crossover_prob", "mutation_prob_per_bit"):
+            p = getattr(self, name)
             if p is not None and not 0.0 <= p <= 1.0:
-                raise DataError("probabilities must lie in [0, 1]")
+                raise DataError(f"{name} must lie in [0, 1], got {p}")
         if self.m_max < 1:
             raise DataError("m_max must be >= 1")
         if self.seed < 0:

@@ -5,8 +5,8 @@ Macro-cell path loss (128.1 + 37.6 log10 R_km at 2 GHz), the parabolic
 max-power association and a Shannon-with-cap throughput map.
 `sector_rx_dbm` is the one array form of the received-power budget, over
 users x masts x the heads at `SECTOR_AZIMUTHS_DEG`; the link table and
-`attach_and_evaluate` both call it. Seeded shadowing applies to the link
-table only; `link_budget` and `sinr_db` are scalar references.
+`attach_and_evaluate` both call it, so every route gives the same powers
+for every `RadioParams`. `link_budget` and `sinr_db` are scalar references.
 
 The link table is stored once, as site-major linear power made by the
 `db_to_linear` ufuncs. `LinkGainTable.sinr_for` gathers from it and takes
@@ -48,8 +48,6 @@ class RadioParams:
     tx_power_dbm: float = 43.0
     min_coupling_loss_db: float = 70.0
     antenna_gain_dbi: float = 15.0
-    shadowing_sigma_db: float = 0.0
-    shadowing_seed: int = 0
 
     def __post_init__(self):
         require_finite(self)
@@ -57,10 +55,8 @@ class RadioParams:
                      "bandwidth_mhz", "min_coupling_loss_db"):
             if getattr(self, name) <= 0:
                 raise DataError(f"{name} must be positive")
-        if self.nlos_penalty_db < 0 or self.shadowing_sigma_db < 0:
-            raise DataError("penalties must be non-negative")
-        if self.shadowing_seed < 0:
-            raise DataError(f"shadowing_seed must be >= 0, got {self.shadowing_seed}")
+        if self.nlos_penalty_db < 0:
+            raise DataError(f"nlos_penalty_db must be >= 0, got {self.nlos_penalty_db}")
 
     @classmethod
     def from_json(cls, path) -> "RadioParams":
@@ -190,14 +186,6 @@ def sector_rx_dbm(user_pos: np.ndarray, mast_pos: np.ndarray, prisms,
     return rx
 
 
-def shadowing_matrix(n_users: int, n_sites: int, params: RadioParams) -> np.ndarray:
-    """Per-link log-normal shadowing in dB, identical for a site's sectors."""
-    if params.shadowing_sigma_db == 0.0:
-        return np.zeros((n_users, n_sites))
-    rng = np.random.default_rng(params.shadowing_seed)
-    return rng.normal(0.0, params.shadowing_sigma_db, size=(n_users, n_sites))
-
-
 @dataclass
 class LinkGainTable:
     """Precomputed rx power for every user against every mountable site.
@@ -260,8 +248,9 @@ def build_link_table(scene, params: RadioParams, use_blockages: bool,
                      threads: int = 1) -> LinkGainTable:
     """Rx table over the scene's candidates followed by its fixed BS.
 
-    `sector_rx_dbm` over the sites, each a three-sector head, plus any
-    shadowing, then made linear in place with `db_to_linear`'s ufuncs.
+    `sector_rx_dbm` over the sites, each a three-sector head, made linear
+    in place with `db_to_linear`'s ufuncs: the powers `attach_and_evaluate`
+    computes for the same masts.
     `threads` is accepted for call compatibility and ignored: the table is
     one single-threaded array computation.
     """
@@ -270,13 +259,7 @@ def build_link_table(scene, params: RadioParams, use_blockages: bool,
     if scene.fixed_bs:
         site_pos = np.vstack([site_pos, np.array(scene.fixed_bs)])
     prisms = scene.buildings if use_blockages else []
-    rx = sector_rx_dbm(user_pos, site_pos, prisms, params)
-    if params.shadowing_sigma_db > 0.0:
-        # Optional seeded shadowing lives on the table path only; the
-        # scalar link_budget stays the deterministic reference.
-        rx += shadowing_matrix(len(user_pos), len(site_pos), params)[:, :, None]
-        np.minimum(rx, params.tx_power_dbm - params.min_coupling_loss_db, out=rx)
-    lin = np.moveaxis(rx, 1, 0)
+    lin = np.moveaxis(sector_rx_dbm(user_pos, site_pos, prisms, params), 1, 0)
     np.divide(lin, 10.0, out=lin)
     np.power(10.0, lin, out=lin)
     return LinkGainTable(

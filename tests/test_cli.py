@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 import subprocess
 import sys
 
@@ -105,6 +106,11 @@ def test_synth_deterministic(ws, tmp_path):
     assert main(["synth", "--width", "20", "--height", "20",
                  "--seed", "8", "--out", str(c)]) == 0
     assert (a / "raster.asc").read_bytes() != (c / "raster.asc").read_bytes()
+
+
+def test_synth_names_the_bad_size(tmp_path, capsys):
+    assert main(["synth", "--width", "5", "--height", "20", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: width must be >= 10 cells, got 5\n"
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +289,6 @@ def test_mistyped_config_value_is_data_error(ws, tmp_path, capsys, argv, doc, fi
      "carrier_ghz"),
     (["evaluate", "--sites", "0"], "--ga-config", {"sinr_threshold_db": float("nan")},
      "sinr_threshold_db"),
-    (["optimize"], "--radio-config", {"shadowing_sigma_db": float("nan")},
-     "shadowing_sigma_db"),
 ])
 def test_non_finite_config_value_is_data_error(ws, tmp_path, capsys, argv, flag, doc, field):
     bad = tmp_path / "config.json"
@@ -294,6 +298,17 @@ def test_non_finite_config_value_is_data_error(ws, tmp_path, capsys, argv, flag,
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"'{field}' must be a finite number" in err
+
+
+@pytest.mark.parametrize("command", ["optimize", "evaluate", "compare"])
+@pytest.mark.parametrize("key", ["shadowing_sigma_db", "shadowing_seed"])
+def test_removed_shadowing_keys_are_unknown(ws, tmp_path, capsys, command, key):
+    # even the old no-op value 0 is refused, so an old config cannot pass unread
+    radio = tmp_path / "radio.json"
+    radio.write_text(json.dumps({key: 0}))
+    argv = [a.replace("{scene}", str(ws["scene"])) for a in _BASE_ARGV[command]]
+    assert main(argv + ["--radio-config", str(radio), "--out", str(tmp_path / "out")]) == 1
+    assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
 # text None: the workspace scene with its top-level "fixed_bs" key given twice
@@ -328,7 +343,7 @@ def test_repeated_json_key_is_data_error(ws, tmp_path, capsys, argv, text, key):
 _GA_FLOATS = ("crossover_prob", "mutation_prob_per_bit", "sinr_threshold_db")
 _RADIO_FLOATS = ("carrier_ghz", "hpbw_deg", "front_back_db", "nlos_penalty_db",
                  "noise_figure_db", "bandwidth_mhz", "tx_power_dbm",
-                 "min_coupling_loss_db", "antenna_gain_dbi", "shadowing_sigma_db")
+                 "min_coupling_loss_db", "antenna_gain_dbi")
 _BASE_ARGV = {
     "optimize": ["optimize", "{scene}"],
     "evaluate": ["evaluate", "{scene}", "--sites", "0"],
@@ -422,8 +437,7 @@ def _data_errors():
         st.builds(lambda fv, v: (fv[0], json.dumps({fv[1]: v})), configs, non_finite),
         st.builds(lambda fv, w: (fv[0], json.dumps({fv[1]: w})), configs, _words),
         st.builds(lambda fv, w: (fv[0], w), configs, _words),  # not a JSON object
-        st.builds(lambda fv, n: (fv[0], json.dumps({fv[1]: n})),
-                  st.sampled_from([("--ga-config", "seed"), ("--radio-config", "shadowing_seed")]),
+        st.builds(lambda n: ("--ga-config", json.dumps({"seed": n})),
                   st.integers(-10 ** 6, -1)),
     )
     return st.one_of(
@@ -648,6 +662,33 @@ def test_compare_writes_csv(ws, tmp_path, capsys):
     assert lines[0] == "method,m,pct_users_above_threshold,mean_sinr_db"
     assert len(lines) == 5
     assert "method" in capsys.readouterr().out
+
+
+def test_compare_and_evaluate_agree_under_a_non_default_radio_config(ws, tmp_path, capsys):
+    radio = tmp_path / "radio.json"
+    radio.write_text(json.dumps({
+        "carrier_ghz": 3.5, "hpbw_deg": 70.0, "front_back_db": 25.0, "nlos_penalty_db": 28.0,
+        "noise_figure_db": 7.0, "bandwidth_mhz": 20.0, "tx_power_dbm": 36.0,
+        "min_coupling_loss_db": 65.0, "antenna_gain_dbi": 17.0}))
+    argv = ["--radio-config", str(radio), "--out"]
+    assert main(["compare", str(ws["scene"]), "--methods", "kmeans", "--m", "3",
+                 *argv, str(tmp_path / "cmp")]) == 0
+    printed = capsys.readouterr().out.splitlines()[-1].split()
+    # compare writes no sites; k-means run alone with the same seed places the same
+    assert main(["optimize", str(ws["scene"]), "--method", "kmeans", "--m", "3",
+                 *argv, str(tmp_path / "km")]) == 0
+    sites = json.loads((tmp_path / "km" / "archive.json").read_text())[0]["sites"]
+    capsys.readouterr()
+    assert main(["evaluate", str(ws["scene"]), "--sites", ",".join(map(str, sites)),
+                 *argv, str(tmp_path / "eval")]) == 0
+    found = re.search(r"(\d+)/(\d+) users above 10 dB, mean SINR (\S+) dB",
+                      capsys.readouterr().out)
+    above, n_users = int(found[1]), int(found[2])
+    assert 0 < above < n_users
+    pct = 100.0 * (above / n_users)
+    assert printed == ["kmeans", "3", f"{pct:.2f}", found[3]]
+    row = (tmp_path / "cmp" / "comparison.csv").read_text().splitlines()[1].split(",")
+    assert float(row[2]) == pct and f"{float(row[3]):.2f}" == found[3]
 
 
 def test_compare_rejects_unknown_method(ws, tmp_path):

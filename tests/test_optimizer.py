@@ -570,8 +570,10 @@ def test_ga_config_validation_and_json(tmp_path):
         GaConfig(pop_size=5)
     with pytest.raises(DataError, match="pop_size must be even and >= 4"):
         GaConfig(pop_size=2)
-    with pytest.raises(DataError, match=r"probabilities must lie in \[0, 1\]"):
+    with pytest.raises(DataError, match=r"crossover_prob must lie in \[0, 1\], got 1.5"):
         GaConfig(crossover_prob=1.5)
+    with pytest.raises(DataError, match=r"mutation_prob_per_bit must lie in \[0, 1\], got -0.1"):
+        GaConfig(mutation_prob_per_bit=-0.1)
     with pytest.raises(DataError, match="m_max must be >= 1"):
         GaConfig(m_max=0)
     with pytest.raises(DataError, match="seed must be >= 0, got -1"):

@@ -5,7 +5,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bsplace import radio
@@ -27,7 +27,6 @@ from bsplace.radio import (
     pathloss_db,
     sector_rx_dbm,
     sectors_for_sites,
-    shadowing_matrix,
     sinr_db,
     sinr_from_rx,
     thermal_noise_dbm,
@@ -40,6 +39,17 @@ from conftest import Digests, digest_id, table_from_db
 
 
 DEFAULTS = RadioParams()
+# every field moved off its default
+NON_DEFAULT = RadioParams(carrier_ghz=3.5, hpbw_deg=70.0, front_back_db=25.0,
+                          nlos_penalty_db=28.0, noise_figure_db=7.0, bandwidth_mhz=20.0,
+                          tx_power_dbm=36.0, min_coupling_loss_db=65.0, antenna_gain_dbi=17.0)
+# any valid radio config, drawn field by field
+radio_params = st.builds(
+    RadioParams, carrier_ghz=st.floats(0.5, 6.0), hpbw_deg=st.floats(20.0, 180.0),
+    front_back_db=st.floats(1.0, 40.0), nlos_penalty_db=st.floats(0.0, 40.0),
+    noise_figure_db=st.floats(1.0, 15.0), bandwidth_mhz=st.floats(1.4, 100.0),
+    tx_power_dbm=st.floats(10.0, 50.0), min_coupling_loss_db=st.floats(30.0, 100.0),
+    antenna_gain_dbi=st.floats(0.0, 25.0))
 
 
 def flat_scene(users=(), buildings=()):
@@ -308,27 +318,41 @@ def test_link_table_appends_fixed_bs(box_scene):
     assert table.sinr_for([]).shape == (4,)
 
 
-def test_table_matches_scalar_link_budget(box_scene):
-    table = build_link_table(box_scene, DEFAULTS, True)
+# the scene is only read, so one instance may serve every example
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(params=radio_params)
+@example(params=DEFAULTS)
+@example(params=NON_DEFAULT)
+def test_table_matches_scalar_link_budget(box_scene, params):
+    table = build_link_table(box_scene, params, True)
     for ui, user in enumerate(box_scene.users):
         for ci, cand in enumerate(box_scene.candidates):
-            for si, sector in enumerate(build_sectors(cand.position, DEFAULTS)):
-                lb = link_budget(user, sector, box_scene, DEFAULTS, True)
+            for si, sector in enumerate(build_sectors(cand.position, params)):
+                lb = link_budget(user, sector, box_scene, params, True)
                 assert table.rx_dbm[ui, ci, si] == pytest.approx(
                     lb.rx_power_dbm, abs=1e-12), (ui, ci, si)
 
 
-def test_attach_matches_table_route():
+@pytest.fixture(scope="module")
+def attach_scenes():
     cfg = GeneratorConfig(width=40, height=40, cell_size=10.0)
-    for seed in range(4):
-        raster, dsm = generate_synthetic_scene(cfg, seed=seed)
-        scene = build_scene(raster, dsm, SceneConfig(user_spacing_m=40.0,
-                                                     candidate_pitch_m=130.0))
-        table = build_link_table(scene, DEFAULTS, True)
+    return [build_scene(*generate_synthetic_scene(cfg, seed=seed),
+                        SceneConfig(user_spacing_m=40.0, candidate_pitch_m=130.0))
+            for seed in range(4)]
+
+
+@settings(max_examples=10, deadline=None)
+@given(params=radio_params)
+@example(params=DEFAULTS)
+@example(params=NON_DEFAULT)
+def test_attach_matches_table_route(attach_scenes, params):
+    # the table and the what-if route give the same SINR bytes for any radio config
+    for scene in attach_scenes:
+        table = build_link_table(scene, params, True)
         ids = sorted(range(len(scene.candidates)))[:2]
-        sectors = sectors_for_sites([scene.candidates[i].position for i in ids],
-                                    DEFAULTS)
-        _, sinr_d = attach_and_evaluate(scene.users, sectors, scene, DEFAULTS, True)
+        sectors = sectors_for_sites([scene.candidates[i].position for i in ids], params)
+        _, sinr_d = attach_and_evaluate(scene.users, sectors, scene, params, True)
         assert table.sinr_for(ids).tobytes() == sinr_d.tobytes()
 
 
@@ -406,20 +430,16 @@ def test_rx_kernel_temporaries_are_bounded(n_users, n_masts):
     assert extra < 8 * radio._RX_BLOCK_ELEMS * 8, extra
 
 
-@pytest.mark.parametrize("sigma", [0.0, 10.0])
-def test_link_table_stores_the_linear_site_major_kernel_output(tile_scene, sigma):
-    p = RadioParams(shadowing_sigma_db=sigma, shadowing_seed=5)
+def test_link_table_stores_the_linear_site_major_kernel_output(tile_scene):
     users, masts = tile_scene.user_positions(), tile_scene.candidate_positions()
-    rx = sector_rx_dbm(users, masts, tile_scene.buildings, p)
-    if sigma:
-        rx = np.minimum(rx + shadowing_matrix(len(users), len(masts), p)[:, :, None],
-                        p.tx_power_dbm - p.min_coupling_loss_db)
-    want = db_to_linear(np.ascontiguousarray(np.moveaxis(rx, 1, 0)))
-    table = build_link_table(tile_scene, p, True)
-    assert table.rx_mw.shape == want.shape
-    assert table.rx_mw.tobytes() == want.tobytes()
-    # the dB view converts back to within rounding of the kernel's values
-    assert np.abs(table.rx_dbm - rx).max() <= 1e-13
+    for p in (DEFAULTS, NON_DEFAULT):
+        rx = sector_rx_dbm(users, masts, tile_scene.buildings, p)
+        want = db_to_linear(np.ascontiguousarray(np.moveaxis(rx, 1, 0)))
+        table = build_link_table(tile_scene, p, True)
+        assert table.rx_mw.shape == want.shape
+        assert table.rx_mw.tobytes() == want.tobytes()
+        # the dB view converts back to within rounding of the kernel's values
+        assert np.abs(table.rx_dbm - rx).max() <= 1e-13
 
 
 @pytest.mark.parametrize("generator, config, sha", [
@@ -481,40 +501,6 @@ def test_link_table_build_and_first_score_allocate_one_table():
     assert score_peak < table_bytes / 4, score_peak
 
 
-# ---------------------------------------------------------------------------
-# Shadowing hook
-
-def test_shadowing_off_by_default():
-    assert np.all(shadowing_matrix(5, 4, DEFAULTS) == 0.0)
-
-
-def test_shadowing_seeded_and_per_site():
-    p = RadioParams(shadowing_sigma_db=10.0, shadowing_seed=7)
-    a = shadowing_matrix(200, 40, p)
-    b = shadowing_matrix(200, 40, p)
-    assert np.array_equal(a, b)
-    assert a.shape == (200, 40)
-    assert 8.0 < a.std() < 12.0
-    c = shadowing_matrix(200, 40, RadioParams(shadowing_sigma_db=10.0,
-                                              shadowing_seed=8))
-    assert not np.array_equal(a, c)
-
-
-def test_shadowing_applies_to_table_only(box_scene):
-    p = RadioParams(shadowing_sigma_db=10.0, shadowing_seed=3)
-    plain = build_link_table(box_scene, RadioParams(), True)
-    shaded = build_link_table(box_scene, p, True)
-    shadow = shadowing_matrix(4, 3, p)
-    cap = p.tx_power_dbm - p.min_coupling_loss_db
-    expect = np.minimum(plain.rx_dbm + shadow[:, :, None], cap)
-    assert np.allclose(shaded.rx_dbm, expect)
-    # the sectors of one site share their site's draw
-    lb = link_budget(box_scene.users[0],
-                     build_sectors(box_scene.candidates[0].position, p)[0],
-                     box_scene, p, True)
-    assert lb.rx_power_dbm == pytest.approx(plain.rx_dbm[0, 0, 0])
-
-
 def test_radio_params_validation():
     with pytest.raises(DataError, match="bandwidth_mhz must be positive"):
         RadioParams(bandwidth_mhz=0.0)
@@ -522,8 +508,8 @@ def test_radio_params_validation():
         RadioParams(carrier_ghz=-1.0)
     with pytest.raises(DataError, match="hpbw_deg must be positive"):
         RadioParams(hpbw_deg=0.0)
-    with pytest.raises(DataError, match="shadowing_seed must be >= 0, got -1"):
-        RadioParams(shadowing_seed=-1)
+    with pytest.raises(DataError, match="nlos_penalty_db must be >= 0, got -1.0"):
+        RadioParams(nlos_penalty_db=-1.0)
 
 
 def test_radio_params_json_round_trip(tmp_path):
@@ -537,9 +523,11 @@ def test_radio_params_json_round_trip(tmp_path):
 
 def test_radio_params_rejects_unknown_key(tmp_path):
     path = tmp_path / "radio.json"
-    path.write_text('{"tx_power_dBm": 33.0}')
-    with pytest.raises(DataError, match="tx_power_dBm"):
-        RadioParams.from_json(path)
+    # no route applies shadowing, so its old keys are unknown like any misspelling
+    for key in ("tx_power_dBm", "shadowing_sigma_db", "shadowing_seed"):
+        path.write_text(json.dumps({key: 1.0}))
+        with pytest.raises(DataError, match=f"unknown key '{key}'"):
+            RadioParams.from_json(path)
 
 
 def test_radio_params_rejects_repeated_key(tmp_path):
@@ -554,13 +542,9 @@ def test_radio_params_rejects_wrong_type(tmp_path):
     path.write_text('{"tx_power_dbm": "33"}')
     with pytest.raises(DataError, match="'tx_power_dbm' must be a finite number, got '33'"):
         RadioParams.from_json(path)
-    path.write_text('{"shadowing_seed": 1.5}')
-    with pytest.raises(DataError, match="'shadowing_seed' must be an integer"):
-        RadioParams.from_json(path)
 
 
 @pytest.mark.parametrize("field, value", [
-    ("shadowing_sigma_db", float("nan")),
     ("antenna_gain_dbi", float("nan")),
     ("nlos_penalty_db", float("nan")),
     ("carrier_ghz", float("inf")),

@@ -796,8 +796,14 @@ def test_generator_scene_is_buildable():
 
 
 def test_generator_config_validation():
-    with pytest.raises(DataError, match="generator grids need at least 10x10 cells"):
+    with pytest.raises(DataError, match="width must be >= 10 cells, got 0"):
         GeneratorConfig(width=0, height=10)
+    with pytest.raises(DataError, match="height must be >= 10 cells, got 9"):
+        GeneratorConfig(height=9)
+    with pytest.raises(DataError, match="road_period must be >= 2, got 1"):
+        GeneratorConfig(road_period=1, road_width=1)
+    with pytest.raises(DataError, match=r"road_width must lie in \(0, road_period = 50\), got 50"):
+        GeneratorConfig(road_width=50)
     with pytest.raises(DataError, match=r"building_density must lie in \[0, 0\.8\]"):
         GeneratorConfig(building_density=0.95)
 
