@@ -1,7 +1,8 @@
 """Placement baselines: iterative k-means with MUS reseeding, and the
 method-comparison harness pitting it against NSGA-II and the plain GA.
 `run_method` is the one runner of all three, which the comparison and the
-CLI's `optimize` share.
+CLI's `optimize` share. Every method scores only on the link table it is
+handed; `compare_methods` builds one table and hands it to each method.
 
 The k-means loop clusters users in the ground plane, snaps centroids to
 candidate sites, scores the snapped placement by covered users, then
@@ -18,9 +19,10 @@ import numpy as np
 from . import optimizer as opt
 from .config_json import DataError, require_finite
 from .eval_report import write_csv
+from .radio import LinkGainTable, build_link_table
 # Scoring goes through LinkGainTable.sinr_for; sinr_from_rx stays importable
 # from this module because the benchmark's traced layers wrap it here.
-from .radio import LinkGainTable, build_link_table, sinr_from_rx  # noqa: F401
+from .radio import sinr_from_rx  # noqa: F401
 
 
 METHODS = ("nsga2", "ga", "kmeans")
@@ -84,17 +86,15 @@ def _snap_to_candidates(centroids: np.ndarray, cand_xy: np.ndarray) -> list[int]
     return ids
 
 
-def kmeans_site_ids(users, k: int, scene, params, config: KmeansConfig,
-                    table: LinkGainTable | None = None) -> list[int]:
+def kmeans_site_ids(users, k: int, scene, params, config: KmeansConfig, *,
+                    table: LinkGainTable) -> list[int]:
     """Candidate-site ids chosen by the iterative k-means (MUS) baseline,
-    scored on `table`, or on the scene's blockage-aware table when none is
-    passed."""
+    scored on `table`. `scene` gives the candidate positions; `params` is
+    accepted for call compatibility and not read."""
     if k < 1:
         raise DataError("k must be >= 1")
     if not users or not scene.candidates:
         raise DataError("need users and candidate sites")
-    if table is None:
-        table = build_link_table(scene, params, True)
     if len(users) != len(table.priority):
         raise DataError("users must be the scene's user list (table mismatch)")
     points = np.array([u.position[:2] for u in users])
@@ -197,5 +197,8 @@ def compare_methods(scene, params, bs_counts, methods,
 
 
 def save_comparison_csv(rows: list[dict], path):
+    """The rows' summary columns, then `sites`: each row's site ids joined by
+    `;`, as a comma would split the field."""
     columns = ("method", "m", "pct_users_above_threshold", "mean_sinr_db")
-    write_csv(path, ",".join(columns), [[r[c] for c in columns] for r in rows])
+    write_csv(path, ",".join(columns) + ",sites",
+              [[r[c] for c in columns] + [";".join(map(str, r["sites"]))] for r in rows])

@@ -151,6 +151,8 @@ def cmd_optimize(args):
         raise UsageError("--m sets the site count for ga/kmeans; nsga2 searches 1..m_max")
     if args.method == "kmeans" and args.m is None:
         raise UsageError("--method kmeans requires --m")
+    if args.m is not None and args.m < 1:
+        raise UsageError(f"--m must be >= 1, got {args.m}")
     scene = load_scene(args.scene)
     params = _load_radio(args)
     ga = _load_ga(args)
@@ -234,6 +236,8 @@ def cmd_compare(args):
         raise UsageError(f"--m must be comma-separated integers, got {args.bs_counts!r}")
     if not bs_counts:
         raise UsageError("--m must name at least one site count")
+    if min(bs_counts) < 1:
+        raise UsageError(f"--m must be >= 1, got {min(bs_counts)}")
 
     scene = load_scene(args.scene)
     params = _load_radio(args)

@@ -12,12 +12,13 @@ Runs are deterministic for a given seed: one RNG stream, consumed only in
 the sequential selection/variation phase.
 
 A generation is held as one bool array [pop, nbits] and each step runs
-over all its rows. Variation draws its random numbers in blocks, in the
-order a per-pair loop would draw them, and applies the swaps and flips to
-all pairs at once (`_draw_in_order`). Slots decode with one matrix
-product, and repair wraps and deduplicates every row at once. Repair
-also hands on each row's key: its active site ids sorted, then the
-candidate count in its inactive slots, so a batch is decoded once.
+over all its rows. Generation 0 is drawn row by row; variation
+(`_offspring`) draws in blocks, in the order a per-pair loop would draw,
+and applies the swaps and flips to all pairs of a block at once. Slots
+decode with one matrix product, and repair wraps and deduplicates every
+row at once. Repair also hands on each row's key: its active site ids
+sorted, then the candidate count in its inactive slots, so a batch is
+decoded once.
 
 A run scores through one memo (`_memo_scorer`): each distinct key is
 scored once, on the batch it first appears in, and looked up after that.
@@ -42,9 +43,9 @@ that pass, and only the cut front's survivors are crowded again.
 Crowding runs over all fronts in one pass per objective;
 `crowding_distance` is its one-front case.
 
-Objectives are scored only through a `LinkGainTable`; `run_nsga2` and
-`run_ga_single_objective` build the scene's blockage-aware table when none
-is passed, and a run that ignores buildings is handed a blind table.
+Objectives are scored only through the `LinkGainTable` a run is handed:
+`run_nsga2` and `run_ga_single_objective` take it as a required keyword,
+and a run that ignores buildings is handed a blind table.
 """
 
 from __future__ import annotations
@@ -55,9 +56,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config_json import DataError, read_config_fields, require_finite, write_json
+from .radio import LinkGainTable
 # Scoring goes through LinkGainTable.sinr_for; sinr_from_rx stays importable
 # from this module because the benchmark's traced layers wrap it here.
-from .radio import LinkGainTable, build_link_table, sinr_from_rx  # noqa: F401
+from .radio import sinr_from_rx  # noqa: F401
 
 
 @dataclass
@@ -155,7 +157,8 @@ def _keys(active: np.ndarray, idx: np.ndarray, n_candidates: int) -> np.ndarray:
 def repair_rows(pop: np.ndarray, n_candidates: int, m_max: int):
     """`repair` applied to every row of `pop` but for its switch-on draw: rows
     are wrapped and deduplicated, and a row with no active slot stays so. The
-    population builders have already switched such rows on (`_draw_in_order`).
+    population builders have already switched such rows on
+    (`_random_population`, `_offspring`).
     Returns the repaired rows and their key rows (`_keys`)."""
     active, idx = _slots(np.asarray(pop, dtype=bool), n_candidates, m_max)
     # slot s repeats an earlier active slot t < s
@@ -406,55 +409,15 @@ def _tournament(rng: np.random.Generator, rank: np.ndarray, crowd: np.ndarray,
     return np.where(b_wins, b, a)
 
 
-def _draw_in_order(rng: np.random.Generator, out: np.ndarray, per_unit: int,
-                   max_draws: int, lay_out, m_max: int | None) -> None:
-    """Fill `out` unit by unit (`per_unit` rows each) from blocks of doubles,
-    consuming `rng` exactly as drawing unit after unit would.
-
-    `lay_out(block, lo, hi)` places units lo..hi-1 on `block`, which holds
-    `max_draws` doubles per unit, and returns their rows and each unit's
-    end offset in the block. With `m_max`, every unit is followed by
-    `repair`'s switch-on draw for each of its rows that has no active slot:
-    the first such unit ends the block there, the stream is rewound to the
-    end of that unit's doubles and the draws go on with a fresh block.
-    Blocks cover twice the units the last block kept, so frequent switch-ons
-    do not redraw whole remainders.
-    """
-    n_units = len(out) // per_unit
-    lo = 0
-    size = n_units
-    while lo < n_units:
-        hi = min(n_units, lo + size)
-        state = rng.bit_generator.state
-        block = rng.random((hi - lo) * max_draws)
-        rows, ends = lay_out(block, lo, hi)
-        stop = hi
-        if m_max is not None:
-            empty = np.flatnonzero(~rows[:, ::rows.shape[1] // m_max].any(axis=1))
-            if len(empty):
-                stop = lo + empty[0] // per_unit + 1
-        out[lo * per_unit:stop * per_unit] = rows[:(stop - lo) * per_unit]
-        used = ends[stop - lo - 1]
-        if used < len(block):
-            rng.bit_generator.state = state
-            rng.random(used)
-        if m_max is not None:  # draws only for an empty row, so only at an interrupt
-            for row in out[(stop - 1) * per_unit:stop * per_unit]:
-                _switch_on_if_empty(row, m_max, rng)
-        size = 2 * (stop - lo)
-        lo = stop
-
-
 def _random_population(config: GaConfig, nbits: int, rng: np.random.Generator,
                        m_max: int | None = None) -> np.ndarray:
     """Uniform random rows, unrepaired: `nbits` draws per row, then, with
     `m_max`, `repair`'s switch-on draw if the row has no active slot."""
     pop = np.empty((config.pop_size, nbits), dtype=bool)
-
-    def lay_out(block, lo, hi):
-        return block.reshape(hi - lo, nbits) < 0.5, np.arange(1, hi - lo + 1) * nbits
-
-    _draw_in_order(rng, pop, 1, nbits, lay_out, m_max)
+    for row in pop:
+        row[:] = rng.random(nbits) < 0.5
+        if m_max is not None:
+            _switch_on_if_empty(row, m_max, rng)
     return pop
 
 
@@ -465,21 +428,27 @@ def _offspring(pop: np.ndarray, parents: np.ndarray, config: GaConfig,
     Per pair the draws are: the crossover coin, the swap mask (only when
     crossing), the flip masks of a and of b; then, with `m_max`, `repair`'s
     switch-on draw for a and then for b when that child has no active slot.
-    The draws come in blocks (see `_draw_in_order`): a scalar walk over the
-    coins places each pair's masks in the block, and the swaps and flips
-    are applied to all of the block's pairs at once. The flip probability
-    defaults to one bit per chromosome.
+    The flip probability defaults to one bit per chromosome.
+
+    The draws come in blocks of `1 + 3 nbits` doubles per pair, the most it
+    can use. A scalar walk over the coins places each pair's masks, and the
+    swaps and flips apply to the block's pairs at once. The first pair with
+    an empty child cuts the block, and the stream is rewound to that pair's
+    end for its switch-on draws; the next block covers twice the pairs kept.
     """
     nbits = pop.shape[1]
     p_mut = config.mutation_prob_per_bit
     if p_mut is None:
         p_mut = 1.0 / nbits
-    mates = pop[parents]
-    children = np.empty_like(mates)
+    pairs = pop[parents].reshape(-1, 2, nbits)
+    children = np.empty_like(pairs)
     cols = np.arange(nbits)
     flip_cols = np.arange(2 * nbits)  # a's flip mask, then b's
-
-    def lay_out(block, lo, hi):
+    lo, size = 0, len(pairs)
+    while lo < len(pairs):
+        hi = min(len(pairs), lo + size)
+        state = rng.bit_generator.state
+        block = rng.random((hi - lo) * (1 + 3 * nbits))
         crossing = []
         flips_at = []
         coin = block.item
@@ -491,17 +460,29 @@ def _offspring(pop: np.ndarray, parents: np.ndarray, config: GaConfig,
             pos += 2 * nbits
         flips_at = np.array(flips_at)
         cross = np.array(crossing)
-        pairs = mates[2 * lo:2 * hi].reshape(hi - lo, 2, nbits)
+        mates = pairs[lo:hi]
         # swapping a and b where the mask is set flips both where they differ
         diff = np.zeros((hi - lo, nbits), dtype=bool)
         swap = block[(flips_at[cross] - nbits)[:, None] + cols] < 0.5
-        diff[cross] = (pairs[cross, 0] ^ pairs[cross, 1]) & swap
+        diff[cross] = (mates[cross, 0] ^ mates[cross, 1]) & swap
         flips = block[flips_at[:, None] + flip_cols] < p_mut
-        rows = pairs ^ diff[:, None] ^ flips.reshape(hi - lo, 2, nbits)
-        return rows.reshape(-1, nbits), flips_at + 2 * nbits
-
-    _draw_in_order(rng, children, 2, 1 + 3 * nbits, lay_out, m_max)
-    return children
+        kids = mates ^ diff[:, None] ^ flips.reshape(hi - lo, 2, nbits)
+        stop = hi
+        if m_max is not None:
+            empty = np.flatnonzero(~kids[:, :, ::nbits // m_max].any(axis=2).all(axis=1))
+            if len(empty):
+                stop = lo + empty[0] + 1
+        children[lo:stop] = kids[:stop - lo]
+        used = flips_at[stop - lo - 1] + 2 * nbits
+        if used < len(block):
+            rng.bit_generator.state = state
+            rng.random(used)
+        if m_max is not None:  # draws only for an empty child, so only at a cut
+            for child in children[stop - 1]:
+                _switch_on_if_empty(child, m_max, rng)
+        size = 2 * (stop - lo)
+        lo = stop
+    return children.reshape(-1, nbits)
 
 
 def _merge_archive(archive_objs: np.ndarray, archive_bits: np.ndarray,
@@ -533,16 +514,16 @@ def _budget_stats(archive_objs: np.ndarray, m_max: int) -> dict[int, dict[str, f
     return out
 
 
-def run_nsga2(scene, params, config: GaConfig, table: LinkGainTable | None = None):
-    """Full NSGA-II run; returns (archive, history).
+def run_nsga2(scene, params, config: GaConfig, *, table: LinkGainTable):
+    """Full NSGA-II run on `table`; returns (archive, history).
+
+    `scene` and `params` are accepted for call compatibility and not read.
 
     The archive accumulates every non-dominated configuration seen across
     generations (not just the last population), so the per-budget bests in
     `history` never move backwards. Each history entry maps a budget m to
     the best f1/f3 over archived solutions using at most m sites.
     """
-    if table is None:
-        table = build_link_table(scene, params, True)
     n_cand = table.n_candidates
     if n_cand < 1:
         raise DataError("scene has no candidate sites")
@@ -606,16 +587,15 @@ def select_best_for_m(archive: list[Individual], m: int,
     return min(slice_, key=lambda ind: (ind.rank, ind.objectives[2], ind.objectives[0]))
 
 
-def run_ga_single_objective(scene, params, config: GaConfig, table: LinkGainTable | None = None):
-    """Plain elitist GA maximizing covered users at a fixed site count.
+def run_ga_single_objective(scene, params, config: GaConfig, *, table: LinkGainTable):
+    """Plain elitist GA on `table`, maximizing covered users at a fixed site count.
 
     Same chromosome layout and variation operators as the multi-objective
     run, but every slot is forced active (exactly m_max sites) and fitness
     is the covered-user count alone. Returns (best Individual, history of
-    best f3 per generation).
+    best f3 per generation). `scene` and `params` are accepted for call
+    compatibility and not read.
     """
-    if table is None:
-        table = build_link_table(scene, params, True)
     n_cand = table.n_candidates
     if config.m_max > n_cand:
         raise DataError("m_max exceeds candidate count")

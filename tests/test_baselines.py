@@ -150,7 +150,7 @@ def test_search_and_baselines_never_read_the_db_view(kmeans_scene, monkeypatch):
     evaluate_sites([0, 1], table, 10.0)
 
 
-def test_runs_without_a_table_score_on_the_blockage_aware_table(kmeans_scene):
+def test_runs_score_only_the_table_they_are_handed(kmeans_scene):
     scene, aware = kmeans_scene
     blind = build_link_table(scene, PARAMS, False)
     ga = GaConfig(pop_size=8, generations=3, m_max=2, seed=1)
@@ -167,7 +167,9 @@ def test_runs_without_a_table_score_on_the_blockage_aware_table(kmeans_scene):
         return kmeans_site_ids(scene.users, 3, scene, PARAMS, KmeansConfig(seed=0), **table)
 
     for run in (nsga2, ga_best, kmeans):
-        assert run() == run(table=aware) != run(table=blind), run.__name__
+        assert run(table=aware) != run(table=blind), run.__name__
+        with pytest.raises(TypeError, match="table"):
+            run()
 
 
 def test_compare_methods_validation(kmeans_scene):
@@ -188,8 +190,9 @@ def test_comparison_csv_round_trip(tmp_path):
     p = tmp_path / "comparison.csv"
     save_comparison_csv(rows, p)
     lines = p.read_text().splitlines()
-    assert lines[0] == "method,m,pct_users_above_threshold,mean_sinr_db"
+    assert lines[0] == "method,m,pct_users_above_threshold,mean_sinr_db,sites"
     assert len(lines) == 3
-    meth, m, pct, mean = lines[1].split(",")
+    meth, m, pct, mean, sites = lines[1].split(",")
     assert meth == "nsga2" and int(m) == 3
     assert float(pct) == 62.5 and float(mean) == 7.125
+    assert sites == "1;2;3" and lines[2].endswith(",0;1;2;3;4")

@@ -249,6 +249,18 @@ def test_optimize_kmeans_requires_m(ws, tmp_path):
     assert run_optimize(ws, tmp_path / "x", ("--method", "kmeans")) == 2
 
 
+@pytest.mark.parametrize("command, flags, low", [
+    ("optimize", ["--method", "ga", "--m", "0"], 0),
+    ("optimize", ["--method", "kmeans", "--m", "-3"], -3),
+    ("compare", ["--methods", "kmeans", "--m", "3,0"], 0),
+])
+def test_site_count_below_one_is_a_usage_error_naming_m(ws, tmp_path, capsys, command, flags,
+                                                        low):
+    rc = main([command, str(ws["scene"]), *flags, "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"usage error: --m must be >= 1, got {low}\n"
+
+
 def test_optimize_unknown_method_is_usage_error(ws, tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_optimize(ws, tmp_path / "x", ("--method", "random-search"))
@@ -422,6 +434,10 @@ def _usage_errors():
                   st.integers(-10 ** 6, -1)),
         st.builds(lambda method, n: _BASE_ARGV["optimize"] + [*method, "--m", str(n)],
                   st.sampled_from([(), ("--method", "nsga2")]), st.integers(1, 6)),
+        st.builds(lambda method, n: _BASE_ARGV["optimize"] + ["--method", method, "--m", str(n)],
+                  st.sampled_from(["ga", "kmeans"]), st.integers(-10 ** 6, 0)),
+        st.builds(lambda method, n: ["compare", "{scene}", "--methods", method, "--m", f"2,{n}"],
+                  st.sampled_from(["nsga2", "ga", "kmeans"]), st.integers(-10 ** 6, 0)),
     ).map(lambda argv: (argv, None, 2))
 
 
@@ -659,7 +675,7 @@ def test_compare_writes_csv(ws, tmp_path, capsys):
                "--radio-config", str(ws["radio"]), "--out", str(out)])
     assert rc == 0
     lines = (out / "comparison.csv").read_text().splitlines()
-    assert lines[0] == "method,m,pct_users_above_threshold,mean_sinr_db"
+    assert lines[0] == "method,m,pct_users_above_threshold,mean_sinr_db,sites"
     assert len(lines) == 5
     assert "method" in capsys.readouterr().out
 
@@ -674,12 +690,8 @@ def test_compare_and_evaluate_agree_under_a_non_default_radio_config(ws, tmp_pat
     assert main(["compare", str(ws["scene"]), "--methods", "kmeans", "--m", "3",
                  *argv, str(tmp_path / "cmp")]) == 0
     printed = capsys.readouterr().out.splitlines()[-1].split()
-    # compare writes no sites; k-means run alone with the same seed places the same
-    assert main(["optimize", str(ws["scene"]), "--method", "kmeans", "--m", "3",
-                 *argv, str(tmp_path / "km")]) == 0
-    sites = json.loads((tmp_path / "km" / "archive.json").read_text())[0]["sites"]
-    capsys.readouterr()
-    assert main(["evaluate", str(ws["scene"]), "--sites", ",".join(map(str, sites)),
+    row = (tmp_path / "cmp" / "comparison.csv").read_text().splitlines()[1].split(",")
+    assert main(["evaluate", str(ws["scene"]), "--sites", row[4].replace(";", ","),
                  *argv, str(tmp_path / "eval")]) == 0
     found = re.search(r"(\d+)/(\d+) users above 10 dB, mean SINR (\S+) dB",
                       capsys.readouterr().out)
@@ -687,7 +699,6 @@ def test_compare_and_evaluate_agree_under_a_non_default_radio_config(ws, tmp_pat
     assert 0 < above < n_users
     pct = 100.0 * (above / n_users)
     assert printed == ["kmeans", "3", f"{pct:.2f}", found[3]]
-    row = (tmp_path / "cmp" / "comparison.csv").read_text().splitlines()[1].split(",")
     assert float(row[2]) == pct and f"{float(row[3]):.2f}" == found[3]
 
 

@@ -630,7 +630,8 @@ def test_run_nsga2_rejects_empty_candidates(box_scene_table):
     empty = Scene(buildings=[], users=scene.users,
                   candidates=[], fixed_bs=[])
     with pytest.raises(DataError, match="scene has no candidate sites"):
-        run_nsga2(empty, PARAMS, GaConfig(pop_size=4, generations=1))
+        run_nsga2(empty, PARAMS, GaConfig(pop_size=4, generations=1),
+                  table=build_link_table(empty, PARAMS, True))
 
 
 def test_ga_config_rejects_non_finite(tmp_path):
@@ -875,6 +876,17 @@ def test_switch_on_mid_block_keeps_the_rng_stream(m_max):
     # earlier pair cuts it before its end
     pairs_with_empties = [child // 2 for gen, child in empties if gen == 1]
     assert pairs_with_empties and pairs_with_empties[0] < 15
+
+
+@pytest.mark.parametrize("p_mut", [None, 0.9])
+def test_variation_at_the_search_workload_shape_keeps_the_rng_stream(p_mut):
+    # the benchmark's search shape: 25 candidates (5 site bits), m_max 6 and
+    # 32 pairs, over 20 generations; at 0.9 switch-ons cut and regrow blocks
+    got, expected, empties = _variation_runs(n_cand=25, m_max=6, pairs=32, p_mut=p_mut,
+                                             crossover_prob=0.9, fixed_m=False, seed=5,
+                                             generations=20)
+    _assert_same_stream(got, expected)
+    assert len({gen for gen, _ in empties if gen > 0}) >= 5
 
 
 def _oracle_tournament(rng, rank, crowd, n_picks):
