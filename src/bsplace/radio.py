@@ -4,16 +4,16 @@ Macro-cell path loss (128.1 + 37.6 log10 R_km at 2 GHz), the parabolic
 3-sector antenna pattern, thermal noise from bandwidth and noise figure,
 max-power association and a Shannon-with-cap throughput map.
 `sector_rx_dbm` is the one array form of the received-power budget, over
-users x masts x the heads at `SECTOR_AZIMUTHS_DEG`; the link table and
-`attach_and_evaluate` both call it, so every route gives the same powers
-for every `RadioParams`. `link_budget` and `sinr_db` are scalar references.
+users x masts x the heads at `SECTOR_AZIMUTHS_DEG`. `build_link_table` and
+`attach_and_evaluate` both turn it into a `LinkGainTable` by one constructor,
+and every route scores SINR through `LinkGainTable.sinr_for`.
 
-The link table is stored once, as site-major linear power made by the
-`db_to_linear` ufuncs. `LinkGainTable.sinr_for` gathers from it and takes
-the largest power as the signal, so it gives the bytes `sinr_from_rx`
-gives on the same dBm: that ufunc is monotone (the tests sweep it
-densely). The noise is converted to mW once per table, by the same
-`db_to_linear` call `sinr_from_rx` makes.
+The table is stored once, as site-major linear power made by the
+`db_to_linear` ufuncs, which also convert its noise. `sinr_for` takes the
+largest power as the signal, so it gives the bytes `sinr_from_rx` gives on
+the same dBm: that ufunc is monotone (the tests sweep it densely).
+`link_budget`, `sinr_db` and `sinr_from_rx` are scalar references the tests
+check the kernels against, and only they call one another.
 """
 
 from __future__ import annotations
@@ -244,45 +244,28 @@ class LinkGainTable:
         return _sinr_db(lin, signal, self._noise_mw)
 
 
+def _link_table(user_pos, site_pos, prisms, params, priority, n_fixed) -> LinkGainTable:
+    """`sector_rx_dbm` over the sites, each a three-sector head, made linear in
+    place with `db_to_linear`'s ufuncs; the last `n_fixed` sites are fixed BS."""
+    lin = np.moveaxis(sector_rx_dbm(user_pos, site_pos, prisms, params), 1, 0)
+    np.divide(lin, 10.0, out=lin)
+    np.power(10.0, lin, out=lin)
+    return LinkGainTable(lin, priority, n_fixed, thermal_noise_dbm(params))
+
+
 def build_link_table(scene, params: RadioParams, use_blockages: bool,
                      threads: int = 1) -> LinkGainTable:
-    """Rx table over the scene's candidates followed by its fixed BS.
-
-    `sector_rx_dbm` over the sites, each a three-sector head, made linear
-    in place with `db_to_linear`'s ufuncs: the powers `attach_and_evaluate`
-    computes for the same masts.
+    """Rx table over the scene's candidates followed by its fixed BS, made by
+    the constructor `attach_and_evaluate` uses for its masts.
     `threads` is accepted for call compatibility and ignored: the table is
     one single-threaded array computation.
     """
-    user_pos = scene.user_positions()
     site_pos = scene.candidate_positions()
     if scene.fixed_bs:
         site_pos = np.vstack([site_pos, np.array(scene.fixed_bs)])
     prisms = scene.buildings if use_blockages else []
-    lin = np.moveaxis(sector_rx_dbm(user_pos, site_pos, prisms, params), 1, 0)
-    np.divide(lin, 10.0, out=lin)
-    np.power(10.0, lin, out=lin)
-    return LinkGainTable(
-        rx_mw=lin,
-        priority=scene.priority_mask(),
-        n_fixed=len(scene.fixed_bs),
-        noise_dbm=thermal_noise_dbm(params),
-    )
-
-
-def sinr_from_rx(rx_dbm: np.ndarray, noise_dbm: float):
-    """Association and SINR from a per-user sector rx matrix [..., users, sectors].
-
-    Serving sector is the max-power column, first index on ties. Returns
-    (serving index per user, SINR in dB per user), each [..., users];
-    leading axes are a batch of independent placements.
-    """
-    if rx_dbm.ndim < 2 or rx_dbm.shape[-1] == 0:
-        raise DataError("need at least one sector")
-    lin = db_to_linear(rx_dbm)
-    serving = np.argmax(rx_dbm, axis=-1)
-    signal = np.take_along_axis(lin, serving[..., None], axis=-1)[..., 0]
-    return serving, _sinr_db(lin, signal, db_to_linear(noise_dbm))
+    return _link_table(scene.user_positions(), site_pos, prisms, params,
+                       scene.priority_mask(), len(scene.fixed_bs))
 
 
 def _sinr_db(lin: np.ndarray, signal: np.ndarray, noise_mw) -> np.ndarray:
@@ -303,14 +286,16 @@ def _sinr_db(lin: np.ndarray, signal: np.ndarray, noise_mw) -> np.ndarray:
 
 def attach_and_evaluate(users, sectors: list[BsSector], scene, params: RadioParams,
                         use_blockages: bool):
-    """Per-user (serving sector index, SINR dB) under max-power association.
-
-    `sectors` is whole three-sector heads in `sectors_for_sites` order, so
-    sector k sits on mast k // 3 at azimuth `SECTOR_AZIMUTHS_DEG[k % 3]`;
+    """Per-user (serving sector index, SINR dB) under max-power association:
+    `LinkGainTable.sinr_for` on a table of the masts, served by the first
+    largest power. `sectors` is whole three-sector heads in `sectors_for_sites`
+    order, so sector k sits on mast k // 3 at azimuth `SECTOR_AZIMUTHS_DEG[k % 3]`;
     any other list raises DataError.
     """
     if not sectors:
         raise DataError("sector list is empty")
+    if not users:
+        raise DataError("user list is empty")
     masts = np.array([s.position for s in sectors[::len(SECTOR_AZIMUTHS_DEG)]])
     if ([(*s.position, s.azimuth_deg) for s in sectors]
             != [(*s.position, s.azimuth_deg) for s in sectors_for_sites(masts, params)]):
@@ -318,8 +303,25 @@ def attach_and_evaluate(users, sectors: list[BsSector], scene, params: RadioPara
                         "builds them")
     user_pos = np.array([np.asarray(u.position, dtype=float) for u in users])
     prisms = scene.buildings if (use_blockages and scene is not None) else []
-    rx = sector_rx_dbm(user_pos, masts, prisms, params)
-    return sinr_from_rx(rx.reshape(len(users), -1), thermal_noise_dbm(params))
+    table = _link_table(user_pos, masts, prisms, params,
+                        np.array([u.priority for u in users], dtype=bool), 0)
+    serving = np.argmax(np.moveaxis(table.rx_mw, 0, 1).reshape(len(users), -1), axis=-1)
+    return serving, table.sinr_for(np.arange(len(masts)))
+
+
+def sinr_from_rx(rx_dbm: np.ndarray, noise_dbm: float):
+    """Association and SINR from a per-user sector rx matrix [..., users, sectors].
+
+    Serving sector is the max-power column, first index on ties. Returns
+    (serving index per user, SINR in dB per user), each [..., users];
+    leading axes are a batch of independent placements.
+    """
+    if rx_dbm.ndim < 2 or rx_dbm.shape[-1] == 0:
+        raise DataError("need at least one sector")
+    lin = db_to_linear(rx_dbm)
+    serving = np.argmax(rx_dbm, axis=-1)
+    signal = np.take_along_axis(lin, serving[..., None], axis=-1)[..., 0]
+    return serving, _sinr_db(lin, signal, db_to_linear(noise_dbm))
 
 
 def sinr_db(user, serving: int, all_sectors: list[BsSector], scene,

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import re
 import subprocess
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from bsplace.cli import _build_parser, main
 from bsplace.scene import load_scene
+from conftest import Digests, digest_id
 
 
 @pytest.fixture(scope="module")
@@ -591,6 +593,49 @@ def test_evaluate_custom_tag_and_placement_file(ws, tmp_path):
     assert sum(1 for ln in placed if ln.startswith("bs,")) == 2
 
 
+# every radio field off its default
+_NON_DEFAULT_RADIO = {
+    "carrier_ghz": 3.5, "hpbw_deg": 70.0, "front_back_db": 25.0, "nlos_penalty_db": 28.0,
+    "noise_figure_db": 7.0, "bandwidth_mhz": 20.0, "tx_power_dbm": 36.0,
+    "min_coupling_loss_db": 65.0, "antenna_gain_dbi": 17.0}
+
+
+@pytest.mark.parametrize("name, sha", [
+    ("coverage_pin.csv",
+     Digests("8b930c174941c2f56fd25bd46946d1309d02ddbaa32ae4adea85dbc656eb2ca8",
+             "8b930c174941c2f56fd25bd46946d1309d02ddbaa32ae4adea85dbc656eb2ca8")),
+    ("throughput_pin.csv",
+     Digests("ea78a6e8880321de8886359563f7c845e0589f02b1e77f8b318724ef120eae90",
+             "ea78a6e8880321de8886359563f7c845e0589f02b1e77f8b318724ef120eae90")),
+    ("placement_pin.csv",
+     Digests("b87a37513f75cdc448350e7605f200c618ee11f00c96465b2929b06adb61aedc",
+             "e9d71e09e4e89712b9253a908b3242b95fd3a672e5a156bf10de92e21fc1e44f")),
+], ids=lambda v: v if isinstance(v, str) else digest_id(v))
+def test_evaluate_outputs_are_pinned(tmp_path, name, sha):
+    # sha256 of the evaluate reports on a seeded 400 m tile, taken before
+    # evaluate scored through the link table, per numpy dispatch mode (the
+    # users' heights move in their last bits): two candidate sites, a scene
+    # fixed BS and an off-lattice mast 8.6 m from user 7, where two of its
+    # heads meet the coupling cap, so the serving index breaks a tie
+    grids, scene_dir, out = tmp_path / "grids", tmp_path / "scene", tmp_path / "eval"
+    assert main(["synth", "--width", "40", "--height", "40", "--cell-size", "10",
+                 "--seed", "3", "--out", str(grids)]) == 0
+    config = tmp_path / "scene_config.json"
+    config.write_text(json.dumps({"user_spacing_m": 20.0, "candidate_pitch_m": 100.0,
+                                  "fixed_bs": [[385.0, 15.0, 30.0]]}))
+    assert main(["build-scene", str(grids / "raster.asc"), str(grids / "dsm.asc"),
+                 "--config", str(config), "--out", str(scene_dir)]) == 0
+    x, y, _ = load_scene(scene_dir / "scene.json").users[7].position
+    placement = tmp_path / "placement.json"
+    placement.write_text(json.dumps({"positions": [[float(x) + 3.5, float(y) - 2.5, 12.0]]}))
+    radio = tmp_path / "radio.json"
+    radio.write_text(json.dumps(_NON_DEFAULT_RADIO))
+    assert main(["evaluate", str(scene_dir / "scene.json"), "--sites", "0,5",
+                 "--placement", str(placement), "--radio-config", str(radio),
+                 "--tag", "pin", "--out", str(out)]) == 0
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha.current()
+
+
 def test_evaluate_rejects_bad_site_id(ws, tmp_path):
     rc = main(["evaluate", str(ws["scene"]), "--sites", "99",
                "--out", str(tmp_path / "x")])
@@ -682,10 +727,7 @@ def test_compare_writes_csv(ws, tmp_path, capsys):
 
 def test_compare_and_evaluate_agree_under_a_non_default_radio_config(ws, tmp_path, capsys):
     radio = tmp_path / "radio.json"
-    radio.write_text(json.dumps({
-        "carrier_ghz": 3.5, "hpbw_deg": 70.0, "front_back_db": 25.0, "nlos_penalty_db": 28.0,
-        "noise_figure_db": 7.0, "bandwidth_mhz": 20.0, "tx_power_dbm": 36.0,
-        "min_coupling_loss_db": 65.0, "antenna_gain_dbi": 17.0}))
+    radio.write_text(json.dumps(_NON_DEFAULT_RADIO))
     argv = ["--radio-config", str(radio), "--out"]
     assert main(["compare", str(ws["scene"]), "--methods", "kmeans", "--m", "3",
                  *argv, str(tmp_path / "cmp")]) == 0

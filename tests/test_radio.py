@@ -295,7 +295,8 @@ def test_throughput_broadcasts():
 
 
 # ---------------------------------------------------------------------------
-# Link table and attach_and_evaluate: both routes go through sector_rx_dbm
+# Link table and attach_and_evaluate: both build their table by one
+# constructor over sector_rx_dbm and score it with sinr_for
 
 def test_link_table_shapes(box_scene):
     table = build_link_table(box_scene, DEFAULTS, True)
@@ -347,13 +348,29 @@ def attach_scenes():
 @example(params=DEFAULTS)
 @example(params=NON_DEFAULT)
 def test_attach_matches_table_route(attach_scenes, params):
-    # the table and the what-if route give the same SINR bytes for any radio config
+    # for any radio config the what-if route gives the SINR bytes of the
+    # scene's table, and the serving index and SINR bytes of sinr_from_rx on
+    # the kernel's dB, the route it replaced. Its masts are two candidates and
+    # one a few metres from user 0, taken as a fixed BS by the table; under
+    # DEFAULTS all three of that mast's heads meet the coupling cap for user
+    # 0, so its serving index breaks a three-way tie
     for scene in attach_scenes:
-        table = build_link_table(scene, params, True)
-        ids = sorted(range(len(scene.candidates)))[:2]
-        sectors = sectors_for_sites([scene.candidates[i].position for i in ids], params)
-        _, sinr_d = attach_and_evaluate(scene.users, sectors, scene, params, True)
-        assert table.sinr_for(ids).tobytes() == sinr_d.tobytes()
+        near = scene.users[0].position + [1.0, 0.5, 2.0]
+        ids = [0, 1]
+        masts = np.array([*(scene.candidates[i].position for i in ids), near])
+        table = build_link_table(Scene(buildings=scene.buildings, users=scene.users,
+                                       candidates=scene.candidates, fixed_bs=[near]),
+                                 params, True)
+        serving, sinr = attach_and_evaluate(scene.users, sectors_for_sites(masts, params),
+                                            scene, params, True)
+        assert table.sinr_for(ids).tobytes() == sinr.tobytes()
+        rx = sector_rx_dbm(scene.user_positions(), masts, scene.buildings, params)
+        want_serving, want_sinr = sinr_from_rx(rx.reshape(len(scene.users), -1),
+                                               thermal_noise_dbm(params))
+        assert serving.tobytes() == want_serving.tobytes()
+        assert sinr.tobytes() == want_sinr.tobytes()
+        if params == DEFAULTS:
+            assert (rx[0, 2] == params.tx_power_dbm - params.min_coupling_loss_db).all()
 
 
 def test_attach_sector_fields_match_oracles(box_scene):
@@ -381,6 +398,13 @@ def test_attach_sector_fields_match_oracles(box_scene):
         assert sinr[u] == pytest.approx(ref, abs=1e-9)
     with pytest.raises(DataError, match="sector list is empty"):
         attach_and_evaluate(box_scene.users, [], box_scene, DEFAULTS, True)
+
+
+def test_attach_rejects_an_empty_user_list():
+    # the CLI cannot get here (load_scene rejects a scene without users)
+    sectors = sectors_for_sites([[0.0, 0.0, 25.0]], RadioParams())
+    with pytest.raises(DataError, match="user list is empty"):
+        attach_and_evaluate([], sectors, None, RadioParams(), False)
 
 
 @pytest.mark.parametrize("sectors", [

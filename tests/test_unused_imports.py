@@ -1,8 +1,9 @@
 """Every module-level import in the package is used by its module.
 
 A line marked `# noqa: F401` imports a name for others to reach (the
-benchmark's traced layers wrap `sinr_from_rx` in the modules whose searches
-score with it), so it is exempt, as is `from __future__`.
+benchmark's traced layers wrap the reference `sinr_from_rx` in `optimizer`
+and `baselines` too, though the package scores through
+`LinkGainTable.sinr_for`), so it is exempt, as is `from __future__`.
 """
 
 import ast
