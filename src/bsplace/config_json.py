@@ -17,6 +17,8 @@ import sys
 import types
 import typing
 
+import numpy as np
+
 
 class DataError(Exception):
     """Bad input data or configuration: a file, a config field or an argument
@@ -110,15 +112,49 @@ def prefixed(label):
         raise DataError(f"{label}: {e}") from None
 
 
+# json's C encoder, which runs only where `indent` is None
+_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",", ": "))
+_MARKS = bytes(c in b'[]{},"' for c in range(256))  # translate table: 1 at each byte laid out
+_STEP = np.array([(c in b"[{") - (c in b"]}") for c in range(128)])  # the depth step of a byte
+
+
+def _indented(text: str) -> str:
+    """`text`, compact ASCII JSON, with the line breaks and indents of
+    `json.dumps(indent=2)`: outside strings, after each `[`, `{` and `,` and
+    before each `]` and `}`, but none inside an empty `[]` or `{}`."""
+    # with escaped backslashes and quotes blanked, strings lie between quotes of odd and even rank
+    blanked = text.replace("\\\\", "  ").replace('\\"', "  ").encode("ascii")
+    at = np.flatnonzero(np.frombuffer(blanked.translate(_MARKS), bool))
+    byte = np.frombuffer(blanked, np.uint8)[at]
+    quote = byte == ord('"')
+    outside = ~(quote | np.logical_xor.accumulate(quote))
+    at, step = at[outside], _STEP[byte[outside]]
+    before = at + (step >= 0)  # the byte each break goes before
+    width = 1 + 2 * np.cumsum(step)  # the break and two spaces per depth
+    # an empty [] or {} puts two breaks before one byte, and keeps neither
+    apart = np.ones(at.size + 1, dtype=bool)
+    np.not_equal(before[1:], before[:-1], out=apart[1:-1])
+    keep = apart[:-1] & apart[1:]
+    before, width = before[keep], width[keep]
+    shift = np.zeros(len(blanked) + 1, dtype=np.intp)  # bytes inserted before each byte, summed
+    shift[before] = width
+    np.cumsum(shift, out=shift)
+    out = np.full(len(blanked) + int(shift[-1]), ord(" "), dtype=np.uint8)
+    out[np.arange(len(blanked)) + shift[:-1]] = np.frombuffer(text.encode("ascii"), np.uint8)
+    out[before + shift[before] - width] = ord("\n")
+    return out.tobytes().decode("ascii")
+
+
 def write_json(path, obj) -> None:
-    """Write `obj` to `path` as indented, key-sorted JSON with a final newline.
+    """Write `obj` to `path` as indented, key-sorted JSON with a final newline:
+    the bytes of `json.dumps(obj, indent=2, sort_keys=True)`, from one pass
+    of the C encoder and one numpy pass that lays out the lines.
 
     The text goes to `<path>.tmp` first and is moved into place, so a
     reader never sees a half-written file. A NaN or infinity raises
     ValueError: neither is JSON.
     """
-    # one write: `json.dump` with `indent` hands the file thousands of small chunks
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = _indented(_ENCODER.encode(obj)) + "\n"
     tmp = f"{path}.tmp"
     with open(tmp, "w") as f:
         f.write(text)

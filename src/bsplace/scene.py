@@ -323,13 +323,16 @@ def _parse_grid_body(body: str) -> np.ndarray:
       8 digits each (Lemire 2021). The dot reads as a 0 and one division
       by a power of ten takes it out: the integer mantissa m < 10**19 and
       the count f of digits after the dot.
-    - m and 10**f are exact in the 64-bit mantissa of an x87 long double,
-      so q = m / 10**f is the true value v correctly rounded to 64 bits.
-      Every midpoint between two doubles lies on that 64-bit grid (and v
-      is far from the subnormals), so no midpoint lies strictly between v
-      and q: when q is not itself a midpoint (its low 11 mantissa bits
-      are not 0x400), q and v round to the same double, float()'s
-      result (Clinger 1990).
+    - Where every m of the piece is below 2**53, m and 10**f are exact
+      doubles (5**19 < 2**53), and one float64 division rounds the true
+      value once: float()'s result (Clinger 1990).
+    - Otherwise m and 10**f are exact in the 64-bit mantissa of an x87
+      long double, so q = m / 10**f is the true value v correctly rounded
+      to 64 bits. Every midpoint between two doubles lies on that 64-bit
+      grid (and v is far from the subnormals), so no midpoint lies
+      strictly between v and q: when q is not itself a midpoint (its low
+      11 mantissa bits are not 0x400), q and v round to the same double,
+      float()'s result.
 
     Everything else goes to float() of the token: exponents, `+`, `_`,
     `nan` and `inf`, a second dot, a sign that is not the first byte,
@@ -401,15 +404,23 @@ def _parse_piece(body: str, raw: bytes, lo: int, hi: int) -> np.ndarray:
                                    mode="clip")
         mantissa -= head * 9 * below
 
-    q = mantissa.astype(np.longdouble) / below.astype(np.longdouble)  # both exact
-    slow |= (q.view(np.uint64)[0::2] & 0x7FF) == 0x400  # a midpoint between two doubles
-    values = q.astype(float)
+    if mantissa.max() < 1 << 53:  # m and 10**f exact in a double: one division rounds once
+        values = mantissa.astype(float) / below.astype(float)
+    else:
+        values = _long_double_quotient(mantissa, below, slow)
     np.negative(values, out=values, where=neg)
     redo = np.flatnonzero(slow)
     if redo.size:
         values[redo] = _float_tokens(" ".join(
             body[s:e] for s, e in zip((lo + starts[redo]).tolist(), (lo + ends[redo]).tolist())))
     return values
+
+
+def _long_double_quotient(mantissa, below, slow) -> np.ndarray:
+    """m / 10**f through an x87 long double, each q midway between two doubles marked in `slow`."""
+    q = mantissa.astype(np.longdouble) / below.astype(np.longdouble)  # both exact
+    slow |= (q.view(np.uint64)[0::2] & 0x7FF) == 0x400
+    return q.astype(float)
 
 
 def _write_ascii_grid(path, cell, origin, grid, fmt):
@@ -419,9 +430,9 @@ def _write_ascii_grid(path, cell, origin, grid, fmt):
     with open(path, "w") as f:
         f.write(f"ncols {ncols}\n")
         f.write(f"nrows {nrows}\n")
-        f.write(f"xllcorner {origin[0]!r}\n")
-        f.write(f"yllcorner {origin[1]!r}\n")
-        f.write(f"cellsize {cell!r}\n")
+        f.write(f"xllcorner {float(origin[0])!r}\n")  # a numpy scalar's repr is no number
+        f.write(f"yllcorner {float(origin[1])!r}\n")
+        f.write(f"cellsize {float(cell)!r}\n")
         f.write("NODATA_value -9999\n")
         for row in grid[::-1].tolist():  # back to north-first rows
             f.write(" ".join(map(fmt, row)))

@@ -369,6 +369,46 @@ def test_grid_body_kernel_sends_few_tokens_to_float(monkeypatch, tmp_path):
     assert sum(seen) < 0.01 * elevation.size  # midpoints only, a handful
 
 
+@pytest.mark.skipif(not scene_mod._EXACT_LONGDOUBLE, reason="no x87 long double")
+def test_grid_body_kernel_divides_short_mantissas_in_float64(monkeypatch, tmp_path):
+    calls = []
+    reference = scene_mod._long_double_quotient
+
+    def spy(mantissa, below, slow):
+        calls.append(mantissa.size)
+        return reference(mantissa, below, slow)
+
+    monkeypatch.setattr(scene_mod, "_long_double_quotient", spy)
+    rng = np.random.default_rng(9)
+    classes = rng.integers(0, 6, (300, 300))
+    save_raster(ClassRaster(1.0, (0.0, 0.0), classes), tmp_path / "raster.asc")
+    assert np.array_equal(load_raster(tmp_path / "raster.asc").classes, classes)
+    # at most 15 significant digits: every mantissa is below 2**53
+    elevation = rng.normal(30.0, 12.0, (300, 300))
+    body = "".join(" ".join(f"{v:.15g}" for v in row) + "\n" for row in elevation.tolist())
+    grid = scene_mod._parse_ascii_grid(_grid_text(body.split(), body))[3]
+    assert grid.tobytes() == _float_grid(body.split()).tobytes()
+    assert calls == []
+    # repr writes 16 and 17 digits, so a save_dsm file still divides in long doubles
+    save_dsm(Dsm(1.0, (0.0, 0.0), elevation), tmp_path / "dsm.asc")
+    assert np.array_equal(load_dsm(tmp_path / "dsm.asc").elevation, elevation)
+    assert sum(calls) == elevation.size
+
+
+def test_grid_writers_take_numpy_scalar_geometry(tmp_path):
+    origin, cell = (np.float64(10.0), np.float32(-5.5)), np.float64(2.0)
+    classes = np.arange(9).reshape(3, 3) % 6
+    save_raster(ClassRaster(cell, origin, classes), tmp_path / "raster.asc")
+    save_dsm(Dsm(cell, origin, classes * 1.5), tmp_path / "dsm.asc")
+    assert (tmp_path / "raster.asc").read_text().splitlines()[2:5] == [
+        "xllcorner 10.0", "yllcorner -5.5", "cellsize 2.0"]
+    raster, dsm = load_raster(tmp_path / "raster.asc"), load_dsm(tmp_path / "dsm.asc")
+    for grid in (raster, dsm):
+        assert (grid.cell_size, grid.origin) == (2.0, (10.0, -5.5))
+    assert np.array_equal(raster.classes, classes)
+    assert np.array_equal(dsm.elevation, classes * 1.5)
+
+
 @pytest.mark.parametrize("bad", ["#", "--5", "1.2.3", "-", "1e", "2\x07"])
 @pytest.mark.parametrize("where", [0.0, 0.5, 1.0])  # first, a middle and the last piece
 def test_grid_body_kernel_keeps_float_error_text(tmp_path, bad, where):
