@@ -115,7 +115,7 @@ def prefixed(label):
 # json's C encoder, which runs only where `indent` is None
 _ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",", ": "))
 _MARKS = bytes(c in b'[]{},"' for c in range(256))  # translate table: 1 at each byte laid out
-_STEP = np.array([(c in b"[{") - (c in b"]}") for c in range(128)])  # the depth step of a byte
+_STEP2 = np.array([2 * ((c in b"[{") - (c in b"]}")) for c in range(128)])  # two spaces per depth
 
 
 def _indented(text: str) -> str:
@@ -128,20 +128,23 @@ def _indented(text: str) -> str:
     byte = np.frombuffer(blanked, np.uint8)[at]
     quote = byte == ord('"')
     outside = ~(quote | np.logical_xor.accumulate(quote))
-    at, step = at[outside], _STEP[byte[outside]]
+    at, step = at[outside], _STEP2[byte[outside]]
     before = at + (step >= 0)  # the byte each break goes before
-    width = 1 + 2 * np.cumsum(step)  # the break and two spaces per depth
-    # an empty [] or {} puts two breaks before one byte, and keeps neither
-    apart = np.ones(at.size + 1, dtype=bool)
-    np.not_equal(before[1:], before[:-1], out=apart[1:-1])
-    keep = apart[:-1] & apart[1:]
-    before, width = before[keep], width[keep]
-    shift = np.zeros(len(blanked) + 1, dtype=np.intp)  # bytes inserted before each byte, summed
-    shift[before] = width
-    np.cumsum(shift, out=shift)
-    out = np.full(len(blanked) + int(shift[-1]), ord(" "), dtype=np.uint8)
-    out[np.arange(len(blanked)) + shift[:-1]] = np.frombuffer(text.encode("ascii"), np.uint8)
-    out[before + shift[before] - width] = ord("\n")
+    width = np.cumsum(step)
+    width += 1  # the break and the indent
+    if "[]" in text or "{}" in text:  # two breaks before one byte: keep neither
+        apart = np.ones(at.size + 1, dtype=bool)
+        np.not_equal(before[1:], before[:-1], out=apart[1:-1])
+        keep = apart[:-1] & apart[1:]
+        before, width = before[keep], width[keep]
+    # each byte's place: one past the byte before it, and past the break before it
+    place = np.ones(len(blanked), dtype=np.intp)
+    place[0] = 0
+    place[before] += width
+    np.cumsum(place, out=place)
+    out = np.full(int(place[-1]) + 1, ord(" "), dtype=np.uint8)
+    out[place] = np.frombuffer(text.encode("ascii"), np.uint8)
+    out[place[before] - width] = ord("\n")
     return out.tobytes().decode("ascii")
 
 

@@ -423,10 +423,10 @@ def _long_double_quotient(mantissa, below, slow) -> np.ndarray:
     return q.astype(float)
 
 
-def _write_ascii_grid(path, cell, origin, grid, fmt):
-    """Write `grid` with each value as fmt(value) of its Python number (str
-    for int codes, repr for floats), one row per line, north row first."""
+def _write_ascii_grid(path, cell, origin, grid, rows):
+    """Write `grid` as an ESRI ASCII grid whose body is rows(grid)."""
     nrows, ncols = grid.shape
+    body = rows(grid)
     with open(path, "w") as f:
         f.write(f"ncols {ncols}\n")
         f.write(f"nrows {nrows}\n")
@@ -434,9 +434,133 @@ def _write_ascii_grid(path, cell, origin, grid, fmt):
         f.write(f"yllcorner {float(origin[1])!r}\n")
         f.write(f"cellsize {float(cell)!r}\n")
         f.write("NODATA_value -9999\n")
-        for row in grid[::-1].tolist():  # back to north-first rows
-            f.write(" ".join(map(fmt, row)))
-            f.write("\n")
+        f.write(body)
+
+
+def _per_value_rows(grid, fmt) -> str:
+    """fmt of each value's Python number, space-separated, one row per line,
+    north row first: the body the writers' array passes reproduce."""
+    return "".join(" ".join(map(fmt, row)) + "\n" for row in grid[::-1].tolist())
+
+
+def _code_rows(codes) -> str:
+    """_per_value_rows(codes, str), in one array pass where every code is one digit."""
+    if codes.min() < 0 or codes.max() > 9:
+        return _per_value_rows(codes, str)
+    text = np.full((codes.shape[0], 2 * codes.shape[1]), ord(" "), dtype=np.uint8)
+    text[:, 0::2] = codes[::-1] + ord("0")
+    text[:, -1] = ord("\n")
+    return text.tobytes().decode("ascii")
+
+
+_REPR_BLOCK = 1 << 14  # values per writer pass, so its temporaries stay under about 1 MB
+_POW10L = np.longdouble(10) ** np.arange(28)  # exact in an x87 long double
+_POW10F = 10.0 ** np.arange(23)  # exact doubles
+_SLOT = 28  # bytes per value: its text right-aligned in 24, the separator, 3 spare
+_PLACE = 23 - np.arange(_SLOT)  # how far left of the text's last byte a slot byte lies
+# _LEFT_OF_POINT[f]: 0xFF in the text bytes left of a point with f digits after it
+_LEFT_OF_POINT = ((_PLACE >= np.arange(24)[:, None]) * np.uint8(0xFF)).view(np.uint32)
+_DIGITS4 = np.frombuffer("".join(f"{i:04d}" for i in range(10**4)).encode("ascii"), np.uint32)
+_SHOWN = (_PLACE < np.arange(25)[:, None]) & (_PLACE >= -1)  # row n: n bytes of text, separator
+
+
+def _float_reprs(values) -> list[str]:
+    """repr of each value's Python float: the route for values the kernel flags."""
+    return list(map(repr, values.tolist()))
+
+
+def _repr_rows(grid) -> str:
+    """_per_value_rows(grid, repr), in whole-array passes of `_REPR_BLOCK` values.
+
+    repr writes the shortest digits that read back, the nearest if several
+    (Steele & White 1990, Gay 1990), in fixed notation for |v| in [1e-4,
+    1e16). For |v| in [1e-4, 1e15), with e the exponent of its 17-digit
+    rounding, let D_p be |v| * 10**(p-1-e) rounded to an integer:
+
+    - 15-digit decimals lie over 4.5 ulp apart, so at most one reads back,
+      and D15 is that one if it exists: rounded in float64 it is off by at
+      most 1/16 of a step, and that one lies within 1/9 of a step of v. It
+      reads back by one division of exact doubles (Clinger 1990), and then
+      repr is D15 without its trailing zeros.
+    - Else repr is D16 if it reads back, else D17. In an x87 long double
+      |v|, 10**k and every half-integer are exact, so a rounded product
+      stays on the true product's side of each half unless it is one: those
+      ties are flagged, as are D16 quotients midway between two doubles. A
+      power of two, whose lower neighbour is half as near, has D15 here.
+
+    Flagged values, zeros, the rest of the range, and every value where
+    numpy has no x87 long double, go through repr one by one.
+    """
+    if not _EXACT_LONGDOUBLE:
+        return _per_value_rows(grid, repr)
+    values, ncols = grid[::-1].ravel(), grid.shape[1]
+    return b"".join(_repr_block(values[lo:lo + _REPR_BLOCK], (-lo - 1) % ncols, ncols)
+                    for lo in range(0, values.size, _REPR_BLOCK)).decode("ascii")
+
+
+def _repr_block(v, first, step) -> bytes:
+    """repr of each of the values `v`, each followed by a space, or by a
+    line break from value `first` on every `step` values (see `_repr_rows`)."""
+    a = np.abs(v)
+    slow = ~((a >= 1e-4) & (a < 1e15))
+    a[slow] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    wide = a.astype(np.longdouble)
+
+    def rounded(k):  # |v| * 10**k rounded half up, and whether it met a half exactly
+        x = wide * _POW10L[k] + 0.5
+        d = x.astype(np.uint64)
+        return d, d == x
+
+    d17, tie17 = rounded(16 - e)
+    fix = (d17 >= 10**17).astype(np.intp) - (d17 < 10**16)  # log10 missed by one
+    if fix.any():
+        e += fix
+        d17, tie17 = rounded(16 - e)
+    d16, tie16 = rounded(15 - e)
+    d15 = np.rint(a * _POW10F[14 - e])
+    ok15 = d15 / _POW10F[14 - e] == a
+    q16 = d16.astype(np.longdouble) / _POW10L[15 - e]
+    ok16 = q16.astype(float) == a
+    mid16 = (q16.view(np.uint64)[0::2] & 0x7FF) == 0x400
+    slow |= (d17 < 10**16) | (d17 >= 10**17) | ~ok15 & (tie16 | mid16 | ~ok16 & tie17)
+    digits, count = np.where(ok16, d16, d17), 17 - ok16
+    short = np.flatnonzero(ok15)
+    cut = d15[short] / _POW10F[1:15, None]  # below 2**53, no rounding makes a whole number
+    zeros = (cut == np.floor(cut)).sum(axis=0)  # D15's trailing zeros
+    digits[short], count[short] = d15[short] / _POW10F[zeros], 15 - zeros
+
+    # repr's layout, `0.000ddd`, `ddd.ddd` or `ddd00.0`: zero-padded digits, right-aligned
+    point = e + 1  # the value is 0.digits * 10**point
+    after = np.maximum(count - point, 1)  # digits after the point
+    digits *= _POW10[np.maximum(point - count + 1, 0)]  # a whole number's zeros and `.0`
+    width = np.maximum(point, 1) + after
+    n = v.size
+    quads = np.empty((6, n), dtype=np.uint64)  # four digits each: 24 > 17
+    for lane in range(5, 0, -1):
+        quads[lane - 1] = digits // 10**4
+        quads[lane] = digits - quads[lane - 1] * 10**4
+        digits = quads[lane - 1]
+    lanes = np.empty((n, _SLOT // 4), dtype=np.uint32)
+    lanes[:, :6] = np.take(_DIGITS4, quads).T
+    lanes[:, 6] = ord(" ")
+    lanes[first::step, 6] = ord("\n")
+    flat = lanes.ravel()  # the bytes left of the point move one left, then the point and sign
+    moved = flat >> 8
+    moved[:-1] |= flat[1:] << 24
+    flat ^= (flat ^ moved) & np.take(_LEFT_OF_POINT, after, axis=0).ravel()
+    text = lanes.view(np.uint8)
+    start = np.arange(0, _SLOT * n, _SLOT)
+    text.ravel()[start + 23 - after] = ord(".")
+    text.ravel()[(start + 22 - width)[np.signbit(v)]] = ord("-")
+    length = width + 1 + np.signbit(v)
+    redo = np.flatnonzero(slow)  # in range of their slots, whatever their digits
+    if redo.size:
+        reprs = _float_reprs(v[redo])
+        text[redo, :24] = np.frombuffer("".join(r.rjust(24) for r in reprs).encode("ascii"),
+                                        np.uint8).reshape(-1, 24)
+        length[redo] = list(map(len, reprs))
+    return text[np.take(_SHOWN, length, axis=0)].tobytes()
 
 
 def load_raster(path) -> ClassRaster:
@@ -455,7 +579,7 @@ def load_raster(path) -> ClassRaster:
 
 
 def save_raster(raster: ClassRaster, path):
-    _write_ascii_grid(path, raster.cell_size, raster.origin, raster.classes, str)
+    _write_ascii_grid(path, raster.cell_size, raster.origin, raster.classes, _code_rows)
 
 
 def load_dsm(path) -> Dsm:
@@ -466,7 +590,14 @@ def load_dsm(path) -> Dsm:
 
 
 def save_dsm(dsm: Dsm, path):
-    _write_ascii_grid(path, dsm.cell_size, dsm.origin, dsm.elevation, repr)
+    """Write `dsm` as an ESRI ASCII grid of repr of each elevation; an
+    elevation equal to the files' NODATA value -9999 raises DataError."""
+    nodata = np.argwhere(dsm.elevation == -9999.0)
+    if nodata.size:
+        row, col = nodata[0].tolist()
+        raise DataError(f"{path}: elevation -9999.0 at row {row}, column {col} "
+                        "is the grid files' NODATA value")
+    _write_ascii_grid(path, dsm.cell_size, dsm.origin, dsm.elevation, _repr_rows)
 
 
 def check_aligned(raster: ClassRaster, dsm: Dsm):

@@ -1,6 +1,7 @@
 import json
 import re
 import warnings
+from decimal import Decimal
 from types import SimpleNamespace
 from unittest import mock
 
@@ -203,8 +204,8 @@ def test_grid_writer_matches_per_value_formatting(tmp_path):
     floats.flat[:8] = [-0.0, 0.0, 1e-300, -1e300, 5e-324, 123456789012345678.0, -2.5, 1e16]
     ints = rng.integers(-70000, 70000, (5, 6))
     ints.flat[:3] = [0, -1, 5]
-    for grid, fmt, old_fmt in ((floats, repr, lambda v: repr(float(v))),
-                               (ints, str, lambda v: str(int(v)))):
+    for grid, fmt, old_fmt in ((floats, scene_mod._repr_rows, lambda v: repr(float(v))),
+                               (ints, scene_mod._code_rows, lambda v: str(int(v)))):
         p = tmp_path / "grid.asc"
         scene_mod._write_ascii_grid(p, 2.0, (1.5, -3.0), grid, fmt)
         body = "".join(p.read_text().splitlines(keepends=True)[6:])
@@ -407,6 +408,113 @@ def test_grid_writers_take_numpy_scalar_geometry(tmp_path):
         assert (grid.cell_size, grid.origin) == (2.0, (10.0, -5.5))
     assert np.array_equal(raster.classes, classes)
     assert np.array_equal(dsm.elevation, classes * 1.5)
+
+
+# The DSM writer's array passes against repr of each value
+
+def _repr_body(grid):
+    return _old_grid_rows(grid, lambda v: repr(float(v)))
+
+
+def _neighbours(values):
+    """Each value, its float64 neighbours on both sides, and their negatives."""
+    v = np.asarray(values, dtype=float)
+    out = np.concatenate([v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf)])
+    return np.concatenate([out, -out])
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=30),
+                       elements=st.one_of(
+                           st.floats(width=64, allow_nan=False, allow_infinity=False),
+                           st.floats(1e-4, 1e15), st.floats(-1e15, -1e-4), _doubles,
+                           st.tuples(st.integers(-10**12, 10**12), st.integers(0, 12)).map(
+                               lambda p: p[0] / 10**p[1]))),
+       block=st.sampled_from([1, 7, 64, scene_mod._REPR_BLOCK]))
+def test_grid_writer_repr_route_equals_repr_of_any_float(grid, block):
+    # small blocks put row ends and flagged values on every block edge
+    with mock.patch.object(scene_mod, "_REPR_BLOCK", block):
+        assert scene_mod._repr_rows(grid) == _repr_body(grid)
+
+
+def _exact_ties(digits, rng):
+    """Doubles n / 2**j (n odd) in [1e-4, 1e15) whose exact decimal has
+    digits + 1 significant digits, the last a 5: midway between two
+    `digits`-digit decimals."""
+    out = []
+    while len(out) < 40:
+        j = int(rng.integers(1, 30))
+        v = float(int(rng.integers(1, 2**53)) | 1) / 2**j
+        if 1e-4 <= v < 1e15 and len(Decimal(v).as_tuple().digits) == digits + 1:
+            out.append(v)
+    return out
+
+
+def test_grid_writer_targeted_values():
+    rng = np.random.default_rng(33)
+    cases = {
+        "powers of ten": _neighbours(10.0 ** np.arange(-6, 18)),
+        "powers of two": _neighbours(2.0 ** np.arange(-16, 56)),
+        "range edges": _neighbours([1e-4, 1e15, 1e16, 5e-324, 0.0]),
+        "near 2**53": _neighbours(2.0**53 + np.arange(-4, 5)),
+        # ties at 15, 16 and 17 digits, and one more decimal digit, one step from tying
+        **{f"{p}-digit ties": _neighbours(_exact_ties(p, rng)) for p in (15, 16, 17)},
+    }
+    for name, values in cases.items():
+        grid = values.reshape(-1, 3) if values.size % 3 == 0 else values.reshape(1, -1)
+        assert scene_mod._repr_rows(grid) == _repr_body(grid), name
+
+
+def test_grid_writer_uniform_and_short_decimal_grids():
+    rng = np.random.default_rng(4)
+    for grid in (rng.uniform(-1000.0, 1000.0, (40, 300)),
+                 np.round(rng.uniform(-1000.0, 1000.0, (40, 300)), 2),
+                 rng.integers(-10**6, 10**6, (40, 300)).astype(float),
+                 np.exp(rng.normal(0.0, 8.0, (40, 300))),
+                 rng.uniform(1e-4, 1.0, (40, 300))):
+        assert scene_mod._repr_rows(grid) == _repr_body(grid)
+
+
+@pytest.mark.skipif(not scene_mod._EXACT_LONGDOUBLE, reason="no x87 long double")
+@pytest.mark.parametrize("seed", [1, 2])
+def test_grid_writer_sends_few_values_to_repr(monkeypatch, tmp_path, seed):
+    seen = []
+    reference = scene_mod._float_reprs
+
+    def spy(values):
+        seen.append(values.size)
+        return reference(values)
+
+    monkeypatch.setattr(scene_mod, "_float_reprs", spy)
+    _, dsm = generate_synthetic_scene(GeneratorConfig(width=300, height=300), seed)
+    save_dsm(dsm, tmp_path / "dsm.asc")
+    body = "".join((tmp_path / "dsm.asc").read_text().splitlines(keepends=True)[6:])
+    assert body == _repr_body(dsm.elevation)
+    assert sum(seen) < 0.03 * dsm.elevation.size
+
+
+def test_grid_writer_gate_off_gives_the_same_bytes(monkeypatch, tmp_path):
+    _, dsm = generate_synthetic_scene(GeneratorConfig(width=60, height=50), 3)
+    dsm.elevation.flat[:8] = [-0.0, 0.0, 1e-300, 2.0**53 + 2, 0.5, 1e15, 123.25, -7.0]
+    save_dsm(dsm, tmp_path / "on.asc")
+    monkeypatch.setattr(scene_mod, "_EXACT_LONGDOUBLE", False)
+    save_dsm(dsm, tmp_path / "off.asc")
+    on, off = (tmp_path / "on.asc").read_text(), (tmp_path / "off.asc").read_text()
+    assert on == off
+    assert "".join(on.splitlines(keepends=True)[6:]) == _repr_body(dsm.elevation)
+
+
+def test_grid_writer_rejects_a_nodata_elevation(tmp_path):
+    elevation = np.full((4, 5), 12.5)
+    elevation[2, 3] = elevation[3, 0] = -9999.0
+    with pytest.raises(DataError, match=r"dsm\.asc: elevation -9999\.0 at row 2, column 3 "
+                                        r"is the grid files' NODATA value"):
+        save_dsm(Dsm(1.0, (0.0, 0.0), elevation), tmp_path / "dsm.asc")
+    assert list(tmp_path.iterdir()) == []
+    # its neighbours are no NODATA value, and round-trip
+    elevation[2, 3], elevation[3, 0] = np.nextafter(-9999.0, [0.0, -np.inf])
+    save_dsm(Dsm(1.0, (0.0, 0.0), elevation), tmp_path / "dsm.asc")
+    assert np.array_equal(load_dsm(tmp_path / "dsm.asc").elevation, elevation)
 
 
 @pytest.mark.parametrize("bad", ["#", "--5", "1.2.3", "-", "1e", "2\x07"])
