@@ -460,7 +460,8 @@ _SLOT = 28  # bytes per value: its text right-aligned in 24, the separator, 3 sp
 _PLACE = 23 - np.arange(_SLOT)  # how far left of the text's last byte a slot byte lies
 # _LEFT_OF_POINT[f]: 0xFF in the text bytes left of a point with f digits after it
 _LEFT_OF_POINT = ((_PLACE >= np.arange(24)[:, None]) * np.uint8(0xFF)).view(np.uint32)
-_DIGITS4 = np.frombuffer("".join(f"{i:04d}" for i in range(10**4)).encode("ascii"), np.uint32)
+_DIGIT = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)  # _DIGITS4[i]: i as four ASCII digits
+_DIGITS4 = np.stack(np.meshgrid(*[_DIGIT] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()
 _SHOWN = (_PLACE < np.arange(25)[:, None]) & (_PLACE >= -1)  # row n: n bytes of text, separator
 
 
@@ -480,8 +481,9 @@ def _repr_rows(grid) -> str:
     - 15-digit decimals lie over 4.5 ulp apart, so at most one reads back,
       and D15 is that one if it exists: rounded in float64 it is off by at
       most 1/16 of a step, and that one lies within 1/9 of a step of v. It
-      reads back by one division of exact doubles (Clinger 1990), and then
-      repr is D15 without its trailing zeros.
+      reads back by one division of exact doubles (Clinger 1990). A repr
+      of 15 or fewer digits, padded with zeros, is a 15-digit decimal that
+      reads back, so then repr is D15 without its trailing zeros.
     - Else repr is D16 if it reads back, else D17. In an x87 long double
       |v|, 10**k and every half-integer are exact, so a rounded product
       stays on the true product's side of each half unless it is one: those
