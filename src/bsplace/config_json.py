@@ -11,6 +11,7 @@ import collections
 import contextlib
 import functools
 import json
+import operator
 import os
 import reprlib
 import sys
@@ -28,6 +29,9 @@ class DataError(Exception):
 # JSON value kind -> its name in errors
 _KIND_NAMES = {bool: "true or false", int: "an integer", float: "a finite number",
                list: "a list", type(None): "null"}
+# JSON value kind -> the types of the JSON values `is_kind` admits for it
+_KIND_TYPES = {bool: {bool}, int: {int}, float: {int, float}, list: {list},
+               type(None): {type(None)}}
 
 
 def is_kind(value, kind: type) -> bool:
@@ -70,6 +74,62 @@ def check_object(obj, kinds: dict, required, path, entry=None) -> dict:
         if key not in obj:
             raise DataError(f"{path}: missing key {_key_name(entry, key)}")
     return obj
+
+
+def finite_array(values):
+    """`values`, nested lists of JSON numbers, as a float array if every
+    number in it certainly passes `is_kind(v, float)`; else None.
+
+    NaN, the infinities and an int past the largest float (which converts
+    to that float or overflows) fail `abs(v) < max`; so does the largest
+    float itself, which `is_kind` admits, and which only the per-value test
+    can then tell from a large int.
+    """
+    try:
+        array = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, non-numeric or huge
+        return None
+    return array if (np.abs(array) < sys.float_info.max).all() else None
+
+
+def check_entries(entries: list, kinds: dict, path, group: str) -> dict:
+    """Each key of `kinds` -> the list of its values in `entries`, a list of
+    JSON objects each of which holds exactly the keys of `kinds`, each with
+    a value of one of its kinds; else raise the DataError of `check_object`
+    for the first bad entry, named like `users[3]` for `group` "users".
+
+    One pass over the list per key checks the whole list: the entry types,
+    their key counts (with every key present, a count of `len(kinds)`
+    leaves room for no other key), and each key's value types, its numbers
+    through one `finite_array`. Only where that pass finds fault does
+    `check_object` go entry by entry, so that the first bad entry is named
+    as it names it.
+    """
+    columns = _entry_columns(entries, kinds)
+    if columns is None:
+        for i, entry in enumerate(entries):
+            check_object(entry, kinds, kinds, path, f"{group}[{i}]")
+        columns = {key: [entry[key] for entry in entries] for key in kinds}
+    return columns
+
+
+def _entry_columns(entries: list, kinds: dict):
+    """The columns `check_entries` returns, or None where its one pass per
+    key cannot vouch for every entry."""
+    if not (set(map(type, entries)) <= {dict} and set(map(len, entries)) <= {len(kinds)}):
+        return None
+    columns = {}
+    for key, key_kinds in kinds.items():
+        try:
+            column = list(map(operator.itemgetter(key), entries))
+        except KeyError:
+            return None
+        if not set(map(type, column)) <= set().union(*map(_KIND_TYPES.get, key_kinds)):
+            return None
+        if float in key_kinds and finite_array(column) is None:
+            return None
+        columns[key] = column
+    return columns
 
 
 @functools.cache

@@ -8,6 +8,7 @@ writers here.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,8 @@ def coverage_curve(sinrs_db) -> CoverageCurve:
         raise DataError("no SINR samples")
     lo, hi, step = COVERAGE_GRID_LO_DB, COVERAGE_GRID_HI_DB, COVERAGE_GRID_STEP_DB
     thresholds = lo + step * np.arange(int(round((hi - lo) / step)) + 1)
-    prob = (s[None, :] > thresholds[:, None]).mean(axis=1)
-    return CoverageCurve(thresholds, prob)
+    at_most = np.searchsorted(np.sort(s), thresholds, "right")  # NaN sorts last, above every t
+    return CoverageCurve(thresholds, (np.count_nonzero(~np.isnan(s)) - at_most) / s.size)
 
 
 def throughput_cdf(sinrs_db, attachments, params: RadioParams) -> ThroughputCdf:
@@ -78,7 +79,7 @@ def throughput_cdf(sinrs_db, attachments, params: RadioParams) -> ThroughputCdf:
     thr = throughput_mbps(s, counts[inverse], params)
     top = max(float(thr.max()), params.bandwidth_mhz)
     rates = 0.5 * np.arange(int(np.ceil(top / 0.5)) + 1)
-    cdf = (thr[None, :] <= rates[:, None]).mean(axis=1)
+    cdf = np.searchsorted(np.sort(thr), rates, "right") / thr.size
     return ThroughputCdf(rates, cdf, outage_fraction=float((thr == 0.0).mean()))
 
 
@@ -282,24 +283,37 @@ def write_csv(path, header: str, rows):
     Rows hold plain Python values (an array's `tolist()`, not numpy
     scalars), so a float prints as its `repr` and reads back exactly.
     """
-    lines = [header, *(",".join(map(str, row)) for row in rows)]
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_lines(path, header, (",".join(map(str, row)) for row in rows))
 
+
+def _write_lines(path, header: str, lines):
+    with open(path, "w") as f:
+        f.write("\n".join([header, *lines]) + "\n")
+
+
+# The report writers below lay out whole columns with `%r` (a Python float's
+# `str`, as `write_csv` prints it), one format per row kind: the bytes of
+# `write_csv`, without its join per row.
 
 def save_coverage_csv(curve: CoverageCurve, path):
-    write_csv(path, "threshold_db,prob",
-              zip(curve.thresholds.tolist(), curve.prob.tolist()))
+    _write_lines(path, "threshold_db,prob",
+                 map("%r,%r".__mod__, zip(curve.thresholds.tolist(), curve.prob.tolist())))
 
 
 def save_throughput_csv(cdf: ThroughputCdf, path):
-    write_csv(path, "mbps,cdf", zip(cdf.rates.tolist(), cdf.cdf.tolist()))
+    _write_lines(path, "mbps,cdf", map("%r,%r".__mod__, zip(cdf.rates.tolist(), cdf.cdf.tolist())))
 
 
 def save_placement_csv(scene: Scene, bs_positions, path):
     """One row per map element; priority column is set for users only."""
-    rows = [("user", *u.position.tolist(), int(u.priority)) for u in scene.users]
-    for kind, points in (("candidate", [c.position for c in scene.candidates]),
+    rows = [map("user,%r,%r,%r,%d".__mod__,
+                zip(*_xyz(scene.user_positions()), scene.priority_mask().tolist()))]
+    for kind, points in (("candidate", scene.candidate_positions()),
                          ("bs", bs_positions), ("fixed_bs", scene.fixed_bs)):
-        rows += [(kind, *np.asarray(p, dtype=float).tolist(), "") for p in points]
-    write_csv(path, "kind,x,y,z,priority", rows)
+        rows.append(map(f"{kind},%r,%r,%r,".__mod__, zip(*_xyz(points))))
+    _write_lines(path, "kind,x,y,z,priority", itertools.chain(*rows))
+
+
+def _xyz(points) -> list:
+    """The x, y and z lists of the points, as Python floats."""
+    return np.asarray(points, dtype=float).reshape(-1, 3).T.tolist()

@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
-from scipy import ndimage
 
-from .config_json import (DataError, check_object, is_kind, prefixed, read_config_fields,
-                          read_json, require_finite, write_json)
+from .config_json import (DataError, check_entries, check_object, finite_array, is_kind,
+                          prefixed, read_config_fields, read_json, require_finite, write_json)
 from .geometry import outline_distance
 
 
@@ -147,8 +146,8 @@ class BuildingPrism:
             raise DataError("footprint needs at least 3 vertices")
         if not self.top_elev > self.base_elev:
             raise DataError("prism roof must be above its base")
-        lo, hi = self.footprint.min(axis=0), self.footprint.max(axis=0)
-        self.bbox = (float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
+        xs, ys = self.footprint[:, 0].tolist(), self.footprint[:, 1].tolist()
+        self.bbox = (min(xs), min(ys), max(xs), max(ys))  # faster than numpy on a few vertices
 
 
 @dataclass
@@ -636,6 +635,8 @@ class BuildingComponents:
 
 def building_components(raster: ClassRaster, dsm: Dsm) -> BuildingComponents:
     """Label the building components once and take every roof in one grouped median."""
+    from scipy import ndimage  # here, not at the top: commands that load a scene never need it
+
     check_aligned(raster, dsm)
     labels, count = ndimage.label(raster.classes == CellClass.BUILDING, structure=_CROSS)
     cells = np.flatnonzero(labels)
@@ -663,6 +664,8 @@ def extract_buildings(
     bases = _ring_medians(labels, dsm.elevation, len(tops))
     empty = np.flatnonzero(np.isnan(bases))  # a component that fills the grid has no ring
     if empty.size:
+        from scipy import ndimage
+
         bases[empty] = ndimage.minimum(dsm.elevation, labels, empty + 1)
     footprints = _trace_footprints(labels, len(tops), raster.origin, raster.cell_size)
     # degenerate flat terrain still yields a prism
@@ -943,9 +946,12 @@ def reject_coincident_masts(points, labels):
     """Raise DataError naming the first pair of entries that put two masts on one point.
 
     A mast given twice would radiate twice, its copy's sectors interfering
-    with the original's.
+    with the original's. A set of the points rules out repeats;
+    `np.unique` runs only to name the pair.
     """
     pts = np.asarray(points, dtype=float)
+    if len(set(map(tuple, pts.tolist()))) == len(pts):  # tuples of floats equal as the floats do
+        return
     _, first, inverse = np.unique(pts, axis=0, return_index=True, return_inverse=True)
     first_seen = first[inverse.ravel()]
     repeats = np.flatnonzero(first_seen != np.arange(len(pts)))
@@ -1004,19 +1010,21 @@ def finite_points(entries: list, dim: int, name) -> np.ndarray:
     if len(entries) == 0:
         return np.empty((0, dim))
     try:
-        pts = np.array(entries, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # ragged, non-numeric or huge
-        pts = None
-    if (pts is not None and pts.shape == (len(entries), dim) and np.isfinite(pts).all()
-            and all(issubclass(kind, numbers.Real) and kind is not bool
-                    for kind in set(map(type, itertools.chain.from_iterable(entries))))):
-        return pts
+        values = list(itertools.chain.from_iterable(entries))
+        sized = set(map(len, entries)) == {dim}
+    except TypeError:  # an entry that is no sequence
+        values, sized = [], False
+    if sized and all(issubclass(kind, numbers.Real) and kind is not bool
+                     for kind in set(map(type, values))):
+        pts = finite_array(values)
+        if pts is not None:
+            return pts.reshape(len(entries), dim)
     for i, entry in enumerate(entries):
         if not (isinstance(entry, (list, tuple, np.ndarray)) and len(entry) == dim
                 and all(is_kind(v, float) for v in entry)):
             raise DataError(f"{name(i)} must be {dim} finite numbers, "
                             f"got {reprlib.repr(entry)}")
-    raise DataError(f"{name('*')} must be {dim} finite numbers")
+    return np.array(entries, dtype=float)  # every entry passed: the largest float got here
 
 
 # a scene file's keys and its entries' keys; all but fixed_bs are required
@@ -1028,36 +1036,46 @@ _ENTRY_KEYS = {"buildings": {"footprint": (list,), "base_elev": (float,), "top_e
 
 
 def load_scene(path) -> Scene:
+    """The scene saved at `path`; every error names `path` and the entry.
+
+    Each list is checked in one pass per key (`check_entries`), its
+    coordinates in one `finite_points` array and its prisms' vertex counts
+    and heights in one test each; only where a pass finds fault does the
+    check go entry by entry, to name the first bad one.
+    """
     raw = check_object(read_json(path), _SCENE_KEYS, _ENTRY_KEYS, path)
-    for group, kinds in _ENTRY_KEYS.items():
-        for i, entry in enumerate(raw[group]):
-            check_object(entry, kinds, kinds, path, f"{group}[{i}]")
-    footprints = [b["footprint"] for b in raw["buildings"]]
-    starts = [0, *itertools.accumulate(len(fp) for fp in footprints)]
+    buildings, users, candidates = (check_entries(raw[group], kinds, path, group)
+                                    for group, kinds in _ENTRY_KEYS.items())
+    footprints = buildings["footprint"]
+    starts = [0, *itertools.accumulate(map(len, footprints))]
 
     def vertex_name(i):
         k = bisect.bisect_right(starts, i) - 1
         return f"{path}: buildings[{k}].footprint[{i - starts[k]}]"
 
-    vertices = finite_points([v for fp in footprints for v in fp], 2, vertex_name)
-    buildings = []
-    for k, (lo, hi, b) in enumerate(zip(starts, starts[1:], raw["buildings"])):
-        with prefixed(f"{path}: buildings[{k}]"):
-            buildings.append(BuildingPrism(vertices[lo:hi], float(b["base_elev"]),
-                                           float(b["top_elev"])))
-    user_pos = finite_points([u["position"] for u in raw["users"]], 3,
-                             lambda i: f"{path}: users[{i}].position")
-    users = [User(p, u["priority"]) for p, u in zip(user_pos, raw["users"])]
-    cand_pos = finite_points([c["position"] for c in raw["candidates"]], 3,
+    vertices = finite_points(list(itertools.chain.from_iterable(footprints)), 2, vertex_name)
+    rings = [vertices[lo:hi] for lo, hi in zip(starts, starts[1:])]
+    bases = list(map(float, buildings["base_elev"]))
+    tops = list(map(float, buildings["top_elev"]))
+    if min(map(len, footprints), default=3) >= 3 and all(map(float.__gt__, tops, bases)):
+        prisms = list(map(BuildingPrism, rings, bases, tops))
+    else:  # name the first bad prism
+        prisms = []
+        for k, args in enumerate(zip(rings, bases, tops)):
+            with prefixed(f"{path}: buildings[{k}]"):
+                prisms.append(BuildingPrism(*args))
+    user_pos = finite_points(users["position"], 3, lambda i: f"{path}: users[{i}].position")
+    cand_pos = finite_points(candidates["position"], 3,
                              lambda i: f"{path}: candidates[{i}].position")
-    candidates = [CandidateSite(c["id"], p) for p, c in zip(cand_pos, raw["candidates"])]
     fixed = list(finite_points(raw.get("fixed_bs", []), 3, lambda i: f"{path}: fixed_bs[{i}]"))
-    if not users or not candidates:
-        raise DataError(f"{path}: {'candidates' if users else 'users'} is empty; a scene "
+    if not raw["users"] or not raw["candidates"]:
+        raise DataError(f"{path}: {'candidates' if raw['users'] else 'users'} is empty; a scene "
                         "must contain users and candidate sites")
-    for k, c in enumerate(candidates):
-        if c.id != k:
-            raise DataError(f"{path}: candidates[{k}].id must be {k} (ids dense 0..C-1)")
+    ids = candidates["id"]
+    if ids != list(range(len(ids))):
+        k = next(k for k, i in enumerate(ids) if i != k)
+        raise DataError(f"{path}: candidates[{k}].id must be {k} (ids dense 0..C-1)")
+    sites = list(map(CandidateSite, ids, cand_pos))
     with prefixed(path):
-        _reject_coincident_scene_masts(candidates, fixed)
-    return Scene(buildings, users, candidates, fixed)
+        _reject_coincident_scene_masts(sites, fixed)
+    return Scene(prisms, list(map(User, user_pos, users["priority"])), sites, fixed)

@@ -847,6 +847,21 @@ def test_module_entry_point_version():
     assert proc.stdout.startswith("bsplace ")
 
 
+def test_evaluate_never_imports_ndimage(tmp_path):
+    # building extraction alone labels with scipy.ndimage; a command that
+    # loads a saved scene must not pay for importing it
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(_one_building_scene()))
+    argv = ["evaluate", str(scene), "--sites", "0,1", "--out", str(tmp_path / "eval")]
+    code = ("import sys\nfrom bsplace import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print('scipy.ndimage' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "eval" / "coverage_eval.csv").exists()
+
+
 def test_requires_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -1,4 +1,5 @@
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from bsplace.eval_report import (
     save_throughput_csv,
     throughput_cdf,
 )
-from bsplace.radio import RadioParams
-from bsplace.scene import CellClass, ClassRaster, Dsm, SceneConfig, build_scene
+from bsplace.radio import RadioParams, throughput_mbps
+from bsplace.scene import (CandidateSite, CellClass, ClassRaster, Dsm, Scene, SceneConfig, User,
+                           build_scene)
 
 import conftest
 from conftest import Digests, digest_id
@@ -372,3 +374,84 @@ def test_save_placement_csv(tmp_path):
     assert all(ln.rsplit(",", 1)[1] in ("0", "1") for ln in user_rows)
     other_rows = [ln for ln in lines[1:] if not ln.startswith("user,")]
     assert all(ln.endswith(",") for ln in other_rows)
+
+
+# every kind of float a report may print: zeros of both signs, subnormals,
+# the edges of repr's fixed notation (1e-5 prints as 1e-05, 1e16 as 1e+16),
+# huge values, short decimals, and NaN and the infinities
+_CSV_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e-5, 1e-4,
+                     1e15, 1e16, 123456789012345.6, 1e300, -1e300, 0.1, 0.3, 2.675]),
+    st.decimals(min_value=-10 ** 6, max_value=10 ** 6, places=3).map(float))
+_CSV_POINTS = st.lists(_CSV_FLOATS, min_size=3, max_size=3)
+
+
+def _write_csv_reports(curve, cdf, scene, bs_positions, out):
+    """The three reports as `write_csv` writes them, one row at a time."""
+    eval_report.write_csv(out / "coverage.csv", "threshold_db,prob",
+                          zip(curve.thresholds.tolist(), curve.prob.tolist()))
+    eval_report.write_csv(out / "throughput.csv", "mbps,cdf",
+                          zip(cdf.rates.tolist(), cdf.cdf.tolist()))
+    rows = [("user", *u.position.tolist(), int(u.priority)) for u in scene.users]
+    for kind, points in (("candidate", [c.position for c in scene.candidates]),
+                         ("bs", bs_positions), ("fixed_bs", scene.fixed_bs)):
+        rows += [(kind, *np.asarray(p, dtype=float).tolist(), "") for p in points]
+    eval_report.write_csv(out / "placement.csv", "kind,x,y,z,priority", rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns=st.lists(st.tuples(_CSV_FLOATS, _CSV_FLOATS), max_size=8),
+       users=st.lists(st.tuples(_CSV_POINTS, st.booleans()), max_size=5),
+       sites=st.lists(_CSV_POINTS, max_size=3), bs=st.lists(_CSV_POINTS, max_size=3),
+       fixed=st.lists(_CSV_POINTS, max_size=2))
+def test_report_csv_writers_match_write_csv_rows(tmp_path_factory, columns, users, sites, bs,
+                                                 fixed):
+    # the writers read only these columns, so any floats stand in for a curve
+    a, b = (np.array(c, dtype=float).reshape(-1) for c in zip(*columns)) if columns else (
+        np.empty(0), np.empty(0))
+    curve = SimpleNamespace(thresholds=a, prob=b)
+    cdf = SimpleNamespace(rates=b, cdf=a)
+    scene = Scene([], [User(p, q) for p, q in users],
+                  [CandidateSite(k, p) for k, p in enumerate(sites)], fixed)
+    masts = [np.array(p) for p in bs]
+    ref, out = tmp_path_factory.mktemp("ref"), tmp_path_factory.mktemp("out")
+    _write_csv_reports(curve, cdf, scene, masts, ref)
+    save_coverage_csv(curve, out / "coverage.csv")
+    save_throughput_csv(cdf, out / "throughput.csv")
+    save_placement_csv(scene, masts, out / "placement.csv")
+    for name in ("coverage.csv", "throughput.csv", "placement.csv"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+def test_placement_csv_without_masts_matches_write_csv_rows(tmp_path):
+    # a placement of scene sites alone: no off-lattice mast and no prior BS
+    scene = toy_scene()
+    _write_csv_reports(coverage_curve([0.0]), throughput_cdf([0.0], [0], PARAMS), scene, [],
+                       tmp_path)
+    save_placement_csv(scene, [], tmp_path / "new.csv")
+    assert scene.fixed_bs == []
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "placement.csv").read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(sinrs=st.lists(st.one_of(st.floats(-60, 80), st.sampled_from(
+           [-20.0, 40.0, 0.5, -19.75, float("inf"), -float("inf")])), min_size=1, max_size=60),
+       nan=st.booleans(), sectors=st.integers(1, 6), data=st.data())
+def test_curves_match_the_comparison_matrix(sinrs, nan, sectors, data):
+    # the curves count samples by one sort and searchsorted; the matrix of
+    # every (threshold, sample) comparison, averaged, is the oracle, bit for bit
+    s = np.array(sinrs)
+    if nan:
+        s[data.draw(st.integers(0, s.size - 1))] = np.nan
+    t = COVERAGE_GRID_LO_DB + COVERAGE_GRID_STEP_DB * np.arange(121)
+    want = (s[None, :] > t[:, None]).mean(axis=1)
+    assert coverage_curve(s).prob.tobytes() == want.tobytes()
+    if nan:
+        return
+    attach = np.array(data.draw(st.lists(st.integers(0, sectors - 1), min_size=s.size,
+                                         max_size=s.size)))
+    cdf = throughput_cdf(s, attach, PARAMS)
+    _, inverse, counts = np.unique(attach, return_inverse=True, return_counts=True)
+    thr = throughput_mbps(s, counts[inverse], PARAMS)
+    assert cdf.cdf.tobytes() == (thr[None, :] <= cdf.rates[:, None]).mean(axis=1).tobytes()

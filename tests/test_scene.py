@@ -1,5 +1,7 @@
 import json
 import re
+import reprlib
+import sys
 import warnings
 from decimal import Decimal
 from types import SimpleNamespace
@@ -13,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from bsplace import scene as scene_mod
-from bsplace.config_json import DataError
+from bsplace.config_json import DataError, check_object, is_kind, prefixed, read_json
 from bsplace.eval_report import GeneratorConfig, generate_synthetic_scene
 from bsplace.geometry import point_to_polygon_distance
 from bsplace.scene import (
@@ -1423,3 +1425,244 @@ def test_load_scene_accepts_valid_coordinates(tmp_path):
     assert scene.fixed_bs[0].tolist() == [20.0, 20.0, 30.0]
     assert scene.buildings[0].top_elev == 9.0
 
+
+@pytest.mark.parametrize("path, entry", [
+    (("users", 1, "position", 0), "users[1].position"),
+    (("candidates", 0, "position", 2), "candidates[0].position"),
+    (("fixed_bs", 0, 1), "fixed_bs[0]"),
+    (("buildings", 0, "footprint", 2, 0), "buildings[0].footprint[2]"),
+])
+@pytest.mark.parametrize("value", [int(sys.float_info.max) + 1, -int(sys.float_info.max) - 1,
+                                   2 ** 1024 - 2 ** 970], ids=["max+1", "-max-1", "overflows"])
+def test_load_scene_rejects_ints_that_round_to_the_largest_float(tmp_path, path, entry, value):
+    # past the largest float, yet converted to it rather than overflowing: a
+    # float conversion alone reads these as finite
+    doc = _scene_doc()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    p = tmp_path / "scene.json"
+    p.write_text(json.dumps(doc))
+    message = f"{p}: {entry} must be "
+    with pytest.raises(DataError, match=re.escape(message)) as raised:
+        load_scene(p)
+    assert str(raised.value).startswith(message)
+
+
+@pytest.mark.parametrize("group", ["users", "fixed_bs"])
+def test_load_scene_keeps_the_largest_float(tmp_path, group):
+    # the largest float is finite; the bulk test leaves it to the per-value one
+    doc = _scene_doc()
+    point = doc["users"][0]["position"] if group == "users" else doc["fixed_bs"][0]
+    point[0] = sys.float_info.max
+    point[1] = -int(sys.float_info.max)
+    p = tmp_path / "scene.json"
+    p.write_text(json.dumps(doc))
+    scene = load_scene(p)
+    got = scene.user_positions()[0] if group == "users" else scene.fixed_bs[0]
+    assert got[:2].tolist() == [sys.float_info.max, -sys.float_info.max]
+
+
+# ---------------------------------------------------------------------------
+# load_scene against its per-entry reference route
+
+_MAX = sys.float_info.max
+
+
+def _reference_points(entries, dim, name):
+    """Each entry a list of `dim` JSON finite numbers, tested one value at a time."""
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, list) and len(entry) == dim
+                and all(is_kind(v, float) for v in entry)):
+            raise DataError(f"{name(i)} must be {dim} finite numbers, got {reprlib.repr(entry)}")
+    return np.array(entries, dtype=float).reshape(len(entries), dim)
+
+
+def _reference_load_scene(path) -> Scene:
+    """`load_scene` entry by entry: one `check_object` per entry, one kind
+    test per number, one prism at a time, and `np.unique` for repeated masts."""
+    raw = check_object(read_json(path), scene_mod._SCENE_KEYS, scene_mod._ENTRY_KEYS, path)
+    for group, kinds in scene_mod._ENTRY_KEYS.items():
+        for i, entry in enumerate(raw[group]):
+            check_object(entry, kinds, kinds, path, f"{group}[{i}]")
+    rings = [_reference_points(b["footprint"], 2,
+                               lambda j, k=k: f"{path}: buildings[{k}].footprint[{j}]")
+             for k, b in enumerate(raw["buildings"])]
+    prisms = []
+    for k, (ring, b) in enumerate(zip(rings, raw["buildings"])):
+        with prefixed(f"{path}: buildings[{k}]"):
+            prisms.append(BuildingPrism(ring, float(b["base_elev"]), float(b["top_elev"])))
+    users = _reference_points([u["position"] for u in raw["users"]], 3,
+                              lambda i: f"{path}: users[{i}].position")
+    sites = _reference_points([c["position"] for c in raw["candidates"]], 3,
+                              lambda i: f"{path}: candidates[{i}].position")
+    fixed = _reference_points(raw.get("fixed_bs", []), 3, lambda i: f"{path}: fixed_bs[{i}]")
+    if not len(users) or not len(sites):
+        raise DataError(f"{path}: {'candidates' if len(users) else 'users'} is empty; a scene "
+                        "must contain users and candidate sites")
+    for k, c in enumerate(raw["candidates"]):
+        if c["id"] != k:
+            raise DataError(f"{path}: candidates[{k}].id must be {k} (ids dense 0..C-1)")
+    masts = np.concatenate([sites, fixed])
+    labels = ([f"candidates[{k}]" for k in range(len(sites))]
+              + [f"fixed_bs[{k}]" for k in range(len(fixed))])
+    _, first, inverse = np.unique(masts, axis=0, return_index=True, return_inverse=True)
+    first_seen = first[inverse.ravel()]
+    repeats = np.flatnonzero(first_seen != np.arange(len(masts)))
+    if repeats.size:
+        j = int(repeats[0])
+        i = int(first_seen[j])
+        raise DataError(f"{path}: {labels[i]} and {labels[j]} are the same mast at "
+                        f"{tuple(float(v) for v in masts[j])}")
+    return Scene(prisms, [User(p, u["priority"]) for p, u in zip(users, raw["users"])],
+                 [CandidateSite(c["id"], p) for p, c in zip(sites, raw["candidates"])],
+                 list(fixed))
+
+
+def _assert_same_scene(got: Scene, want: Scene):
+    def same_bytes(a, b):
+        return a.dtype == b.dtype == float and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    assert len(got.buildings) == len(want.buildings)
+    for g, w in zip(got.buildings, want.buildings):
+        assert same_bytes(g.footprint, w.footprint)
+        assert same_bytes(np.array([g.base_elev, g.top_elev]), np.array([w.base_elev, w.top_elev]))
+        assert type(g.base_elev) is type(g.top_elev) is float
+        assert g.bbox == (*w.footprint.min(axis=0).tolist(), *w.footprint.max(axis=0).tolist())
+    assert same_bytes(got.user_positions(), want.user_positions())
+    assert [u.priority for u in got.users] == [u.priority for u in want.users]
+    assert all(type(u.priority) is bool for u in got.users)
+    assert [c.id for c in got.candidates] == [c.id for c in want.candidates]
+    assert same_bytes(got.candidate_positions(), want.candidate_positions())
+    assert len(got.fixed_bs) == len(want.fixed_bs)
+    assert all(same_bytes(g, w) for g, w in zip(got.fixed_bs, want.fixed_bs))
+
+
+# JSON numbers a scene may hold: floats, ints, and the edges of the float range
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.integers(-2 ** 70, 2 ** 70),
+    st.sampled_from([_MAX, -_MAX, int(_MAX), -int(_MAX), 5e-324, -0.0, 0, 1e16]))
+_POINT3 = st.lists(_NUMBER, min_size=3, max_size=3)
+
+
+@st.composite
+def _scene_docs(draw):
+    """A valid scene document, its entries' keys in random order."""
+    buildings = []
+    for footprint in draw(st.lists(st.lists(st.lists(_NUMBER, min_size=2, max_size=2),
+                                            min_size=3, max_size=6), max_size=4)):
+        base, top = sorted(draw(st.lists(_NUMBER, min_size=2, max_size=2, unique_by=float)),
+                           key=float)
+        buildings.append({"footprint": footprint, "base_elev": base, "top_elev": top})
+    users = [{"position": p, "priority": draw(st.booleans())}
+             for p in draw(st.lists(_POINT3, min_size=1, max_size=6))]
+    masts = draw(st.lists(_POINT3, min_size=1, max_size=6,
+                          unique_by=lambda p: tuple(map(float, p))))
+    split = draw(st.integers(1, len(masts)))
+    doc = {"buildings": buildings, "users": users,
+           "candidates": [{"id": k, "position": p} for k, p in enumerate(masts[:split])]}
+    if split < len(masts) or draw(st.booleans()):
+        doc["fixed_bs"] = masts[split:]
+    shuffle = draw(st.randoms(use_true_random=False))
+    for group in ("buildings", "users", "candidates"):
+        doc[group] = [dict(shuffle.sample(list(e.items()), len(e))) for e in doc[group]]
+    return doc
+
+
+def _number_slots(doc):
+    """(container, index) of every number a scene document holds."""
+    for b in doc["buildings"]:
+        yield from ((v, i) for v in b["footprint"] for i in range(len(v)))
+        yield from ((b, key) for key in ("base_elev", "top_elev"))
+    for group in ("users", "candidates"):
+        yield from ((e["position"], i) for e in doc[group] for i in range(3))
+    yield from ((p, i) for p in doc.get("fixed_bs", []) for i in range(3))
+
+
+_BAD_NUMBERS = [float("nan"), float("inf"), -float("inf"), 10 ** 400, int(_MAX) + 1,
+                -int(_MAX) - 1, True, False, "1.0", "0", None, [1.0]]
+# a value of another kind for each key of an entry
+_BAD_KINDS = {"footprint": [{}, 3.0, "[[0, 0]]", None], "base_elev": ["0", None, [0.0], True],
+              "top_elev": [False, "9", {}], "position": [{}, "1,2,3", 3.0, None],
+              "priority": [1, 0, "yes", None, [True]], "id": [1.5, True, "0", None, [0]]}
+_ENTRY_GROUPS = ("buildings", "users", "candidates")
+
+
+def _corrupt(doc, data):
+    """Make one corruption of `doc`, each of which the loader must refuse;
+    return its name. Without buildings, the footprint and roof corruptions
+    empty the users or the candidates instead."""
+    kind = data.draw(st.sampled_from([
+        "number", "kind", "missing", "unknown", "not-object", "length", "short-footprint",
+        "low-roof", "sparse-id", "coincident", "empty"]))
+    groups = [g for g in _ENTRY_GROUPS if doc[g]]
+    group = data.draw(st.sampled_from(groups))
+    k = data.draw(st.integers(0, len(doc[group]) - 1))
+    entry = doc[group][k]
+    if kind == "number":
+        node, key = data.draw(st.sampled_from(list(_number_slots(doc))))
+        node[key] = data.draw(st.sampled_from(_BAD_NUMBERS))
+    elif kind == "kind":
+        key = data.draw(st.sampled_from(sorted(entry)))
+        entry[key] = data.draw(st.sampled_from(_BAD_KINDS[key]))
+    elif kind == "missing":
+        del entry[data.draw(st.sampled_from(sorted(entry)))]
+    elif kind == "unknown":
+        entry[data.draw(st.sampled_from(["extra", "Priority", "ids"]))] = 1.0
+    elif kind == "not-object":
+        doc[group][k] = data.draw(st.sampled_from([[1, 2], 3, "x", None, [entry]]))
+    elif kind == "length":
+        points = ([entry["position"]] if group != "buildings" else entry["footprint"])
+        point = data.draw(st.sampled_from(points))
+        del point[data.draw(st.integers(0, len(point) - 1))]
+        if data.draw(st.booleans()):
+            point += [1.0, 2.0]
+    elif kind == "short-footprint" and doc["buildings"]:
+        b = data.draw(st.sampled_from(doc["buildings"]))
+        del b["footprint"][data.draw(st.integers(0, 2)):]
+    elif kind == "low-roof" and doc["buildings"]:
+        b = data.draw(st.sampled_from(doc["buildings"]))
+        if data.draw(st.booleans()):
+            b["top_elev"] = b["base_elev"]
+        else:
+            b["base_elev"], b["top_elev"] = b["top_elev"], b["base_elev"]
+    elif kind == "sparse-id":
+        c = data.draw(st.sampled_from(doc["candidates"]))
+        c["id"] = data.draw(st.sampled_from([c["id"] + 1, c["id"] - 1, 10 ** 6]))
+    elif kind == "coincident":
+        masts = [c["position"] for c in doc["candidates"]] + doc.get("fixed_bs", [])
+        copy = list(data.draw(st.sampled_from(masts)))
+        if data.draw(st.booleans()):
+            doc.setdefault("fixed_bs", []).append(copy)
+        else:
+            doc["candidates"].append({"id": len(doc["candidates"]), "position": copy})
+    else:
+        kind = "empty"
+        doc[data.draw(st.sampled_from(["users", "candidates"]))] = []
+    return kind
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_scene_docs())
+def test_load_scene_matches_the_per_entry_route(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("scene") / "scene.json"
+    path.write_text(json.dumps(doc))
+    _assert_same_scene(load_scene(path), _reference_load_scene(path))
+
+
+@settings(max_examples=500, deadline=None)
+@given(doc=_scene_docs(), data=st.data())
+def test_load_scene_names_a_corruption_as_the_per_entry_route(tmp_path_factory, doc, data):
+    path = tmp_path_factory.mktemp("scene") / "scene.json"
+    kind = _corrupt(doc, data)
+    path.write_text(json.dumps(doc))  # NaN and the infinities as bare NaN/Infinity
+    try:
+        _reference_load_scene(path)
+    except DataError as e:
+        message = str(e)
+    else:
+        raise AssertionError(f"the reference route took a {kind} corruption")
+    with pytest.raises(DataError, match=re.escape(message)) as raised:
+        load_scene(path)
+    assert str(raised.value) == message, kind
