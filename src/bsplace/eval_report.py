@@ -9,6 +9,7 @@ writers here.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +112,10 @@ class GeneratorConfig:
 
     def __post_init__(self):
         require_finite(self)
+        for name in ("width", "height", "road_period", "road_width"):
+            cells = getattr(self, name)
+            if isinstance(cells, bool) or not isinstance(cells, (int, np.integer)):
+                raise DataError(f"{name} must be an integer, got {cells!r}")
         if not all(is_kind(h, float) for h in self.building_height_range):
             raise DataError(f"building_height_range must be finite, got "
                             f"{self.building_height_range!r}")
@@ -134,20 +139,20 @@ def generate_synthetic_scene(cfg: GeneratorConfig, seed: int) -> tuple[ClassRast
 
     Buildings land only off the roads and off each other. Each attempt
     draws a side length in x and in y, then a corner below the grid size
-    less that side, and places the building when its patch is free.
-    Placement ends once the requested density is reached (overshoot
-    bounded by one building footprint) or after a budget of
-    `200 * max(1, target_cells // 36)` attempts, whichever comes first; on
-    dense tiles the budget ends it short of the density (the 80 x 80
-    `search` benchmark tile, density 0.45, stops at 0.436 at seed 1). Runs of
-    failing attempts are drawn and tested in blocks on an exact copy of the
-    random stream (`_failing_run`), so the result is the same as drawing
-    attempt after attempt. Deterministic per seed.
+    less that side, and places the building when its patch is free, with a
+    height drawn from `building_height_range`. Placement ends once the
+    requested density is reached (overshoot bounded by one building
+    footprint) or after a budget of `200 * max(1, target_cells // 36)`
+    attempts, whichever comes first; on dense tiles the budget ends it short
+    of the density (the 80 x 80 `search` benchmark tile, density 0.45, stops
+    at 0.436 at seed 1). The attempts are drawn and walked in blocks on an
+    exact copy of the random stream (`_walk_block`), so the result is the
+    same as drawing attempt after attempt. Deterministic per seed.
     """
     rng = np.random.default_rng(seed)
     h, w = cfg.height, cfg.width
 
-    yy, xx = np.mgrid[0:h, 0:w]
+    yy, xx = np.ogrid[0:h, 0:w]  # a column and a row, broadcast per bump
     terrain = np.zeros((h, w))
     for _ in range(_TERRAIN_GAUSSIANS):
         cx = rng.uniform(0, w)
@@ -177,20 +182,27 @@ def generate_synthetic_scene(cfg: GeneratorConfig, seed: int) -> tuple[ClassRast
     max_attempts = 200 * max(1, int(target_cells / side_lo ** 2))
     # road columns before each x, road rows before each y
     road_sums = [np.concatenate([[0], np.cumsum(r)]) for r in (road_x, road_y)]
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (side_hi, side_hi))
-    block = 1
+    block = _ATTEMPT_BLOCK_ELEMS // 8
     while n_building < target_cells and attempts < max_attempts:
-        block = min(2 * block, max_attempts - attempts, _ATTEMPT_BLOCK_ELEMS // 4)
         state = rng.bit_generator.state
-        words = rng.integers(0, _WORD, size=(block, 4), dtype=np.uint64)
-        run = _failing_run(words, road_sums, windows)
-        attempts += run
-        if run == block:
-            continue
-        # rewind to the attempt that ends the run, and make it one by one
+        block = min(2 * block, max_attempts - attempts, _ATTEMPT_BLOCK_ELEMS // 8)
+        # two words past the block's last attempt: the height of a building it places
+        words = rng.integers(0, _WORD, size=4 * block + 2, dtype=np.uint64)
+        used, tried, placed, stuck = _walk_block(words, road_sums, padded,
+                                                 math.ceil(target_cells) - n_building,
+                                                 whole=not state["has_uint32"])
+        # the stream goes on right after the words the walk used
         rng.bit_generator.state = state
-        rng.integers(0, _WORD, size=4 * run, dtype=np.uint64)
-        block = run + 1  # the next block covers twice the attempts this one got through
+        rng.integers(0, _WORD, size=used, dtype=np.uint64)
+        attempts += tried
+        for x0, y0, bw, bh, at in placed:
+            heights[y0:y0 + bh, x0:x0 + bw] = _uniform(words[at:at + 2], *cfg.building_height_range)
+            n_building += bw * bh
+        if not stuck:
+            continue
+        # the attempt the walk stopped at, drawn as is; the next block covers
+        # twice the attempts this one got through
+        block = tried + 1
         attempts += 1
         bw = int(rng.integers(side_lo, side_hi + 1))
         bh = int(rng.integers(side_lo, side_hi + 1))
@@ -223,8 +235,8 @@ def generate_synthetic_scene(cfg: GeneratorConfig, seed: int) -> tuple[ClassRast
 # `Generator.integers` bounds a range of at most 2**32 values on one 32-bit
 # word of the stream, which `integers(0, _WORD, dtype=np.uint64)` returns as is.
 _WORD = 1 << 32
-# One block of building attempts holds at most this many words, and one
-# slice of its building test at most this many window cells.
+# One block of building attempts decodes at most this many words, over its
+# two phases, and one slice of its building test at most this many window cells.
 _ATTEMPT_BLOCK_ELEMS = 1 << 14
 
 
@@ -237,41 +249,109 @@ def _bounded(words, n):
     return m >> 32, (m & (_WORD - 1)) < (_WORD - n) % n
 
 
-def _failing_run(words, road_sums, windows) -> int:
-    """How many leading attempts of a block fail as drawn.
+def _uniform(words, low: float, high: float) -> float:
+    """`Generator.uniform(low, high)` on the 64-bit output whose low and high
+    32-bit words are `words`: its top 53 bits as a double in [0, 1), scaled."""
+    u = int(words[0]) | int(words[1]) << 32
+    low, high = float(low), float(high)
+    return low + (high - low) * ((u >> 11) * (1.0 / (1 << 53)))
 
-    Row a of `words` holds attempt a's four words: side in x, side in y,
-    x0, y0. An attempt fails when it takes exactly those four words (none
-    is rejected, and both corner ranges hold two values or more, so both
-    corners are drawn) and its patch meets a road or a building. A patch
-    meets a road when its columns hold a road column or its rows a road
-    row (`road_sums` are the prefix sums of the road columns and of the
-    road rows), and a building when its cells of `windows[y0, x0]`, the
-    building mask's widest patch at corner y0, x0, hold one. The attempt
-    that ends the run is left to the scalar loop.
+
+def _walk_block(words, road_sums, padded, room: int, whole: bool = True):
+    """(used, tried, placed, stuck): walk the building attempts of a block of
+    32-bit words, drawn from a stream that holds no buffered half of a
+    64-bit output when `whole`.
+
+    An attempt takes four words: side in x, side in y, x0, y0. It fails when
+    its patch meets a road or a building, and places the building when its
+    patch is free; the building's height then takes the next two words (one
+    64-bit output, see `_uniform`). So the attempts lie at word offsets 0
+    mod 4 until the first placement, then at 2 mod 4 until the next, and so
+    on: each phase is decoded once, and a placement switches phase and
+    marks the building in `padded`, the grid's building mask padded by
+    side_hi on its far sides, which later attempts are tested against. A
+    patch meets a road when its columns hold a road column or its rows a
+    road row (`road_sums` are the prefix sums of the road columns and of the
+    road rows).
+
+    The walk stops at the block's end, once the placed cells reach `room`,
+    or at an attempt that is not decided as drawn: one with a rejected word
+    or a corner range under two values (so no corner is drawn), or, unless
+    `whole`, one that places a building (its height draw would skip the
+    buffered half word, which the next attempt then takes). It returns
+    the words it used (the stream goes on after them), the attempts it
+    made, each placement as (x0, y0, bw, bh, offset of its height's
+    words), and whether it stopped at an attempt that the scalar loop then
+    draws as is: an undecided one, or a placement when not `whole`.
     """
     x_sums, y_sums = road_sums
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (_BUILDING_SIDE_CELLS[1],) * 2)
+    phases = [_decode(words[phase:phase + (len(words) - phase) // 4 * 4].reshape(-1, 4),
+                      x_sums, y_sums)
+              for phase in (0, 2)]
+    pos = tried = 0
+    placed = []
+    while True:
+        corner, sides, candidates, undecided = phases[pos % 4 // 2]
+        first = pos // 4
+        j = np.searchsorted(undecided, first)
+        stop = int(undecided[j]) if j < len(undecided) else len(sides)
+        a = _first_free(candidates[np.searchsorted(candidates, first):
+                                   np.searchsorted(candidates, stop)],
+                        corner, sides, windows)
+        if a is None:
+            return pos % 4 + 4 * stop, tried + stop - first, placed, stop < len(sides)
+        at = pos % 4 + 4 * a
+        if not whole:
+            return at, tried + a - first, placed, True
+        if at + 6 > len(words):  # its height's words lie past the block
+            return at, tried + a - first, placed, False
+        (x0, y0), (bw, bh) = corner[a].tolist(), sides[a].tolist()
+        padded[y0:y0 + bh, x0:x0 + bw] = True
+        placed.append((x0, y0, bw, bh, at + 4))
+        tried += a - first + 1
+        room -= bw * bh
+        pos = at + 6
+        if room <= 0:
+            return pos, tried, placed, False
+
+
+def _decode(words, x_sums, y_sums):
+    """(corner, sides, candidates, undecided) of the attempts in the rows of
+    `words`: each one's corner (x0, y0) and sides (bw, bh), the indices of
+    the decided attempts whose patch meets no road, and of the undecided
+    ones (see `_walk_block`)."""
     grid = np.array([len(x_sums), len(y_sums)]) - 1  # w, h
     side_lo, side_hi = _BUILDING_SIDE_CELLS
     sides, retry = _bounded(words[:, :2], side_hi - side_lo + 1)
     sides = sides.astype(np.int64) + side_lo
     span = grid - sides
     corner, corner_retry = _bounded(words[:, 2:], np.maximum(span, 1).astype(np.uint64))
-    other = np.flatnonzero(retry.any(axis=1) | corner_retry.any(axis=1) | (span < 2).any(axis=1))
-    run = other[0] if len(other) else len(words)
-    lo = corner[:run].astype(np.int64)
-    hi = lo + sides[:run]  # inside the grid: span >= 2
-    (x0, y0), (x1, y1) = lo.T, hi.T
-    off_road = np.flatnonzero((x_sums[x1] == x_sums[x0]) & (y_sums[y1] == y_sums[y0]))
-    step = _ATTEMPT_BLOCK_ELEMS // side_hi ** 2
+    corner = corner.astype(np.int64)
+    other = retry.any(axis=1) | corner_retry.any(axis=1) | (span < 2).any(axis=1)
+    far = np.minimum(corner + sides, grid)  # only an undecided patch overhangs the grid
+    (x0, y0), (x1, y1) = corner.T, far.T
+    off_road = (x_sums[x1] == x_sums[x0]) & (y_sums[y1] == y_sums[y0]) & ~other
+    return corner, sides, np.flatnonzero(off_road), np.flatnonzero(other)
+
+
+def _first_free(candidates, corner, sides, windows):
+    """The first of the `candidates` (attempt indices) whose patch holds no
+    building cell of `windows[y0, x0]`, the building mask's widest patch at
+    its corner, or None. They are tested in slices that grow from a few
+    attempts: on a sparse tile the first is mostly free."""
+    side_hi = _BUILDING_SIDE_CELLS[1]
     cells = np.arange(side_hi)
-    for s in range(0, len(off_road), step):
-        a = off_road[s:s + step]
+    start, step = 0, 4
+    while start < len(candidates):
+        a = candidates[start:start + step]
         patch = (cells < sides[a, 1, None])[:, :, None] & (cells < sides[a, 0, None])[:, None, :]
-        free = np.flatnonzero(~(windows[y0[a], x0[a]] & patch).any(axis=(1, 2)))
+        free = np.flatnonzero(~(windows[corner[a, 1], corner[a, 0]] & patch).any(axis=(1, 2)))
         if len(free):
             return int(a[free[0]])
-    return int(run)
+        start += step
+        step = min(2 * step, _ATTEMPT_BLOCK_ELEMS // side_hi ** 2)
+    return None
 
 
 # ---------------------------------------------------------------------------

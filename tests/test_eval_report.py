@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bsplace import eval_report
@@ -237,21 +237,57 @@ def test_generator_matches_scalar_attempt_loop(width, height, density, period, r
     assert_same_scene(generate_synthetic_scene(cfg, seed), scalar_generator(cfg, seed))
 
 
-def test_generator_cuts_blocks_inside_and_matches_scalar_loop(monkeypatch):
-    runs = []
-    failing_run = eval_report._failing_run
+# every workload's tile (perfbench/workloads.py: ingest 300, linktable 100,
+# evaluate 140, search) at seeds 1-3, and the README quick start's tile
+@pytest.mark.parametrize("config, seed", [
+    *[(config, seed) for config in (dict(width=300, height=300), dict(width=100, height=100),
+                                    dict(width=140, height=140), SEARCH_TILE)
+      for seed in (1, 2, 3)],
+    (dict(width=80, height=80, cell_size=25.0), 7),
+])
+def test_generator_matches_scalar_attempt_loop_on_workload_tiles(config, seed):
+    cfg = GeneratorConfig(**config)
+    assert_same_scene(generate_synthetic_scene(cfg, seed), scalar_generator(cfg, seed))
 
-    def spy(words, road_sums, windows):
-        run = failing_run(words, road_sums, windows)
-        runs.append((run, len(words)))
-        return run
 
-    monkeypatch.setattr(eval_report, "_failing_run", spy)
-    cfg = GeneratorConfig(**SEARCH_TILE)
-    assert_same_scene(generate_synthetic_scene(cfg, 4), scalar_generator(cfg, 4))
-    # some block ended at an attempt in its middle, so the stream was rewound there
-    assert any(0 < run < size - 1 for run, size in runs)
-    assert any(run == size for run, size in runs)
+def spy_walks(monkeypatch):
+    """The (used, tried, placed, stuck) of every `_walk_block` call, and
+    whether its stream held a whole number of 64-bit outputs."""
+    walks = []
+    walk_block = eval_report._walk_block
+
+    def spy(*args, whole):
+        walks.append((walk_block(*args, whole=whole), whole))
+        return walks[-1][0]
+
+    monkeypatch.setattr(eval_report, "_walk_block", spy)
+    return walks
+
+
+@pytest.mark.parametrize("config, seed", [(SEARCH_TILE, 4), (dict(width=140, height=140), 1)])
+def test_one_block_places_several_buildings_and_matches_scalar_loop(monkeypatch, config, seed):
+    walks = spy_walks(monkeypatch)
+    cfg = GeneratorConfig(**config)
+    assert_same_scene(generate_synthetic_scene(cfg, seed), scalar_generator(cfg, seed))
+    assert max(len(placed) for (_, _, placed, _), _ in walks) >= 2
+    # placements after the first lie at word offsets 2 mod 4 as well as 0 mod 4
+    assert {at % 4 for (_, _, placed, _), _ in walks for *_, at in placed} == {0, 2}
+
+
+# 300 x 300 at seed 793: a corner word is rejected inside a block. On the
+# 10 x 10 grid the first building, drawn as is, reaches the density
+@pytest.mark.parametrize("config, seed, walks_on", [(dict(width=12, height=60), 0, True),
+                                                    (dict(width=10, height=10), 3, False),
+                                                    (dict(width=300, height=300), 793, True)])
+def test_undecided_attempts_go_through_the_scalar_body(monkeypatch, config, seed, walks_on):
+    walks = spy_walks(monkeypatch)
+    cfg = GeneratorConfig(**config)
+    assert_same_scene(generate_synthetic_scene(cfg, seed), scalar_generator(cfg, seed))
+    assert any(stuck for (*_, stuck), _ in walks)
+    # an odd number of words leaves half a 64-bit output in the stream: the
+    # walks after it leave their placements to the scalar body
+    assert any(not whole for _, whole in walks) == walks_on
+    assert all(not placed for (_, _, placed, _), whole in walks if not whole)
 
 
 def word_for(value, n):
@@ -259,7 +295,7 @@ def word_for(value, n):
     return ((2 * value + 1) << 31) // n
 
 
-def test_failing_run_ends_at_the_first_attempt_not_failing_as_drawn():
+def test_walk_block_stops_at_the_first_attempt_not_decided_as_drawn():
     side_lo, side_hi = eval_report._BUILDING_SIDE_CELLS
     n_side = side_hi - side_lo + 1
     h = w = 40
@@ -267,10 +303,12 @@ def test_failing_run_ends_at_the_first_attempt_not_failing_as_drawn():
     def road_sums(road_x, road_y):
         return [np.concatenate([[0], np.cumsum(r)]) for r in (road_x, road_y)]
 
+    def one_building():
+        padded = np.zeros((h + side_hi, w + side_hi), dtype=bool)
+        padded[:6, :6] = True  # one placed building
+        return padded
+
     roads = road_sums(np.arange(w) // 2 == 9, np.zeros(h, dtype=bool))  # columns 18-19
-    padded = np.zeros((h + side_hi, w + side_hi), dtype=bool)
-    padded[:6, :6] = True  # one placed building
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (side_hi, side_hi))
 
     def attempt(bw, bh, x0, y0):
         return [word_for(bw - side_lo, n_side), word_for(bh - side_lo, n_side),
@@ -279,18 +317,39 @@ def test_failing_run_ends_at_the_first_attempt_not_failing_as_drawn():
     on_road = attempt(6, 6, 15, 0)
     on_building = attempt(8, 8, 2, 3)
     free = attempt(6, 8, 25, 10)
+    height = [7, 9]  # a placed building's height: one 64-bit output
     rejected = [0] + attempt(6, 6, 25, 10)[1:]  # a 15-value draw rejects the word 0
-    for rows, run in [([on_road, on_building, free, on_road], 2),
-                      ([on_road, rejected, free], 1),
-                      ([on_building, on_road, on_building], 3),
-                      ([free], 0)]:
-        words = np.array(rows, dtype=np.uint64)
-        assert eval_report._failing_run(words, roads, windows) == run
+    room = h * w
+    for rows, used, tried, placed, stuck in [
+            # a free patch places its building, and the walk goes on two words later
+            ([on_road, on_building, free, height], 14, 3, [(25, 10, 6, 8, 12)], False),
+            ([on_road, rejected, free], 4, 1, [], True),
+            ([on_building, on_road, on_building], 12, 3, [], False),
+            # a free patch whose height lies past the block is left to the next block
+            ([free], 0, 0, [], False),
+            ([free, height], 6, 1, [(25, 10, 6, 8, 4)], False),
+            # after a placement the attempts lie at word offsets 2 mod 4
+            ([free, height, attempt(6, 6, 26, 12), attempt(6, 6, 30, 30), height],
+             16, 3, [(25, 10, 6, 8, 4), (30, 30, 6, 6, 14)], False),
+            ([free, height, on_road, rejected], 10, 2, [(25, 10, 6, 8, 4)], True)]:
+        words = np.array([word for row in rows for word in row], dtype=np.uint64)
+        padded = one_building()
+        assert eval_report._walk_block(words, roads, padded, room) == (used, tried, placed, stuck)
+        assert padded.sum() == 36 + sum(bw * bh for _, _, bw, bh, _ in placed)
+    # on a stream holding half a 64-bit output a placement's height would skip
+    # that half: the walk stops at the free patch and leaves it to the scalar body
+    words = np.array(on_road + on_building + free + height, dtype=np.uint64)
+    assert eval_report._walk_block(words, roads, one_building(), room, whole=False) == (
+        8, 2, [], True)
+    # the walk ends once the placed cells reach the room left
+    words = np.array(free + height + free + height, dtype=np.uint64)
+    assert eval_report._walk_block(words, roads, one_building(), 48) == (
+        6, 1, [(25, 10, 6, 8, 4)], False)
     # on a grid 12 cells wide an 11-cell side leaves one corner column: no x0 draw
     narrow = road_sums(np.ones(12, dtype=bool), np.zeros(h, dtype=bool))  # all road
     short = [word_for(11 - side_lo, n_side)] + attempt(6, 6, 0, 0)[1:]
-    words = np.array([attempt(6, 6, 2, 2), short, attempt(6, 6, 3, 3)], dtype=np.uint64)
-    assert eval_report._failing_run(words, narrow, windows) == 1
+    words = np.array(attempt(6, 6, 2, 2) + short + attempt(6, 6, 3, 3), dtype=np.uint64)
+    assert eval_report._walk_block(words, narrow, one_building(), room) == (4, 1, [], True)
 
 
 @pytest.mark.parametrize("n", [2 ** 31 + 1, 2 ** 31 - 1, 3 * 2 ** 30, 2 ** 31 + 12345, 15, 1 << 20])
@@ -328,6 +387,45 @@ def test_bounded_rejects_a_word_one_below_the_threshold():
     rng.integers(0, 2 ** 32, size=k, dtype=np.uint64)
     first = next(j for j in range(k + 1, len(words)) if (words[j] * n) % 2 ** 32 >= 2 ** 32 - n)
     assert int(rng.integers(0, n)) == (words[first] * n) >> 32
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1),
+       bounds=st.sampled_from([(9.0, 30.0), (18.0, 35.0), (1e-3, 1e3), (0.5, 0.5), (1, 7)])
+       | st.tuples(st.floats(1e-300, 1e300), st.floats(1e-300, 1e300)).map(sorted))
+def test_uniform_matches_generator_uniform(seed, bounds):
+    low, high = bounds
+    rng = np.random.default_rng(seed)
+    words = rng.integers(0, 2 ** 32, size=64, dtype=np.uint64)
+    rng = np.random.default_rng(seed)
+    for k in range(0, 64, 2):
+        want = rng.uniform(low, high)
+        assert eval_report._uniform(words[k:k + 2], low, high).hex() == float(want).hex()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), n=st.integers(1, 6))
+def test_replaying_the_used_words_leaves_the_stream_where_scalar_draws_do(seed, n):
+    # n attempts that each place a building: four bounded draws and a height
+    # draw, one after another, take 6 n words of the stream, in that order
+    side_lo, side_hi = eval_report._BUILDING_SIDE_CELLS
+    words = np.random.default_rng(seed).integers(0, 2 ** 32, size=6 * n, dtype=np.uint64)
+    words = words.reshape(n, 6)
+    sides, retry = eval_report._bounded(words[:, :2], side_hi - side_lo + 1)
+    corner, corner_retry = eval_report._bounded(words[:, 2:4], 280)
+    assume(not retry.any() and not corner_retry.any())
+    scalar = np.random.default_rng(seed)
+    for row, side, xy in zip(words, sides.tolist(), corner.tolist()):
+        assert [int(scalar.integers(side_lo, side_hi + 1)) for _ in range(2)] == [
+            v + side_lo for v in side]
+        assert [int(scalar.integers(0, 280)) for _ in range(2)] == xy
+        assert scalar.uniform(9.0, 30.0) == eval_report._uniform(row[4:], 9.0, 30.0)
+    replay = np.random.default_rng(seed)
+    replay.integers(0, 2 ** 32, size=6 * n, dtype=np.uint64)
+    assert replay.bit_generator.state["has_uint32"] == scalar.bit_generator.state["has_uint32"] == 0
+    assert replay.integers(0, 2 ** 32, size=8, dtype=np.uint64).tolist() == \
+        scalar.integers(0, 2 ** 32, size=8, dtype=np.uint64).tolist()
+    assert replay.uniform(9.0, 30.0) == scalar.uniform(9.0, 30.0)
 
 
 # ---------------------------------------------------------------------------

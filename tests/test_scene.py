@@ -958,6 +958,22 @@ def test_generator_config_validation():
         GeneratorConfig(building_density=0.95)
 
 
+@pytest.mark.parametrize("field", ["width", "height", "road_period", "road_width"])
+@pytest.mark.parametrize("value", [30.5, 40.0, np.float64(6.0), True])
+def test_generator_config_names_a_non_integer_count(field, value):
+    # a float used to fail inside the generator with a bare TypeError, and a
+    # bool was taken as 0 or 1
+    with pytest.raises(DataError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+        GeneratorConfig(**{field: value})
+
+
+def test_generator_config_takes_numpy_integer_counts():
+    cfg = GeneratorConfig(width=np.int64(30), height=np.int32(20), road_period=np.int16(10),
+                          road_width=np.uint8(3))
+    raster, _ = generate_synthetic_scene(cfg, 1)
+    assert raster.classes.shape == (20, 30)
+
+
 @pytest.mark.parametrize("kwargs, field", [
     (dict(building_height_range=(float("nan"), 30.0)), "building_height_range"),
     (dict(building_height_range=(9.0, float("inf"))), "building_height_range"),
