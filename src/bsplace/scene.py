@@ -225,28 +225,36 @@ def _read_ascii_grid(path):
     """(xllcorner, yllcorner, cellsize, grid) of the ESRI ASCII grid file at
     `path`; every error names `path`."""
     with prefixed(path):
+        with open(path, "rb") as f:
+            data = f.read()
+        return _parse_ascii_grid(data)
+
+
+def _parse_ascii_grid(data: bytes):
+    """(xllcorner, yllcorner, cellsize, grid) of an ESRI ASCII grid file's bytes.
+
+    The file reads as UTF-8 text opened in text mode reads it: CR LF, a lone
+    CR and LF end lines and a BOM is a character. The header lines come
+    first, one `key value` pair each, in any order; the body that follows
+    holds the values, whitespace-separated and wrapped anywhere, and every
+    token reads bit for bit as float() reads it (see `_parse_grid_body`).
+    Only a file that is not ASCII is decoded whole, to check that it is UTF-8.
+    """
+    if not data.isascii():
         try:
-            with open(path, encoding="utf-8") as f:
-                text = f.read()
+            data.decode("utf-8")
         except UnicodeDecodeError:
             raise DataError("not UTF-8 text") from None
-        return _parse_ascii_grid(text)
-
-
-def _parse_ascii_grid(text: str):
-    """(xllcorner, yllcorner, cellsize, grid) of an ESRI ASCII grid's text.
-
-    The header lines come first, one `key value` pair each, in any order;
-    the body that follows holds the values, whitespace-separated and
-    wrapped anywhere, and every token reads bit for bit as float() reads
-    it (see `_parse_grid_body`).
-    """
     header = {}
     body = 0  # where the body starts: the first non-blank line that is no header field
-    while body < len(text):
-        end = text.find("\n", body) + 1 or len(text)
-        line = text[body:end]
-        parts = line.split()
+    while body < len(data):
+        # a line ends at a \n or a \r; the \n of a \r\n is then a blank line, skipped
+        end = data.find(b"\n", body) + 1 or len(data)
+        cr = data.find(b"\r", body, end)
+        if cr >= 0:
+            end = cr + 1
+        line = data[body:end].decode("utf-8")
+        parts = line.split(None, 2)  # a third part is enough to reject the line
         if parts:
             key = parts[0].lower()
             if key not in _HEADER_KEYS:
@@ -266,19 +274,19 @@ def _parse_ascii_grid(text: str):
         xll = float(header["xllcorner"])
         yll = float(header["yllcorner"])
         cell = float(header["cellsize"])
-        data = _parse_grid_body(text[body:])
+        values = _parse_grid_body(data[body:])
         nodata = float(header["nodata_value"]) if "nodata_value" in header else None
     except ValueError as e:
         raise DataError(f"non-numeric grid content: {e}") from None
     if ncols < 1 or nrows < 1 or cell <= 0:
         raise DataError("ncols/nrows must be >= 1 and cellsize > 0")
-    if data.size != ncols * nrows:
+    if values.size != ncols * nrows:
         raise DataError(
-            f"expected {ncols * nrows} values ({nrows} rows x {ncols} cols), got {data.size}"
+            f"expected {ncols * nrows} values ({nrows} rows x {ncols} cols), got {values.size}"
         )
-    if nodata is not None and (data == nodata).any():
+    if nodata is not None and (values == nodata).any():
         raise DataError("NODATA cells are not supported in scene grids")
-    grid = data.reshape(nrows, ncols)[::-1]  # file stores the north row first
+    grid = values.reshape(nrows, ncols)[::-1]  # file stores the north row first
     return xll, yll, cell, grid
 
 
@@ -286,11 +294,10 @@ def _parse_ascii_grid(text: str):
 # which numpy on aarch64, Apple silicon and Windows does not have.
 _EXACT_LONGDOUBLE = (np.finfo(np.longdouble).nmant == 63
                      and np.dtype(np.longdouble).itemsize == 16)
-_GRID_PIECE = 1 << 16  # body bytes per kernel pass, so its temporaries stay cache-sized
-# every byte a body the kernel reads may hold: printable ASCII and the bytes
-# str.split takes for whitespace (the kernel reads every byte <= 32 as one)
-_ASCII_SPACE = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
-_KERNEL_BYTES = bytes(range(33, 128)) + _ASCII_SPACE
+_GRID_PIECE = 1 << 17  # body bytes per kernel pass, so its temporaries stay cache-sized
+_ASCII_SPACE = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "  # the bytes str.split takes for whitespace
+# a body whose first token is one digit: the one-digit pass's gate
+_ONE_DIGIT_HEAD = re.compile(rb"[\t-\r\x1c- ]*[0-9](?:[\t-\r\x1c- ]|$)")
 _PIECE_CUT = re.compile(rb"[\t-\r\x1c- ]")  # any byte of _ASCII_SPACE
 _MANTISSA_MAX = 19  # digits and dot: below 10**19 < 2**64 even with the dot read as a 0
 _WORD_PAD = 24  # zero bytes before a piece: the three words of its first token
@@ -310,12 +317,16 @@ def _float_tokens(body: str) -> np.ndarray:
     return np.fromiter(map(float, values), dtype=float, count=len(values))
 
 
-def _parse_grid_body(body: str) -> np.ndarray:
-    """float() of each whitespace-separated token of `body`, in order.
+def _parse_grid_body(raw: bytes) -> np.ndarray:
+    """float() of each whitespace-separated token of `raw`, the UTF-8 bytes of
+    a body, in order.
 
-    An array kernel reads the plain decimals, `-?[0-9]*.?[0-9]*` with at
-    most 19 digits and dot, in pieces of about `_GRID_PIECE` bytes cut at
-    whitespace, and gives float()'s result bit for bit:
+    Where the first token is one ASCII digit, one pass checks that every
+    token is, and each value is its byte less ord("0"): every body
+    save_raster writes. Otherwise an array kernel reads the plain decimals,
+    `-?[0-9]*.?[0-9]*` with at most 19 digits and dot, in pieces of about
+    `_GRID_PIECE` bytes cut at whitespace, and gives float()'s result bit
+    for bit:
 
     - The 8-byte words that end at each token's end, bytes before its
       digits masked off, become integers by three multiply-shift steps of
@@ -337,27 +348,49 @@ def _parse_grid_body(body: str) -> np.ndarray:
     `nan` and `inf`, a second dot, a sign that is not the first byte,
     tokens too long, and the rare q that is a midpoint. So the first bad
     token in file order raises float()'s own ValueError. A body that is
-    not ASCII (whose whitespace and digits the kernel does not know), holds
-    a control byte that is not whitespace, or meets no x87 long double goes
-    to float() whole.
+    not ASCII (whose whitespace and digits the kernel does not know) or
+    holds a control byte that is not whitespace goes to float() whole, and
+    so does one that meets no x87 long double, unless every token is one
+    digit.
     """
-    if not (_EXACT_LONGDOUBLE and body.isascii()):
-        return _float_tokens(body)
-    raw = body.encode("ascii")
-    if raw.translate(None, _KERNEL_BYTES):
-        return _float_tokens(body)
+    if not raw.isascii():
+        return _float_tokens(raw.decode("utf-8"))
+    if _ONE_DIGIT_HEAD.match(raw):
+        values = _one_digit_values(raw)
+        if values is not None:
+            return values
+    if not _EXACT_LONGDOUBLE:
+        return _float_tokens(raw.decode("ascii"))
     pieces, lo = [], 0
     while lo < len(raw):
         cut = _PIECE_CUT.search(raw, lo + _GRID_PIECE)
         hi = cut.start() if cut else len(raw)
-        pieces.append(_parse_piece(body, raw, lo, hi))
+        piece = _parse_piece(raw, lo, hi)
+        if piece is None:
+            return _float_tokens(raw.decode("ascii"))
+        pieces.append(piece)
         lo = hi
     return np.concatenate(pieces) if pieces else np.empty(0)
 
 
-def _parse_piece(body: str, raw: bytes, lo: int, hi: int) -> np.ndarray:
-    """float() of each token of raw[lo:hi], a piece cut at whitespace."""
+def _one_digit_values(raw: bytes):
+    """float() of each token of the ASCII body `raw` where every token is one
+    digit, else None."""
+    solid = np.frombuffer(raw, np.uint8) > 32
+    if (solid[1:] & solid[:-1]).any():  # a token of two or more bytes
+        return None
+    digits = raw.translate(None, _ASCII_SPACE)
+    if not digits.isdigit():  # a byte that is neither whitespace nor a digit
+        return None
+    return np.frombuffer(digits, np.uint8) - 48.0
+
+
+def _parse_piece(raw: bytes, lo: int, hi: int):
+    """float() of each token of raw[lo:hi], a piece cut at whitespace, or
+    None where the piece holds a control byte that is not whitespace."""
     b = np.frombuffer(raw, np.uint8, hi - lo, lo)
+    if (b < 9).any() or ((b - 14) < 14).any():  # 0-8 or 14-27: no str.split whitespace
+        return None
     space = np.ones(b.size + 2, dtype=bool)
     np.less_equal(b, 32, out=space[1:-1])
     edges = np.flatnonzero(space[1:] != space[:-1])
@@ -410,8 +443,9 @@ def _parse_piece(body: str, raw: bytes, lo: int, hi: int) -> np.ndarray:
     np.negative(values, out=values, where=neg)
     redo = np.flatnonzero(slow)
     if redo.size:
-        values[redo] = _float_tokens(" ".join(
-            body[s:e] for s, e in zip((lo + starts[redo]).tolist(), (lo + ends[redo]).tolist())))
+        values[redo] = _float_tokens(b" ".join(
+            raw[s:e] for s, e in zip((lo + starts[redo]).tolist(), (lo + ends[redo]).tolist()))
+            .decode("ascii"))
     return values
 
 

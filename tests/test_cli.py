@@ -146,6 +146,18 @@ def test_build_scene_missing_input(tmp_path):
     assert rc == 1
 
 
+def test_build_scene_reads_crlf_grids_as_lf(ws, tmp_path):
+    for name in ("raster.asc", "dsm.asc"):
+        data = (ws["grids"] / name).read_bytes()
+        assert b"\r" not in data
+        (tmp_path / name).write_bytes(data.replace(b"\n", b"\r\n"))
+    for grids, out in ((ws["grids"], "lf"), (tmp_path, "crlf")):
+        assert main(["build-scene", str(grids / "raster.asc"), str(grids / "dsm.asc"),
+                     "--out", str(tmp_path / out)]) == 0
+    assert (tmp_path / "crlf" / "scene.json").read_bytes() == \
+        (tmp_path / "lf" / "scene.json").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # optimize
 

@@ -335,7 +335,7 @@ def test_grid_body_kernel_equals_float_of_each_token(tokens, data, piece):
                               min_size=len(tokens) + 1, max_size=len(tokens) + 1))
     body = seps[0] + "".join(t + s for t, s in zip(tokens, seps[1:]))
     with mock.patch.object(scene_mod, "_GRID_PIECE", piece):
-        grid = scene_mod._parse_ascii_grid(_grid_text(tokens, body))[3]
+        grid = scene_mod._parse_ascii_grid(_grid_text(tokens, body).encode())[3]
     assert grid.tobytes() == _float_grid(tokens).tobytes()
 
 
@@ -350,9 +350,9 @@ def _dsm_body(seed, shape):
 def test_grid_body_kernel_gate_off_gives_the_same_bytes(monkeypatch):
     body = _dsm_body(3, (60, 90)) + " 5. .5 -.5 -0 1e5 +2 9007199254740995.0\n"
     tokens = body.split()
-    fast = scene_mod._parse_ascii_grid(_grid_text(tokens, body))[3]
+    fast = scene_mod._parse_ascii_grid(_grid_text(tokens, body).encode())[3]
     monkeypatch.setattr(scene_mod, "_EXACT_LONGDOUBLE", False)
-    slow = scene_mod._parse_ascii_grid(_grid_text(tokens, body))[3]
+    slow = scene_mod._parse_ascii_grid(_grid_text(tokens, body).encode())[3]
     assert fast.tobytes() == slow.tobytes() == _float_grid(tokens).tobytes()
 
 
@@ -382,14 +382,22 @@ def test_grid_body_kernel_divides_short_mantissas_in_float64(monkeypatch, tmp_pa
         return reference(mantissa, below, slow)
 
     monkeypatch.setattr(scene_mod, "_long_double_quotient", spy)
+    _, pieces = _route_spies(monkeypatch)
     rng = np.random.default_rng(9)
     classes = rng.integers(0, 6, (300, 300))
     save_raster(ClassRaster(1.0, (0.0, 0.0), classes), tmp_path / "raster.asc")
     assert np.array_equal(load_raster(tmp_path / "raster.asc").classes, classes)
+    assert pieces == []  # one-digit codes take the one-digit pass
+    # integer codes of several digits go through the kernel
+    codes = rng.integers(0, 10**6, (300, 300))
+    scene_mod._write_ascii_grid(tmp_path / "codes.asc", 1.0, (0.0, 0.0), codes,
+                                scene_mod._code_rows)
+    assert np.array_equal(scene_mod._read_ascii_grid(tmp_path / "codes.asc")[3], codes)
+    assert pieces and calls == []
     # at most 15 significant digits: every mantissa is below 2**53
     elevation = rng.normal(30.0, 12.0, (300, 300))
     body = "".join(" ".join(f"{v:.15g}" for v in row) + "\n" for row in elevation.tolist())
-    grid = scene_mod._parse_ascii_grid(_grid_text(body.split(), body))[3]
+    grid = scene_mod._parse_ascii_grid(_grid_text(body.split(), body).encode())[3]
     assert grid.tobytes() == _float_grid(body.split()).tobytes()
     assert calls == []
     # repr writes 16 and 17 digits, so a save_dsm file still divides in long doubles
@@ -519,10 +527,10 @@ def test_grid_writer_rejects_a_nodata_elevation(tmp_path):
     assert np.array_equal(load_dsm(tmp_path / "dsm.asc").elevation, elevation)
 
 
-@pytest.mark.parametrize("bad", ["#", "--5", "1.2.3", "-", "1e", "2\x07"])
+@pytest.mark.parametrize("bad", ["#", "--5", "1.2.3", "-", "1e", "2\x07", "\x1b5"])
 @pytest.mark.parametrize("where", [0.0, 0.5, 1.0])  # first, a middle and the last piece
 def test_grid_body_kernel_keeps_float_error_text(tmp_path, bad, where):
-    tokens = _dsm_body(7, (100, 120)).split()  # 4 pieces
+    tokens = _dsm_body(7, (200, 120)).split()  # 4 pieces
     at = int(where * (len(tokens) - 60))
     tokens[at] = bad
     tokens[at + 50] = "later"  # only the first bad token is named
@@ -534,6 +542,187 @@ def test_grid_body_kernel_keeps_float_error_text(tmp_path, bad, where):
         expect = f"{p}: non-numeric grid content: {e}"
     with pytest.raises(DataError, match=f"^{re.escape(expect)}$"):
         load_dsm(p)
+
+
+# The one-digit pass against float() of each token
+
+_ONE_DIGIT_SPACES = " \t\n\r\x0b\x0c\x1c"
+# tokens the one-digit pass must leave to the kernel or to float(): a NUL is
+# no whitespace, and U+0663 is a digit float() reads but the kernel does not
+_NOT_ONE_DIGIT = ["10", "-1", "+2", "5.", ".", "x", "\u0663", "\x00"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(digits=st.lists(st.sampled_from("0123456789"), min_size=1, max_size=60),
+       data=st.data(), exact=st.booleans())
+def test_grid_one_digit_route_equals_float_of_each_token(digits, data, exact):
+    tokens = list(digits)
+    other = data.draw(st.none() | st.sampled_from(_NOT_ONE_DIGIT))
+    if other is not None:
+        tokens.insert(data.draw(st.integers(0, len(tokens))), other)
+    inner = data.draw(st.lists(st.text(_ONE_DIGIT_SPACES, min_size=1, max_size=3),
+                               min_size=len(tokens) - 1, max_size=len(tokens) - 1))
+    ends = data.draw(st.lists(st.text(_ONE_DIGIT_SPACES, max_size=3), min_size=2, max_size=2))
+    body = ends[0] + "".join(s + t for s, t in zip([""] + inner, tokens)) + ends[1]
+    # the pass runs before the x87 gate: the same values with that gate closed
+    with mock.patch.object(scene_mod, "_EXACT_LONGDOUBLE", scene_mod._EXACT_LONGDOUBLE and exact):
+        try:
+            expect = scene_mod._float_tokens(body)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+                scene_mod._parse_grid_body(body.encode())
+        else:
+            assert scene_mod._parse_grid_body(body.encode()).tobytes() == expect.tobytes()
+
+
+def _route_spies(monkeypatch):
+    """Lists that record the one-digit pass's results and the kernel's pieces."""
+    passes, pieces = [], []
+    one_digit, parse_piece = scene_mod._one_digit_values, scene_mod._parse_piece
+
+    def pass_spy(raw):
+        passes.append(one_digit(raw))
+        return passes[-1]
+
+    def piece_spy(raw, lo, hi):
+        pieces.append(hi - lo)
+        return parse_piece(raw, lo, hi)
+
+    monkeypatch.setattr(scene_mod, "_one_digit_values", pass_spy)
+    monkeypatch.setattr(scene_mod, "_parse_piece", piece_spy)
+    return passes, pieces
+
+
+def test_grid_one_digit_route_reads_rasters_and_skips_dsms(monkeypatch, tmp_path):
+    passes, pieces = _route_spies(monkeypatch)
+    raster, dsm = generate_synthetic_scene(GeneratorConfig(width=300, height=200), 6)
+    save_raster(raster, tmp_path / "raster.asc")
+    assert np.array_equal(load_raster(tmp_path / "raster.asc").classes, raster.classes)
+    assert len(passes) == 1 and passes[0] is not None and pieces == []
+    # a save_dsm body stops at the gate: its first token has a dot
+    passes.clear()
+    save_dsm(dsm, tmp_path / "dsm.asc")
+    assert np.array_equal(load_dsm(tmp_path / "dsm.asc").elevation, dsm.elevation)
+    assert passes == []
+    assert bool(pieces) == scene_mod._EXACT_LONGDOUBLE
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_grid_one_digit_route_keeps_the_count_errors(monkeypatch, tmp_path, exact):
+    monkeypatch.setattr(scene_mod, "_EXACT_LONGDOUBLE", scene_mod._EXACT_LONGDOUBLE and exact)
+    passes, pieces = _route_spies(monkeypatch)
+    for body, got in (("1 2 3\n4 5\n", 5), ("1 2 3\r\n4 5 6 7\r\n", 7), ("0", 1)):
+        with pytest.raises(DataError, match=rf"grid\.asc: expected 6 values "
+                                            rf"\(2 rows x 3 cols\), got {got}$"):
+            _read_body(tmp_path, body)
+    assert len(passes) == 3 and all(p is not None for p in passes) and pieces == []
+    for body in ("", "\n\n  \t\x1c\n"):  # no first token: the gate stays shut
+        with pytest.raises(DataError,
+                           match=r"grid\.asc: expected 6 values \(2 rows x 3 cols\), got 0$"):
+            _read_body(tmp_path, body)
+    assert len(passes) == 3
+
+
+# The bytes read against the file read in text mode
+
+def _text_mode_grid(path):
+    """The grid reader as it read a file in text mode, line ends translated,
+    and parsed its text with str methods: the bytes read's reference."""
+    with prefixed(path):
+        try:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+        except UnicodeDecodeError:
+            raise DataError("not UTF-8 text") from None
+        header, body = {}, 0
+        while body < len(text):
+            end = text.find("\n", body) + 1 or len(text)
+            line = text[body:end]
+            parts = line.split()
+            if parts:
+                key = parts[0].lower()
+                if key not in scene_mod._HEADER_KEYS:
+                    break
+                if len(parts) != 2:
+                    raise DataError(f"malformed header line: {line.strip()!r}")
+                if key in header:
+                    raise DataError(f"repeated header field {key}")
+                header[key] = parts[1]
+            body = end
+        for key in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
+            if key not in header:
+                raise DataError(f"missing header field {key}")
+        try:
+            ncols, nrows = int(header["ncols"]), int(header["nrows"])
+            xll, yll, cell = (float(header[k]) for k in ("xllcorner", "yllcorner", "cellsize"))
+            values = scene_mod._float_tokens(text[body:])
+            nodata = float(header["nodata_value"]) if "nodata_value" in header else None
+        except ValueError as e:
+            raise DataError(f"non-numeric grid content: {e}") from None
+        if ncols < 1 or nrows < 1 or cell <= 0:
+            raise DataError("ncols/nrows must be >= 1 and cellsize > 0")
+        if values.size != ncols * nrows:
+            raise DataError(f"expected {ncols * nrows} values ({nrows} rows x {ncols} cols), "
+                            f"got {values.size}")
+        if nodata is not None and (values == nodata).any():
+            raise DataError("NODATA cells are not supported in scene grids")
+        return xll, yll, cell, values.reshape(nrows, ncols)[::-1]
+
+
+def _outcome(read, path):
+    try:
+        xll, yll, cell, grid = read(path)
+    except DataError as e:
+        return str(e)
+    return xll, yll, cell, grid.shape, grid.tobytes()
+
+
+_LF_GRID = ("ncols 3\nnrows 2\nxllcorner 0.5\nyllcorner -2\ncellsize 1.5\n"
+            "NODATA_value -9999\n")
+_TEXT_MODE_CASES = {
+    "lf raster": _LF_GRID + "1 2 3\n4 5 0\n",
+    "lf dsm": _LF_GRID + "1.25 -2.5 3.0\n4e1 5.5 0.0\n",
+    "crlf": (_LF_GRID + "1 2 3\n4.5 5 0\n").replace("\n", "\r\n"),
+    "lone cr": (_LF_GRID + "1 2 3\n4 5.5 0\n").replace("\n", "\r"),
+    "mixed": "ncols 3\r\nnrows 2\rxllcorner 0\n\r\nyllcorner 0\r\r\ncellsize 1\n\r"
+             "1 2 3\r4 5 6\r\n",
+    "cr in a header line": "ncols 3\rnrows 2 \r\nxllcorner\t0\x1cyllcorner 0\n"
+                           "cellsize 1\n1 2 3 4 5 6\n",
+    "header key after a cr": "ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\r"
+                             "1 2 3\rncols 4\r4 5 6\n",
+    "bom": "\ufeff" + _LF_GRID + "1 2 3\n4 5 0\n",
+    "bom in the body": _LF_GRID + "1 2 3\n4 5 \ufeff0\n",
+    "nbsp and em space": _LF_GRID + "1\xa02 3\n4\u20035.5 0\n",
+    "nel and line separator": _LF_GRID.replace("\n", "\x85\n") + "1 2\u20283\n4 5 0\n",
+    "one-digit nbsp": _LF_GRID + "1 2\xa03\n4 5 0\n",
+    "unicode digit": _LF_GRID + "1 2 3\n4 5 \u0663\n",
+    "control byte": _LF_GRID + "1 2 3\n4 5\x07 0\n",
+    "one-digit control byte": _LF_GRID + "1 2 3\n4 5 \x00\n",
+    "escape byte": _LF_GRID + "1 2 3\n4.5 \x1b5 0\n",
+    "control byte in the header": "ncols 3\x07\nnrows 2\n",
+    "short": (_LF_GRID + "1 2 3\n4.5 5\n").replace("\n", "\r\n"),
+    "no final line end": _LF_GRID + "1 2 3\n4.5 5 0",
+    "one line": "ncols 3 nrows 2 xllcorner 0 yllcorner 0 cellsize 1 1 2 3 4 5 6",
+}
+_BAD_UTF8 = {
+    "invalid utf-8 in the body": (_LF_GRID + "1 2 3\n4 5 0\n").encode() + b"\xff\n",
+    "invalid utf-8 in the header": b"ncols 3\xc3\nnrows 2\n" + b"1 2 3 4 5 6\n",
+    "a lone surrogate": (_LF_GRID + "1 2 3\n4 5 ").encode() + b"\xed\xa0\x80\n",
+    "a truncated sequence": (_LF_GRID + "1 2 3\n4 5 0").encode() + b"\xe2\x80",
+}
+
+
+@pytest.mark.parametrize("name", list(_TEXT_MODE_CASES) + list(_BAD_UTF8))
+def test_grid_reader_reads_bytes_as_text_mode_reads_them(tmp_path, name):
+    p = tmp_path / "grid.asc"
+    p.write_bytes(_BAD_UTF8[name] if name in _BAD_UTF8 else
+                  _TEXT_MODE_CASES[name].encode("utf-8"))
+    expect = _outcome(_text_mode_grid, p)
+    assert _outcome(scene_mod._read_ascii_grid, p) == expect
+    if name.startswith(("lf", "crlf", "lone cr", "mixed")):
+        assert not isinstance(expect, str)  # these read to a grid
+    elif name.startswith(("invalid", "a ")):
+        assert expect == f"{p}: not UTF-8 text"
 
 
 # ---------------------------------------------------------------------------
