@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import optimizer as opt
-from .config_json import DataError, require_finite
+from .config_json import DataError, check_numbers
 from .eval_report import write_csv
 from .radio import LinkGainTable, build_link_table
 # Scoring goes through LinkGainTable.sinr_for; sinr_from_rx stays importable
@@ -37,7 +37,7 @@ class KmeansConfig:
     sinr_threshold_db: float = 10.0
 
     def __post_init__(self):
-        require_finite(self)
+        check_numbers(self)
         if self.seed < 0:
             raise DataError(f"seed must be >= 0, got {self.seed}")
 

@@ -230,9 +230,10 @@ def read_config_fields(path, cls) -> dict:
     return check_object(read_json(path), _field_kinds(cls), (), path)
 
 
-def require_finite(obj) -> None:
+def check_numbers(obj) -> None:
     """Raise DataError naming the first `float` field of dataclass `obj` that
-    is not a finite number.
+    is not a finite number, or `int` field that is not an integer (a numpy
+    integer is one, a bool is not).
 
     NaN fails every range comparison, so a `<= 0` check alone lets it through.
     """
@@ -240,3 +241,5 @@ def require_finite(obj) -> None:
         value = getattr(obj, name)
         if float in kinds and not any(is_kind(value, kind) for kind in kinds):
             raise DataError(f"{name} must be finite, got {reprlib.repr(value)}")
+        if int in kinds and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
+            raise DataError(f"{name} must be an integer, got {reprlib.repr(value)}")

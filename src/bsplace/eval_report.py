@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config_json import DataError, is_kind, require_finite
+from .config_json import DataError, check_numbers, is_kind
 from .radio import RadioParams, throughput_mbps
 from .scene import CellClass, ClassRaster, Dsm, Scene
 
@@ -111,11 +111,7 @@ class GeneratorConfig:
     road_width: int = 6
 
     def __post_init__(self):
-        require_finite(self)
-        for name in ("width", "height", "road_period", "road_width"):
-            cells = getattr(self, name)
-            if isinstance(cells, bool) or not isinstance(cells, (int, np.integer)):
-                raise DataError(f"{name} must be an integer, got {cells!r}")
+        check_numbers(self)
         if not all(is_kind(h, float) for h in self.building_height_range):
             raise DataError(f"building_height_range must be finite, got "
                             f"{self.building_height_range!r}")

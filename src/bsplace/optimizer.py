@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config_json import DataError, read_config_fields, require_finite, write_json
+from .config_json import DataError, check_numbers, read_config_fields, write_json
 from .radio import LinkGainTable
 # Scoring goes through LinkGainTable.sinr_for; sinr_from_rx stays importable
 # from this module because the benchmark's traced layers wrap it here.
@@ -73,7 +73,7 @@ class GaConfig:
     sinr_threshold_db: float = 10.0
 
     def __post_init__(self):
-        require_finite(self)
+        check_numbers(self)
         if self.pop_size < 4 or self.pop_size % 2 != 0:
             raise DataError("pop_size must be even and >= 4")
         if self.generations < 1:

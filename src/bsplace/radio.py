@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config_json import DataError, read_config_fields, require_finite
+from .config_json import DataError, check_numbers, read_config_fields
 from .geometry import los_blocked, los_mask
 
 SECTOR_AZIMUTHS_DEG = (0.0, 120.0, 240.0)
@@ -50,7 +50,7 @@ class RadioParams:
     antenna_gain_dbi: float = 15.0
 
     def __post_init__(self):
-        require_finite(self)
+        check_numbers(self)
         for name in ("carrier_ghz", "hpbw_deg", "front_back_db", "noise_figure_db",
                      "bandwidth_mhz", "min_coupling_loss_db"):
             if getattr(self, name) <= 0:

@@ -173,3 +173,17 @@ def pinch_heavy_classes(draw):
             speck = rng.random(classes[rows, cols].shape) < 0.45
             classes[rows, cols] = np.where(speck, 1, classes[rows, cols])
     return classes
+
+
+# ESRI ASCII grid text for the grid file tests in test_scene.py and test_gridio.py
+
+def grid_text(tokens, body):
+    return f"ncols {len(tokens)}\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n{body}"
+
+
+def dsm_body(seed, shape):
+    """A save_dsm body: repr of every elevation, one row per line."""
+    rng = np.random.default_rng(seed)
+    elevation = rng.normal(20.0, 15.0, shape)
+    elevation.flat[:6] = [-0.0, 0.0, 9007199254740993.0, 1e-7, 123.5, -3.0]
+    return "".join(" ".join(map(repr, row)) + "\n" for row in elevation.tolist())

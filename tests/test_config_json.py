@@ -1,15 +1,25 @@
 """`write_json` against its oracle, `json.dumps(indent=2)`: the C encoder's
 compact text laid out by one array pass must give the same bytes for every
-JSON value."""
+JSON value. And `check_numbers`, which every config class runs on
+construction: an `int` field holds an integer."""
 
 import json
 import math
+import re
+import reprlib
+import typing
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsplace.config_json import write_json
+from bsplace.baselines import KmeansConfig
+from bsplace.config_json import DataError, write_json
+from bsplace.eval_report import GeneratorConfig
+from bsplace.optimizer import GaConfig
+from bsplace.radio import RadioParams
+from bsplace.scene import SceneConfig
 
 # pieces that a wrong string scan would read as structure: quotes, escapes
 # and escaped escapes, brackets, commas, control characters and non-ASCII text
@@ -70,3 +80,33 @@ def test_write_json_rejects_non_finite_numbers_and_writes_nothing(tmp_path, bad,
     with pytest.raises(ValueError):
         write_json(path, obj)
     assert not path.exists() and not (tmp_path / "out.json.tmp").exists()
+
+
+# every `int` field of every config class; 20 is a valid value of each
+_INT_FIELDS = [(cls, name) for cls in (GaConfig, KmeansConfig, GeneratorConfig, RadioParams,
+                                       SceneConfig)
+               for name, kind in typing.get_type_hints(cls).items() if kind is int]
+
+
+def test_int_fields_are_the_counts_and_seeds():
+    assert [f"{cls.__name__}.{name}" for cls, name in _INT_FIELDS] == [
+        "GaConfig.pop_size", "GaConfig.generations", "GaConfig.seed", "GaConfig.m_max",
+        "KmeansConfig.seed", "GeneratorConfig.width", "GeneratorConfig.height",
+        "GeneratorConfig.road_period", "GeneratorConfig.road_width"]
+
+
+@pytest.mark.parametrize("cls, name", _INT_FIELDS, ids=lambda v: getattr(v, "__name__", v))
+@pytest.mark.parametrize("value", [2.5, 20.0, np.float64(20.0), True, "20"],
+                         ids=["fraction", "whole-float", "numpy-float", "bool", "str"])
+def test_config_int_field_rejects_a_non_integer(cls, name, value):
+    # a float used to pass and fail later in the search with a bare TypeError,
+    # and a bool was taken as 0 or 1
+    message = f"^{name} must be an integer, got {re.escape(reprlib.repr(value))}$"
+    with pytest.raises(DataError, match=message):
+        cls(**{name: value})
+
+
+@pytest.mark.parametrize("cls, name", _INT_FIELDS, ids=lambda v: getattr(v, "__name__", v))
+@pytest.mark.parametrize("value", [20, np.int64(20), np.uint8(20)], ids=["int", "int64", "uint8"])
+def test_config_int_field_takes_any_integer(cls, name, value):
+    assert getattr(cls(**{name: value}), name) == 20

@@ -15,14 +15,20 @@ from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 LAYERS = PERFBENCH / "layers.py"
+RUN = PERFBENCH / "run.py"
 WORKLOADS = PERFBENCH / "workloads.py"
 CONFIGS = {"RadioParams", "SceneConfig", "GeneratorConfig", "GaConfig", "KmeansConfig"}
 
 
-def test_every_wrapped_name_resolves():
+def _targets() -> list:
+    """The (module, name, attrs) triples the traced run wraps."""
     namespace = {"__name__": "perfbench_layers"}
     exec(compile(LAYERS.read_text(), str(LAYERS), "exec"), namespace)
-    targets = namespace["targets"]()
+    return namespace["targets"]()
+
+
+def test_every_wrapped_name_resolves():
+    targets = _targets()
     assert targets
     missing = [f"{module.__name__}.{name}" for module, name, _ in targets
                if not callable(getattr(module, name, None))]
@@ -36,6 +42,36 @@ def _dotted(node) -> list[str] | None:
         parts.append(node.attr)
         node = node.value
     return [node.id, *reversed(parts)] if isinstance(node, ast.Name) else None
+
+
+def _span_names_read(tree) -> set[str]:
+    """Every span name `tree` looks up: a constant key of `total`, `self_s` or
+    `calls`, an entry of `REPORT_FUNCTIONS`, or what `s.name` is compared with."""
+    names = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and _dotted(node.value) in (["total"], ["self_s"],
+                                                                        ["calls"])
+                and isinstance(node.slice, ast.Constant)):
+            names.add(node.slice.value)
+        elif isinstance(node, ast.Assign) and _dotted(node.targets[0]) == ["REPORT_FUNCTIONS"]:
+            names.update(elt.value for elt in node.value.elts)
+        elif isinstance(node, ast.Compare) and _dotted(node.left) == ["s", "name"]:
+            names.update(c.value for c in node.comparators if isinstance(c, ast.Constant))
+    return names
+
+
+def test_every_span_name_read_is_a_wrapped_function():
+    # a span is named after the wrapped function's own module (spans.installed),
+    # so a layer function that moves to another module would read 0 in its metric
+    wrapped = {f"{fn.__module__.rpartition('.')[2]}.{fn.__name__}"
+               for module, name, _ in _targets() for fn in [getattr(module, name)]}
+    read = _span_names_read(ast.parse(LAYERS.read_text(), str(LAYERS)))
+    read |= _span_names_read(ast.parse(RUN.read_text(), str(RUN)))
+    # one name of each kind of lookup, so the scan is seen to find them
+    assert {"scene.load_raster", "cli.main", "optimizer.evaluate_sites",
+            "eval_report.coverage_curve", "geometry.los_mask",
+            "eval_report.generate_synthetic_scene"} <= read
+    assert sorted(read - wrapped) == []
 
 
 def _imported(module: str, name: str):
