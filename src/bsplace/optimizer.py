@@ -33,8 +33,14 @@ formed once. The archive merge is one dominance matrix.
 `repair`, `repair_fixed_m`, `decode_sites` and `evaluate_sites` are the
 same code on a single row.
 
-NSGA-II ranks each generation once, through `_survivors`: the random
-first population, then each union of parents and children. Dominance is
+Both runs go through one generation loop (`_generations`): a random
+first population, then per generation tournaments, variation, repair,
+scoring and a survivor rule over the union of parents and children.
+NSGA-II's rule is `_survivors`, and it folds each generation's first
+front into its archive. The GA keeps the rows of least f3 in a stable
+sort (`_best_by_f3`), so its first survivor is the best row seen.
+
+`_survivors` ranks each generation once. Dominance is
 one comparison per objective (`_dominance`), and each front is the rows
 left that no row left dominates. Fronts are peeled only until they hold
 the population, and only those rows are crowded. The survivors are whole
@@ -325,9 +331,7 @@ def _peel(dom: np.ndarray, limit: int) -> list[np.ndarray]:
 
 def non_dominated_sort(objectives) -> list[list[int]]:
     """Fronts of indices, best first, via the pairwise dominance matrix."""
-    objs = np.asarray(objectives, dtype=float)
-    if objs.ndim == 1:
-        objs = objs[None, :]
+    objs = np.atleast_2d(np.asarray(objectives, dtype=float))
     _, dom = _dominance(objs)
     return [front.tolist() for front in _peel(dom, len(objs))]
 
@@ -366,9 +370,7 @@ def _crowding(objs: np.ndarray, rank: np.ndarray) -> np.ndarray:
 
 def crowding_distance(front_objectives) -> np.ndarray:
     """Crowding distance of the rows of one front (`_crowding` with one rank)."""
-    objs = np.asarray(front_objectives, dtype=float)
-    if objs.ndim == 1:
-        objs = objs[None, :]
+    objs = np.atleast_2d(np.asarray(front_objectives, dtype=float))
     return _crowding(objs, np.zeros(len(objs), dtype=int))
 
 
@@ -507,11 +509,42 @@ def _budget_stats(archive_objs: np.ndarray, m_max: int) -> dict[int, dict[str, f
     out = {}
     for m in range(1, m_max + 1):
         eligible = archive_objs[archive_objs[:, 1] <= m]
-        if len(eligible):
-            out[m] = {"f1": min(eligible[:, 0].tolist()), "f3": min(eligible[:, 2].tolist())}
-        else:
-            out[m] = {"f1": math.inf, "f3": math.inf}
+        out[m] = {"f1": min(eligible[:, 0].tolist(), default=math.inf),
+                  "f3": min(eligible[:, 2].tolist(), default=math.inf)}
     return out
+
+
+def _generations(config: GaConfig, table: LinkGainTable, repair, survive,
+                 switch_on: int | None = None):
+    """One run's generations: yields (rows, objs, first) per generation.
+
+    Generation 0 is `_random_population` (with `repair`'s switch-on draw
+    when `switch_on` is the chromosome's `m_max`); each later generation is
+    the union of the survivors and their children, made by `_tournament`,
+    `_offspring`, `repair` and the run's `_memo_scorer`. `survive(objs,
+    pop_size)` picks the rows that live on, their rank and crowding for the
+    tournaments, and the rows it ranks first (`first`, indices into `rows`).
+    Generation 0 survives whole, with its rank and crowding in row order, so
+    its tournaments draw from the rows as drawn.
+    """
+    rng = np.random.default_rng(config.seed)
+    score = _memo_scorer(table, config.sinr_threshold_db)
+    n_cand, m_max = table.n_candidates, config.m_max
+    pop, keys = repair(_random_population(config, chromosome_bits(n_cand, m_max), rng, switch_on),
+                       n_cand, m_max)
+    objs = score(keys)
+    chosen, ranked, crowded, first = survive(objs, config.pop_size)
+    rank, crowd = np.empty_like(ranked), np.empty_like(crowded)
+    rank[chosen], crowd[chosen] = ranked, crowded
+    yield pop, objs, first
+    for _ in range(config.generations):
+        parents = _tournament(rng, rank, crowd, config.pop_size)
+        children, keys = repair(_offspring(pop, parents, config, rng, switch_on), n_cand, m_max)
+        rows = np.vstack([pop, children])
+        objs = np.vstack([objs, score(keys)])
+        chosen, rank, crowd, first = survive(objs, config.pop_size)
+        yield rows, objs, first
+        pop, objs = rows[chosen], objs[chosen]
 
 
 def run_nsga2(scene, params, config: GaConfig, *, table: LinkGainTable):
@@ -528,37 +561,13 @@ def run_nsga2(scene, params, config: GaConfig, *, table: LinkGainTable):
     if n_cand < 1:
         raise DataError("scene has no candidate sites")
     m_max = config.m_max
-    rng = np.random.default_rng(config.seed)
-    score = _memo_scorer(table, config.sinr_threshold_db)
-
-    def fix(rows):
-        return repair_rows(rows, n_cand, m_max)
-
-    pop, keys = fix(_random_population(config, chromosome_bits(n_cand, m_max), rng, m_max))
-    objs = score(keys)
-
-    # every row survives; its rank and crowding go back to row order
-    chosen, ranked, crowded, first = _survivors(objs, config.pop_size)
-    rank, crowd = np.empty_like(ranked), np.empty_like(crowded)
-    rank[chosen], crowd[chosen] = ranked, crowded
-    archive_objs, archive_bits = _merge_archive(np.empty((0, 3)), pop[:0],
-                                                objs[first], pop[first])
-
-    history = [{"generation": 0, "per_budget": _budget_stats(archive_objs, m_max)}]
-
-    for gen in range(1, config.generations + 1):
-        parents = _tournament(rng, rank, crowd, config.pop_size)
-        children, keys = fix(_offspring(pop, parents, config, rng, m_max))
-
-        combined = np.vstack([pop, children])
-        combined_objs = np.vstack([objs, score(keys)])
-        chosen, rank, crowd, first = _survivors(combined_objs, config.pop_size)
-
+    archive_objs = np.empty((0, 3))
+    archive_bits = np.empty((0, chromosome_bits(n_cand, m_max)), dtype=bool)
+    history = []
+    runs = _generations(config, table, repair_rows, _survivors, m_max)
+    for gen, (rows, objs, first) in enumerate(runs):
         archive_objs, archive_bits = _merge_archive(archive_objs, archive_bits,
-                                                    combined_objs[first], combined[first])
-        pop = combined[chosen]
-        objs = combined_objs[chosen]
-
+                                                    objs[first], rows[first])
         history.append({"generation": gen, "per_budget": _budget_stats(archive_objs, m_max)})
 
     crowd = crowding_distance(archive_objs)  # the archive is one front
@@ -587,52 +596,33 @@ def select_best_for_m(archive: list[Individual], m: int,
     return min(slice_, key=lambda ind: (ind.rank, ind.objectives[2], ind.objectives[0]))
 
 
+def _best_by_f3(objs: np.ndarray, pop_size: int):
+    """The GA's survivor rule: the `pop_size` rows of least f3 in a stable
+    sort, so of two tied rows the earlier one stays ahead, and the row it
+    ranks first is the best row seen. Their rank is their f3 and their
+    crowding 0: a tournament goes to the lower f3, then to the first drawn."""
+    chosen = np.argsort(objs[:, 2], kind="stable")[:pop_size]
+    return chosen, objs[chosen, 2], np.zeros(len(chosen)), chosen[:1]
+
+
 def run_ga_single_objective(scene, params, config: GaConfig, *, table: LinkGainTable):
     """Plain elitist GA on `table`, maximizing covered users at a fixed site count.
 
-    Same chromosome layout and variation operators as the multi-objective
-    run, but every slot is forced active (exactly m_max sites) and fitness
-    is the covered-user count alone. Returns (best Individual, history of
-    best f3 per generation). `scene` and `params` are accepted for call
-    compatibility and not read.
+    Same chromosome layout, variation and generation loop as the
+    multi-objective run, but every slot is forced active (exactly m_max
+    sites) and the survivors are the rows of least f3 (`_best_by_f3`).
+    Returns (best Individual, history of best f3 per generation). `scene`
+    and `params` are accepted for call compatibility and not read.
     """
     n_cand = table.n_candidates
     if config.m_max > n_cand:
         raise DataError("m_max exceeds candidate count")
-    rng = np.random.default_rng(config.seed)
-    score = _memo_scorer(table, config.sinr_threshold_db)
-
-    def fix(rows):
-        return repair_fixed_m_rows(rows, n_cand, config.m_max)
-
-    pop, keys = fix(_random_population(config, chromosome_bits(n_cand, config.m_max), rng))
-    objs = score(keys)
-    fitness = objs[:, 2]  # minimize f3
-
-    best_idx = int(np.argmin(fitness))
-    best_bits = pop[best_idx].copy()
-    best_obj = objs[best_idx].copy()
-    history = [float(fitness[best_idx])]
-
-    for _ in range(config.generations):
-        parents = _tournament(rng, fitness, np.zeros_like(fitness), config.pop_size)
-        children, keys = fix(_offspring(pop, parents, config, rng))
-
-        all_bits = np.vstack([pop, children])
-        all_objs = np.vstack([objs, score(keys)])
-        order = np.argsort(all_objs[:, 2], kind="stable")[:config.pop_size]
-        pop = all_bits[order]
-        objs = all_objs[order]
-        fitness = objs[:, 2]
-
-        if fitness[0] < best_obj[2]:
-            best_bits = pop[0].copy()
-            best_obj = objs[0].copy()
-        history.append(float(best_obj[2]))
-
-    best = Individual(bits=best_bits, objectives=best_obj, rank=0, crowding=math.inf,
-                      sites=decode_sites(best_bits, n_cand, config.m_max))
-    return best, history
+    history = []
+    for rows, objs, first in _generations(config, table, repair_fixed_m_rows, _best_by_f3):
+        history.append(float(objs[first[0], 2]))
+    best = first[0]
+    return Individual(bits=rows[best], objectives=objs[best], rank=0, crowding=math.inf,
+                      sites=decode_sites(rows[best], n_cand, config.m_max)), history
 
 
 # ---------------------------------------------------------------------------

@@ -38,10 +38,22 @@ CANDIDATE_EXCLUDED = (CellClass.TREE, CellClass.CLUTTER, CellClass.CAR)
 USER_HEIGHT_M = 2.0
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_grid_geometry(cell_size: float, origin: tuple[float, float], grid: np.ndarray):
+    if not _is_number(cell_size):
+        raise DataError(f"cell_size must be a number, got {cell_size!r}")
     # NaN fails every comparison, so `cell_size <= 0` alone would let it through
     if not (np.isfinite(cell_size) and cell_size > 0):
         raise DataError(f"cell_size must be finite and positive, got {cell_size!r}")
+    try:
+        x, y = origin
+    except (TypeError, ValueError):  # not a pair
+        x = y = None
+    if not (_is_number(x) and _is_number(y)):
+        raise DataError(f"origin must be two numbers, got {origin!r}")
     if not np.isfinite(origin).all():
         raise DataError(f"origin must be finite, got {origin!r}")
     if grid.ndim != 2 or grid.size == 0:

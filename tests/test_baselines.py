@@ -105,6 +105,11 @@ def test_kmeans_table_mismatch_guard(kmeans_scene):
                         KmeansConfig(), table=table)
     with pytest.raises(DataError, match="k must be >= 1"):
         kmeans_site_ids(scene.users, 0, scene, PARAMS, KmeansConfig(), table=table)
+    with pytest.raises(DataError, match="^need users and candidate sites$"):
+        kmeans_site_ids([], 2, scene, PARAMS, KmeansConfig(), table=table)
+    n = len(scene.users)
+    with pytest.raises(DataError, match=f"^k={n + 1} exceeds the {n} available users$"):
+        kmeans_site_ids(scene.users, n + 1, scene, PARAMS, KmeansConfig(), table=table)
 
 
 def test_kmeans_config_validation():

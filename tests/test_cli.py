@@ -756,16 +756,25 @@ def test_compare_and_evaluate_agree_under_a_non_default_radio_config(ws, tmp_pat
     assert float(row[2]) == pct and f"{float(row[3]):.2f}" == found[3]
 
 
-def test_compare_rejects_unknown_method(ws, tmp_path):
+def test_compare_rejects_unknown_method(ws, tmp_path, capsys):
     rc = main(["compare", str(ws["scene"]), "--methods", "nsga2,tabu",
                "--out", str(tmp_path / "x")])
     assert rc == 2
+    capsys.readouterr()
+    rc = main(["compare", str(ws["scene"]), "--methods", ",", "--out", str(tmp_path / "x")])
+    assert (rc, capsys.readouterr().err) == \
+        (2, "usage error: --methods must name at least one method\n")
 
 
-def test_compare_rejects_bad_counts(ws, tmp_path):
+def test_compare_rejects_bad_counts(ws, tmp_path, capsys):
     rc = main(["compare", str(ws["scene"]), "--methods", "nsga2",
                "--m", "three", "--out", str(tmp_path / "x")])
     assert rc == 2
+    capsys.readouterr()
+    rc = main(["compare", str(ws["scene"]), "--methods", "nsga2", "--m", ",",
+               "--out", str(tmp_path / "x")])
+    assert (rc, capsys.readouterr().err) == \
+        (2, "usage error: --m must name at least one site count\n")
 
 
 # ---------------------------------------------------------------------------

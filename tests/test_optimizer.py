@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 from collections import Counter
@@ -563,6 +564,8 @@ def test_single_objective_ga(toy_run):
                   for c in itertools.combinations(range(C), 2))
     assert best.objectives[2] == best_f3
     assert history[-1] == best_f3
+    with pytest.raises(DataError, match="^m_max exceeds candidate count$"):
+        run_ga_single_objective(scene, PARAMS, GaConfig(pop_size=4, m_max=C + 1), table=table)
 
 
 def test_ga_config_validation_and_json(tmp_path):
@@ -576,6 +579,8 @@ def test_ga_config_validation_and_json(tmp_path):
         GaConfig(mutation_prob_per_bit=-0.1)
     with pytest.raises(DataError, match="m_max must be >= 1"):
         GaConfig(m_max=0)
+    with pytest.raises(DataError, match="^generations must be >= 1$"):
+        GaConfig(generations=0)
     with pytest.raises(DataError, match="seed must be >= 0, got -1"):
         GaConfig(seed=-1)
     p = tmp_path / "ga.json"
@@ -1252,6 +1257,146 @@ def test_runs_share_no_scores_across_tables(toy_run):
         assert fresh.setdefault(name, got) == got
     assert fresh["aware"][0] == _run_digests((archive, history))
     assert fresh["aware"][0] != fresh["blind"][0]
+
+
+# ---------------------------------------------------------------------------
+# The two runs against their own generation loops, as they were before they
+# shared `_generations`: the oracles of the shared loop
+
+def _oracle_run_nsga2(config, table):
+    """`run_nsga2` with its own generation loop."""
+    n_cand = table.n_candidates
+    m_max = config.m_max
+    rng = np.random.default_rng(config.seed)
+    score = opt._memo_scorer(table, config.sinr_threshold_db)
+
+    def fix(rows):
+        return repair_rows(rows, n_cand, m_max)
+
+    pop, keys = fix(opt._random_population(config, chromosome_bits(n_cand, m_max), rng, m_max))
+    objs = score(keys)
+
+    # every row survives; its rank and crowding go back to row order
+    chosen, ranked, crowded, first = opt._survivors(objs, config.pop_size)
+    rank, crowd = np.empty_like(ranked), np.empty_like(crowded)
+    rank[chosen], crowd[chosen] = ranked, crowded
+    archive_objs, archive_bits = opt._merge_archive(np.empty((0, 3)), pop[:0],
+                                                    objs[first], pop[first])
+
+    history = [{"generation": 0, "per_budget": opt._budget_stats(archive_objs, m_max)}]
+
+    for gen in range(1, config.generations + 1):
+        parents = opt._tournament(rng, rank, crowd, config.pop_size)
+        children, keys = fix(opt._offspring(pop, parents, config, rng, m_max))
+
+        combined = np.vstack([pop, children])
+        combined_objs = np.vstack([objs, score(keys)])
+        chosen, rank, crowd, first = opt._survivors(combined_objs, config.pop_size)
+
+        archive_objs, archive_bits = opt._merge_archive(archive_objs, archive_bits,
+                                                        combined_objs[first], combined[first])
+        pop = combined[chosen]
+        objs = combined_objs[chosen]
+
+        history.append({"generation": gen,
+                        "per_budget": opt._budget_stats(archive_objs, m_max)})
+
+    crowd = crowding_distance(archive_objs)  # the archive is one front
+    archive = [
+        Individual(bits=bits, objectives=obj, rank=0, crowding=float(cd),
+                   sites=decode_sites(bits, n_cand, m_max))
+        for bits, obj, cd in zip(archive_bits, archive_objs, crowd)
+    ]
+    archive.sort(key=lambda ind: (ind.objectives[1], ind.objectives[2], ind.objectives[0]))
+    return archive, history
+
+
+def _oracle_run_ga(config, table):
+    """`run_ga_single_objective` with its own generation loop and a best-so-far
+    copy beside its survivors, replaced only by a strictly better row."""
+    n_cand = table.n_candidates
+    rng = np.random.default_rng(config.seed)
+    score = opt._memo_scorer(table, config.sinr_threshold_db)
+
+    def fix(rows):
+        return repair_fixed_m_rows(rows, n_cand, config.m_max)
+
+    pop, keys = fix(opt._random_population(config, chromosome_bits(n_cand, config.m_max), rng))
+    objs = score(keys)
+    fitness = objs[:, 2]  # minimize f3
+
+    best_idx = int(np.argmin(fitness))
+    best_bits = pop[best_idx].copy()
+    best_obj = objs[best_idx].copy()
+    history = [float(fitness[best_idx])]
+
+    for _ in range(config.generations):
+        parents = opt._tournament(rng, fitness, np.zeros_like(fitness), config.pop_size)
+        children, keys = fix(opt._offspring(pop, parents, config, rng))
+
+        all_bits = np.vstack([pop, children])
+        all_objs = np.vstack([objs, score(keys)])
+        order = np.argsort(all_objs[:, 2], kind="stable")[:config.pop_size]
+        pop = all_bits[order]
+        objs = all_objs[order]
+        fitness = objs[:, 2]
+
+        if fitness[0] < best_obj[2]:
+            best_bits = pop[0].copy()
+            best_obj = objs[0].copy()
+        history.append(float(best_obj[2]))
+
+    best = Individual(bits=best_bits, objectives=best_obj, rank=0, crowding=np.inf,
+                      sites=decode_sites(best_bits, n_cand, config.m_max))
+    return best, history
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=_tables(), m_max=st.integers(1, 4), half_pop=st.integers(2, 8),
+       generations=st.integers(1, 6), crossover_prob=st.sampled_from([0.0, 0.7, 1.0]),
+       p_mut=st.sampled_from([None, 0.2, 0.6]), seed=st.integers(0, 2 ** 32 - 1))
+def test_runs_match_their_own_generation_loops(table, m_max, half_pop, generations,
+                                               crossover_prob, p_mut, seed):
+    cfg = GaConfig(pop_size=2 * half_pop, generations=generations, crossover_prob=crossover_prob,
+                   mutation_prob_per_bit=p_mut, seed=seed, m_max=m_max)
+    assert _run_digests(run_nsga2(None, None, cfg, table=table)) == \
+        _run_digests(_oracle_run_nsga2(cfg, table))
+    ga_cfg = dataclasses.replace(cfg, m_max=min(m_max, table.n_candidates))
+    assert _run_digests(run_ga_single_objective(None, None, ga_cfg, table=table)) == \
+        _run_digests(_oracle_run_ga(ga_cfg, table))
+
+
+def _tied_sites_table():
+    """3 users x 8 candidates, each site with one live sector head. Sites 2 and
+    5 each put all three users above 10 dB (5 with the better f1, so the two
+    tie on f3 alone); every other site reaches one or two users."""
+    covered = np.array([[1, 0, 1, 1, 0, 1, 0, 0],
+                        [0, 1, 1, 0, 1, 1, 1, 0],
+                        [1, 1, 1, 0, 0, 1, 0, 1]], dtype=bool)
+    rx = np.where(covered, -80.0, -110.0)
+    rx[:, 5] += 6.0
+    heads = np.stack([rx, np.full_like(rx, -200.0), np.full_like(rx, -200.0)], axis=2)
+    return table_from_db(heads, np.ones(3, dtype=bool), 0)
+
+
+# (seed, generations, and the generations whose batches first hold site 2 and
+# site 5): site 2 drawn in generation 0 or found as a child, site 5 later
+@pytest.mark.parametrize("seed, generations, first_2, first_5",
+                         [(7, 2, 0, 2), (25, 6, 0, 2), (24, 6, 2, 5)])
+def test_ga_keeps_the_earlier_of_two_site_sets_tied_on_f3(monkeypatch, seed, generations,
+                                                          first_2, first_5):
+    table = _tied_sites_table()
+    assert [evaluate_sites([s], table, 10.0)[2] for s in range(8)] == \
+        [-2.0, -2.0, -3.0, -1.0, -1.0, -3.0, -1.0, -1.0]
+    cfg = GaConfig(pop_size=4, generations=generations, m_max=1, seed=seed)
+    _, repaired = _spy_on_scoring(monkeypatch, "repair_fixed_m_rows")
+    best, history = run_ga_single_objective(None, None, cfg, table=table)
+    # the run's batches: generation 0, then each generation's children
+    batches = [repaired[at:at + cfg.pop_size] for at in range(0, len(repaired), cfg.pop_size)]
+    assert [next(gen for gen, batch in enumerate(batches) if (site,) in batch)
+            for site in (2, 5)] == [first_2, first_5]
+    assert best.sites == [2] and best.objectives[2] == -3.0 and history[-1] == -3.0
+    assert _run_digests((best, history)) == _run_digests(_oracle_run_ga(cfg, table))
 
 
 # ---------------------------------------------------------------------------

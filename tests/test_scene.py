@@ -51,6 +51,8 @@ def test_class_raster_validation():
     ok = ClassRaster(1.0, (0.0, 0.0), np.zeros((3, 2), dtype=int))
     assert ok.classes.dtype == np.int16
     assert (ok.width, ok.height) == (2, 3)
+    with pytest.raises(DataError, match=r"^point \(2\.0, 0\.5\) outside raster extent$"):
+        ok.label_at(2.0, 0.5)
     with pytest.raises(DataError, match="cell_size must be finite and positive, got -1.0"):
         ClassRaster(-1.0, (0.0, 0.0), np.zeros((2, 2), dtype=int))
     with pytest.raises(DataError, match="class code 9 outside 0..5"):
@@ -76,6 +78,27 @@ def test_class_raster_checks_codes_before_the_int16_cast(code, message):
 def test_grid_needs_two_axes_and_a_cell(cls, grid):
     with pytest.raises(DataError, match="at least one cell"):
         cls(1.0, (0.0, 0.0), grid)
+
+
+@pytest.mark.parametrize("cell_size, origin, message", [
+    (1.0, (0.0,), "origin must be two numbers, got (0.0,)"),
+    (1.0, (0.0, 0.0, 7.0), "origin must be two numbers, got (0.0, 0.0, 7.0)"),
+    (1.0, 5.0, "origin must be two numbers, got 5.0"),
+    (1.0, "00", "origin must be two numbers, got '00'"),
+    (1.0, None, "origin must be two numbers, got None"),
+    (1.0, (0.0, True), "origin must be two numbers, got (0.0, True)"),
+    (1.0, (np.nan, 0.0), "origin must be finite, got (nan, 0.0)"),
+    (1.0, (0.0, -np.inf), "origin must be finite, got (0.0, -inf)"),
+    ("1", (0.0, 0.0), "cell_size must be a number, got '1'"),
+    (None, (0.0, 0.0), "cell_size must be a number, got None"),
+    (np.nan, (0.0, 0.0), "cell_size must be finite and positive, got nan"),
+    (np.inf, (0.0, 0.0), "cell_size must be finite and positive, got inf"),
+])
+@pytest.mark.parametrize("cls", [ClassRaster, Dsm], ids=["ClassRaster", "Dsm"])
+def test_grid_geometry_must_be_numbers(cls, cell_size, origin, message):
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        cls(cell_size, origin, np.zeros((2, 2)))
+    cls(np.float32(2.0), np.array([np.int64(1), 2.5]), np.zeros((2, 2)))  # numpy numbers pass
 
 
 def test_dsm_bilinear_hand_values():
@@ -189,6 +212,16 @@ def test_load_grid_rejects_nodata_and_bad_headers(tmp_path):
         "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\nncols 3\n0 1 2 3 4 5\n"
     )
     with pytest.raises(DataError, match="repeated header field ncols"):
+        load_dsm(p)
+    for ncols, cellsize in ((0, 1), (2, 0)):
+        p.write_text(f"ncols {ncols}\nnrows 1\nxllcorner 0\nyllcorner 0\n"
+                     f"cellsize {cellsize}\n0 1\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"{p}: ncols/nrows must be >= 1 and cellsize > 0") + "$"):
+            load_dsm(p)
+    p.write_text("ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n0 nan\n")
+    with pytest.raises(DataError,
+                       match=re.escape(f"{p}: DSM contains non-finite elevations") + "$"):
         load_dsm(p)
 
 
@@ -328,6 +361,9 @@ def test_place_users_lattice_and_height(flat_raster_pair):
         assert x % 10 == pytest.approx(5.0)
         assert y % 10 == pytest.approx(5.0)
         assert z == pytest.approx(dsm.bilinear(x, y) + USER_HEIGHT_M)
+    for spacing in (0.0, -10.0):
+        with pytest.raises(DataError, match="^user spacing must be positive$"):
+            place_users(raster, dsm, spacing, 10.0, [])
 
 
 def test_place_users_priority(flat_raster_pair):
@@ -435,6 +471,9 @@ def test_place_candidates_flat(flat_raster_pair):
     }
     for c in cands:
         assert c.position[2] == pytest.approx(3.0 + 25.0)
+    for pitch, mast_height in ((0.0, 25.0), (50.0, 0.0), (50.0, -1.0)):
+        with pytest.raises(DataError, match="^pitch and mast height must be positive$"):
+            place_candidates(raster, dsm, pitch, mast_height)
 
 
 def test_place_candidates_roof_mount():
@@ -502,6 +541,8 @@ def test_build_scene_fixed_bs_validation(flat_raster_pair):
         build_scene(raster, dsm, SceneConfig(fixed_bs=[[1.0, 2.0, 30.0], site]))
     with pytest.raises(DataError, match=r"fixed_bs\[0\] must be 3 finite numbers"):
         build_scene(raster, dsm, SceneConfig(fixed_bs=[["10", "10", "30"]]))
+    with pytest.raises(DataError, match=r"^fixed_bs\[0\] must be 3 finite numbers, got 5$"):
+        build_scene(raster, dsm, SceneConfig(fixed_bs=[5]))
     # a 2-D array or a list of numpy rows gives what the list of lists gives
     for fixed in (np.array([[10.0, 10.0, 30.0]]), [np.array([10.0, 10.0, 30.0])]):
         again = build_scene(raster, dsm, SceneConfig(fixed_bs=fixed))
@@ -670,6 +711,8 @@ def test_generator_config_validation():
         GeneratorConfig(road_width=50)
     with pytest.raises(DataError, match=r"building_density must lie in \[0, 0\.8\]"):
         GeneratorConfig(building_density=0.95)
+    with pytest.raises(DataError, match="^invalid building_height_range$"):
+        GeneratorConfig(building_height_range=(5.0, 1.0))
 
 
 @pytest.mark.parametrize("field", ["width", "height", "road_period", "road_width"])
@@ -1130,12 +1173,15 @@ def test_load_scene_rejects_bad_coordinates(tmp_path, path, value, entry):
     (lambda doc: doc.update(buildings={}), "'buildings' must be a list, got {}"),
     (lambda doc: doc["users"][3].pop("priority"), "missing key users[3].priority"),
     (lambda doc: doc["users"][3].update(priorty=True), "unknown key users[3].priorty"),
+    (lambda doc: doc["users"][3].__setitem__("priorty", doc["users"][3].pop("priority")),
+     "unknown key users[3].priorty"),
     (lambda doc: doc["users"].__setitem__(3, [1, 2, 3]),
      "users[3] must be a JSON object, got [1, 2, 3]"),
     (lambda doc: doc["buildings"][0].update(height=9.0), "unknown key buildings[0].height"),
     (lambda doc: doc["candidates"][0].pop("id"), "missing key candidates[0].id"),
 ], ids=["unknown-top", "missing-users", "buildings-object", "missing-priority",
-        "unknown-user-key", "list-user", "unknown-building-key", "missing-id"])
+        "unknown-user-key", "renamed-user-key", "list-user", "unknown-building-key",
+        "missing-id"])
 def test_load_scene_names_file_entry_and_key(tmp_path, edit, message):
     doc = _scene_doc()
     doc["users"] += [{"position": [float(x), 9.0, 2.0], "priority": False} for x in (3, 5)]
